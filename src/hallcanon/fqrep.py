@@ -158,13 +158,6 @@ def _poly_mul(F: GF, a, b):
     return out
 
 
-def _poly_pow(F: GF, a, n):
-    out = [1]
-    for _ in range(n):
-        out = _poly_mul(F, out, a)
-    return out
-
-
 def _poly_rem(F: GF, a, b):
     """Remainder of a modulo monic-ish b (leading coefficient invertible)."""
     a = list(a)
@@ -348,15 +341,6 @@ class FqModule:
         return f"FqModule(q={self.F.q}, dims={self.dims})"
 
 
-def _is_nonzero_after_power(F: GF, mat, power: int) -> bool:
-    cur = mat
-    for _ in range(power):
-        if not any(any(r) for r in cur):
-            return False
-        cur = gf.mat_mul(F, cur, mat)
-    return any(any(r) for r in cur)
-
-
 def simple_module(quiver: Quiver, F: GF, vertex_index: int) -> FqModule:
     dims = tuple(1 if j == vertex_index else 0 for j in range(quiver.n))
     mats = [gf.zeros(dims[t], dims[s]) for s, t in quiver.arrows]
@@ -454,7 +438,10 @@ def ext_dim(M: FqModule, N: FqModule) -> int:
 
 
 def aut_order(M: FqModule, budget: int = 2_000_000) -> int:
-    """|Aut M| by enumerating the endomorphism algebra; budget-guarded."""
+    """|Aut M| by enumerating the endomorphism algebra; budget-guarded.
+
+    Only a check on ``FieldContext.aut_coeffs``, which is the closed form.
+    """
     F = M.F
     basis = _hom_basis_rows(M, M)
     e = len(basis)
@@ -486,6 +473,16 @@ def aut_order(M: FqModule, budget: int = 2_000_000) -> int:
         if ok:
             count += 1
     return count
+
+
+def _int_poly_mul(a, b):
+    """Product of integer polynomials, coefficients ascending."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -868,9 +865,41 @@ class FieldContext:
     def end(self, desc) -> int:
         return self.hom_desc(desc, desc)
 
+    def aut_coeffs(self, desc) -> tuple:
+        """|Aut M| as integer coefficients in q, ascending, by radical lifting.
+
+        For M = (+) M_i^{n_i} with the M_i pairwise non-isomorphic
+        indecomposables, the cross-Hom blocks lie in the radical of End M,
+        so |Aut M| = q^(sum of cross Hom dims) * prod |GL_{n_i}(End M_i)|
+        with End M_i local of residue degree d_i and radical dimension
+        e_i - d_i.  Only Hom dimensions are used; nothing is built.
+        """
+        comps = desc_indecs(desc)
+        cross = 0
+        for i, (ia, na) in enumerate(comps):
+            for j, (ib, nb) in enumerate(comps):
+                if i != j:
+                    cross += na * nb * self.hom_indec(ia, ib)
+        coeffs = [0] * cross + [1]  # q^cross
+        for ind, n in comps:
+            e = self.hom_indec(ind, ind)
+            d = point_degree(ind[1]) if ind[0] == "r" else 1
+            assert e >= d
+            coeffs = [0] * (n * n * (e - d)) + coeffs
+            for k in range(n):
+                # factor q^(d n) - q^(d k)
+                factor = [0] * (d * n + 1)
+                factor[d * n] = 1
+                factor[d * k] -= 1
+                coeffs = _int_poly_mul(coeffs, factor)
+        return tuple(coeffs)
+
     def aut(self, desc) -> int:
         if desc not in self._aut_memo:
-            self._aut_memo[desc] = aut_order(self.build(desc), self.cfg.budget_aut)
+            out = 0
+            for c in reversed(self.aut_coeffs(desc)):
+                out = out * self.q + c
+            self._aut_memo[desc] = out
         return self._aut_memo[desc]
 
     # -- construction ----------------------------------------------------

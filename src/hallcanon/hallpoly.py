@@ -22,26 +22,11 @@ from .config import (
     InterpolationError,
     JobConfig,
 )
-from .fqrep import FieldContext, closed_points, desc_indecs, make_cdesc
+from .fqrep import FieldContext, aut_order, closed_points
 from .laurent import LaurentPoly
 from .quiver import Quiver
 
 STORE_VERSION = 1
-
-
-def _poly_mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_shift(a, k):
-    return [0] * k + list(a)
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +444,6 @@ class HallPolyEngine:
             self._contexts[q] = FieldContext(self.quiver, q, self.cfg)
         return self._contexts[q]
 
-    # -- degree heuristics -------------------------------------------------
-
-    def _ends(self, q0, descL, descM, descN):
-        ctx = self.ctx(q0)
-        eL = ctx.end(descL)
-        eM = ctx.end(descM)
-        eN = ctx.end(descN)
-        hMN = ctx.hom_desc(descM, descN)
-        return eL, max(0, eL - eM - eN + hMN)
-
     # -- public API ----------------------------------------------------------
 
     def hall_polynomial(self, descL, descM, descN) -> HallPolynomial:
@@ -531,14 +506,15 @@ class HallPolyEngine:
         ) == ctx0.desc_dim(L0)
         if not dims_ok:
             return HallPolynomial((), ((q0, 0),), (), q0)
-        cap, _heur = self._ends(q0, L0, M0, N0)
+        # g^L_{M,N} never exceeds the number of subspaces of dimension
+        # dim N in L, a product of Gaussian binomials of degree
+        # sum_v n_v (l_v - n_v) in q, so that degree caps the escalation.
         # Escalate from degree zero: the least validated degree is what
         # "fit on minimal samples" means, and degree monotonicity makes the
-        # result independent of the starting point.  The end-dimension
-        # heuristic routinely exceeds what the sample pool can validate
-        # (e.g. semisimple modules), so it only caps the escalation.
+        # result independent of the starting point.
         start = 0
-        cap = min(cap, len(qs) - 3)
+        nuL, nuN = ctx0.desc_dim(L0), ctx0.desc_dim(N0)
+        cap = min(sum(n * (l - n) for l, n in zip(nuL, nuN)), len(qs) - 3)
         pairs = [(q0, cnt0)]
         for q in qs[1:]:
             pairs.append((q, self._count_hall(key, q)[0]))
@@ -557,62 +533,33 @@ class HallPolyEngine:
         return HallPolynomial(coeffs, pairs[:n_fit], pairs[n_fit:], qs[0])
 
     def _compute_aut(self, key) -> HallPolynomial:
-        """|Aut M| as a polynomial in q, by radical lifting of units.
+        """|Aut M| as a polynomial in q, from ``FieldContext.aut_coeffs``.
 
-        For M = (+) M_i^{n_i} with the M_i pairwise non-isomorphic
-        indecomposables, the cross-Hom blocks lie in the radical of End M,
-        so |Aut M| = q^(sum of cross Hom dims) * prod |GL_{n_i}(End M_i)|
-        with End M_i local of residue degree d_i and radical dimension
-        e_i - d_i.  The result is validated against direct enumeration at
-        every sample field where that enumeration fits the budget.
+        The closed form is checked against direct enumeration at up to two
+        sample fields where that enumeration fits ``budget_aut``.
         """
-        from .config import BudgetExceededError
-        from .fqrep import point_degree as _pdeg
-
         _, absD, degrees = key
         qs = self._usable_qs(degrees)
         if not qs:
             raise InterpolationError("no usable sample fields")
         q0 = qs[0]
-        ctx0 = self.ctx(q0)
         d0 = instantiate_desc(absD, assign_points(q0, degrees))
-        comps = desc_indecs(d0)
-        cross = 0
-        for i, (ia, na) in enumerate(comps):
-            for j, (ib, nb) in enumerate(comps):
-                if i != j:
-                    cross += na * nb * ctx0.hom_indec(ia, ib)
-        coeffs = [0] * cross + [1]  # q^cross
-        for ind, n in comps:
-            e = ctx0.hom_indec(ind, ind)
-            d = _pdeg(ind[1]) if ind[0] == "r" else 1
-            rad = e - d
-            assert rad >= 0
-            coeffs = _poly_shift(coeffs, n * n * rad)
-            for k in range(n):
-                # factor q^(d n) - q^(d k)
-                factor = [0] * (d * n + 1)
-                factor[d * n] = 1
-                factor[d * k] -= 1
-                coeffs = _poly_mul_int(coeffs, factor)
+        poly = HallPolynomial(self.ctx(q0).aut_coeffs(d0), (), (), q0)
         validations = []
         for q in qs:
             ctx = self.ctx(q)
             dd = instantiate_desc(absD, assign_points(q, degrees))
             if q ** ctx.end(dd) > self.cfg.budget_aut:
                 continue
-            counted = ctx.aut(dd)
-            predicted = 0
-            for c in reversed(coeffs):
-                predicted = predicted * q + c
-            if counted != predicted:
+            counted = aut_order(ctx.build(dd), self.cfg.budget_aut)
+            if counted != poly.eval(q):
                 raise HallPolynomialContradiction(
                     f"closed-form |Aut| disagrees with enumeration at q={q}"
                 )
             validations.append((q, counted))
             if len(validations) >= 2:
                 break
-        return HallPolynomial(coeffs, (), validations, q0)
+        return HallPolynomial(poly.coeffs, (), validations, q0)
 
     def check_at(self, poly: HallPolynomial, descL, descM, descN, q: int):
         """Recount at a fresh field; a mismatch is a hard contradiction."""

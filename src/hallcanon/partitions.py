@@ -62,10 +62,6 @@ def dominates(lam, mu) -> bool:
     return True
 
 
-def lex_greater(lam, mu) -> bool:
-    return tuple(lam) > tuple(mu)
-
-
 def _horizontal_strip_removals(lam, size):
     """Shapes lam' with lam/lam' a horizontal strip of the given size."""
     lam = tuple(lam)

@@ -342,13 +342,6 @@ class IndexSystem:
             word.extend(self.dimvec_word(tuple(part * x for x in self.engine.delta)))
         return tuple(word)
 
-    def word_tube(self, c0):
-        """Concatenated distinguished words, tubes in their recorded order."""
-        word = []
-        for pi in c0:
-            word.extend(self.ddx_word(pi))
-        return tuple(word)
-
     def monomial(self, word) -> dict:
         """Generic expansion of an arbitrary word over the N family."""
         return self.engine.generic_word(tuple(word))

@@ -123,6 +123,23 @@ def test_hallpoly_kronecker(capsys):
     assert json.loads(out)["polynomial"] == "1"
 
 
+def test_hallpoly_kronecker_above_end_dimension(capsys):
+    code, out = run_cli(
+        capsys,
+        "hallpoly",
+        "--quiver",
+        "kronecker",
+        "--L",
+        '{"cm": [[-2, 1]]}',
+        "--M",
+        '{"cp": [[2, 1]]}',
+        "--N",
+        '{"cm": [[0, 2]]}',
+    )
+    assert code == 0
+    assert json.loads(out)["polynomial"] == "q^2"
+
+
 def test_verify_roundtrip(tmp_path, capsys):
     bundle_path = tmp_path / "b.json"
     assert (

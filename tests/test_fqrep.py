@@ -1,8 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
-from hallcanon.config import BudgetExceededError
+from hallcanon.config import BudgetExceededError, JobConfig
 from hallcanon.fqrep import (
     FieldContext,
     FqModule,
@@ -124,6 +125,39 @@ def test_aut_orders():
     assert aut_order(S1l2) == q - 1
     with pytest.raises(BudgetExceededError):
         aut_order(S_jordan_sq, budget=10)
+
+
+def _dims_with_total_at_most(n, total):
+    return [nu for nu in product(range(total + 1), repeat=n) if sum(nu) <= total]
+
+
+@pytest.mark.parametrize(
+    "quiver, qs, dims",
+    [
+        (kronecker(), (2, 3), list(product(range(3), repeat=2))),
+        (cyclic(2), (2,), _dims_with_total_at_most(2, 4)),
+        (cyclic(3), (2,), _dims_with_total_at_most(3, 4)),
+        (cyclic(1), (2, 3), _dims_with_total_at_most(1, 3)),
+        (linear_an(3, ">>"), (2,), _dims_with_total_at_most(3, 4)),
+        (linear_an(3, "><"), (2,), _dims_with_total_at_most(3, 4)),
+    ],
+    ids=["kronecker", "cyclic2", "cyclic3", "jordan", "a3-linear", "a3-alternating"],
+)
+def test_closed_form_aut_matches_enumeration(quiver, qs, dims):
+    for q in qs:
+        ctx = FieldContext(quiver, q)
+        for nu in dims:
+            for d in ctx.classes(nu):
+                assert ctx.aut(d) == aut_order(ctx.build(d)), (q, d)
+
+
+def test_closed_form_aut_ignores_enumeration_budget():
+    q = 7
+    ctx = FieldContext(cyclic(1), q, JobConfig(budget_aut=10))
+    d = ("m", mseg_normalize([((1, 1), 2)]))
+    assert ctx.aut(d) == (q**2 - 1) * (q**2 - q) == 2016
+    with pytest.raises(BudgetExceededError):
+        aut_order(ctx.build(d), budget=10)
 
 
 def test_submodule_census_examples():

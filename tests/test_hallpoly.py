@@ -101,6 +101,15 @@ def test_aut_polynomials():
     assert eng1.aut_polynomial(SS).coeffs == (0, 1, -1, -1, 1)
 
 
+def test_kronecker_hall_poly_above_end_dimension():
+    # dim End L = 1 but g = q^2: the degree cap is the census degree, 2.
+    eng = HallPolyEngine(kronecker())
+    L = make_cdesc(cm=((-2, 1),))
+    M = make_cdesc(cp=((2, 1),))
+    N = make_cdesc(cm=((0, 2),))
+    assert eng.hall_polynomial(L, M, N).coeffs == (0, 0, 1)
+
+
 def test_kronecker_hall_poly_with_points():
     eng = HallPolyEngine(kronecker())
     ctx = eng.ctx(5)
