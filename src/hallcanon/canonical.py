@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import BarSolveError
-from .hallalg import nindex_from_json, nindex_json
-from .laurent import ONE, ZERO, LaurentPoly, in_delta_plus_tail
+from .config import BarSolveError, BundleFormatError
+from .hallalg import nindex_json
+from .laurent import ONE, ZERO, LaurentPoly, RationalFn, sum_in_delta_plus_tail
 from .pbw import IndexSystem, PBWData
 
 
@@ -29,6 +29,9 @@ def _row_sub(row, other, factor):
 def invert_unitriangular(order, rows) -> dict:
     """Invert a unitriangular matrix given as {a: {b: coeff}} over the order."""
     pos = {a: i for i, a in enumerate(order)}
+    for i, a in enumerate(order):
+        if rows[a].get(a) != ONE or any(pos[d] > i for d in rows[a]):
+            raise BarSolveError(f"matrix is not lower unitriangular at {a}")
     inv = {a: {a: ONE} for a in order}
     for i, a in enumerate(order):
         # inv[a][c] = -sum_{c <= d < a} rows[a][d] * inv[d][c]
@@ -43,19 +46,21 @@ def invert_unitriangular(order, rows) -> dict:
                 else:
                     acc.pop(c, None)
         for c, x in acc.items():
-            assert pos[c] < i
             inv[a][c] = -x
     return inv
 
 
-def zeta_matrix(data: PBWData) -> dict:
-    """bar(E_a) = sum_b zeta[a][b] E_b, unitriangular with diagonal one."""
-    order = data.order
-    eta_inv = invert_unitriangular(order, data.eta)
+def zeta_matrix(order, eta) -> dict:
+    """bar(E_a) = sum_b zeta[a][b] E_b, unitriangular with diagonal one.
+
+    ``eta`` gives the PBW elements over the monomials, which are bar-invariant,
+    so zeta = bar(eta) * eta^-1; it is checked to square to the identity.
+    """
+    eta_inv = invert_unitriangular(order, eta)
     Z: dict = {}
     for a in order:
         row: dict = {}
-        for b, c in data.eta[a].items():
+        for b, c in eta[a].items():
             cb = c.bar()
             for idx2, x in eta_inv[b].items():
                 s = row.get(idx2, ZERO) + cb * x
@@ -141,7 +146,7 @@ class CanonicalSolver:
         if nu in self._solve_memo:
             return self._solve_memo[nu]
         data = self.system.pbw_basis(nu)
-        Z = zeta_matrix(data)
+        Z = zeta_matrix(data.order, data.eta)
         G = lusztig_solve(data.order, Z)
         C_over_N = {}
         C_over_mon = {}
@@ -170,7 +175,7 @@ class CanonicalSolver:
     def solve_with_order(self, nu, order) -> dict:
         """Re-run the triangular solve over another linear extension."""
         data = self.system.pbw_basis(tuple(nu))
-        Z = zeta_matrix(data)
+        Z = zeta_matrix(data.order, data.eta)
         pos = {a: i for i, a in enumerate(order)}
         return lusztig_solve(list(order), Z, pos)
 
@@ -222,7 +227,7 @@ class CanonicalSolver:
     def bar_element(self, nu, coeffs_over_E) -> dict:
         """bar of sum c_a E_a, expressed over E again."""
         data = self.system.pbw_basis(tuple(nu))
-        Z = zeta_matrix(data)
+        Z = zeta_matrix(data.order, data.eta)
         out: dict = {}
         for a, c in coeffs_over_E.items():
             cb = c.bar()
@@ -277,13 +282,11 @@ class CanonicalSolver:
             bar_ok[a] = acc == cdata.g[a]
         report["bar_invariant"] = bar_ok
         # Almost orthogonality via the Green form on N coordinates.
-        K = self.engine.cfg.series_order
         orth = {}
         for i, a in enumerate(order):
             for b in order[i:]:
-                val = self.engine.green_generic(cdata.C_over_N[a], cdata.C_over_N[b])
-                delta = 1 if a == b else 0
-                orth[(a, b)] = in_delta_plus_tail(val, delta, K)
+                terms = self.engine.green_terms(cdata.C_over_N[a], cdata.C_over_N[b])
+                orth[(a, b)] = sum_in_delta_plus_tail(terms, 1 if a == b else 0)
         report["almost_orthogonal"] = orth
         # Truncation route agreement.
         tmon, _ = self.truncation(nu)
@@ -362,21 +365,96 @@ class CanonicalSolver:
         return bundle
 
 
+_VERIFIED_KEYS = ("indices", "g", "zeta", "E_over_monomial", "gram_E")
+
+
+def _bundle_laurent(data, where) -> LaurentPoly:
+    """Decode a stored [[exponent, "coefficient"], ...] polynomial."""
+    if not isinstance(data, list) or not all(
+        isinstance(t, list) and len(t) == 2 and type(t[0]) is int and isinstance(t[1], str)
+        for t in data
+    ):
+        raise BundleFormatError(f"{where}: not a list of [exponent, coefficient] terms")
+    try:
+        return LaurentPoly.from_json(data)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BundleFormatError(f"{where}: {exc}") from None
+
+
+def _bundle_rows(bundle, key, n) -> list:
+    """Decode a stored n x n sparse matrix with no zero entries."""
+    mat = bundle[key]
+    if not isinstance(mat, list) or len(mat) != n:
+        raise BundleFormatError(f"{key}: expected {n} rows")
+    rows = []
+    for i, ent in enumerate(mat):
+        if not isinstance(ent, list):
+            raise BundleFormatError(f"{key}[{i}]: row is not a list")
+        row = {}
+        for item in ent:
+            if not (isinstance(item, list) and len(item) == 2 and type(item[0]) is int):
+                raise BundleFormatError(f"{key}[{i}]: entry is not [column, coefficient]")
+            j = item[0]
+            if not 0 <= j < n:
+                raise BundleFormatError(f"{key}[{i}]: column {j} out of range")
+            if j in row:
+                raise BundleFormatError(f"{key}[{i}]: column {j} repeated")
+            c = _bundle_laurent(item[1], f"{key}[{i}][{j}]")
+            if not c:
+                raise BundleFormatError(f"{key}[{i}][{j}]: zero entry")
+            row[j] = c
+        rows.append(row)
+    return rows
+
+
+def _bundle_gram(bundle, n) -> dict:
+    """Decode gram_E: one [i, j, rational function] entry for each i <= j."""
+    if not isinstance(bundle["gram_E"], list):
+        raise BundleFormatError("gram_E: not a list")
+    gram = {}
+    for item in bundle["gram_E"]:
+        if not (
+            isinstance(item, list)
+            and len(item) == 3
+            and type(item[0]) is int
+            and type(item[1]) is int
+            and isinstance(item[2], dict)
+            and set(item[2]) == {"num", "den"}
+        ):
+            raise BundleFormatError("gram_E: entry is not [i, j, {num, den}]")
+        i, j, val = item
+        if not 0 <= i <= j < n or (i, j) in gram:
+            raise BundleFormatError(f"gram_E: pair ({i}, {j}) out of range or repeated")
+        den = _bundle_laurent(val["den"], f"gram_E[{i}][{j}].den")
+        if not den:
+            raise BundleFormatError(f"gram_E[{i}][{j}]: zero denominator")
+        gram[(i, j)] = RationalFn(_bundle_laurent(val["num"], f"gram_E[{i}][{j}].num"), den)
+    if len(gram) != n * (n + 1) // 2:
+        raise BundleFormatError("gram_E: some pair i <= j is missing")
+    return gram
+
+
 def verify_bundle(bundle: dict) -> dict:
-    """Re-check a bundle's certificates from its stored matrices alone."""
-    from .laurent import RationalFn
+    """Re-check a bundle's certificates from its stored matrices alone.
 
-    order = [nindex_from_json(x) for x in bundle["indices"]]
-    n = len(order)
-
-    def as_rows(mat):
-        rows = []
-        for ent in mat:
-            rows.append({j: LaurentPoly.from_json(cj) for j, cj in ent})
-        return rows
-
-    g = as_rows(bundle["g"])
-    zeta = as_rows(bundle["zeta"])
+    The bar involution is recomputed from ``E_over_monomial``; row i is
+    bar-invariant when ``g`` row i is fixed by it and the stored ``zeta`` row
+    i agrees with it.  Almost orthogonality is decided exactly from the stored
+    ``gram_E``.  A malformed bundle raises ``BundleFormatError``.
+    """
+    if not isinstance(bundle, dict):
+        raise BundleFormatError("bundle is not a JSON object")
+    missing = [k for k in _VERIFIED_KEYS if k not in bundle]
+    if missing:
+        raise BundleFormatError(f"bundle lacks {', '.join(missing)}")
+    if not isinstance(bundle["indices"], list):
+        raise BundleFormatError("indices: not a list")
+    n = len(bundle["indices"])
+    g = _bundle_rows(bundle, "g", n)
+    stored_zeta = _bundle_rows(bundle, "zeta", n)
+    eta = _bundle_rows(bundle, "E_over_monomial", n)
+    gram = _bundle_gram(bundle, n)
+    zeta = zeta_matrix(range(n), eta)
     report: dict = {}
     unitri = True
     for i in range(n):
@@ -397,24 +475,23 @@ def verify_bundle(bundle: dict) -> dict:
                     acc[j] = s
                 else:
                     acc.pop(j, None)
-        bar_ok.append(acc == g[i])
+        bar_ok.append(acc == g[i] and stored_zeta[i] == zeta[i])
     report["bar_invariant"] = bar_ok
-    # Orthogonality from the stored E-Gram matrix.
-    gmap = {}
-    for i, j, val in bundle["gram_E"]:
-        gmap[(i, j)] = RationalFn.from_json(val)
-    K = bundle["meta"]["series_order"]
-    orth = True
-    for i in range(n):
-        for j in range(i, n):
-            val = RationalFn(ZERO)
-            for bi, ci in g[i].items():
-                for bj, cj in g[j].items():
-                    key = (bi, bj) if (bi, bj) in gmap else (bj, bi)
-                    if key in gmap:
-                        val = val + RationalFn(ci * cj) * gmap[key]
-            if not in_delta_plus_tail(val, 1 if i == j else 0, K):
-                orth = False
+
+    def gram_terms(i, j):
+        # (C_i, C_j) = sum g[i][a] g[j][b] (E_a, E_b); gram_E holds a <= b.
+        coeffs: dict = {}
+        for a, ca in g[i].items():
+            for b, cb in g[j].items():
+                key = (min(a, b), max(a, b))
+                coeffs[key] = coeffs.get(key, ZERO) + ca * cb
+        return ((c, gram[key]) for key, c in coeffs.items())
+
+    orth = all(
+        sum_in_delta_plus_tail(gram_terms(i, j), 1 if i == j else 0)
+        for i in range(n)
+        for j in range(i, n)
+    )
     report["almost_orthogonal"] = orth
     report["ok"] = unitri and all(bar_ok) and orth
     return report

@@ -46,16 +46,21 @@ class InsufficientPointsError(HallcanonError):
     """The field is too small to host the required homogeneous points."""
 
 
+class BundleFormatError(HallcanonError):
+    """A certificate bundle lacks a field or holds a malformed matrix."""
+
+
 @dataclass(frozen=True)
 class JobConfig:
     """Knobs shared by every computation.
 
     ``primes`` is the ordered pool of sample prime powers, ``budget_*`` are
     hard enumeration limits (a clear error beats silent degradation),
-    ``series_order`` is the certificate depth for power-series membership
-    tests, and ``expansion_check`` controls whether basis expansions are
-    re-verified against a direct field-level computation ("off", "first"
-    for the smallest sample only, or "all").
+    ``series_order`` is recorded in bundle metadata (the Green-form
+    certificates are exact and do not depend on it), and
+    ``expansion_check`` controls whether basis expansions are re-verified
+    against a direct field-level computation ("off", "first" for the
+    smallest sample only, or "all").
     """
 
     primes: tuple[int, ...] = DEFAULT_SAMPLE_POOL

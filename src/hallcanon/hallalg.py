@@ -634,13 +634,18 @@ class HallEngine:
             out = out * RationalFn(LaurentPoly.v_power(2 * e), a.to_laurent())
         return out
 
-    def green_generic(self, a: dict, b: dict) -> RationalFn:
-        out = RationalFn(ZERO)
+    def green_terms(self, a: dict, b: dict):
+        """The nonzero terms (c1*c2, (N_i1, N_i2)) whose sum is (a, b)."""
         for i1, c1 in a.items():
             for i2, c2 in b.items():
                 g = self.green_nn(i1, i2)
                 if g:
-                    out = out + RationalFn(c1 * c2) * g
+                    yield c1 * c2, g
+
+    def green_generic(self, a: dict, b: dict) -> RationalFn:
+        out = RationalFn(ZERO)
+        for c, g in self.green_terms(a, b):
+            out = out + RationalFn(c) * g
         return out
 
     # -- field-level Green form and coproduct -------------------------------

@@ -419,10 +419,6 @@ class RationalFn:
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
-    @staticmethod
-    def from_json(data) -> "RationalFn":
-        return RationalFn(LaurentPoly.from_json(data["num"]), LaurentPoly.from_json(data["den"]))
-
     def __repr__(self):
         return f"RationalFn(({self.num.text()}) / ({self.den.text()}))"
 
@@ -464,28 +460,40 @@ class SeriesTail:
         return f"SeriesTail(order={self.order}, pos={self.has_positive_part}, {self.coeffs})"
 
 
-def series_at_infinity(f: RationalFn, order: int) -> SeriesTail:
-    """Expand a rational function in powers of v^-1 to the given depth."""
+def expand_at_infinity(f: RationalFn, lowest: int) -> dict:
+    """Expand f in powers of v^-1, from its top exponent down to v^lowest.
+
+    Returns the nonzero coefficients as {exponent: Fraction}; f has no term
+    above its top exponent deg(num) - deg(den).
+    """
     if f.num.is_zero():
-        return SeriesTail(order, [0] * (order + 1), False)
-    dn, dd = f.num.degree(), f.den.degree()
-    # Rewrite in w = v^-1 with unit constant term in the denominator.
-    a = [Fraction(f.num.coeff(dn - k)) for k in range(dn - f.num.valuation() + 1)]
-    b = [Fraction(f.den.coeff(dd - k)) for k in range(dd - f.den.valuation() + 1)]
-    shift = dd - dn  # f = w^shift * A(w)/B(w)
-    depth = order + max(0, -shift) + 1
+        return {}
+    num, den = f.num, f.den
+    dn, dd = num.degree(), den.degree()
+    top = dn - dd
+    # In w = v^-1, f = v^top * A(w)/B(w) with B(0) the leading coefficient of
+    # den, so the coefficients follow from B(w) * (c_0 + c_1 w + ...) = A(w).
+    b0 = Fraction(den.coeff(dd))
+    b = [den.coeff(dd - j) for j in range(min(top - lowest, dd - den.valuation()) + 1)]
     c = []
-    for k in range(depth):
-        s = a[k] if k < len(a) else Fraction(0)
+    out = {}
+    for k in range(top - lowest + 1):
+        s = Fraction(num.coeff(dn - k))
         for j in range(1, min(k, len(b) - 1) + 1):
             s -= b[j] * c[k - j]
-        c.append(s / b[0])
-    has_pos = any(c[k] != 0 for k in range(min(depth, max(0, -shift))))
-    coeffs = []
-    for m in range(order + 1):
-        k = m - shift
-        coeffs.append(c[k] if 0 <= k < depth else Fraction(0))
-    return SeriesTail(order, coeffs, has_pos)
+        ck = s / b0
+        c.append(ck)
+        if ck:
+            out[top - k] = ck
+    return out
+
+
+def series_at_infinity(f: RationalFn, order: int) -> SeriesTail:
+    """Expand a rational function in powers of v^-1 to the given depth."""
+    coeffs = expand_at_infinity(f, -order)
+    return SeriesTail(
+        order, [coeffs.get(-m, 0) for m in range(order + 1)], any(e > 0 for e in coeffs)
+    )
 
 
 def in_vinv_Z(f, order: int) -> bool:
@@ -500,3 +508,25 @@ def in_delta_plus_tail(f, delta, order: int) -> bool:
     if isinstance(f, LaurentPoly):
         f = RationalFn(f)
     return series_at_infinity(f, order).in_delta_plus_tail(delta)
+
+
+def sum_in_delta_plus_tail(terms, delta) -> bool:
+    """Predicate: sum c*f over (c, f) in terms lies in delta + v^-1 Q[[v^-1]].
+
+    ``terms`` yields pairs of a LaurentPoly c and a RationalFn f.  The sum is
+    never formed as one rational function: each f is expanded at v = infinity
+    only down to v^-(top exponent of c), and only the coefficients of v^0 and
+    above are accumulated, so positive parts that cancel between terms do
+    cancel.  Exact; agrees with ``in_delta_plus_tail`` on the summed function.
+    """
+    acc: dict = {}
+    for c, f in terms:
+        if c.is_zero():
+            continue
+        coeffs = expand_at_infinity(f, -c.degree())
+        for e1, x in c.terms.items():
+            for e2, y in coeffs.items():
+                e = e1 + e2
+                if e >= 0:
+                    acc[e] = acc.get(e, 0) + x * y
+    return acc.get(0, 0) == delta and not any(x for e, x in acc.items() if e > 0)

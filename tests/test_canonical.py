@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from hallcanon.config import BarSolveError
@@ -176,8 +178,6 @@ def test_verify_negative_control(kron):
 
 
 def test_bundle_and_verify_roundtrip(kron):
-    import json
-
     bundle = kron.bundle((1, 1))
     blob = json.dumps(bundle, sort_keys=True)
     report = verify_bundle(json.loads(blob))
@@ -188,6 +188,75 @@ def test_bundle_and_verify_roundtrip(kron):
     assert not verify_bundle(bad)["ok"]
     text = latex_table(bundle)
     assert "tabular" in text
+
+
+def test_verify_bundle_rejects_forged_identity(kron):
+    # Identity g, zeta and C_over_E claim that the PBW basis is canonical;
+    # the bar involution recomputed from E_over_monomial refutes it.
+    bundle = json.loads(json.dumps(kron.bundle((2, 2))))
+    assert verify_bundle(bundle)["ok"]
+    n = len(bundle["indices"])
+    identity = [[[i, [[0, "1"]]]] for i in range(n)]
+    forged = dict(bundle, g=identity, zeta=identity, C_over_E=identity)
+    report = verify_bundle(forged)
+    assert not report["ok"]
+    assert not all(report["bar_invariant"])
+
+
+def test_verify_bundle_checks_stored_zeta(kron):
+    bundle = json.loads(json.dumps(kron.bundle((2, 2))))
+    i = next(i for i, row in enumerate(bundle["zeta"]) if len(row) > 1)
+    bundle["zeta"][i][0][1] = [[0, "5"]]
+    report = verify_bundle(bundle)
+    assert not report["ok"]
+    assert report["bar_invariant"][i] is False
+
+
+def test_verify_bundle_rejects_one_changed_gram_entry(cyc2):
+    bundle = json.loads(json.dumps(cyc2.bundle((2, 2))))
+    assert verify_bundle(bundle)["ok"]
+    for entry in bundle["gram_E"]:
+        i, j, val = entry
+        if i == j == len(bundle["indices"]) - 1:
+            val["num"] = [[e, str(2 * int(c))] for e, c in val["num"]]
+    report = verify_bundle(bundle)
+    assert report["almost_orthogonal"] is False
+    assert report["unitriangular"] and all(report["bar_invariant"])
+
+
+def test_verify_bundle_orthogonality_cancels_between_terms():
+    # C_1 = E_1 + v E_0 with (E_0,E_0) = 1, (E_0,E_1) = -v, (E_1,E_1) = 1 + v^2:
+    # (C_1,C_1) = 1 + v^2 - 2v^2 + v^2 = 1 and (C_0,C_1) = -v + v = 0, so the
+    # positive parts cancel only when both cross terms (E_0,E_1), (E_1,E_0) count.
+    one = [[0, "1"]]
+    identity = [[[0, one]], [[1, one]]]
+
+    def gram(f11):
+        return [
+            [0, 0, {"num": one, "den": one}],
+            [0, 1, {"num": [[1, "-1"]], "den": one}],
+            [1, 1, {"num": f11, "den": one}],
+        ]
+
+    bundle = {
+        "indices": [0, 1],
+        "g": [[[0, one]], [[0, [[1, "1"]]], [1, one]]],
+        "zeta": identity,
+        "E_over_monomial": identity,
+        "gram_E": gram([[0, "1"], [2, "1"]]),
+    }
+    report = verify_bundle(bundle)
+    assert report["almost_orthogonal"] is True
+    assert report["unitriangular"] is False and not report["ok"]
+    bundle["gram_E"] = gram([[0, "1"], [2, "2"]])
+    assert verify_bundle(bundle)["almost_orthogonal"] is False
+
+
+def test_verify_bundle_rejects_non_unitriangular_eta(kron):
+    bundle = json.loads(json.dumps(kron.bundle((1, 1))))
+    bundle["E_over_monomial"][0].append([1, [[0, "1"]]])
+    with pytest.raises(BarSolveError):
+        verify_bundle(bundle)
 
 
 def test_canonical_integrality_over_monomials(cyc2):

@@ -167,6 +167,59 @@ def test_verify_roundtrip(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.fixture(scope="module")
+def an2_bundle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("an2") / "b.json"
+    assert main(["canonical", "--quiver", "an:2", "--dim", "2,1", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _drop_gram(bundle):
+    del bundle["gram_E"]
+
+
+def _column_out_of_range(bundle):
+    bundle["g"][1].append([99, [[0, "1"]]])
+
+
+def _ragged_entry(bundle):
+    bundle["g"][1].append([0])
+
+
+def _ragged_matrix(bundle):
+    bundle["zeta"].pop()
+
+
+def _zero_entry(bundle):
+    bundle["g"][1][0][1] = [[0, "0"]]
+
+
+def _eta_not_unitriangular(bundle):
+    bundle["E_over_monomial"][0].append([1, [[0, "1"]]])
+
+
+@pytest.mark.parametrize(
+    "corrupt, error",
+    [
+        (_drop_gram, "BundleFormatError"),
+        (_column_out_of_range, "BundleFormatError"),
+        (_ragged_entry, "BundleFormatError"),
+        (_ragged_matrix, "BundleFormatError"),
+        (_zero_entry, "BundleFormatError"),
+        (_eta_not_unitriangular, "BarSolveError"),
+    ],
+)
+def test_verify_rejects_malformed_bundle(an2_bundle, tmp_path, capsys, corrupt, error):
+    bundle = json.loads(json.dumps(an2_bundle))
+    assert len(bundle["g"][1]) == 2
+    corrupt(bundle)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bundle))
+    code, out = run_cli(capsys, "verify", "--bundle", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == error
+
+
 def test_cache_commands(tmp_path, capsys):
     cache = tmp_path / "store"
     code, _ = run_cli(

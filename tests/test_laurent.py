@@ -11,6 +11,7 @@ from hallcanon.laurent import (
     LaurentPoly,
     RationalFn,
     bar,
+    expand_at_infinity,
     in_delta_plus_tail,
     in_vinv_Z,
     parse_laurent,
@@ -18,6 +19,7 @@ from hallcanon.laurent import (
     qfact,
     qint,
     series_at_infinity,
+    sum_in_delta_plus_tail,
 )
 
 laurents = st.dictionaries(
@@ -148,6 +150,77 @@ def test_series_positive_part_detected():
     tail = series_at_infinity(f, 3)
     assert tail.has_positive_part
     assert not tail.in_delta_plus_tail(1)
+
+
+def test_expand_at_infinity_from_top_exponent():
+    f = RationalFn(V**3, V - ONE)  # v^2 + v + 1 + v^-1 + ...
+    assert expand_at_infinity(f, -2) == {2: 1, 1: 1, 0: 1, -1: 1, -2: 1}
+    assert expand_at_infinity(f, 1) == {2: 1, 1: 1}
+    assert expand_at_infinity(f, 3) == {}
+    g = RationalFn(ONE, 2 * V**2 - 2 * ONE)  # (v^-2 + v^-4 + ...) / 2
+    assert expand_at_infinity(g, -5) == {-2: Fraction(1, 2), -4: Fraction(1, 2)}
+    assert expand_at_infinity(RationalFn(ZERO), -5) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurents, laurents.filter(bool), st.integers(-8, 8))
+def test_expand_at_infinity_multiplies_back(num, den, lowest):
+    # f - E = O(v^(lowest-1)), so num - den*E has no term at v^(lowest + deg den) or above.
+    f = RationalFn(num, den)
+    rest = f.num - f.den * LaurentPoly(expand_at_infinity(f, lowest))
+    assert all(e < lowest + f.den.degree() for e in rest.terms)
+
+
+def _summed(terms):
+    out = RationalFn(ZERO)
+    for c, f in terms:
+        out = out + RationalFn(c) * f
+    return out
+
+
+POS = RationalFn(V**2, V - ONE)  # v + 1 + v^-1 + ...
+TAIL = RationalFn(ONE, V**2 - ONE)  # v^-2 + v^-4 + ...
+
+
+@pytest.mark.parametrize(
+    "terms, delta, expected",
+    [
+        # positive parts cancel between terms
+        ([(ONE, POS), (-ONE, RationalFn(V))], 1, True),
+        ([(V**3, TAIL), (-ONE, RationalFn(V)), (LaurentPoly.v_power(-1), POS)], 1, True),
+        # a positive part is left over
+        ([(ONE, POS)], 1, False),
+        ([(ONE, POS), (-ONE, RationalFn(V)), (V**3, TAIL)], 1, False),
+        # the v^0 coefficient is not delta
+        ([(2 * ONE, RationalFn(V, V - ONE))], 1, False),
+        ([(2 * ONE, RationalFn(V, V - ONE))], 0, False),
+        ([(2 * ONE, RationalFn(V, V - ONE))], 2, True),
+        ([(V, TAIL)], 0, True),
+        # the empty combination is 0
+        ([], 0, True),
+        ([], 1, False),
+    ],
+)
+def test_sum_in_delta_plus_tail_matches_summed_function(terms, delta, expected):
+    assert sum_in_delta_plus_tail(terms, delta) is expected
+    assert in_delta_plus_tail(_summed(terms), delta, 10) is expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(laurents, laurents, laurents.filter(bool)), max_size=4),
+    st.sampled_from([0, 1]),
+)
+def test_sum_in_delta_plus_tail_property(raw, delta):
+    terms = [(c, RationalFn(num, den)) for c, num, den in raw]
+    assert sum_in_delta_plus_tail(terms, delta) == in_delta_plus_tail(
+        _summed(terms), delta, 10
+    )
+    # Cancel the sum's part at v^0 and above, so that it lands in delta + tail.
+    head = LaurentPoly(expand_at_infinity(_summed(terms), 0))
+    fixed = terms + [(ONE, RationalFn(delta - head))]
+    assert sum_in_delta_plus_tail(fixed, delta)
+    assert in_delta_plus_tail(_summed(fixed), delta, 10)
 
 
 def test_in_vinv_Z():
