@@ -365,7 +365,19 @@ class CanonicalSolver:
         return bundle
 
 
-_VERIFIED_KEYS = ("indices", "g", "zeta", "E_over_monomial", "gram_E")
+_VERIFIED_KEYS = (
+    "indices",
+    "n_indices",
+    "g",
+    "zeta",
+    "E_over_monomial",
+    "monomial_over_E",
+    "monomial_over_N",
+    "E_over_N",
+    "C_over_monomial",
+    "C_over_N",
+    "gram_E",
+)
 
 
 def _bundle_laurent(data, where) -> LaurentPoly:
@@ -381,8 +393,10 @@ def _bundle_laurent(data, where) -> LaurentPoly:
         raise BundleFormatError(f"{where}: {exc}") from None
 
 
-def _bundle_rows(bundle, key, n) -> list:
-    """Decode a stored n x n sparse matrix with no zero entries."""
+def _bundle_rows(bundle, key, n, width=None) -> list:
+    """Decode a stored sparse matrix with n rows, ``width`` (default n)
+    columns and no zero entries."""
+    width = n if width is None else width
     mat = bundle[key]
     if not isinstance(mat, list) or len(mat) != n:
         raise BundleFormatError(f"{key}: expected {n} rows")
@@ -395,7 +409,7 @@ def _bundle_rows(bundle, key, n) -> list:
             if not (isinstance(item, list) and len(item) == 2 and type(item[0]) is int):
                 raise BundleFormatError(f"{key}[{i}]: entry is not [column, coefficient]")
             j = item[0]
-            if not 0 <= j < n:
+            if not 0 <= j < width:
                 raise BundleFormatError(f"{key}[{i}]: column {j} out of range")
             if j in row:
                 raise BundleFormatError(f"{key}[{i}]: column {j} repeated")
@@ -434,25 +448,80 @@ def _bundle_gram(bundle, n) -> dict:
     return gram
 
 
+def _rows_product(A, B) -> list:
+    """The product of two sparse matrices given as lists of {column: coeff} rows."""
+    out = []
+    for arow in A:
+        acc: dict = {}
+        for k, a in arow.items():
+            for j, b in B[k].items():
+                s = acc.get(j, ZERO) + a * b
+                if s:
+                    acc[j] = s
+                else:
+                    acc.pop(j, None)
+        out.append(acc)
+    return out
+
+
+def gram_almost_orthonormal(g, gram) -> bool:
+    """(C_i, C_j) in delta_ij + v^-1 Q[[v^-1]] for all i <= j, with C = g * E.
+
+    ``g`` is a list of {column: coeff} rows and ``gram`` maps (a, b), a <= b,
+    to the rational function (E_a, E_b).  Each (C_i, C_j) is decided term by
+    term, with the coefficients of (E_a, E_b) and (E_b, E_a) added first, so
+    each stored entry is expanded once per pair.
+    """
+
+    def gram_terms(i, j):
+        coeffs: dict = {}
+        for a, ca in g[i].items():
+            for b, cb in g[j].items():
+                key = (min(a, b), max(a, b))
+                coeffs[key] = coeffs.get(key, ZERO) + ca * cb
+        return ((c, gram[key]) for key, c in coeffs.items())
+
+    n = len(g)
+    return all(
+        sum_in_delta_plus_tail(gram_terms(i, j), 1 if i == j else 0)
+        for i in range(n)
+        for j in range(i, n)
+    )
+
+
 def verify_bundle(bundle: dict) -> dict:
     """Re-check a bundle's certificates from its stored matrices alone.
 
-    The bar involution is recomputed from ``E_over_monomial``; row i is
+    The bar involution is recomputed from ``E_over_monomial`` (eta); row i is
     bar-invariant when ``g`` row i is fixed by it and the stored ``zeta`` row
-    i agrees with it.  Almost orthogonality is decided exactly from the stored
-    ``gram_E``.  A malformed bundle raises ``BundleFormatError``.
+    i agrees with it.  The stored products must follow from eta, ``g`` and
+    ``monomial_over_N``: ``E_over_N`` = eta * ``monomial_over_N``,
+    ``C_over_monomial`` = g * eta, ``C_over_N`` = g * ``E_over_N`` and
+    ``monomial_over_E`` = eta^-1.  Almost orthogonality is decided exactly
+    from the stored ``gram_E``, but only when ``g`` is unitriangular with
+    v^-1 Z[v^-1] tails, which keeps every expansion shallow; otherwise it is
+    reported as None.  A malformed bundle raises ``BundleFormatError``.
     """
     if not isinstance(bundle, dict):
         raise BundleFormatError("bundle is not a JSON object")
     missing = [k for k in _VERIFIED_KEYS if k not in bundle]
     if missing:
         raise BundleFormatError(f"bundle lacks {', '.join(missing)}")
-    if not isinstance(bundle["indices"], list):
-        raise BundleFormatError("indices: not a list")
+    for key in ("indices", "n_indices"):
+        if not isinstance(bundle[key], list):
+            raise BundleFormatError(f"{key}: not a list")
     n = len(bundle["indices"])
+    n_all = len(bundle["n_indices"])
     g = _bundle_rows(bundle, "g", n)
     stored_zeta = _bundle_rows(bundle, "zeta", n)
     eta = _bundle_rows(bundle, "E_over_monomial", n)
+    stored = {
+        "monomial_over_E": _bundle_rows(bundle, "monomial_over_E", n),
+        "E_over_N": _bundle_rows(bundle, "E_over_N", n, n_all),
+        "C_over_monomial": _bundle_rows(bundle, "C_over_monomial", n),
+        "C_over_N": _bundle_rows(bundle, "C_over_N", n, n_all),
+    }
+    mon_over_N = _bundle_rows(bundle, "monomial_over_N", n, n_all)
     gram = _bundle_gram(bundle, n)
     zeta = zeta_matrix(range(n), eta)
     report: dict = {}
@@ -477,23 +546,19 @@ def verify_bundle(bundle: dict) -> dict:
                     acc.pop(j, None)
         bar_ok.append(acc == g[i] and stored_zeta[i] == zeta[i])
     report["bar_invariant"] = bar_ok
+    eta_inv = invert_unitriangular(range(n), eta)
+    expected = {
+        "monomial_over_E": [eta_inv[i] for i in range(n)],
+        "E_over_N": _rows_product(eta, mon_over_N),
+        "C_over_monomial": _rows_product(g, eta),
+        "C_over_N": _rows_product(g, stored["E_over_N"]),
+    }
+    products = {key: stored[key] == expected[key] for key in stored}
+    report["products_agree"] = products
 
-    def gram_terms(i, j):
-        # (C_i, C_j) = sum g[i][a] g[j][b] (E_a, E_b); gram_E holds a <= b.
-        coeffs: dict = {}
-        for a, ca in g[i].items():
-            for b, cb in g[j].items():
-                key = (min(a, b), max(a, b))
-                coeffs[key] = coeffs.get(key, ZERO) + ca * cb
-        return ((c, gram[key]) for key, c in coeffs.items())
-
-    orth = all(
-        sum_in_delta_plus_tail(gram_terms(i, j), 1 if i == j else 0)
-        for i in range(n)
-        for j in range(i, n)
-    )
+    orth = gram_almost_orthonormal(g, gram) if unitri else None
     report["almost_orthogonal"] = orth
-    report["ok"] = unitri and all(bar_ok) and orth
+    report["ok"] = unitri and all(bar_ok) and all(products.values()) and orth
     return report
 
 

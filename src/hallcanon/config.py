@@ -60,7 +60,8 @@ class JobConfig:
     certificates are exact and do not depend on it), and
     ``expansion_check`` controls whether basis expansions are re-verified
     against a direct field-level computation ("off", "first" for the
-    smallest sample only, or "all").
+    smallest sample only, or "all").  ``threads`` is accepted and ignored:
+    every computation runs in one thread.
     """
 
     primes: tuple[int, ...] = DEFAULT_SAMPLE_POOL

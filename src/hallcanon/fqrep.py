@@ -498,74 +498,131 @@ def census_size(M: FqModule, target) -> int:
 
 
 def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000):
-    """Yield arrow-stable graded subspaces of the given dimension vector.
+    """Yield the arrow-stable graded subspaces of M of dimension vector target.
 
-    A subspace is a per-vertex tuple of RREF row matrices.  Enumeration is
-    a nested product over vertices with stability pruning as soon as both
-    endpoints of an arrow are fixed.
+    Interval census: the vertices are fixed in order.  When vertex v is
+    reached, V_v must contain the lower bound, the sum of M_a(V_s) over arrows
+    a: s -> v with s already fixed, and lie in the upper bound, the
+    intersection of M_a^-1(V_t) over arrows a: v -> t with t already fixed.
+    Only subspaces between the two bounds are listed (as subspaces of
+    upper/lower lifted back to F^{d_v}), so every arrow between two distinct
+    vertices holds by construction; a loop at v is the one arrow checked per
+    candidate.  No candidate is built and then rejected otherwise.
+
+    Each subspace is a tuple over vertices of (RREF rows, pivot columns), in
+    the order of the product of ``gf.subspaces`` over vertices.  ``budget``
+    bounds ``census_size``, the size of that full product, not the number of
+    subspaces kept.
     """
     n = len(M.dims)
     if any(target[v] > M.dims[v] for v in range(n)):
         return
-    if census_size(M, target) > budget:
-        raise BudgetExceededError(
-            f"census of {census_size(M, target)} subspaces exceeds budget {budget}"
-        )
+    size = census_size(M, target)
+    if size > budget:
+        raise BudgetExceededError(f"census of {size} subspaces exceeds budget {budget}")
     F = M.F
-    per_vertex = [list(gf.subspaces(F, M.dims[v], target[v])) for v in range(n)]
-    rref_data = []
-    for subs in per_vertex:
-        entries = []
-        for rows in subs:
-            lrows = [list(r) for r in rows]
-            pivots = [next(c for c, x in enumerate(row) if x) for row in lrows]
-            entries.append((lrows, pivots))
-        rref_data.append(entries)
-    arrows_by_max = [[] for _ in range(n)]
+    incoming = [[] for _ in range(n)]  # (matrix, source) for sources fixed earlier
+    outgoing = [[] for _ in range(n)]  # (matrix, target) for targets fixed earlier
+    loops = [[] for _ in range(n)]
     for a, (s, t) in enumerate(M.quiver.arrows):
-        arrows_by_max[max(s, t)].append((a, s, t))
+        if s == t:
+            loops[s].append(M.mats[a])
+        elif s < t:
+            incoming[t].append((M.mats[a], s))
+        else:
+            outgoing[s].append((M.mats[a], t))
+    listings: dict = {}
 
-    def stable(choice, upto):
-        for a, s, t in arrows_by_max[upto]:
-            rows_t, pivots_t = rref_data[t][choice[t]]
-            mat = M.mats[a]
-            for w in per_vertex[s][choice[s]]:
-                img = gf.mat_vec(F, mat, list(w))
-                if any(img):
-                    if gf.coords_in_rowspace(F, rows_t, pivots_t, img) is None:
-                        return False
+    def listing(d, k):
+        # gf.subspaces(F, d, k) as (rows, pivots), already RREF.
+        key = (d, k)
+        if key not in listings:
+            listings[key] = [
+                (rows, tuple(row.index(1) for row in rows))
+                for rows in gf.subspaces(F, d, k)
+            ]
+        return listings[key]
+
+    def loop_stable(v, rows, pivots):
+        for mat in loops[v]:
+            for w in rows:
+                img = gf.mat_vec(F, mat, w)
+                if any(img) and gf.coords_in_rowspace(F, rows, pivots, img) is None:
+                    return False
         return True
 
-    def rec(v, choice):
+    def between_bounds(v, chosen):
+        d, k = M.dims[v], target[v]
+        images = [
+            img
+            for mat, s in incoming[v]
+            for w in chosen[s][0]
+            if any(img := gf.mat_vec(F, mat, w))
+        ]
+        low_rows, low_piv = gf.rref(F, images) if images else ([], [])
+        # x lies in M_a^-1(V_t) iff M_a x vanishes modulo V_t, i.e. on every
+        # non-pivot column c of V_t once the pivot entries are cleared.
+        constraints = []
+        for mat, t in outgoing[v]:
+            rows_t, piv_t = chosen[t]
+            for c in range(M.dims[t]):
+                if c in piv_t:
+                    continue
+                row = list(mat[c])
+                for r, p in zip(rows_t, piv_t):
+                    if r[c]:
+                        row = [F.sub(x, F.mul(r[c], y)) for x, y in zip(row, mat[p])]
+                if any(row):
+                    constraints.append(row)
+        if not low_rows and not constraints:
+            return listing(d, k)
+        upper = gf.nullspace(F, constraints) if constraints else gf.identity(d)
+        # Complement of the lower bound inside the upper one, reduced modulo
+        # the lower bound; it spans upper/lower exactly when lower <= upper.
+        reduced = [gf.reduce_mod_rowspace(F, low_rows, low_piv, u) for u in upper]
+        comp_rows, comp_piv = gf.rref(F, reduced) if reduced else ([], [])
+        if len(comp_rows) != len(upper) - len(low_rows) or k < len(low_rows):
+            return []
+        out = []
+        for coeffs, sel in listing(len(comp_rows), k - len(low_rows)):
+            lifted = gf.combine_rows(F, coeffs, comp_rows)
+            out.append(
+                gf.rref_join(F, low_rows, low_piv, lifted, [comp_piv[j] for j in sel])
+            )
+        # Keep the order of gf.subspaces: by pivots, then row-major entries.
+        out.sort(key=lambda e: (e[1], e[0]))
+        return out
+
+    def rec(v, chosen):
         if v == n:
-            yield tuple(per_vertex[u][choice[u]] for u in range(n))
+            yield tuple(chosen)
             return
-        for idx in range(len(per_vertex[v])):
-            choice.append(idx)
-            if stable(choice, v):
-                yield from rec(v + 1, choice)
-            choice.pop()
+        for rows, pivots in between_bounds(v, chosen):
+            if loops[v] and not loop_stable(v, rows, pivots):
+                continue
+            chosen.append((rows, pivots))
+            yield from rec(v + 1, chosen)
+            chosen.pop()
 
     yield from rec(0, [])
 
 
 def submodule_census(M: FqModule, budget: int = 2_000_000):
     """Iterate over all arrow-stable graded subspaces of M (all dimensions)."""
-    n = len(M.dims)
     for target in product(*(range(d + 1) for d in M.dims)):
         yield from graded_stable_subspaces(M, tuple(target), budget)
 
 
 def submodule_from_subspace(M: FqModule, sub) -> FqModule:
+    """The submodule on a stable subspace given as per-vertex (RREF rows, pivots)."""
     F = M.F
-    dims = tuple(len(rows) for rows in sub)
-    rref_cache = [gf.rref(F, [list(r) for r in rows]) if rows else ([], []) for rows in sub]
+    dims = tuple(len(rows) for rows, _ in sub)
     mats = []
     for a, (s, t) in enumerate(M.quiver.arrows):
-        rows_t, pivots_t = rref_cache[t]
+        rows_t, pivots_t = sub[t]
         mat = gf.zeros(dims[t], dims[s])
-        for c, w in enumerate(sub[s]):
-            img = gf.mat_vec(F, M.mats[a], list(w))
+        for c, w in enumerate(sub[s][0]):
+            img = gf.mat_vec(F, M.mats[a], w)
             coords = gf.coords_in_rowspace(F, rows_t, pivots_t, img)
             if coords is None:
                 raise ValueError("subspace is not arrow-stable")
@@ -576,30 +633,24 @@ def submodule_from_subspace(M: FqModule, sub) -> FqModule:
 
 
 def quotient_by_subspace(M: FqModule, sub) -> FqModule:
+    """The quotient by a stable subspace given as per-vertex (RREF rows, pivots).
+
+    The quotient at v has the basis of the non-pivot columns of sub[v].
+    """
     F = M.F
-    n = len(M.dims)
-    rref_cache = [gf.rref(F, [list(r) for r in rows]) if rows else ([], []) for rows in sub]
-    complements = []
-    for v in range(n):
-        _, pivots = rref_cache[v]
-        complements.append([c for c in range(M.dims[v]) if c not in pivots])
+    complements = [
+        [c for c in range(M.dims[v]) if c not in pivots] for v, (_, pivots) in enumerate(sub)
+    ]
     dims = tuple(len(c) for c in complements)
-
-    def project(v, vec):
-        rows, pivots = rref_cache[v]
-        red = gf.reduce_mod_rowspace(F, rows, pivots, vec)
-        return [red[c] for c in complements[v]]
-
     mats = []
     for a, (s, t) in enumerate(M.quiver.arrows):
+        rows_t, pivots_t = sub[t]
         mat = gf.zeros(dims[t], dims[s])
         for ci, c in enumerate(complements[s]):
-            e = [0] * M.dims[s]
-            e[c] = 1
-            img = gf.mat_vec(F, M.mats[a], e)
-            col = project(t, img)
-            for r, x in enumerate(col):
-                mat[r][ci] = x
+            img = [row[c] for row in M.mats[a]]
+            red = gf.reduce_mod_rowspace(F, rows_t, pivots_t, img)
+            for r, x in enumerate(complements[t]):
+                mat[r][ci] = red[x]
         mats.append(mat)
     return FqModule(M.quiver, F, dims, mats)
 

@@ -278,6 +278,40 @@ def reduce_mod_rowspace(F: GF, rref_rows, pivots, v):
     return v
 
 
+def combine_rows(F: GF, coeffs, basis):
+    """The rows coeffs * basis, as tuples.
+
+    When basis and coeffs are both in RREF, so is the product: its pivots
+    are the basis pivots that coeffs selects.
+    """
+    width = len(basis[0]) if basis else 0
+    out = []
+    for crow in coeffs:
+        acc = [0] * width
+        for c, brow in zip(crow, basis):
+            if c:
+                acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return out
+
+
+def rref_join(F: GF, low_rows, low_pivots, rows, pivots):
+    """RREF (rows, pivots) of the sum of two RREF row spaces.
+
+    ``rows`` must vanish on ``low_pivots``; then clearing the columns
+    ``pivots`` from ``low_rows`` and sorting by pivot gives the RREF.
+    """
+    merged = list(zip(pivots, rows))
+    for lp, lrow in zip(low_pivots, low_rows):
+        for p, row in zip(pivots, rows):
+            c = lrow[p]
+            if c:
+                lrow = [F.sub(x, F.mul(c, y)) for x, y in zip(lrow, row)]
+        merged.append((lp, tuple(lrow)))
+    merged.sort()
+    return tuple(r for _, r in merged), tuple(p for p, _ in merged)
+
+
 @lru_cache(maxsize=None)
 def gaussian_binomial_int(d: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^d, as an exact integer."""

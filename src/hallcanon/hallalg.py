@@ -427,22 +427,6 @@ class HallEngine:
                     return True
             return False
 
-        if self.cfg.threads > 1:
-            # Fan the first batch of per-field jobs over the worker pool;
-            # contexts are created up front so workers never share setup.
-            from concurrent.futures import ThreadPoolExecutor
-
-            batch = pool[: max(3, self.cfg.threads)]
-            for q in batch:
-                self.ctx(q)
-            with ThreadPoolExecutor(self.cfg.threads) as ex:
-                results = list(ex.map(compute, batch))
-            for q, res in zip(batch, results):
-                if res is not None:
-                    values.append(res)
-                    qs_used.append(q)
-            idx = len(batch)
-
         while len(values) < 3:
             if not extend():
                 raise InterpolationError("not enough usable sample fields")

@@ -1,13 +1,18 @@
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
-from hallcanon.config import BarSolveError
+from hallcanon.config import BarSolveError, BundleFormatError
 from hallcanon.fqrep import make_cdesc, mseg_normalize
 from hallcanon.hallalg import HallEngine, nindex
 from hallcanon.laurent import ONE, ZERO, LaurentPoly
 from hallcanon.canonical import (
     CanonicalSolver,
+    _bundle_gram,
+    _bundle_rows,
+    gram_almost_orthonormal,
     invert_unitriangular,
     latex_table,
     lusztig_solve,
@@ -28,6 +33,11 @@ def kron():
 @pytest.fixture(scope="module")
 def cyc2():
     return CanonicalSolver(IndexSystem(HallEngine(cyclic(2))))
+
+
+@pytest.fixture(scope="module")
+def cyc2_bundle(cyc2):
+    return json.dumps(cyc2.bundle((2, 2)))
 
 
 def mdesc(*segs):
@@ -230,6 +240,7 @@ def test_verify_bundle_orthogonality_cancels_between_terms():
     # positive parts cancel only when both cross terms (E_0,E_1), (E_1,E_0) count.
     one = [[0, "1"]]
     identity = [[[0, one]], [[1, one]]]
+    g = [[[0, one]], [[0, [[1, "1"]]], [1, one]]]
 
     def gram(f11):
         return [
@@ -240,16 +251,73 @@ def test_verify_bundle_orthogonality_cancels_between_terms():
 
     bundle = {
         "indices": [0, 1],
-        "g": [[[0, one]], [[0, [[1, "1"]]], [1, one]]],
+        "n_indices": [0, 1],
+        "g": g,
         "zeta": identity,
         "E_over_monomial": identity,
+        "monomial_over_E": identity,
+        "monomial_over_N": identity,
+        "E_over_N": identity,
+        "C_over_monomial": g,
+        "C_over_N": g,
         "gram_E": gram([[0, "1"], [2, "1"]]),
     }
+
+    def decided(bundle):
+        return gram_almost_orthonormal(
+            _bundle_rows(bundle, "g", 2), _bundle_gram(bundle, 2)
+        )
+
+    assert decided(bundle) is True
+    # verify_bundle decides almost orthogonality only for a unitriangular g.
     report = verify_bundle(bundle)
-    assert report["almost_orthogonal"] is True
     assert report["unitriangular"] is False and not report["ok"]
+    assert report["almost_orthogonal"] is None
+    assert all(report["products_agree"].values())
     bundle["gram_E"] = gram([[0, "1"], [2, "2"]])
-    assert verify_bundle(bundle)["almost_orthogonal"] is False
+    assert decided(bundle) is False
+
+
+def test_verify_bundle_rejects_huge_exponent_fast(cyc2_bundle):
+    # A g entry of v^(10^9) fails unitriangularity; almost orthogonality is
+    # then not decided, so no expansion down to v^-(10^9) is attempted.
+    bundle = json.loads(cyc2_bundle)
+    i = next(i for i, row in enumerate(bundle["g"]) if len(row) > 1)
+    bundle["g"][i][0][1] = [[10**9, "1"]]
+    t0 = time.perf_counter()
+    report = verify_bundle(bundle)
+    assert time.perf_counter() - t0 < 1
+    assert report["unitriangular"] is False
+    assert report["almost_orthogonal"] is None
+    assert report["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "key", ["E_over_N", "C_over_monomial", "C_over_N", "monomial_over_E"]
+)
+def test_verify_bundle_cross_checks_stored_products(cyc2_bundle, key):
+    bundle = json.loads(cyc2_bundle)
+    report = verify_bundle(bundle)
+    assert report["ok"] and all(report["products_agree"].values())
+    i = max(range(len(bundle[key])), key=lambda i: len(bundle[key][i]))
+    entry = bundle[key][i][-1]
+    entry[1] = [[e, str(2 * Fraction(c))] for e, c in entry[1]]
+    report = verify_bundle(bundle)
+    assert report["products_agree"][key] is False
+    assert not report["ok"]
+    # The certificates that do not read this matrix still hold.
+    assert report["unitriangular"] and all(report["bar_invariant"])
+
+
+def test_verify_bundle_rejects_malformed_product(cyc2_bundle):
+    bundle = json.loads(cyc2_bundle)
+    bundle["C_over_N"][0].append([len(bundle["n_indices"]), [[0, "1"]]])
+    with pytest.raises(BundleFormatError):
+        verify_bundle(bundle)
+    bundle = json.loads(cyc2_bundle)
+    del bundle["monomial_over_N"]
+    with pytest.raises(BundleFormatError):
+        verify_bundle(bundle)
 
 
 def test_verify_bundle_rejects_non_unitriangular_eta(kron):

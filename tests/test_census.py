@@ -1,0 +1,151 @@
+"""The interval census against a brute-force product-then-filter oracle."""
+
+from itertools import product
+
+import pytest
+
+from hallcanon import gf
+from hallcanon.config import BudgetExceededError
+from hallcanon.fqrep import (
+    FieldContext,
+    build_cyclic,
+    census_size,
+    graded_stable_subspaces,
+    quotient_by_subspace,
+    submodule_from_subspace,
+)
+from hallcanon.quiver import cyclic, kronecker, linear_an
+
+
+def oracle_stable_subspaces(M, target):
+    """Every product of per-vertex subspaces, kept when each arrow maps into it.
+
+    Subspaces are per-vertex tuples of RREF row tuples, in the order of the
+    product of gf.subspaces over vertices.
+    """
+    F = M.F
+    n = len(M.dims)
+    if any(target[v] > M.dims[v] for v in range(n)):
+        return []
+    per_vertex = [list(gf.subspaces(F, M.dims[v], target[v])) for v in range(n)]
+    out = []
+    for choice in product(*per_vertex):
+        ok = True
+        for a, (s, t) in enumerate(M.quiver.arrows):
+            rows_t = [list(r) for r in choice[t]]
+            pivots_t = [row.index(1) for row in rows_t]
+            for w in choice[s]:
+                img = gf.mat_vec(F, M.mats[a], list(w))
+                if any(img) and gf.coords_in_rowspace(F, rows_t, pivots_t, img) is None:
+                    ok = False
+        if ok:
+            out.append(choice)
+    return out
+
+
+def is_rref(rows, pivots):
+    if list(pivots) != sorted(set(pivots)) or len(rows) != len(pivots):
+        return False
+    for r, (row, p) in enumerate(zip(rows, pivots)):
+        if any(row[:p]) or row[p] != 1:
+            return False
+        if any(other[p] for i, other in enumerate(rows) if i != r):
+            return False
+    return True
+
+
+def dims_upto(bound):
+    return product(*(range(b + 1) for b in bound))
+
+
+def dims_of_size(n, most):
+    return (nu for nu in product(range(most + 1), repeat=n) if 0 < sum(nu) <= most)
+
+
+def check_against_oracle(quiver, q, nus):
+    ctx = FieldContext(quiver, q)
+    checked = 0
+    for nu in nus:
+        for d in ctx.classes(nu):
+            L = ctx.build(d)
+            for target in dims_upto(nu):
+                got = list(graded_stable_subspaces(L, target))
+                for sub in got:
+                    assert all(is_rref(rows, piv) for rows, piv in sub)
+                assert [tuple(rows for rows, _ in sub) for sub in got] == (
+                    oracle_stable_subspaces(L, target)
+                ), (d, target)
+                checked += len(got)
+    return checked
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_census_kronecker(q):
+    assert check_against_oracle(kronecker(), q, dims_upto((2, 3))) > 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_census_jordan_loop(q):
+    # cyclic:1 is the Jordan quiver: its loop is checked per candidate.
+    assert check_against_oracle(cyclic(1), q, [(m,) for m in range(1, 5)]) > 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_census_cyclic(n, q):
+    assert check_against_oracle(cyclic(n), q, dims_of_size(n, 5)) > 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("orientation", ["><", ">>"])
+def test_census_type_a(orientation, q):
+    assert check_against_oracle(linear_an(3, orientation), q, dims_of_size(3, 5)) > 0
+
+
+def test_census_extension_field():
+    q = 4
+    assert check_against_oracle(kronecker(), q, dims_upto((2, 2))) > 0
+    assert check_against_oracle(cyclic(1), q, [(3,)]) > 0
+    assert check_against_oracle(cyclic(2), q, dims_of_size(2, 4)) > 0
+    assert check_against_oracle(linear_an(3, "><"), q, dims_of_size(3, 4)) > 0
+
+
+def test_census_budget_is_the_full_product():
+    # A module whose arrows keep only a few subspaces still counts the whole
+    # product against the budget.
+    M = build_cyclic([((1, 4), 1)], 3, cyclic(1))
+    assert len(list(graded_stable_subspaces(M, (2,)))) == 1
+    size = census_size(M, (2,))
+    assert size == gf.gaussian_binomial_int(4, 2, 3)
+    assert len(list(graded_stable_subspaces(M, (2,), budget=size))) == 1
+    with pytest.raises(BudgetExceededError):
+        list(graded_stable_subspaces(M, (2,), budget=size - 1))
+
+
+def oracle_hall_table(ctx, nuL, nuN):
+    out = {}
+    for dL in ctx.classes(nuL):
+        L = ctx.build(dL)
+        counts = {}
+        for choice in oracle_stable_subspaces(L, nuN):
+            sub = tuple(gf.rref(ctx.F, rows) for rows in choice)
+            pair = (
+                ctx.classify(quotient_by_subspace(L, sub)),
+                ctx.classify(submodule_from_subspace(L, sub)),
+            )
+            counts[pair] = counts.get(pair, 0) + 1
+        out[dL] = counts
+    return out
+
+
+@pytest.mark.parametrize("quiver, nu", [(cyclic(2), (2, 2)), (kronecker(), (2, 2))])
+def test_hall_table_equals_oracle(quiver, nu):
+    q = 3
+    ctx = FieldContext(quiver, q)
+    for nuN in dims_upto(nu):
+        by_L, _ = ctx.hall_table(nu, nuN)
+        expected = oracle_hall_table(ctx, nu, nuN)
+        assert by_L == expected
+        # Same insertion order too: the census order is unchanged.
+        for dL in by_L:
+            assert list(by_L[dL]) == list(expected[dL])
