@@ -1232,6 +1232,12 @@ class FieldContext:
 
         Returns (by_L, by_pair): by_L[descL][(descM, descN)] = count and
         by_pair[(descM, descN)] = list of (descL, count).
+
+        When nuN is 0 or nuL, every L has exactly one subspace of that
+        dimension, 0 or L itself, so the table is the identity
+        g^L_{L,0} = g^L_{0,L} = 1 and is written down without a census.
+        Otherwise each L is built and its submodules of dimension nuN are
+        listed and classified.
         """
         key = (tuple(nuL), tuple(nuN))
         if key in self._hall_memo:
@@ -1239,7 +1245,13 @@ class FieldContext:
         nuL, nuN = key
         by_L: dict = {}
         by_pair: dict = {}
-        if all(x >= y for x, y in zip(nuL, nuN)):
+        if nuN == nuL or not any(nuN):
+            (zero,) = self.classes(tuple(0 for _ in nuL))
+            for dL in self.classes(nuL):
+                pair = (zero, dL) if nuN == nuL else (dL, zero)
+                by_L[dL] = {pair: 1}
+                by_pair[pair] = [(dL, 1)]
+        elif all(x >= y for x, y in zip(nuL, nuN)):
             for dL in self.classes(nuL):
                 L = self.build(dL)
                 counts: dict = {}

@@ -325,10 +325,6 @@ def gaussian_binomial_int(d: int, k: int, q: int) -> int:
     return num // den
 
 
-def subspace_count(d: int, q: int) -> int:
-    return sum(gaussian_binomial_int(d, k, q) for k in range(d + 1))
-
-
 def subspaces(F: GF, d: int, k: int):
     """All k-dimensional subspaces of F_q^d as RREF row tuples."""
     if k == 0:

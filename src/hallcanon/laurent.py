@@ -518,11 +518,24 @@ def sum_in_delta_plus_tail(terms, delta) -> bool:
     only down to v^-(top exponent of c), and only the coefficients of v^0 and
     above are accumulated, so positive parts that cancel between terms do
     cancel.  Exact; agrees with ``in_delta_plus_tail`` on the summed function.
+
+    The top exponent deg c + deg num - deg den of each term and its leading
+    coefficient are read first: when the largest of these exponents is
+    positive and its leading coefficients do not cancel, the answer is False
+    without expanding anything, however large that exponent is.
     """
+    terms = [(c, f) for c, f in terms if not c.is_zero() and not f.num.is_zero()]
+    tops: dict = {}
+    for c, f in terms:
+        dc, dn, dd = c.degree(), f.num.degree(), f.den.degree()
+        lead = Fraction(c.coeff(dc) * f.num.coeff(dn), f.den.coeff(dd))
+        tops[dc + dn - dd] = tops.get(dc + dn - dd, 0) + lead
+    if tops:
+        top = max(tops)
+        if top > 0 and tops[top]:
+            return False
     acc: dict = {}
     for c, f in terms:
-        if c.is_zero():
-            continue
         coeffs = expand_at_infinity(f, -c.degree())
         for e1, x in c.terms.items():
             for e2, y in coeffs.items():

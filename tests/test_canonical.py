@@ -292,6 +292,22 @@ def test_verify_bundle_rejects_huge_exponent_fast(cyc2_bundle):
     assert report["ok"] is False
 
 
+def test_verify_bundle_rejects_huge_gram_exponent_fast(cyc2_bundle):
+    # With g intact, a gram_E numerator of v^200000 gives a positive top
+    # exponent that nothing cancels; it is rejected without an expansion
+    # down from v^200000.
+    bundle = json.loads(cyc2_bundle)
+    last = len(bundle["indices"]) - 1
+    entry = next(e for e in bundle["gram_E"] if e[0] == e[1] == last)
+    entry[2]["num"] = [[200000, "1"]]
+    t0 = time.perf_counter()
+    report = verify_bundle(bundle)
+    assert time.perf_counter() - t0 < 1
+    assert report["unitriangular"] and all(report["bar_invariant"])
+    assert report["almost_orthogonal"] is False
+    assert report["ok"] is False
+
+
 @pytest.mark.parametrize(
     "key", ["E_over_N", "C_over_monomial", "C_over_N", "monomial_over_E"]
 )

@@ -4,8 +4,8 @@ from itertools import product
 
 import pytest
 
-from hallcanon import gf
-from hallcanon.config import BudgetExceededError
+from hallcanon import fqrep, gf
+from hallcanon.config import BudgetExceededError, JobConfig
 from hallcanon.fqrep import (
     FieldContext,
     build_cyclic,
@@ -14,6 +14,8 @@ from hallcanon.fqrep import (
     quotient_by_subspace,
     submodule_from_subspace,
 )
+from hallcanon.hallalg import HallEngine
+from hallcanon.partitions import partitions
 from hallcanon.quiver import cyclic, kronecker, linear_an
 
 
@@ -138,14 +140,74 @@ def oracle_hall_table(ctx, nuL, nuN):
     return out
 
 
-@pytest.mark.parametrize("quiver, nu", [(cyclic(2), (2, 2)), (kronecker(), (2, 2))])
+@pytest.mark.parametrize(
+    "quiver, nu",
+    [
+        (cyclic(2), (2, 2)),
+        (kronecker(), (2, 2)),
+        (linear_an(3, "><"), (1, 2, 1)),
+        (cyclic(1), (3,)),
+    ],
+)
 def test_hall_table_equals_oracle(quiver, nu):
-    q = 3
-    ctx = FieldContext(quiver, q)
-    for nuN in dims_upto(nu):
-        by_L, _ = ctx.hall_table(nu, nuN)
-        expected = oracle_hall_table(ctx, nu, nuN)
-        assert by_L == expected
-        # Same insertion order too: the census order is unchanged.
-        for dL in by_L:
-            assert list(by_L[dL]) == list(expected[dL])
+    # Covers nu_N = 0 and nu_N = nu, the identity tables, for each kind of
+    # zero class: cyclic, Kronecker, finite type and the Jordan quiver.
+    for q in (2, 3):
+        ctx = FieldContext(quiver, q)
+        for nuN in dims_upto(nu):
+            by_L, _ = ctx.hall_table(nu, nuN)
+            expected = oracle_hall_table(ctx, nu, nuN)
+            assert by_L == expected
+            # Same insertion order too: the census order is unchanged.
+            for dL in by_L:
+                assert list(by_L[dL]) == list(expected[dL])
+
+
+@pytest.mark.parametrize(
+    "quiver, nu",
+    [
+        (kronecker(), (2, 2)),
+        (cyclic(2), (2, 1)),
+        (linear_an(3, "><"), (1, 1, 1)),
+        (cyclic(1), (3,)),
+    ],
+)
+def test_identity_hall_tables_run_no_census(quiver, nu, monkeypatch):
+    ctx = FieldContext(quiver, 2)
+    classes = ctx.classes(nu)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an identity Hall table ran a census")
+
+    monkeypatch.setattr(fqrep, "graded_stable_subspaces", refuse)
+    monkeypatch.setattr(FieldContext, "classify", refuse)
+    monkeypatch.setattr(FieldContext, "build", refuse)
+    (zero,) = ctx.classes(tuple(0 for _ in nu))
+    by_L, by_pair = ctx.hall_table(nu, nu)
+    assert by_L == {dL: {(zero, dL): 1} for dL in classes}
+    assert by_pair == {(zero, dL): [(dL, 1)] for dL in classes}
+    by_L, by_pair = ctx.hall_table(nu, tuple(0 for _ in nu))
+    assert by_L == {dL: {(dL, zero): 1} for dL in classes}
+    assert by_pair == {(dL, zero): [(dL, 1)] for dL in classes}
+    for dL in classes:
+        assert ctx.hall(dL, zero, dL) == ctx.hall(dL, dL, zero) == 1
+        assert ctx.hall_products(zero, dL) == [(dL, 1)]
+
+
+def test_s_gram_classifies_no_module_of_dimension_2delta(monkeypatch):
+    # S_lambda is realised as products of H_m starting from the unit; the
+    # unit factor must not classify every module of dimension 2*delta.
+    seen = []
+    classify = FieldContext.classify
+
+    def counting(self, M):
+        seen.append(M.dims)
+        return classify(self, M)
+
+    monkeypatch.setattr(FieldContext, "classify", counting)
+    engine = HallEngine(kronecker(), JobConfig(cache_dir=None))
+    for lam in partitions(2):
+        for mu in partitions(2):
+            assert engine.s_gram(lam, mu)
+    assert seen
+    assert (2, 2) not in seen

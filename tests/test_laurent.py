@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hallcanon import laurent
 from hallcanon.laurent import (
     ONE,
     V,
@@ -199,6 +200,10 @@ TAIL = RationalFn(ONE, V**2 - ONE)  # v^-2 + v^-4 + ...
         # the empty combination is 0
         ([], 0, True),
         ([], 1, False),
+        # top exponents cancel, then what is left decides
+        ([(V**3, RationalFn(V**50)), (-ONE, RationalFn(V**53, ONE))], 0, True),
+        ([(V**3, RationalFn(V**50)), (-ONE, RationalFn(V**53 + V, ONE))], 0, False),
+        ([(V**3, RationalFn(V**50)), (-ONE, RationalFn(V**53 - ONE, ONE))], 1, True),
     ],
 )
 def test_sum_in_delta_plus_tail_matches_summed_function(terms, delta, expected):
@@ -221,6 +226,19 @@ def test_sum_in_delta_plus_tail_property(raw, delta):
     fixed = terms + [(ONE, RationalFn(delta - head))]
     assert sum_in_delta_plus_tail(fixed, delta)
     assert in_delta_plus_tail(_summed(fixed), delta, 10)
+
+
+def test_sum_in_delta_plus_tail_rejects_uncancelled_top_exponent_unexpanded(monkeypatch):
+    # A positive top exponent whose leading coefficients do not cancel is
+    # decided from the leading terms alone, whatever its size.
+    def refuse(f, lowest):
+        raise AssertionError("expanded a term")
+
+    monkeypatch.setattr(laurent, "expand_at_infinity", refuse)
+    huge = RationalFn(LaurentPoly.v_power(10**9), V - ONE)
+    assert not sum_in_delta_plus_tail([(ONE, huge), (V**3, TAIL)], 0)
+    assert not sum_in_delta_plus_tail([(-V, huge), (ONE, POS)], 1)
+    assert not sum_in_delta_plus_tail([(V, POS), (-ONE, RationalFn(2 * V**2))], 0)
 
 
 def test_in_vinv_Z():
