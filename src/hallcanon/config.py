@@ -54,26 +54,21 @@ class BundleFormatError(HallcanonError):
 class JobConfig:
     """Knobs shared by every computation.
 
-    ``primes`` is the ordered pool of sample prime powers, ``budget_*`` are
-    hard enumeration limits (a clear error beats silent degradation),
-    ``series_order`` is recorded in bundle metadata (the Green-form
-    certificates are exact and do not depend on it), and
-    ``expansion_check`` controls whether basis expansions are re-verified
-    against a direct field-level computation ("off", "first" for the
-    smallest sample only, or "all").  ``threads`` is accepted and ignored:
-    every computation runs in one thread.
+    ``primes`` is the ordered pool of sample prime powers,
+    ``budget_subspaces`` is a hard enumeration limit (a clear error beats
+    silent degradation), ``series_order`` and ``seed`` are recorded in
+    bundle metadata (the Green-form certificates are exact and do not
+    depend on them), and ``cache_dir`` names the on-disk store (``None``
+    for none).  ``threads`` is accepted and ignored: every computation runs
+    in one thread.
     """
 
     primes: tuple[int, ...] = DEFAULT_SAMPLE_POOL
     budget_subspaces: int = 2_000_000
-    budget_aut: int = 2_000_000
-    dim_budget: int = 8
     series_order: int = 10
     cache_dir: str | None = None
     threads: int = 1
     seed: int = 0
-    expansion_check: str = "first"
-    fmt: str = "json"
 
     @staticmethod
     def default() -> "JobConfig":

@@ -262,9 +262,6 @@ class FqModule:
             )
         return self._key
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def direct_sum(self, other: "FqModule") -> "FqModule":
         assert self.quiver == other.quiver and self.F is other.F
         dims = tuple(a + b for a, b in zip(self.dims, other.dims))
@@ -440,7 +437,8 @@ def ext_dim(M: FqModule, N: FqModule) -> int:
 def aut_order(M: FqModule, budget: int = 2_000_000) -> int:
     """|Aut M| by enumerating the endomorphism algebra; budget-guarded.
 
-    Only a check on ``FieldContext.aut_coeffs``, which is the closed form.
+    The test oracle for ``FieldContext.aut_coeffs``, the closed form that
+    every run uses; nothing in the package calls it.
     """
     F = M.F
     basis = _hom_basis_rows(M, M)

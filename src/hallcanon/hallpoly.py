@@ -22,7 +22,7 @@ from .config import (
     InterpolationError,
     JobConfig,
 )
-from .fqrep import FieldContext, aut_order, closed_points
+from .fqrep import FieldContext, closed_points
 from .laurent import LaurentPoly
 from .quiver import Quiver
 
@@ -533,33 +533,14 @@ class HallPolyEngine:
         return HallPolynomial(coeffs, pairs[:n_fit], pairs[n_fit:], qs[0])
 
     def _compute_aut(self, key) -> HallPolynomial:
-        """|Aut M| as a polynomial in q, from ``FieldContext.aut_coeffs``.
-
-        The closed form is checked against direct enumeration at up to two
-        sample fields where that enumeration fits ``budget_aut``.
-        """
+        """|Aut M| as a polynomial in q, from ``FieldContext.aut_coeffs``."""
         _, absD, degrees = key
         qs = self._usable_qs(degrees)
         if not qs:
             raise InterpolationError("no usable sample fields")
         q0 = qs[0]
         d0 = instantiate_desc(absD, assign_points(q0, degrees))
-        poly = HallPolynomial(self.ctx(q0).aut_coeffs(d0), (), (), q0)
-        validations = []
-        for q in qs:
-            ctx = self.ctx(q)
-            dd = instantiate_desc(absD, assign_points(q, degrees))
-            if q ** ctx.end(dd) > self.cfg.budget_aut:
-                continue
-            counted = aut_order(ctx.build(dd), self.cfg.budget_aut)
-            if counted != poly.eval(q):
-                raise HallPolynomialContradiction(
-                    f"closed-form |Aut| disagrees with enumeration at q={q}"
-                )
-            validations.append((q, counted))
-            if len(validations) >= 2:
-                break
-        return HallPolynomial(poly.coeffs, (), validations, q0)
+        return HallPolynomial(self.ctx(q0).aut_coeffs(d0), (), (), q0)
 
     def check_at(self, poly: HallPolynomial, descL, descM, descN, q: int):
         """Recount at a fresh field; a mismatch is a hard contradiction."""

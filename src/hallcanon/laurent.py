@@ -153,9 +153,6 @@ class LaurentPoly:
         """Membership in v^-1 Z[v^-1], decided exactly."""
         return all(e < 0 and isinstance(c, int) for e, c in self.terms.items())
 
-    def is_bar_invariant(self) -> bool:
-        return all(self.terms.get(-e, 0) == c for e, c in self.terms.items())
-
     # -- involutions and folds ----------------------------------------
 
     def bar(self) -> "LaurentPoly":
@@ -219,10 +216,6 @@ class LaurentPoly:
             else:
                 b += Fraction(c) * Fraction(q) ** ((e - 1) // 2)
         return a, b
-
-    def subs_v_power(self, k: int) -> "LaurentPoly":
-        """Substitute v -> v^k."""
-        return LaurentPoly({e * k: c for e, c in self.terms.items()})
 
     # -- presentation ---------------------------------------------------
 

@@ -118,9 +118,6 @@ class Quiver:
     def is_root(self, nu) -> bool:
         return any(nu) and 0 <= self.symmetric_form(nu, nu) <= 2
 
-    def is_real_root(self, nu) -> bool:
-        return any(nu) and self.symmetric_form(nu, nu) == 2
-
     def reflect(self, i: int, nu) -> tuple[int, ...]:
         """Simple reflection s_i(nu) = nu - (nu, e_i) e_i."""
         e = tuple(1 if j == i else 0 for j in range(self.n))

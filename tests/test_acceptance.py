@@ -68,7 +68,7 @@ def test_criterion_2_kostka_coefficients():
                     ok = ok and S.u_coeff(desc) == want
     _report(
         2,
-        ok and time.time() - t0 < 300,
+        ok and time.time() - t0 < 60,
         "S_lam coefficients on distinct degree-1 points equal v^{-2|lam|} Kostka numbers",
         t0,
     )
@@ -91,7 +91,7 @@ def test_criterion_3_character_coefficients():
             ok = ok and got11 == V(-4, character(lam, (1, 1)))
     _report(
         3,
-        ok and time.time() - t0 < 300,
+        ok and time.time() - t0 < 60,
         "degree-pattern coefficients equal v^{-4} character values",
         t0,
     )
@@ -191,7 +191,7 @@ def test_criterion_6_green_compatibility():
             count += 1
             if count >= 20:
                 break
-    _report(6, count >= 20 and time.time() - t0 < 300, f"(x, y*y') = (r(x), y(x)y') on {count} cases", t0)
+    _report(6, count >= 20 and time.time() - t0 < 60, f"(x, y*y') = (r(x), y(x)y') on {count} cases", t0)
 
 
 def _dims_up_to(n, total):
@@ -221,7 +221,7 @@ def test_criterion_7_canonical_cyclic():
             )
     _report(
         7,
-        ok and time.time() - t0 < 120,
+        ok and time.time() - t0 < 30,
         "cyclic n=2,3 canonical bases certified for all |nu| <= 4",
         t0,
     )
@@ -265,7 +265,7 @@ def test_criterion_9_finite_type_a2():
     words = {solver.system.word_for_index(a) for a in data.pbw.order}
     ok = ok and words == {((1, 1), (2, 1)), ((2, 1), (1, 1))}
     ok = ok and all(row == {a: ONE} for a, row in data.C_over_mon.items())
-    _report(9, ok and time.time() - t0 < 120, "A_2 canonical bases certified, |nu| <= 4", t0)
+    _report(9, ok and time.time() - t0 < 30, "A_2 canonical bases certified, |nu| <= 4", t0)
 
 
 def test_criterion_10_determinism(shared_cache, kron_solver):

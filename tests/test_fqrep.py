@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from hallcanon.config import BudgetExceededError, JobConfig
+from hallcanon.config import BudgetExceededError
 from hallcanon.fqrep import (
     FieldContext,
     FqModule,
@@ -140,8 +140,21 @@ def _dims_with_total_at_most(n, total):
         (cyclic(1), (2, 3), _dims_with_total_at_most(1, 3)),
         (linear_an(3, ">>"), (2,), _dims_with_total_at_most(3, 4)),
         (linear_an(3, "><"), (2,), _dims_with_total_at_most(3, 4)),
+        (cyclic(3), (2,), [(2, 2, 1)]),
+        (linear_an(3, "><"), (2,), [(2, 2, 2)]),
+        (linear_an(3, ">>"), (2,), [(2, 2, 2)]),
     ],
-    ids=["kronecker", "cyclic2", "cyclic3", "jordan", "a3-linear", "a3-alternating"],
+    ids=[
+        "kronecker",
+        "cyclic2",
+        "cyclic3",
+        "jordan",
+        "a3-linear",
+        "a3-alternating",
+        "cyclic3-221",
+        "a3-alternating-222",
+        "a3-linear-222",
+    ],
 )
 def test_closed_form_aut_matches_enumeration(quiver, qs, dims):
     for q in qs:
@@ -153,7 +166,7 @@ def test_closed_form_aut_matches_enumeration(quiver, qs, dims):
 
 def test_closed_form_aut_ignores_enumeration_budget():
     q = 7
-    ctx = FieldContext(cyclic(1), q, JobConfig(budget_aut=10))
+    ctx = FieldContext(cyclic(1), q)
     d = ("m", mseg_normalize([((1, 1), 2)]))
     assert ctx.aut(d) == (q**2 - 1) * (q**2 - q) == 2016
     with pytest.raises(BudgetExceededError):

@@ -9,7 +9,10 @@ from hallcanon.config import (
     InterpolationError,
     JobConfig,
 )
+from hallcanon import fqrep, hallpoly
+from hallcanon.canonical import CanonicalSolver
 from hallcanon.fqrep import make_cdesc, mseg_normalize
+from hallcanon.hallalg import HallEngine
 from hallcanon.hallpoly import (
     CacheStore,
     HallPolyEngine,
@@ -19,7 +22,8 @@ from hallcanon.hallpoly import (
     fit_rational_function,
     lagrange_fit,
 )
-from hallcanon.quiver import cyclic, kronecker
+from hallcanon.pbw import IndexSystem
+from hallcanon.quiver import cyclic, kronecker, linear_an
 
 
 def mdesc(*segs):
@@ -99,6 +103,24 @@ def test_aut_polynomials():
     SS = mdesc(((1, 1), 2))
     # |GL_2(F_q)| = q^4 - q^3 - q^2 + q
     assert eng1.aut_polynomial(SS).coeffs == (0, 1, -1, -1, 1)
+
+
+def test_aut_never_enumerates_endomorphisms(monkeypatch):
+    # |Aut M| comes from the closed form alone: with the enumeration oracle
+    # made to fail, a type A certificate and the |Aut| polynomials still hold.
+    def refuse(*args, **kwargs):
+        raise AssertionError("aut_order called at run time")
+
+    monkeypatch.setattr(fqrep, "aut_order", refuse)
+    monkeypatch.setattr(hallpoly, "aut_order", refuse, raising=False)
+    cfg = JobConfig(cache_dir=None)
+    solver = CanonicalSolver(IndexSystem(HallEngine(linear_an(3, "><"), cfg)))
+    assert solver.verify((2, 2, 1))["ok"]
+    eng = HallPolyEngine(cyclic(2), cfg)
+    assert eng.aut_polynomial(mdesc(((1, 1), 1))).coeffs == (-1, 1)
+    assert eng.aut_polynomial(mdesc(((1, 2), 1))).coeffs == (-1, 1)
+    eng1 = HallPolyEngine(cyclic(1), cfg)
+    assert eng1.aut_polynomial(mdesc(((1, 1), 2))).coeffs == (0, 1, -1, -1, 1)
 
 
 def test_kronecker_hall_poly_above_end_dimension():
