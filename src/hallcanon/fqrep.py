@@ -125,22 +125,36 @@ def mseg_end(n: int, pi) -> int:
     return mseg_hom(n, pi, pi)
 
 
-def mseg_peel_top(n: int, pi, i: int):
-    """Remove the top box of every segment starting at vertex i.
+def mseg_peel_top(n: int, pi, i: int, min_length: int = 1):
+    """Remove the top box of every segment at vertex i of length >= min_length.
 
-    Returns (count, peeled multisegment); count is the full multiplicity of
-    tops at vertex i.
+    Returns (count, peeled multisegment); count is the multiplicity of the
+    tops removed, the full multiplicity of tops at i when min_length = 1.
     """
     count = 0
     rest = []
     for (j, l), m in pi:
-        if j == i:
+        if j == i and l >= min_length:
             count += m
             if l > 1:
                 rest.append((((j % n) + 1, l - 1), m))
         else:
             rest.append(((j, l), m))
     return count, mseg_normalize(rest)
+
+
+def mseg_extend_top(n: int, pi, i: int, a: int) -> tuple:
+    """The generic extension of S_i^a on top of M(pi); inverts ``mseg_peel_top``.
+
+    The a longest segments starting at vertex i+1 grow by one box to start
+    at i; any boxes left over become new segments [i;1].
+    """
+    nxt, out = i % n + 1, []
+    for (j, l), m in sorted(pi, key=lambda s: (s[0][0] != nxt, -s[0][1])):
+        grown = min(a, m) if j == nxt else 0
+        a -= grown
+        out += [((i, l + 1), grown), ((j, l), m - grown)]
+    return mseg_normalize(out + [((i, 1), a)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .fqrep import (
     mseg_aperiodic,
     mseg_dim,
     mseg_end,
+    mseg_extend_top,
     mseg_hom,
     mseg_normalize,
     mseg_peel_top,
@@ -82,7 +83,6 @@ class IndexSystem:
         self.quiver = engine.quiver
         self.kind = engine.kind
         self._ddx_memo: dict = {}
-        self._genext_memo: dict = {}
         self._mono_memo: dict = {}
         self._pbw_memo: dict = {}
 
@@ -217,18 +217,16 @@ class IndexSystem:
     # -- distinguished words (cyclic engine) ----------------------------------
 
     def generic_extension(self, descM, descN):
-        """The extension of M by N with minimal endomorphism dimension."""
+        """The extension of M by N with minimal End, from Hall polynomials.
+
+        A test oracle for ``mseg_extend_top``; the word search never calls it.
+        """
         if descM[0] != "m" or descN[0] != "m":
             raise UnsupportedQuiverError("generic extensions implemented for cyclic quivers")
-        key = (descM, descN)
-        if key in self._genext_memo:
-            return self._genext_memo[key]
         n = self.quiver.n
         if not descN[1]:
-            self._genext_memo[key] = descM
             return descM
         if not descM[1]:
-            self._genext_memo[key] = descN
             return descN
         nu = tuple(
             a + b for a, b in zip(mseg_dim(n, descM[1]), mseg_dim(n, descN[1]))
@@ -241,16 +239,17 @@ class IndexSystem:
         ends = sorted((mseg_end(n, pi), pi) for pi in support)
         assert ends, "empty extension support"
         assert len(ends) == 1 or ends[0][0] < ends[1][0], "generic extension not unique"
-        out = ("m", ends[0][1])
-        self._genext_memo[key] = out
-        return out
+        return ("m", ends[0][1])
 
     def ddx_word(self, pi):
         """Distinguished word for an aperiodic multisegment by top peeling.
 
-        Each step peels the full top multiplicity at one vertex and is kept
-        only if the generic extension glues back; backtracking explores all
-        peels.  Existence is guaranteed for aperiodic input.
+        Each step peels the tops at one vertex i of the segments of length
+        at least l, and is kept only if the generic extension of S_i^a on
+        top of the rest (``mseg_extend_top``) glues back.  Full peels
+        (l = the shortest length present) come before partial ones, and
+        backtracking explores all peels.  Existence is guaranteed for
+        aperiodic input; no Hall polynomial is computed.
         """
         n = self.quiver.n
         pi = mseg_normalize(pi)
@@ -272,13 +271,7 @@ class IndexSystem:
         if not pi:
             return [()]
         out = []
-        for i in range(1, n + 1):
-            a, peeled = mseg_peel_top(n, pi, i)
-            if a == 0:
-                continue
-            top = ("m", mseg_normalize([((i, 1), a)]))
-            if self.generic_extension(top, ("m", peeled)) != ("m", pi):
-                continue
+        for i, a, peeled in _glued_peels(n, pi):
             for rest in self._ddx_words(peeled, want_all):
                 out.append(((i, a),) + rest)
                 if not want_all:
@@ -319,32 +312,6 @@ class IndexSystem:
             beta = seq.beta(t)
             word.extend(self.dimvec_word(tuple(m * x for x in beta)))
         return tuple(word)
-
-    # Named word builders for the separate monomial pieces.
-
-    def word_preproj(self, cm):
-        seq = self.engine.ctx(self.engine.cfg.primes[0]).seq
-        word = []
-        for t, m in sorted(cm, key=lambda p: -p[0]):
-            word.extend(self.dimvec_word(tuple(m * x for x in seq.beta(t))))
-        return tuple(word)
-
-    def word_preinj(self, cp):
-        seq = self.engine.ctx(self.engine.cfg.primes[0]).seq
-        word = []
-        for t, m in sorted(cp, reverse=True):
-            word.extend(self.dimvec_word(tuple(m * x for x in seq.beta(t))))
-        return tuple(word)
-
-    def word_homog(self, lam):
-        word = []
-        for part in sorted(lam, reverse=True):
-            word.extend(self.dimvec_word(tuple(part * x for x in self.engine.delta)))
-        return tuple(word)
-
-    def monomial(self, word) -> dict:
-        """Generic expansion of an arbitrary word over the N family."""
-        return self.engine.generic_word(tuple(word))
 
     def monomial_over_N(self, idx, word_choice=None) -> dict:
         """Expansion of the monomial over the N family, with triangularity checks."""
@@ -435,6 +402,19 @@ class PBWData:
     mon: dict
     E: dict
     eta: dict
+
+
+def _glued_peels(n: int, pi):
+    """The peels (i, a, peeled) of pi that glue back: full peels first, then
+    partial ones by increasing minimum length, each (i, a) once."""
+    tried = set()
+    for ell in sorted({l for (_, l), _ in pi}):
+        for i in range(1, n + 1):
+            a, peeled = mseg_peel_top(n, pi, i, ell)
+            if a and (i, a) not in tried:
+                tried.add((i, a))
+                if mseg_extend_top(n, peeled, i, a) == pi:
+                    yield i, a, peeled
 
 
 def _frame_parts_of(frame):

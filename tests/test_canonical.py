@@ -115,6 +115,17 @@ def test_canonical_cyclic3_111():
     assert report["ok"]
 
 
+@pytest.mark.parametrize(
+    "n, nu", [(3, (1, 3, 2)), (3, (2, 1, 3)), (3, (3, 2, 1)), (2, (2, 4))]
+)
+def test_canonical_certified_where_words_need_partial_peels(n, nu):
+    # Each of these dimension vectors has an aperiodic multisegment (such as
+    # [1;2]+[2;1]+[2;3] at cyclic:2 (2,4)) whose distinguished word peels
+    # only the longer segments at some vertex.
+    solver = CanonicalSolver(IndexSystem(HallEngine(cyclic(n))))
+    assert solver.verify(nu)["ok"]
+
+
 def test_bar_element_involution(cyc2):
     import random
 

@@ -20,8 +20,10 @@ from hallcanon.fqrep import (
     mseg_aperiodic,
     mseg_dim,
     mseg_end,
+    mseg_extend_top,
     mseg_hom,
     mseg_normalize,
+    mseg_peel_top,
     quotient_by_subspace,
     reflect_module,
     simple_module,
@@ -51,6 +53,22 @@ def test_multisegment_basics():
         mseg_normalize([((2, 2), 1)]),
         split,
     }
+
+
+def test_peel_and_extend_top():
+    # [1;1]+[1;3]+[2;2] on the 2-cycle: a full peel at 1 does not glue back,
+    # the partial peel of the segments of length >= 3 does.
+    pi = mseg_normalize([((1, 1), 1), ((1, 3), 1), ((2, 2), 1)])
+    a, full = mseg_peel_top(2, pi, 1)
+    assert (a, full) == (2, mseg_normalize([((2, 2), 2)]))
+    assert mseg_extend_top(2, full, 1, a) == mseg_normalize([((1, 3), 2)])
+    a, part = mseg_peel_top(2, pi, 1, min_length=3)
+    assert (a, part) == (1, mseg_normalize([((1, 1), 1), ((2, 2), 2)]))
+    assert mseg_extend_top(2, part, 1, a) == pi
+    # boxes beyond the segments at vertex i + 1 become new simple tops
+    assert mseg_extend_top(3, mseg_normalize([((3, 1), 1)]), 2, 2) == (
+        mseg_normalize([((2, 1), 1), ((2, 2), 1)])
+    )
 
 
 def test_build_cyclic_s1_of_length_2():

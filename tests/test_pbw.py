@@ -1,7 +1,18 @@
+import itertools
+
 import pytest
 
-from hallcanon.fqrep import make_cdesc, mseg_normalize
+import hallcanon.pbw as pbw
+from hallcanon.fqrep import (
+    FieldContext,
+    enumerate_msegs,
+    make_cdesc,
+    mseg_aperiodic,
+    mseg_extend_top,
+    mseg_normalize,
+)
 from hallcanon.hallalg import HallEngine, nindex
+from hallcanon.hallpoly import HallPolyEngine
 from hallcanon.laurent import ONE, LaurentPoly
 from hallcanon.pbw import (
     EQUAL,
@@ -122,6 +133,49 @@ def test_generic_extensions(cyc2_sys):
     assert cyc2_sys.generic_extension(S1, S1) == mdesc(((1, 1), 2))
     split_plus = cyc2_sys.generic_extension(mdesc(((1, 1), 1), ((2, 1), 1)), S1)
     assert split_plus == mdesc(((2, 2), 1), ((1, 1), 1))
+
+
+def _aperiodic_msegs(n, total):
+    for nu in itertools.product(range(total + 1), repeat=n):
+        if 0 < sum(nu) <= total:
+            yield from (pi for pi in enumerate_msegs(n, nu) if mseg_aperiodic(n, pi))
+
+
+def test_extend_top_matches_generic_extension(monkeypatch):
+    # Every glue check of the word search for cyclic:2 and cyclic:3 with
+    # |nu| <= 5, against the generic extension read off Hall polynomials.
+    checks = set()
+
+    def recorded(n, pi, i, a):
+        checks.add((n, pi, i, a))
+        return mseg_extend_top(n, pi, i, a)
+
+    monkeypatch.setattr(pbw, "mseg_extend_top", recorded)
+    systems = {n: IndexSystem(HallEngine(cyclic(n))) for n in (2, 3)}
+    for n, sys in systems.items():
+        for pi in _aperiodic_msegs(n, 5):
+            sys.ddx_words_all(pi)
+    assert len(checks) > 300
+    for n, pi, i, a in sorted(checks):
+        top = ("m", mseg_normalize([((i, 1), a)]))
+        expected = systems[n].generic_extension(top, ("m", pi))
+        assert expected == ("m", mseg_extend_top(n, pi, i, a)), (n, pi, i, a)
+
+
+def test_word_search_interpolates_nothing(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the word search reached a Hall polynomial or a field")
+
+    systems = {n: IndexSystem(HallEngine(cyclic(n))) for n in (2, 3)}
+    monkeypatch.setattr(HallPolyEngine, "hall_polynomial", forbidden)
+    monkeypatch.setattr(IndexSystem, "generic_extension", forbidden)
+    monkeypatch.setattr(FieldContext, "__init__", forbidden)
+    for n, sys in systems.items():
+        for pi in _aperiodic_msegs(n, 7):
+            rebuilt = ()
+            for i, a in reversed(sys.ddx_word(pi)):
+                rebuilt = mseg_extend_top(n, rebuilt, i, a)
+            assert rebuilt == pi
 
 
 def test_monomial_expansion_cyclic(cyc2_sys):
@@ -245,10 +299,8 @@ def test_pbw_kronecker_22_runs(kron_sys):
 def test_dimvec_word_single_vertex(kron_sys):
     assert kron_sys.dimvec_word((3, 0)) == ((0, 3),)
     assert kron_sys.dimvec_word((0, 2)) == ((1, 2),)
-    # named piece builders agree with the assembled word
-    idx = nindex(make_cdesc(cm=((0, 1),), cp=((1, 1),)))
-    assert kron_sys.word_for_index(idx) == kron_sys.word_preproj(
-        ((0, 1),)
-    ) + kron_sys.word_preinj(((1, 1),))
+    split = nindex(make_cdesc(cm=((0, 1),), cp=((1, 1),)))
+    assert kron_sys.word_for_index(split) == ((1, 1), (0, 1))
+    # the homogeneous pieces come largest part first
     reg = nindex(make_cdesc(), (2, 1))
-    assert kron_sys.word_for_index(reg) == kron_sys.word_homog((2, 1))
+    assert kron_sys.word_for_index(reg) == ((0, 2), (1, 2), (0, 1), (1, 1))
