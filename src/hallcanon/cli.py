@@ -29,8 +29,6 @@ def _config_from_args(args) -> JobConfig:
         kwargs["budget_subspaces"] = args.budget_subspaces
     if getattr(args, "series_order", None):
         kwargs["series_order"] = args.series_order
-    if getattr(args, "threads", None):
-        kwargs["threads"] = args.threads
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
     return JobConfig(**kwargs)

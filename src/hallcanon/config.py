@@ -59,15 +59,13 @@ class JobConfig:
     silent degradation), ``series_order`` and ``seed`` are recorded in
     bundle metadata (the Green-form certificates are exact and do not
     depend on them), and ``cache_dir`` names the on-disk store (``None``
-    for none).  ``threads`` is accepted and ignored: every computation runs
-    in one thread.
+    for none).  Every computation runs in one thread.
     """
 
     primes: tuple[int, ...] = DEFAULT_SAMPLE_POOL
     budget_subspaces: int = 2_000_000
     series_order: int = 10
     cache_dir: str | None = None
-    threads: int = 1
     seed: int = 0
 
     @staticmethod

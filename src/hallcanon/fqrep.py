@@ -626,22 +626,15 @@ def submodule_census(M: FqModule, budget: int = 2_000_000):
 
 
 def submodule_from_subspace(M: FqModule, sub) -> FqModule:
-    """The submodule on a stable subspace given as per-vertex (RREF rows, pivots)."""
-    F = M.F
-    dims = tuple(len(rows) for rows, _ in sub)
+    """The submodule on a stable subspace given as per-vertex (RREF rows, pivots).
+
+    Stability is not checked: an image's coordinates are its pivot entries.
+    """
     mats = []
     for a, (s, t) in enumerate(M.quiver.arrows):
-        rows_t, pivots_t = sub[t]
-        mat = gf.zeros(dims[t], dims[s])
-        for c, w in enumerate(sub[s][0]):
-            img = gf.mat_vec(F, M.mats[a], w)
-            coords = gf.coords_in_rowspace(F, rows_t, pivots_t, img)
-            if coords is None:
-                raise ValueError("subspace is not arrow-stable")
-            for r, x in enumerate(coords):
-                mat[r][c] = x
-        mats.append(mat)
-    return FqModule(M.quiver, F, dims, mats)
+        images = [gf.mat_vec(M.F, M.mats[a], w) for w in sub[s][0]]
+        mats.append([[img[pc] for img in images] for pc in sub[t][1]])
+    return FqModule(M.quiver, M.F, tuple(len(rows) for rows, _ in sub), mats)
 
 
 def quotient_by_subspace(M: FqModule, sub) -> FqModule:

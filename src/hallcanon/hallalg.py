@@ -12,6 +12,9 @@ descriptor.  Products and monomials are computed at several sample fields,
 expanded over the N family by a triangular Kostka solve, and lifted to
 Z[v, v^-1] by exact interpolation of each coefficient as a polynomial in
 q = v^2, validated on held-out fields.
+
+The Green form needs no field: (S_lam, S_mu) is a closed form over the
+character table of S_m (``HallEngine.s_gram``); frames give |Aut| factors.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from .config import (
     UnsupportedQuiverError,
 )
 from .fqrep import FieldContext, desc_frame, desc_homog, make_cdesc, mseg_normalize
-from .hallpoly import HallPolyEngine, fit_integer_poly, fit_rational_function
+from .hallpoly import HallPolyEngine, _normalize_rational, fit_integer_poly
 from .laurent import ONE, ZERO, LaurentPoly, RationalFn
-from .partitions import kostka, partitions
+from .partitions import centralizer_order, character, kostka, partitions
 from .quiver import Quiver
 
 
@@ -222,6 +225,21 @@ def symbolic_h_identity_holds(lam) -> bool:
             acc[mon] = acc.get(mon, 0) + k * c
     acc = {m: c for m, c in acc.items() if c}
     return acc == {tuple(sorted(lam, reverse=True)): 1}
+
+
+def _q_coeffs(p: LaurentPoly) -> list:
+    """p, a polynomial in q = v^2, as its q-coefficients, lowest first."""
+    return [p.coeff(e) for e in range(0, p.degree() + 1, 2)] if p else []
+
+
+def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """A gcd over Q of two polynomials in v (Euclid)."""
+    while b:
+        while a and a.degree() >= b.degree():
+            c = Fraction(a.coeff(a.degree()), b.coeff(b.degree()))
+            a = a - b * LaurentPoly.v_power(a.degree() - b.degree(), c)
+        a, b = b, a
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -542,48 +560,38 @@ class HallEngine:
     # -- Green form ------------------------------------------------------------
 
     def s_gram(self, lam, mu) -> RationalFn:
-        """(S_lam, S_mu) as an exact rational function of v (q = v^2)."""
+        """(S_lam, S_mu) in closed form, in lowest terms (q = v^2):
+
+            sum_{rho |- m} chi^lam(rho) chi^mu(rho) / z_rho
+                * prod_i (q^{rho_i} + 1) / (q^{rho_i} - 1).
+
+        In the tube at x, H_m maps to h_m with Q = q^{deg x} (Macdonald, ch.
+        III), and the homogeneous tubes are indexed by P^1 (Lin-Xiao-Zhang),
+        so (p_n, p_n) = n |P^1(F_{q^n})| / (q^n - 1).
+        """
         lam, mu = tuple(lam), tuple(mu)
         if sum(lam) != sum(mu):
             return RationalFn(ZERO)
         if not lam:
             return RationalFn(ONE)
+        if self.kind != "kronecker":
+            raise UnsupportedQuiverError("S_lam lives in the affine homogeneous part")
         key = ("sgram", lam, mu)
         if key in self._generic_memo:
             return self._generic_memo[key]
-
-        def value_at(q):
-            ctx = self.ctx(q)
-            Sl = self.realize_S(lam, q)
-            Sm = self.realize_S(mu, q) if mu != lam else Sl
-            total = Fraction(0)
-            m = sum(lam)
-            for d in set(Sl.terms) | set(Sm.terms):
-                a = Sl.u_coeff(d)
-                b = Sm.u_coeff(d)
-                if not a or not b:
-                    continue
-                # u-coefficients are integer multiples of v^{-m|delta|}.
-                shift = m * sum(self.delta)
-                ca = a.coeff(-shift)
-                cb = b.coeff(-shift)
-                assert a == LaurentPoly.v_power(-shift, ca)
-                assert b == LaurentPoly.v_power(-shift, cb)
-                total += Fraction(ca * cb, ctx.aut(d))
-            return total
-
-        pairs = []
-        for q in self.cfg.primes:
-            pairs.append((q, value_at(q)))
-            if len(pairs) >= 6:
-                try:
-                    num, den = fit_rational_function(pairs)
-                    break
-                except InterpolationError:
-                    continue
-        else:
-            num, den = fit_rational_function(pairs)
-        out = RationalFn.from_q_fractions(num, den)
+        total = RationalFn(ZERO)
+        for rho in partitions(sum(lam)):
+            c = character(lam, rho) * character(mu, rho)
+            if not c:
+                continue
+            term = RationalFn(Fraction(c, centralizer_order(rho)))
+            for r in rho:
+                qr = LaurentPoly.v_power(2 * r)
+                term = term * RationalFn(qr + ONE, qr - ONE)
+            total = total + term
+        g = _poly_gcd(total.num, total.den)
+        num, den = total.num.exact_div(g), total.den.exact_div(g)
+        out = RationalFn.from_q_fractions(*_normalize_rational(_q_coeffs(num), _q_coeffs(den)))
         self._generic_memo[key] = out
         return out
 

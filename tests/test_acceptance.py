@@ -7,13 +7,13 @@ memberships are certified to order 10.
 """
 
 import itertools
-import json
 import random
 import time
 
 import pytest
 
 from hallcanon.canonical import CanonicalSolver
+from hallcanon.cli import main as cli_main
 from hallcanon.config import JobConfig
 from hallcanon.fqrep import enumerate_msegs, make_cdesc, mseg_normalize
 from hallcanon.hallalg import HallEngine, nindex, tensor_green
@@ -268,18 +268,22 @@ def test_criterion_9_finite_type_a2():
     _report(9, ok and time.time() - t0 < 30, "A_2 canonical bases certified, |nu| <= 4", t0)
 
 
-def test_criterion_10_determinism(shared_cache, kron_solver):
+def test_criterion_10_determinism(shared_cache, kron_solver, tmp_path):
     # Warm the cache through criterion 8's fixture, then compare two full
-    # runs at different thread counts byte for byte.
+    # command-line runs at different thread counts byte for byte.
     t0 = time.time()
     for nu in KRON_DIMS:
         kron_solver.verify(nu)  # ensure warm
 
     def run(threads):
-        cfg = JobConfig(cache_dir=shared_cache, threads=threads)
-        solver = CanonicalSolver(IndexSystem(HallEngine(kronecker(), cfg)))
-        bundles = [solver.bundle(nu) for nu in KRON_DIMS]
-        return json.dumps(bundles, sort_keys=True, separators=(",", ":")).encode()
+        out = []
+        for nu in KRON_DIMS:
+            path = tmp_path / f"t{threads}_{nu[0]}_{nu[1]}.json"
+            args = ["canonical", "--quiver", "kronecker", "--dim", f"{nu[0]},{nu[1]}"]
+            args += ["--cache-dir", shared_cache, "--threads", str(threads), "--out", str(path)]
+            assert cli_main(args) == 0
+            out.append(path.read_bytes())
+        return out
 
     b1 = run(1)
     b8 = run(8)

@@ -194,7 +194,7 @@ def test_identity_hall_tables_run_no_census(quiver, nu, monkeypatch):
         assert ctx.hall_products(zero, dL) == [(dL, 1)]
 
 
-def test_s_gram_classifies_no_module_of_dimension_2delta(monkeypatch):
+def test_realize_S_classifies_no_module_of_dimension_2delta(monkeypatch):
     # S_lambda is realised as products of H_m starting from the unit; the
     # unit factor must not classify every module of dimension 2*delta.
     seen = []
@@ -206,8 +206,8 @@ def test_s_gram_classifies_no_module_of_dimension_2delta(monkeypatch):
 
     monkeypatch.setattr(FieldContext, "classify", counting)
     engine = HallEngine(kronecker(), JobConfig(cache_dir=None))
-    for lam in partitions(2):
-        for mu in partitions(2):
-            assert engine.s_gram(lam, mu)
+    for q in engine.cfg.primes:
+        for lam in partitions(2):
+            assert engine.realize_S(lam, q)
     assert seen
     assert (2, 2) not in seen

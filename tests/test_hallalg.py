@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from hallcanon import hallpoly
 from hallcanon.config import JobConfig
-from hallcanon.fqrep import make_cdesc, mseg_normalize
+from hallcanon.fqrep import FieldContext, make_cdesc, mseg_normalize
 from hallcanon.hallalg import (
     FieldElement,
     HallEngine,
@@ -238,11 +239,62 @@ def test_s_gram_h1(kron):
 
 
 def test_s_gram_orthogonality_order10(kron):
-    for lam in partitions(2):
-        for mu in partitions(2):
-            g = kron.s_gram(lam, mu)
-            delta = 1 if lam == mu else 0
-            assert in_delta_plus_tail(g, delta, 10)
+    for m in range(1, 6):
+        for lam in partitions(m):
+            for mu in partitions(m):
+                g = kron.s_gram(lam, mu)
+                delta = 1 if lam == mu else 0
+                assert in_delta_plus_tail(g, delta, 10)
+
+
+def field_level_s_gram(engine, lam, mu, q):
+    """Sum over classes d of u_lam(d) u_mu(d) / |Aut d|, with S realized at q."""
+    ctx = engine.ctx(q)
+    Sl, Sm = engine.realize_S(lam, q), engine.realize_S(mu, q)
+    # u-coefficients are integer multiples of v^{-m|delta|}.
+    shift = sum(lam) * sum(engine.delta)
+    total = Fraction(0)
+    for d in set(Sl.terms) | set(Sm.terms):
+        a, b = Sl.u_coeff(d), Sm.u_coeff(d)
+        assert a == V(-shift, a.coeff(-shift)) and b == V(-shift, b.coeff(-shift))
+        total += Fraction(a.coeff(-shift) * b.coeff(-shift), ctx.aut(d))
+    return total
+
+
+def value_at(f, q):
+    (num, num_odd), (den, den_odd) = f.num.eval_sqrt(q), f.den.eval_sqrt(q)
+    assert num_odd == den_odd == 0
+    return num / den
+
+
+def test_s_gram_matches_field_level_sum(kron):
+    for m, qs in ((1, (2, 3, 4, 5)), (2, (2, 3, 4, 5)), (3, (2, 3, 4, 5)), (4, (2,))):
+        for q in qs:
+            for lam in partitions(m):
+                for mu in partitions(m):
+                    want = field_level_s_gram(kron, lam, mu, q)
+                    assert value_at(kron.s_gram(lam, mu), q) == want, (lam, mu, q)
+
+
+def test_s_gram_degree_three(kron):
+    # Its reduced form has total degree 10 in q, beyond any fit on 9 fields.
+    g = kron.s_gram((3,), (3,))
+    assert g == RationalFn.from_q_fractions([0, 0, 1, 2, 0, 1], [-1, 2, -1, 1, -2, 1])
+
+
+def test_s_gram_realizes_and_fits_nothing(monkeypatch):
+    engine = HallEngine(kronecker(), JobConfig(cache_dir=None))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("s_gram touched a field or fitted a function")
+
+    monkeypatch.setattr(FieldContext, "__init__", refuse)
+    monkeypatch.setattr(HallEngine, "realize_S", refuse)
+    monkeypatch.setattr(hallpoly, "fit_rational_function", refuse)
+    for m in range(1, 6):
+        for lam in partitions(m):
+            for mu in partitions(m):
+                assert engine.s_gram(lam, mu)
 
 
 def test_green_nn_matches_field_green(kron):
