@@ -856,6 +856,8 @@ class FieldContext:
         self._classes_memo: dict = {}
         self._classifier_memo: dict = {}
         self._hall_memo: dict = {}
+        self._row_memo: dict = {}
+        self._dim_memo: dict = {}
         self._aut_memo: dict = {}
         self._classify_cache: dict = {}
 
@@ -880,13 +882,15 @@ class FieldContext:
         raise ValueError(f"unknown indecomposable {ind}")
 
     def desc_dim(self, desc) -> tuple:
-        n = self.quiver.n
-        out = [0] * n
-        for ind, m in desc_indecs(desc):
-            d = self.indec_dim(ind)
-            for k in range(n):
-                out[k] += m * d[k]
-        return tuple(out)
+        if desc not in self._dim_memo:
+            n = self.quiver.n
+            out = [0] * n
+            for ind, m in desc_indecs(desc):
+                d = self.indec_dim(ind)
+                for k in range(n):
+                    out[k] += m * d[k]
+            self._dim_memo[desc] = tuple(out)
+        return self._dim_memo[desc]
 
     def hom_indec(self, a, b) -> int:
         """dim Hom between indecomposables, from AR-theory shape constraints."""
@@ -1232,55 +1236,55 @@ class FieldContext:
 
     # -- Hall numbers -------------------------------------------------------
 
+    def hall_row(self, descL, nuN) -> dict:
+        """{(descM, descN): g^L_{M,N}} for one class L, from L's census alone.
+
+        Memoized per (descL, nuN).  With nuN = 0 or dim L, L has one such
+        subspace, so the row g^L_{L,0} = 1 or g^L_{0,L} = 1 needs no census.
+        """
+        key = (descL, tuple(nuN))
+        if key in self._row_memo:
+            return self._row_memo[key]
+        nuL, nuN = self.desc_dim(descL), key[1]
+        if nuN == nuL or not any(nuN):
+            (zero,) = self.classes(tuple(0 for _ in nuL))
+            row = {(zero, descL) if nuN == nuL else (descL, zero): 1}
+        else:
+            L, row = self.build(descL), {}
+            for sub in graded_stable_subspaces(L, nuN, self.cfg.budget_subspaces):
+                dN = self.classify(submodule_from_subspace(L, sub))
+                pair = (self.classify(quotient_by_subspace(L, sub)), dN)
+                row[pair] = row.get(pair, 0) + 1
+        self._row_memo[key] = row
+        return row
+
     def hall_table(self, nuL, nuN):
         """All Hall numbers g^L_{M,N} with dim L = nuL, dim N = nuN.
 
-        Returns (by_L, by_pair): by_L[descL][(descM, descN)] = count and
-        by_pair[(descM, descN)] = list of (descL, count).
-
-        When nuN is 0 or nuL, every L has exactly one subspace of that
-        dimension, 0 or L itself, so the table is the identity
-        g^L_{L,0} = g^L_{0,L} = 1 and is written down without a census.
-        Otherwise each L is built and its submodules of dimension nuN are
-        listed and classified.
+        Returns (by_L, by_pair): by_L[descL] is ``hall_row(descL, nuN)``, in
+        class order, and by_pair[(descM, descN)] = list of (descL, count).
         """
         key = (tuple(nuL), tuple(nuN))
         if key in self._hall_memo:
             return self._hall_memo[key]
         nuL, nuN = key
-        by_L: dict = {}
-        by_pair: dict = {}
-        if nuN == nuL or not any(nuN):
-            (zero,) = self.classes(tuple(0 for _ in nuL))
+        by_L, by_pair = {}, {}
+        if all(x >= y for x, y in zip(nuL, nuN)):
             for dL in self.classes(nuL):
-                pair = (zero, dL) if nuN == nuL else (dL, zero)
-                by_L[dL] = {pair: 1}
-                by_pair[pair] = [(dL, 1)]
-        elif all(x >= y for x, y in zip(nuL, nuN)):
-            for dL in self.classes(nuL):
-                L = self.build(dL)
-                counts: dict = {}
-                for sub in graded_stable_subspaces(L, nuN, self.cfg.budget_subspaces):
-                    W = submodule_from_subspace(L, sub)
-                    dN = self.classify(W)
-                    Qt = quotient_by_subspace(L, sub)
-                    dM = self.classify(Qt)
-                    pair = (dM, dN)
-                    counts[pair] = counts.get(pair, 0) + 1
-                by_L[dL] = counts
-                for pair, g in counts.items():
+                by_L[dL] = self.hall_row(dL, nuN)
+                for pair, g in by_L[dL].items():
                     by_pair.setdefault(pair, []).append((dL, g))
         self._hall_memo[key] = (by_L, by_pair)
         return self._hall_memo[key]
 
     def hall(self, descL, descM, descN) -> int:
+        """g^L_{M,N} at this field; only L is censused (``hall_row``)."""
         nuL = self.desc_dim(descL)
         nuN = self.desc_dim(descN)
         nuM = self.desc_dim(descM)
         if tuple(a + b for a, b in zip(nuM, nuN)) != nuL:
             return 0
-        by_L, _ = self.hall_table(nuL, nuN)
-        return by_L.get(descL, {}).get((descM, descN), 0)
+        return self.hall_row(descL, nuN).get((descM, descN), 0)
 
     def hall_products(self, descM, descN):
         """All (descL, g^L_{M,N}) with g nonzero."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 from .config import (
     InsufficientPointsError,
@@ -657,12 +657,8 @@ class HallEngine:
             nuL = ctx.desc_dim(dL)
             aL = ctx.aut(dL)
             endL = ctx.end(dL)
-            from itertools import product as iproduct
-
-            for nuN in iproduct(*(range(v + 1) for v in nuL)):
-                nuN = tuple(nuN)
-                by_L, _ = ctx.hall_table(nuL, nuN)
-                for (dM, dN), g in by_L.get(dL, {}).items():
+            for nuN in product(*(range(v + 1) for v in nuL)):
+                for (dM, dN), g in ctx.hall_row(dL, nuN).items():
                     twist = (
                         euler(ctx.desc_dim(dM), ctx.desc_dim(dN))
                         + endL

@@ -124,6 +124,14 @@ def test_census_budget_is_the_full_product():
         list(graded_stable_subspaces(M, (2,), budget=size - 1))
 
 
+HALL_TABLE_CASES = [
+    (cyclic(2), (2, 2)),
+    (kronecker(), (2, 2)),
+    (linear_an(3, "><"), (1, 2, 1)),
+    (cyclic(1), (3,)),
+]
+
+
 def oracle_hall_table(ctx, nuL, nuN):
     out = {}
     for dL in ctx.classes(nuL):
@@ -140,15 +148,7 @@ def oracle_hall_table(ctx, nuL, nuN):
     return out
 
 
-@pytest.mark.parametrize(
-    "quiver, nu",
-    [
-        (cyclic(2), (2, 2)),
-        (kronecker(), (2, 2)),
-        (linear_an(3, "><"), (1, 2, 1)),
-        (cyclic(1), (3,)),
-    ],
-)
+@pytest.mark.parametrize("quiver, nu", HALL_TABLE_CASES)
 def test_hall_table_equals_oracle(quiver, nu):
     # Covers nu_N = 0 and nu_N = nu, the identity tables, for each kind of
     # zero class: cyclic, Kronecker, finite type and the Jordan quiver.
@@ -161,6 +161,40 @@ def test_hall_table_equals_oracle(quiver, nu):
             # Same insertion order too: the census order is unchanged.
             for dL in by_L:
                 assert list(by_L[dL]) == list(expected[dL])
+
+
+@pytest.mark.parametrize("quiver, nu", HALL_TABLE_CASES)
+def test_hall_row_matches_table(quiver, nu):
+    for q in (2, 3):
+        ctx = FieldContext(quiver, q)
+        for nuN in dims_upto(nu):
+            expected = oracle_hall_table(ctx, nu, nuN)
+            for dL in ctx.classes(nu):
+                row = ctx.hall_row(dL, nuN)
+                assert row == expected[dL]
+                assert list(row) == list(expected[dL])
+            # The table is made of the row memo's own dicts.
+            by_L, _ = ctx.hall_table(nu, nuN)
+            assert all(by_L[dL] is ctx.hall_row(dL, nuN) for dL in by_L)
+
+
+def test_hall_censuses_only_the_asked_L(monkeypatch):
+    nuL, nuN = (2, 3), (1, 1)
+    by_L, _ = FieldContext(kronecker(), 3).hall_table(nuL, nuN)
+    dL = list(by_L)[-1]
+    (dM, dN), g = max(by_L[dL].items(), key=lambda item: item[1])
+
+    ctx = FieldContext(kronecker(), 3)
+    censused = []
+    census = fqrep.graded_stable_subspaces
+
+    def recording(M, target, *args, **kwargs):
+        censused.append(M)
+        return census(M, target, *args, **kwargs)
+
+    monkeypatch.setattr(fqrep, "graded_stable_subspaces", recording)
+    assert ctx.hall(dL, dM, dN) == g > 0
+    assert censused == [ctx.build(dL)]
 
 
 @pytest.mark.parametrize(
