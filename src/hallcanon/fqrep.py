@@ -625,39 +625,76 @@ def submodule_census(M: FqModule, budget: int = 2_000_000):
         yield from graded_stable_subspaces(M, tuple(target), budget)
 
 
+def _submodule_block(F: GF, mat, rows_s, piv_t) -> tuple:
+    """Matrix of an arrow a: s -> t on U, for U stable with U_s = rows_s.
+
+    Column j is the image M_a rows_s[j] in the basis of U_t, read off its
+    entries at the pivots of U_t; stability is not checked.
+    """
+    add, mul = F._add, F._mul
+    out = []
+    for pc in piv_t:
+        mrow = mat[pc]
+        entries = []
+        for w in rows_s:
+            acc = 0
+            for x, y in zip(mrow, w):
+                if x and y:
+                    acc = add[acc][mul[x][y]]
+            entries.append(acc)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def _quotient_block(F: GF, mat, dim_s, piv_s, rows_t, piv_t) -> tuple:
+    """Matrix of an arrow a: s -> t on M/U, for U stable given in RREF.
+
+    M/U at v has the basis of the non-pivot columns of U_v.  Entry (x, c)
+    is M_a[x][c] - sum_i M_a[pc_i][c] rows_t[i][x]: reducing column c of M_a
+    modulo U_t subtracts its own pivot entries times the rows of U_t.
+    """
+    add, mul, neg = F._add, F._mul, F._neg
+    cols = [c for c in range(dim_s) if c not in piv_s]
+    out = []
+    for x, mrow in enumerate(mat):
+        if x in piv_t:
+            continue
+        acc = [mrow[c] for c in cols]
+        for row, pc in zip(rows_t, piv_t):
+            f = row[x]
+            if f:
+                mf, prow = mul[neg[f]], mat[pc]
+                acc = [add[e][mf[prow[c]]] for e, c in zip(acc, cols)]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
 def submodule_from_subspace(M: FqModule, sub) -> FqModule:
     """The submodule on a stable subspace given as per-vertex (RREF rows, pivots).
 
-    Stability is not checked: an image's coordinates are its pivot entries.
+    Arrow matrices are ``_submodule_block``s, the blocks that
+    ``FieldContext.hall_row`` memoizes; stability is not checked.
     """
-    mats = []
-    for a, (s, t) in enumerate(M.quiver.arrows):
-        images = [gf.mat_vec(M.F, M.mats[a], w) for w in sub[s][0]]
-        mats.append([[img[pc] for img in images] for pc in sub[t][1]])
+    mats = [
+        _submodule_block(M.F, M.mats[a], sub[s][0], sub[t][1])
+        for a, (s, t) in enumerate(M.quiver.arrows)
+    ]
     return FqModule(M.quiver, M.F, tuple(len(rows) for rows, _ in sub), mats)
 
 
 def quotient_by_subspace(M: FqModule, sub) -> FqModule:
     """The quotient by a stable subspace given as per-vertex (RREF rows, pivots).
 
-    The quotient at v has the basis of the non-pivot columns of sub[v].
+    The quotient at v has the basis of the non-pivot columns of sub[v]; arrow
+    matrices are ``_quotient_block``s, the blocks that ``FieldContext.hall_row``
+    memoizes.
     """
-    F = M.F
-    complements = [
-        [c for c in range(M.dims[v]) if c not in pivots] for v, (_, pivots) in enumerate(sub)
+    mats = [
+        _quotient_block(M.F, M.mats[a], M.dims[s], sub[s][1], *sub[t])
+        for a, (s, t) in enumerate(M.quiver.arrows)
     ]
-    dims = tuple(len(c) for c in complements)
-    mats = []
-    for a, (s, t) in enumerate(M.quiver.arrows):
-        rows_t, pivots_t = sub[t]
-        mat = gf.zeros(dims[t], dims[s])
-        for ci, c in enumerate(complements[s]):
-            img = [row[c] for row in M.mats[a]]
-            red = gf.reduce_mod_rowspace(F, rows_t, pivots_t, img)
-            for r, x in enumerate(complements[t]):
-                mat[r][ci] = red[x]
-        mats.append(mat)
-    return FqModule(M.quiver, F, dims, mats)
+    dims = tuple(d - len(pivots) for d, (_, pivots) in zip(M.dims, sub))
+    return FqModule(M.quiver, M.F, dims, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -1241,6 +1278,13 @@ class FieldContext:
 
         Memoized per (descL, nuN).  With nuN = 0 or dim L, L has one such
         subspace, so the row g^L_{L,0} = 1 or g^L_{0,L} = 1 needs no census.
+
+        An arrow a: s -> t's matrix on U depends only on (rows of U_s,
+        pivots of U_t), and on L/U only on (pivots of U_s, rows of U_t), so
+        across the census the same blocks recur.  They are memoized for this
+        one census under those keys, and each ``FqModule.key()`` of U and L/U
+        is formed from them; a module is built and classified only for a key
+        the classify cache does not hold yet.
         """
         key = (descL, tuple(nuN))
         if key in self._row_memo:
@@ -1251,9 +1295,38 @@ class FieldContext:
             row = {(zero, descL) if nuN == nuL else (descL, zero): 1}
         else:
             L, row = self.build(descL), {}
+            Q, F, cache = self.quiver, self.F, self._classify_cache
+            arrows = list(enumerate(Q.arrows))
+            sub_blocks: dict = {}
+            quot_blocks: dict = {}
+
+            def desc_of(dims, blocks):
+                out = cache.get((dims, blocks))
+                if out is None:
+                    out = self.classify(FqModule(Q, F, dims, blocks))
+                return out
+
+            dimsM = tuple(d - k for d, k in zip(nuL, nuN))
             for sub in graded_stable_subspaces(L, nuN, self.cfg.budget_subspaces):
-                dN = self.classify(submodule_from_subspace(L, sub))
-                pair = (self.classify(quotient_by_subspace(L, sub)), dN)
+                blocksN, blocksM = [], []
+                for a, (s, t) in arrows:
+                    (rows_s, piv_s), (rows_t, piv_t) = sub[s], sub[t]
+                    bkey = (a, rows_s, piv_t)
+                    block = sub_blocks.get(bkey)
+                    if block is None:
+                        block = sub_blocks[bkey] = _submodule_block(
+                            F, L.mats[a], rows_s, piv_t
+                        )
+                    blocksN.append(block)
+                    bkey = (a, piv_s, rows_t)
+                    block = quot_blocks.get(bkey)
+                    if block is None:
+                        block = quot_blocks[bkey] = _quotient_block(
+                            F, L.mats[a], nuL[s], piv_s, rows_t, piv_t
+                        )
+                    blocksM.append(block)
+                dN = desc_of(nuN, tuple(blocksN))
+                pair = (desc_of(dimsM, tuple(blocksM)), dN)
                 row[pair] = row.get(pair, 0) + 1
         self._row_memo[key] = row
         return row

@@ -191,22 +191,20 @@ def mat_mul(F: GF, A, B):
 
 
 def mat_vec(F: GF, A, v):
-    return [
-        _dot(F, A[i], v)
-        for i in range(len(A))
-    ]
-
-
-def _dot(F: GF, row, v):
-    s = 0
-    for a, b in zip(row, v):
-        if a and b:
-            s = F.add(s, F.mul(a, b))
-    return s
+    add, mul = F._add, F._mul
+    out = []
+    for row in A:
+        s = 0
+        for a, b in zip(row, v):
+            if a and b:
+                s = add[s][mul[a][b]]
+        out.append(s)
+    return out
 
 
 def rref(F: GF, mat):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
+    add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
     rows = [list(r) for r in mat]
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -217,12 +215,14 @@ def rref(F: GF, mat):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        scale = mul[inv[rows[r][c]]]
+        prow = rows[r] = [scale[x] for x in rows[r]]
         for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [F.sub(rows[i][j], F.mul(f, rows[r][j])) for j in range(n)]
+            f = rows[i][c]
+            if f and i != r:
+                # row_i - f * prow, as row_i + (-f) * prow
+                mf = mul[neg[f]]
+                rows[i] = [add[x][mf[y]] for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
     return rows[:r], pivots
@@ -254,28 +254,29 @@ def is_invertible(F: GF, mat) -> bool:
     return len(mat) == len(mat[0]) and rank(F, mat) == len(mat)
 
 
+def _subtract_rows(F: GF, v, rref_rows, pivots):
+    """v minus v[pc] * row for each RREF row, pivot pc; v's pivot entries vanish."""
+    add, mul, neg = F._add, F._mul, F._neg
+    for row, pc in zip(rref_rows, pivots):
+        c = v[pc]
+        if c:
+            mc = mul[neg[c]]
+            v = [add[x][mc[y]] for x, y in zip(v, row)]
+    return v
+
+
 def coords_in_rowspace(F: GF, rref_rows, pivots, v):
     """Coordinates of v in the row space, or None if v is outside it."""
-    v = list(v)
-    coords = []
-    for i, pc in enumerate(pivots):
-        c = v[pc]
-        coords.append(c)
-        if c:
-            v = [F.sub(v[j], F.mul(c, rref_rows[i][j])) for j in range(len(v))]
-    if any(v):
+    # In RREF, the coordinate on row i is v's entry at pivot i.
+    coords = [v[pc] for pc in pivots]
+    if any(_subtract_rows(F, v, rref_rows, pivots)):
         return None
     return coords
 
 
 def reduce_mod_rowspace(F: GF, rref_rows, pivots, v):
     """Canonical representative of v modulo the row space (pivot coords zeroed)."""
-    v = list(v)
-    for i, pc in enumerate(pivots):
-        c = v[pc]
-        if c:
-            v = [F.sub(v[j], F.mul(c, rref_rows[i][j])) for j in range(len(v))]
-    return v
+    return _subtract_rows(F, list(v), rref_rows, pivots)
 
 
 def combine_rows(F: GF, coeffs, basis):
@@ -284,13 +285,15 @@ def combine_rows(F: GF, coeffs, basis):
     When basis and coeffs are both in RREF, so is the product: its pivots
     are the basis pivots that coeffs selects.
     """
+    add, mul = F._add, F._mul
     width = len(basis[0]) if basis else 0
     out = []
     for crow in coeffs:
         acc = [0] * width
         for c, brow in zip(crow, basis):
             if c:
-                acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, brow)]
+                mc = mul[c]
+                acc = [add[x][mc[y]] for x, y in zip(acc, brow)]
         out.append(tuple(acc))
     return out
 
@@ -303,11 +306,7 @@ def rref_join(F: GF, low_rows, low_pivots, rows, pivots):
     """
     merged = list(zip(pivots, rows))
     for lp, lrow in zip(low_pivots, low_rows):
-        for p, row in zip(pivots, rows):
-            c = lrow[p]
-            if c:
-                lrow = [F.sub(x, F.mul(c, y)) for x, y in zip(lrow, row)]
-        merged.append((lp, tuple(lrow)))
+        merged.append((lp, tuple(_subtract_rows(F, lrow, rows, pivots))))
     merged.sort()
     return tuple(r for _, r in merged), tuple(p for p, _ in merged)
 

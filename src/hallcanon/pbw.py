@@ -340,7 +340,7 @@ class IndexSystem:
     # -- PBW basis ----------------------------------------------------------
 
     def pbw_basis(self, nu) -> "PBWData":
-        nu = tuple(nu)
+        nu = self.quiver.check_dim(nu)
         if nu in self._pbw_memo:
             return self._pbw_memo[nu]
         idxset = self.enumerate_indices(nu)

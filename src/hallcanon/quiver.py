@@ -96,6 +96,15 @@ class Quiver:
     def opposite(self) -> "Quiver":
         return Quiver(self.vertices, [(self.vertices[t], self.vertices[s]) for s, t in self.arrows])
 
+    def check_dim(self, nu) -> tuple[int, ...]:
+        """nu as a tuple; ValueError unless it has one entry >= 0 per vertex."""
+        nu = tuple(nu)
+        if len(nu) != self.n or any(x < 0 for x in nu):
+            raise ValueError(
+                f"dimension vector {list(nu)} must have {self.n} entries, each >= 0"
+            )
+        return nu
+
     # -- forms ------------------------------------------------------------
 
     def euler_form(self, nu, nu2) -> int:

@@ -142,7 +142,7 @@ def test_criterion_5_hall_polynomial_validation():
         checked += 1
     _report(
         5,
-        checked >= 20 and time.time() - t0 < 20,
+        checked >= 20 and time.time() - t0 < 5,
         f"{checked} random Hall polynomials predict held-out fields exactly",
         t0,
     )

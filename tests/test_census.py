@@ -8,6 +8,7 @@ from hallcanon import fqrep, gf
 from hallcanon.config import BudgetExceededError, JobConfig
 from hallcanon.fqrep import (
     FieldContext,
+    FqModule,
     build_cyclic,
     census_size,
     graded_stable_subspaces,
@@ -132,16 +133,71 @@ HALL_TABLE_CASES = [
 ]
 
 
-def oracle_hall_table(ctx, nuL, nuN):
+def oracle_submodule(L, sub):
+    """(dims, arrow matrices) of the submodule on sub = per-vertex (rows, pivots).
+
+    Column j of an arrow a: s -> t is the coordinate vector of the image of
+    the j-th basis row of sub[s] in the basis of sub[t].
+    """
+    F = L.F
+    dims = tuple(len(rows) for rows, _ in sub)
+    mats = []
+    for a, (s, t) in enumerate(L.quiver.arrows):
+        rows_t, piv_t = sub[t]
+        cols = [
+            gf.coords_in_rowspace(F, rows_t, piv_t, gf.mat_vec(F, L.mats[a], list(w)))
+            for w in sub[s][0]
+        ]
+        assert None not in cols, "sub is not arrow-stable"
+        mats.append([[col[i] for col in cols] for i in range(dims[t])])
+    return dims, mats
+
+
+def oracle_quotient(L, sub):
+    """(dims, arrow matrices) of L/sub on the non-pivot basis vectors of sub.
+
+    Column c of an arrow a: s -> t is the image of the basis vector e_c,
+    reduced modulo sub[t] and read on the non-pivot columns of sub[t].
+    """
+    F = L.F
+    free = [
+        [c for c in range(L.dims[v]) if c not in pivots]
+        for v, (_, pivots) in enumerate(sub)
+    ]
+    dims = tuple(len(cols) for cols in free)
+    mats = []
+    for a, (s, t) in enumerate(L.quiver.arrows):
+        rows_t, piv_t = sub[t]
+        mat = [[0] * dims[s] for _ in range(dims[t])]
+        for j, c in enumerate(free[s]):
+            e = [1 if k == c else 0 for k in range(L.dims[s])]
+            red = gf.reduce_mod_rowspace(F, rows_t, piv_t, gf.mat_vec(F, L.mats[a], e))
+            assert not any(red[p] for p in piv_t)
+            for i, x in enumerate(free[t]):
+                mat[i][j] = red[x]
+        mats.append(mat)
+    return dims, mats
+
+
+def oracle_subs(L, nuN):
+    """Every stable subspace of dimension nuN as per-vertex gf.rref output."""
+    return [
+        tuple(gf.rref(L.F, [list(r) for r in rows]) for rows in choice)
+        for choice in oracle_stable_subspaces(L, nuN)
+    ]
+
+
+def oracle_hall_table(quiver, q, nuL, nuN):
+    # Its own context: no classify cache is shared with the one under test.
+    ctx = FieldContext(quiver, q)
     out = {}
     for dL in ctx.classes(nuL):
         L = ctx.build(dL)
         counts = {}
-        for choice in oracle_stable_subspaces(L, nuN):
-            sub = tuple(gf.rref(ctx.F, rows) for rows in choice)
+        for sub in oracle_subs(L, nuN):
             pair = (
-                ctx.classify(quotient_by_subspace(L, sub)),
-                ctx.classify(submodule_from_subspace(L, sub)),
+                ctx.classify(FqModule(quiver, ctx.F, *oracle_quotient(L, sub))),
+                ctx.classify(FqModule(quiver, ctx.F, *oracle_submodule(L, sub))),
             )
             counts[pair] = counts.get(pair, 0) + 1
         out[dL] = counts
@@ -156,7 +212,7 @@ def test_hall_table_equals_oracle(quiver, nu):
         ctx = FieldContext(quiver, q)
         for nuN in dims_upto(nu):
             by_L, _ = ctx.hall_table(nu, nuN)
-            expected = oracle_hall_table(ctx, nu, nuN)
+            expected = oracle_hall_table(quiver, q, nu, nuN)
             assert by_L == expected
             # Same insertion order too: the census order is unchanged.
             for dL in by_L:
@@ -168,7 +224,7 @@ def test_hall_row_matches_table(quiver, nu):
     for q in (2, 3):
         ctx = FieldContext(quiver, q)
         for nuN in dims_upto(nu):
-            expected = oracle_hall_table(ctx, nu, nuN)
+            expected = oracle_hall_table(quiver, q, nu, nuN)
             for dL in ctx.classes(nu):
                 row = ctx.hall_row(dL, nuN)
                 assert row == expected[dL]
@@ -176,6 +232,50 @@ def test_hall_row_matches_table(quiver, nu):
             # The table is made of the row memo's own dicts.
             by_L, _ = ctx.hall_table(nu, nuN)
             assert all(by_L[dL] is ctx.hall_row(dL, nuN) for dL in by_L)
+
+
+@pytest.mark.parametrize("quiver, nu", HALL_TABLE_CASES)
+def test_submodule_and_quotient_match_oracle(quiver, nu):
+    for q in (2, 3):
+        ctx = FieldContext(quiver, q)
+        for dL in ctx.classes(nu):
+            L = ctx.build(dL)
+            for nuN in dims_upto(nu):
+                for sub in oracle_subs(L, nuN):
+                    for kernel, oracle in (
+                        (submodule_from_subspace, oracle_submodule),
+                        (quotient_by_subspace, oracle_quotient),
+                    ):
+                        module = kernel(L, sub)
+                        assert (module.dims, module.mats) == oracle(L, sub), (dL, sub)
+
+
+def test_hall_row_classifies_each_module_once(monkeypatch):
+    # Submodules and quotients repeat across a census; each distinct module
+    # (FqModule.key()) is classified once, not once per subspace.
+    quiver, q, nuN = cyclic(2), 3, (1, 2)
+    ctx = FieldContext(quiver, q)
+    dL = ("m", (((1, 1), 2), ((1, 2), 1), ((2, 1), 2)))
+    assert dL in ctx.classes((3, 3))
+    L = ctx.build(dL)
+    keys = set()
+    kept = 0
+    for sub in graded_stable_subspaces(L, nuN):
+        kept += 1
+        for build in (oracle_submodule, oracle_quotient):
+            keys.add(FqModule(quiver, ctx.F, *build(L, sub)).key())
+    calls = []
+    classify = FieldContext.classify
+
+    def counting(self, M):
+        calls.append(M.key())
+        return classify(self, M)
+
+    monkeypatch.setattr(FieldContext, "classify", counting)
+    row = ctx.hall_row(dL, nuN)
+    assert sum(row.values()) == kept
+    assert sorted(calls) == sorted(keys)
+    assert 10 * len(calls) < 2 * kept
 
 
 def test_hall_censuses_only_the_asked_L(monkeypatch):

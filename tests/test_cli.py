@@ -48,6 +48,26 @@ def test_canonical_zero_dim(capsys):
     assert len(bundle["indices"]) == 1
 
 
+@pytest.mark.parametrize(
+    "quiver, dim",
+    [
+        ("kronecker", "2"),
+        ("cyclic:3", "1,1"),
+        ("kronecker", "-1,2"),
+        ("cyclic:2", "2,-1"),
+        ("an:3:><", "1,-1,1"),
+    ],
+)
+def test_canonical_rejects_bad_dim(capsys, quiver, dim):
+    # A wrong length or a negative entry is a JSON error, not a traceback
+    # or an empty bundle.
+    code, out = run_cli(capsys, "canonical", "--quiver", quiver, f"--dim={dim}")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert "dimension vector" in error["message"]
+
+
 def test_canonical_latex(capsys):
     code, out = run_cli(
         capsys, "canonical", "--quiver", "an:2", "--dim", "1,1", "--format", "latex"

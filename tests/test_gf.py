@@ -1,16 +1,21 @@
+import random
+
 import pytest
 
 from hallcanon.gf import (
     GF,
+    combine_rows,
     coords_in_rowspace,
     gaussian_binomial_int,
     identity,
     is_invertible,
     mat_mul,
+    mat_vec,
     nullspace,
     rank,
     reduce_mod_rowspace,
     rref,
+    rref_join,
     subspaces,
 )
 
@@ -106,3 +111,143 @@ def test_subspace_enumeration_counts(q):
 def test_gaussian_binomial_values():
     assert gaussian_binomial_int(2, 1, 3) == 4
     assert gaussian_binomial_int(4, 2, 2) == 35
+
+
+# -- the kernels against per-entry versions ----------------------------------
+#
+# The gf kernels combine whole rows through the field's tables.  These are
+# the same algorithms written one entry at a time with F.add / F.sub / F.mul,
+# the reference the table versions must reproduce exactly.
+
+
+def entrywise_mat_vec(F, A, v):
+    out = []
+    for row in A:
+        s = 0
+        for a, b in zip(row, v):
+            if a and b:
+                s = F.add(s, F.mul(a, b))
+        out.append(s)
+    return out
+
+
+def entrywise_rref(F, mat):
+    rows = [list(r) for r in mat]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [F.sub(rows[i][j], F.mul(f, rows[r][j])) for j in range(n)]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def entrywise_nullspace(F, mat):
+    n = len(mat[0])
+    rows, pivots = entrywise_rref(F, mat)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = F.neg(rows[i][fc])
+        basis.append(v)
+    return basis
+
+
+def entrywise_coords(F, rref_rows, pivots, v):
+    v = list(v)
+    coords = []
+    for i, pc in enumerate(pivots):
+        c = v[pc]
+        coords.append(c)
+        if c:
+            v = [F.sub(v[j], F.mul(c, rref_rows[i][j])) for j in range(len(v))]
+    return None if any(v) else coords
+
+
+def entrywise_reduce(F, rref_rows, pivots, v):
+    v = list(v)
+    for i, pc in enumerate(pivots):
+        c = v[pc]
+        if c:
+            v = [F.sub(v[j], F.mul(c, rref_rows[i][j])) for j in range(len(v))]
+    return v
+
+
+def entrywise_combine(F, coeffs, basis):
+    width = len(basis[0]) if basis else 0
+    out = []
+    for crow in coeffs:
+        acc = [0] * width
+        for c, brow in zip(crow, basis):
+            if c:
+                acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return out
+
+
+def entrywise_join(F, low_rows, low_pivots, rows, pivots):
+    merged = list(zip(pivots, rows))
+    for lp, lrow in zip(low_pivots, low_rows):
+        for p, row in zip(pivots, rows):
+            c = lrow[p]
+            if c:
+                lrow = [F.sub(x, F.mul(c, y)) for x, y in zip(lrow, row)]
+        merged.append((lp, tuple(lrow)))
+    merged.sort()
+    return tuple(r for _, r in merged), tuple(p for p, _ in merged)
+
+
+def random_matrix(rng, q, m, n, density):
+    return [
+        [rng.randrange(1, q) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(m)
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_kernels_match_entrywise_versions(q):
+    F = GF(q)
+    rng = random.Random(1000 + q)
+    for _ in range(60):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        density = rng.choice([0.3, 0.6, 1.0])
+        A = random_matrix(rng, q, m, n, density)
+        v = random_matrix(rng, q, 1, n, density)[0]
+        assert mat_vec(F, A, v) == entrywise_mat_vec(F, A, v)
+        rows, pivots = rref(F, A)
+        assert (rows, pivots) == entrywise_rref(F, A)
+        assert rank(F, A) == len(entrywise_rref(F, A)[0])
+        assert nullspace(F, A) == entrywise_nullspace(F, A)
+        # A vector inside the row space and one (almost surely) outside it.
+        inside = entrywise_combine(F, random_matrix(rng, q, 1, len(rows), 1.0), rows)
+        for w in [v, list(inside[0]) if rows else v]:
+            assert coords_in_rowspace(F, rows, pivots, w) == entrywise_coords(
+                F, rows, pivots, w
+            )
+            assert reduce_mod_rowspace(F, rows, pivots, w) == entrywise_reduce(
+                F, rows, pivots, w
+            )
+        coeffs = random_matrix(rng, q, rng.randint(0, 3), m, density)
+        assert combine_rows(F, coeffs, A) == entrywise_combine(F, coeffs, A)
+        # rref_join needs an upper space that vanishes on the lower pivots:
+        # the RREF of vectors reduced modulo the lower space.
+        B = random_matrix(rng, q, rng.randint(1, 3), n, density)
+        reduced = [entrywise_reduce(F, rows, pivots, b) for b in B]
+        up_rows, up_pivots = entrywise_rref(F, reduced)
+        up_rows = [tuple(r) for r in up_rows]
+        assert rref_join(F, rows, pivots, up_rows, up_pivots) == entrywise_join(
+            F, rows, pivots, up_rows, up_pivots
+        )
