@@ -25,7 +25,7 @@ def _config_from_args(args) -> JobConfig:
     kwargs = dict(cache_dir=cache_dir)
     if getattr(args, "primes", None):
         kwargs["primes"] = tuple(int(p) for p in args.primes.split(","))
-    if getattr(args, "budget_subspaces", None):
+    if getattr(args, "budget_subspaces", None) is not None:
         kwargs["budget_subspaces"] = args.budget_subspaces
     if getattr(args, "series_order", None):
         kwargs["series_order"] = args.series_order
@@ -52,8 +52,26 @@ def _parse_desc(engine: HallEngine, data):
     with point either "inf" or a list of monic-irreducible coefficients."""
     from .fqrep import make_cdesc, mseg_normalize
 
-    if isinstance(data, list):
-        return ("m", mseg_normalize([((i, l), m) for i, l, m in data]))
+    cyclic = engine.kind == "cyclic"
+    if not isinstance(data, list if cyclic else dict):
+        raise ValueError(
+            f"{engine.quiver.name} descriptors are "
+            + ("lists of [vertex, length, mult]" if cyclic else "objects")
+        )
+    if cyclic:
+        n, segs = engine.quiver.n, []
+        for seg in data:
+            try:
+                i, l, m = (int(x) for x in seg)
+            except TypeError:
+                raise ValueError(f"segment {seg!r} is not [vertex, length, mult]") from None
+            if not (1 <= i <= n and l >= 1 and m >= 0):
+                raise ValueError(
+                    f"segment [{i}, {l}, {m}] needs vertex in 1..{n}, "
+                    "length >= 1 and multiplicity >= 0"
+                )
+            segs.append(((i, l), m))
+        return ("m", mseg_normalize(segs))
     cm = tuple((int(t), int(m)) for t, m in data.get("cm", []))
     cp = tuple((int(t), int(m)) for t, m in data.get("cp", []))
     homog = []

@@ -68,6 +68,13 @@ class JobConfig:
     cache_dir: str | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        # A repeated sample field would count as its own held-out check.
+        if len(set(self.primes)) != len(self.primes):
+            raise ValueError(f"sample fields repeat in primes {list(self.primes)}")
+        if self.budget_subspaces < 0:
+            raise ValueError(f"budget_subspaces must be >= 0, got {self.budget_subspaces}")
+
     @staticmethod
     def default() -> "JobConfig":
         return JobConfig(cache_dir=os.environ.get("HALLCANON_CACHE"))

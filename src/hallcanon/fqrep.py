@@ -157,6 +157,69 @@ def mseg_extend_top(n: int, pi, i: int, a: int) -> tuple:
     return mseg_normalize(out + [((i, 1), a)])
 
 
+@lru_cache(maxsize=None)
+def _gauss_binom_coeffs(m: int, r: int) -> tuple:
+    """[m choose r]_q as integer coefficients in q, ascending."""
+    if r == 0 or r == m:
+        return (1,)
+    # [m choose r] = [m-1 choose r-1] + q^r [m-1 choose r]
+    out = [0] * (r * (m - r) + 1)
+    for k, c in enumerate(_gauss_binom_coeffs(m - 1, r - 1)):
+        out[k] += c
+    for k, c in enumerate(_gauss_binom_coeffs(m - 1, r)):
+        out[k + r] += c
+    return tuple(out)
+
+
+def mseg_socle_extensions(n: int, pi, i: int, a: int) -> list:
+    """All (L, g) with g = g^L_{M(pi), S_i^a} nonzero, without a census.
+
+    A submodule U of L isomorphic to S_i^a lies in the socle at i, so L is
+    M(pi) with r_l of its segments of length l - 1 and socle at i - 1
+    lengthened by a socle box at i, sum r_l = a; the r_1 segments of length
+    0 are new segments [i;1].  With m_l the number of segments of L of
+    length l and socle at i, the Aut(L)-orbit of U is fixed by the r_l, and
+
+        g = prod_l [m_l choose r_l]_q * q^(sum_{l < l'} r_l (m_l' - r_l')).
+
+    For n = 1 this is Macdonald's G^lam_{mu (1^a)} (Symmetric Functions and
+    Hall Polynomials, II (4.6)); see Ringel, Proc. LMS 66 (1993), for cyclic
+    quivers.  g is given as integer coefficients in q, ascending.
+    """
+    mult = dict(pi)
+    top = max((l for (_, l), _ in pi), default=0) + 1
+    # Per length l: the start of the segments of length l ending at i, and
+    # how many segments of M(pi) can grow into them.
+    slots = []
+    for l in range(1, top + 1):
+        s = (i - l) % n + 1
+        slots.append((l, s, a if l == 1 else mult.get((s, l - 1), 0)))
+    out = []
+
+    def rec(k, left, chosen):
+        if k == len(slots):
+            if left:
+                return
+            segs = list(pi)
+            for (l, s, _), r in zip(slots, chosen):
+                segs.append(((s, l), r))
+                if l > 1:
+                    segs.append(((s, l - 1), -r))
+            L = mseg_normalize(segs)
+            multL, coeffs, later = dict(L), [1], 0
+            for (l, s, _), r in reversed(list(zip(slots, chosen))):
+                m = multL.get((s, l), 0)
+                coeffs = [0] * (r * later) + _int_poly_mul(coeffs, _gauss_binom_coeffs(m, r))
+                later += m - r
+            out.append((L, tuple(coeffs)))
+            return
+        for r in range(min(left, slots[k][2]) + 1):
+            rec(k + 1, left - r, chosen + [r])
+
+    rec(0, a, [])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(q) (for closed points of the projective line)
 # ---------------------------------------------------------------------------
@@ -572,20 +635,14 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000):
             if any(img := gf.mat_vec(F, mat, w))
         ]
         low_rows, low_piv = gf.rref(F, images) if images else ([], [])
-        # x lies in M_a^-1(V_t) iff M_a x vanishes modulo V_t, i.e. on every
-        # non-pivot column c of V_t once the pivot entries are cleared.
-        constraints = []
-        for mat, t in outgoing[v]:
-            rows_t, piv_t = chosen[t]
-            for c in range(M.dims[t]):
-                if c in piv_t:
-                    continue
-                row = list(mat[c])
-                for r, p in zip(rows_t, piv_t):
-                    if r[c]:
-                        row = [F.sub(x, F.mul(r[c], y)) for x, y in zip(row, mat[p])]
-                if any(row):
-                    constraints.append(row)
+        # x lies in M_a^-1(V_t) iff M_a x vanishes modulo V_t: the rows are
+        # those of M_a on M/V with no column restriction (``_quotient_block``).
+        constraints = [
+            row
+            for mat, t in outgoing[v]
+            for row in _quotient_block(F, mat, d, (), *chosen[t])
+            if any(row)
+        ]
         if not low_rows and not constraints:
             return listing(d, k)
         upper = gf.nullspace(F, constraints) if constraints else gf.identity(d)

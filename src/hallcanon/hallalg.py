@@ -11,7 +11,10 @@ written as pairs (frame, lam) where frame is a homogeneous-free class
 descriptor.  Products and monomials are computed at several sample fields,
 expanded over the N family by a triangular Kostka solve, and lifted to
 Z[v, v^-1] by exact interpolation of each coefficient as a polynomial in
-q = v^2, validated on held-out fields.
+q = v^2, validated on held-out fields.  On a cyclic quiver a monomial needs
+no field: a product by <S_i^(a)> has closed Hall numbers
+(``fqrep.mseg_socle_extensions``), and the field path is a check at the
+smallest sample field.
 
 The Green form needs no field: (S_lam, S_mu) is a closed form over the
 character table of S_m (``HallEngine.s_gram``); frames give |Aut| factors.
@@ -29,7 +32,16 @@ from .config import (
     JobConfig,
     UnsupportedQuiverError,
 )
-from .fqrep import FieldContext, desc_frame, desc_homog, make_cdesc, mseg_normalize
+from .fqrep import (
+    FieldContext,
+    desc_frame,
+    desc_homog,
+    make_cdesc,
+    mseg_dim,
+    mseg_end,
+    mseg_normalize,
+    mseg_socle_extensions,
+)
 from .hallpoly import HallPolyEngine, _normalize_rational, fit_integer_poly
 from .laurent import ONE, ZERO, LaurentPoly, RationalFn
 from .partitions import centralizer_order, character, kostka, partitions
@@ -476,7 +488,7 @@ class HallEngine:
                 if not extend():
                     raise
 
-    def _generic(self, cache_key, builder, check=None):
+    def _generic(self, cache_key, compute, check=None):
         if cache_key in self._generic_memo:
             return self._generic_memo[cache_key]
         store = self.polyeng.store
@@ -489,7 +501,7 @@ class HallEngine:
                 }
                 self._generic_memo[cache_key] = out
                 return out
-        out = self.lift_family(builder)
+        out = compute()
         if check is not None:
             check(out)
         if store is not None:
@@ -509,8 +521,12 @@ class HallEngine:
         """Expansion of the monomial u_{i_1}^{(a_1)} ... over the N family."""
         word = tuple((label, int(m)) for label, m in word if m)
 
-        def builder(q):
-            return self.express_in_N(self.word_element(word, q))
+        def compute():
+            if self.kind == "cyclic":
+                return self._cyclic_word(word)
+            return self.lift_family(
+                lambda q: self.express_in_N(self.word_element(word, q))
+            )
 
         def check(out):
             # Re-derive the expansion directly at the smallest sample field.
@@ -525,7 +541,31 @@ class HallEngine:
                     f"generic expansion of word {word} fails at q={q}"
                 )
 
-        return self._generic(("word", word), builder, check)
+        return self._generic(("word", word), compute, check)
+
+    def _cyclic_word(self, word) -> dict:
+        """The monomial over the N family in closed form (cyclic quivers).
+
+        Each letter multiplies on the right by <S_i^(a)>: the Hall numbers
+        are ``mseg_socle_extensions`` (polynomials in q = v^2) and the
+        v-exponent is the one in ``FieldElement.__mul__``.
+        """
+        n, euler = self.quiver.n, self.quiver.euler_form
+        terms = {(): ONE}
+        for i, a in word:
+            dimS = mseg_dim(n, (((i, 1), a),))
+            out: dict = {}
+            for pi, c in terms.items():
+                base = euler(mseg_dim(n, pi), dimS) + mseg_end(n, pi) + a * a
+                for L, g in mseg_socle_extensions(n, pi, i, a):
+                    coeff = c * LaurentPoly.from_q_poly(g, base - mseg_end(n, L))
+                    s = out.get(L, ZERO) + coeff
+                    if s:
+                        out[L] = s
+                    else:
+                        out.pop(L, None)
+            terms = out
+        return {nindex(("m", pi)): c for pi, c in sorted(terms.items())}
 
     def nmul(self, i1, i2) -> dict:
         """Generic structure constants N_{i1} * N_{i2} over the N family."""
@@ -543,7 +583,7 @@ class HallEngine:
                     assert _geL(frame[1], f1[1]), "preprojective support violated"
                     assert _geL(frame[3], f2[3], positive=True), "preinjective support violated"
 
-        return self._generic(("nmul", i1, i2), builder, check)
+        return self._generic(("nmul", i1, i2), lambda: self.lift_family(builder), check)
 
     def mul_generic(self, a: dict, b: dict) -> dict:
         out: dict = {}

@@ -126,6 +126,14 @@ def test_canonical_certified_where_words_need_partial_peels(n, nu):
     assert solver.verify(nu)["ok"]
 
 
+@pytest.mark.parametrize("nu", [(k, 7 - k) for k in range(8)])
+def test_cyclic2_certifies_at_size_seven(nu):
+    # (4,3) and (3,4) have monomial coefficients of degree 9 in q, beyond an
+    # interpolation on the default sample fields; the closed form needs none.
+    solver = CanonicalSolver(IndexSystem(HallEngine(cyclic(2))))
+    assert solver.verify(nu)["ok"]
+
+
 def test_bar_element_involution(cyc2):
     import random
 

@@ -220,6 +220,22 @@ def test_hall_table_equals_oracle(quiver, nu):
 
 
 @pytest.mark.parametrize("quiver, nu", HALL_TABLE_CASES)
+def test_census_output_equals_oracle_in_order(quiver, nu):
+    # Rows and pivots of every subspace, in the order of the product of
+    # gf.subspaces: the upper bounds change no listing.
+    def plain(sub):
+        return tuple((tuple(map(tuple, rows)), tuple(piv)) for rows, piv in sub)
+
+    for q in (2, 3):
+        ctx = FieldContext(quiver, q)
+        for dL in ctx.classes(nu):
+            L = ctx.build(dL)
+            for nuN in dims_upto(nu):
+                got = [plain(sub) for sub in graded_stable_subspaces(L, nuN)]
+                assert got == [plain(sub) for sub in oracle_subs(L, nuN)], (dL, nuN)
+
+
+@pytest.mark.parametrize("quiver, nu", HALL_TABLE_CASES)
 def test_hall_row_matches_table(quiver, nu):
     for q in (2, 3):
         ctx = FieldContext(quiver, q)

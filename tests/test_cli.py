@@ -160,6 +160,50 @@ def test_hallpoly_kronecker_above_end_dimension(capsys):
     assert json.loads(out)["polynomial"] == "q^2"
 
 
+@pytest.mark.parametrize(
+    "quiver, L, M, N",
+    [
+        # vertex 3 on a quiver with vertices 1..2 (silently "0" before)
+        ("cyclic:2", "[[1,2,1]]", "[[3,1,1]]", "[[2,1,1]]"),
+        # a negative multiplicity
+        ("cyclic:2", "[[1,2,1]]", "[[1,1,-1]]", "[[2,1,1]]"),
+        # a segment of length 0, and one that is not a triple
+        ("cyclic:2", "[[1,2,1]]", "[[1,1,1]]", "[[2,0,1]]"),
+        ("cyclic:2", "[5]", "[[1,1,1]]", "[[2,1,1]]"),
+        # a cyclic descriptor on the Kronecker quiver, and the converse
+        ("kronecker", "[[1,2,1]]", "[[1,1,1]]", "[[2,1,1]]"),
+        ("cyclic:2", '{"cm": [[0, 1]]}', "[[1,1,1]]", "[[2,1,1]]"),
+    ],
+)
+def test_hallpoly_rejects_bad_descriptor(capsys, quiver, L, M, N):
+    code, out = run_cli(
+        capsys, "hallpoly", "--quiver", quiver, "--L", L, "--M", M, "--N", N
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "options, error",
+    [
+        # a repeated field would validate against itself
+        (["--primes", "2,2,2,2,2"], "ValueError"),
+        (["--primes", "2,3,4,3"], "ValueError"),
+        (["--budget-subspaces=-5"], "ValueError"),
+        # 0 is a budget, not "use the default"
+        (["--budget-subspaces", "0"], "BudgetExceededError"),
+    ],
+)
+def test_hallpoly_rejects_weakened_checks(capsys, options, error):
+    # J_2 has one submodule S with quotient S; its census has q + 1 lines.
+    args = ["--L", "[[1,2,1]]", "--M", "[[1,1,1]]", "--N", "[[1,1,1]]"]
+    code, out = run_cli(capsys, "hallpoly", "--quiver", "jordan", *args)
+    assert code == 0 and json.loads(out)["polynomial"] == "1"
+    code, out = run_cli(capsys, "hallpoly", "--quiver", "jordan", *options, *args)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == error
+
+
 def test_verify_roundtrip(tmp_path, capsys):
     bundle_path = tmp_path / "b.json"
     assert (

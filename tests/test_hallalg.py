@@ -1,11 +1,20 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from hallcanon import hallpoly
 from hallcanon.config import JobConfig
-from hallcanon.fqrep import FieldContext, make_cdesc, mseg_normalize
+from hallcanon.fqrep import (
+    FieldContext,
+    enumerate_msegs,
+    make_cdesc,
+    mseg_aperiodic,
+    mseg_dim,
+    mseg_normalize,
+    mseg_socle_extensions,
+)
 from hallcanon.hallalg import (
     FieldElement,
     HallEngine,
@@ -15,8 +24,9 @@ from hallcanon.hallalg import (
     symbolic_h_identity_holds,
     tensor_green,
 )
-from hallcanon.laurent import ONE, ZERO, LaurentPoly, RationalFn, in_delta_plus_tail
+from hallcanon.laurent import ONE, ZERO, LaurentPoly, RationalFn, in_delta_plus_tail, qfact
 from hallcanon.partitions import kostka, partitions
+from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, kronecker, linear_an
 
 
@@ -527,3 +537,110 @@ def test_mul_generic_unit_and_divided_power_m1(kron):
     diff = prod.terms[P2] - two
     assert diff.eval_sqrt(q) == (0, 0)
     assert set(prod.terms) == {P2}
+
+
+# -- cyclic monomials in closed form ------------------------------------------
+
+# (n, most): the Jordan quiver and cyclic:2, cyclic:3 up to |nu| = most.
+CLOSED_FORM_RANGES = [(1, 5), (2, 6), (3, 5)]
+
+
+def dims_of_size(n, most):
+    return [nu for nu in product(range(most + 1), repeat=n) if 0 < sum(nu) <= most]
+
+
+@pytest.mark.parametrize("n, most", CLOSED_FORM_RANGES)
+def test_socle_extensions_match_census(n, most):
+    # For every (L, i, a): g^L_{X, S_i^a} in closed form equals the census
+    # row of L summed over the N isomorphic to S_i^a.
+    checked = 0
+    for q in (2, 3):
+        ctx = FieldContext(cyclic(n), q)
+        for nu in dims_of_size(n, most):
+            for L in enumerate_msegs(n, nu):
+                for i in range(1, n + 1):
+                    for a in range(1, nu[i - 1] + 1):
+                        S = mseg_normalize([((i, 1), a)])
+                        nuS = mseg_dim(n, S)
+                        census = {
+                            dX[1]: g
+                            for (dX, dN), g in ctx.hall_row(("m", L), nuS).items()
+                            if dN == ("m", S)
+                        }
+                        closed = {}
+                        nuX = tuple(x - y for x, y in zip(nu, nuS))
+                        for X in enumerate_msegs(n, nuX):
+                            for LL, coeffs in mseg_socle_extensions(n, X, i, a):
+                                if LL == L:
+                                    g = sum(c * q**k for k, c in enumerate(coeffs))
+                                    closed[X] = closed.get(X, 0) + g
+                        assert closed == census, (q, L, i, a)
+                        checked += 1
+    assert checked > 0
+
+
+def test_socle_extensions_jordan_examples():
+    # J_2 + J_1 over a line of its socle: q lines give J_2, one gives J_1^2.
+    got = dict(mseg_socle_extensions(1, ((((1, 2), 1),)), 1, 1))
+    assert got == {
+        ((((1, 1), 1), ((1, 2), 1))): (0, 1),
+        ((((1, 3), 1),)): (1,),
+    }
+    # S^2 in S^4: [4 choose 2]_q.
+    assert dict(mseg_socle_extensions(1, ((((1, 1), 2),)), 1, 2))[
+        (((1, 1), 4),)
+    ] == (1, 1, 2, 1, 1)
+
+
+def field_word(engine, word):
+    """The monomial through field realizations and interpolation (the oracle)."""
+    return engine.lift_family(
+        lambda q: engine.express_in_N(engine.word_element(word, q))
+    )
+
+
+@pytest.mark.parametrize("n, most", CLOSED_FORM_RANGES)
+def test_cyclic_generic_word_matches_field_path(n, most):
+    engine = HallEngine(cyclic(n), JobConfig(cache_dir=None))
+    system = IndexSystem(engine)
+    if n == 1:
+        # Nothing is aperiodic on the Jordan quiver; take the words of
+        # |nu| <= 4, whose coefficients fit on the default fields.
+        words = [((1, 1),) * 4, ((1, 2), (1, 1), (1, 1)), ((1, 1), (1, 3)), ((1, 2), (1, 2))]
+    else:
+        words = [
+            system.ddx_word(pi)
+            for nu in dims_of_size(n, most)
+            for pi in enumerate_msegs(n, nu)
+            if mseg_aperiodic(n, pi)
+        ]
+    assert words
+    for word in words:
+        closed = engine.generic_word(word)
+        field = field_word(engine, word)
+        assert closed == field, word
+        assert list(closed) == list(field)
+
+
+def test_cyclic_generic_word_fits_nothing(monkeypatch):
+    engine = HallEngine(cyclic(2), JobConfig(cache_dir=None))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cyclic monomial was interpolated")
+
+    monkeypatch.setattr(HallEngine, "lift_family", refuse)
+    word = ((1, 1), (2, 2), (1, 1))
+    assert engine.generic_word(word)
+
+
+def test_cyclic_word_beyond_the_sample_pool():
+    # The word of [1;7] on cyclic:2 has the coefficient v^-21 [4]_q! [3]_q!
+    # (q-degree 9) on S_1^4 + S_2^3, more than the 9 default fields can fit
+    # with two held out; the closed form needs no fit.
+    engine = HallEngine(cyclic(2), JobConfig(cache_dir=None))
+    word = ((1, 1), (2, 1)) * 3 + ((1, 1),)
+    out = engine.generic_word(word)
+    semisimple = nindex(mdesc(((1, 1), 4), ((2, 1), 3)))
+    assert out[semisimple] == V(-12) * qfact(4) * qfact(3)
+    for q in (2, 3, 4, 5):
+        assert engine.word_element(word, q).eval_eq(engine.rebuild_from_N(out, q))
