@@ -5,6 +5,12 @@ bar-fixed); the canonical elements solve the standard unitriangular system
 g = g-bar * zeta with off-diagonal entries in v^-1 Z[v^-1].  A second,
 independent route runs the truncation algorithm directly on the monomial
 expansions; both must agree element by element.
+
+There is one certificate checker, ``verify_bundle``, which reads a bundle's
+matrices alone.  ``CanonicalSolver.verify`` and the ``certificates`` block of
+``CanonicalSolver.bundle`` are its report on the matrices the bundle writes,
+plus the agreement of the truncation route.  Sparse rows are combined with
+``laurent.add_scaled`` and ``laurent.row_times``.
 """
 
 from __future__ import annotations
@@ -13,17 +19,16 @@ from dataclasses import dataclass
 
 from .config import BarSolveError, BundleFormatError
 from .hallalg import nindex_json
-from .laurent import ONE, ZERO, LaurentPoly, RationalFn, sum_in_delta_plus_tail
+from .laurent import (
+    ONE,
+    ZERO,
+    LaurentPoly,
+    RationalFn,
+    add_scaled,
+    row_times,
+    sum_in_delta_plus_tail,
+)
 from .pbw import IndexSystem, PBWData
-
-
-def _row_sub(row, other, factor):
-    for k, c in other.items():
-        s = row.get(k, ZERO) - factor * c
-        if s:
-            row[k] = s
-        else:
-            row.pop(k, None)
 
 
 def invert_unitriangular(order, rows) -> dict:
@@ -32,64 +37,35 @@ def invert_unitriangular(order, rows) -> dict:
     for i, a in enumerate(order):
         if rows[a].get(a) != ONE or any(pos[d] > i for d in rows[a]):
             raise BarSolveError(f"matrix is not lower unitriangular at {a}")
-    inv = {a: {a: ONE} for a in order}
-    for i, a in enumerate(order):
+    inv = {}
+    for a in order:
         # inv[a][c] = -sum_{c <= d < a} rows[a][d] * inv[d][c]
-        acc: dict = {}
-        for d, coeff in rows[a].items():
-            if d == a:
-                continue
-            for c, x in inv[d].items():
-                s = acc.get(c, ZERO) + coeff * x
-                if s:
-                    acc[c] = s
-                else:
-                    acc.pop(c, None)
-        for c, x in acc.items():
-            inv[a][c] = -x
+        tail = row_times({d: x for d, x in rows[a].items() if d != a}, inv)
+        inv[a] = {a: ONE, **{c: -x for c, x in tail.items()}}
     return inv
+
+
+def _bar_row(row) -> dict:
+    """The bar involution applied to each entry of a sparse row."""
+    return {k: c.bar() for k, c in row.items()}
 
 
 def zeta_matrix(order, eta) -> dict:
     """bar(E_a) = sum_b zeta[a][b] E_b, unitriangular with diagonal one.
 
     ``eta`` gives the PBW elements over the monomials, which are bar-invariant,
-    so zeta = bar(eta) * eta^-1; it is checked to square to the identity.
+    so zeta = bar(eta) * eta^-1; it is checked to square to the identity
+    (bar(zeta) * zeta = 1).
     """
     eta_inv = invert_unitriangular(order, eta)
-    Z: dict = {}
+    Z = {a: row_times(_bar_row(eta[a]), eta_inv) for a in order}
     for a in order:
-        row: dict = {}
-        for b, c in eta[a].items():
-            cb = c.bar()
-            for idx2, x in eta_inv[b].items():
-                s = row.get(idx2, ZERO) + cb * x
-                if s:
-                    row[idx2] = s
-                else:
-                    row.pop(idx2, None)
-        if row.get(a) != ONE:
+        if Z[a].get(a) != ONE:
             raise BarSolveError(f"bar matrix diagonal is not 1 at {a}")
-        Z[a] = row
-    _check_bar_involutive(order, Z)
-    return Z
-
-
-def _check_bar_involutive(order, Z):
-    """bar applied twice must be the identity: Zbar * Z = I."""
     for a in order:
-        acc: dict = {}
-        for b, c in Z[a].items():
-            cb = c.bar()
-            for idx2, x in Z[b].items():
-                s = acc.get(idx2, ZERO) + cb * x
-                if s:
-                    acc[idx2] = s
-                else:
-                    acc.pop(idx2, None)
-        expected = {a: ONE}
-        if acc != expected:
+        if row_times(_bar_row(Z[a]), Z) != {a: ONE}:
             raise BarSolveError(f"bar involution fails to square to 1 at {a}")
+    return Z
 
 
 def lusztig_solve(order, Z, pos=None) -> dict:
@@ -148,26 +124,8 @@ class CanonicalSolver:
         data = self.system.pbw_basis(nu)
         Z = zeta_matrix(data.order, data.eta)
         G = lusztig_solve(data.order, Z)
-        C_over_N = {}
-        C_over_mon = {}
-        for a in data.order:
-            accN: dict = {}
-            accM: dict = {}
-            for b, c in G[a].items():
-                for idx2, x in data.E[b].items():
-                    s = accN.get(idx2, ZERO) + c * x
-                    if s:
-                        accN[idx2] = s
-                    else:
-                        accN.pop(idx2, None)
-                for idx2, x in data.eta[b].items():
-                    s = accM.get(idx2, ZERO) + c * x
-                    if s:
-                        accM[idx2] = s
-                    else:
-                        accM.pop(idx2, None)
-            C_over_N[a] = accN
-            C_over_mon[a] = accM
+        C_over_N = {a: row_times(G[a], data.E) for a in data.order}
+        C_over_mon = {a: row_times(G[a], data.eta) for a in data.order}
         out = CanonicalData(data, Z, G, C_over_N, C_over_mon)
         self._solve_memo[nu] = out
         return out
@@ -207,12 +165,8 @@ class CanonicalSolver:
                 if not phi.is_integral():
                     raise BarSolveError(f"non-integral coefficient at {b}")
                 fold = phi.bar_fold()
-                _row_sub(cur, data.mon[b], fold)
-                s = used.get(b, ZERO) - fold
-                if s:
-                    used[b] = s
-                else:
-                    used.pop(b, None)
+                add_scaled(cur, data.mon[b], -fold)
+                used[b] = -fold  # each b is folded at most once
             if cur.get(a) != ONE:
                 raise BarSolveError("truncation lost its leading term")
             for b, c in cur.items():
@@ -227,116 +181,67 @@ class CanonicalSolver:
     def bar_element(self, nu, coeffs_over_E) -> dict:
         """bar of sum c_a E_a, expressed over E again."""
         data = self.system.pbw_basis(tuple(nu))
-        Z = zeta_matrix(data.order, data.eta)
-        out: dict = {}
-        for a, c in coeffs_over_E.items():
-            cb = c.bar()
-            for b, z in Z[a].items():
-                s = out.get(b, ZERO) + cb * z
-                if s:
-                    out[b] = s
-                else:
-                    out.pop(b, None)
-        return out
+        return row_times(_bar_row(coeffs_over_E), zeta_matrix(data.order, data.eta))
 
     # -- certificates -----------------------------------------------------------
 
-    def gram_E(self, nu) -> dict:
-        """Green-form Gram data of the PBW elements, as rational functions."""
-        data = self.system.pbw_basis(tuple(nu))
+    def gram_E(self, nu, pbw: PBWData | None = None) -> dict:
+        """Green-form Gram data (E_a, E_b), a <= b, as rational functions.
+
+        ``pbw`` defaults to the PBW basis at nu.
+        """
+        pbw = pbw or self.system.pbw_basis(tuple(nu))
         out = {}
-        for i, a in enumerate(data.order):
-            for b in data.order[i:]:
-                out[(a, b)] = self.engine.green_generic(data.E[a], data.E[b])
+        for i, a in enumerate(pbw.order):
+            for b in pbw.order[i:]:
+                out[(a, b)] = self.engine.green_generic(pbw.E[a], pbw.E[b])
         return out
 
-    def verify(self, nu, cdata: CanonicalData | None = None) -> dict:
-        """Machine-checkable certificate for the canonical basis at nu."""
+    def verify(self, nu, cdata: CanonicalData | None = None, matrices=None) -> dict:
+        """``verify_bundle``'s report on the matrices that ``bundle`` writes
+        from ``cdata`` (default: the solve at nu), plus ``truncation_agrees``.
+
+        ``bundle`` passes the ``matrices`` it has already built from cdata.
+        """
         nu = tuple(nu)
         if cdata is None:
             cdata = self.solve(nu)
-        order = cdata.pbw.order
-        pos = {a: i for i, a in enumerate(order)}
-        report: dict = {}
-        # Unitriangularity of C over E with v^-1-integral tails.
-        unitri = True
-        for a in order:
-            for b, c in cdata.g[a].items():
-                if b == a:
-                    unitri = unitri and c == ONE
-                elif not (pos[b] < pos[a] and c.in_vinv_Z()):
-                    unitri = False
-        report["unitriangular"] = unitri
-        # Bar invariance per element: G = Gbar * Z.
-        bar_ok = {}
-        for a in order:
-            acc: dict = {}
-            for c, gc in cdata.g[a].items():
-                gb = gc.bar()
-                for b, z in cdata.zeta[c].items():
-                    s = acc.get(b, ZERO) + gb * z
-                    if s:
-                        acc[b] = s
-                    else:
-                        acc.pop(b, None)
-            bar_ok[a] = acc == cdata.g[a]
-        report["bar_invariant"] = bar_ok
-        # Almost orthogonality via the Green form on N coordinates.
-        orth = {}
-        for i, a in enumerate(order):
-            for b in order[i:]:
-                terms = self.engine.green_terms(cdata.C_over_N[a], cdata.C_over_N[b])
-                orth[(a, b)] = sum_in_delta_plus_tail(terms, 1 if a == b else 0)
-        report["almost_orthogonal"] = orth
-        # Truncation route agreement.
+        report = verify_bundle(self._matrices(cdata) if matrices is None else matrices)
         tmon, _ = self.truncation(nu)
         report["truncation_agrees"] = tmon == cdata.C_over_mon
-        report["ok"] = (
-            report["unitriangular"]
-            and all(bar_ok.values())
-            and all(orth.values())
-            and report["truncation_agrees"]
-        )
+        report["ok"] = report["ok"] and report["truncation_agrees"]
         return report
 
     # -- serialization ------------------------------------------------------------
 
-    def bundle(self, nu) -> dict:
-        """Deterministic JSON certificate bundle for one dimension vector."""
-        nu = tuple(nu)
-        cdata = self.solve(nu)
-        report = self.verify(nu, cdata)
-        order = cdata.pbw.order
+    def _matrices(self, cdata: CanonicalData) -> dict:
+        """The indices, words and matrices of a bundle, in JSON form."""
+        pbw = cdata.pbw
+        order = pbw.order
         pos = {a: i for i, a in enumerate(order)}
-        all_idx = cdata.pbw.idxset.all_indices
+        all_idx = pbw.idxset.all_indices
         npos = {a: i for i, a in enumerate(all_idx)}
 
         def mat(rows, col_space):
-            out = []
-            for a in order:
-                row = rows.get(a, {})
-                ent = [
+            return [
+                [
                     [col_space[b], c.to_json()]
-                    for b, c in sorted(row.items(), key=lambda kv: col_space[kv[0]])
+                    for b, c in sorted(rows[a].items(), key=lambda kv: col_space[kv[0]])
                 ]
-                out.append(ent)
-            return out
+                for a in order
+            ]
 
-        gram = self.gram_E(nu)
-        bundle = {
-            "schema": 1,
-            "quiver": self.engine.quiver.to_json(),
-            "quiver_name": self.engine.quiver.name,
-            "dim": list(nu),
+        gram = self.gram_E(pbw.nu, pbw)
+        return {
             "indices": [nindex_json(a) for a in order],
             "n_indices": [nindex_json(a) for a in all_idx],
             "monomial_words": [
                 list(map(list, self.system.word_for_index(a))) for a in order
             ],
-            "monomial_over_N": mat(cdata.pbw.mon, npos),
-            "E_over_N": mat(cdata.pbw.E, npos),
-            "E_over_monomial": mat(cdata.pbw.eta, pos),
-            "monomial_over_E": mat(invert_unitriangular(order, cdata.pbw.eta), pos),
+            "monomial_over_N": mat(pbw.mon, npos),
+            "E_over_N": mat(pbw.E, npos),
+            "E_over_monomial": mat(pbw.eta, pos),
+            "monomial_over_E": mat(invert_unitriangular(order, pbw.eta), pos),
             "zeta": mat(cdata.zeta, pos),
             "g": mat(cdata.g, pos),
             "C_over_E": mat(cdata.g, pos),
@@ -347,12 +252,29 @@ class CanonicalSolver:
                     gram.items(), key=lambda kv: (pos[kv[0][0]], pos[kv[0][1]])
                 )
             ],
+        }
+
+    def bundle(self, nu) -> dict:
+        """Deterministic JSON certificate bundle for one dimension vector."""
+        nu = tuple(nu)
+        cdata = self.solve(nu)
+        matrices = self._matrices(cdata)
+        report = self.verify(nu, cdata, matrices)
+        return {
+            "schema": 1,
+            "quiver": self.engine.quiver.to_json(),
+            "quiver_name": self.engine.quiver.name,
+            "dim": list(nu),
+            **matrices,
             "certificates": {
-                "unitriangular": report["unitriangular"],
-                "bar_invariant": [report["bar_invariant"][a] for a in order],
-                "almost_orthogonal": all(report["almost_orthogonal"].values()),
-                "truncation_agrees": report["truncation_agrees"],
-                "ok": report["ok"],
+                key: report[key]
+                for key in (
+                    "unitriangular",
+                    "bar_invariant",
+                    "almost_orthogonal",
+                    "truncation_agrees",
+                    "ok",
+                )
             },
             "meta": {
                 "series_order": self.engine.cfg.series_order,
@@ -362,7 +284,6 @@ class CanonicalSolver:
                 "then partition size, then tube degeneration keys, then partition lex",
             },
         }
-        return bundle
 
 
 _VERIFIED_KEYS = (
@@ -448,22 +369,6 @@ def _bundle_gram(bundle, n) -> dict:
     return gram
 
 
-def _rows_product(A, B) -> list:
-    """The product of two sparse matrices given as lists of {column: coeff} rows."""
-    out = []
-    for arow in A:
-        acc: dict = {}
-        for k, a in arow.items():
-            for j, b in B[k].items():
-                s = acc.get(j, ZERO) + a * b
-                if s:
-                    acc[j] = s
-                else:
-                    acc.pop(j, None)
-        out.append(acc)
-    return out
-
-
 def gram_almost_orthonormal(g, gram) -> bool:
     """(C_i, C_j) in delta_ij + v^-1 Q[[v^-1]] for all i <= j, with C = g * E.
 
@@ -533,25 +438,17 @@ def verify_bundle(bundle: dict) -> dict:
             elif not (j < i and c.in_vinv_Z()):
                 unitri = False
     report["unitriangular"] = unitri
-    bar_ok = []
-    for i in range(n):
-        acc: dict = {}
-        for k, gc in g[i].items():
-            gb = gc.bar()
-            for j, z in zeta[k].items():
-                s = acc.get(j, ZERO) + gb * z
-                if s:
-                    acc[j] = s
-                else:
-                    acc.pop(j, None)
-        bar_ok.append(acc == g[i] and stored_zeta[i] == zeta[i])
+    bar_ok = [
+        row_times(_bar_row(g[i]), zeta) == g[i] and stored_zeta[i] == zeta[i]
+        for i in range(n)
+    ]
     report["bar_invariant"] = bar_ok
     eta_inv = invert_unitriangular(range(n), eta)
     expected = {
         "monomial_over_E": [eta_inv[i] for i in range(n)],
-        "E_over_N": _rows_product(eta, mon_over_N),
-        "C_over_monomial": _rows_product(g, eta),
-        "C_over_N": _rows_product(g, stored["E_over_N"]),
+        "E_over_N": [row_times(row, mon_over_N) for row in eta],
+        "C_over_monomial": [row_times(row, eta) for row in g],
+        "C_over_N": [row_times(row, stored["E_over_N"]) for row in g],
     }
     products = {key: stored[key] == expected[key] for key in stored}
     report["products_agree"] = products

@@ -27,7 +27,7 @@ def _config_from_args(args) -> JobConfig:
         kwargs["primes"] = tuple(int(p) for p in args.primes.split(","))
     if getattr(args, "budget_subspaces", None) is not None:
         kwargs["budget_subspaces"] = args.budget_subspaces
-    if getattr(args, "series_order", None):
+    if getattr(args, "series_order", None) is not None:
         kwargs["series_order"] = args.series_order
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
@@ -49,7 +49,10 @@ def _emit(args, text: str):
 def _parse_desc(engine: HallEngine, data):
     """Descriptor JSON: a list of [i, l, mult] segments for cyclic quivers,
     else {"cm": [[t, m]...], "cp": [[t, m]...], "homog": [[point, [parts]]...]}
-    with point either "inf" or a list of monic-irreducible coefficients."""
+    with point either "inf" or a non-empty list of monic-irreducible
+    coefficients.  cm needs t <= 0 with beta_t defined, cp needs t >= 1;
+    multiplicities are >= 0 and parts positive.  cp and homog are Kronecker
+    only.  Anything else raises ValueError."""
     from .fqrep import make_cdesc, mseg_normalize
 
     cyclic = engine.kind == "cyclic"
@@ -72,13 +75,57 @@ def _parse_desc(engine: HallEngine, data):
                 )
             segs.append(((i, l), m))
         return ("m", mseg_normalize(segs))
-    cm = tuple((int(t), int(m)) for t, m in data.get("cm", []))
-    cp = tuple((int(t), int(m)) for t, m in data.get("cp", []))
-    homog = []
-    for pt, lam in data.get("homog", []):
-        point = ("i",) if pt == "inf" else ("f", tuple(int(c) for c in pt))
-        homog.append((point, tuple(int(x) for x in lam)))
-    return make_cdesc(cm=cm, cp=cp, homog=tuple(homog))
+    kron = engine.kind == "kronecker"
+    unknown = set(data) - {"cm", "cp", "homog"}
+    if unknown:
+        raise ValueError(f"unknown descriptor keys {sorted(unknown)}")
+    for key in ("cp", "homog"):
+        if data.get(key) and not kron:
+            raise ValueError(f"{key!r} entries are for the Kronecker quiver only")
+    seq = engine.ctx(engine.cfg.primes[0]).seq
+
+    def entries(key, shape):
+        items = data.get(key, [])
+        if not isinstance(items, list) or not all(
+            isinstance(x, list) and len(x) == 2 for x in items
+        ):
+            raise ValueError(f"{key!r} is not a list of {shape} pairs")
+        return items
+
+    def roots(key, side_ok, side):
+        out = {}
+        for t, m in entries(key, "[t, mult]"):
+            if not (type(t) is int and type(m) is int and side_ok(t) and m >= 0):
+                raise ValueError(
+                    f"{key!r} entry [{t!r}, {m!r}] needs an integer t {side} "
+                    "and an integer multiplicity >= 0"
+                )
+            if not kron:  # finite type: the beta chain ends
+                try:
+                    seq.beta(t)
+                except IndexError:
+                    raise ValueError(f"beta_{t} is not defined on {engine.quiver.name}") from None
+            if t in out:
+                raise ValueError(f"{key!r} repeats t = {t}")
+            out[t] = m
+        return tuple(out.items())
+
+    cm = roots("cm", lambda t: t <= 0, "<= 0")
+    cp = roots("cp", lambda t: t >= 1, ">= 1")
+    homog = {}
+    for pt, lam in entries("homog", "[point, partition]"):
+        if pt == "inf":
+            point = ("i",)
+        elif isinstance(pt, list) and pt and all(type(c) is int for c in pt):
+            point = ("f", tuple(pt))
+        else:
+            raise ValueError(f"point {pt!r} is neither \"inf\" nor a non-empty integer list")
+        if not (isinstance(lam, list) and all(type(x) is int and x >= 1 for x in lam)):
+            raise ValueError(f"partition {lam!r} is not a list of positive integers")
+        if point in homog:
+            raise ValueError(f"point {pt!r} repeats")
+        homog[point] = tuple(sorted(lam, reverse=True))
+    return make_cdesc(cm=cm, cp=cp, homog=tuple(homog.items()))
 
 
 def cmd_canonical(args) -> int:

@@ -56,7 +56,7 @@ class JobConfig:
 
     ``primes`` is the ordered pool of sample prime powers,
     ``budget_subspaces`` is a hard enumeration limit (a clear error beats
-    silent degradation), ``series_order`` and ``seed`` are recorded in
+    silent degradation), ``series_order`` (>= 0) and ``seed`` are recorded in
     bundle metadata (the Green-form certificates are exact and do not
     depend on them), and ``cache_dir`` names the on-disk store (``None``
     for none).  Every computation runs in one thread.
@@ -74,6 +74,8 @@ class JobConfig:
             raise ValueError(f"sample fields repeat in primes {list(self.primes)}")
         if self.budget_subspaces < 0:
             raise ValueError(f"budget_subspaces must be >= 0, got {self.budget_subspaces}")
+        if self.series_order < 0:
+            raise ValueError(f"series_order must be >= 0, got {self.series_order}")
 
     @staticmethod
     def default() -> "JobConfig":

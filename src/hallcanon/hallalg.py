@@ -43,7 +43,7 @@ from .fqrep import (
     mseg_socle_extensions,
 )
 from .hallpoly import HallPolyEngine, _normalize_rational, fit_integer_poly
-from .laurent import ONE, ZERO, LaurentPoly, RationalFn
+from .laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
 from .partitions import centralizer_order, character, kostka, partitions
 from .quiver import Quiver
 
@@ -106,14 +106,7 @@ class FieldElement:
                         self.terms.pop(d, None)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            s = out.get(d, ZERO) + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return FieldElement(self.ctx, out)
+        return FieldElement(self.ctx, add_scaled(dict(self.terms), other.terms, ONE))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -589,12 +582,7 @@ class HallEngine:
         out: dict = {}
         for i1, c1 in a.items():
             for i2, c2 in b.items():
-                for idx, c in self.nmul(i1, i2).items():
-                    s = out.get(idx, ZERO) + c1 * c2 * c
-                    if s:
-                        out[idx] = s
-                    else:
-                        out.pop(idx, None)
+                add_scaled(out, self.nmul(i1, i2), c1 * c2)
         return out
 
     # -- Green form ------------------------------------------------------------
@@ -662,18 +650,14 @@ class HallEngine:
             out = out * RationalFn(LaurentPoly.v_power(2 * e), a.to_laurent())
         return out
 
-    def green_terms(self, a: dict, b: dict):
-        """The nonzero terms (c1*c2, (N_i1, N_i2)) whose sum is (a, b)."""
+    def green_generic(self, a: dict, b: dict) -> RationalFn:
+        """(a, b) for generic elements over the N family."""
+        out = RationalFn(ZERO)
         for i1, c1 in a.items():
             for i2, c2 in b.items():
                 g = self.green_nn(i1, i2)
                 if g:
-                    yield c1 * c2, g
-
-    def green_generic(self, a: dict, b: dict) -> RationalFn:
-        out = RationalFn(ZERO)
-        for c, g in self.green_terms(a, b):
-            out = out + RationalFn(c) * g
+                    out = out + RationalFn(c1 * c2) * g
         return out
 
     # -- field-level Green form and coproduct -------------------------------
@@ -794,14 +778,7 @@ class TensorElement:
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TensorElement(self.ctx, out)
+        return TensorElement(self.ctx, add_scaled(dict(self.terms), other.terms, ONE))
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         ctx = self.ctx

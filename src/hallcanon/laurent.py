@@ -15,7 +15,8 @@ from functools import lru_cache
 
 def _norm(c):
     """Collapse integral Fractions to int so equal values hash equally."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    # An exact type test: isinstance against the numbers ABCs is slow here.
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 
@@ -291,6 +292,31 @@ def _coerce(x) -> LaurentPoly:
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 V = LaurentPoly({1: 1})
+
+
+# -- sparse rows ---------------------------------------------------------
+#
+# A sparse row is a dict {key: LaurentPoly} without zero entries; a sparse
+# matrix maps a row key to its row.
+
+
+def add_scaled(acc: dict, row: dict, c) -> dict:
+    """acc += c * row, in place, dropping entries that cancel; returns acc."""
+    for k, x in row.items():
+        s = acc.get(k, ZERO) + c * x
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+    return acc
+
+
+def row_times(row: dict, M) -> dict:
+    """The row vector times a sparse matrix: sum over k of row[k] * M[k]."""
+    acc: dict = {}
+    for k, c in row.items():
+        add_scaled(acc, M[k], c)
+    return acc
 
 
 # -- quantum combinatorics --------------------------------------------

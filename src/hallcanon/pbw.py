@@ -24,7 +24,7 @@ from .fqrep import (
     mseg_peel_top,
 )
 from .hallalg import HallEngine, _geL, nindex
-from .laurent import ONE, ZERO
+from .laurent import ONE, ZERO, add_scaled
 from .quiver import dim_f
 
 LESS = "less"
@@ -356,18 +356,8 @@ class IndexSystem:
                 phi = mon[a].get(b, ZERO)
                 if not phi:
                     continue
-                for idx2, c in E[b].items():
-                    s = cur.get(idx2, ZERO) - phi * c
-                    if s:
-                        cur[idx2] = s
-                    else:
-                        cur.pop(idx2, None)
-                for idx2, c in eta[b].items():
-                    s = eta_a.get(idx2, ZERO) - phi * c
-                    if s:
-                        eta_a[idx2] = s
-                    else:
-                        eta_a.pop(idx2, None)
+                add_scaled(cur, E[b], -phi)
+                add_scaled(eta_a, eta[b], -phi)
             if cur.get(a, ZERO) != ONE:
                 raise ArithmeticError(f"PBW leading term corrupted at {a}")
             for b, c in cur.items():

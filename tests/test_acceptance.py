@@ -248,7 +248,7 @@ def test_criterion_8_canonical_kronecker(kron_solver):
         ok = ok and report["truncation_agrees"]
     _report(
         8,
-        ok and time.time() - t0 < 60,
+        ok and time.time() - t0 < 6,
         "Kronecker canonical bases certified; truncation route agrees",
         t0,
     )
@@ -265,7 +265,7 @@ def test_criterion_9_finite_type_a2():
     words = {solver.system.word_for_index(a) for a in data.pbw.order}
     ok = ok and words == {((1, 1), (2, 1)), ((2, 1), (1, 1))}
     ok = ok and all(row == {a: ONE} for a, row in data.C_over_mon.items())
-    _report(9, ok and time.time() - t0 < 30, "A_2 canonical bases certified, |nu| <= 4", t0)
+    _report(9, ok and time.time() - t0 < 1, "A_2 canonical bases certified, |nu| <= 4", t0)
 
 
 def test_criterion_10_determinism(shared_cache, kron_solver, tmp_path):
@@ -289,7 +289,7 @@ def test_criterion_10_determinism(shared_cache, kron_solver, tmp_path):
     b8 = run(8)
     _report(
         10,
-        b1 == b8 and time.time() - t0 < 60,
+        b1 == b8 and time.time() - t0 < 1,
         "criterion-8 bundles byte-identical across 1 and 8 threads",
         t0,
     )

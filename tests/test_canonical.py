@@ -194,16 +194,36 @@ def test_verify_negative_control(kron):
     b = bad.pbw.order[0]
     bad.g[a][b] = bad.g[a].get(b, ZERO) + V(-1) + V(-3)
     report = kron.verify(nu, bad)
-    assert not all(report["bar_invariant"].values())
+    assert not all(report["bar_invariant"])
     assert not report["ok"]
     # A bar-invariant corruption evades the bar check but breaks
     # unitriangularity (uniqueness lives there).
     bad2 = copy.deepcopy(cdata)
     bad2.g[a][b] = bad2.g[a].get(b, ZERO) + ONE
     report2 = kron.verify(nu, bad2)
-    assert all(report2["bar_invariant"].values())
+    assert all(report2["bar_invariant"])
     assert not report2["unitriangular"]
     assert not report2["ok"]
+
+
+@pytest.mark.parametrize("key", ["C_over_N", "E_over_N"])
+def test_verify_rejects_corrupted_transition_data(kron, key):
+    # One v^-7 added to one entry of C over N, or of the PBW rows E over N,
+    # leaves the canonical rows g intact; the products that the bundle
+    # stores no longer follow from them.
+    import copy
+
+    nu = (2, 1)
+    assert kron.verify(nu)["ok"]
+    bad = copy.deepcopy(kron.solve(nu))
+    rows = bad.C_over_N if key == "C_over_N" else bad.pbw.E
+    a = bad.pbw.order[-1]
+    k = next(iter(rows[a]))
+    rows[a][k] = rows[a][k] + V(-7)
+    report = kron.verify(nu, bad)
+    assert not report["ok"]
+    assert report["products_agree"][key] is False
+    assert report["unitriangular"] and all(report["bar_invariant"])
 
 
 def test_bundle_and_verify_roundtrip(kron):

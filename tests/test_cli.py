@@ -173,6 +173,23 @@ def test_hallpoly_kronecker_above_end_dimension(capsys):
         # a cyclic descriptor on the Kronecker quiver, and the converse
         ("kronecker", "[[1,2,1]]", "[[1,1,1]]", "[[2,1,1]]"),
         ("cyclic:2", '{"cm": [[0, 1]]}', "[[1,1,1]]", "[[2,1,1]]"),
+        # Kronecker: t = 5 is not preprojective, a negative multiplicity, a
+        # cm that is not a list, a preinjective t <= 0, a repeated t, an
+        # empty point, a zero part and an unknown key (the first two
+        # silently printed "0" before, the third was a traceback)
+        ("kronecker", '{"cm": [[5, 1]]}', "{}", "{}"),
+        ("kronecker", '{"cm": [[0, -1]]}', "{}", "{}"),
+        ("kronecker", '{"cm": 5}', "{}", "{}"),
+        ("kronecker", '{"cp": [[0, 1]]}', "{}", "{}"),
+        ("kronecker", '{"cm": [[0, 1], [0, 1]]}', "{}", "{}"),
+        ("kronecker", '{"homog": [[[], [1]]]}', "{}", "{}"),
+        ("kronecker", '{"homog": [["inf", [1, 0]]]}', "{}", "{}"),
+        ("kronecker", '{"cq": [[1, 1]]}', "{}", "{}"),
+        # type A: beta_-9 does not exist on A_2, and cp and homog are
+        # Kronecker only (an IndexError, a TypeError and "0" before)
+        ("an:2", '{"cm": [[-9, 1]]}', "{}", "{}"),
+        ("an:2", '{"homog": [["inf", [1]]]}', "{}", "{}"),
+        ("an:2", '{"cp": [[1, 1]]}', "{}", "{}"),
     ],
 )
 def test_hallpoly_rejects_bad_descriptor(capsys, quiver, L, M, N):
@@ -202,6 +219,20 @@ def test_hallpoly_rejects_weakened_checks(capsys, options, error):
     code, out = run_cli(capsys, "hallpoly", "--quiver", "jordan", *options, *args)
     assert code == 2
     assert json.loads(out)["error"]["type"] == error
+
+
+def test_series_order_zero_is_recorded(capsys):
+    # 0 is an order, not "use the default"; a negative order is rejected.
+    code, out = run_cli(
+        capsys, "canonical", "--quiver", "an:2", "--dim", "1,1", "--series-order", "0"
+    )
+    assert code == 0
+    assert json.loads(out)["meta"]["series_order"] == 0
+    code, out = run_cli(
+        capsys, "canonical", "--quiver", "an:2", "--dim", "1,1", "--series-order=-1"
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValueError"
 
 
 def test_verify_roundtrip(tmp_path, capsys):
