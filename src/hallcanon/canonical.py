@@ -50,14 +50,14 @@ def _bar_row(row) -> dict:
     return {k: c.bar() for k, c in row.items()}
 
 
-def zeta_matrix(order, eta) -> dict:
+def zeta_matrix(order, eta, eta_inv) -> dict:
     """bar(E_a) = sum_b zeta[a][b] E_b, unitriangular with diagonal one.
 
     ``eta`` gives the PBW elements over the monomials, which are bar-invariant,
-    so zeta = bar(eta) * eta^-1; it is checked to square to the identity
+    and ``eta_inv`` is its inverse (``invert_unitriangular``), so zeta =
+    bar(eta) * eta^-1; it is checked to square to the identity
     (bar(zeta) * zeta = 1).
     """
-    eta_inv = invert_unitriangular(order, eta)
     Z = {a: row_times(_bar_row(eta[a]), eta_inv) for a in order}
     for a in order:
         if Z[a].get(a) != ONE:
@@ -104,6 +104,7 @@ class CanonicalData:
 
     pbw: PBWData
     zeta: dict
+    eta_inv: dict  # the monomials over E
     g: dict  # C over E, unitriangular
     C_over_N: dict
     C_over_mon: dict
@@ -122,20 +123,19 @@ class CanonicalSolver:
         if nu in self._solve_memo:
             return self._solve_memo[nu]
         data = self.system.pbw_basis(nu)
-        Z = zeta_matrix(data.order, data.eta)
+        eta_inv = invert_unitriangular(data.order, data.eta)
+        Z = zeta_matrix(data.order, data.eta, eta_inv)
         G = lusztig_solve(data.order, Z)
         C_over_N = {a: row_times(G[a], data.E) for a in data.order}
         C_over_mon = {a: row_times(G[a], data.eta) for a in data.order}
-        out = CanonicalData(data, Z, G, C_over_N, C_over_mon)
+        out = CanonicalData(data, Z, eta_inv, G, C_over_N, C_over_mon)
         self._solve_memo[nu] = out
         return out
 
     def solve_with_order(self, nu, order) -> dict:
         """Re-run the triangular solve over another linear extension."""
-        data = self.system.pbw_basis(tuple(nu))
-        Z = zeta_matrix(data.order, data.eta)
         pos = {a: i for i, a in enumerate(order)}
-        return lusztig_solve(list(order), Z, pos)
+        return lusztig_solve(list(order), self.solve(nu).zeta, pos)
 
     # -- the truncation algorithm ------------------------------------------
 
@@ -180,8 +180,7 @@ class CanonicalSolver:
 
     def bar_element(self, nu, coeffs_over_E) -> dict:
         """bar of sum c_a E_a, expressed over E again."""
-        data = self.system.pbw_basis(tuple(nu))
-        return row_times(_bar_row(coeffs_over_E), zeta_matrix(data.order, data.eta))
+        return row_times(_bar_row(coeffs_over_E), self.solve(nu).zeta)
 
     # -- certificates -----------------------------------------------------------
 
@@ -241,7 +240,7 @@ class CanonicalSolver:
             "monomial_over_N": mat(pbw.mon, npos),
             "E_over_N": mat(pbw.E, npos),
             "E_over_monomial": mat(pbw.eta, pos),
-            "monomial_over_E": mat(invert_unitriangular(order, pbw.eta), pos),
+            "monomial_over_E": mat(cdata.eta_inv, pos),
             "zeta": mat(cdata.zeta, pos),
             "g": mat(cdata.g, pos),
             "C_over_E": mat(cdata.g, pos),
@@ -428,7 +427,8 @@ def verify_bundle(bundle: dict) -> dict:
     }
     mon_over_N = _bundle_rows(bundle, "monomial_over_N", n, n_all)
     gram = _bundle_gram(bundle, n)
-    zeta = zeta_matrix(range(n), eta)
+    eta_inv = invert_unitriangular(range(n), eta)
+    zeta = zeta_matrix(range(n), eta, eta_inv)
     report: dict = {}
     unitri = True
     for i in range(n):
@@ -443,7 +443,6 @@ def verify_bundle(bundle: dict) -> dict:
         for i in range(n)
     ]
     report["bar_invariant"] = bar_ok
-    eta_inv = invert_unitriangular(range(n), eta)
     expected = {
         "monomial_over_E": [eta_inv[i] for i in range(n)],
         "E_over_N": [row_times(row, mon_over_N) for row in eta],

@@ -5,6 +5,12 @@ preprojectives / preinjectives / regulars, finite-type root modules),
 Hom/End/Aut computation, arrow-stable subspace censuses, Hall numbers,
 BGP reflection functors and isomorphism classification.
 
+Classification reads ranks: a Kronecker module through the Kronecker
+canonical form of its pencil (``classify_pencil``), a nilpotent cyclic one
+through the ranks of its paths (``classify_nilpotent_cyclic``).  Finite type
+matches Hom dimensions against a profile table (``FieldContext._classifier``),
+which for the other two kinds is the test oracle.
+
 Iso classes are referred to by hashable descriptors:
 
 * cyclic quiver:  ``('m', pi)`` with ``pi`` a multisegment,
@@ -20,7 +26,7 @@ given ascending non-leading coefficients, or ``('i',)`` for infinity.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from . import gf
 from .config import (
@@ -235,23 +241,51 @@ def _poly_mul(F: GF, a, b):
     return out
 
 
-def _poly_rem(F: GF, a, b):
-    """Remainder of a modulo monic-ish b (leading coefficient invertible)."""
+def _poly_trim(a):
     a = list(a)
-    db = len(b) - 1
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_add(F: GF, a, b):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, y in enumerate(b):
+        out[i] = F.add(out[i], y)
+    return _poly_trim(out)
+
+
+def _poly_divmod(F: GF, a, b):
+    """(quotient, remainder) of a by b != 0, both trimmed ([] is zero)."""
+    a, b = _poly_trim(a), _poly_trim(b)
     inv = F.inv(b[-1])
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
         c = F.mul(a[-1], inv)
         shift = len(a) - len(b)
+        quot[shift] = c
         for j in range(len(b)):
             a[shift + j] = F.sub(a[shift + j], F.mul(c, b[j]))
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+        a = _poly_trim(a)
+    return quot, a
+
+
+def _poly_rem(F: GF, a, b):
+    """Remainder of a modulo b (leading coefficient invertible)."""
+    return _poly_divmod(F, a, b)[1]
+
+
+def _poly_gcd(F: GF, a, b):
+    """Monic gcd; [] when both vanish."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b:
+        a, b = b, _poly_rem(F, a, b)
+    if not a:
+        return a
+    inv = F.inv(a[-1])
+    return [F.mul(x, inv) for x in a]
 
 
 def _is_irreducible(F: GF, poly) -> bool:
@@ -859,6 +893,219 @@ def reflect_module(M: FqModule, i: int, direction: str) -> FqModule:
 
 
 # ---------------------------------------------------------------------------
+# classification from ranks: Kronecker pencils and cyclic paths
+# ---------------------------------------------------------------------------
+
+
+def _transpose(mat, cols: int):
+    return [[row[c] for row in mat] for c in range(cols)]
+
+
+def _bidiagonal_sweep(F: GF, D, O, n: int):
+    """Yield (rank S_j, r_j), j = 0, 1, ..., for the block lower-bidiagonal
+    matrix with D on the diagonal and O below it, blocks n columns wide.
+
+    Column block j meets only block rows j and j + 1, so elimination runs one
+    column block at a time.  S_j, what is left of block row j once column
+    block j - 1 is eliminated, lies in column block j (S_0 = D).  Reducing
+    S_j and block row j + 1 = [O | D] gives r_j pivots in column block j;
+    the rows pivoting in column block j + 1 are S_(j+1).  With k column
+    blocks, the matrix with block rows 0 .. k has rank r_0 + ... + r_(k-1),
+    and the square one with block rows 0 .. k - 1 has rank
+    r_0 + ... + r_(k-2) + rank S_(k-1).
+    """
+    zero = [0] * n
+    S = gf.rref(F, D)[0]
+    while True:
+        below = [list(o) + list(d) for o, d in zip(O, D)]
+        rows, pivots = gf.rref(F, [r + zero for r in S] + below)
+        r = sum(1 for p in pivots if p < n)
+        yield len(S), r
+        S = [row[n:] for row in rows[r:]]
+
+
+def _minimal_indices(F: GF, A, B, n: int) -> dict:
+    """Column minimal indices {eps: count} of the pencil A + xB with n columns.
+
+    K_k, the kernel dimension of the block matrix with k + 1 column blocks,
+    A on the diagonal and B on the subdiagonal, counts the polynomial kernel
+    vectors of degree <= k: k - eps + 1 from each block L_eps with eps <= k,
+    none from the other blocks.  So K_k - K_(k-1) counts the indices <= k.
+    A block L_eps takes eps + 1 columns, so the search stops once no further
+    block fits.
+    """
+    out, used, rank, prev_K, prev_count = {}, 0, 0, 0, 0
+    for k, (_, r) in enumerate(_bidiagonal_sweep(F, A, B, n)):
+        if used + k + 1 > n:
+            break
+        rank += r
+        K = (k + 1) * n - rank
+        count = K - prev_K
+        if count > prev_count:
+            out[k] = count - prev_count
+            used += out[k] * (k + 1)
+        prev_K, prev_count = K, count
+    return out
+
+
+def _jordan_type(F: GF, A, B, point, n_col: int, bound: int) -> tuple:
+    """Partition lam of the regular part of the pencil (A, B) at a closed point.
+
+    With C the companion matrix of the point's polynomial p of degree d (for
+    infinity: A and B swapped, p = x), the k-block Toeplitz matrix with
+    X = B (x) I_d - A (x) C^T on the diagonal and Y = A (x) I_d beside it has
+    kernel Hom(R_p[k], M), of dimension d (sum_i min(lam_i, k) + k n_col);
+    its differences over k count the parts of lam that are >= k.  |lam| is
+    at most ``bound``.  In reversed block order Y lies below the diagonal.
+    """
+    if point[0] == "i":
+        A, B, C = B, A, [[0]]
+    else:
+        C = _companion(F, list(point[1]) + [1])
+    d, m, n = len(C), len(A), len(A[0]) if A else 0
+    X, Y = [], []
+    for a in range(m):
+        for c in range(d):
+            X.append([
+                F.sub(B[a][b] if c == e else 0, F.mul(A[a][b], C[e][c]))
+                for b in range(n)
+                for e in range(d)
+            ])
+            Y.append([A[a][b] if c == e else 0 for b in range(n) for e in range(d)])
+    conj, prev, rank = [], 0, 0
+    for k, (rank_S, r) in enumerate(_bidiagonal_sweep(F, X, Y, n * d), start=1):
+        s = (k * n * d - rank - rank_S) // d - k * n_col
+        if s == prev:
+            break
+        conj.append(s - prev)
+        prev, rank = s, rank + r
+        if prev >= bound:
+            break
+    return tuple(sum(1 for c in conj if c > i) for i in range(conj[0])) if conj else ()
+
+
+def _pencil_det_gcd(F: GF, A, B, r: int, m: int, n: int):
+    """Monic gcd of the r x r minors of xA - B, with r its normal rank.
+
+    This is the product of the finite elementary divisors (Gantmacher, ch.
+    XII): the determinant of the regular part, its point at infinity removed.
+    The minors on each set of r rows come from one Laplace expansion over
+    growing column sets.
+    """
+    entry = [[_poly_trim([F.neg(B[i][j]), A[i][j]]) for j in range(n)] for i in range(m)]
+    g = []
+    for rows in combinations(range(m), r):
+        dets = {(): [1]}
+        for k, i in enumerate(rows):
+            nxt = {}
+            for cols in combinations(range(n), k + 1):
+                acc = []
+                for pos, j in enumerate(cols):
+                    term = _poly_mul(F, entry[i][j], dets[cols[:pos] + cols[pos + 1 :]])
+                    if (k + pos) % 2:
+                        term = [F.neg(x) for x in term]
+                    acc = _poly_add(F, acc, term)
+                nxt[cols] = acc
+            dets = nxt
+        for det in dets.values():
+            g = _poly_gcd(F, g, det)
+    return g
+
+
+def _point_factors(F: GF, g) -> dict:
+    """{closed point: multiplicity} of a monic polynomial, by trial division.
+
+    Once every factor of degree < d is divided out, a remainder of degree
+    < 2d is irreducible.
+    """
+    out, d = {}, 1
+    while len(g) > 1:
+        if len(g) - 1 < 2 * d:
+            pt = ("f", tuple(g[:-1]))
+            out[pt] = out.get(pt, 0) + 1
+            break
+        for pt in closed_points(F.q, d):
+            if pt[0] == "i":
+                continue
+            quot, rem = _poly_divmod(F, g, list(pt[1]) + [1])
+            while not rem:
+                out[pt] = out.get(pt, 0) + 1
+                g = quot
+                quot, rem = _poly_divmod(F, g, list(pt[1]) + [1])
+        d += 1
+    return out
+
+
+def classify_pencil(F: GF, A, B, m: int, n: int) -> tuple:
+    """The descriptor of the Kronecker module (A, B): F^n -> F^m, from ranks.
+
+    By the Kronecker canonical form (Gantmacher, The Theory of Matrices II,
+    ch. XII) the pencil is a sum of column blocks L_eps, the preinjectives
+    beta_t = (t, t - 1) with t = eps + 1; row blocks L_eta^T, the
+    preprojectives with t = -eta; and a regular part.  Since n - m is the
+    number of column blocks less the number of row blocks, the row indices
+    are searched only when there are row blocks.  The regular part's points
+    are the irreducible factors of its determinant (``_pencil_det_gcd``, at
+    the normal rank n - #column blocks), infinity taking the degree it
+    lacks; rank tests (``_jordan_type``) run only at a repeated factor.
+    """
+    cols = _minimal_indices(F, A, B, n)
+    n_col = sum(cols.values())
+    rows = {}
+    if n_col + m - n:
+        rows = _minimal_indices(F, _transpose(A, n), _transpose(B, n), m)
+    left = n - sum((e + 1) * c for e, c in cols.items()) - sum(e * c for e, c in rows.items())
+    homog = []
+    if left:
+        g = _pencil_det_gcd(F, A, B, n - n_col, m, n)
+        points = _point_factors(F, g)
+        if len(g) - 1 < left:
+            points[("i",)] = left - (len(g) - 1)
+        for pt, e in points.items():
+            homog.append((pt, (1,) if e == 1 else _jordan_type(F, A, B, pt, n_col, e)))
+    return make_cdesc(
+        cm=[(-e, c) for e, c in rows.items()],
+        cp=[(e + 1, c) for e, c in cols.items()],
+        homog=homog,
+    )
+
+
+def classify_nilpotent_cyclic(M: FqModule) -> tuple:
+    """The multisegment descriptor of a nilpotent cyclic-quiver module.
+
+    With r(j, k) the rank of the length-k path out of vertex j, and
+    r(j, 0) = dim M_j, the segment (i, l) occurs
+    r(i, l-1) - r(i, l) - r(i-1, l) + r(i-1, l+1) times (vertices mod n):
+    boxes at i with exactly l - 1 boxes below, less those that continue a
+    box at i - 1.
+    """
+    n, F = len(M.dims), M.F
+    out_arrow = {s: (a, t) for a, (s, t) in enumerate(M.quiver.arrows)}
+    total = sum(M.dims)
+    ranks = []
+    for j in range(n):
+        row, path, v = [M.dims[j]], None, j
+        while row[-1] and len(row) <= total:
+            a, v = out_arrow[v]
+            path = M.mats[a] if path is None else gf.mat_mul(F, M.mats[a], path)
+            row.append(gf.rank(F, path))
+        ranks.append(row)
+
+    def r(j, k):
+        row = ranks[j % n]
+        return row[k] if k < len(row) else 0
+
+    segs = []
+    for i in range(n):
+        for l in range(1, len(ranks[i])):
+            mult = r(i, l - 1) - r(i, l) - r(i - 1, l) + r(i - 1, l + 1)
+            if mult < 0:
+                raise ClassificationError("path ranks of a non-nilpotent module")
+            segs.append(((i + 1, l), mult))
+    return ("m", mseg_normalize(segs))
+
+
+# ---------------------------------------------------------------------------
 # iso-class descriptors
 # ---------------------------------------------------------------------------
 
@@ -954,6 +1201,7 @@ class FieldContext:
         self._dim_memo: dict = {}
         self._aut_memo: dict = {}
         self._classify_cache: dict = {}
+        self._intern_memo: dict = {}
 
     # -- dimensions and homs (combinatorial) ---------------------------
 
@@ -1286,47 +1534,40 @@ class FieldContext:
             return make_cdesc(cp=((ind[1], 1),))
         return make_cdesc(homog=((ind[1], (ind[2],)),))
 
-    def fingerprint(self, M: FqModule) -> tuple:
-        """Iso-invariant fingerprint: dims, End, Hom profile vs the test set."""
-        pool = self._test_pool(sum(M.dims))
-        profile = []
-        for x in pool:
-            X = self.build_indec(x)
-            profile.append((hom_dim(X, M), hom_dim(M, X)))
-        return (M.dims, end_dim(M), tuple(profile))
-
     def classify(self, M: FqModule):
-        """Match an explicit module to its iso-class descriptor."""
+        """Match an explicit module to its iso-class descriptor.
+
+        Kronecker modules are read from ranks of their pencil
+        (``classify_pencil``) and cyclic ones from path ranks
+        (``classify_nilpotent_cyclic``); finite type matches a Hom profile
+        against ``_classifier``'s table.  The descriptor returned is the
+        object in ``classes(M.dims)``.
+        """
         key = M.key()
         hit = self._classify_cache.get(key)
         if hit is not None:
             return hit
-        if self.kind == "kronecker" and M.dims == (1, 1):
-            out = self._classify_kron11(M)
-        else:
+        if self.kind == "finite":
             chosen, table = self._classifier(M.dims)
             prof = []
             for side, x in chosen:
                 X = self.build_indec(x)
                 prof.append(hom_dim(X, M) if side == "L" else hom_dim(M, X))
             out = table.get(tuple(prof))
-            if out is None:
-                raise ClassificationError(
-                    f"module of dimension {M.dims} matches no descriptor"
-                )
+        else:
+            if self.kind == "kronecker":
+                s, t = self.quiver.arrows[0]
+                desc = classify_pencil(self.F, *M.mats, M.dims[t], M.dims[s])
+            else:
+                desc = classify_nilpotent_cyclic(M)
+            interned = self._intern_memo.get(M.dims)
+            if interned is None:
+                interned = self._intern_memo[M.dims] = {c: c for c in self.classes(M.dims)}
+            out = interned.get(desc)
+        if out is None:
+            raise ClassificationError(f"module of dimension {M.dims} matches no descriptor")
         self._classify_cache[key] = out
         return out
-
-    def _classify_kron11(self, M: FqModule):
-        a = M.mats[0][0][0]
-        b = M.mats[1][0][0]
-        F = self.F
-        if a == 0 and b == 0:
-            return make_cdesc(cm=((0, 1),), cp=((1, 1),))
-        if a == 0:
-            return make_cdesc(homog=((("i",), (1,)),))
-        c = F.mul(b, F.inv(a))
-        return make_cdesc(homog=((("f", (F.neg(c),)), (1,)),))
 
     # -- Hall numbers -------------------------------------------------------
 

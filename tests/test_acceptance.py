@@ -142,7 +142,7 @@ def test_criterion_5_hall_polynomial_validation():
         checked += 1
     _report(
         5,
-        checked >= 20 and time.time() - t0 < 5,
+        checked >= 20 and time.time() - t0 < 2,
         f"{checked} random Hall polynomials predict held-out fields exactly",
         t0,
     )
@@ -248,7 +248,7 @@ def test_criterion_8_canonical_kronecker(kron_solver):
         ok = ok and report["truncation_agrees"]
     _report(
         8,
-        ok and time.time() - t0 < 6,
+        ok and time.time() - t0 < 2.5,
         "Kronecker canonical bases certified; truncation route agrees",
         t0,
     )

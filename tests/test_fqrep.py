@@ -365,6 +365,89 @@ def test_classify_round_trip_all_classes():
                 assert ctx.classify(ctx.build(d)) == d
 
 
+def _hom_profile_class(ctx, M):
+    """The Hom-profile classifier, the oracle for the rank classifiers."""
+    chosen, table = ctx._classifier(M.dims)
+    prof = tuple(
+        hom_dim(ctx.build_indec(x), M) if side == "L" else hom_dim(M, ctx.build_indec(x))
+        for side, x in chosen
+    )
+    return table[prof]
+
+
+def _base_change(M, rng):
+    """g_t M_a g_s^-1 at every arrow a: s -> t, for random invertible g."""
+    from hallcanon import gf as gflib
+
+    F = M.F
+    g = [_random_invertible(F, d, rng) if d else [] for d in M.dims]
+    mats = []
+    for a, (s, t) in enumerate(M.quiver.arrows):
+        m = M.mats[a]
+        if M.dims[s] and M.dims[t]:
+            m = gflib.mat_mul(F, gflib.mat_mul(F, g[t], m), _inverse(F, g[s]))
+        mats.append(m)
+    return FqModule(M.quiver, F, M.dims, mats)
+
+
+def _check_rank_classifier(ctx, descs, rng):
+    """classify returns d itself, the object in ``classes``, for the module
+    built from d and for a base change of it, on which the oracle agrees."""
+    for d in descs:
+        M = ctx.build(d)
+        moved = _base_change(M, rng)
+        assert _hom_profile_class(ctx, moved) == d, (ctx.q, d)
+        for X in (M, moved):
+            got = ctx.classify(X)
+            assert got is d, (ctx.q, d, got)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("reverse", [False, True], ids=["kronecker", "reversed"])
+def test_pencil_ranks_match_hom_profiles(q, reverse):
+    # Reversing the arrows makes vertex 1 the source, so (1, 2) and (2, 3)
+    # have more rows than columns there.
+    ctx = FieldContext(kronecker().reversed_at(0) if reverse else kronecker(), q)
+    descs = [d for nu in product(range(4), repeat=2) for d in ctx.classes(nu)]
+    _check_rank_classifier(ctx, descs, random.Random(100 * q + reverse))
+
+
+@pytest.mark.parametrize("q, nu", [(2, (4, 4)), (3, (4, 4)), (2, (5, 4)), (2, (4, 5))])
+def test_pencil_ranks_at_repeated_points_of_degree_two(q, nu):
+    # Below (4, 4) no point of degree >= 2 repeats, so the Toeplitz ranks
+    # run only at degree 1 there.
+    from hallcanon.fqrep import point_degree
+
+    ctx = ctx_kron(q)
+    picked = [
+        d
+        for d in ctx.classes(nu)
+        if any(point_degree(pt) >= 2 and sum(lam) >= 2 for pt, lam in d[4])
+    ]
+    assert picked
+    _check_rank_classifier(ctx, picked, random.Random(q + sum(nu)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n, total", [(2, 6), (3, 5)])
+def test_path_ranks_match_hom_profiles(q, n, total):
+    ctx = ctx_cyclic(n, q)
+    descs = [d for nu in _dims_with_total_at_most(n, total) for d in ctx.classes(nu)]
+    _check_rank_classifier(ctx, descs, random.Random(q + n))
+
+
+def test_kronecker_classification_solves_no_hom(monkeypatch):
+    import hallcanon.fqrep as fqrep
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Kronecker classification must not solve Hom")
+
+    monkeypatch.setattr(fqrep, "hom_dim", refuse)
+    monkeypatch.setattr(FieldContext, "_classifier", refuse)
+    by_L, _ = ctx_kron(3).hall_table((2, 3), (1, 1))
+    assert sum(sum(row.values()) for row in by_L.values()) > 0
+
+
 def test_classes_counts_kronecker():
     q = 3
     ctx = ctx_kron(q)

@@ -477,6 +477,17 @@ def test_census_vs_hall_table_consistency():
         assert sum(counts.values()) == n_subs
 
 
+def fingerprint(ctx, M) -> tuple:
+    """Iso-invariant fingerprint: dims, End, Hom profile vs the test set."""
+    from hallcanon.fqrep import end_dim, hom_dim
+
+    profile = []
+    for x in ctx._test_pool(sum(M.dims)):
+        X = ctx.build_indec(x)
+        profile.append((hom_dim(X, M), hom_dim(M, X)))
+    return (M.dims, end_dim(M), tuple(profile))
+
+
 def test_fingerprint_separates_classes():
     from hallcanon.fqrep import FieldContext
 
@@ -484,7 +495,7 @@ def test_fingerprint_separates_classes():
     seen = {}
     for nu in [(1, 1), (2, 1)]:
         for d in ctx.classes(nu):
-            fp = ctx.fingerprint(ctx.build(d))
+            fp = fingerprint(ctx, ctx.build(d))
             assert fp not in seen, (d, seen[fp])
             seen[fp] = d
 
