@@ -276,7 +276,9 @@ class CanonicalSolver:
                 )
             },
             "meta": {
-                "series_order": self.engine.cfg.series_order,
+                # Inert since no certificate reads it; kept so that schema-1
+                # bundles stay byte-identical.
+                "series_order": 10,
                 "primes": list(self.engine.cfg.primes),
                 "seed": self.engine.cfg.seed,
                 "linear_extension": "lex-negated preprojective/preinjective data, "

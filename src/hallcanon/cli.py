@@ -27,8 +27,6 @@ def _config_from_args(args) -> JobConfig:
         kwargs["primes"] = tuple(int(p) for p in args.primes.split(","))
     if getattr(args, "budget_subspaces", None) is not None:
         kwargs["budget_subspaces"] = args.budget_subspaces
-    if getattr(args, "series_order", None) is not None:
-        kwargs["series_order"] = args.series_order
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
     return JobConfig(**kwargs)
@@ -224,9 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiver", required=True, help="kronecker | jordan | cyclic:N | an:N[:orient]")
         p.add_argument("--primes", help="comma separated sample prime powers")
         p.add_argument("--budget-subspaces", type=int, dest="budget_subspaces")
-        p.add_argument("--series-order", type=int, dest="series_order")
         p.add_argument("--cache-dir", dest="cache_dir")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write output to a file instead of stdout")
 

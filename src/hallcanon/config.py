@@ -56,15 +56,14 @@ class JobConfig:
 
     ``primes`` is the ordered pool of sample prime powers,
     ``budget_subspaces`` is a hard enumeration limit (a clear error beats
-    silent degradation), ``series_order`` (>= 0) and ``seed`` are recorded in
-    bundle metadata (the Green-form certificates are exact and do not
-    depend on them), and ``cache_dir`` names the on-disk store (``None``
-    for none).  Every computation runs in one thread.
+    silent degradation), ``seed`` is recorded in bundle metadata (the
+    Green-form certificates are exact and do not depend on it), and
+    ``cache_dir`` names the on-disk store (``None`` for none).  Every
+    computation runs in one thread.
     """
 
     primes: tuple[int, ...] = DEFAULT_SAMPLE_POOL
     budget_subspaces: int = 2_000_000
-    series_order: int = 10
     cache_dir: str | None = None
     seed: int = 0
 
@@ -74,8 +73,6 @@ class JobConfig:
             raise ValueError(f"sample fields repeat in primes {list(self.primes)}")
         if self.budget_subspaces < 0:
             raise ValueError(f"budget_subspaces must be >= 0, got {self.budget_subspaces}")
-        if self.series_order < 0:
-            raise ValueError(f"series_order must be >= 0, got {self.series_order}")
 
     @staticmethod
     def default() -> "JobConfig":

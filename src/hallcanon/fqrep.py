@@ -35,7 +35,15 @@ from .config import (
     JobConfig,
     UnsupportedQuiverError,
 )
-from .gf import GF
+from .gf import (
+    GF,
+    _is_irreducible,
+    _poly_add,
+    _poly_divmod,
+    _poly_gcd,
+    _poly_mul,
+    _poly_trim,
+)
 from .quiver import Quiver, default_admissible
 
 
@@ -224,78 +232,6 @@ def mseg_socle_extensions(n: int, pi, i: int, a: int) -> list:
 
     rec(0, a, [])
     return out
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over GF(q) (for closed points of the projective line)
-# ---------------------------------------------------------------------------
-
-
-def _poly_mul(F: GF, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return out
-
-
-def _poly_trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_add(F: GF, a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = F.add(out[i], y)
-    return _poly_trim(out)
-
-
-def _poly_divmod(F: GF, a, b):
-    """(quotient, remainder) of a by b != 0, both trimmed ([] is zero)."""
-    a, b = _poly_trim(a), _poly_trim(b)
-    inv = F.inv(b[-1])
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = F.mul(a[-1], inv)
-        shift = len(a) - len(b)
-        quot[shift] = c
-        for j in range(len(b)):
-            a[shift + j] = F.sub(a[shift + j], F.mul(c, b[j]))
-        a = _poly_trim(a)
-    return quot, a
-
-
-def _poly_rem(F: GF, a, b):
-    """Remainder of a modulo b (leading coefficient invertible)."""
-    return _poly_divmod(F, a, b)[1]
-
-
-def _poly_gcd(F: GF, a, b):
-    """Monic gcd; [] when both vanish."""
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_rem(F, a, b)
-    if not a:
-        return a
-    inv = F.inv(a[-1])
-    return [F.mul(x, inv) for x in a]
-
-
-def _is_irreducible(F: GF, poly) -> bool:
-    d = len(poly) - 1
-    for e in range(1, d // 2 + 1):
-        for tail in product(F.elements(), repeat=e):
-            div = list(tail) + [1]
-            if not any(_poly_rem(F, poly, div)):
-                return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -1370,29 +1306,40 @@ class FieldContext:
             return self._classes_memo[nu]
         if self.kind == "cyclic":
             out = tuple(("m", pi) for pi in enumerate_msegs(self.quiver.n, nu))
-        elif self.kind == "finite":
-            roots = self.seq.preprojective_range(nu)
-            out = tuple(
-                make_cdesc(cm=cm)
-                for cm in self._root_multisets(roots, nu, exact=True)
-            )
         else:
-            out = []
-            proots = self.seq.preprojective_range(nu)
-            for cm in self._root_multisets(proots, nu, exact=False):
-                used = self.desc_dim(make_cdesc(cm=cm))
-                rem1 = tuple(a - b for a, b in zip(nu, used))
-                iroots = self.seq.preinjective_range(rem1)
-                for cp in self._root_multisets(iroots, rem1, exact=False, side="+"):
-                    used2 = self.desc_dim(make_cdesc(cp=cp))
-                    rem = tuple(a - b for a, b in zip(rem1, used2))
-                    if rem[0] != rem[1] or rem[0] < 0:
-                        continue
-                    for homog in self.homog_configs(rem[0]):
-                        out.append(make_cdesc(cm=cm, cp=cp, homog=homog))
-            out = tuple(sorted(set(out)))
+            out = [
+                make_cdesc(cm=cm, cp=cp, homog=homog)
+                for cm, cp, m in self.frames(nu)
+                for homog in self.homog_configs(m)
+            ]
+            out = tuple(out if self.kind == "finite" else sorted(set(out)))
         self._classes_memo[nu] = out
         return out
+
+    def frames(self, nu):
+        """(cm, cp, m) for each frame of dimension nu - m * delta (acyclic).
+
+        cm and cp are the preprojective and preinjective multiplicity
+        functions, and m * delta is the dimension left to the homogeneous
+        tubes.  In finite type every module is preprojective: cp = () and
+        m = 0.
+        """
+        nu = tuple(nu)
+        finite = self.kind == "finite"
+        for cm in self._root_multisets(self.seq.preprojective_range(nu), nu, exact=finite):
+            if finite:
+                yield cm, (), 0
+                continue
+            used = self.desc_dim(make_cdesc(cm=cm))
+            rem1 = tuple(a - b for a, b in zip(nu, used))
+            iroots = self.seq.preinjective_range(rem1)
+            for cp in self._root_multisets(iroots, rem1, exact=False, side="+"):
+                used2 = self.desc_dim(make_cdesc(cp=cp))
+                rem = tuple(a - b for a, b in zip(rem1, used2))
+                d = self.delta
+                if rem[0] * d[1] != rem[1] * d[0] or rem[0] < 0:
+                    continue
+                yield cm, cp, rem[0] // d[0]
 
     def _root_multisets(self, roots, bound, exact: bool, side: str = "-"):
         """Multiplicity functions on the given beta indices, fitting the bound."""

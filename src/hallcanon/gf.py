@@ -45,34 +45,84 @@ def _poly_mul_mod(a, b, modulus, p):
     return out[:e]
 
 
+# ---------------------------------------------------------------------------
+# polynomial helpers over GF(q), coefficients ascending
+# ---------------------------------------------------------------------------
+
+
+def _poly_mul(F: GF, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return out
+
+
+def _poly_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_add(F: GF, a, b):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, y in enumerate(b):
+        out[i] = F.add(out[i], y)
+    return _poly_trim(out)
+
+
+def _poly_divmod(F: GF, a, b):
+    """(quotient, remainder) of a by b != 0, both trimmed ([] is zero)."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    inv = F.inv(b[-1])
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = F.mul(a[-1], inv)
+        shift = len(a) - len(b)
+        quot[shift] = c
+        for j in range(len(b)):
+            a[shift + j] = F.sub(a[shift + j], F.mul(c, b[j]))
+        a = _poly_trim(a)
+    return quot, a
+
+
+def _poly_rem(F: GF, a, b):
+    """Remainder of a modulo b (leading coefficient invertible)."""
+    return _poly_divmod(F, a, b)[1]
+
+
+def _poly_gcd(F: GF, a, b):
+    """Monic gcd; [] when both vanish."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b:
+        a, b = b, _poly_rem(F, a, b)
+    if not a:
+        return a
+    inv = F.inv(a[-1])
+    return [F.mul(x, inv) for x in a]
+
+
+def _is_irreducible(F: GF, poly) -> bool:
+    d = len(poly) - 1
+    for e in range(1, d // 2 + 1):
+        for tail in product(F.elements(), repeat=e):
+            div = list(tail) + [1]
+            if not any(_poly_rem(F, poly, div)):
+                return False
+    return True
+
+
 def _find_irreducible(p: int, e: int):
     """Monic irreducible of degree e over F_p, coefficients ascending."""
-
-    def is_irreducible(poly):
-        # Trial division by all monic polys of degree <= e//2.
-        for d in range(1, e // 2 + 1):
-            for tail in product(range(p), repeat=d):
-                div = list(tail) + [1]
-                # Long division of poly by div over F_p.
-                rem = list(poly)
-                while len(rem) >= len(div) and any(rem):
-                    while rem and rem[-1] == 0:
-                        rem.pop()
-                    if len(rem) < len(div):
-                        break
-                    c = rem[-1]
-                    shift = len(rem) - len(div)
-                    for j in range(len(div)):
-                        rem[shift + j] = (rem[shift + j] - c * div[j]) % p
-                    while rem and rem[-1] == 0:
-                        rem.pop()
-                if not any(rem):
-                    return False
-        return True
-
+    F = GF(p)
     for tail in product(range(p), repeat=e):
         poly = list(tail) + [1]
-        if poly[0] != 0 and is_irreducible(poly):
+        if _is_irreducible(F, poly):
             return poly
     raise ArithmeticError(f"no irreducible of degree {e} over F_{p}")
 

@@ -28,7 +28,6 @@ from itertools import permutations, product
 
 from .config import (
     InsufficientPointsError,
-    InterpolationError,
     JobConfig,
     UnsupportedQuiverError,
 )
@@ -42,7 +41,7 @@ from .fqrep import (
     mseg_normalize,
     mseg_socle_extensions,
 )
-from .hallpoly import HallPolyEngine, _normalize_rational, fit_integer_poly
+from .hallpoly import HallPolyEngine, _normalize_rational, sample_and_fit
 from .laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
 from .partitions import centralizer_order, character, kostka, partitions
 from .quiver import Quiver
@@ -81,6 +80,14 @@ def nindex_from_json(data):
         return x
 
     return (dec(frame), tuple(lam))
+
+
+def _expansion_json(out) -> dict:
+    return {"expansion": [[nindex_json(k), out[k].to_json()] for k in sorted(out)]}
+
+
+def _expansion_from_json(record) -> dict:
+    return {nindex_from_json(k): LaurentPoly.from_json(v) for k, v in record["expansion"]}
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +267,7 @@ class HallEngine:
         self.cfg = cfg or JobConfig.default()
         self.contexts: dict = {}
         self.polyeng = HallPolyEngine(quiver, self.cfg, contexts=self.contexts)
-        self._generic_memo: dict = {}
+        self._sgram_memo: dict = {}
         kind_probe = self.ctx(self.cfg.primes[0])
         self.kind = kind_probe.kind
         self.delta = kind_probe.delta
@@ -273,11 +280,7 @@ class HallEngine:
     # -- field-level constructions ----------------------------------------
 
     def unit(self, q: int) -> FieldElement:
-        ctx = self.ctx(q)
-        zero_desc = (
-            ("m", ()) if self.kind == "cyclic" else make_cdesc()
-        )
-        return FieldElement(ctx, {zero_desc: ONE})
+        return FieldElement(self.ctx(q), {self.zero_frame(): ONE})
 
     def cls_elt(self, desc, q: int) -> FieldElement:
         return FieldElement(self.ctx(q), {desc: ONE})
@@ -285,7 +288,7 @@ class HallEngine:
     def simple_power_desc(self, label, m: int):
         """Descriptor of <S_label^{+m}>."""
         if m == 0:
-            return ("m", ()) if self.kind == "cyclic" else make_cdesc()
+            return self.zero_frame()
         if self.kind == "cyclic":
             return ("m", mseg_normalize([((label, 1), m)]))
         i = self.quiver.index[label]
@@ -422,93 +425,30 @@ class HallEngine:
     def lift_family(self, builder):
         """Lift builder(q) -> {key: LaurentPoly} to generic Laurent data.
 
-        Each (key, v-exponent) coefficient is fitted as an integer
-        polynomial in q and folded back via q = v^2; every fit must
-        validate on at least two held-out sample fields.
+        Each (key, v-exponent) coefficient is one key of
+        ``hallpoly.sample_and_fit``: an integer polynomial in q, folded back
+        via q = v^2.
         """
-        values: list = []
-        qs_used: list = []
-        pool = [q for q in self.cfg.primes]
 
-        def compute(q):
-            try:
-                return builder(q)
-            except InsufficientPointsError:
-                return None
+        def sample(q):
+            return {
+                (key, e): c for key, lp in builder(q).items() for e, c in lp.terms.items()
+            }
 
-        idx = 0
+        out: dict = {}
+        for (key, e), poly in sample_and_fit(self.cfg.primes, sample).items():
+            out[key] = out.get(key, ZERO) + LaurentPoly.from_q_poly(poly.coeffs, e)
+        return {key: lp for key, lp in out.items() if lp}
 
-        def extend():
-            nonlocal idx
-            while idx < len(pool):
-                q = pool[idx]
-                idx += 1
-                res = compute(q)
-                if res is not None:
-                    values.append(res)
-                    qs_used.append(q)
-                    return True
-            return False
+    def _generic(self, cache_key, compute, check):
+        """Memo and store lookup of an expansion; ``check`` runs on a fresh one."""
 
-        while len(values) < 3:
-            if not extend():
-                raise InterpolationError("not enough usable sample fields")
-
-        while True:
-            keys = sorted({k for v in values for k in v})
-            try:
-                out = {}
-                for key in keys:
-                    exps = sorted(
-                        {e for v in values for e in v.get(key, ZERO).terms}
-                    )
-                    poly_terms: dict = {}
-                    for e in exps:
-                        pairs = [
-                            (q, v.get(key, ZERO).coeff(e))
-                            for q, v in zip(qs_used, values)
-                        ]
-                        coeffs, _ = fit_integer_poly(pairs)
-                        for k, c in enumerate(coeffs):
-                            if c:
-                                ee = e + 2 * k
-                                poly_terms[ee] = poly_terms.get(ee, 0) + c
-                    lp = LaurentPoly(poly_terms)
-                    if lp:
-                        out[key] = lp
-                return out
-            except InterpolationError:
-                if not extend():
-                    raise
-
-    def _generic(self, cache_key, compute, check=None):
-        if cache_key in self._generic_memo:
-            return self._generic_memo[cache_key]
-        store = self.polyeng.store
-        if store is not None:
-            record = store.get(self.quiver.name, cache_key)
-            if record is not None:
-                out = {
-                    nindex_from_json(k): LaurentPoly.from_json(v)
-                    for k, v in record["expansion"]
-                }
-                self._generic_memo[cache_key] = out
-                return out
-        out = compute()
-        if check is not None:
+        def checked():
+            out = compute()
             check(out)
-        if store is not None:
-            store.put(
-                self.quiver.name,
-                cache_key,
-                {
-                    "expansion": [
-                        [nindex_json(k), out[k].to_json()] for k in sorted(out)
-                    ]
-                },
-            )
-        self._generic_memo[cache_key] = out
-        return out
+            return out
+
+        return self.polyeng._lookup(cache_key, checked, _expansion_json, _expansion_from_json)
 
     def generic_word(self, word) -> dict:
         """Expansion of the monomial u_{i_1}^{(a_1)} ... over the N family."""
@@ -605,8 +545,8 @@ class HallEngine:
         if self.kind != "kronecker":
             raise UnsupportedQuiverError("S_lam lives in the affine homogeneous part")
         key = ("sgram", lam, mu)
-        if key in self._generic_memo:
-            return self._generic_memo[key]
+        if key in self._sgram_memo:
+            return self._sgram_memo[key]
         total = RationalFn(ZERO)
         for rho in partitions(sum(lam)):
             c = character(lam, rho) * character(mu, rho)
@@ -620,7 +560,7 @@ class HallEngine:
         g = _poly_gcd(total.num, total.den)
         num, den = total.num.exact_div(g), total.den.exact_div(g)
         out = RationalFn.from_q_fractions(*_normalize_rational(_q_coeffs(num), _q_coeffs(den)))
-        self._generic_memo[key] = out
+        self._sgram_memo[key] = out
         return out
 
     def _frame_parts(self, frame):

@@ -28,6 +28,9 @@ from .quiver import Quiver
 
 STORE_VERSION = 1
 
+# Held-out sample fields every fitted polynomial must agree with.
+MIN_VALIDATE = 2
+
 
 # ---------------------------------------------------------------------------
 # exact fitting
@@ -65,30 +68,26 @@ def eval_poly(coeffs, x):
     return out
 
 
-def fit_integer_poly(pairs, start_degree=0, cap=None, min_validate=2):
+def fit_integer_poly(pairs, cap=None):
     """Least-degree integer polynomial through the pairs.
 
-    Fits on the first d+1 pairs and demands agreement on every remaining
-    pair, at least ``min_validate`` of them.  Returns (coeffs, n_fit) where
-    n_fit is the number of pairs consumed by the fit; raises
-    InterpolationError if no degree up to ``cap`` works.
+    Fits degree d = 0, 1, ... on the first d+1 pairs and demands agreement
+    on every remaining pair, at least ``MIN_VALIDATE`` of them.  Returns
+    (coeffs, n_fit) where n_fit is the number of pairs consumed by the fit;
+    raises InterpolationError if no degree up to ``cap`` works.
     """
     pairs = list(pairs)
-    if cap is None:
-        cap = len(pairs) - 1 - min_validate
-    cap = max(cap, start_degree)
-    d = max(0, start_degree)
-    while d <= cap:
-        if d + 1 + min_validate > len(pairs):
-            break
+    top = len(pairs) - 1 - MIN_VALIDATE
+    if cap is not None:
+        top = min(cap, top)
+    for d in range(top + 1):
         coeffs = lagrange_fit(pairs[: d + 1])
         if all(c.denominator == 1 for c in coeffs) and all(
             eval_poly(coeffs, x) == y for x, y in pairs[d + 1 :]
         ):
             return tuple(int(c) for c in coeffs), d + 1
-        d += 1
     raise InterpolationError(
-        f"no integer polynomial of degree <= {cap} fits {len(pairs)} samples"
+        f"no integer polynomial of degree <= {max(top, 0)} fits {len(pairs)} samples"
     )
 
 
@@ -429,6 +428,46 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 
 
+def sample_and_fit(primes, sample, cap=None) -> dict:
+    """Fit every key of ``sample(q)``, a dict {key: int}, as a polynomial in q.
+
+    The fields of ``primes`` are sampled in order; one whose sampler raises
+    InsufficientPointsError is skipped.  Fitting starts from the least fit's
+    1 + MIN_VALIDATE samples and takes the next field whenever any key fails
+    ``fit_integer_poly`` with degree cap ``cap``.  A key missing from a
+    sample counts 0.  Returns {key: HallPolynomial}, keys sorted; raises
+    InterpolationError once the fields run out.
+    """
+    samples: list = []  # (q, {key: count}) at the usable fields so far
+    fields = iter(primes)
+
+    def add_field() -> bool:
+        for q in fields:
+            try:
+                samples.append((q, sample(q)))
+            except InsufficientPointsError:
+                continue
+            return True
+        return False
+
+    while len(samples) < 1 + MIN_VALIDATE:
+        if not add_field():
+            raise InterpolationError("not enough usable sample fields")
+    while True:
+        try:
+            out = {}
+            for key in sorted({k for _, counts in samples for k in counts}):
+                pairs = [(q, counts.get(key, 0)) for q, counts in samples]
+                coeffs, n_fit = fit_integer_poly(pairs, cap)
+                out[key] = HallPolynomial(
+                    coeffs, pairs[:n_fit], pairs[n_fit:], samples[0][0]
+                )
+            return out
+        except InterpolationError:
+            if not add_field():
+                raise
+
+
 class HallPolyEngine:
     """Computes Hall and automorphism-count polynomials for one quiver."""
 
@@ -456,20 +495,23 @@ class HallPolyEngine:
         key = ("aut", key_triple[0], key_triple[3])
         return self._lookup(key, lambda: self._compute_aut(key))
 
-    def _lookup(self, key, compute):
+    def _lookup(
+        self, key, compute, encode=HallPolynomial.to_json, decode=HallPolynomial.from_json
+    ):
+        """Memo, then store, then ``compute()``; a fresh value is stored."""
         if key in self._memo:
             return self._memo[key]
         if self.store is not None:
             record = self.store.get(self.quiver.name, key)
             if record is not None:
-                poly = HallPolynomial.from_json(record)
-                self._memo[key] = poly
-                return poly
-        poly = compute()
+                value = decode(record)
+                self._memo[key] = value
+                return value
+        value = compute()
         if self.store is not None:
-            self.store.put(self.quiver.name, key, poly.to_json())
-        self._memo[key] = poly
-        return poly
+            self.store.put(self.quiver.name, key, encode(value))
+        self._memo[key] = value
+        return value
 
     # -- computations ----------------------------------------------------------
 
@@ -483,54 +525,30 @@ class HallPolyEngine:
             out.append(q)
         return out
 
-    def _count_hall(self, key, q):
+    def _descs_at(self, key, q):
+        """The (L, M, N) of a Hall key with its slots filled at field q."""
         _, absL, absM, absN, degrees = key
         pts = assign_points(q, degrees)
-        ctx = self.ctx(q)
-        L = instantiate_desc(absL, pts)
-        M = instantiate_desc(absM, pts)
-        N = instantiate_desc(absN, pts)
-        return ctx.hall(L, M, N), (L, M, N)
+        return tuple(instantiate_desc(d, pts) for d in (absL, absM, absN))
+
+    def _count_hall(self, key, q) -> int:
+        return self.ctx(q).hall(*self._descs_at(key, q))
 
     def _compute_hall(self, key) -> HallPolynomial:
-        _, absL, absM, absN, degrees = key
-        qs = self._usable_qs(degrees)
-        if len(qs) < 3:
+        qs = self._usable_qs(key[4])
+        # Checked before the zero shortcut, so too few fields always raise.
+        if len(qs) < 1 + MIN_VALIDATE:
             raise InterpolationError("not enough usable sample fields")
         # Dimension sanity: impossible shapes give the zero polynomial.
         q0 = qs[0]
-        cnt0, (L0, M0, N0) = self._count_hall(key, q0)
-        ctx0 = self.ctx(q0)
-        dims_ok = tuple(
-            a + b for a, b in zip(ctx0.desc_dim(M0), ctx0.desc_dim(N0))
-        ) == ctx0.desc_dim(L0)
-        if not dims_ok:
+        nuL, nuM, nuN = map(self.ctx(q0).desc_dim, self._descs_at(key, q0))
+        if tuple(m + n for m, n in zip(nuM, nuN)) != nuL:
             return HallPolynomial((), ((q0, 0),), (), q0)
         # g^L_{M,N} never exceeds the number of subspaces of dimension
         # dim N in L, a product of Gaussian binomials of degree
-        # sum_v n_v (l_v - n_v) in q, so that degree caps the escalation.
-        # Escalate from degree zero: the least validated degree is what
-        # "fit on minimal samples" means, and degree monotonicity makes the
-        # result independent of the starting point.
-        start = 0
-        nuL, nuN = ctx0.desc_dim(L0), ctx0.desc_dim(N0)
-        cap = min(sum(n * (l - n) for l, n in zip(nuL, nuN)), len(qs) - 3)
-        pairs = [(q0, cnt0)]
-        for q in qs[1:]:
-            pairs.append((q, self._count_hall(key, q)[0]))
-            if len(pairs) >= 3:
-                break
-        idx = len(pairs)
-        while True:
-            try:
-                coeffs, n_fit = fit_integer_poly(pairs, start_degree=start, cap=cap)
-                break
-            except InterpolationError:
-                if idx >= len(qs):
-                    raise
-                pairs.append((qs[idx], self._count_hall(key, qs[idx])[0]))
-                idx += 1
-        return HallPolynomial(coeffs, pairs[:n_fit], pairs[n_fit:], qs[0])
+        # sum_v n_v (l_v - n_v) in q, so that degree caps the fit.
+        cap = sum(n * (l - n) for l, n in zip(nuL, nuN))
+        return sample_and_fit(qs, lambda q: {key: self._count_hall(key, q)}, cap)[key]
 
     def _compute_aut(self, key) -> HallPolynomial:
         """|Aut M| as a polynomial in q, from ``FieldContext.aut_coeffs``."""
@@ -545,7 +563,7 @@ class HallPolyEngine:
     def check_at(self, poly: HallPolynomial, descL, descM, descN, q: int):
         """Recount at a fresh field; a mismatch is a hard contradiction."""
         key = ("hall",) + abstract_triple(descL, descM, descN)
-        cnt, _ = self._count_hall(key, q)
+        cnt = self._count_hall(key, q)
         if cnt != poly.eval(q):
             raise HallPolynomialContradiction(
                 f"validated polynomial {poly.text()} disagrees at q={q}: {cnt}"

@@ -25,6 +25,7 @@ from .fqrep import (
 )
 from .hallalg import HallEngine, _geL, nindex
 from .laurent import ONE, ZERO, add_scaled
+from .partitions import partitions
 from .quiver import dim_f
 
 LESS = "less"
@@ -96,32 +97,11 @@ class IndexSystem:
             aper = [i for i in allidx if mseg_aperiodic(n, i[0][1])]
         else:
             ctx = self.engine.ctx(self.engine.cfg.primes[0])
-            allidx = []
-            from .partitions import partitions
-
-            seq = ctx.seq
-            finite = self.engine.delta is None
-            for cm in ctx._root_multisets(
-                seq.preprojective_range(nu), nu, exact=finite
-            ):
-                if finite:
-                    # Finite type: every module is preprojective, so the
-                    # whole index lives on the c_- side.
-                    allidx.append(nindex(make_cdesc(cm=cm)))
-                    continue
-                used = ctx.desc_dim(make_cdesc(cm=cm))
-                rem1 = tuple(a - b for a, b in zip(nu, used))
-                for cp in ctx._root_multisets(
-                    seq.preinjective_range(rem1), rem1, exact=False, side="+"
-                ):
-                    used2 = ctx.desc_dim(make_cdesc(cp=cp))
-                    rem = tuple(a - b for a, b in zip(rem1, used2))
-                    d = self.engine.delta
-                    if rem[0] * d[1] != rem[1] * d[0] or rem[0] < 0:
-                        continue
-                    m = rem[0] // d[0]
-                    for lam in partitions(m):
-                        allidx.append(nindex(make_cdesc(cm=cm, cp=cp), lam))
+            allidx = [
+                nindex(make_cdesc(cm=cm, cp=cp), lam)
+                for cm, cp, m in ctx.frames(nu)
+                for lam in partitions(m)
+            ]
             aper = list(allidx)
         allidx = sorted(set(allidx), key=self.sort_key)
         aper = sorted(set(aper), key=self.sort_key)

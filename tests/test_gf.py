@@ -54,6 +54,23 @@ def pow_elt(F, a, n):
     return out
 
 
+def test_extension_moduli_are_pinned():
+    # The modulus fixes every field table, so element encodings and every
+    # count keyed by them; it must not move.
+    moduli = {
+        4: [1, 1, 1],
+        8: [1, 0, 1, 1],
+        9: [1, 0, 1],
+        16: [1, 0, 0, 1, 1],
+        25: [1, 1, 1],
+        27: [1, 0, 2, 1],
+        32: [1, 0, 0, 1, 0, 1],
+        49: [1, 0, 1],
+        64: [1, 0, 0, 0, 0, 1, 1],
+    }
+    assert {q: GF(q).modulus for q in moduli} == moduli
+
+
 def test_not_prime_power():
     with pytest.raises(ValueError):
         GF(6)

@@ -6,6 +6,7 @@ import pytest
 
 from hallcanon.config import (
     HallPolynomialContradiction,
+    InsufficientPointsError,
     InterpolationError,
     JobConfig,
 )
@@ -21,6 +22,7 @@ from hallcanon.hallpoly import (
     fit_integer_poly,
     fit_rational_function,
     lagrange_fit,
+    sample_and_fit,
 )
 from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, kronecker, linear_an
@@ -46,10 +48,35 @@ def test_fit_integer_poly_validates():
 
 
 def test_fit_degree_monotonicity():
+    # A cap at or above the true degree finds the same least-degree fit.
     pairs = [(q, q * q - 1) for q in (2, 3, 5, 7, 11)]
-    low, _ = fit_integer_poly(pairs, start_degree=0)
-    high, _ = fit_integer_poly(pairs, start_degree=2)
-    assert low == high == (-1, 0, 1)
+    free, _ = fit_integer_poly(pairs)
+    capped, _ = fit_integer_poly(pairs, cap=2)
+    assert free == capped == (-1, 0, 1)
+    with pytest.raises(InterpolationError):
+        fit_integer_poly(pairs, cap=1)
+
+
+def test_sample_and_fit_policy():
+    # Skip a field whose sampler raises, start from three samples, and take
+    # one more field each time any key fails to fit.
+    seen = []
+
+    def sample(q):
+        seen.append(q)
+        if q == 3:
+            raise InsufficientPointsError("no room at q = 3")
+        return {"lin": q + 1, "sq": q * q}
+
+    fits = sample_and_fit((2, 3, 4, 5, 7, 8, 9), sample)
+    assert seen == [2, 3, 4, 5, 7, 8]
+    assert fits["lin"].coeffs == (1, 1)
+    sq = fits["sq"]
+    assert sq.coeffs == (0, 0, 1) and sq.min_q == 2
+    assert sq.samples == ((2, 4), (4, 16), (5, 25))
+    assert sq.validations == ((7, 49), (8, 64))
+    with pytest.raises(InterpolationError):
+        sample_and_fit((2, 3, 4), sample)
 
 
 def test_fit_rational_function():
