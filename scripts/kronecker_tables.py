@@ -14,7 +14,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from hallcanon.canonical import CanonicalSolver
 from hallcanon.config import JobConfig
 from hallcanon.hallalg import HallEngine
-from hallcanon.laurent import LaurentPoly
 from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import kronecker
 

@@ -68,14 +68,11 @@ def zeta_matrix(order, eta, eta_inv) -> dict:
     return Z
 
 
-def lusztig_solve(order, Z, pos=None) -> dict:
+def lusztig_solve(order, Z) -> dict:
     """Solve g = gbar * Z with unit diagonal and g off-diagonal in v^-1 Z[v^-1]."""
-    if pos is None:
-        pos = {a: i for i, a in enumerate(order)}
     G: dict = {}
-    for a in order:
+    for ia, a in enumerate(order):
         row = {a: ONE}
-        ia = pos[a]
         for ib in range(ia - 1, -1, -1):
             b = order[ib]
             r = ZERO
@@ -134,8 +131,7 @@ class CanonicalSolver:
 
     def solve_with_order(self, nu, order) -> dict:
         """Re-run the triangular solve over another linear extension."""
-        pos = {a: i for i, a in enumerate(order)}
-        return lusztig_solve(list(order), self.solve(nu).zeta, pos)
+        return lusztig_solve(list(order), self.solve(nu).zeta)
 
     # -- the truncation algorithm ------------------------------------------
 
@@ -276,11 +272,11 @@ class CanonicalSolver:
                 )
             },
             "meta": {
-                # Inert since no certificate reads it; kept so that schema-1
-                # bundles stay byte-identical.
+                # Inert constants that no certificate reads; kept so that
+                # schema-1 bundles stay byte-identical.
                 "series_order": 10,
                 "primes": list(self.engine.cfg.primes),
-                "seed": self.engine.cfg.seed,
+                "seed": 0,
                 "linear_extension": "lex-negated preprojective/preinjective data, "
                 "then partition size, then tube degeneration keys, then partition lex",
             },

@@ -15,7 +15,7 @@ import sys
 from .canonical import CanonicalSolver, latex_table, verify_bundle
 from .config import HallcanonError, JobConfig
 from .hallalg import HallEngine
-from .hallpoly import CacheStore, HallPolyEngine
+from .hallpoly import CacheStore
 from .pbw import IndexSystem
 from .quiver import from_spec
 
@@ -27,8 +27,6 @@ def _config_from_args(args) -> JobConfig:
         kwargs["primes"] = tuple(int(p) for p in args.primes.split(","))
     if getattr(args, "budget_subspaces", None) is not None:
         kwargs["budget_subspaces"] = args.budget_subspaces
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
     return JobConfig(**kwargs)
 
 
@@ -223,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--primes", help="comma separated sample prime powers")
         p.add_argument("--budget-subspaces", type=int, dest="budget_subspaces")
         p.add_argument("--cache-dir", dest="cache_dir")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write output to a file instead of stdout")
 
     pc = sub.add_parser("canonical", help="compute and certify a canonical basis")

@@ -38,10 +38,6 @@ class BarSolveError(HallcanonError):
     """The bar-invariant triangular system has no admissible solution."""
 
 
-class CacheCorruptError(HallcanonError):
-    """An on-disk cache record failed its checksum."""
-
-
 class InsufficientPointsError(HallcanonError):
     """The field is too small to host the required homogeneous points."""
 
@@ -56,16 +52,13 @@ class JobConfig:
 
     ``primes`` is the ordered pool of sample prime powers,
     ``budget_subspaces`` is a hard enumeration limit (a clear error beats
-    silent degradation), ``seed`` is recorded in bundle metadata (the
-    Green-form certificates are exact and do not depend on it), and
-    ``cache_dir`` names the on-disk store (``None`` for none).  Every
-    computation runs in one thread.
+    silent degradation), and ``cache_dir`` names the on-disk store
+    (``None`` for none).  Every computation runs in one thread.
     """
 
     primes: tuple[int, ...] = DEFAULT_SAMPLE_POOL
     budget_subspaces: int = 2_000_000
     cache_dir: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         # A repeated sample field would count as its own held-out check.

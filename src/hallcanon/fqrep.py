@@ -14,10 +14,10 @@ which for the other two kinds is the test oracle.
 Iso classes are referred to by hashable descriptors:
 
 * cyclic quiver:  ``('m', pi)`` with ``pi`` a multisegment,
-* acyclic quiver: ``('c', cm, c0, cp, homog)`` with ``cm``/``cp`` the
-  preprojective/preinjective multiplicity functions, ``c0`` reserved for
-  non-homogeneous tube data (empty for the supported quivers) and
-  ``homog`` a tuple of (closed point, partition) pairs.
+* acyclic quiver: ``('c', cm, (), cp, homog)`` with ``cm``/``cp`` the
+  preprojective/preinjective multiplicity functions and ``homog`` a tuple
+  of (closed point, partition) pairs; slot 2 is empty, since the supported
+  quivers have no non-homogeneous tubes.
 
 Closed points are ``('f', coeffs)`` for the monic irreducible with the
 given ascending non-leading coefficients, or ``('i',)`` for infinity.
@@ -44,7 +44,7 @@ from .gf import (
     _poly_mul,
     _poly_trim,
 )
-from .quiver import Quiver, default_admissible
+from .quiver import AdmissibleSequence, Quiver
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +391,9 @@ def simple_module(quiver: Quiver, F: GF, vertex_index: int) -> FqModule:
     return FqModule(quiver, F, dims, mats)
 
 
-def build_cyclic(pi, q: int, quiver: Quiver | None = None) -> FqModule:
+def build_cyclic(pi, q: int, quiver: Quiver) -> FqModule:
     """The nilpotent cyclic-quiver module with multisegment pi."""
     pi = mseg_normalize(pi)
-    if quiver is None:
-        from .quiver import cyclic as _cyclic
-
-        n = max((i for (i, _), _ in pi), default=1)
-        # Infer the rank from the largest vertex; callers normally pass it.
-        quiver = _cyclic(n)
     n = quiver.n
     F = GF(q)
     dims = mseg_dim(n, pi)
@@ -1046,12 +1040,12 @@ def classify_nilpotent_cyclic(M: FqModule) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def make_cdesc(cm=(), cp=(), homog=(), c0=()) -> tuple:
-    """Canonical acyclic-quiver descriptor ('c', cm, c0, cp, homog)."""
+def make_cdesc(cm=(), cp=(), homog=()) -> tuple:
+    """Canonical acyclic-quiver descriptor ('c', cm, (), cp, homog)."""
     cm = tuple(sorted(((t, m) for t, m in cm if m), key=lambda p: -p[0]))
     cp = tuple(sorted((t, m) for t, m in cp if m))
     homog = tuple(sorted((pt, tuple(lam)) for pt, lam in homog if lam))
-    return ("c", cm, tuple(c0), cp, homog)
+    return ("c", cm, (), cp, homog)
 
 
 def desc_frame(desc) -> tuple:
@@ -1074,9 +1068,7 @@ def desc_indecs(desc):
     """
     if desc[0] == "m":
         return [(("s", i, l), m) for (i, l), m in desc[1]]
-    _, cm, c0, cp, homog = desc
-    if c0:
-        raise UnsupportedQuiverError("non-homogeneous tube data not supported here")
+    _, cm, _, cp, homog = desc
     out = [(("p", t), m) for t, m in cm]
     for pt, lam in homog:
         layers: dict = {}
@@ -1105,7 +1097,7 @@ class FieldContext:
         self.cfg = cfg or JobConfig.default()
         self.F = GF(q)
         if quiver.is_acyclic():
-            self.seq = default_admissible(quiver)
+            self.seq = AdmissibleSequence(quiver)
             if quiver.is_finite_type():
                 self.kind = "finite"
                 self.delta = None

@@ -41,7 +41,7 @@ from .fqrep import (
     mseg_normalize,
     mseg_socle_extensions,
 )
-from .hallpoly import HallPolyEngine, _normalize_rational, sample_and_fit
+from .hallpoly import HallPolyEngine, _jsonable, _normalize_rational, sample_and_fit
 from .laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
 from .partitions import centralizer_order, character, kostka, partitions
 from .quiver import Quiver
@@ -58,20 +58,11 @@ def nindex(frame, lam=()) -> tuple:
 
 
 def nindex_json(idx):
-    frame, lam = idx
-    return [_desc_json(frame), list(lam)]
-
-
-def _desc_json(desc):
-    def enc(x):
-        if isinstance(x, tuple):
-            return [enc(y) for y in x]
-        return x
-
-    return enc(desc)
+    return _jsonable(idx)
 
 
 def nindex_from_json(data):
+    """Decode a stored N index; a frame with tube data in slot 2 is refused."""
     frame, lam = data
 
     def dec(x):
@@ -79,7 +70,10 @@ def nindex_from_json(data):
             return tuple(dec(y) for y in x)
         return x
 
-    return (dec(frame), tuple(lam))
+    frame = dec(frame)
+    if frame[0] == "c" and frame[2]:
+        raise UnsupportedQuiverError("non-homogeneous tube data not supported")
+    return (frame, tuple(lam))
 
 
 def _expansion_json(out) -> dict:
@@ -265,17 +259,14 @@ class HallEngine:
     def __init__(self, quiver: Quiver, cfg: JobConfig | None = None):
         self.quiver = quiver
         self.cfg = cfg or JobConfig.default()
-        self.contexts: dict = {}
-        self.polyeng = HallPolyEngine(quiver, self.cfg, contexts=self.contexts)
+        self.polyeng = HallPolyEngine(quiver, self.cfg)
         self._sgram_memo: dict = {}
         kind_probe = self.ctx(self.cfg.primes[0])
         self.kind = kind_probe.kind
         self.delta = kind_probe.delta
 
     def ctx(self, q: int) -> FieldContext:
-        if q not in self.contexts:
-            self.contexts[q] = FieldContext(self.quiver, q, self.cfg)
-        return self.contexts[q]
+        return self.polyeng.ctx(q)
 
     # -- field-level constructions ----------------------------------------
 
@@ -338,11 +329,9 @@ class HallEngine:
             if lam:
                 raise UnsupportedQuiverError("cyclic quivers carry no homogeneous part")
             return self.cls_elt(frame, q)
-        _, cm, c0, cp, homog = frame
+        _, cm, _, cp, homog = frame
         assert not homog, "frames carry no homogeneous part"
         out = self.cls_elt(make_cdesc(cm=cm), q)
-        if c0:
-            raise UnsupportedQuiverError("non-homogeneous tubes not supported")
         if lam:
             out = out * self.realize_S(lam, q)
         out = out * self.cls_elt(make_cdesc(cp=cp), q)
@@ -566,12 +555,10 @@ class HallEngine:
     def _frame_parts(self, frame):
         if frame[0] == "m":
             return [frame]
-        _, cm, c0, cp, _ = frame
+        _, cm, _, cp, _ = frame
         parts = []
         if cm:
             parts.append(make_cdesc(cm=cm))
-        if c0:
-            raise UnsupportedQuiverError("non-homogeneous tubes not supported")
         if cp:
             parts.append(make_cdesc(cp=cp))
         return parts
@@ -699,12 +686,11 @@ class HallEngine:
             raise ValueError("divided powers need an exceptional module")
         if desc[0] == "m":
             return ("m", tuple((seg, mm * m) for seg, mm in desc[1]))
-        _, cm, c0, cp, homog = desc
+        _, cm, _, cp, homog = desc
         return make_cdesc(
             cm=tuple((t, mm * m) for t, mm in cm),
             cp=tuple((t, mm * m) for t, mm in cp),
             homog=tuple((pt, tuple(sorted(lam * m, reverse=True))) for pt, lam in homog),
-            c0=c0,
         )
 
 
@@ -772,7 +758,7 @@ def element_to_json(x) -> dict:
     if isinstance(x, FieldElement):
         basis = "multisegment" if x.ctx.kind == "cyclic" else "module"
         terms = [
-            {"symbol": _desc_json(d), "coeff": c.to_json()}
+            {"symbol": _jsonable(d), "coeff": c.to_json()}
             for d, c in sorted(x.terms.items())
         ]
         return {"quiver": x.ctx.quiver.name, "field": x.ctx.q, "basis": basis, "terms": terms}

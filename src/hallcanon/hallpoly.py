@@ -471,10 +471,10 @@ def sample_and_fit(primes, sample, cap=None) -> dict:
 class HallPolyEngine:
     """Computes Hall and automorphism-count polynomials for one quiver."""
 
-    def __init__(self, quiver: Quiver, cfg: JobConfig | None = None, contexts=None):
+    def __init__(self, quiver: Quiver, cfg: JobConfig | None = None):
         self.quiver = quiver
         self.cfg = cfg or JobConfig.default()
-        self._contexts = contexts if contexts is not None else {}
+        self._contexts: dict = {}
         self.store = CacheStore(self.cfg.cache_dir) if self.cfg.cache_dir else None
         self._memo: dict = {}
 

@@ -432,9 +432,6 @@ class RationalFn:
     def bar(self) -> "RationalFn":
         return RationalFn(self.num.bar(), self.den.bar())
 
-    def series_at_infinity(self, order: int) -> "SeriesTail":
-        return series_at_infinity(self, order)
-
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
@@ -446,37 +443,6 @@ def _coerce_rf(x) -> RationalFn:
     if isinstance(x, RationalFn):
         return x
     return RationalFn(_coerce(x))
-
-
-class SeriesTail:
-    """Truncated expansion at v = infinity.
-
-    ``coeffs[k]`` is the coefficient of v^-k for 0 <= k <= order;
-    ``has_positive_part`` records whether positive v-powers occur, in which
-    case every tail-membership predicate is automatically false.
-    """
-
-    __slots__ = ("order", "coeffs", "has_positive_part")
-
-    def __init__(self, order, coeffs, has_positive_part):
-        self.order = order
-        self.coeffs = [Fraction(c) for c in coeffs]
-        self.has_positive_part = has_positive_part
-
-    def in_vinv_Z(self) -> bool:
-        """Certificate for membership in v^-1 Z[v^-1] at this depth."""
-        return (
-            not self.has_positive_part
-            and self.coeffs[0] == 0
-            and all(c.denominator == 1 for c in self.coeffs)
-        )
-
-    def in_delta_plus_tail(self, delta) -> bool:
-        """Certificate for membership in delta + v^-1 Q[[v^-1]]."""
-        return not self.has_positive_part and self.coeffs[0] == Fraction(delta)
-
-    def __repr__(self):
-        return f"SeriesTail(order={self.order}, pos={self.has_positive_part}, {self.coeffs})"
 
 
 def expand_at_infinity(f: RationalFn, lowest: int) -> dict:
@@ -507,26 +473,12 @@ def expand_at_infinity(f: RationalFn, lowest: int) -> dict:
     return out
 
 
-def series_at_infinity(f: RationalFn, order: int) -> SeriesTail:
-    """Expand a rational function in powers of v^-1 to the given depth."""
-    coeffs = expand_at_infinity(f, -order)
-    return SeriesTail(
-        order, [coeffs.get(-m, 0) for m in range(order + 1)], any(e > 0 for e in coeffs)
-    )
-
-
-def in_vinv_Z(f, order: int) -> bool:
-    """Predicate: value lies in v^-1 Z[v^-1] (exact for Laurent, certified for rational)."""
-    if isinstance(f, LaurentPoly):
-        return f.in_vinv_Z()
-    return series_at_infinity(f, order).in_vinv_Z()
-
-
-def in_delta_plus_tail(f, delta, order: int) -> bool:
-    """Predicate: value lies in delta + v^-1 Q[[v^-1]]."""
+def in_delta_plus_tail(f, delta) -> bool:
+    """Predicate: value lies in delta + v^-1 Q[[v^-1]] (exact)."""
     if isinstance(f, LaurentPoly):
         f = RationalFn(f)
-    return series_at_infinity(f, order).in_delta_plus_tail(delta)
+    coeffs = expand_at_infinity(f, 0)
+    return coeffs.get(0, 0) == delta and not any(e > 0 for e in coeffs)
 
 
 def sum_in_delta_plus_tail(terms, delta) -> bool:

@@ -279,9 +279,7 @@ class IndexSystem:
             word = word_choice if word_choice is not None else self.ddx_word(frame[1])
             return tuple(word)
         seq = self.engine.ctx(self.engine.cfg.primes[0]).seq
-        _, cm, c0, cp, _ = frame
-        if c0:
-            raise UnsupportedQuiverError("non-homogeneous tube monomials need a cyclic engine")
+        _, cm, _, cp, _ = frame
         word = []
         for t, m in cm:  # stored with t descending from 0
             beta = seq.beta(t)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .config import UnsupportedQuiverError
 
@@ -225,19 +226,13 @@ def _integer_kernel(mat) -> list[tuple[int, ...]]:
             vec[pc] = -rows[i][fc]
         den = 1
         for x in vec:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = den * x.denominator // gcd(den, x.denominator)
         ints = [int(x * den) for x in vec]
         g = 0
         for x in ints:
-            g = _gcd(g, abs(x))
+            g = gcd(g, abs(x))
         basis.append(tuple(x // g for x in ints))
     return basis
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _positive_definite(mat) -> bool:
@@ -459,25 +454,12 @@ def _word_is_reduced(Q: Quiver, word) -> bool:
     Build u from the right; prepending s_i raises the length exactly when
     u^-1(alpha_i) is a positive root.
     """
-    n = Q.n
-    cartan = Q.cartan_matrix()
-    cols = [_unit(n, j) for j in range(n)]  # columns of u^-1
+    cols = _id_cols(Q.n)  # columns of u^-1
     for i in reversed(word):
         if any(x < 0 for x in cols[i]):
             return False
-        # u <- s_i u, hence u^-1 <- u^-1 s_i:
-        # new column j is cols[j] - cartan[j][i] * cols[i].
-        ci = cols[i]
-        cols = [
-            tuple(cols[j][m] - cartan[j][i] * ci[m] for m in range(n))
-            for j in range(n)
-        ]
+        cols = _mul_cols(Q, cols, i)  # u <- s_i u, hence u^-1 <- u^-1 s_i
     return True
-
-
-def default_admissible(quiver: Quiver) -> AdmissibleSequence:
-    """The periodic admissible sequence from the topological vertex order."""
-    return AdmissibleSequence(quiver)
 
 
 # -- dimension oracle ----------------------------------------------------

@@ -19,7 +19,6 @@ from hallcanon.fqrep import (
     make_cdesc,
     mseg_aperiodic,
     mseg_dim,
-    mseg_end,
     mseg_extend_top,
     mseg_hom,
     mseg_normalize,

@@ -9,7 +9,6 @@ from hallcanon.gf import (
     gaussian_binomial_int,
     identity,
     is_invertible,
-    mat_mul,
     mat_vec,
     nullspace,
     rank,

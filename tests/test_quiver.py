@@ -7,7 +7,6 @@ from hallcanon.quiver import (
     AdmissibleSequence,
     Quiver,
     cyclic,
-    default_admissible,
     dim_f,
     from_spec,
     kronecker,
@@ -70,7 +69,7 @@ def test_delta_orthogonality():
 
 def test_admissible_sequence_kronecker():
     K = kronecker()
-    seq = default_admissible(K)
+    seq = AdmissibleSequence(K)
     # Vertex 1 is the sink, so i_0 = index of the sink.
     assert K.vertices[seq.vertex(0)] == 1
     assert K.vertices[seq.vertex(1)] == 0
@@ -81,7 +80,7 @@ def test_admissible_sequence_kronecker():
 
 
 def test_beta_distinct_and_defects():
-    seq = default_admissible(kronecker())
+    seq = AdmissibleSequence(kronecker())
     K = kronecker()
     seen = set()
     for t in range(-20, 21):
@@ -97,7 +96,7 @@ def test_beta_distinct_and_defects():
 def test_beta_matches_root_enumeration():
     # beta enumerates positive real roots without repetition within a box.
     K = kronecker()
-    seq = default_admissible(K)
+    seq = AdmissibleSequence(K)
     bound = (6, 6)
     real, imag = K.positive_roots_below(bound)
     betas = {seq.beta(t) for t in seq.preprojective_range(bound)}
@@ -108,7 +107,7 @@ def test_beta_matches_root_enumeration():
 
 def test_admissible_windows_affine():
     K = kronecker()
-    seq = default_admissible(K)
+    seq = AdmissibleSequence(K)
     assert seq.is_adapted_window(3 * K.n)
     assert seq.is_reduced_window(-2 * K.n + 1, 0)
     assert seq.is_reduced_window(1, 2 * K.n)
@@ -116,7 +115,7 @@ def test_admissible_windows_affine():
 
 def test_admissible_windows_finite():
     for Q, nroots in ((linear_an(2), 3), (linear_an(3), 6), (linear_an(3, "<>"), 6)):
-        seq = default_admissible(Q)
+        seq = AdmissibleSequence(Q)
         # The negative side enumerates every positive root exactly once.
         betas = [seq.beta(-s) for s in range(nroots)]
         assert len(set(betas)) == nroots
@@ -139,7 +138,7 @@ def test_nonreduced_word_detected():
 
 def test_finite_type_beta_exhausts():
     A2 = linear_an(2)
-    seq = default_admissible(A2)
+    seq = AdmissibleSequence(A2)
     roots = [seq.beta(t) for t in (0, -1, -2)]
     assert sorted(roots) == [(0, 1), (1, 0), (1, 1)]
     with pytest.raises(IndexError):
@@ -188,7 +187,7 @@ def test_beta_enumeration_affine_a2_acyclic():
     Q = Quiver((1, 2, 3), [(1, 2), (2, 3), (1, 3)])
     assert Q.is_affine()
     assert Q.delta() == (1, 1, 1)
-    seq = default_admissible(Q)
+    seq = AdmissibleSequence(Q)
     bound = (4, 4, 4)
     real, imag = Q.positive_roots_below(bound)
     betas = {seq.beta(t) for t in seq.preprojective_range(bound)}
