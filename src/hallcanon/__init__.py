@@ -2,7 +2,7 @@
 
 The package computes, over the exact ring Z[v, v^-1]:
 
-* quantum integers, Gaussian binomials and the bar involution (``laurent``),
+* Laurent polynomials, rational functions and the bar involution (``laurent``),
 * Kostka numbers and symmetric-group characters (``partitions``),
 * quiver root combinatorics and admissible sequences (``quiver``),
 * explicit representations over small finite fields, submodule censuses

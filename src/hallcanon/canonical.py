@@ -129,10 +129,6 @@ class CanonicalSolver:
         self._solve_memo[nu] = out
         return out
 
-    def solve_with_order(self, nu, order) -> dict:
-        """Re-run the triangular solve over another linear extension."""
-        return lusztig_solve(list(order), self.solve(nu).zeta)
-
     # -- the truncation algorithm ------------------------------------------
 
     def truncation(self, nu):
@@ -171,12 +167,6 @@ class CanonicalSolver:
             G_over_mon[a] = used
             G_over_N[a] = cur
         return G_over_mon, G_over_N
-
-    # -- the bar involution on coordinate vectors ----------------------------
-
-    def bar_element(self, nu, coeffs_over_E) -> dict:
-        """bar of sum c_a E_a, expressed over E again."""
-        return row_times(_bar_row(coeffs_over_E), self.solve(nu).zeta)
 
     # -- certificates -----------------------------------------------------------
 

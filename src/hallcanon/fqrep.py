@@ -324,41 +324,6 @@ class FqModule:
             mats.append(m)
         return FqModule(self.quiver, self.F, dims, mats)
 
-    def is_nilpotent(self) -> bool:
-        """Nilpotency of cyclic arrow compositions (trivially true if acyclic)."""
-        if self.quiver.is_acyclic():
-            return True
-        out_arrow = {}
-        for a, (s, t) in enumerate(self.quiver.arrows):
-            if s in out_arrow:
-                raise UnsupportedQuiverError(
-                    "nilpotency check implemented only for single-successor quivers"
-                )
-            out_arrow[s] = (a, t)
-        n = len(self.dims)
-        for start in range(n):
-            if self.dims[start] == 0:
-                continue
-            mat = gf.identity(self.dims[start])
-            v = start
-            for _ in range(n):
-                if v not in out_arrow:
-                    break
-                a, t = out_arrow[v]
-                mat = gf.mat_mul(self.F, self.mats[a], mat)
-                v = t
-                if v == start:
-                    break
-            if v != start:
-                continue
-            # mat maps V_start to itself; nilpotent iff mat^dim vanishes.
-            power = gf.identity(self.dims[start])
-            for _ in range(self.dims[start]):
-                power = gf.mat_mul(self.F, power, mat)
-            if any(any(r) for r in power):
-                return False
-        return True
-
     def to_json(self):
         return {
             "field": self.F.q,
@@ -464,15 +429,6 @@ def _hom_basis_rows(M: FqModule, N: FqModule):
     return gf.nullspace(F, rows) if rows else [
         [1 if j == i else 0 for j in range(nvars)] for i in range(nvars)
     ]
-
-
-def end_dim(M: FqModule) -> int:
-    return hom_dim(M, M)
-
-
-def ext_dim(M: FqModule, N: FqModule) -> int:
-    """dim Ext^1 from the Euler form: <dim M, dim N> = hom - ext."""
-    return hom_dim(M, N) - M.quiver.euler_form(M.dims, N.dims)
 
 
 def aut_order(M: FqModule, budget: int = 2_000_000) -> int:
@@ -640,12 +596,6 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000):
     yield from rec(0, [])
 
 
-def submodule_census(M: FqModule, budget: int = 2_000_000):
-    """Iterate over all arrow-stable graded subspaces of M (all dimensions)."""
-    for target in product(*(range(d + 1) for d in M.dims)):
-        yield from graded_stable_subspaces(M, tuple(target), budget)
-
-
 def _submodule_block(F: GF, mat, rows_s, piv_t) -> tuple:
     """Matrix of an arrow a: s -> t on U, for U stable with U_s = rows_s.
 
@@ -690,34 +640,6 @@ def _quotient_block(F: GF, mat, dim_s, piv_s, rows_t, piv_t) -> tuple:
     return tuple(out)
 
 
-def submodule_from_subspace(M: FqModule, sub) -> FqModule:
-    """The submodule on a stable subspace given as per-vertex (RREF rows, pivots).
-
-    Arrow matrices are ``_submodule_block``s, the blocks that
-    ``FieldContext.hall_row`` memoizes; stability is not checked.
-    """
-    mats = [
-        _submodule_block(M.F, M.mats[a], sub[s][0], sub[t][1])
-        for a, (s, t) in enumerate(M.quiver.arrows)
-    ]
-    return FqModule(M.quiver, M.F, tuple(len(rows) for rows, _ in sub), mats)
-
-
-def quotient_by_subspace(M: FqModule, sub) -> FqModule:
-    """The quotient by a stable subspace given as per-vertex (RREF rows, pivots).
-
-    The quotient at v has the basis of the non-pivot columns of sub[v]; arrow
-    matrices are ``_quotient_block``s, the blocks that ``FieldContext.hall_row``
-    memoizes.
-    """
-    mats = [
-        _quotient_block(M.F, M.mats[a], M.dims[s], sub[s][1], *sub[t])
-        for a, (s, t) in enumerate(M.quiver.arrows)
-    ]
-    dims = tuple(d - len(pivots) for d, (_, pivots) in zip(M.dims, sub))
-    return FqModule(M.quiver, M.F, dims, mats)
-
-
 # ---------------------------------------------------------------------------
 # BGP reflection functors
 # ---------------------------------------------------------------------------
@@ -727,99 +649,68 @@ def reflect_module(M: FqModule, i: int, direction: str) -> FqModule:
     """BGP reflection at vertex i; '+' needs a sink, '-' a source.
 
     The result lives over the quiver with arrows at i reversed.  Raises if
-    M has a simple direct summand at i.
+    M has a simple direct summand at i.  sigma^-_i is D sigma^+_i D, with D
+    the vector-space dual, a module over the opposite quiver (Bernstein,
+    Gelfand and Ponomarev, Russian Math. Surveys 28 (1973)).
     """
     Q = M.quiver
-    F = M.F
-    newQ = Q.reversed_at(i)
     if direction == "+":
         if not Q.is_sink(i):
             raise ValueError("reflect '+' requires a sink")
-        incoming = [(a, s) for a, (s, t) in enumerate(Q.arrows) if t == i]
-        widths = [M.dims[s] for _, s in incoming]
-        total = sum(widths)
-        stacked = gf.zeros(M.dims[i], max(total, 0)) if M.dims[i] else []
-        off = 0
-        for (a, s), w in zip(incoming, widths):
-            for r in range(M.dims[i]):
-                for c in range(w):
-                    stacked[r][off + c] = M.mats[a][r][c]
-            off += w
-        if M.dims[i] and gf.rank(F, stacked) < M.dims[i]:
-            raise ValueError("module has a simple summand at the sink")
-        kernel = gf.nullspace(F, stacked) if stacked else (
-            [[1 if j == k else 0 for j in range(total)] for k in range(total)]
-        )
-        newdim = len(kernel)
-        dims = list(M.dims)
-        dims[i] = newdim
-        mats = []
-        arrow_offsets = {}
-        off = 0
-        for (a, s), w in zip(incoming, widths):
-            arrow_offsets[a] = (off, w)
-            off += w
-        for a, (s, t) in enumerate(Q.arrows):
-            if t == i:
-                offa, w = arrow_offsets[a]
-                mat = gf.zeros(w, newdim)
-                for k, vec in enumerate(kernel):
-                    for r in range(w):
-                        mat[r][k] = vec[offa + r]
-                mats.append(mat)
-            else:
-                mats.append([list(r) for r in M.mats[a]])
-        return FqModule(newQ, F, dims, mats)
+        return _reflect_at_sink(M, i, "sink")
     if direction == "-":
         if not Q.is_source(i):
             raise ValueError("reflect '-' requires a source")
-        outgoing = [(a, t) for a, (s, t) in enumerate(Q.arrows) if s == i]
-        heights = [M.dims[t] for _, t in outgoing]
-        total = sum(heights)
-        stacked = gf.zeros(total, M.dims[i])
-        off = 0
-        for (a, t), h in zip(outgoing, heights):
-            for r in range(h):
-                for c in range(M.dims[i]):
-                    stacked[off + r][c] = M.mats[a][r][c]
-            off += h
-        if M.dims[i] and gf.rank(F, stacked) < M.dims[i]:
-            raise ValueError("module has a simple summand at the source")
-        # Cokernel: quotient of the target sum by the column space of `stacked`.
-        image_vectors = [
-            [stacked[r][c] for r in range(total)] for c in range(M.dims[i])
-        ]
-        rows, pivots = gf.rref(F, image_vectors) if image_vectors else ([], [])
-        complement = [c for c in range(total) if c not in pivots]
-        newdim = len(complement)
-        dims = list(M.dims)
-        dims[i] = newdim
-
-        def project(vec):
-            red = gf.reduce_mod_rowspace(F, rows, pivots, vec)
-            return [red[c] for c in complement]
-
-        mats = []
-        off_of = {}
-        off = 0
-        for (a, t), h in zip(outgoing, heights):
-            off_of[a] = (off, h)
-            off += h
-        for a, (s, t) in enumerate(Q.arrows):
-            if s == i:
-                offa, h = off_of[a]
-                mat = gf.zeros(newdim, M.dims[t])
-                for c in range(M.dims[t]):
-                    vec = [0] * total
-                    vec[offa + c] = 1
-                    col = project(vec)
-                    for r, x in enumerate(col):
-                        mat[r][c] = x
-                mats.append(mat)
-            else:
-                mats.append([list(r) for r in M.mats[a]])
-        return FqModule(newQ, F, dims, mats)
+        R = _reflect_at_sink(_dual(M, Q.opposite()), i, "source")
+        return _dual(R, Q.reversed_at(i))
     raise ValueError("direction must be '+' or '-'")
+
+
+def _dual(M: FqModule, quiver: Quiver) -> FqModule:
+    """The dual of M over ``quiver``, the quiver of M with every arrow reversed."""
+    mats = [_transpose(m, M.dims[s]) for m, (s, _) in zip(M.mats, M.quiver.arrows)]
+    return FqModule(quiver, M.F, M.dims, mats)
+
+
+def _reflect_at_sink(M: FqModule, i: int, end: str) -> FqModule:
+    """sigma^+_i at a sink i; ``end`` names the vertex in the simple-summand error."""
+    Q = M.quiver
+    F = M.F
+    incoming = [(a, s) for a, (s, t) in enumerate(Q.arrows) if t == i]
+    widths = [M.dims[s] for _, s in incoming]
+    total = sum(widths)
+    stacked = gf.zeros(M.dims[i], max(total, 0)) if M.dims[i] else []
+    off = 0
+    for (a, s), w in zip(incoming, widths):
+        for r in range(M.dims[i]):
+            for c in range(w):
+                stacked[r][off + c] = M.mats[a][r][c]
+        off += w
+    if M.dims[i] and gf.rank(F, stacked) < M.dims[i]:
+        raise ValueError(f"module has a simple summand at the {end}")
+    kernel = gf.nullspace(F, stacked) if stacked else (
+        [[1 if j == k else 0 for j in range(total)] for k in range(total)]
+    )
+    newdim = len(kernel)
+    dims = list(M.dims)
+    dims[i] = newdim
+    mats = []
+    arrow_offsets = {}
+    off = 0
+    for (a, s), w in zip(incoming, widths):
+        arrow_offsets[a] = (off, w)
+        off += w
+    for a, (s, t) in enumerate(Q.arrows):
+        if t == i:
+            offa, w = arrow_offsets[a]
+            mat = gf.zeros(w, newdim)
+            for k, vec in enumerate(kernel):
+                for r in range(w):
+                    mat[r][k] = vec[offa + r]
+            mats.append(mat)
+        else:
+            mats.append([list(r) for r in M.mats[a]])
+    return FqModule(Q.reversed_at(i), F, dims, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -1610,28 +1501,3 @@ def _poly_pow_monic(F: GF, poly, n: int):
     for _ in range(n):
         out = _poly_mul(F, out, poly)
     return out
-
-
-def build_kronecker_indec(kind, q: int) -> FqModule:
-    """Named Kronecker indecomposables.
-
-    ``kind`` is ('preproj', t) with t <= 0, ('preinj', t) with t >= 1, or
-    ('regular', l, z) with z a closed point ('f', coeffs) / ('i',) or an
-    element a of F_q standing for the point x - a.
-    """
-    from .quiver import kronecker as _kron
-
-    ctx = FieldContext(_kron(), q)
-    tag = kind[0]
-    if tag == "preproj":
-        return ctx.build_indec(("p", kind[1]))
-    if tag == "preinj":
-        return ctx.build_indec(("q", kind[1]))
-    if tag == "regular":
-        l, z = kind[1], kind[2]
-        if isinstance(z, int):
-            z = ("f", (ctx.F.neg(z % q),))
-        if z[0] == "f" and not _is_irreducible(ctx.F, list(z[1]) + [1]):
-            raise ValueError("regular point polynomial is reducible")
-        return ctx.build_indec(("r", z, l))
-    raise ValueError(f"unknown Kronecker indecomposable kind {kind}")

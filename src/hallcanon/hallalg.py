@@ -43,7 +43,7 @@ from .fqrep import (
 )
 from .hallpoly import HallPolyEngine, _jsonable, _normalize_rational, sample_and_fit
 from .laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
-from .partitions import centralizer_order, character, kostka, partitions
+from .partitions import centralizer_order, character, partitions
 from .quiver import Quiver
 
 
@@ -214,23 +214,6 @@ def _perm_sign(perm) -> int:
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
-
-
-def h_to_s_expansion(lam) -> dict:
-    """H_lam = sum_mu kostka(mu, lam) S_mu (classical; paper-index transposed)."""
-    lam = tuple(lam)
-    return {mu: kostka(mu, lam) for mu in partitions(sum(lam)) if kostka(mu, lam)}
-
-
-def symbolic_h_identity_holds(lam) -> bool:
-    """Check H_lam = sum_mu K_{mu lam} S_mu purely in the H-polynomial ring."""
-    lam = tuple(lam)
-    acc: dict = {}
-    for mu, k in h_to_s_expansion(lam).items():
-        for mon, c in jacobi_trudi_h(mu):
-            acc[mon] = acc.get(mon, 0) + k * c
-    acc = {m: c for m, c in acc.items() if c}
-    return acc == {tuple(sorted(lam, reverse=True)): 1}
 
 
 def _q_coeffs(p: LaurentPoly) -> list:
@@ -507,13 +490,6 @@ class HallEngine:
 
         return self._generic(("nmul", i1, i2), lambda: self.lift_family(builder), check)
 
-    def mul_generic(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        for i1, c1 in a.items():
-            for i2, c2 in b.items():
-                add_scaled(out, self.nmul(i1, i2), c1 * c2)
-        return out
-
     # -- Green form ------------------------------------------------------------
 
     def s_gram(self, lam, mu) -> RationalFn:
@@ -626,43 +602,10 @@ class HallEngine:
                         out.pop(key, None)
         return TensorElement(ctx, out)
 
-    def reflect_element(self, x: FieldElement, i: int, direction: str):
-        """Hall-side BGP reflection <M> -> <sigma M> on S_i-free elements."""
-        from .fqrep import reflect_module
-
-        ctx = x.ctx
-        newQ = ctx.quiver.reversed_at(i)
-        new_ctx = FieldContext(newQ, ctx.q, self.cfg)
-        out: dict = {}
-        for d, c in x.terms.items():
-            M = ctx.build(d)
-            R = reflect_module(M, i, direction)
-            R = type(M)(newQ, R.F, R.dims, R.mats)
-            out[new_ctx.classify(R)] = c
-        return FieldElement(new_ctx, out)
-
     # -- relations -----------------------------------------------------------
-
-    # -- generic homogeneous generators --------------------------------------
 
     def zero_frame(self):
         return ("m", ()) if self.kind == "cyclic" else make_cdesc()
-
-    def S_generic(self, lam) -> dict:
-        """The Schur symbol S_lam as a generic element (a single N index)."""
-        return {nindex(self.zero_frame(), tuple(lam)): ONE}
-
-    def H_generic(self, m: int) -> dict:
-        """H_m as a generic element; classically H_m = S_(m)."""
-        return self.S_generic((m,) if m else ())
-
-    def H_lam_generic(self, lam) -> dict:
-        """H_lam = prod H_{lam_k} = sum_mu kostka(mu, lam) S_mu."""
-        zero = self.zero_frame()
-        return {
-            nindex(zero, mu): LaurentPoly.const(k)
-            for mu, k in h_to_s_expansion(tuple(lam)).items()
-        }
 
     def serre_sum(self, li, lj, q: int) -> FieldElement:
         """sum_{s+r=1-(i,j)} (-1)^s u_i^{(s)} u_j u_i^{(r)} (vanishes in H*)."""
@@ -677,21 +620,6 @@ class HallEngine:
             term = self.word_element(((li, s), (lj, 1), (li, r)), q).scale((-1) ** s)
             out = term if out is None else out + term
         return out
-
-    def divided_power_desc(self, desc, m: int):
-        """<M>^(m) = <M^{+m}> for exceptional M."""
-        ctx0 = self.ctx(self.cfg.primes[0])
-        dim = ctx0.desc_dim(desc)
-        if ctx0.hom_desc(desc, desc) - self.quiver.euler_form(dim, dim) != 0:
-            raise ValueError("divided powers need an exceptional module")
-        if desc[0] == "m":
-            return ("m", tuple((seg, mm * m) for seg, mm in desc[1]))
-        _, cm, _, cp, homog = desc
-        return make_cdesc(
-            cm=tuple((t, mm * m) for t, mm in cm),
-            cp=tuple((t, mm * m) for t, mm in cp),
-            homog=tuple((pt, tuple(sorted(lam * m, reverse=True))) for pt, lam in homog),
-        )
 
 
 class TensorElement:
@@ -751,32 +679,6 @@ def tensor_green(engine: HallEngine, t: TensorElement, y: FieldElement, z: Field
             continue
         out = out + c * g1 * g2
     return out
-
-
-def element_to_json(x) -> dict:
-    """Element JSON: quiver, basis kind, and symbol/coefficient pairs."""
-    if isinstance(x, FieldElement):
-        basis = "multisegment" if x.ctx.kind == "cyclic" else "module"
-        terms = [
-            {"symbol": _jsonable(d), "coeff": c.to_json()}
-            for d, c in sorted(x.terms.items())
-        ]
-        return {"quiver": x.ctx.quiver.name, "field": x.ctx.q, "basis": basis, "terms": terms}
-    # generic element: dict over N indices
-    terms = [
-        {"symbol": nindex_json(i), "coeff": c.to_json()} for i, c in sorted(x.items())
-    ]
-    return {"quiver": None, "basis": "N", "terms": terms}
-
-
-def element_latex(x) -> str:
-    """Small LaTeX rendering of an element's terms."""
-    data = element_to_json(x)
-    bits = []
-    for term in data["terms"]:
-        c = LaurentPoly.from_json(term["coeff"])
-        bits.append(f"({c.text()})\\,\\langle {term['symbol']} \\rangle")
-    return " + ".join(bits) if bits else "0"
 
 
 def _geL(cfun, dfun, positive=False) -> bool:

@@ -332,6 +332,21 @@ def _checksum(record: dict) -> str:
     return hashlib.sha256(_canonical_json(body).encode()).hexdigest()
 
 
+def _load(path: str):
+    """The record at path, or None if it is missing, unreadable, not a JSON
+    object, of another version or fails its checksum."""
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return None
+    if not isinstance(record, dict):
+        return None
+    if record.get("version") != STORE_VERSION or record.get("checksum") != _checksum(record):
+        return None
+    return record
+
+
 class CacheStore:
     """One JSON file per key under <root>/<quiver-id>/<keyhash>.json."""
 
@@ -344,19 +359,7 @@ class CacheStore:
         return os.path.join(self.root, safe, f"{h}.json")
 
     def get(self, quiver_id: str, key):
-        path = self.path_for(quiver_id, key)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path) as fh:
-                record = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
-        if record.get("version") != STORE_VERSION:
-            return None
-        if record.get("checksum") != _checksum(record):
-            return None
-        return record
+        return _load(self.path_for(quiver_id, key))
 
     def put(self, quiver_id: str, key, payload: dict) -> dict:
         record = {
@@ -391,19 +394,7 @@ class CacheStore:
 
     def verify(self):
         """Return a list of (path, ok) for every record in the store."""
-        out = []
-        for path in self.entries():
-            ok = True
-            try:
-                with open(path) as fh:
-                    record = json.load(fh)
-                ok = record.get("version") == STORE_VERSION and record.get(
-                    "checksum"
-                ) == _checksum(record)
-            except (OSError, json.JSONDecodeError):
-                ok = False
-            out.append((path, ok))
-        return out
+        return [(path, _load(path) is not None) for path in self.entries()]
 
     def gc(self):
         """Remove corrupt or out-of-version records; returns removed paths."""

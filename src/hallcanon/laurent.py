@@ -1,4 +1,4 @@
-"""Exact arithmetic in Z[v, v^-1], its fraction field, and quantum combinatorics.
+"""Exact arithmetic in Z[v, v^-1] and its fraction field.
 
 Coefficients are arbitrary-precision integers; ``Fraction`` coefficients are
 tolerated so Green-form values can ride on the same type.  The quantum
@@ -8,9 +8,7 @@ involution sends v to v^-1.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from functools import lru_cache
 
 
 def _norm(c):
@@ -254,33 +252,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()})"
 
 
-_TERM_RE = re.compile(r"^\s*([+-]?\d*)\s*\*?\s*(v(?:\^(-?\d+))?)?\s*$")
-
-
-def parse_laurent(text: str) -> LaurentPoly:
-    """Parse the canonical text form (and simple variants of it)."""
-    text = text.strip()
-    if text == "0":
-        return ZERO
-    text = text.replace("- ", "+ -").replace("-v", "+ -1*v")
-    out = {}
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise ValueError(f"cannot parse term {chunk!r}")
-        cs, vs, es = m.groups()
-        coeff = int(cs) if cs not in ("", "+", "-") else (-1 if cs == "-" else 1)
-        if vs is None:
-            e = 0
-        else:
-            e = int(es) if es is not None else 1
-        out[e] = out.get(e, 0) + coeff
-    return LaurentPoly(out)
-
-
 def _coerce(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
@@ -317,39 +288,6 @@ def row_times(row: dict, M) -> dict:
     for k, c in row.items():
         add_scaled(acc, M[k], c)
     return acc
-
-
-# -- quantum combinatorics --------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def qint(n: int) -> LaurentPoly:
-    """The balanced quantum integer (v^n - v^-n)/(v - v^-1); qint(0) = 0."""
-    if n < 0:
-        return -qint(-n)
-    return LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)})
-
-
-@lru_cache(maxsize=None)
-def qfact(n: int) -> LaurentPoly:
-    """Quantum factorial, with qfact(0) = 1."""
-    if n < 0:
-        raise ValueError("negative quantum factorial")
-    out = ONE
-    for k in range(1, n + 1):
-        out = out * qint(k)
-    return out
-
-
-@lru_cache(maxsize=None)
-def qbinom(m: int, n: int) -> LaurentPoly:
-    """Gaussian binomial [m choose n]; the division is exact."""
-    if n < 0 or m < 0 or n > m:
-        raise ValueError(f"qbinom({m},{n}) undefined")
-    out = qfact(m).exact_div(qfact(n) * qfact(m - n))
-    if not out.is_integral():
-        raise ArithmeticError("Gaussian binomial division was not exact")
-    return out
 
 
 def bar(x):
@@ -473,14 +411,6 @@ def expand_at_infinity(f: RationalFn, lowest: int) -> dict:
     return out
 
 
-def in_delta_plus_tail(f, delta) -> bool:
-    """Predicate: value lies in delta + v^-1 Q[[v^-1]] (exact)."""
-    if isinstance(f, LaurentPoly):
-        f = RationalFn(f)
-    coeffs = expand_at_infinity(f, 0)
-    return coeffs.get(0, 0) == delta and not any(e > 0 for e in coeffs)
-
-
 def sum_in_delta_plus_tail(terms, delta) -> bool:
     """Predicate: sum c*f over (c, f) in terms lies in delta + v^-1 Q[[v^-1]].
 
@@ -488,7 +418,7 @@ def sum_in_delta_plus_tail(terms, delta) -> bool:
     never formed as one rational function: each f is expanded at v = infinity
     only down to v^-(top exponent of c), and only the coefficients of v^0 and
     above are accumulated, so positive parts that cancel between terms do
-    cancel.  Exact; agrees with ``in_delta_plus_tail`` on the summed function.
+    cancel.  Exact; agrees with expanding the summed function at v = infinity.
 
     The top exponent deg c + deg num - deg den of each term and its leading
     coefficient are read first: when the largest of these exponents is

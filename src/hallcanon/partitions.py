@@ -42,13 +42,6 @@ def partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(gen(n, n))
 
 
-def conjugate(lam) -> tuple[int, ...]:
-    lam = tuple(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
-
-
 def dominates(lam, mu) -> bool:
     """Dominance order: lam >= mu when partial sums of lam dominate those of mu."""
     if sum(lam) != sum(mu):
@@ -147,20 +140,6 @@ def _mn(lam, mu) -> int:
     return total
 
 
-def perm_character(lam, mu) -> int:
-    """Character of the permutation module of shape lam at cycle type mu.
-
-    Young's rule: the permutation module decomposes with multiplicities
-    kostka(nu, lam) over Specht modules nu.
-    """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("perm_character arguments must have equal size")
-    m = sum(lam)
-    return sum(kostka(nu, lam) * character(nu, mu) for nu in partitions(m))
-
-
 def centralizer_order(mu) -> int:
     """Order of the centralizer of a permutation of cycle type mu."""
     mu = check_partition(mu)
@@ -169,49 +148,3 @@ def centralizer_order(mu) -> int:
         k = mu.count(part)
         out *= part**k * factorial(k)
     return out
-
-
-class CharTable:
-    """Irreducible character table of S_m, rows and columns in descending lex order."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.partitions = partitions(m)
-        self.values = [
-            [character(lam, mu) for mu in self.partitions] for lam in self.partitions
-        ]
-
-    def value(self, lam, mu) -> int:
-        i = self.partitions.index(check_partition(lam))
-        j = self.partitions.index(check_partition(mu))
-        return self.values[i][j]
-
-    def column_orthogonality_holds(self) -> bool:
-        ps = self.partitions
-        for j, mu in enumerate(ps):
-            for j2, mu2 in enumerate(ps):
-                s = sum(self.values[i][j] * self.values[i][j2] for i in range(len(ps)))
-                expected = centralizer_order(mu) if j == j2 else 0
-                if s != expected:
-                    return False
-        return True
-
-
-def kostka_matrix(m: int) -> list[list[int]]:
-    """Kostka matrix on partitions of m (rows = shapes, descending lex order)."""
-    ps = partitions(m)
-    return [[kostka(lam, mu) for mu in ps] for lam in ps]
-
-
-def kostka_inverse(m: int) -> list[list[int]]:
-    """Exact inverse of the unitriangular Kostka matrix."""
-    ps = partitions(m)
-    n = len(ps)
-    K = kostka_matrix(m)
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    # Back-substitution; K is upper unitriangular in this ordering.
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            s = sum(K[i][k] * inv[k][j] for k in range(i + 1, j + 1))
-            inv[i][j] = -s
-    return inv

@@ -9,7 +9,7 @@ generically and checked for unitriangularity on the fly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import UnsupportedQuiverError
 from .fqrep import (
@@ -27,11 +27,6 @@ from .hallalg import HallEngine, _geL, nindex
 from .laurent import ONE, ZERO, add_scaled
 from .partitions import partitions
 from .quiver import dim_f
-
-LESS = "less"
-GREATER = "greater"
-EQUAL = "equal"
-INCOMPARABLE = "incomparable"
 
 
 def mseg_leq_G(n: int, pi, rho) -> bool:
@@ -53,18 +48,6 @@ def mseg_leq_G(n: int, pi, rho) -> bool:
     return True
 
 
-def mseg_compare_G(n: int, pi, rho) -> str:
-    le = mseg_leq_G(n, pi, rho)
-    ge = mseg_leq_G(n, rho, pi)
-    if le and ge:
-        return EQUAL
-    if le:
-        return LESS
-    if ge:
-        return GREATER
-    return INCOMPARABLE
-
-
 @dataclass
 class OrderedIndexSet:
     """All indices of one dimension vector with the order data."""
@@ -72,8 +55,6 @@ class OrderedIndexSet:
     nu: tuple
     all_indices: list
     aperiodic: list
-    linear_extension: list = field(default_factory=list)
-    alternative_extension: list = field(default_factory=list)
 
 
 class IndexSystem:
@@ -111,13 +92,7 @@ class IndexSystem:
                 raise ArithmeticError(
                     f"index count {len(aper)} != dim f_nu {expected} at {nu}"
                 )
-        return OrderedIndexSet(
-            nu,
-            allidx,
-            aper,
-            linear_extension=aper,
-            alternative_extension=sorted(aper, key=self.alt_sort_key),
-        )
+        return OrderedIndexSet(nu, allidx, aper)
 
     # -- the partial order ---------------------------------------------------
 
@@ -148,15 +123,6 @@ class IndexSystem:
             return le
         return la > lb  # larger lexicographic partition is smaller
 
-    def compare(self, a, b) -> str:
-        if a == b:
-            return EQUAL
-        if self.strictly_less(a, b):
-            return LESS
-        if self.strictly_less(b, a):
-            return GREATER
-        return INCOMPARABLE
-
     def sort_key(self, idx):
         frame, lam = idx
         cm, c0, cp, window = self._key_parts(idx)
@@ -165,18 +131,6 @@ class IndexSystem:
         kc0 = tuple((-mseg_end(self.quiver.n, pi), pi) for pi in c0)
         klam = tuple(-x for x in lam)
         return (kcm + kcp, sum(lam), kc0, klam)
-
-    def alt_sort_key(self, idx):
-        """A second linear extension of the order, for independence checks."""
-        frame, lam = idx
-        cm, c0, cp, window = self._key_parts(idx)
-        kcm = tuple(-cm.get(t, 0) for t in window[0])
-        kcp = tuple(-cp.get(t, 0) for t in window[1])
-        kc0 = tuple(
-            (-mseg_end(self.quiver.n, pi), tuple(reversed(pi))) for pi in c0
-        )
-        klam = tuple(-x for x in lam)
-        return (kcp + kcm, sum(lam), kc0, klam)
 
     def _key_parts(self, idx):
         frame, lam = idx
@@ -196,31 +150,6 @@ class IndexSystem:
 
     # -- distinguished words (cyclic engine) ----------------------------------
 
-    def generic_extension(self, descM, descN):
-        """The extension of M by N with minimal End, from Hall polynomials.
-
-        A test oracle for ``mseg_extend_top``; the word search never calls it.
-        """
-        if descM[0] != "m" or descN[0] != "m":
-            raise UnsupportedQuiverError("generic extensions implemented for cyclic quivers")
-        n = self.quiver.n
-        if not descN[1]:
-            return descM
-        if not descM[1]:
-            return descN
-        nu = tuple(
-            a + b for a, b in zip(mseg_dim(n, descM[1]), mseg_dim(n, descN[1]))
-        )
-        support = []
-        for pi in enumerate_msegs(n, nu):
-            poly = self.engine.polyeng.hall_polynomial(("m", pi), descM, descN)
-            if not poly.is_zero():
-                support.append(pi)
-        ends = sorted((mseg_end(n, pi), pi) for pi in support)
-        assert ends, "empty extension support"
-        assert len(ends) == 1 or ends[0][0] < ends[1][0], "generic extension not unique"
-        return ("m", ends[0][1])
-
     def ddx_word(self, pi):
         """Distinguished word for an aperiodic multisegment by top peeling.
 
@@ -235,31 +164,24 @@ class IndexSystem:
         pi = mseg_normalize(pi)
         if not mseg_aperiodic(n, pi):
             raise ValueError("distinguished words exist only for aperiodic multisegments")
-        words = self._ddx_words(pi, want_all=False)
-        if not words:
+        word = self._ddx_word(pi)
+        if word is None:
             raise ArithmeticError(f"no distinguished word found for {pi}")
-        return words[0]
+        return word
 
-    def ddx_words_all(self, pi):
-        return self._ddx_words(mseg_normalize(pi), want_all=True)
-
-    def _ddx_words(self, pi, want_all: bool):
-        key = (pi, want_all)
-        if key in self._ddx_memo:
-            return self._ddx_memo[key]
-        n = self.quiver.n
+    def _ddx_word(self, pi):
+        """The first distinguished word of pi in peel order, or None."""
         if not pi:
-            return [()]
-        out = []
-        for i, a, peeled in _glued_peels(n, pi):
-            for rest in self._ddx_words(peeled, want_all):
-                out.append(((i, a),) + rest)
-                if not want_all:
+            return ()
+        if pi not in self._ddx_memo:
+            word = None
+            for i, a, peeled in _glued_peels(self.quiver.n, pi):
+                rest = self._ddx_word(peeled)
+                if rest is not None:
+                    word = ((i, a),) + rest
                     break
-            if out and not want_all:
-                break
-        self._ddx_memo[key] = out
-        return out
+            self._ddx_memo[pi] = word
+        return self._ddx_memo[pi]
 
     # -- monomial builders -------------------------------------------------
 
@@ -270,14 +192,13 @@ class IndexSystem:
             (self.quiver.vertices[i], nu[i]) for i in topo if nu[i]
         )
 
-    def word_for_index(self, idx, word_choice=None):
+    def word_for_index(self, idx):
         """The defining word of the monomial attached to an index."""
         frame, lam = idx
         if self.kind == "cyclic":
             if lam:
                 raise UnsupportedQuiverError("cyclic indices carry no partition")
-            word = word_choice if word_choice is not None else self.ddx_word(frame[1])
-            return tuple(word)
+            return tuple(self.ddx_word(frame[1]))
         seq = self.engine.ctx(self.engine.cfg.primes[0]).seq
         _, cm, _, cp, _ = frame
         word = []
@@ -291,13 +212,11 @@ class IndexSystem:
             word.extend(self.dimvec_word(tuple(m * x for x in beta)))
         return tuple(word)
 
-    def monomial_over_N(self, idx, word_choice=None) -> dict:
+    def monomial_over_N(self, idx) -> dict:
         """Expansion of the monomial over the N family, with triangularity checks."""
-        key = (idx, tuple(word_choice) if word_choice is not None else None)
-        if key in self._mono_memo:
-            return self._mono_memo[key]
-        word = self.word_for_index(idx, word_choice)
-        out = self.engine.generic_word(word)
+        if idx in self._mono_memo:
+            return self._mono_memo[idx]
+        out = self.engine.generic_word(self.word_for_index(idx))
         lead = out.get(idx, ZERO)
         if lead != ONE:
             raise ArithmeticError(
@@ -312,7 +231,7 @@ class IndexSystem:
                 raise ArithmeticError(
                     f"monomial support {b} is not below the leading index {idx}"
                 )
-        self._mono_memo[key] = out
+        self._mono_memo[idx] = out
         return out
 
     # -- PBW basis ----------------------------------------------------------
@@ -322,7 +241,7 @@ class IndexSystem:
         if nu in self._pbw_memo:
             return self._pbw_memo[nu]
         idxset = self.enumerate_indices(nu)
-        order = idxset.linear_extension
+        order = idxset.aperiodic
         mon = {a: self.monomial_over_N(a) for a in order}
         aper = set(order)
         E: dict = {}

@@ -128,12 +128,6 @@ class Quiver:
     def is_root(self, nu) -> bool:
         return any(nu) and 0 <= self.symmetric_form(nu, nu) <= 2
 
-    def reflect(self, i: int, nu) -> tuple[int, ...]:
-        """Simple reflection s_i(nu) = nu - (nu, e_i) e_i."""
-        e = tuple(1 if j == i else 0 for j in range(self.n))
-        c = self.symmetric_form(nu, e)
-        return tuple(nu[j] - c * e[j] for j in range(self.n))
-
     def delta(self) -> tuple[int, ...]:
         """Minimal imaginary positive root of an affine quiver."""
         ker = _integer_kernel(self.cartan_matrix())
@@ -158,10 +152,6 @@ class Quiver:
         return not _integer_kernel(self.cartan_matrix()) and _positive_definite(
             self.cartan_matrix()
         )
-
-    def defect(self, nu) -> int:
-        """Euler pairing <delta, nu>; the sign classifies AR components."""
-        return self.euler_form(self.delta(), nu)
 
     def positive_roots_below(self, bound):
         """All positive roots componentwise <= bound, split (real, imaginary)."""
@@ -406,24 +396,6 @@ class AdmissibleSequence:
                 break
         return list(st["quivers"][: len(st["verts"]) + 1])[: count + 1]
 
-    def is_reduced_window(self, r: int, t: int) -> bool:
-        """Is s_{i_r} s_{i_{r+1}} ... s_{i_t} reduced (r <= t)?"""
-        word = [self.vertex(u) for u in range(r, t + 1)]
-        return _word_is_reduced(self.quiver, word)
-
-    def is_adapted_window(self, depth: int) -> bool:
-        """Sink/source admissibility for |t| <= depth (holds by construction)."""
-        for side in "-+":
-            chain = self.reflected_quiver_chain(depth, side)
-            st = self._neg if side == "-" else self._pos
-            for k, i in enumerate(st["verts"][:depth]):
-                q = chain[k]
-                if side == "-" and not q.is_sink(i):
-                    return False
-                if side == "+" and not q.is_source(i):
-                    return False
-        return True
-
 
 def _unit(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
@@ -446,20 +418,6 @@ def _mul_cols(Q: Quiver, cols, i):
     return [
         tuple(cols[j][m] - cartan[j][i] * ci[m] for m in range(n)) for j in range(n)
     ]
-
-
-def _word_is_reduced(Q: Quiver, word) -> bool:
-    """Check that s_{word[0]} ... s_{word[-1]} is reduced in the Weyl group.
-
-    Build u from the right; prepending s_i raises the length exactly when
-    u^-1(alpha_i) is a positive root.
-    """
-    cols = _id_cols(Q.n)  # columns of u^-1
-    for i in reversed(word):
-        if any(x < 0 for x in cols[i]):
-            return False
-        cols = _mul_cols(Q, cols, i)  # u <- s_i u, hence u^-1 <- u^-1 s_i
-    return True
 
 
 # -- dimension oracle ----------------------------------------------------

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from hallcanon.cli import main as cli_main
 from hallcanon.config import BarSolveError, BundleFormatError
-from hallcanon.fqrep import make_cdesc, mseg_normalize
+from hallcanon.fqrep import make_cdesc, mseg_end, mseg_normalize
 from hallcanon.hallalg import HallEngine, nindex
-from hallcanon.laurent import ONE, ZERO, LaurentPoly
+from hallcanon.laurent import ONE, ZERO, LaurentPoly, row_times
 from hallcanon.canonical import (
     CanonicalSolver,
     _bundle_gram,
@@ -19,7 +20,7 @@ from hallcanon.canonical import (
     verify_bundle,
 )
 from hallcanon.pbw import IndexSystem
-from hallcanon.quiver import cyclic, kronecker, linear_an
+from hallcanon.quiver import cyclic, dim_f, from_spec, kronecker, linear_an
 
 V = LaurentPoly.v_power
 
@@ -125,12 +126,35 @@ def test_canonical_certified_where_words_need_partial_peels(n, nu):
     assert solver.verify(nu)["ok"]
 
 
+# D4 with its centre a sink, given as a JSON spec.  Its preprojectives are
+# the only ones not thin: building the (1,2,1,1) one takes '-' reflections
+# at the centre into dimension 2.
+D4_SPEC = '{"vertices":[1,2,3,4],"arrows":[[1,2],[3,2],[4,2]]}'
+
+
+@pytest.mark.parametrize("dim", ["1,1,1,1", "1,2,1,1"])
+def test_canonical_d4_from_json_spec(tmp_path, dim):
+    out = tmp_path / "bundle.json"
+    args = ["canonical", "--quiver", D4_SPEC, "--dim", dim, "--out", str(out)]
+    assert cli_main(args) == 0
+    bundle = json.loads(out.read_text())
+    assert bundle["certificates"]["ok"]
+    nu = tuple(map(int, dim.split(",")))
+    assert len(bundle["indices"]) == dim_f(from_spec(D4_SPEC), nu)
+
+
 @pytest.mark.parametrize("nu", [(k, 7 - k) for k in range(8)])
 def test_cyclic2_certifies_at_size_seven(nu):
     # (4,3) and (3,4) have monomial coefficients of degree 9 in q, beyond an
     # interpolation on the default sample fields; the closed form needs none.
     solver = CanonicalSolver(IndexSystem(HallEngine(cyclic(2))))
     assert solver.verify(nu)["ok"]
+
+
+def bar_over_E(solver, nu, coeffs_over_E) -> dict:
+    """bar of sum c_a E_a, expressed over E again through the solve's zeta."""
+    bar_row = {a: c.bar() for a, c in coeffs_over_E.items()}
+    return row_times(bar_row, solver.solve(nu).zeta)
 
 
 def test_bar_element_involution(cyc2):
@@ -146,7 +170,7 @@ def test_bar_element_involution(cyc2):
             for a in rng.sample(order, min(2, len(order)))
         }
         x = {a: c for a, c in x.items() if c}
-        bb = cyc2.bar_element(nu, cyc2.bar_element(nu, x))
+        bb = bar_over_E(cyc2, nu, bar_over_E(cyc2, nu, x))
         assert bb == x
 
 
@@ -156,15 +180,28 @@ def test_bar_of_monomial_is_fixed(cyc2):
     data = cyc2.solve(nu)
     eta_inv = invert_unitriangular(data.pbw.order, data.pbw.eta)
     for a in data.pbw.order:
-        bar_m = cyc2.bar_element(nu, {b: c.bar() for b, c in eta_inv[a].items()})
+        bar_m = bar_over_E(cyc2, nu, {b: c.bar() for b, c in eta_inv[a].items()})
         assert bar_m == eta_inv[a]
+
+
+def alt_sort_key(system, idx):
+    """A second linear extension of the order, for independence checks."""
+    frame, lam = idx
+    cm, c0, cp, window = system._key_parts(idx)
+    kcm = tuple(-cm.get(t, 0) for t in window[0])
+    kcp = tuple(-cp.get(t, 0) for t in window[1])
+    kc0 = tuple(
+        (-mseg_end(system.quiver.n, pi), tuple(reversed(pi))) for pi in c0
+    )
+    klam = tuple(-x for x in lam)
+    return (kcp + kcm, sum(lam), kc0, klam)
 
 
 def test_second_linear_extension_agrees(kron, cyc2):
     for solver, nu in ((kron, (2, 1)), (cyc2, (2, 2))):
         data = solver.solve(nu)
-        alt_order = data.pbw.idxset.alternative_extension
-        g2 = solver.solve_with_order(nu, alt_order)
+        alt_order = sorted(data.pbw.order, key=lambda idx: alt_sort_key(solver.system, idx))
+        g2 = lusztig_solve(alt_order, data.zeta)
         assert {a: dict(r) for a, r in g2.items()} == {
             a: dict(r) for a, r in data.g.items()
         }
@@ -179,7 +216,7 @@ def test_uniqueness_perturbation(cyc2):
     b = order[0]
     perturbed = dict(data.g[a])
     perturbed[b] = perturbed.get(b, ZERO) + V(-1) + V(-3)
-    assert cyc2.bar_element(nu, perturbed) != perturbed
+    assert bar_over_E(cyc2, nu, perturbed) != perturbed
 
 
 def test_verify_negative_control(kron):
@@ -390,7 +427,7 @@ def test_canonical_integrality_over_monomials(cyc2):
 
 
 def test_E_almost_orthogonality(kron, cyc2):
-    from hallcanon.laurent import in_delta_plus_tail
+    from oracles import in_delta_plus_tail
 
     for solver, nu in ((kron, (2, 1)), (cyc2, (2, 2))):
         gram = solver.gram_E(nu)
@@ -404,7 +441,7 @@ def test_a2_matches_classical_canonical_basis():
     #   (2,1): { u2 u1^(2),  u1u2u1 - u2u1^(2) }        (= x1^(2)x2 family)
     #   (2,2): { u1^(2)u2^(2), u2^(2)u1^(2),
     #            u2u1u2u1 - [2] u2^(2)u1^(2) }          (= x2 x1^(2) x2)
-    from hallcanon.laurent import qint
+    from oracles import qint
 
     solver = CanonicalSolver(IndexSystem(HallEngine(linear_an(2))))
 
@@ -435,8 +472,6 @@ def test_a2_matches_classical_canonical_basis():
 
 
 def test_a3_canonical_small():
-    from hallcanon.quiver import dim_f, linear_an
-
     Q = linear_an(3)
     solver = CanonicalSolver(IndexSystem(HallEngine(Q)))
     assert dim_f(Q, (1, 1, 1)) == 4

@@ -12,12 +12,11 @@ from hallcanon.fqrep import (
     build_cyclic,
     census_size,
     graded_stable_subspaces,
-    quotient_by_subspace,
-    submodule_from_subspace,
 )
 from hallcanon.hallalg import HallEngine
 from hallcanon.partitions import partitions
 from hallcanon.quiver import cyclic, kronecker, linear_an
+from oracles import quotient_by_subspace, submodule_from_subspace
 
 
 def oracle_stable_subspaces(M, target):

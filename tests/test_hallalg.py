@@ -9,24 +9,20 @@ from hallcanon.config import JobConfig, UnsupportedQuiverError
 from hallcanon.fqrep import (
     FieldContext,
     enumerate_msegs,
+    hom_dim,
     make_cdesc,
     mseg_aperiodic,
     mseg_dim,
     mseg_normalize,
     mseg_socle_extensions,
+    reflect_module,
 )
-from hallcanon.hallalg import (
-    HallEngine,
-    h_to_s_expansion,
-    jacobi_trudi_h,
-    nindex,
-    symbolic_h_identity_holds,
-    tensor_green,
-)
-from hallcanon.laurent import ONE, ZERO, LaurentPoly, RationalFn, in_delta_plus_tail, qfact
+from hallcanon.hallalg import FieldElement, HallEngine, jacobi_trudi_h, nindex, tensor_green
+from hallcanon.laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
 from hallcanon.partitions import kostka, partitions
 from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, kronecker, linear_an
+from oracles import in_delta_plus_tail, qfact
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +40,67 @@ def mdesc(*segs):
 
 
 V = LaurentPoly.v_power
+
+
+def mul_generic(engine, a: dict, b: dict) -> dict:
+    """Product of generic elements over the N family, through ``nmul``."""
+    out: dict = {}
+    for i1, c1 in a.items():
+        for i2, c2 in b.items():
+            add_scaled(out, engine.nmul(i1, i2), c1 * c2)
+    return out
+
+
+def schur(engine, lam) -> dict:
+    """The Schur symbol S_lam as a generic element (a single N index)."""
+    return {nindex(engine.zero_frame(), tuple(lam)): ONE}
+
+
+def divided_power_desc(engine, desc, m: int):
+    """<M>^(m) = <M^{+m}> for exceptional M."""
+    ctx0 = engine.ctx(engine.cfg.primes[0])
+    dim = ctx0.desc_dim(desc)
+    if ctx0.hom_desc(desc, desc) - engine.quiver.euler_form(dim, dim) != 0:
+        raise ValueError("divided powers need an exceptional module")
+    if desc[0] == "m":
+        return ("m", tuple((seg, mm * m) for seg, mm in desc[1]))
+    _, cm, _, cp, homog = desc
+    return make_cdesc(
+        cm=tuple((t, mm * m) for t, mm in cm),
+        cp=tuple((t, mm * m) for t, mm in cp),
+        homog=tuple((pt, tuple(sorted(lam * m, reverse=True))) for pt, lam in homog),
+    )
+
+
+def reflect_element(engine, x: FieldElement, i: int, direction: str):
+    """Hall-side BGP reflection <M> -> <sigma M> on S_i-free elements."""
+    ctx = x.ctx
+    newQ = ctx.quiver.reversed_at(i)
+    new_ctx = FieldContext(newQ, ctx.q, engine.cfg)
+    out: dict = {}
+    for d, c in x.terms.items():
+        M = ctx.build(d)
+        R = reflect_module(M, i, direction)
+        R = type(M)(newQ, R.F, R.dims, R.mats)
+        out[new_ctx.classify(R)] = c
+    return FieldElement(new_ctx, out)
+
+
+def h_to_s_expansion(lam) -> dict:
+    """H_lam = sum_mu kostka(mu, lam) S_mu (classical; paper-index transposed)."""
+    lam = tuple(lam)
+    return {mu: kostka(mu, lam) for mu in partitions(sum(lam)) if kostka(mu, lam)}
+
+
+def symbolic_h_identity_holds(lam) -> bool:
+    """Check H_lam = sum_mu K_{mu lam} S_mu purely in the H-polynomial ring."""
+    lam = tuple(lam)
+    acc: dict = {}
+    for mu, k in h_to_s_expansion(lam).items():
+        for mon, c in jacobi_trudi_h(mu):
+            acc[mon] = acc.get(mon, 0) + k * c
+    acc = {m: c for m, c in acc.items() if c}
+    return acc == {tuple(sorted(lam, reverse=True)): 1}
 
 
 def test_unit_and_simple_products(cyc2):
@@ -65,13 +122,13 @@ def test_simple_self_product_divided_power(cyc2):
     diff = SS[mdesc(((1, 1), 2))] - LaurentPoly({1: 1, -1: 1})
     assert diff.eval_sqrt(q) == (0, 0)
     # divided power descriptor agrees
-    assert cyc2.divided_power_desc(mdesc(((1, 1), 1)), 2) == mdesc(((1, 1), 2))
+    assert divided_power_desc(cyc2, mdesc(((1, 1), 1)), 2) == mdesc(((1, 1), 2))
 
 
 def test_divided_power_rejects_non_exceptional(kron):
     z = kron.ctx(5).points(1)[0]
     with pytest.raises(ValueError):
-        kron.divided_power_desc(make_cdesc(homog=((z, (1,)),)), 2)
+        divided_power_desc(kron, make_cdesc(homog=((z, (1,)),)), 2)
 
 
 def test_cyclic_monomial_u1u2(cyc2):
@@ -223,8 +280,8 @@ def test_nmul_associativity_specialization(kron):
     ]
     for _ in range(4):
         a, b, c = (rng.choice(idxs) for _ in range(3))
-        lhs = kron.mul_generic(kron.mul_generic({a: ONE}, {b: ONE}), {c: ONE})
-        rhs = kron.mul_generic({a: ONE}, kron.mul_generic({b: ONE}, {c: ONE}))
+        lhs = mul_generic(kron, mul_generic(kron, {a: ONE}, {b: ONE}), {c: ONE})
+        rhs = mul_generic(kron, {a: ONE}, mul_generic(kron, {b: ONE}, {c: ONE}))
         assert lhs == rhs
 
 
@@ -405,9 +462,9 @@ def test_reflect_element_homomorphism(kron):
     z0, z1 = ctx.points(1)[:2]
     a = kron.cls_elt(make_cdesc(homog=((z0, (1,)),)), q)
     b = kron.cls_elt(make_cdesc(homog=((z1, (1,)),)), q)
-    ra = kron.reflect_element(a, 1, "+")
-    rb = kron.reflect_element(b, 1, "+")
-    rab = kron.reflect_element(a * b, 1, "+")
+    ra = reflect_element(kron, a, 1, "+")
+    rb = reflect_element(kron, b, 1, "+")
+    rab = reflect_element(kron, a * b, 1, "+")
     assert (ra * rb).terms == rab.terms
 
 
@@ -426,17 +483,16 @@ def test_finite_type_engine():
 
 
 def test_generic_H_S_symbols(kron):
-    # S_(1) = H_1, and the 2x2 Jacobi-Trudi determinant: S_(1,1) = H_1^2 - H_2.
-    assert kron.S_generic((1,)) == kron.H_generic(1)
-    H1sq = kron.mul_generic(kron.H_generic(1), kron.H_generic(1))
+    # With H_m = S_(m), the 2x2 Jacobi-Trudi determinant: S_(1,1) = H_1^2 - H_2.
+    H1sq = mul_generic(kron, schur(kron, (1,)), schur(kron, (1,)))
     lhs = dict(H1sq)
-    for idx, c in kron.H_generic(2).items():
+    for idx, c in schur(kron, (2,)).items():
         s = lhs.get(idx, ZERO) - c
         if s:
             lhs[idx] = s
         else:
             lhs.pop(idx, None)
-    assert lhs == kron.S_generic((1, 1))
+    assert lhs == schur(kron, (1, 1))
     # H_lam = sum_mu kostka(mu, lam) S_mu as generic elements.  Products at
     # |lam| <= 2 stay at the acceptance scale; the |lam| <= 4 identity is
     # covered symbolically by test_h_s_symbolic_identities.
@@ -444,10 +500,13 @@ def test_generic_H_S_symbols(kron):
 
     for n in range(1, 3):
         for lam in _parts(n):
-            expected = kron.H_lam_generic(lam)
+            expected = {
+                nindex(kron.zero_frame(), mu): LaurentPoly.const(k)
+                for mu, k in h_to_s_expansion(lam).items()
+            }
             acc = {nindex(kron.zero_frame()): ONE}
             for part in lam:
-                acc = kron.mul_generic(acc, kron.H_generic(part))
+                acc = mul_generic(kron, acc, schur(kron, (part,)))
             assert acc == expected
 
 
@@ -491,13 +550,11 @@ def test_census_vs_hall_table_consistency():
 
 def fingerprint(ctx, M) -> tuple:
     """Iso-invariant fingerprint: dims, End, Hom profile vs the test set."""
-    from hallcanon.fqrep import end_dim, hom_dim
-
     profile = []
     for x in ctx._test_pool(sum(M.dims)):
         X = ctx.build_indec(x)
         profile.append((hom_dim(X, M), hom_dim(M, X)))
-    return (M.dims, end_dim(M), tuple(profile))
+    return (M.dims, hom_dim(M, M), tuple(profile))
 
 
 def test_fingerprint_separates_classes():
@@ -510,19 +567,6 @@ def test_fingerprint_separates_classes():
             fp = fingerprint(ctx, ctx.build(d))
             assert fp not in seen, (d, seen[fp])
             seen[fp] = d
-
-
-def test_element_json_and_latex(kron):
-    from hallcanon.hallalg import element_latex, element_to_json
-
-    x = kron.word_element(((0, 1), (1, 1)), 5)
-    data = element_to_json(x)
-    assert data["basis"] == "module" and data["field"] == 5
-    assert len(data["terms"]) == len(x.terms)
-    gen = kron.generic_word(((0, 1), (1, 1)))
-    data2 = element_to_json(gen)
-    assert data2["basis"] == "N" and len(data2["terms"]) == 2
-    assert "langle" in element_latex(x)
 
 
 def test_green_nn_mixed_frame_matches_field(kron):
@@ -545,15 +589,13 @@ def test_green_nn_mixed_frame_matches_field(kron):
 def test_mul_generic_unit_and_divided_power_m1(kron):
     unit = nindex(kron.zero_frame())
     x = {nindex(make_cdesc(cm=((0, 1),))): ONE}
-    assert kron.mul_generic(x, {unit: ONE}) == x
-    assert kron.mul_generic({unit: ONE}, x) == x
+    assert mul_generic(kron, x, {unit: ONE}) == x
+    assert mul_generic(kron, {unit: ONE}, x) == x
     d = make_cdesc(cm=((0, 2),))
-    assert kron.divided_power_desc(d, 1) == d
+    assert divided_power_desc(kron, d, 1) == d
     # divided power of a preprojective: <P>^(2) = <P^2> against mul + qfact
-    from hallcanon.laurent import qfact
-
     P = make_cdesc(cm=((-1, 1),))
-    P2 = kron.divided_power_desc(P, 2)
+    P2 = divided_power_desc(kron, P, 2)
     q = 5
     prod = kron.cls_elt(P, q) * kron.cls_elt(P, q)
     two = qfact(2)

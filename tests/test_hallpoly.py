@@ -242,6 +242,23 @@ def test_cache_corruption_detected(tmp_path):
     assert eng2.store.verify() == [(path, True)]
 
 
+@pytest.mark.parametrize("text", ["[]", '"record"', "7"])
+def test_cache_record_that_is_no_json_object_is_a_miss(tmp_path, text):
+    # Valid JSON of the wrong shape is corrupt like any other bad record:
+    # verify reports it, and a run recomputes and overwrites it.
+    cfg = JobConfig(cache_dir=str(tmp_path))
+    SS = mdesc(((1, 1), 2))
+    S = mdesc(((1, 1), 1))
+    HallPolyEngine(cyclic(1), cfg).hall_polynomial(SS, S, S)
+    eng = HallPolyEngine(cyclic(1), cfg)
+    path = next(iter(eng.store.entries()))
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert eng.store.verify() == [(path, False)]
+    assert eng.hall_polynomial(SS, S, S).coeffs == (1, 1)
+    assert eng.store.verify() == [(path, True)]
+
+
 def test_cache_gc(tmp_path):
     cfg = JobConfig(cache_dir=str(tmp_path))
     eng = HallPolyEngine(cyclic(1), cfg)

@@ -1,12 +1,32 @@
-"""Every name a package module or script imports is used or exported."""
+"""Every name a package module or script imports is used or exported, and
+every function, class and method the package defines has a caller in it."""
 
 import ast
+import io
+import tokenize
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*ROOT.glob("src/hallcanon/*.py"), *ROOT.glob("scripts/*.py")])
+PACKAGE = sorted(ROOT.glob("src/hallcanon/*.py"))
+SCRIPTS = sorted(ROOT.glob("scripts/*.py"))
+FILES = PACKAGE + SCRIPTS
+
+# Definitions with no caller in src/ or scripts/ that stay in the package.
+UNCALLED_ALLOWED = {
+    "hallalg.FieldElement.u_coeff": "acceptance API: criterion 2 reads class coefficients",
+    "hallalg.FieldElement.is_zero_specialized": "acceptance API: criterion 1",
+    "hallalg.HallEngine.nmul": "acceptance API: criterion 4",
+    "hallalg.HallEngine.coproduct": "acceptance API: criterion 6",
+    "hallalg.HallEngine.serre_sum": "acceptance API: criterion 1",
+    "hallalg.tensor_green": "acceptance API: criterion 6",
+    "hallpoly.HallPolyEngine.check_at": "acceptance API: criterion 5",
+    "partitions.kostka": "acceptance API: criterion 2",
+    "fqrep.aut_order": "traced name: perfbench/tracing.py TARGETS",
+    "hallpoly.fit_rational_function": "traced name: perfbench/tracing.py TARGETS",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -42,3 +62,50 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def uncalled_definitions(package: dict, others: list) -> list:
+    """Qualified names of the non-dunder functions, classes and methods in
+    ``package`` ({module name: source}) whose name occurs as an identifier
+    nowhere outside its own definition, in ``package`` or in ``others``."""
+    where = defaultdict(list)  # identifier -> [(source key, line)]
+    for key, source in [*package.items(), *enumerate(others)]:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                where[tok.string].append((key, tok.start[0]))
+    out = []
+
+    def visit(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(module, child, prefix)
+                continue
+            name = child.name
+            if not (name.startswith("__") and name.endswith("__")):
+                first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                if all(
+                    key == module and first <= line <= child.end_lineno
+                    for key, line in where[name]
+                ):
+                    out.append(f"{module}.{prefix}{name}")
+            visit(module, child, f"{prefix}{name}.")
+
+    for module, source in package.items():
+        visit(module, ast.parse(source), "")
+    return out
+
+
+def test_uncalled_definition_detector():
+    mod = "def used():\n    return 1\n\ndef dead(x):\n    return dead(x - 1)\n\n"
+    mod += "class K:\n    def __init__(self):\n        used()\n\n    def m(self):\n        pass\n"
+    assert uncalled_definitions({"mod": mod}, []) == ["mod.dead", "mod.K", "mod.K.m"]
+    assert uncalled_definitions({"mod": mod}, ["K().m()"]) == ["mod.dead"]
+
+
+def test_every_definition_has_a_caller():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    others = [p.read_text() for p in SCRIPTS]
+    uncalled = uncalled_definitions(package, others)
+    assert sorted(set(uncalled) - set(UNCALLED_ALLOWED)) == []
+    # An allowlisted name that gained a caller, or left the package, leaves the list.
+    assert sorted(set(UNCALLED_ALLOWED) - set(uncalled)) == []

