@@ -492,21 +492,34 @@ def census_size(M: FqModule, target) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def _subspace_listing(F: GF, d: int, k: int) -> tuple:
+    """gf.subspaces(F, d, k) as (rows, pivots), already RREF; shared by censuses."""
+    return tuple((rows, tuple(row.index(1) for row in rows)) for rows in gf.subspaces(F, d, k))
+
+
 def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000):
     """Yield the arrow-stable graded subspaces of M of dimension vector target.
 
-    Interval census: the vertices are fixed in order.  When vertex v is
-    reached, V_v must contain the lower bound, the sum of M_a(V_s) over arrows
-    a: s -> v with s already fixed, and lie in the upper bound, the
-    intersection of M_a^-1(V_t) over arrows a: v -> t with t already fixed.
-    Only subspaces between the two bounds are listed (as subspaces of
-    upper/lower lifted back to F^{d_v}), so every arrow between two distinct
-    vertices holds by construction; a loop at v is the one arrow checked per
-    candidate.  No candidate is built and then rejected otherwise.
+    Interval census: the vertices are fixed one at a time, in increasing
+    order of their number of target-dimensional subspaces [d_v, k_v]_q, ties
+    by index.  When vertex v is reached, V_v must contain the lower bound,
+    the sum of M_a(V_s) over arrows a: s -> v with s already fixed, and lie
+    in the upper bound, the intersection of M_a^-1(V_t) over arrows
+    a: v -> t with t already fixed.  Only subspaces between the two bounds
+    are listed (as subspaces of upper/lower lifted back to F^{d_v}), so every
+    arrow between two distinct vertices holds by construction; a loop at v
+    is the one arrow checked per candidate.  A vertex whose lower bound
+    already exceeds k_v ends its branch before the upper bound is solved.
+    Fixing the vertex with the fewest choices first keeps the branches that
+    die at a later vertex few: on the Kronecker quiver with the sink first,
+    the source's bound is a preimage, which almost every choice meets.
 
     Each subspace is a tuple over vertices of (RREF rows, pivot columns), in
-    the order of the product of ``gf.subspaces`` over vertices.  ``budget``
-    bounds ``census_size``, the size of that full product, not the number of
+    the order of the product of ``gf.subspaces`` over vertices: when the
+    vertices are not fixed in index order, the kept subspaces are sorted
+    into that order before any is yielded.  ``budget`` bounds
+    ``census_size``, the size of that full product, not the number of
     subspaces kept.
     """
     n = len(M.dims)
@@ -516,27 +529,20 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000):
     if size > budget:
         raise BudgetExceededError(f"census of {size} subspaces exceeds budget {budget}")
     F = M.F
+    order = sorted(
+        range(n), key=lambda v: (gf.gaussian_binomial_int(M.dims[v], target[v], F.q), v)
+    )
+    position = {v: i for i, v in enumerate(order)}
     incoming = [[] for _ in range(n)]  # (matrix, source) for sources fixed earlier
     outgoing = [[] for _ in range(n)]  # (matrix, target) for targets fixed earlier
     loops = [[] for _ in range(n)]
     for a, (s, t) in enumerate(M.quiver.arrows):
         if s == t:
             loops[s].append(M.mats[a])
-        elif s < t:
+        elif position[s] < position[t]:
             incoming[t].append((M.mats[a], s))
         else:
             outgoing[s].append((M.mats[a], t))
-    listings: dict = {}
-
-    def listing(d, k):
-        # gf.subspaces(F, d, k) as (rows, pivots), already RREF.
-        key = (d, k)
-        if key not in listings:
-            listings[key] = [
-                (rows, tuple(row.index(1) for row in rows))
-                for rows in gf.subspaces(F, d, k)
-            ]
-        return listings[key]
 
     def loop_stable(v, rows, pivots):
         for mat in loops[v]:
@@ -555,6 +561,8 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000):
             if any(img := gf.mat_vec(F, mat, w))
         ]
         low_rows, low_piv = gf.rref(F, images) if images else ([], [])
+        if len(low_rows) > k:
+            return []
         # x lies in M_a^-1(V_t) iff M_a x vanishes modulo V_t: the rows are
         # those of M_a on M/V with no column restriction (``_quotient_block``).
         constraints = [
@@ -564,16 +572,16 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000):
             if any(row)
         ]
         if not low_rows and not constraints:
-            return listing(d, k)
+            return _subspace_listing(F, d, k)
         upper = gf.nullspace(F, constraints) if constraints else gf.identity(d)
         # Complement of the lower bound inside the upper one, reduced modulo
         # the lower bound; it spans upper/lower exactly when lower <= upper.
         reduced = [gf.reduce_mod_rowspace(F, low_rows, low_piv, u) for u in upper]
         comp_rows, comp_piv = gf.rref(F, reduced) if reduced else ([], [])
-        if len(comp_rows) != len(upper) - len(low_rows) or k < len(low_rows):
+        if len(comp_rows) != len(upper) - len(low_rows):
             return []
         out = []
-        for coeffs, sel in listing(len(comp_rows), k - len(low_rows)):
+        for coeffs, sel in _subspace_listing(F, len(comp_rows), k - len(low_rows)):
             lifted = gf.combine_rows(F, coeffs, comp_rows)
             out.append(
                 gf.rref_join(F, low_rows, low_piv, lifted, [comp_piv[j] for j in sel])
@@ -582,18 +590,24 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000):
         out.sort(key=lambda e: (e[1], e[0]))
         return out
 
-    def rec(v, chosen):
-        if v == n:
+    chosen = [None] * n
+
+    def rec(i):
+        if i == n:
             yield tuple(chosen)
             return
+        v = order[i]
         for rows, pivots in between_bounds(v, chosen):
             if loops[v] and not loop_stable(v, rows, pivots):
                 continue
-            chosen.append((rows, pivots))
-            yield from rec(v + 1, chosen)
-            chosen.pop()
+            chosen[v] = (rows, pivots)
+            yield from rec(i + 1)
 
-    yield from rec(0, [])
+    if order == list(range(n)):
+        yield from rec(0)
+    else:
+        # Per vertex, gf.subspaces lists by pivots, then row-major entries.
+        yield from sorted(rec(0), key=lambda sub: [(piv, rows) for rows, piv in sub])
 
 
 def _submodule_block(F: GF, mat, rows_s, piv_t) -> tuple:
@@ -753,12 +767,14 @@ def _minimal_indices(F: GF, A, B, n: int) -> dict:
     vectors of degree <= k: k - eps + 1 from each block L_eps with eps <= k,
     none from the other blocks.  So K_k - K_(k-1) counts the indices <= k.
     A block L_eps takes eps + 1 columns, so the search stops once no further
-    block fits.
+    block fits; it stops before the sweep reduces a block it would not read.
     """
     out, used, rank, prev_K, prev_count = {}, 0, 0, 0, 0
-    for k, (_, r) in enumerate(_bidiagonal_sweep(F, A, B, n)):
+    sweep = _bidiagonal_sweep(F, A, B, n)
+    for k in range(n):
         if used + k + 1 > n:
             break
+        _, r = next(sweep)
         rank += r
         K = (k + 1) * n - rank
         count = K - prev_K
@@ -1018,6 +1034,7 @@ class FieldContext:
         self._hall_memo: dict = {}
         self._row_memo: dict = {}
         self._dim_memo: dict = {}
+        self._end_memo: dict = {}
         self._aut_memo: dict = {}
         self._classify_cache: dict = {}
         self._intern_memo: dict = {}
@@ -1084,7 +1101,9 @@ class FieldContext:
         return out
 
     def end(self, desc) -> int:
-        return self.hom_desc(desc, desc)
+        if desc not in self._end_memo:
+            self._end_memo[desc] = self.hom_desc(desc, desc)
+        return self._end_memo[desc]
 
     def aut_coeffs(self, desc) -> tuple:
         """|Aut M| as integer coefficients in q, ascending, by radical lifting.

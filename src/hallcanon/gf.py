@@ -261,12 +261,19 @@ def rref(F: GF, mat):
     pivots = []
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
+        if r == m:
+            break
+        for piv in range(r, m):
+            if rows[piv][c]:
+                break
+        else:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        scale = mul[inv[rows[r][c]]]
-        prow = rows[r] = [scale[x] for x in rows[r]]
+        lead = rows[r][c]
+        if lead != 1:
+            scale = mul[inv[lead]]
+            rows[r] = [scale[x] for x in rows[r]]
+        prow = rows[r]
         for i in range(m):
             f = rows[i][c]
             if f and i != r:

@@ -124,9 +124,40 @@ def test_census_budget_is_the_full_product():
         list(graded_stable_subspaces(M, (2,), budget=size - 1))
 
 
+def test_census_budget_when_the_sink_comes_first(monkeypatch):
+    # [2,1]_3 = 4 subspaces at the sink against [3,1]_3 = 13 at the source,
+    # so the sink is fixed first and the source's upper bound, a preimage,
+    # is solved by gf.nullspace; in index order nothing would call it.  The
+    # budget still counts the full product before any bound is solved.
+    ctx = FieldContext(kronecker(), 3)
+    target = (1, 1)
+    solved = []
+    nullspace = gf.nullspace
+
+    def counting(F, mat):
+        solved.append(len(mat))
+        return nullspace(F, mat)
+
+    monkeypatch.setattr(gf, "nullspace", counting)
+    for dL in ctx.classes((3, 2)):
+        L = ctx.build(dL)
+        size = census_size(L, target)
+        assert size == 13 * 4
+        before = len(solved)
+        with pytest.raises(BudgetExceededError):
+            list(graded_stable_subspaces(L, target, budget=size - 1))
+        assert len(solved) == before
+        got = list(graded_stable_subspaces(L, target, budget=size))
+        assert [tuple(rows for rows, _ in sub) for sub in got] == (
+            oracle_stable_subspaces(L, target)
+        ), dL
+    assert solved
+
+
 HALL_TABLE_CASES = [
     (cyclic(2), (2, 2)),
     (kronecker(), (2, 2)),
+    (kronecker(), (3, 2)),
     (linear_an(3, "><"), (1, 2, 1)),
     (cyclic(1), (3,)),
 ]

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from hallcanon import hallpoly
+from hallcanon.canonical import CanonicalSolver
 from hallcanon.config import JobConfig, UnsupportedQuiverError
 from hallcanon.fqrep import (
     FieldContext,
@@ -175,6 +176,39 @@ def test_stored_word_with_tube_data_is_refused(tmp_path):
     engine.polyeng.store.put(engine.quiver.name, ("word", word), record)
     with pytest.raises(UnsupportedQuiverError):
         engine.generic_word(word)
+
+
+def test_corrupted_kronecker_expansion_fails_the_recheck(monkeypatch):
+    # The re-check at primes[0] runs on every lifted Kronecker word: an
+    # expansion that is off in one coefficient is refused, not stored.
+    engine = HallEngine(kronecker(), JobConfig(cache_dir=None))
+    lift = HallEngine.lift_family
+
+    def corrupted(self, builder):
+        out = lift(self, builder)
+        key = min(out)
+        out[key] = out[key] + V(-1)
+        return out
+
+    monkeypatch.setattr(HallEngine, "lift_family", corrupted)
+    with pytest.raises(ArithmeticError):
+        engine.generic_word(((0, 1), (1, 1)))
+
+
+def test_hom_desc_runs_once_per_descriptor(monkeypatch):
+    seen: dict = {}
+    hom_desc = FieldContext.hom_desc
+
+    def counting(self, descA, descB):
+        key = (id(self), descA, descB)
+        seen[key] = seen.get(key, 0) + 1
+        return hom_desc(self, descA, descB)
+
+    monkeypatch.setattr(FieldContext, "hom_desc", counting)
+    engine = HallEngine(kronecker(), JobConfig(cache_dir=None))
+    CanonicalSolver(IndexSystem(engine)).solve((2, 2))
+    assert seen
+    assert max(seen.values()) == 1
 
 
 def test_express_in_N_roundtrip_field(kron):
