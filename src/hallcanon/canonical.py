@@ -113,35 +113,28 @@ class CanonicalSolver:
     def __init__(self, system: IndexSystem):
         self.system = system
         self.engine = system.engine
-        self._solve_memo: dict = {}
 
     def solve(self, nu) -> CanonicalData:
-        nu = tuple(nu)
-        if nu in self._solve_memo:
-            return self._solve_memo[nu]
-        data = self.system.pbw_basis(nu)
+        data = self.system.pbw_basis(tuple(nu))
         eta_inv = invert_unitriangular(data.order, data.eta)
         Z = zeta_matrix(data.order, data.eta, eta_inv)
         G = lusztig_solve(data.order, Z)
         C_over_N = {a: row_times(G[a], data.E) for a in data.order}
         C_over_mon = {a: row_times(G[a], data.eta) for a in data.order}
-        out = CanonicalData(data, Z, eta_inv, G, C_over_N, C_over_mon)
-        self._solve_memo[nu] = out
-        return out
+        return CanonicalData(data, Z, eta_inv, G, C_over_N, C_over_mon)
 
     # -- the truncation algorithm ------------------------------------------
 
     def truncation(self, nu):
         """Bar-invariant elements by folding monomial coefficients.
 
-        Returns (G_over_mon, G_over_N); a hard iteration guard protects
-        against upstream corruption.
+        Returns G_over_mon, each element over the monomials; a hard
+        iteration guard protects against upstream corruption.
         """
         data = self.system.pbw_basis(tuple(nu))
         order = data.order
         aper = set(order)
         G_over_mon: dict = {}
-        G_over_N: dict = {}
         guard = 0
         limit = (len(order) + 1) ** 2 + 16
         for pos, a in enumerate(order):
@@ -165,8 +158,7 @@ class CanonicalSolver:
                 if b != a and b in aper and not c.in_vinv_Z():
                     raise BarSolveError("truncation left a bad aperiodic tail")
             G_over_mon[a] = used
-            G_over_N[a] = cur
-        return G_over_mon, G_over_N
+        return G_over_mon
 
     # -- certificates -----------------------------------------------------------
 
@@ -192,8 +184,7 @@ class CanonicalSolver:
         if cdata is None:
             cdata = self.solve(nu)
         report = verify_bundle(self._matrices(cdata) if matrices is None else matrices)
-        tmon, _ = self.truncation(nu)
-        report["truncation_agrees"] = tmon == cdata.C_over_mon
+        report["truncation_agrees"] = self.truncation(nu) == cdata.C_over_mon
         report["ok"] = report["ok"] and report["truncation_agrees"]
         return report
 

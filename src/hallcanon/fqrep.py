@@ -324,28 +324,6 @@ class FqModule:
             mats.append(m)
         return FqModule(self.quiver, self.F, dims, mats)
 
-    def to_json(self):
-        return {
-            "field": self.F.q,
-            "quiver": self.quiver.to_json(),
-            "dims": list(self.dims),
-            "matrices": [[x for row in m for x in row] for m in self.mats],
-        }
-
-    @staticmethod
-    def from_json(data) -> "FqModule":
-        Q = Quiver.from_json(data["quiver"])
-        F = GF(data["field"])
-        dims = tuple(data["dims"])
-        mats = []
-        for a, (s, t) in enumerate(Q.arrows):
-            flat = data["matrices"][a]
-            rows = [
-                flat[r * dims[s] : (r + 1) * dims[s]] for r in range(dims[t])
-            ]
-            mats.append(rows)
-        return FqModule(Q, F, dims, mats)
-
     def __repr__(self):
         return f"FqModule(q={self.F.q}, dims={self.dims})"
 
@@ -1112,8 +1090,10 @@ class FieldContext:
         indecomposables, the cross-Hom blocks lie in the radical of End M,
         so |Aut M| = q^(sum of cross Hom dims) * prod |GL_{n_i}(End M_i)|
         with End M_i local of residue degree d_i and radical dimension
-        e_i - d_i.  Only Hom dimensions are used; nothing is built.
+        e_i - d_i.  Only Hom dimensions are used; nothing is built.  Memoized.
         """
+        if desc in self._aut_memo:
+            return self._aut_memo[desc]
         comps = desc_indecs(desc)
         cross = 0
         for i, (ia, na) in enumerate(comps):
@@ -1132,15 +1112,14 @@ class FieldContext:
                 factor[d * n] = 1
                 factor[d * k] -= 1
                 coeffs = _int_poly_mul(coeffs, factor)
-        return tuple(coeffs)
+        self._aut_memo[desc] = tuple(coeffs)
+        return self._aut_memo[desc]
 
     def aut(self, desc) -> int:
-        if desc not in self._aut_memo:
-            out = 0
-            for c in reversed(self.aut_coeffs(desc)):
-                out = out * self.q + c
-            self._aut_memo[desc] = out
-        return self._aut_memo[desc]
+        out = 0
+        for c in reversed(self.aut_coeffs(desc)):
+            out = out * self.q + c
+        return out
 
     # -- construction ----------------------------------------------------
 
@@ -1390,12 +1369,9 @@ class FieldContext:
         (``classify_pencil``) and cyclic ones from path ranks
         (``classify_nilpotent_cyclic``); finite type matches a Hom profile
         against ``_classifier``'s table.  The descriptor returned is the
-        object in ``classes(M.dims)``.
+        object in ``classes(M.dims)``, written to the classify cache that
+        ``hall_row`` reads before it builds M.
         """
-        key = M.key()
-        hit = self._classify_cache.get(key)
-        if hit is not None:
-            return hit
         if self.kind == "finite":
             chosen, table = self._classifier(M.dims)
             prof = []
@@ -1415,7 +1391,7 @@ class FieldContext:
             out = interned.get(desc)
         if out is None:
             raise ClassificationError(f"module of dimension {M.dims} matches no descriptor")
-        self._classify_cache[key] = out
+        self._classify_cache[M.key()] = out
         return out
 
     # -- Hall numbers -------------------------------------------------------

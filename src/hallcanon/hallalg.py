@@ -28,6 +28,7 @@ from itertools import permutations, product
 
 from .config import (
     InsufficientPointsError,
+    InterpolationError,
     JobConfig,
     UnsupportedQuiverError,
 )
@@ -41,7 +42,13 @@ from .fqrep import (
     mseg_normalize,
     mseg_socle_extensions,
 )
-from .hallpoly import HallPolyEngine, _jsonable, _normalize_rational, sample_and_fit
+from .hallpoly import (
+    MIN_VALIDATE,
+    HallPolyEngine,
+    _jsonable,
+    _normalize_rational,
+    sample_and_fit,
+)
 from .laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
 from .partitions import centralizer_order, character, partitions
 from .quiver import Quiver
@@ -229,6 +236,20 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             a = a - b * LaurentPoly.v_power(a.degree() - b.degree(), c)
         a, b = b, a
     return a
+
+
+def word_degree_bound(word) -> int:
+    """D(word) = sum over vertices v of sum_{j<k} a_j a_k, over the letters
+    (v, a_j) at v: a bound on the q-degree of every coefficient of the
+    monomial.  Such a coefficient counts flags of L whose subquotients are
+    the letters' semisimples, and at each vertex v these are flags of
+    subspaces with steps a_j, of q-degree at most that sum."""
+    before: dict = {}
+    out = 0
+    for label, a in word:
+        out += a * before.get(label, 0)
+        before[label] = before.get(label, 0) + a
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +453,14 @@ class HallEngine:
         def compute():
             if self.kind == "cyclic":
                 return self._cyclic_word(word)
+            # A fit of degree D needs D + 1 samples and the held-out ones.
+            D = word_degree_bound(word)
+            if D + 1 + MIN_VALIDATE > len(self.cfg.primes):
+                raise InterpolationError(
+                    f"word {word} has q-degree up to D = {D} and needs "
+                    f"{D + 1 + MIN_VALIDATE} sample fields; primes "
+                    f"{list(self.cfg.primes)} give {len(self.cfg.primes)}"
+                )
             return self.lift_family(
                 lambda q: self.express_in_N(self.word_element(word, q))
             )

@@ -270,9 +270,6 @@ class HallPolynomial:
             out = out * q + c
         return out
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -482,9 +479,9 @@ class HallPolyEngine:
         return self._lookup(key, lambda: self._compute_hall(key))
 
     def aut_polynomial(self, desc) -> HallPolynomial:
-        key_triple = abstract_triple(desc, desc, desc)
-        key = ("aut", key_triple[0], key_triple[3])
-        return self._lookup(key, lambda: self._compute_aut(key))
+        """|Aut M| in q, the closed form ``FieldContext.aut_coeffs``; never stored."""
+        q0 = self.cfg.primes[0]
+        return HallPolynomial(self.ctx(q0).aut_coeffs(desc), (), (), q0)
 
     def _lookup(
         self, key, compute, encode=HallPolynomial.to_json, decode=HallPolynomial.from_json
@@ -540,16 +537,6 @@ class HallPolyEngine:
         # sum_v n_v (l_v - n_v) in q, so that degree caps the fit.
         cap = sum(n * (l - n) for l, n in zip(nuL, nuN))
         return sample_and_fit(qs, lambda q: {key: self._count_hall(key, q)}, cap)[key]
-
-    def _compute_aut(self, key) -> HallPolynomial:
-        """|Aut M| as a polynomial in q, from ``FieldContext.aut_coeffs``."""
-        _, absD, degrees = key
-        qs = self._usable_qs(degrees)
-        if not qs:
-            raise InterpolationError("no usable sample fields")
-        q0 = qs[0]
-        d0 = instantiate_desc(absD, assign_points(q0, degrees))
-        return HallPolynomial(self.ctx(q0).aut_coeffs(d0), (), (), q0)
 
     def check_at(self, poly: HallPolynomial, descL, descM, descN, q: int):
         """Recount at a fresh field; a mismatch is a hard contradiction."""

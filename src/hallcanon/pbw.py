@@ -65,7 +65,6 @@ class IndexSystem:
         self.quiver = engine.quiver
         self.kind = engine.kind
         self._ddx_memo: dict = {}
-        self._mono_memo: dict = {}
         self._pbw_memo: dict = {}
 
     # -- enumeration -------------------------------------------------------
@@ -214,8 +213,6 @@ class IndexSystem:
 
     def monomial_over_N(self, idx) -> dict:
         """Expansion of the monomial over the N family, with triangularity checks."""
-        if idx in self._mono_memo:
-            return self._mono_memo[idx]
         out = self.engine.generic_word(self.word_for_index(idx))
         lead = out.get(idx, ZERO)
         if lead != ONE:
@@ -231,7 +228,6 @@ class IndexSystem:
                 raise ArithmeticError(
                     f"monomial support {b} is not below the leading index {idx}"
                 )
-        self._mono_memo[idx] = out
         return out
 
     # -- PBW basis ----------------------------------------------------------

@@ -174,7 +174,21 @@ class Quiver:
 
     @staticmethod
     def from_json(data) -> "Quiver":
-        return Quiver(data["vertices"], [tuple(a) for a in data["arrows"]])
+        """The quiver of {"vertices": [label, ...], "arrows": [[s, t], ...]};
+        labels are integers or strings.  A malformed spec raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("a JSON quiver spec is an object")
+        vertices, arrows = data.get("vertices"), data.get("arrows")
+        if not isinstance(vertices, list) or not all(
+            isinstance(v, (int, str)) and not isinstance(v, bool) for v in vertices
+        ):
+            raise ValueError('"vertices" is not a list of integer or string labels')
+        if not isinstance(arrows, list):
+            raise ValueError('"arrows" is not a list of [source, target] pairs')
+        for a in arrows:
+            if not (isinstance(a, list) and len(a) == 2 and all(x in vertices for x in a)):
+                raise ValueError(f"arrow {a!r} is not a [source, target] pair of vertices")
+        return Quiver(vertices, [tuple(a) for a in arrows])
 
 
 def _box(bound):

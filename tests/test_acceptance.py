@@ -47,7 +47,7 @@ def test_criterion_1_quantum_serre():
         for q in (3, 5):
             for i, j in pairs:
                 ok = ok and engine.serre_sum(i, j, q).is_zero_specialized()
-    _report(1, ok and time.time() - t0 < 120, "quantum Serre relations vanish", t0)
+    _report(1, ok and time.time() - t0 < 1, "quantum Serre relations vanish", t0)
 
 
 def test_criterion_2_kostka_coefficients():
@@ -191,7 +191,7 @@ def test_criterion_6_green_compatibility():
             count += 1
             if count >= 20:
                 break
-    _report(6, count >= 20 and time.time() - t0 < 60, f"(x, y*y') = (r(x), y(x)y') on {count} cases", t0)
+    _report(6, count >= 20 and time.time() - t0 < 3, f"(x, y*y') = (r(x), y(x)y') on {count} cases", t0)
 
 
 def _dims_up_to(n, total):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hallcanon.cli import main
+from hallcanon.hallpoly import CacheStore
 
 
 def run_cli(capsys, *argv):
@@ -334,10 +335,49 @@ def test_cache_commands(tmp_path, capsys):
     assert json.loads(out)["removed"] == [path]
 
 
+def test_store_holds_only_lifted_words(tmp_path, capsys, monkeypatch):
+    # |Aut M| is a closed form and is never stored: a cold cyclic run writes
+    # one record per monomial word, and a warm rerun writes nothing and
+    # prints the same bundle.
+    cache = tmp_path / "cache"
+    args = ["canonical", "--quiver", "cyclic:3", "--dim", "2,2,1", "--cache-dir", str(cache)]
+    code, cold = run_cli(capsys, *args)
+    assert code == 0
+    kinds = [json.loads(p.read_text())["key"][0] for p in cache.rglob("*.json")]
+    assert kinds == ["word"] * 14
+    puts = []
+    monkeypatch.setattr(CacheStore, "put", lambda self, *record: puts.append(record))
+    code, warm = run_cli(capsys, *args)
+    assert code == 0
+    assert puts == []
+    assert warm == cold
+
+
 def test_error_is_machine_readable(capsys):
     code, out = run_cli(capsys, "canonical", "--quiver", "nosuch", "--dim", "1,1")
     assert code == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"vertices":[1,2],"arrows":[[1,3]]}',  # arrow to an unknown vertex
+        '{"vertices":[1,2]}',  # no arrows
+        '{"vertices":[[1],2],"arrows":[]}',  # unhashable label
+        '{"vertices":5,"arrows":[]}',
+        '{"vertices":[1,2],"arrows":5}',
+        '[{"vertices":[1,2],"arrows":[[1,2]]}]',  # a list, not an object
+    ],
+)
+def test_malformed_json_quiver_is_machine_readable(tmp_path, capsys, spec):
+    path = tmp_path / "quiver.json"
+    path.write_text(spec)
+    forms = [f"@{path}"] + ([spec] if spec.startswith("{") else [])
+    for form in forms:
+        code, out = run_cli(capsys, "canonical", "--quiver", form, "--dim", "1,1")
+        assert code == 2, form
+        assert json.loads(out)["error"]["type"] == "ValueError", form
 
 
 def test_determinism_across_runs(tmp_path):

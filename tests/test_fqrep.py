@@ -516,13 +516,6 @@ def test_simple_summand_detection():
         reflect_module(S_sink, 1, "+")
 
 
-def test_module_json_roundtrip():
-    M = build_cyclic([((1, 2), 1)], 5, cyclic(2))
-    M2 = FqModule.from_json(M.to_json())
-    assert M2.key() == M.key()
-    assert M2.quiver == M.quiver
-
-
 def test_wild_quiver_rejected():
     from hallcanon.quiver import Quiver
     from hallcanon.config import UnsupportedQuiverError

@@ -4,9 +4,9 @@ from itertools import product
 
 import pytest
 
-from hallcanon import hallpoly
+from hallcanon import hallalg, hallpoly
 from hallcanon.canonical import CanonicalSolver
-from hallcanon.config import JobConfig, UnsupportedQuiverError
+from hallcanon.config import InterpolationError, JobConfig, UnsupportedQuiverError
 from hallcanon.fqrep import (
     FieldContext,
     enumerate_msegs,
@@ -18,7 +18,14 @@ from hallcanon.fqrep import (
     mseg_socle_extensions,
     reflect_module,
 )
-from hallcanon.hallalg import FieldElement, HallEngine, jacobi_trudi_h, nindex, tensor_green
+from hallcanon.hallalg import (
+    FieldElement,
+    HallEngine,
+    jacobi_trudi_h,
+    nindex,
+    tensor_green,
+    word_degree_bound,
+)
 from hallcanon.laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
 from hallcanon.partitions import kostka, partitions
 from hallcanon.pbw import IndexSystem
@@ -193,6 +200,49 @@ def test_corrupted_kronecker_expansion_fails_the_recheck(monkeypatch):
     monkeypatch.setattr(HallEngine, "lift_family", corrupted)
     with pytest.raises(ArithmeticError):
         engine.generic_word(((0, 1), (1, 1)))
+
+
+@pytest.mark.parametrize(
+    "quiver, dims",
+    [
+        (kronecker(), [nu for nu in product(range(3), range(4)) if any(nu)]),
+        (linear_an(3), [nu for nu in product(range(6), repeat=3) if 0 < sum(nu) <= 5]),
+    ],
+    ids=["kronecker<=(2,3)", "an:3<=5"],
+)
+def test_word_degree_bound_caps_the_fitted_degree(monkeypatch, quiver, dims):
+    # Each monomial word is lifted by one sample_and_fit call, and no
+    # coefficient it fits has a q-degree above D(word).
+    fitted = []
+
+    def recording(primes, sample, cap=None):
+        out = hallpoly.sample_and_fit(primes, sample, cap)
+        fitted.append(max((len(p.coeffs) - 1 for p in out.values()), default=-1))
+        return out
+
+    monkeypatch.setattr(hallalg, "sample_and_fit", recording)
+    system = IndexSystem(HallEngine(quiver, JobConfig(cache_dir=None)))
+    words = {
+        system.word_for_index(idx)
+        for nu in dims
+        for idx in system.enumerate_indices(nu).aperiodic
+    }
+    for word in sorted(words):
+        fitted.clear()
+        system.engine.generic_word(word)
+        assert len(fitted) == 1 and fitted[0] <= word_degree_bound(word), (word, fitted)
+
+
+def test_word_over_its_degree_bound_fails_before_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field was sampled")
+
+    monkeypatch.setattr(HallEngine, "word_element", refuse)
+    engine = HallEngine(kronecker(), JobConfig(cache_dir=None, primes=(2, 3, 4)))
+    word = ((0, 1), (1, 1), (0, 1), (1, 1))
+    assert word_degree_bound(word) == 2
+    with pytest.raises(InterpolationError, match=r"D = 2 and needs 5 sample fields"):
+        engine.generic_word(word)
 
 
 def test_hom_desc_runs_once_per_descriptor(monkeypatch):
