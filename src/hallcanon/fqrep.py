@@ -5,11 +5,11 @@ preprojectives / preinjectives / regulars, finite-type root modules),
 Hom/End/Aut computation, arrow-stable subspace censuses, Hall numbers,
 BGP reflection functors and isomorphism classification.
 
-Classification reads ranks: a Kronecker module through the Kronecker
-canonical form of its pencil (``classify_pencil``), a nilpotent cyclic one
-through the ranks of its paths (``classify_nilpotent_cyclic``).  Finite type
-matches Hom dimensions against a profile table (``FieldContext._classifier``),
-which for the other two kinds is the test oracle.
+Classification computes a descriptor in closed form: a Kronecker module
+through the Kronecker canonical form of its pencil (``classify_pencil``), a
+nilpotent cyclic one through the ranks of its paths
+(``classify_nilpotent_cyclic``), a finite-type one by a triangular solve on
+dim Hom(beta_t, M) over the preprojectives (``FieldContext.classify``).
 
 Iso classes are referred to by hashable descriptors:
 
@@ -251,6 +251,19 @@ def closed_points(q: int, degree: int) -> tuple:
     if degree == 1:
         pts.append(("i",))
     return tuple(pts)
+
+
+def point_count(q: int, degree: int) -> int:
+    """len(closed_points(q, degree)), in closed form.
+
+    Each monic polynomial of degree d factors uniquely into monic
+    irreducibles, so q^d = sum_{e | d} e N_e with N_e the number of degree e;
+    degree 1 adds infinity.
+    """
+    n = [0] * (degree + 1)
+    for d in range(1, degree + 1):
+        n[d] = (q**d - sum(e * n[e] for e in range(1, d) if d % e == 0)) // d
+    return n[degree] + (degree == 1)
 
 
 def point_degree(point) -> int:
@@ -1008,7 +1021,6 @@ class FieldContext:
         self._build_memo: dict = {}
         self._indec_memo: dict = {}
         self._classes_memo: dict = {}
-        self._classifier_memo: dict = {}
         self._hall_memo: dict = {}
         self._row_memo: dict = {}
         self._dim_memo: dict = {}
@@ -1214,7 +1226,7 @@ class FieldContext:
             used = self.desc_dim(make_cdesc(cm=cm))
             rem1 = tuple(a - b for a, b in zip(nu, used))
             iroots = self.seq.preinjective_range(rem1)
-            for cp in self._root_multisets(iroots, rem1, exact=False, side="+"):
+            for cp in self._root_multisets(iroots, rem1, exact=False):
                 used2 = self.desc_dim(make_cdesc(cp=cp))
                 rem = tuple(a - b for a, b in zip(rem1, used2))
                 d = self.delta
@@ -1222,7 +1234,7 @@ class FieldContext:
                     continue
                 yield cm, cp, rem[0] // d[0]
 
-    def _root_multisets(self, roots, bound, exact: bool, side: str = "-"):
+    def _root_multisets(self, roots, bound, exact: bool):
         """Multiplicity functions on the given beta indices, fitting the bound."""
         betas = [(t, self.seq.beta(t)) for t in roots]
 
@@ -1277,118 +1289,44 @@ class FieldContext:
 
     # -- classification ----------------------------------------------------
 
-    def _test_pool(self, total: int):
-        if self.kind == "cyclic":
-            return [
-                ("s", i, l)
-                for l in range(1, total + 1)
-                for i in range(1, self.quiver.n + 1)
-            ]
-        pool = []
-        bound = tuple([total] * self.quiver.n)
-        for t in self.seq.preprojective_range(bound):
-            if sum(self.seq.beta(t)) <= total:
-                pool.append(("p", t))
-        for t in self.seq.preinjective_range(bound):
-            if sum(self.seq.beta(t)) <= total:
-                pool.append(("q", t))
-        if self.kind == "kronecker":
-            dsum = sum(self.delta)
-            for d in range(1, total // dsum + 1):
-                for l in range(1, total // (d * dsum) + 1):
-                    pool.extend(("r", pt, l) for pt in self.points(d))
-        return pool
-
-    def _classifier(self, nu):
-        nu = tuple(nu)
-        if nu in self._classifier_memo:
-            return self._classifier_memo[nu]
-        cands = self.classes(nu)
-        tests: list = []
-        if len(cands) > 1:
-            pool = [("L", x) for x in self._test_pool(sum(nu))]
-            pool += [("R", x) for x in self._test_pool(sum(nu))]
-            profiles = {}
-            for d in cands:
-                prof = []
-                for side, x in pool:
-                    xd = self._indec_as_desc(x)
-                    prof.append(
-                        self.hom_desc(xd, d) if side == "L" else self.hom_desc(d, xd)
-                    )
-                profiles[d] = prof
-            groups = [list(cands)]
-            while any(len(g) > 1 for g in groups):
-                best = None
-                best_score = -1
-                for k in range(len(pool)):
-                    score = 0
-                    for g in groups:
-                        vals = {profiles[d][k] for d in g}
-                        score += len(vals) - 1
-                    if score > best_score:
-                        best_score = score
-                        best = k
-                if best_score <= 0:
-                    raise ClassificationError(
-                        f"test pool cannot separate classes of dimension {nu}"
-                    )
-                tests.append(best)
-                new_groups = []
-                for g in groups:
-                    split: dict = {}
-                    for d in g:
-                        split.setdefault(profiles[d][best], []).append(d)
-                    new_groups.extend(split.values())
-                groups = new_groups
-            table = {tuple(profiles[d][k] for k in tests) for d in cands}
-            assert len(table) == len(cands)
-            table = {
-                tuple(profiles[d][k] for k in tests): d for d in cands
-            }
-            chosen = [pool[k] for k in tests]
-        else:
-            table = {(): cands[0]} if cands else {}
-            chosen = []
-        self._classifier_memo[nu] = (chosen, table)
-        return self._classifier_memo[nu]
-
-    def _indec_as_desc(self, ind):
-        if ind[0] == "s":
-            return ("m", (((ind[1], ind[2]), 1),))
-        if ind[0] == "p":
-            return make_cdesc(cm=((ind[1], 1),))
-        if ind[0] == "q":
-            return make_cdesc(cp=((ind[1], 1),))
-        return make_cdesc(homog=((ind[1], (ind[2],)),))
-
     def classify(self, M: FqModule):
         """Match an explicit module to its iso-class descriptor.
 
         Kronecker modules are read from ranks of their pencil
-        (``classify_pencil``) and cyclic ones from path ranks
-        (``classify_nilpotent_cyclic``); finite type matches a Hom profile
-        against ``_classifier``'s table.  The descriptor returned is the
-        object in ``classes(M.dims)``, written to the classify cache that
+        (``classify_pencil``), cyclic ones from path ranks
+        (``classify_nilpotent_cyclic``) and finite-type ones from
+        dim Hom(beta_t, M) by a triangular solve.  The descriptor returned is
+        the object in ``classes(M.dims)``, written to the classify cache that
         ``hall_row`` reads before it builds M.
+
+        In finite type every indecomposable is a preprojective beta_t, and
+        Hom(beta_s, beta_t) = 0 for s < t while End beta_t is the field, so
+        dim Hom(beta_t, M) = m_t + sum_{s<t} m_s dim Hom(beta_t, beta_s).
+        Walking t up from the most negative index gives each m_t in turn.
         """
         if self.kind == "finite":
-            chosen, table = self._classifier(M.dims)
-            prof = []
-            for side, x in chosen:
-                X = self.build_indec(x)
-                prof.append(hom_dim(X, M) if side == "L" else hom_dim(M, X))
-            out = table.get(tuple(prof))
+            cm = []
+            for t in reversed(self.seq.preprojective_range(M.dims)):
+                ind = ("p", t)
+                m = hom_dim(self.build_indec(ind), M) - sum(
+                    ms * self.hom_indec(ind, ("p", s)) for s, ms in cm
+                )
+                if m < 0:
+                    raise ClassificationError(
+                        f"module of dimension {M.dims} has multiplicity {m} at beta_{t}"
+                    )
+                if m:
+                    cm.append((t, m))
+            desc = make_cdesc(cm=cm)
+        elif self.kind == "kronecker":
+            s, t = self.quiver.arrows[0]
+            desc = classify_pencil(self.F, *M.mats, M.dims[t], M.dims[s])
         else:
-            if self.kind == "kronecker":
-                s, t = self.quiver.arrows[0]
-                desc = classify_pencil(self.F, *M.mats, M.dims[t], M.dims[s])
-            else:
-                desc = classify_nilpotent_cyclic(M)
-            interned = self._intern_memo.get(M.dims)
-            if interned is None:
-                interned = self._intern_memo[M.dims] = {c: c for c in self.classes(M.dims)}
-            out = interned.get(desc)
+            desc = classify_nilpotent_cyclic(M)
+        interned = self._intern_memo.get(M.dims)
+        if interned is None:
+            interned = self._intern_memo[M.dims] = {c: c for c in self.classes(M.dims)}
+        out = interned.get(desc)
         if out is None:
             raise ClassificationError(f"module of dimension {M.dims} matches no descriptor")
         self._classify_cache[M.key()] = out

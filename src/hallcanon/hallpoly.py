@@ -22,7 +22,7 @@ from .config import (
     InterpolationError,
     JobConfig,
 )
-from .fqrep import FieldContext, closed_points
+from .fqrep import FieldContext, closed_points, point_count
 from .laurent import LaurentPoly
 from .quiver import Quiver
 
@@ -504,14 +504,16 @@ class HallPolyEngine:
     # -- computations ----------------------------------------------------------
 
     def _usable_qs(self, degrees):
-        out = []
-        for q in self.cfg.primes:
-            try:
-                assign_points(q, degrees)
-            except InsufficientPointsError:
-                continue
-            out.append(q)
-        return out
+        """The fields with as many closed points of each degree as it has slots.
+
+        Counted by ``point_count``; points are listed (``assign_points``) only
+        at the fields that are sampled.
+        """
+        return [
+            q
+            for q in self.cfg.primes
+            if all(degrees.count(d) <= point_count(q, d) for d in set(degrees))
+        ]
 
     def _descs_at(self, key, q):
         """The (L, M, N) of a Hall key with its slots filled at field q."""

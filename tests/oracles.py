@@ -6,7 +6,7 @@ form of something the package computes another way.
 
 from functools import lru_cache
 
-from hallcanon.fqrep import FqModule, _quotient_block, _submodule_block
+from hallcanon.fqrep import FqModule, _quotient_block, _submodule_block, hom_dim, make_cdesc
 from hallcanon.laurent import ONE, LaurentPoly, RationalFn, expand_at_infinity
 
 
@@ -96,3 +96,59 @@ def quotient_by_subspace(M: FqModule, sub) -> FqModule:
     ]
     dims = tuple(d - len(pivots) for d, (_, pivots) in zip(M.dims, sub))
     return FqModule(M.quiver, M.F, dims, mats)
+
+
+# -- classification by Hom profiles ---------------------------------------
+
+
+def indecomposable_pool(ctx, total: int) -> list:
+    """Every indecomposable of ``ctx`` of total dimension at most ``total``."""
+    n = ctx.quiver.n
+    if ctx.kind == "cyclic":
+        return [("s", i, l) for l in range(1, total + 1) for i in range(1, n + 1)]
+    bound = (total,) * n
+    pool = [("p", t) for t in ctx.seq.preprojective_range(bound)]
+    pool += [("q", t) for t in ctx.seq.preinjective_range(bound)]
+    pool = [x for x in pool if sum(ctx.indec_dim(x)) <= total]
+    if ctx.kind == "kronecker":
+        dsum = sum(ctx.delta)
+        for d in range(1, total // dsum + 1):
+            for l in range(1, total // (d * dsum) + 1):
+                pool.extend(("r", pt, l) for pt in ctx.points(d))
+    return pool
+
+
+def _indec_desc(x) -> tuple:
+    if x[0] == "s":
+        return ("m", (((x[1], x[2]), 1),))
+    if x[0] == "p":
+        return make_cdesc(cm=((x[1], 1),))
+    if x[0] == "q":
+        return make_cdesc(cp=((x[1], 1),))
+    return make_cdesc(homog=((x[1], (x[2],)),))
+
+
+@lru_cache(maxsize=None)
+def _hom_pair(ctx, x, d) -> tuple:
+    """(dim Hom(X, D), dim Hom(D, X)) for the indecomposable x and class d."""
+    xd = _indec_desc(x)
+    return ctx.hom_desc(xd, d), ctx.hom_desc(d, xd)
+
+
+def hom_profile_class(ctx, M):
+    """The class of ``classes(M.dims)`` whose Hom dimensions to and from every
+    indecomposable X with |X| <= |M| are those of M.
+
+    Each pool member narrows the candidates until one is left.  A module is
+    determined by dim Hom(X, M) over all indecomposables X (Auslander), and
+    the assertion checks that the pool, read both ways, leaves one class.
+    """
+    cands = list(ctx.classes(M.dims))
+    for x in indecomposable_pool(ctx, sum(M.dims)):
+        if len(cands) <= 1:
+            break
+        X = ctx.build_indec(x)
+        seen = (hom_dim(X, M), hom_dim(M, X))
+        cands = [d for d in cands if _hom_pair(ctx, x, d) == seen]
+    assert len(cands) == 1, (M.dims, cands)
+    return cands[0]

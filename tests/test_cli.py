@@ -160,6 +160,25 @@ def test_hallpoly_kronecker_above_end_dimension(capsys):
     assert json.loads(out)["polynomial"] == "q^2"
 
 
+def test_hallpoly_counts_points_without_listing_them(capsys):
+    # L has a point of degree 6; zero by dimension.  Listing every closed
+    # point of degree 6 at the larger --primes fields took minutes.
+    code, out = run_cli(
+        capsys,
+        "hallpoly",
+        "--quiver",
+        "kronecker",
+        "--L",
+        '{"homog": [[[0, 0, 0, 0, 0, 0], [1]]]}',
+        "--M",
+        "{}",
+        "--N",
+        "{}",
+    )
+    assert code == 0
+    assert json.loads(out)["polynomial"] == "0"
+
+
 @pytest.mark.parametrize(
     "quiver, L, M, N",
     [

@@ -20,12 +20,13 @@ from hallcanon.fqrep import (
     mseg_hom,
     mseg_normalize,
     mseg_peel_top,
+    point_count,
     reflect_module,
     simple_module,
 )
 from hallcanon.gf import GF
-from hallcanon.quiver import cyclic, kronecker, linear_an
-from oracles import quotient_by_subspace, reflect, submodule_from_subspace
+from hallcanon.quiver import Quiver, cyclic, kronecker, linear_an
+from oracles import hom_profile_class, quotient_by_subspace, reflect, submodule_from_subspace
 
 
 def ctx_cyclic(n, q):
@@ -366,16 +367,6 @@ def test_classify_round_trip_all_classes():
                 assert ctx.classify(ctx.build(d)) == d
 
 
-def _hom_profile_class(ctx, M):
-    """The Hom-profile classifier, the oracle for the rank classifiers."""
-    chosen, table = ctx._classifier(M.dims)
-    prof = tuple(
-        hom_dim(ctx.build_indec(x), M) if side == "L" else hom_dim(M, ctx.build_indec(x))
-        for side, x in chosen
-    )
-    return table[prof]
-
-
 def _base_change(M, rng):
     """g_t M_a g_s^-1 at every arrow a: s -> t, for random invertible g."""
     from hallcanon import gf as gflib
@@ -391,13 +382,13 @@ def _base_change(M, rng):
     return FqModule(M.quiver, F, M.dims, mats)
 
 
-def _check_rank_classifier(ctx, descs, rng):
+def _check_classifier(ctx, descs, rng):
     """classify returns d itself, the object in ``classes``, for the module
     built from d and for a base change of it, on which the oracle agrees."""
     for d in descs:
         M = ctx.build(d)
         moved = _base_change(M, rng)
-        assert _hom_profile_class(ctx, moved) == d, (ctx.q, d)
+        assert hom_profile_class(ctx, moved) == d, (ctx.q, d)
         for X in (M, moved):
             got = ctx.classify(X)
             assert got is d, (ctx.q, d, got)
@@ -410,7 +401,7 @@ def test_pencil_ranks_match_hom_profiles(q, reverse):
     # have more rows than columns there.
     ctx = FieldContext(kronecker().reversed_at(0) if reverse else kronecker(), q)
     descs = [d for nu in product(range(4), repeat=2) for d in ctx.classes(nu)]
-    _check_rank_classifier(ctx, descs, random.Random(100 * q + reverse))
+    _check_classifier(ctx, descs, random.Random(100 * q + reverse))
 
 
 @pytest.mark.parametrize("q, nu", [(2, (4, 4)), (3, (4, 4)), (2, (5, 4)), (2, (4, 5))])
@@ -426,7 +417,7 @@ def test_pencil_ranks_at_repeated_points_of_degree_two(q, nu):
         if any(point_degree(pt) >= 2 and sum(lam) >= 2 for pt, lam in d[4])
     ]
     assert picked
-    _check_rank_classifier(ctx, picked, random.Random(q + sum(nu)))
+    _check_classifier(ctx, picked, random.Random(q + sum(nu)))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -434,7 +425,45 @@ def test_pencil_ranks_at_repeated_points_of_degree_two(q, nu):
 def test_path_ranks_match_hom_profiles(q, n, total):
     ctx = ctx_cyclic(n, q)
     descs = [d for nu in _dims_with_total_at_most(n, total) for d in ctx.classes(nu)]
-    _check_rank_classifier(ctx, descs, random.Random(q + n))
+    _check_classifier(ctx, descs, random.Random(q + n))
+
+
+# Finite-type quivers for the triangular solve: type A in three orientations
+# and D4 with its centre (vertex 2) as a sink and as a source.
+FINITE_QUIVERS = {
+    "an:3:><": linear_an(3, "><"),
+    "an:3:>>": linear_an(3, ">>"),
+    "an:4:<><": linear_an(4, "<><"),
+    "d4:sink": Quiver((1, 2, 3, 4), [(1, 2), (3, 2), (4, 2)]),
+    "d4:source": Quiver((1, 2, 3, 4), [(2, 1), (2, 3), (2, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", FINITE_QUIVERS)
+def test_preprojective_homs_are_unitriangular(name):
+    # classify's solve needs Hom(beta_s, beta_t) = 0 for s < t and
+    # End beta_t = the field; hom_dim on the built modules agrees.
+    ctx = FieldContext(FINITE_QUIVERS[name], 2)
+    ts = ctx.seq.preprojective_range((3,) * ctx.quiver.n)
+    for s in ts:
+        for t in ts:
+            h = ctx.hom_indec(("p", s), ("p", t))
+            assert h == hom_dim(ctx.build_indec(("p", s)), ctx.build_indec(("p", t)))
+            if s <= t:
+                assert h == (s == t), (name, s, t, h)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", FINITE_QUIVERS)
+def test_triangular_solve_matches_hom_profiles(q, name):
+    ctx = FieldContext(FINITE_QUIVERS[name], q)
+    descs = [
+        d
+        for nu in product(range(3), repeat=ctx.quiver.n)
+        if 0 < sum(nu) <= 5
+        for d in ctx.classes(nu)
+    ]
+    _check_classifier(ctx, descs, random.Random(10 * q + len(name)))
 
 
 def test_kronecker_classification_solves_no_hom(monkeypatch):
@@ -444,7 +473,6 @@ def test_kronecker_classification_solves_no_hom(monkeypatch):
         raise AssertionError("Kronecker classification must not solve Hom")
 
     monkeypatch.setattr(fqrep, "hom_dim", refuse)
-    monkeypatch.setattr(FieldContext, "_classifier", refuse)
     by_L, _ = ctx_kron(3).hall_table((2, 3), (1, 1))
     assert sum(sum(row.values()) for row in by_L.values()) > 0
 
@@ -458,6 +486,12 @@ def test_classes_counts_kronecker():
     assert len(pts1) == q + 1
     pts2 = closed_points(q, 2)
     assert len(pts2) == (q * q - q) // 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_point_count_matches_closed_points(q):
+    for d in (1, 2, 3):
+        assert point_count(q, d) == len(closed_points(q, d)), (q, d)
 
 
 def test_kronecker_hall_simple_product():

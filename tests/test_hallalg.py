@@ -30,7 +30,7 @@ from hallcanon.laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
 from hallcanon.partitions import kostka, partitions
 from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, kronecker, linear_an
-from oracles import in_delta_plus_tail, qfact
+from oracles import in_delta_plus_tail, indecomposable_pool, qfact
 
 
 @pytest.fixture(scope="module")
@@ -635,7 +635,7 @@ def test_census_vs_hall_table_consistency():
 def fingerprint(ctx, M) -> tuple:
     """Iso-invariant fingerprint: dims, End, Hom profile vs the test set."""
     profile = []
-    for x in ctx._test_pool(sum(M.dims)):
+    for x in indecomposable_pool(ctx, sum(M.dims)):
         X = ctx.build_indec(x)
         profile.append((hom_dim(X, M), hom_dim(M, X)))
     return (M.dims, hom_dim(M, M), tuple(profile))

@@ -1,5 +1,6 @@
-"""Every name a package module or script imports is used or exported, and
-every function, class and method the package defines has a caller in it."""
+"""Every name a package module or script imports is used or exported, every
+parameter a function there takes is read, and every function, class and
+method the package defines has a caller in it."""
 
 import ast
 import io
@@ -62,6 +63,52 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) of each parameter its function never reads.
+
+    A parameter counts as read when its name is loaded anywhere in the body,
+    nested functions included; ``self``, ``cls`` and ``_``-prefixed names
+    are exempt.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        for p in params:
+            if p is None or p.arg in ("self", "cls") or p.arg.startswith("_"):
+                continue
+            if p.arg not in read:
+                out.append((node.lineno, name, p.arg))
+    return out
+
+
+def test_unread_parameter_detector():
+    src = "def f(self, a, b, _c, *args, d=1, **kw):\n    def g(e):\n        return a\n"
+    src += "    b = 2\n    return g(kw)\n\nh = lambda x, y: x\n"
+    assert unread_parameters(src) == [
+        (1, "f", "b"),
+        (1, "f", "args"),
+        (1, "f", "d"),
+        (2, "g", "e"),
+        (7, "<lambda>", "y"),
+    ]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def uncalled_definitions(package: dict, others: list) -> list:
