@@ -45,10 +45,11 @@ def _emit(args, text: str):
 def _parse_desc(engine: HallEngine, data):
     """Descriptor JSON: a list of [i, l, mult] segments for cyclic quivers,
     else {"cm": [[t, m]...], "cp": [[t, m]...], "homog": [[point, [parts]]...]}
-    with point either "inf" or a non-empty list of monic-irreducible
-    coefficients.  cm needs t <= 0 with beta_t defined, cp needs t >= 1;
-    multiplicities are >= 0 and parts positive.  cp and homog are Kronecker
-    only.  Anything else raises ValueError."""
+    with point either "inf" or a non-empty integer list.  Only the list's
+    length (the point's degree) and its identity are read, so [0, 0] (x^2)
+    answers as any point of degree 2 would.  cm needs t <= 0 with beta_t
+    defined, cp needs t >= 1; multiplicities are >= 0 and parts positive.
+    cp and homog are Kronecker only.  Anything else raises ValueError."""
     from .fqrep import make_cdesc, mseg_normalize
 
     cyclic = engine.kind == "cyclic"

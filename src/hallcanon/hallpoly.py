@@ -22,7 +22,7 @@ from .config import (
     InterpolationError,
     JobConfig,
 )
-from .fqrep import FieldContext, closed_points, point_count
+from .fqrep import FieldContext, closed_points, mseg_dim, mseg_normalize, point_count
 from .laurent import LaurentPoly
 from .quiver import Quiver
 
@@ -224,6 +224,42 @@ def abstract_triple(descL, descM, descN):
         abstract_desc(descN, slot_of),
         degrees,
     )
+
+
+def cyclic_image(n: int, desc, r: int, flip: bool):
+    """rho_r of a cyclic descriptor, or rho_r of its dual delta if flip.
+
+    On the cyclic quiver with arrows i -> i+1, rho_r rotates a segment,
+    (i, l) -> ((i - 1 + r) mod n + 1, l), and delta sends it to
+    ((-(i + l - 2)) mod n + 1, l): the dual over Q^op, read on Q by
+    j -> -j, has its top at the reflected socle i + l - 1.
+    """
+    segs = []
+    for (i, l), m in desc[1]:
+        top = -(i + l - 2) if flip else i - 1
+        segs.append((((top + r) % n + 1, l), m))
+    return ("m", mseg_normalize(segs))
+
+
+def cyclic_orbit_key(n: int, triple):
+    """The image of a cyclic triple (L, M, N) that keys its Hall polynomial.
+
+    Hall numbers are invariant under rotation, and g^L_{M,N} = g^{dL}_{dN,dM}
+    (Ringel, Invent. Math. 101 (1990); for n = 1, Macdonald's
+    g^lam_{mu nu} = g^lam_{nu mu}).  Of the 2n images rho_r (L, M, N) and
+    rho_r (dL, dN, dM), the one whose (L', dim N') is least is taken, then
+    M', then N'.  (L', dim N') depends only on the Hall row (L, dim N), so
+    the triples of one row share one image row.
+    """
+    images = []
+    for flip in (False, True):
+        for r in range(n):
+            L, M, N = (cyclic_image(n, d, r, flip) for d in triple)
+            if flip:
+                M, N = N, M
+            images.append((L, mseg_dim(n, N[1]), M, N))
+    L, _, M, N = min(images)
+    return L, M, N
 
 
 def instantiate_desc(desc, points_by_slot):
@@ -474,8 +510,15 @@ class HallPolyEngine:
     # -- public API ----------------------------------------------------------
 
     def hall_polynomial(self, descL, descM, descN) -> HallPolynomial:
-        """The polynomial q -> g^{L}_{M,N}; descriptors may use concrete points."""
-        key = ("hall",) + abstract_triple(descL, descM, descN)
+        """The polynomial q -> g^{L}_{M,N}; descriptors may use concrete points.
+
+        A cyclic triple is looked up, computed and stored under its
+        ``cyclic_orbit_key`` image, so one census serves its whole orbit.
+        """
+        triple = (descL, descM, descN)
+        if descL[0] == "m":
+            triple = cyclic_orbit_key(self.quiver.n, triple)
+        key = ("hall",) + abstract_triple(*triple)
         return self._lookup(key, lambda: self._compute_hall(key))
 
     def aut_polynomial(self, desc) -> HallPolynomial:

@@ -14,6 +14,7 @@ from hallcanon.fqrep import (
     graded_stable_subspaces,
 )
 from hallcanon.hallalg import HallEngine
+from hallcanon.hallpoly import cyclic_image
 from hallcanon.partitions import partitions
 from hallcanon.quiver import cyclic, kronecker, linear_an
 from oracles import quotient_by_subspace, submodule_from_subspace
@@ -372,6 +373,35 @@ def test_identity_hall_tables_run_no_census(quiver, nu, monkeypatch):
     for dL in classes:
         assert ctx.hall(dL, zero, dL) == ctx.hall(dL, dL, zero) == 1
         assert ctx.hall_products(zero, dL) == [(dL, 1)]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n, nu", [(1, (4,)), (2, (2, 3)), (2, (3, 3)), (3, (2, 2, 1))])
+def test_hall_rows_keep_rotation_and_duality(n, nu, q):
+    # g^L_{M,N} = g^{gL}_{gM,gN} for a rotation g, and g^L_{M,N} =
+    # g^{gL}_{gN,gM} for g a rotation after the duality: each image row is
+    # the transported row, zeros and all.
+    ctx = FieldContext(cyclic(n), q)
+
+    def image_dim(dims, r, flip):
+        semisimple = ("m", tuple(((v + 1, 1), d) for v, d in enumerate(dims) if d))
+        return fqrep.mseg_dim(n, cyclic_image(n, semisimple, r, flip)[1])
+
+    for dL in ctx.classes(nu):
+        for nuN in dims_upto(nu):
+            nuM = tuple(a - b for a, b in zip(nu, nuN))
+            row = ctx.hall_row(dL, nuN)
+            for flip in (False, True):
+                for r in range(n):
+                    def g(d):
+                        return cyclic_image(n, d, r, flip)
+
+                    moved = {
+                        ((g(dN), g(dM)) if flip else (g(dM), g(dN))): c
+                        for (dM, dN), c in row.items()
+                    }
+                    image_nuN = image_dim(nuM if flip else nuN, r, flip)
+                    assert ctx.hall_row(g(dL), image_nuN) == moved, (dL, nuN, r, flip)
 
 
 def test_realize_S_classifies_no_module_of_dimension_2delta(monkeypatch):

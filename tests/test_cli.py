@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hallcanon.cli import main
-from hallcanon.hallpoly import CacheStore
+from hallcanon.hallpoly import CacheStore, HallPolyEngine
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +177,45 @@ def test_hallpoly_counts_points_without_listing_them(capsys):
     )
     assert code == 0
     assert json.loads(out)["polynomial"] == "0"
+
+
+def test_hallpoly_point_coefficients_are_labels(capsys):
+    # Only a point's degree (its list's length) and identity are read: x^2,
+    # which is not irreducible, answers as the degree-2 point x^2 + x + 1.
+    outs = []
+    for point in ("[0, 0]", "[1, 1]"):
+        desc = '{"homog": [[%s, [1]]]}' % point
+        code, out = run_cli(
+            capsys, "hallpoly", "--quiver", "kronecker", "--L", desc, "--M", desc, "--N", "{}"
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["polynomial"] == "1"
+
+
+def test_hallpoly_dual_triple_is_one_store_record(tmp_path, capsys, monkeypatch):
+    # g^L_{M,N} = g^{dL}_{dN,dM} on cyclic:2, with d the duality: both
+    # triples print the same JSON, from one record under the orbit key.
+    triple = ["--L", "[[1,1,1],[1,2,1],[2,3,1]]", "--M", "[[1,1,1],[2,2,1]]", "--N", "[[1,2,1],[2,1,1]]"]
+    dual = ["--L", "[[1,1,1],[2,2,1],[2,3,1]]", "--M", "[[2,1,1],[2,2,1]]", "--N", "[[1,1,1],[1,2,1]]"]
+    args = ["hallpoly", "--quiver", "cyclic:2"]
+    code, out = run_cli(capsys, *args, *triple)
+    assert code == 0 and json.loads(out)["polynomial"] == "q^2 + q - 1"
+    code, out_dual = run_cli(capsys, *args, *dual)
+    assert code == 0 and out_dual == out
+
+    cache = tmp_path / "store"
+    code, cold = run_cli(capsys, *args, "--cache-dir", str(cache), *triple)
+    assert code == 0 and cold == out
+
+    def refuse(self, key):
+        raise AssertionError("the dual triple missed the store")
+
+    monkeypatch.setattr(HallPolyEngine, "_compute_hall", refuse)
+    code, warm = run_cli(capsys, *args, "--cache-dir", str(cache), *dual)
+    assert code == 0 and warm == out
+    assert len(list(cache.rglob("*.json"))) == 1
 
 
 @pytest.mark.parametrize(

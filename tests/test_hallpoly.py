@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -190,6 +191,47 @@ def test_hall_poly_validation_against_fresh_prime():
         poly = eng.hall_polynomial(L, M, N)
         fresh = 13 if all(q != 13 for q, _ in poly.samples) else 11
         eng.check_at(poly, L, M, N, fresh)
+
+
+@pytest.mark.parametrize("n, nu", [(2, (2, 3)), (3, (2, 2, 1))])
+def test_orbit_keyed_hall_polynomial_counts_the_triple_as_given(n, nu):
+    # Every triple is fitted under its orbit image; the polynomial must still
+    # be g^L_{M,N} of the triple asked, zeros included, at each field.
+    eng = HallPolyEngine(cyclic(n))
+    ctxs = [fqrep.FieldContext(cyclic(n), q) for q in (2, 3, 4, 5)]
+    classes = ctxs[0].classes
+    asked = 0
+    for L in classes(nu):
+        for nuN in product(*(range(d + 1) for d in nu)):
+            nuM = tuple(a - b for a, b in zip(nu, nuN))
+            for M, N in product(classes(nuM), classes(nuN)):
+                poly = eng.hall_polynomial(L, M, N)
+                for ctx in ctxs:
+                    assert poly.eval(ctx.q) == ctx.hall(L, M, N), (L, M, N, ctx.q)
+                asked += 1
+    # Each fitted polynomial served two triples or more on average.
+    assert 2 * len(eng._memo) <= asked
+
+
+def test_orbit_key_censuses_one_row_per_field(monkeypatch):
+    # Every triple of the row (L, dim N = (1,1)) lands on one image row, so
+    # L is censused at most once per sampled field.  Keyed by the least
+    # image triple instead, this row's triples split over two image rows.
+    L = mdesc((1, 1), (1, 2), (2, 1), (2, 2))
+    eng = HallPolyEngine(cyclic(2))
+    ctx = eng.ctx(2)
+    censused = []
+    census = fqrep.graded_stable_subspaces
+
+    def recording(M, target, *args, **kwargs):
+        censused.append(M.F.q)
+        return census(M, target, *args, **kwargs)
+
+    monkeypatch.setattr(fqrep, "graded_stable_subspaces", recording)
+    for M, N in product(ctx.classes((2, 2)), ctx.classes((1, 1))):
+        eng.hall_polynomial(L, M, N)
+    assert censused
+    assert len(censused) == len(set(censused))
 
 
 def test_check_at_contradiction():
