@@ -61,10 +61,9 @@ def _parse_desc(engine: HallEngine, data):
     if cyclic:
         n, segs = engine.quiver.n, []
         for seg in data:
-            try:
-                i, l, m = (int(x) for x in seg)
-            except TypeError:
-                raise ValueError(f"segment {seg!r} is not [vertex, length, mult]") from None
+            if not (isinstance(seg, list) and len(seg) == 3 and all(type(x) is int for x in seg)):
+                raise ValueError(f"segment {seg!r} is not [vertex, length, mult] of integers")
+            i, l, m = seg
             if not (1 <= i <= n and l >= 1 and m >= 0):
                 raise ValueError(
                     f"segment [{i}, {l}, {m}] needs vertex in 1..{n}, "

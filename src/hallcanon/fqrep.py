@@ -1010,11 +1010,12 @@ class FieldContext:
             else:
                 raise UnsupportedQuiverError("wild quivers are not supported")
         else:
-            # Must be the cyclic orientation: one arrow out of and into each vertex.
-            outs = sorted(s for s, _ in quiver.arrows)
-            ins = sorted(t for _, t in quiver.arrows)
-            if outs != list(range(quiver.n)) or ins != list(range(quiver.n)):
-                raise UnsupportedQuiverError("only the cyclic orientation is supported")
+            # Must be the cyclic orientation: exactly the arrows i -> i+1 (mod n).
+            n = quiver.n
+            if sorted(quiver.arrows) != sorted((i, (i + 1) % n) for i in range(n)):
+                raise UnsupportedQuiverError(
+                    "only the cyclic orientation i -> i+1 in vertex order is supported"
+                )
             self.kind = "cyclic"
             self.seq = None
             self.delta = tuple([1] * quiver.n)

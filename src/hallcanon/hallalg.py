@@ -5,16 +5,19 @@ the normalized class basis <M> with Laurent coefficients; the quantum
 parameter v stays symbolic and only Hall counts depend on q.  Generic
 elements are indexed by the spanning family
 
-    N(c, t_lam) = <M(c_-)> * <M(c_0)> * S_lam * <M(c_+)>
+    N(c, t_lam) = <M(c_-)> * S_lam * <M(c_+)>
 
 written as pairs (frame, lam) where frame is a homogeneous-free class
-descriptor.  Products and monomials are computed at several sample fields,
-expanded over the N family by a triangular Kostka solve, and lifted to
-Z[v, v^-1] by exact interpolation of each coefficient as a polynomial in
-q = v^2, validated on held-out fields.  On a cyclic quiver a monomial needs
-no field: a product by <S_i^(a)> has closed Hall numbers
-(``fqrep.mseg_socle_extensions``), and the field path is a check at the
-smallest sample field.
+descriptor.  Ext^1 vanishes from each factor to the ones on its right and
+Hom from the right factors to the left ones, so both products are direct
+sums with Hall number 1 and v-twist 0: N is S_lam with M(c_-) and M(c_+)
+added to each class.  Products and monomials are computed at several sample
+fields, expanded over the N family by a solve against the Kostka matrix at
+probe classes, and lifted to Z[v, v^-1] by exact interpolation of each
+coefficient as a polynomial in q = v^2, validated on held-out fields.  On a
+cyclic quiver a monomial needs no field: a product by <S_i^(a)> has closed
+Hall numbers (``fqrep.mseg_socle_extensions``), and the field path is a
+check at the smallest sample field.
 
 The Green form needs no field: (S_lam, S_mu) is a closed form over the
 character table of S_m (``HallEngine.s_gram``); frames give |Aut| factors.
@@ -50,7 +53,7 @@ from .hallpoly import (
     sample_and_fit,
 )
 from .laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
-from .partitions import centralizer_order, character, partitions
+from .partitions import centralizer_order, character, kostka, partitions
 from .quiver import Quiver
 
 
@@ -328,7 +331,12 @@ class HallEngine:
         return out if out is not None else self.unit(q)
 
     def n_field(self, idx, q: int) -> FieldElement:
-        """Field realization of N(frame, t_lam); products memoized per (idx, q)."""
+        """Field realization of N(frame, t_lam) = <M(c_-)> * S_lam * <M(c_+)>.
+
+        Ext^1 vanishes from left to right factors and Hom from right to left,
+        so each product is a direct sum with Hall number 1 and v-twist 0:
+        N is S_lam with M(c_-) and M(c_+) added to each class.  Memoized.
+        """
         frame, lam = idx
         if self.kind == "cyclic":
             if lam:
@@ -338,16 +346,23 @@ class HallEngine:
         if key not in self._nfield_memo:
             _, cm, _, cp, homog = frame
             assert not homog, "frames carry no homogeneous part"
-            out = self.cls_elt(make_cdesc(cm=cm), q)
-            if lam:
-                out = out * self.realize_S(lam, q)
-            self._nfield_memo[key] = out * self.cls_elt(make_cdesc(cp=cp), q)
+            s = self.realize_S(lam, q)
+            self._nfield_memo[key] = FieldElement(
+                s.ctx,
+                {make_cdesc(cm=cm, cp=cp, homog=desc_homog(R)): c for R, c in s.terms.items()},
+            )
         return self._nfield_memo[key]
 
     # -- expansion over the N family ----------------------------------------
 
     def express_in_N(self, x: FieldElement) -> dict:
-        """Coefficients of x over the N family at x's own field."""
+        """Coefficients of x over the N family at x's own field.
+
+        At the probe with part mu_i at the i-th degree-1 point, N(frame,
+        t_lam) has coefficient v^-m K_{lam mu} (``n_field``), and K is
+        unitriangular in descending lex order, so
+        psi_mu = v^m x_mu - sum_{lam before mu} K_{lam mu} psi_lam.
+        """
         ctx = x.ctx
         if self.kind == "cyclic":
             return {nindex(d): c for d, c in x.terms.items()}
@@ -378,31 +393,13 @@ class HallEngine:
                     f"need {m} degree-1 points, q={ctx.q} has {ctx.num_deg1_points()}"
                 )
             pts = ctx.points(1)[:m]
-            parts = list(partitions(m))  # descending lex = dominance compatible
-            probes = {}
-            for mu in parts:
-                homog = tuple((pts[i], (mu[i],)) for i in range(len(mu)))
-                probes[mu] = make_cdesc(cm=frame[1], cp=frame[3], homog=homog)
-            nmat = {
-                lam: self.n_field(nindex(frame, lam), ctx.q) for lam in parts
-            }
             psi: dict = {}
-            for mu in parts:
-                val = rest.get(desc_homog(probes[mu]), ZERO)
-                for lam in parts:
-                    if lam == mu:
-                        continue
-                    a = nmat[lam].terms.get(probes[mu], ZERO)
-                    if a and lam in psi:
-                        val = val - psi[lam] * a
-                    elif a and lam not in psi:
-                        # Shape-dominance triangularity must confine the
-                        # support; anything else is upstream corruption.
-                        raise ArithmeticError("Kostka triangularity violated")
-                diag = nmat[mu].terms.get(probes[mu], ZERO)
-                if len(diag.terms) != 1:
-                    raise ArithmeticError("probe diagonal is not a unit monomial")
-                psi[mu] = val.exact_div(diag)
+            for mu in partitions(m):  # descending lex
+                probe = desc_homog(make_cdesc(homog=zip(pts, ((p,) for p in mu))))
+                val = LaurentPoly.v_power(m) * rest.get(probe, ZERO)
+                for lam, c in psi.items():
+                    val = val - kostka(lam, mu) * c
+                psi[mu] = val
             for lam, c in psi.items():
                 if c:
                     out[nindex(frame, lam)] = c

@@ -82,9 +82,6 @@ class LaurentPoly:
     def __sub__(self, other):
         return self + (-_coerce(other))
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         d = {}
@@ -101,18 +98,6 @@ class LaurentPoly:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -262,7 +247,6 @@ def _coerce(x) -> LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
-V = LaurentPoly({1: 1})
 
 
 # -- sparse rows ---------------------------------------------------------
@@ -288,11 +272,6 @@ def row_times(row: dict, M) -> dict:
     for k, c in row.items():
         add_scaled(acc, M[k], c)
     return acc
-
-
-def bar(x):
-    """Bar involution on LaurentPoly or RationalFn."""
-    return x.bar()
 
 
 # -- rational functions ------------------------------------------------
@@ -330,29 +309,11 @@ class RationalFn:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-_coerce_rf(other))
-
-    def __rsub__(self, other):
-        return _coerce_rf(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce_rf(other)
         return RationalFn(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_rf(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _coerce_rf(other) / self
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, LaurentPoly)):
@@ -366,9 +327,6 @@ class RationalFn:
 
     def __bool__(self):
         return not self.num.is_zero()
-
-    def bar(self) -> "RationalFn":
-        return RationalFn(self.num.bar(), self.den.bar())
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}

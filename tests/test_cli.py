@@ -228,6 +228,10 @@ def test_hallpoly_dual_triple_is_one_store_record(tmp_path, capsys, monkeypatch)
         # a segment of length 0, and one that is not a triple
         ("cyclic:2", "[[1,2,1]]", "[[1,1,1]]", "[[2,0,1]]"),
         ("cyclic:2", "[5]", "[[1,1,1]]", "[[2,1,1]]"),
+        # segment entries that are not integers (read as [[1,2,1]] before)
+        ("cyclic:2", "[[1.7,2,1]]", "[[1,1,1]]", "[[2,1,1]]"),
+        ("cyclic:2", "[[true,2,1]]", "[[1,1,1]]", "[[2,1,1]]"),
+        ("cyclic:2", '[["1",2,1]]', "[[1,1,1]]", "[[2,1,1]]"),
         # a cyclic descriptor on the Kronecker quiver, and the converse
         ("kronecker", "[[1,2,1]]", "[[1,1,1]]", "[[2,1,1]]"),
         ("cyclic:2", '{"cm": [[0, 1]]}', "[[1,1,1]]", "[[2,1,1]]"),
@@ -436,6 +440,29 @@ def test_malformed_json_quiver_is_machine_readable(tmp_path, capsys, spec):
         code, out = run_cli(capsys, "canonical", "--quiver", form, "--dim", "1,1")
         assert code == 2, form
         assert json.loads(out)["error"]["type"] == "ValueError", form
+
+
+@pytest.mark.parametrize(
+    "spec, dim",
+    [
+        # one arrow out of and into each vertex, but not i -> i+1 in vertex
+        # order (an AssertionError and two ArithmeticErrors before)
+        ('{"vertices":[1,2,3],"arrows":[[1,3],[3,2],[2,1]]}', "1,1,1"),
+        ('{"vertices":[1,2],"arrows":[[1,1],[2,2]]}', "1,1"),
+        ('{"vertices":[1,2,3],"arrows":[[1,2],[2,1],[3,3]]}', "1,1,1"),
+    ],
+)
+def test_permuted_cycle_is_unsupported(capsys, spec, dim):
+    code, out = run_cli(capsys, "canonical", "--quiver", spec, "--dim", dim)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "UnsupportedQuiverError"
+
+
+def test_json_cycle_in_vertex_order_solves(capsys):
+    spec = '{"vertices":[1,2,3],"arrows":[[1,2],[2,3],[3,1]]}'
+    code, out = run_cli(capsys, "canonical", "--quiver", spec, "--dim", "1,1,1")
+    assert code == 0
+    assert json.loads(out)["certificates"]["ok"]
 
 
 def test_determinism_across_runs(tmp_path):

@@ -202,10 +202,24 @@ def test_corrupted_kronecker_expansion_fails_the_recheck(monkeypatch):
         engine.generic_word(((0, 1), (1, 1)))
 
 
+KRONECKER_23 = [nu for nu in product(range(3), range(4)) if any(nu)]
+
+
+def monomial_words(system, dims):
+    """The defining words of the monomials of the given dimension vectors."""
+    return sorted(
+        {
+            system.word_for_index(idx)
+            for nu in dims
+            for idx in system.enumerate_indices(nu).aperiodic
+        }
+    )
+
+
 @pytest.mark.parametrize(
     "quiver, dims",
     [
-        (kronecker(), [nu for nu in product(range(3), range(4)) if any(nu)]),
+        (kronecker(), KRONECKER_23),
         (linear_an(3), [nu for nu in product(range(6), repeat=3) if 0 < sum(nu) <= 5]),
     ],
     ids=["kronecker<=(2,3)", "an:3<=5"],
@@ -222,12 +236,7 @@ def test_word_degree_bound_caps_the_fitted_degree(monkeypatch, quiver, dims):
 
     monkeypatch.setattr(hallalg, "sample_and_fit", recording)
     system = IndexSystem(HallEngine(quiver, JobConfig(cache_dir=None)))
-    words = {
-        system.word_for_index(idx)
-        for nu in dims
-        for idx in system.enumerate_indices(nu).aperiodic
-    }
-    for word in sorted(words):
+    for word in monomial_words(system, dims):
         fitted.clear()
         system.engine.generic_word(word)
         assert len(fitted) == 1 and fitted[0] <= word_degree_bound(word), (word, fitted)
@@ -261,13 +270,68 @@ def test_hom_desc_runs_once_per_descriptor(monkeypatch):
     assert max(seen.values()) == 1
 
 
-def test_express_in_N_roundtrip_field(kron):
-    q = 5
-    x = kron.word_element(((0, 1), (1, 1)), q)
-    coeffs = kron.express_in_N(x)
-    rebuilt = kron.rebuild_from_N(coeffs, q)
-    assert rebuilt.eval_eq(x)
-    assert x.eval_eq(rebuilt)
+def frame_indices(engine, most):
+    """Every N index (frame, lam) of dimension at most ``most``."""
+    ctx = engine.ctx(engine.cfg.primes[0])
+    return [
+        nindex(make_cdesc(cm=cm, cp=cp), lam)
+        for nu in product(*(range(d + 1) for d in most))
+        for cm, cp, m in ctx.frames(nu)
+        for lam in partitions(m)
+    ]
+
+
+def test_n_field_is_the_field_product(kron):
+    # N(c, t_lam) = <M(c_-)> * S_lam * <M(c_+)> is S_lam relabelled.
+    indices = frame_indices(kron, (3, 3))
+    assert len(indices) == 57
+    for q in (2, 3, 5):
+        for frame, lam in indices:
+            _, cm, _, cp, _ = frame
+            product_ = (
+                kron.cls_elt(make_cdesc(cm=cm), q)
+                * kron.realize_S(lam, q)
+                * kron.cls_elt(make_cdesc(cp=cp), q)
+            )
+            assert kron.n_field((frame, lam), q).terms == product_.terms, (frame, lam, q)
+
+
+def test_finite_type_n_field_is_its_class():
+    engine = HallEngine(linear_an(3, "><"))
+    indices = frame_indices(engine, (2, 2, 2))
+    assert indices and all(lam == () for _, lam in indices)
+    for frame, lam in indices:
+        assert engine.n_field((frame, lam), 3).terms == {frame: ONE}
+
+
+@pytest.mark.parametrize(
+    "word",
+    monomial_words(IndexSystem(HallEngine(kronecker())), KRONECKER_23),
+    ids=lambda w: "".join(f"u{i}^{a}" for i, a in w),
+)
+def test_express_in_N_roundtrip_field(kron, word):
+    for q in (2, 3, 5, 7):
+        x = kron.word_element(word, q)
+        coeffs = kron.express_in_N(x)
+        rebuilt = kron.rebuild_from_N(coeffs, q)
+        assert rebuilt.eval_eq(x)
+        assert x.eval_eq(rebuilt)
+
+
+def test_express_in_N_realizes_no_N_element(kron, monkeypatch):
+    # The probe solve reads Kostka numbers; no N(c, t_lam) or S_lam is built.
+    def refuse(*args):
+        raise AssertionError("built a field N realization")
+
+    word = ((0, 1), (1, 1), (0, 1), (1, 1))  # reaches t_(2) and t_(1,1)
+    elements = {q: kron.word_element(word, q) for q in (3, 5)}
+    monkeypatch.setattr(HallEngine, "n_field", refuse)
+    monkeypatch.setattr(HallEngine, "realize_S", refuse)
+    coeffs = {q: kron.express_in_N(x) for q, x in elements.items()}
+    assert {lam for (_, lam) in coeffs[3]} >= {(2,), (1, 1)}
+    monkeypatch.undo()
+    for q, x in elements.items():
+        assert kron.rebuild_from_N(coeffs[q], q).eval_eq(x)
 
 
 def test_jacobi_trudi():

@@ -3,8 +3,6 @@ parameter a function there takes is read, and every function, class and
 method the package defines has a caller in it."""
 
 import ast
-import io
-import tokenize
 from collections import defaultdict
 from pathlib import Path
 
@@ -24,7 +22,6 @@ UNCALLED_ALLOWED = {
     "hallalg.HallEngine.serre_sum": "acceptance API: criterion 1",
     "hallalg.tensor_green": "acceptance API: criterion 6",
     "hallpoly.HallPolyEngine.check_at": "acceptance API: criterion 5",
-    "partitions.kostka": "acceptance API: criterion 2",
     "fqrep.aut_order": "traced name: perfbench/tracing.py TARGETS",
     "hallpoly.fit_rational_function": "traced name: perfbench/tracing.py TARGETS",
 }
@@ -113,32 +110,42 @@ def test_every_parameter_is_read(path):
 
 def uncalled_definitions(package: dict, others: list) -> list:
     """Qualified names of the non-dunder functions, classes and methods in
-    ``package`` ({module name: source}) whose name occurs as an identifier
-    nowhere outside its own definition, in ``package`` or in ``others``."""
-    where = defaultdict(list)  # identifier -> [(source key, line)]
+    ``package`` ({module name: source}) with no use outside their own
+    definition, in ``package`` or in ``others``.
+
+    A method is used by any occurrence of its name, bare or as an
+    attribute.  Any other definition is used only through its bare name, an
+    import of it, or ``<package module>.name``: a method call ``x.f()`` does
+    not make a module function ``f`` used.
+    """
+    bare = defaultdict(list)  # name -> [(source key, line)]
+    attr = defaultdict(list)
     for key, source in [*package.items(), *enumerate(others)]:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.NAME:
-                where[tok.string].append((key, tok.start[0]))
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                bare[node.id].append((key, node.lineno))
+            elif isinstance(node, ast.alias):
+                bare[node.name.split(".")[-1]].append((key, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                qualified = isinstance(node.value, ast.Name) and node.value.id in package
+                (bare if qualified else attr)[node.attr].append((key, node.lineno))
     out = []
 
-    def visit(module, node, prefix):
+    def visit(module, node, prefix, in_class):
         for child in ast.iter_child_nodes(node):
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(module, child, prefix)
+                visit(module, child, prefix, in_class)
                 continue
             name = child.name
             if not (name.startswith("__") and name.endswith("__")):
                 first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
-                if all(
-                    key == module and first <= line <= child.end_lineno
-                    for key, line in where[name]
-                ):
+                uses = bare[name] + (attr[name] if in_class else [])
+                if all(key == module and first <= line <= child.end_lineno for key, line in uses):
                     out.append(f"{module}.{prefix}{name}")
-            visit(module, child, f"{prefix}{name}.")
+            visit(module, child, f"{prefix}{name}.", isinstance(child, ast.ClassDef))
 
     for module, source in package.items():
-        visit(module, ast.parse(source), "")
+        visit(module, ast.parse(source), "", False)
     return out
 
 
@@ -147,6 +154,14 @@ def test_uncalled_definition_detector():
     mod += "class K:\n    def __init__(self):\n        used()\n\n    def m(self):\n        pass\n"
     assert uncalled_definitions({"mod": mod}, []) == ["mod.dead", "mod.K", "mod.K.m"]
     assert uncalled_definitions({"mod": mod}, ["K().m()"]) == ["mod.dead"]
+    # A method call .bar() does not use a module function bar; an import,
+    # a bare name or mod.bar does.
+    mod = "def bar():\n    return 1\n\nclass K:\n    def bar(self):\n        return 2\n\n"
+    mod += "print(K().bar())\n"
+    assert uncalled_definitions({"mod": mod}, []) == ["mod.bar"]
+    for use in ["from mod import bar", "print(bar)", "import mod\nmod.bar()"]:
+        assert uncalled_definitions({"mod": mod}, [use]) == [], use
+    assert uncalled_definitions({"mod": mod}, ["other.bar()"]) == ["mod.bar"]
 
 
 def test_every_definition_has_a_caller():
