@@ -128,22 +128,16 @@ class CanonicalSolver:
     def truncation(self, nu):
         """Bar-invariant elements by folding monomial coefficients.
 
-        Returns G_over_mon, each element over the monomials; a hard
-        iteration guard protects against upstream corruption.
+        Returns G_over_mon, each element over the monomials.
         """
         data = self.system.pbw_basis(tuple(nu))
         order = data.order
         aper = set(order)
         G_over_mon: dict = {}
-        guard = 0
-        limit = (len(order) + 1) ** 2 + 16
         for pos, a in enumerate(order):
             cur = dict(data.mon[a])
             used = {a: ONE}
             for b in reversed(order[:pos]):
-                guard += 1
-                if guard > limit:
-                    raise BarSolveError("truncation failed to terminate")
                 phi = cur.get(b, ZERO)
                 if phi.in_vinv_Z():
                     continue

@@ -1,8 +1,9 @@
 """Command line driver: canonical bases, Hall polynomials, verification, cache.
 
 Exit codes: 0 on success (for ``canonical``/``verify``: certificates hold),
-1 when certificates fail, 2 on errors (budget, validation, bad input), in
-which case a machine-readable error object is printed.
+1 when certificates fail, 2 on errors (budget, validation, bad input, an
+internal check that breaks), in which case a machine-readable error object
+is printed.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ def main(argv=None) -> int:
     except HallcanonError as exc:
         sys.stdout.write(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, ArithmeticError) as exc:
         sys.stdout.write(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2
 

@@ -99,6 +99,11 @@ def _expansion_from_json(record) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _vanishes_at(terms: dict, q: int) -> bool:
+    """Does every coefficient of a sparse row vanish at v = sqrt(q)?  Exact."""
+    return all(c.eval_sqrt(q) == (0, 0) for c in terms.values())
+
+
 class FieldElement:
     """Sparse sum of normalized classes <M> with LaurentPoly coefficients."""
 
@@ -106,26 +111,16 @@ class FieldElement:
 
     def __init__(self, ctx: FieldContext, terms=None):
         self.ctx = ctx
-        self.terms = {}
-        if terms:
-            for d, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    s = self.terms.get(d, ZERO) + c
-                    if s:
-                        self.terms[d] = s
-                    else:
-                        self.terms.pop(d, None)
+        self.terms = {d: c for d, c in (terms or {}).items() if c}
 
     def __add__(self, other):
         return FieldElement(self.ctx, add_scaled(dict(self.terms), other.terms, ONE))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return FieldElement(self.ctx, add_scaled(dict(self.terms), other.terms, -1))
 
     def scale(self, c) -> "FieldElement":
-        if isinstance(c, int):
-            c = LaurentPoly.const(c)
-        return FieldElement(self.ctx, {d: c * x for d, x in self.terms.items()})
+        return FieldElement(self.ctx, add_scaled({}, self.terms, c))
 
     def __eq__(self, other):
         return isinstance(other, FieldElement) and self.terms == other.terms
@@ -135,20 +130,14 @@ class FieldElement:
         euler = ctx.quiver.euler_form
         out: dict = {}
         for dA, cA in self.terms.items():
-            dimA = ctx.desc_dim(dA)
-            endA = ctx.end(dA)
+            dimA, endA = ctx.desc_dim(dA), ctx.end(dA)
             for dB, cB in other.terms.items():
-                dimB = ctx.desc_dim(dB)
-                endB = ctx.end(dB)
-                base = euler(dimA, dimB) + endA + endB
-                cc = cA * cB
-                for dL, g in ctx.hall_products(dA, dB):
-                    coeff = cc * LaurentPoly.v_power(base - ctx.end(dL), g)
-                    s = out.get(dL, ZERO) + coeff
-                    if s:
-                        out[dL] = s
-                    else:
-                        out.pop(dL, None)
+                base = euler(dimA, ctx.desc_dim(dB)) + endA + ctx.end(dB)
+                row = {
+                    dL: LaurentPoly.v_power(base - ctx.end(dL), g)
+                    for dL, g in ctx.hall_products(dA, dB)
+                }
+                add_scaled(out, row, cA * cB)
         return FieldElement(ctx, out)
 
     def u_coeff(self, desc) -> LaurentPoly:
@@ -167,19 +156,11 @@ class FieldElement:
 
     def eval_eq(self, other: "FieldElement") -> bool:
         """Equality after specializing v to sqrt(q); exact."""
-        keys = set(self.terms) | set(other.terms)
-        q = self.ctx.q
-        for d in keys:
-            a = self.terms.get(d, ZERO)
-            b = other.terms.get(d, ZERO)
-            if (a - b).eval_sqrt(q) != (0, 0):
-                return False
-        return True
+        return (self - other).is_zero_specialized()
 
     def is_zero_specialized(self) -> bool:
         """Does the element vanish at v = sqrt(q)?  Exact rational test."""
-        q = self.ctx.q
-        return all(c.eval_sqrt(q) == (0, 0) for c in self.terms.values())
+        return _vanishes_at(self.terms, self.ctx.q)
 
     def __repr__(self):
         inner = ", ".join(f"{d}: {c.text()}" for d, c in sorted(self.terms.items()))
@@ -322,13 +303,13 @@ class HallEngine:
         return FieldElement(ctx, terms)
 
     def realize_S(self, lam, q: int) -> FieldElement:
-        out = None
+        out: dict = {}
         for mono, c in jacobi_trudi_h(tuple(lam)):
-            term = self.unit(q).scale(c)
+            term = self.unit(q)
             for m in mono:
                 term = term * self.realize_H(m, q)
-            out = term if out is None else out + term
-        return out if out is not None else self.unit(q)
+            add_scaled(out, term.terms, c)
+        return FieldElement(self.ctx(q), out)
 
     def n_field(self, idx, q: int) -> FieldElement:
         """Field realization of N(frame, t_lam) = <M(c_-)> * S_lam * <M(c_+)>.
@@ -406,12 +387,10 @@ class HallEngine:
         return out
 
     def rebuild_from_N(self, coeffs: dict, q: int) -> FieldElement:
-        out = None
+        out: dict = {}
         for idx in sorted(coeffs):
-            term = self.n_field(idx, q)
-            term = FieldElement(term.ctx, {d: coeffs[idx] * c for d, c in term.terms.items()})
-            out = term if out is None else out + term
-        return out if out is not None else FieldElement(self.ctx(q))
+            add_scaled(out, self.n_field(idx, q).terms, coeffs[idx])
+        return FieldElement(self.ctx(q), out)
 
     # -- generic lifting ------------------------------------------------------
 
@@ -430,8 +409,8 @@ class HallEngine:
 
         out: dict = {}
         for (key, e), poly in sample_and_fit(self.cfg.primes, sample).items():
-            out[key] = out.get(key, ZERO) + LaurentPoly.from_q_poly(poly.coeffs, e)
-        return {key: lp for key, lp in out.items() if lp}
+            add_scaled(out, {key: LaurentPoly.from_q_poly(poly.coeffs, e)}, ONE)
+        return out
 
     def _generic(self, cache_key, compute, check):
         """Memo and store lookup of an expansion; ``check`` runs on a fresh one."""
@@ -488,13 +467,11 @@ class HallEngine:
             out: dict = {}
             for pi, c in terms.items():
                 base = euler(mseg_dim(n, pi), dimS) + mseg_end(n, pi) + a * a
-                for L, g in mseg_socle_extensions(n, pi, i, a):
-                    coeff = c * LaurentPoly.from_q_poly(g, base - mseg_end(n, L))
-                    s = out.get(L, ZERO) + coeff
-                    if s:
-                        out[L] = s
-                    else:
-                        out.pop(L, None)
+                row = {
+                    L: LaurentPoly.from_q_poly(g, base - mseg_end(n, L))
+                    for L, g in mseg_socle_extensions(n, pi, i, a)
+                }
+                add_scaled(out, row, c)
             terms = out
         return {nindex(("m", pi)): c for pi, c in sorted(terms.items())}
 
@@ -607,25 +584,16 @@ class HallEngine:
         out: dict = {}
         euler = ctx.quiver.euler_form
         for dL, cL in x.terms.items():
-            nuL = ctx.desc_dim(dL)
-            aL = ctx.aut(dL)
-            endL = ctx.end(dL)
-            for nuN in product(*(range(v + 1) for v in nuL)):
-                for (dM, dN), g in ctx.hall_row(dL, nuN).items():
-                    twist = (
-                        euler(ctx.desc_dim(dM), ctx.desc_dim(dN))
-                        + endL
-                        - ctx.end(dM)
-                        - ctx.end(dN)
-                    )
-                    factor = Fraction(g * ctx.aut(dM) * ctx.aut(dN), aL)
-                    coeff = cL * LaurentPoly.v_power(twist, factor)
-                    key = (dM, dN)
-                    s = out.get(key, ZERO) + coeff
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+            aL, endL = ctx.aut(dL), ctx.end(dL)
+            row = {
+                (dM, dN): LaurentPoly.v_power(
+                    euler(ctx.desc_dim(dM), ctx.desc_dim(dN)) + endL - ctx.end(dM) - ctx.end(dN),
+                    Fraction(g * ctx.aut(dM) * ctx.aut(dN), aL),
+                )
+                for nuN in product(*(range(v + 1) for v in ctx.desc_dim(dL)))
+                for (dM, dN), g in ctx.hall_row(dL, nuN).items()
+            }
+            add_scaled(out, row, cL)
         return TensorElement(ctx, out)
 
     # -- relations -----------------------------------------------------------
@@ -640,12 +608,11 @@ class HallEngine:
         e_i = tuple(1 if k == ii else 0 for k in range(Q.n))
         e_j = tuple(1 if k == jj else 0 for k in range(Q.n))
         nrel = 1 - Q.symmetric_form(e_i, e_j)
-        out = None
+        out: dict = {}
         for s in range(nrel + 1):
-            r = nrel - s
-            term = self.word_element(((li, s), (lj, 1), (li, r)), q).scale((-1) ** s)
-            out = term if out is None else out + term
-        return out
+            term = self.word_element(((li, s), (lj, 1), (li, nrel - s)), q)
+            add_scaled(out, term.terms, (-1) ** s)
+        return FieldElement(self.ctx(q), out)
 
 
 class TensorElement:
@@ -669,27 +636,20 @@ class TensorElement:
                 twist = sym(ctx.desc_dim(a2), ctx.desc_dim(b1))
                 left = FieldElement(ctx, {a1: ONE}) * FieldElement(ctx, {b1: ONE})
                 right = FieldElement(ctx, {a2: ONE}) * FieldElement(ctx, {b2: ONE})
-                cc = c * d * LaurentPoly.v_power(twist)
-                for dL, cL in left.terms.items():
-                    for dR, cR in right.terms.items():
-                        key = (dL, dR)
-                        s = out.get(key, ZERO) + cc * cL * cR
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
+                row = {
+                    (dL, dR): cL * cR
+                    for dL, cL in left.terms.items()
+                    for dR, cR in right.terms.items()
+                }
+                add_scaled(out, row, c * d * LaurentPoly.v_power(twist))
         return TensorElement(ctx, out)
 
     def __eq__(self, other):
         return isinstance(other, TensorElement) and self.terms == other.terms
 
     def eval_eq(self, other: "TensorElement") -> bool:
-        q = self.ctx.q
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            (self.terms.get(k, ZERO) - other.terms.get(k, ZERO)).eval_sqrt(q) == (0, 0)
-            for k in keys
-        )
+        """Equality after specializing v to sqrt(q); exact."""
+        return _vanishes_at(add_scaled(dict(self.terms), other.terms, -1), self.ctx.q)
 
 
 def tensor_green(engine: HallEngine, t: TensorElement, y: FieldElement, z: FieldElement):

@@ -136,16 +136,18 @@ class IndexSystem:
         if frame[0] == "m":
             return {}, (frame[1],), {}, ((), ())
         _, cm, c0, cp, _ = frame
-        # The window length depends only on the full graded dimension, so
-        # keys within one dimension vector are comparable tuples.
+        # The window is the beta ranges of the index's own dimension vector
+        # nu: a t outside them has multiplicity 0 in every index of
+        # dimension nu, and keys within one nu are comparable tuples.
         ctx = self.engine.ctx(self.engine.cfg.primes[0])
-        total = sum(ctx.desc_dim(frame))
-        if self.engine.delta is not None:
-            total += sum(lam) * sum(self.engine.delta)
-        horizon = 4 * (total + 4)
-        wneg = tuple(range(0, -horizon, -1))
-        wpos = tuple(range(1, horizon))
-        return dict(cm), c0, dict(cp), (wneg, wpos)
+        nu = ctx.desc_dim(frame)
+        if lam:
+            nu = tuple(a + sum(lam) * d for a, d in zip(nu, self.engine.delta))
+        window = (
+            tuple(ctx.seq.preprojective_range(nu)),
+            tuple(ctx.seq.preinjective_range(nu)),
+        )
+        return dict(cm), c0, dict(cp), window
 
     # -- distinguished words (cyclic engine) ----------------------------------
 

@@ -8,6 +8,7 @@ with arbitrary orientation; arbitrary quivers can be loaded from JSON.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -322,7 +323,9 @@ class AdmissibleSequence:
     it stands; in finite type the word eventually stops being reduced, so
     each step instead picks the first sink (resp. source) of the current
     reflected quiver that keeps the word reduced, preferring the periodic
-    choice, until the finitely many positive roots are exhausted.
+    choice, until the finitely many positive roots are exhausted.  That
+    sequence is not periodic and can put a small root last (the simple
+    injectives), so the beta ranges walk it to its end.
     """
 
     def __init__(self, quiver: Quiver):
@@ -330,6 +333,7 @@ class AdmissibleSequence:
             raise UnsupportedQuiverError("admissible sequences need an acyclic quiver")
         self.quiver = quiver
         self.topo = quiver.topological_order()
+        self.finite = quiver.is_finite_type()
         # Per side: chosen vertices, beta roots, reflected quivers, and the
         # columns of the accumulated Weyl group element.
         self._neg = {"verts": [], "betas": [], "quivers": [quiver], "w": _id_cols(quiver.n)}
@@ -373,27 +377,20 @@ class AdmissibleSequence:
                 raise IndexError(f"beta_{t} out of range (finite type exhausted)")
         return st["betas"][k]
 
-    def _horizon(self, bound) -> int:
-        # Along each tau-orbit the height grows by at least one per period,
-        # so this many steps safely exhausts all roots below the bound.
-        return self.quiver.n * (sum(bound) + 2) + 2
+    def _steps(self, bound):
+        """0, 1, 2, ...: to the end of a finite-type sequence, else a horizon.
 
-    def preprojective_range(self, bound) -> list[int]:
-        """All t <= 0 with beta_t componentwise <= bound."""
-        out = []
-        for s in range(self._horizon(bound)):
-            try:
-                b = self.beta(-s)
-            except IndexError:
-                break
-            if all(x <= y for x, y in zip(b, bound)):
-                out.append(-s)
-        return out
+        In affine type the height grows by at least one per period along
+        each tau-orbit, so n(|bound| + 2) + 2 steps exhaust the roots below
+        the bound.
+        """
+        if self.finite:
+            return itertools.count()
+        return range(self.quiver.n * (sum(bound) + 2) + 2)
 
-    def preinjective_range(self, bound) -> list[int]:
-        """All t > 0 with beta_t componentwise <= bound."""
+    def _range(self, bound, ts) -> list[int]:
         out = []
-        for t in range(1, self._horizon(bound)):
+        for t in ts:
             try:
                 b = self.beta(t)
             except IndexError:
@@ -401,6 +398,14 @@ class AdmissibleSequence:
             if all(x <= y for x, y in zip(b, bound)):
                 out.append(t)
         return out
+
+    def preprojective_range(self, bound) -> list[int]:
+        """All t <= 0 with beta_t componentwise <= bound, from t = 0 down."""
+        return self._range(bound, (-s for s in self._steps(bound)))
+
+    def preinjective_range(self, bound) -> list[int]:
+        """All t > 0 with beta_t componentwise <= bound, from t = 1 up."""
+        return self._range(bound, itertools.islice(self._steps(bound), 1, None))
 
     def reflected_quiver_chain(self, count: int, side: str) -> list[Quiver]:
         """Quivers sigma_{i_t}...Q along the sink (side='-') or source (side='+') walk."""

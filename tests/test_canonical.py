@@ -142,6 +142,27 @@ def test_canonical_d4_from_json_spec(tmp_path, dim):
     assert len(bundle["indices"]) == dim_f(from_spec(D4_SPEC), nu)
 
 
+# Dynkin cases whose indices use roots late in the finite sequence: the
+# simple e_1 of A6 is beta_-20, and the E6 indices at (0,1,1,1,0,0) reach
+# t = -33.
+@pytest.mark.parametrize(
+    "spec,dim",
+    [
+        ("an:6", "1,0,0,0,0,0"),
+        ('{"vertices":[1,2,3,4,5],"arrows":[[1,2],[2,3],[3,4],[5,3]]}', "1,1,1,1,1"),
+        ('{"vertices":[1,2,3,4,5,6],"arrows":[[1,2],[2,3],[3,4],[4,5],[4,6]]}', "0,1,1,1,1,0"),
+        ('{"vertices":[1,2,3,4,5,6],"arrows":[[1,2],[2,3],[3,4],[4,5],[3,6]]}', "0,1,1,1,0,0"),
+    ],
+)
+def test_canonical_dynkin_late_roots(tmp_path, spec, dim):
+    out = tmp_path / "bundle.json"
+    assert cli_main(["canonical", "--quiver", spec, "--dim", dim, "--out", str(out)]) == 0
+    bundle = json.loads(out.read_text())
+    assert bundle["certificates"]["ok"]
+    nu = tuple(map(int, dim.split(",")))
+    assert len(bundle["indices"]) == dim_f(from_spec(spec), nu)
+
+
 @pytest.mark.parametrize("nu", [(k, 7 - k) for k in range(8)])
 def test_cyclic2_certifies_at_size_seven(nu):
     # (4,3) and (3,4) have monomial coefficients of degree 9 in q, beyond an

@@ -472,3 +472,15 @@ def test_determinism_across_runs(tmp_path):
     assert main(args + ["--out", str(f1)]) == 0
     assert main(args + ["--out", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_internal_check_failure_exits_2(capsys, monkeypatch):
+    # A broken invariant (here the index count against dim f_nu) is reported
+    # as an error object, not a traceback with the exit code of failed
+    # certificates.
+    import hallcanon.pbw
+
+    monkeypatch.setattr(hallcanon.pbw, "dim_f", lambda quiver, nu: 99)
+    code, out = run_cli(capsys, "canonical", "--quiver", "kronecker", "--dim", "1,1")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ArithmeticError"

@@ -682,6 +682,31 @@ def test_field_associativity_bulk(cyc2):
         checked += 1
 
 
+@pytest.mark.parametrize("quiver", [cyclic(2), kronecker()], ids=["cyclic:2", "kronecker"])
+def test_field_rows_hold_no_zero(quiver):
+    # Sums, scalings and products store no zero coefficient: a difference
+    # of equal elements and a scaling by 0 have no terms at all.
+    engine, q = HallEngine(quiver), 3
+    i, j = quiver.vertices
+    x = engine.word_element(((i, 1), (j, 1)), q) - engine.word_element(((j, 1), (i, 1)), q)
+    assert x.terms
+    assert (x - x).terms == {} and x.scale(0).terms == {}
+    assert ((x - x) * x).terms == {}
+    r = engine.coproduct(x)
+    rows = [
+        x * x,
+        x * engine.word_element(((i, 1),), q),
+        x.scale(-2) + x,
+        r,
+        r * engine.coproduct(engine.word_element(((j, 1),), q)),
+        engine.serre_sum(i, j, q),
+        engine.serre_sum(j, i, q),
+    ]
+    for y in rows:
+        assert y.terms
+        assert all(c for c in y.terms.values())
+
+
 def test_census_vs_hall_table_consistency():
     # The Hall table row of L sums to the number of stable subspaces of the
     # given dimension, for every class L.

@@ -16,7 +16,6 @@ FILES = PACKAGE + SCRIPTS
 # Definitions with no caller in src/ or scripts/ that stay in the package.
 UNCALLED_ALLOWED = {
     "hallalg.FieldElement.u_coeff": "acceptance API: criterion 2 reads class coefficients",
-    "hallalg.FieldElement.is_zero_specialized": "acceptance API: criterion 1",
     "hallalg.HallEngine.nmul": "acceptance API: criterion 4",
     "hallalg.HallEngine.coproduct": "acceptance API: criterion 6",
     "hallalg.HallEngine.serre_sum": "acceptance API: criterion 1",

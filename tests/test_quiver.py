@@ -242,6 +242,31 @@ def test_beta_enumeration_affine_a2_acyclic():
     assert len(collected) == len(set(collected))
 
 
+# In finite type the adapted sequence is not periodic and the simple
+# injectives come last: on A6 the simple e_1 is beta_-20, and on this D5 it is
+# beta_-18.  Any horizon guessed from |nu| misses such roots.
+DYNKIN_ORIENTATIONS = [
+    linear_an(6),
+    linear_an(6, "<><><"),
+    Quiver((1, 2, 3, 4, 5), [(1, 2), (2, 3), (3, 4), (5, 3)]),
+    Quiver((1, 2, 3, 4, 5, 6), [(1, 2), (2, 3), (3, 4), (4, 5), (4, 6)]),
+    Quiver((1, 2, 3, 4, 5, 6), [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]),
+    Quiver((1, 2, 3, 4, 5, 6), [(2, 1), (3, 2), (3, 4), (5, 4), (3, 6)]),
+]
+
+
+@pytest.mark.parametrize("Q", DYNKIN_ORIENTATIONS, ids=["A6", "A6alt", "D5", "D6", "E6", "E6alt"])
+def test_finite_beta_ranges_reach_every_root(Q):
+    seq = AdmissibleSequence(Q)
+    for walk in (seq.preprojective_range, seq.preinjective_range):
+        ts = walk((9,) * Q.n)
+        betas = [seq.beta(t) for t in ts]
+        real, _ = Q.positive_roots_below(tuple(map(max, zip(*betas))))
+        assert sorted(betas) == sorted(real)
+        for t in ts:
+            assert t in walk(seq.beta(t))
+
+
 def test_from_spec_json_inline_and_file(tmp_path):
     import json
 
