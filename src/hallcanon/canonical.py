@@ -25,24 +25,11 @@ from .laurent import (
     LaurentPoly,
     RationalFn,
     add_scaled,
+    invert_unitriangular,
     row_times,
     sum_in_delta_plus_tail,
 )
 from .pbw import IndexSystem, PBWData
-
-
-def invert_unitriangular(order, rows) -> dict:
-    """Invert a unitriangular matrix given as {a: {b: coeff}} over the order."""
-    pos = {a: i for i, a in enumerate(order)}
-    for i, a in enumerate(order):
-        if rows[a].get(a) != ONE or any(pos[d] > i for d in rows[a]):
-            raise BarSolveError(f"matrix is not lower unitriangular at {a}")
-    inv = {}
-    for a in order:
-        # inv[a][c] = -sum_{c <= d < a} rows[a][d] * inv[d][c]
-        tail = row_times({d: x for d, x in rows[a].items() if d != a}, inv)
-        inv[a] = {a: ONE, **{c: -x for c, x in tail.items()}}
-    return inv
 
 
 def _bar_row(row) -> dict:
@@ -101,7 +88,6 @@ class CanonicalData:
 
     pbw: PBWData
     zeta: dict
-    eta_inv: dict  # the monomials over E
     g: dict  # C over E, unitriangular
     C_over_N: dict
     C_over_mon: dict
@@ -116,12 +102,11 @@ class CanonicalSolver:
 
     def solve(self, nu) -> CanonicalData:
         data = self.system.pbw_basis(tuple(nu))
-        eta_inv = invert_unitriangular(data.order, data.eta)
-        Z = zeta_matrix(data.order, data.eta, eta_inv)
+        Z = zeta_matrix(data.order, data.eta, data.mon_over_E)
         G = lusztig_solve(data.order, Z)
         C_over_N = {a: row_times(G[a], data.E) for a in data.order}
         C_over_mon = {a: row_times(G[a], data.eta) for a in data.order}
-        return CanonicalData(data, Z, eta_inv, G, C_over_N, C_over_mon)
+        return CanonicalData(data, Z, G, C_over_N, C_over_mon)
 
     # -- the truncation algorithm ------------------------------------------
 
@@ -211,7 +196,7 @@ class CanonicalSolver:
             "monomial_over_N": mat(pbw.mon, npos),
             "E_over_N": mat(pbw.E, npos),
             "E_over_monomial": mat(pbw.eta, pos),
-            "monomial_over_E": mat(cdata.eta_inv, pos),
+            "monomial_over_E": mat(pbw.mon_over_E, pos),
             "zeta": mat(cdata.zeta, pos),
             "g": mat(cdata.g, pos),
             "C_over_E": mat(cdata.g, pos),

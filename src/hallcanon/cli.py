@@ -24,8 +24,8 @@ from .quiver import from_spec
 def _config_from_args(args) -> JobConfig:
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get("HALLCANON_CACHE")
     kwargs = dict(cache_dir=cache_dir)
-    if getattr(args, "primes", None):
-        kwargs["primes"] = tuple(int(p) for p in args.primes.split(","))
+    if getattr(args, "primes", None) is not None:
+        kwargs["primes"] = tuple(int(p) for p in args.primes.split(",")) if args.primes else ()
     if getattr(args, "budget_subspaces", None) is not None:
         kwargs["budget_subspaces"] = args.budget_subspaces
     return JobConfig(**kwargs)
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--quiver", required=True, help="kronecker | jordan | cyclic:N | an:N[:orient]")
-        p.add_argument("--primes", help="comma separated sample prime powers")
+        p.add_argument("--primes", help="comma separated sample prime powers in 2..64")
         p.add_argument("--budget-subspaces", type=int, dest="budget_subspaces")
         p.add_argument("--cache-dir", dest="cache_dir")
         p.add_argument("--out", help="write output to a file instead of stdout")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .gf import _MAX_TABLE_Q, _factor_prime_power
+
 # Prime powers used for counting samples, smallest first.  Counting cost
 # grows quickly with q, so fits always consume this list left to right.
 DEFAULT_SAMPLE_POOL = (2, 3, 4, 5, 7, 8, 9, 11, 13)
@@ -50,7 +52,7 @@ class BundleFormatError(HallcanonError):
 class JobConfig:
     """Knobs shared by every computation.
 
-    ``primes`` is the ordered pool of sample prime powers,
+    ``primes`` is the ordered pool of sample prime powers in 2..64,
     ``budget_subspaces`` is a hard enumeration limit (a clear error beats
     silent degradation), and ``cache_dir`` names the on-disk store
     (``None`` for none).  Every computation runs in one thread.
@@ -61,6 +63,12 @@ class JobConfig:
     cache_dir: str | None = None
 
     def __post_init__(self):
+        if not self.primes:
+            raise ValueError("the sample pool primes is empty")
+        for q in self.primes:
+            if not (type(q) is int and 2 <= q <= _MAX_TABLE_Q):
+                raise ValueError(f"sample field {q!r} is not a prime power in 2..{_MAX_TABLE_Q}")
+            _factor_prime_power(q)
         # A repeated sample field would count as its own held-out check.
         if len(set(self.primes)) != len(self.primes):
             raise ValueError(f"sample fields repeat in primes {list(self.primes)}")

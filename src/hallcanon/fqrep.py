@@ -83,37 +83,38 @@ def mseg_aperiodic(n: int, pi) -> bool:
     return True
 
 
+def bounded_multisets(items, dim, bound, exact: bool):
+    """Multiplicity functions ((item, m), ...), every m > 0, with sum m * dim(item)
+    <= bound (= bound if ``exact``), in descending lex order of the
+    multiplicity vectors over ``items``."""
+    dims = [dim(x) for x in items]
+
+    def rec(idx, remaining, chosen):
+        if idx == len(items):
+            if not exact or not any(remaining):
+                yield tuple(chosen)
+            return
+        d = dims[idx]
+        max_m = min(remaining[k] // d[k] for k in range(len(d)) if d[k])
+        for m in range(max_m, -1, -1):
+            rem = tuple(remaining[k] - m * d[k] for k in range(len(d)))
+            if m:
+                chosen.append((items[idx], m))
+            yield from rec(idx + 1, rem, chosen)
+            if m:
+                chosen.pop()
+
+    yield from rec(0, tuple(bound), [])
+
+
 @lru_cache(maxsize=None)
 def enumerate_msegs(n: int, nu) -> tuple:
     """All multisegments with dimension vector nu, sorted."""
     nu = tuple(nu)
-    total = sum(nu)
-    segs = []
-    for i in range(1, n + 1):
-        for l in range(1, total + 1):
-            d = mseg_dim(n, (((i, l), 1),))
-            if all(d[k] <= nu[k] for k in range(n)):
-                segs.append((i, l))
-
-    out = []
-
-    def rec(idx, remaining, chosen):
-        if not any(remaining):
-            out.append(mseg_normalize(chosen))
-            return
-        if idx == len(segs):
-            return
-        i, l = segs[idx]
-        d = mseg_dim(n, (((i, l), 1),))
-        max_m = min(
-            (remaining[k] // d[k]) for k in range(n) if d[k]
-        )
-        for m in range(max_m, -1, -1):
-            rem = tuple(remaining[k] - m * d[k] for k in range(n))
-            rec(idx + 1, rem, chosen + [((i, l), m)] if m else chosen)
-
-    rec(0, nu, [])
-    return tuple(sorted(set(out)))
+    segs = [(i, l) for i in range(1, n + 1) for l in range(1, sum(nu) + 1)]
+    segs = [s for s in segs if all(a <= b for a, b in zip(mseg_dim(n, ((s, 1),)), nu))]
+    out = bounded_multisets(segs, lambda s: mseg_dim(n, ((s, 1),)), nu, exact=True)
+    return tuple(sorted({mseg_normalize(pi) for pi in out}))
 
 
 def hom_seg(n: int, a, b) -> int:
@@ -1220,43 +1221,21 @@ class FieldContext:
         """
         nu = tuple(nu)
         finite = self.kind == "finite"
-        for cm in self._root_multisets(self.seq.preprojective_range(nu), nu, exact=finite):
+        beta = self.seq.beta
+        for cm in bounded_multisets(self.seq.preprojective_range(nu), beta, nu, exact=finite):
             if finite:
                 yield cm, (), 0
                 continue
             used = self.desc_dim(make_cdesc(cm=cm))
             rem1 = tuple(a - b for a, b in zip(nu, used))
             iroots = self.seq.preinjective_range(rem1)
-            for cp in self._root_multisets(iroots, rem1, exact=False):
+            for cp in bounded_multisets(iroots, beta, rem1, exact=False):
                 used2 = self.desc_dim(make_cdesc(cp=cp))
                 rem = tuple(a - b for a, b in zip(rem1, used2))
                 d = self.delta
                 if rem[0] * d[1] != rem[1] * d[0] or rem[0] < 0:
                     continue
                 yield cm, cp, rem[0] // d[0]
-
-    def _root_multisets(self, roots, bound, exact: bool):
-        """Multiplicity functions on the given beta indices, fitting the bound."""
-        betas = [(t, self.seq.beta(t)) for t in roots]
-
-        def rec(idx, remaining, chosen):
-            if idx == len(betas):
-                if not exact or not any(remaining):
-                    yield tuple(chosen)
-                return
-            t, b = betas[idx]
-            max_m = min(
-                (remaining[k] // b[k]) for k in range(len(b)) if b[k]
-            )
-            for m in range(max_m, -1, -1):
-                rem = tuple(remaining[k] - m * b[k] for k in range(len(b)))
-                if m:
-                    chosen.append((t, m))
-                yield from rec(idx + 1, rem, chosen)
-                if m:
-                    chosen.pop()
-
-        yield from rec(0, tuple(bound), [])
 
     def homog_configs(self, m: int):
         """All homogeneous parts of total delta-multiple m, canonical tuples."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
 from .config import (
     InsufficientPointsError,
@@ -53,7 +53,7 @@ from .hallpoly import (
     sample_and_fit,
 )
 from .laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
-from .partitions import centralizer_order, character, kostka, partitions
+from .partitions import centralizer_order, character, kostka_solve, partitions
 from .quiver import Quiver
 
 
@@ -174,37 +174,15 @@ class FieldElement:
 
 @lru_cache(maxsize=None)
 def jacobi_trudi_h(lam) -> tuple:
-    """S_lam as a Z-combination of H-monomials: ((sorted tuple of m's, coeff), ...)."""
+    """S_lam as a Z-combination of H-monomials: ((partition mu, coeff), ...).
+
+    h_mu = sum_lam K_{lam mu} s_lam, so the coefficient of h_mu in s_lam is
+    psi_lam of the Kostka solve against the indicator of mu.
+    """
     lam = tuple(lam)
-    if not lam:
-        return (((), 1),)
-    s = len(lam)
-    acc: dict = {}
-    for perm in permutations(range(s)):
-        sign = _perm_sign(perm)
-        factors = []
-        ok = True
-        for k in range(s):
-            m = lam[k] - (k + 1) + (perm[k] + 1)
-            if m < 0:
-                ok = False
-                break
-            if m > 0:
-                factors.append(m)
-        if not ok:
-            continue
-        key = tuple(sorted(factors, reverse=True))
-        acc[key] = acc.get(key, 0) + sign
-    return tuple(sorted((k, c) for k, c in acc.items() if c))
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    m = sum(lam)
+    coeffs = ((mu, kostka_solve(m, lambda nu: int(nu == mu))[lam]) for mu in partitions(m))
+    return tuple(sorted((mu, c) for mu, c in coeffs if c))
 
 
 def _q_coeffs(p: LaurentPoly) -> list:
@@ -341,8 +319,8 @@ class HallEngine:
 
         At the probe with part mu_i at the i-th degree-1 point, N(frame,
         t_lam) has coefficient v^-m K_{lam mu} (``n_field``), and K is
-        unitriangular in descending lex order, so
-        psi_mu = v^m x_mu - sum_{lam before mu} K_{lam mu} psi_lam.
+        unitriangular in descending lex order: the coefficients psi solve
+        v^m x_mu = sum_lam K_{lam mu} psi_lam (``partitions.kostka_solve``).
         """
         ctx = x.ctx
         if self.kind == "cyclic":
@@ -374,14 +352,10 @@ class HallEngine:
                     f"need {m} degree-1 points, q={ctx.q} has {ctx.num_deg1_points()}"
                 )
             pts = ctx.points(1)[:m]
-            psi: dict = {}
-            for mu in partitions(m):  # descending lex
+            def probed(mu):
                 probe = desc_homog(make_cdesc(homog=zip(pts, ((p,) for p in mu))))
-                val = LaurentPoly.v_power(m) * rest.get(probe, ZERO)
-                for lam, c in psi.items():
-                    val = val - kostka(lam, mu) * c
-                psi[mu] = val
-            for lam, c in psi.items():
+                return LaurentPoly.v_power(m) * rest.get(probe, ZERO)
+            for lam, c in kostka_solve(m, probed).items():
                 if c:
                     out[nindex(frame, lam)] = c
         return out

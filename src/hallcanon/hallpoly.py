@@ -24,7 +24,7 @@ from .config import (
 )
 from .fqrep import FieldContext, closed_points, mseg_dim, mseg_normalize, point_count
 from .laurent import LaurentPoly
-from .quiver import Quiver
+from .quiver import Quiver, _integer_kernel
 
 STORE_VERSION = 1
 
@@ -123,14 +123,12 @@ def fit_rational_function(pairs, max_degree=8, min_validate=2):
 
 def _solve_rational(pairs, dp, dq):
     """Solve sum p_i x^i - y * sum q_j x^j = 0; returns (p, q) or None."""
-    ncols = dp + 1 + dq + 1
     rows = []
     for x, y in pairs:
         row = [x**i for i in range(dp + 1)]
         row += [-y * x**j for j in range(dq + 1)]
         rows.append(row)
-    kernel = _fraction_kernel(rows, ncols)
-    for vec in kernel:
+    for vec in _integer_kernel(rows):
         num = vec[: dp + 1]
         den = vec[dp + 1 :]
         if any(den):
@@ -138,35 +136,6 @@ def _solve_rational(pairs, dp, dq):
             if all(eval_poly(den, x) != 0 for x, _ in pairs):
                 return num, den
     return None
-
-
-def _fraction_kernel(rows, ncols):
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    out = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][free]
-        out.append(vec)
-    return out
 
 
 def _normalize_rational(num, den):

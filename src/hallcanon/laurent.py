@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .config import BarSolveError
+
 
 def _norm(c):
     """Collapse integral Fractions to int so equal values hash equally."""
@@ -272,6 +274,20 @@ def row_times(row: dict, M) -> dict:
     for k, c in row.items():
         add_scaled(acc, M[k], c)
     return acc
+
+
+def invert_unitriangular(order, rows) -> dict:
+    """Invert a unitriangular matrix given as {a: {b: coeff}} over the order."""
+    pos = {a: i for i, a in enumerate(order)}
+    for i, a in enumerate(order):
+        if rows[a].get(a) != ONE or any(pos[d] > i for d in rows[a]):
+            raise BarSolveError(f"matrix is not lower unitriangular at {a}")
+    inv = {}
+    for a in order:
+        # inv[a][c] = -sum_{c <= d < a} rows[a][d] * inv[d][c]
+        tail = row_times({d: x for d, x in rows[a].items() if d != a}, inv)
+        inv[a] = {a: ONE, **{c: -x for c, x in tail.items()}}
+    return inv
 
 
 # -- rational functions ------------------------------------------------

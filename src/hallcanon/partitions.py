@@ -102,6 +102,19 @@ def _kostka(lam, mu) -> int:
     return total
 
 
+def kostka_solve(m: int, x) -> dict:
+    """psi with x(mu) = sum_lam K_{lam mu} psi_lam for all mu of m, solved in
+    descending lex order, where K is unitriangular; the values of x need
+    only subtraction and multiplication by an int."""
+    psi: dict = {}
+    for mu in partitions(m):  # descending lex
+        val = x(mu)
+        for lam, c in psi.items():
+            val = val - kostka(lam, mu) * c
+        psi[mu] = val
+    return psi
+
+
 def _beta_set(lam, n):
     lam = tuple(lam) + (0,) * (n - len(lam))
     return [lam[i] + (n - 1 - i) for i in range(n)]

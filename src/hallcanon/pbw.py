@@ -24,7 +24,7 @@ from .fqrep import (
     mseg_peel_top,
 )
 from .hallalg import HallEngine, _geL, nindex
-from .laurent import ONE, ZERO, add_scaled
+from .laurent import ONE, ZERO, add_scaled, invert_unitriangular
 from .partitions import partitions
 from .quiver import dim_f
 
@@ -242,17 +242,18 @@ class IndexSystem:
         order = idxset.aperiodic
         mon = {a: self.monomial_over_N(a) for a in order}
         aper = set(order)
+        # E_a = m_a - sum_{b < a} mon[a][b] E_b over aperiodic b, so the
+        # monomials over E are the aperiodic part of the monomial rows.
+        mon_over_E = {a: {b: c for b, c in mon[a].items() if b in aper} for a in order}
+        eta = invert_unitriangular(order, mon_over_E)
         E: dict = {}
-        eta: dict = {}
         for pos, a in enumerate(order):
             cur = dict(mon[a])
-            eta_a = {a: ONE}
             for b in order[:pos]:
                 phi = mon[a].get(b, ZERO)
                 if not phi:
                     continue
                 add_scaled(cur, E[b], -phi)
-                add_scaled(eta_a, eta[b], -phi)
             if cur.get(a, ZERO) != ONE:
                 raise ArithmeticError(f"PBW leading term corrupted at {a}")
             for b, c in cur.items():
@@ -267,8 +268,7 @@ class IndexSystem:
                 if not c.is_integral():
                     raise ArithmeticError(f"PBW tail of {a} has non-integral entry")
             E[a] = cur
-            eta[a] = eta_a
-        data = PBWData(nu, idxset, order, mon, E, eta)
+        data = PBWData(nu, idxset, order, mon, E, eta, mon_over_E)
         self._pbw_memo[nu] = data
         return data
 
@@ -278,7 +278,8 @@ class PBWData:
     """Transition data at one dimension vector.
 
     ``mon``: monomial expansions over the N family; ``E``: PBW elements
-    over N; ``eta``: PBW elements over monomials (unitriangular).
+    over N; ``eta``: PBW elements over monomials and ``mon_over_E`` its
+    inverse (both unitriangular).
     """
 
     nu: tuple
@@ -287,6 +288,7 @@ class PBWData:
     mon: dict
     E: dict
     eta: dict
+    mon_over_E: dict
 
 
 def _glued_peels(n: int, pi):

@@ -205,18 +205,19 @@ def _box(bound):
 
 
 def _integer_kernel(mat) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the kernel of an integer matrix."""
-    n = len(mat)
+    """Primitive integer basis of the kernel of a rational m x n matrix,
+    one vector per free column with a positive entry there."""
+    n = len(mat[0])
     rows = [[Fraction(x) for x in row] for row in mat]
     pivots = []
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(n):
+        for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]

@@ -5,6 +5,7 @@ form of something the package computes another way.
 """
 
 from functools import lru_cache
+from itertools import permutations
 
 from hallcanon.fqrep import FqModule, _quotient_block, _submodule_block, hom_dim, make_cdesc
 from hallcanon.laurent import ONE, LaurentPoly, RationalFn, expand_at_infinity
@@ -55,6 +56,28 @@ def in_delta_plus_tail(f, delta) -> bool:
         f = RationalFn(f)
     coeffs = expand_at_infinity(f, 0)
     return coeffs.get(0, 0) == delta and not any(e > 0 for e in coeffs)
+
+
+# -- symmetric functions --------------------------------------------------
+
+
+def jacobi_trudi_det(lam) -> tuple:
+    """S_lam = det(H_{lam_i - i + j}) expanded over the permutations of
+    len(lam): ((partition of the H factors, coeff), ...), sorted.
+
+    The oracle for ``hallalg.jacobi_trudi_h``, which solves against the
+    Kostka matrix instead.
+    """
+    lam = tuple(lam)
+    acc: dict = {}
+    for perm in permutations(range(len(lam))):
+        parts = [lam[k] - k + perm[k] for k in range(len(lam))]
+        if min(parts, default=0) < 0:
+            continue
+        inversions = sum(perm[i] > perm[j] for j in range(len(perm)) for i in range(j))
+        key = tuple(sorted((p for p in parts if p), reverse=True))
+        acc[key] = acc.get(key, 0) + (-1) ** inversions
+    return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
 # -- root combinatorics ---------------------------------------------------

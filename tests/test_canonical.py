@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,13 +12,12 @@ from hallcanon.cli import main as cli_main
 from hallcanon.config import BarSolveError, BundleFormatError
 from hallcanon.fqrep import make_cdesc, mseg_end, mseg_normalize
 from hallcanon.hallalg import HallEngine, nindex
-from hallcanon.laurent import ONE, ZERO, LaurentPoly, row_times
+from hallcanon.laurent import ONE, ZERO, LaurentPoly, invert_unitriangular, row_times
 from hallcanon.canonical import (
     CanonicalSolver,
     _bundle_gram,
     _bundle_rows,
     gram_almost_orthonormal,
-    invert_unitriangular,
     latex_table,
     lusztig_solve,
     verify_bundle,
@@ -42,6 +45,19 @@ def cyc2_bundle(cyc2):
 
 def mdesc(*segs):
     return ("m", mseg_normalize(segs))
+
+
+def test_kronecker_tables_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "kronecker_tables.py"
+    env = {k: v for k, v in os.environ.items() if k != "HALLCANON_CACHE"}
+    run = subprocess.run(
+        [sys.executable, str(script), "--max", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    heads = [line for line in run.stdout.splitlines() if line.startswith("== nu")]
+    assert len(heads) == 3
+    assert all(line.endswith("ok=True)") for line in heads)
 
 
 def test_invert_unitriangular():
@@ -199,6 +215,7 @@ def test_bar_of_monomial_is_fixed(cyc2):
     nu = (1, 1)
     data = cyc2.solve(nu)
     eta_inv = invert_unitriangular(data.pbw.order, data.pbw.eta)
+    assert eta_inv == data.pbw.mon_over_E
     for a in data.pbw.order:
         bar_m = bar_over_E(cyc2, nu, {b: c.bar() for b, c in eta_inv[a].items()})
         assert bar_m == eta_inv[a]

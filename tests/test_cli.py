@@ -271,6 +271,11 @@ def test_hallpoly_rejects_bad_descriptor(capsys, quiver, L, M, N):
         (["--budget-subspaces=-5"], "ValueError"),
         # 0 is a budget, not "use the default"
         (["--budget-subspaces", "0"], "BudgetExceededError"),
+        # an empty pool is no pool, not "use the default"
+        (["--primes", ""], "ValueError"),
+        # GF(q) needs a prime power q <= 64, even where the fit stops short of it
+        (["--primes", "2,3,4,6,100"], "ValueError"),
+        (["--primes", "2,3,5,67"], "ValueError"),
     ],
 )
 def test_hallpoly_rejects_weakened_checks(capsys, options, error):
@@ -281,6 +286,13 @@ def test_hallpoly_rejects_weakened_checks(capsys, options, error):
     code, out = run_cli(capsys, "hallpoly", "--quiver", "jordan", *options, *args)
     assert code == 2
     assert json.loads(out)["error"]["type"] == error
+
+
+def test_canonical_rejects_invalid_sample_fields(capsys):
+    argv = ["canonical", "--quiver", "kronecker", "--dim", "1,1", "--primes", "2,3,4,6,100"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": "6 is not a prime power"}
 
 
 def test_verify_roundtrip(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hallcanon.fqrep import (
     FieldContext,
     FqModule,
     aut_order,
+    bounded_multisets,
     build_cyclic,
     closed_points,
     enumerate_msegs,
@@ -35,6 +36,22 @@ def ctx_cyclic(n, q):
 
 def ctx_kron(q):
     return FieldContext(kronecker(), q)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_bounded_multisets_match_brute_force(exact):
+    # The yield order is the order of finite-type classes(), which is not
+    # re-sorted: descending lex in the multiplicity vectors over the items.
+    dims = {"a": (1, 0), "b": (0, 1), "c": (1, 1), "d": (2, 1)}
+    items, bound = list(dims), (3, 2)
+    expected = []
+    for ms in product(*(range(3, -1, -1) for _ in items)):
+        total = tuple(sum(m * dims[x][k] for x, m in zip(items, ms)) for k in range(2))
+        if all(t <= b for t, b in zip(total, bound)) and (total == bound or not exact):
+            expected.append(tuple((x, m) for x, m in zip(items, ms) if m))
+    got = list(bounded_multisets(items, dims.get, bound, exact))
+    assert got == expected
+    assert all(m > 0 for cm in got for _, m in cm)
 
 
 def test_multisegment_basics():

@@ -30,7 +30,7 @@ from hallcanon.laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
 from hallcanon.partitions import kostka, partitions
 from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, kronecker, linear_an
-from oracles import in_delta_plus_tail, indecomposable_pool, qfact
+from oracles import in_delta_plus_tail, indecomposable_pool, jacobi_trudi_det, qfact
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +254,17 @@ def test_word_over_its_degree_bound_fails_before_sampling(monkeypatch):
         engine.generic_word(word)
 
 
+@pytest.mark.parametrize(
+    "primes",
+    [(), (2, 3, 4, 6), (2, 3, 1), (2, 3, 5, 67), (2, 3, 100), (2, 3.0, 5), (2, True, 5)],
+)
+def test_job_config_rejects_invalid_sample_pools(primes):
+    # A pool names at least one field, and GF(q) exists for prime powers
+    # q <= 64 only; a fit that stops short of a bad entry must not hide it.
+    with pytest.raises(ValueError):
+        JobConfig(primes=primes)
+
+
 def test_hom_desc_runs_once_per_descriptor(monkeypatch):
     seen: dict = {}
     hom_desc = FieldContext.hom_desc
@@ -338,6 +349,14 @@ def test_jacobi_trudi():
     assert jacobi_trudi_h((1,)) == (((1,), 1),)
     assert jacobi_trudi_h((1, 1)) == (((1, 1), 1), ((2,), -1))
     assert jacobi_trudi_h((2,)) == (((2,), 1),)
+
+
+def test_jacobi_trudi_matches_determinant():
+    # The package solves against the Kostka matrix; the oracle expands the
+    # Jacobi-Trudi determinant, so the identity below tests both ways round.
+    for m in range(7):
+        for lam in partitions(m):
+            assert jacobi_trudi_h(lam) == jacobi_trudi_det(lam), lam
 
 
 def test_h_s_symbolic_identities():

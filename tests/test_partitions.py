@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import factorial
 
 import pytest
@@ -10,6 +11,7 @@ from hallcanon.partitions import (
     character,
     dominates,
     kostka,
+    kostka_solve,
     partitions,
 )
 
@@ -170,3 +172,11 @@ def test_centralizer_order():
     assert centralizer_order((1, 1, 1)) == 6
     assert centralizer_order((2, 1)) == 2
     assert centralizer_order((3,)) == 3
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_kostka_solve_inverts_the_transposed_kostka_matrix(m):
+    rng = random.Random(m)
+    psi = {lam: rng.randint(-9, 9) for lam in partitions(m)}
+    x = {mu: sum(kostka(lam, mu) * c for lam, c in psi.items()) for mu in partitions(m)}
+    assert kostka_solve(m, x.get) == psi

@@ -235,6 +235,7 @@ def test_pbw_kronecker_11(kron_sys):
     assert data.E[split] == {split: ONE}
     assert data.E[reg] == {reg: ONE}
     assert data.eta[reg] == {reg: ONE, split: V(-2, -1)}
+    assert data.mon_over_E[reg] == {reg: ONE, split: V(-2)}
 
 
 def test_pbw_cyclic_11(cyc2_sys):

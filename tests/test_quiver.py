@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,6 +14,7 @@ from hallcanon.quiver import (
     kronecker,
     linear_an,
     _id_cols,
+    _integer_kernel,
     _mul_cols,
 )
 from oracles import reflect
@@ -200,6 +203,39 @@ def test_dim_f_values():
     A2 = linear_an(2)
     assert dim_f(A2, (1, 1)) == 2
     assert dim_f(A2, (2, 1)) == 2
+
+
+def _rank(mat) -> int:
+    rows = [[Fraction(x) for x in row] for row in mat]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3, 5)])
+def test_integer_kernel_of_rectangular_rational_matrices(shape):
+    # Besides square integer Cartan matrices, the kernel serves the wide
+    # rational systems of hallpoly.fit_rational_function.
+    m, n = shape
+    rng = random.Random(m * n)
+    for trial in range(20):
+        mat = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)]
+        if trial % 4 == 0:
+            mat[-1] = [2 * x for x in mat[0]]  # rank below m
+        ker = _integer_kernel(mat)
+        assert len(ker) == n - _rank(mat)
+        for vec in ker:
+            assert all(type(x) is int for x in vec)
+            assert gcd(*vec) == 1
+            assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in mat)
 
 
 def test_from_spec_and_json_roundtrip():
