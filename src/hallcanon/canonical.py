@@ -141,12 +141,9 @@ class CanonicalSolver:
 
     # -- certificates -----------------------------------------------------------
 
-    def gram_E(self, nu, pbw: PBWData | None = None) -> dict:
-        """Green-form Gram data (E_a, E_b), a <= b, as rational functions.
-
-        ``pbw`` defaults to the PBW basis at nu.
-        """
-        pbw = pbw or self.system.pbw_basis(tuple(nu))
+    def gram_E(self, nu) -> dict:
+        """Green-form Gram data (E_a, E_b), a <= b, as rational functions."""
+        pbw = self.system.pbw_basis(tuple(nu))
         out = {}
         for i, a in enumerate(pbw.order):
             for b in pbw.order[i:]:
@@ -186,7 +183,7 @@ class CanonicalSolver:
                 for a in order
             ]
 
-        gram = self.gram_E(pbw.nu, pbw)
+        gram = self.gram_E(pbw.nu)
         return {
             "indices": [nindex_json(a) for a in order],
             "n_indices": [nindex_json(a) for a in all_idx],

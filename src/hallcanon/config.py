@@ -1,7 +1,8 @@
-"""Run configuration and shared error types."""
+"""Run configuration, shared error types and the per-instance memo rule."""
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -78,3 +79,28 @@ class JobConfig:
     @staticmethod
     def default() -> "JobConfig":
         return JobConfig(cache_dir=os.environ.get("HALLCANON_CACHE"))
+
+
+def memoized(method):
+    """Cache ``method(self, *args)`` on the instance, keyed by ``args``.
+
+    The wrapper is the class attribute, so a wrapper around that attribute
+    sees every call, hits included.  The dict lives in the instance and dies
+    with it (``functools.lru_cache`` on a method keeps every instance alive).
+    A hit allocates nothing beyond ``args``; a call that raises stores nothing.
+    """
+    slot = "_memo_" + method.__name__
+
+    @functools.wraps(method)
+    def wrapper(self, *args):
+        memo = self.__dict__.get(slot)
+        if memo is None:
+            memo = self.__dict__[slot] = {}
+        try:
+            return memo[args]
+        except KeyError:
+            pass
+        value = memo[args] = method(self, *args)
+        return value
+
+    return wrapper

@@ -34,6 +34,7 @@ from .config import (
     ClassificationError,
     JobConfig,
     UnsupportedQuiverError,
+    memoized,
 )
 from .gf import (
     GF,
@@ -460,6 +461,14 @@ def aut_order(M: FqModule, budget: int = 2_000_000) -> int:
         if ok:
             count += 1
     return count
+
+
+def eval_poly(coeffs, x):
+    """The polynomial with ascending coefficients ``coeffs`` at x (Horner)."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 def _int_poly_mul(a, b):
@@ -1020,16 +1029,9 @@ class FieldContext:
             self.kind = "cyclic"
             self.seq = None
             self.delta = tuple([1] * quiver.n)
-        self._build_memo: dict = {}
-        self._indec_memo: dict = {}
-        self._classes_memo: dict = {}
-        self._hall_memo: dict = {}
-        self._row_memo: dict = {}
-        self._dim_memo: dict = {}
-        self._end_memo: dict = {}
-        self._aut_memo: dict = {}
+        # Module key -> descriptor; not ``memoized``, because the census loop
+        # of ``hall_row`` reads it inline, ~10^5 times a census, and calls cost.
         self._classify_cache: dict = {}
-        self._intern_memo: dict = {}
 
     # -- dimensions and homs (combinatorial) ---------------------------
 
@@ -1051,16 +1053,15 @@ class FieldContext:
             return tuple(d * x for x in self.delta)
         raise ValueError(f"unknown indecomposable {ind}")
 
+    @memoized
     def desc_dim(self, desc) -> tuple:
-        if desc not in self._dim_memo:
-            n = self.quiver.n
-            out = [0] * n
-            for ind, m in desc_indecs(desc):
-                d = self.indec_dim(ind)
-                for k in range(n):
-                    out[k] += m * d[k]
-            self._dim_memo[desc] = tuple(out)
-        return self._dim_memo[desc]
+        n = self.quiver.n
+        out = [0] * n
+        for ind, m in desc_indecs(desc):
+            d = self.indec_dim(ind)
+            for k in range(n):
+                out[k] += m * d[k]
+        return tuple(out)
 
     def hom_indec(self, a, b) -> int:
         """dim Hom between indecomposables, from AR-theory shape constraints."""
@@ -1092,11 +1093,11 @@ class FieldContext:
                 out += ma * mb * self.hom_indec(ia, ib)
         return out
 
+    @memoized
     def end(self, desc) -> int:
-        if desc not in self._end_memo:
-            self._end_memo[desc] = self.hom_desc(desc, desc)
-        return self._end_memo[desc]
+        return self.hom_desc(desc, desc)
 
+    @memoized
     def aut_coeffs(self, desc) -> tuple:
         """|Aut M| as integer coefficients in q, ascending, by radical lifting.
 
@@ -1104,10 +1105,8 @@ class FieldContext:
         indecomposables, the cross-Hom blocks lie in the radical of End M,
         so |Aut M| = q^(sum of cross Hom dims) * prod |GL_{n_i}(End M_i)|
         with End M_i local of residue degree d_i and radical dimension
-        e_i - d_i.  Only Hom dimensions are used; nothing is built.  Memoized.
+        e_i - d_i.  Only Hom dimensions are used; nothing is built.
         """
-        if desc in self._aut_memo:
-            return self._aut_memo[desc]
         comps = desc_indecs(desc)
         cross = 0
         for i, (ia, na) in enumerate(comps):
@@ -1126,20 +1125,15 @@ class FieldContext:
                 factor[d * n] = 1
                 factor[d * k] -= 1
                 coeffs = _int_poly_mul(coeffs, factor)
-        self._aut_memo[desc] = tuple(coeffs)
-        return self._aut_memo[desc]
+        return tuple(coeffs)
 
     def aut(self, desc) -> int:
-        out = 0
-        for c in reversed(self.aut_coeffs(desc)):
-            out = out * self.q + c
-        return out
+        return eval_poly(self.aut_coeffs(desc), self.q)
 
     # -- construction ----------------------------------------------------
 
+    @memoized
     def build_indec(self, ind) -> FqModule:
-        if ind in self._indec_memo:
-            return self._indec_memo[ind]
         F = self.F
         Q = self.quiver
         if ind[0] == "s":
@@ -1171,12 +1165,10 @@ class FieldContext:
         else:
             raise ValueError(f"unknown indecomposable {ind}")
         assert M.dims == self.indec_dim(ind), (ind, M.dims)
-        self._indec_memo[ind] = M
         return M
 
+    @memoized
     def build(self, desc) -> FqModule:
-        if desc in self._build_memo:
-            return self._build_memo[desc]
         parts = desc_indecs(desc)
         M = None
         for ind, mult in parts:
@@ -1190,26 +1182,20 @@ class FieldContext:
                 tuple([0] * self.quiver.n),
                 [gf.zeros(0, 0) for _ in self.quiver.arrows],
             )
-        self._build_memo[desc] = M
         return M
 
     # -- class enumeration -------------------------------------------------
 
+    @memoized
     def classes(self, nu) -> tuple:
-        nu = tuple(nu)
-        if nu in self._classes_memo:
-            return self._classes_memo[nu]
         if self.kind == "cyclic":
-            out = tuple(("m", pi) for pi in enumerate_msegs(self.quiver.n, nu))
-        else:
-            out = [
-                make_cdesc(cm=cm, cp=cp, homog=homog)
-                for cm, cp, m in self.frames(nu)
-                for homog in self.homog_configs(m)
-            ]
-            out = tuple(out if self.kind == "finite" else sorted(set(out)))
-        self._classes_memo[nu] = out
-        return out
+            return tuple(("m", pi) for pi in enumerate_msegs(self.quiver.n, nu))
+        out = [
+            make_cdesc(cm=cm, cp=cp, homog=homog)
+            for cm, cp, m in self.frames(nu)
+            for homog in self.homog_configs(m)
+        ]
+        return tuple(out if self.kind == "finite" else sorted(set(out)))
 
     def frames(self, nu):
         """(cm, cp, m) for each frame of dimension nu - m * delta (acyclic).
@@ -1303,17 +1289,20 @@ class FieldContext:
             desc = classify_pencil(self.F, *M.mats, M.dims[t], M.dims[s])
         else:
             desc = classify_nilpotent_cyclic(M)
-        interned = self._intern_memo.get(M.dims)
-        if interned is None:
-            interned = self._intern_memo[M.dims] = {c: c for c in self.classes(M.dims)}
-        out = interned.get(desc)
+        out = self._interned(M.dims).get(desc)
         if out is None:
             raise ClassificationError(f"module of dimension {M.dims} matches no descriptor")
         self._classify_cache[M.key()] = out
         return out
 
+    @memoized
+    def _interned(self, dims) -> dict:
+        """Each class of dimension dims, keyed by itself."""
+        return {c: c for c in self.classes(dims)}
+
     # -- Hall numbers -------------------------------------------------------
 
+    @memoized
     def hall_row(self, descL, nuN) -> dict:
         """{(descM, descN): g^L_{M,N}} for one class L, from L's census alone.
 
@@ -1327,10 +1316,7 @@ class FieldContext:
         is formed from them; a module is built and classified only for a key
         the classify cache does not hold yet.
         """
-        key = (descL, tuple(nuN))
-        if key in self._row_memo:
-            return self._row_memo[key]
-        nuL, nuN = self.desc_dim(descL), key[1]
+        nuL = self.desc_dim(descL)
         if nuN == nuL or not any(nuN):
             (zero,) = self.classes(tuple(0 for _ in nuL))
             row = {(zero, descL) if nuN == nuL else (descL, zero): 1}
@@ -1369,27 +1355,22 @@ class FieldContext:
                 dN = desc_of(nuN, tuple(blocksN))
                 pair = (desc_of(dimsM, tuple(blocksM)), dN)
                 row[pair] = row.get(pair, 0) + 1
-        self._row_memo[key] = row
         return row
 
+    @memoized
     def hall_table(self, nuL, nuN):
         """All Hall numbers g^L_{M,N} with dim L = nuL, dim N = nuN.
 
         Returns (by_L, by_pair): by_L[descL] is ``hall_row(descL, nuN)``, in
         class order, and by_pair[(descM, descN)] = list of (descL, count).
         """
-        key = (tuple(nuL), tuple(nuN))
-        if key in self._hall_memo:
-            return self._hall_memo[key]
-        nuL, nuN = key
         by_L, by_pair = {}, {}
         if all(x >= y for x, y in zip(nuL, nuN)):
             for dL in self.classes(nuL):
                 by_L[dL] = self.hall_row(dL, nuN)
                 for pair, g in by_L[dL].items():
                     by_pair.setdefault(pair, []).append((dL, g))
-        self._hall_memo[key] = (by_L, by_pair)
-        return self._hall_memo[key]
+        return by_L, by_pair
 
     def hall(self, descL, descM, descN) -> int:
         """g^L_{M,N} at this field; only L is censused (``hall_row``)."""

@@ -34,6 +34,7 @@ from .config import (
     InterpolationError,
     JobConfig,
     UnsupportedQuiverError,
+    memoized,
 )
 from .fqrep import (
     FieldContext,
@@ -226,8 +227,6 @@ class HallEngine:
         self.quiver = quiver
         self.cfg = cfg or JobConfig.default()
         self.polyeng = HallPolyEngine(quiver, self.cfg)
-        self._sgram_memo: dict = {}
-        self._nfield_memo: dict = {}
         kind_probe = self.ctx(self.cfg.primes[0])
         self.kind = kind_probe.kind
         self.delta = kind_probe.delta
@@ -289,28 +288,26 @@ class HallEngine:
             add_scaled(out, term.terms, c)
         return FieldElement(self.ctx(q), out)
 
+    @memoized
     def n_field(self, idx, q: int) -> FieldElement:
         """Field realization of N(frame, t_lam) = <M(c_-)> * S_lam * <M(c_+)>.
 
         Ext^1 vanishes from left to right factors and Hom from right to left,
         so each product is a direct sum with Hall number 1 and v-twist 0:
-        N is S_lam with M(c_-) and M(c_+) added to each class.  Memoized.
+        N is S_lam with M(c_-) and M(c_+) added to each class.
         """
         frame, lam = idx
         if self.kind == "cyclic":
             if lam:
                 raise UnsupportedQuiverError("cyclic quivers carry no homogeneous part")
             return self.cls_elt(frame, q)
-        key = (idx, q)
-        if key not in self._nfield_memo:
-            _, cm, _, cp, homog = frame
-            assert not homog, "frames carry no homogeneous part"
-            s = self.realize_S(lam, q)
-            self._nfield_memo[key] = FieldElement(
-                s.ctx,
-                {make_cdesc(cm=cm, cp=cp, homog=desc_homog(R)): c for R, c in s.terms.items()},
-            )
-        return self._nfield_memo[key]
+        _, cm, _, cp, homog = frame
+        assert not homog, "frames carry no homogeneous part"
+        s = self.realize_S(lam, q)
+        return FieldElement(
+            s.ctx,
+            {make_cdesc(cm=cm, cp=cp, homog=desc_homog(R)): c for R, c in s.terms.items()},
+        )
 
     # -- expansion over the N family ----------------------------------------
 
@@ -469,6 +466,7 @@ class HallEngine:
 
     # -- Green form ------------------------------------------------------------
 
+    @memoized
     def s_gram(self, lam, mu) -> RationalFn:
         """(S_lam, S_mu) in closed form, in lowest terms (q = v^2):
 
@@ -479,16 +477,12 @@ class HallEngine:
         III), and the homogeneous tubes are indexed by P^1 (Lin-Xiao-Zhang),
         so (p_n, p_n) = n |P^1(F_{q^n})| / (q^n - 1).
         """
-        lam, mu = tuple(lam), tuple(mu)
         if sum(lam) != sum(mu):
             return RationalFn(ZERO)
         if not lam:
             return RationalFn(ONE)
         if self.kind != "kronecker":
             raise UnsupportedQuiverError("S_lam lives in the affine homogeneous part")
-        key = ("sgram", lam, mu)
-        if key in self._sgram_memo:
-            return self._sgram_memo[key]
         total = RationalFn(ZERO)
         for rho in partitions(sum(lam)):
             c = character(lam, rho) * character(mu, rho)
@@ -501,9 +495,7 @@ class HallEngine:
             total = total + term
         g = _poly_gcd(total.num, total.den)
         num, den = total.num.exact_div(g), total.den.exact_div(g)
-        out = RationalFn.from_q_fractions(*_normalize_rational(_q_coeffs(num), _q_coeffs(den)))
-        self._sgram_memo[key] = out
-        return out
+        return RationalFn.from_q_fractions(*_normalize_rational(_q_coeffs(num), _q_coeffs(den)))
 
     def _frame_parts(self, frame):
         if frame[0] == "m":

@@ -21,8 +21,9 @@ from .config import (
     InsufficientPointsError,
     InterpolationError,
     JobConfig,
+    memoized,
 )
-from .fqrep import FieldContext, closed_points, mseg_dim, mseg_normalize, point_count
+from .fqrep import FieldContext, closed_points, eval_poly, mseg_dim, mseg_normalize, point_count
 from .laurent import LaurentPoly
 from .quiver import Quiver, _integer_kernel
 
@@ -59,13 +60,6 @@ def lagrange_fit(points) -> tuple[Fraction, ...]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def eval_poly(coeffs, x):
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
 
 
 def fit_integer_poly(pairs, cap=None):
@@ -168,13 +162,17 @@ def _normalize_rational(num, den):
 # ---------------------------------------------------------------------------
 
 
-def abstract_desc(desc, slot_of) -> tuple:
-    """Replace concrete homogeneous points by ('slot', k) using slot_of."""
+def map_points(desc, point_of) -> tuple:
+    """desc with each homogeneous point pt replaced by point_of(pt), re-sorted.
+
+    Maps concrete points to abstract ('slot', k) and back; cyclic
+    descriptors have no points and are returned as they are.
+    """
     if desc[0] == "m":
         return desc
     _, cm, c0, cp, homog = desc
-    new = tuple(sorted((("slot", slot_of[pt]), lam) for pt, lam in homog))
-    return ("c", cm, c0, cp, new)
+    mapped = tuple(sorted((point_of(pt), lam) for pt, lam in homog))
+    return ("c", cm, c0, cp, mapped)
 
 
 def abstract_triple(descL, descM, descN):
@@ -185,14 +183,10 @@ def abstract_triple(descL, descM, descN):
             if pt not in pts:
                 pts.append(pt)
     pts.sort(key=lambda p: (1 if p[0] == "i" else len(p[1]), p))
-    slot_of = {pt: k for k, pt in enumerate(pts)}
+    slot_of = {pt: ("slot", k) for k, pt in enumerate(pts)}
     degrees = tuple(1 if p[0] == "i" else len(p[1]) for p in pts)
-    return (
-        abstract_desc(descL, slot_of),
-        abstract_desc(descM, slot_of),
-        abstract_desc(descN, slot_of),
-        degrees,
-    )
+    abstract = tuple(map_points(d, slot_of.__getitem__) for d in (descL, descM, descN))
+    return abstract + (degrees,)
 
 
 def cyclic_image(n: int, desc, r: int, flip: bool):
@@ -231,14 +225,6 @@ def cyclic_orbit_key(n: int, triple):
     return L, M, N
 
 
-def instantiate_desc(desc, points_by_slot):
-    if desc[0] == "m":
-        return desc
-    _, cm, c0, cp, homog = desc
-    conc = tuple(sorted((points_by_slot[pt[1]], lam) for pt, lam in homog))
-    return ("c", cm, c0, cp, conc)
-
-
 def assign_points(q: int, degrees):
     """Deterministically pick distinct points of the required degrees."""
     by_degree: dict = {}
@@ -270,10 +256,7 @@ class HallPolynomial:
         self.min_q = min_q
 
     def eval(self, q: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * q + c
-        return out
+        return eval_poly(self.coeffs, q)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -467,14 +450,13 @@ class HallPolyEngine:
     def __init__(self, quiver: Quiver, cfg: JobConfig | None = None):
         self.quiver = quiver
         self.cfg = cfg or JobConfig.default()
-        self._contexts: dict = {}
         self.store = CacheStore(self.cfg.cache_dir) if self.cfg.cache_dir else None
+        # Not ``memoized``: the memo in front of the store, filled by ``_lookup``.
         self._memo: dict = {}
 
+    @memoized
     def ctx(self, q: int) -> FieldContext:
-        if q not in self._contexts:
-            self._contexts[q] = FieldContext(self.quiver, q, self.cfg)
-        return self._contexts[q]
+        return FieldContext(self.quiver, q, self.cfg)
 
     # -- public API ----------------------------------------------------------
 
@@ -531,7 +513,7 @@ class HallPolyEngine:
         """The (L, M, N) of a Hall key with its slots filled at field q."""
         _, absL, absM, absN, degrees = key
         pts = assign_points(q, degrees)
-        return tuple(instantiate_desc(d, pts) for d in (absL, absM, absN))
+        return tuple(map_points(d, lambda slot: pts[slot[1]]) for d in (absL, absM, absN))
 
     def _count_hall(self, key, q) -> int:
         return self.ctx(q).hall(*self._descs_at(key, q))

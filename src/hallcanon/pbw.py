@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import UnsupportedQuiverError
+from .config import UnsupportedQuiverError, memoized
 from .fqrep import (
     enumerate_msegs,
     make_cdesc,
@@ -24,7 +24,7 @@ from .fqrep import (
     mseg_peel_top,
 )
 from .hallalg import HallEngine, _geL, nindex
-from .laurent import ONE, ZERO, add_scaled, invert_unitriangular
+from .laurent import ONE, ZERO, invert_unitriangular, row_times
 from .partitions import partitions
 from .quiver import dim_f
 
@@ -64,8 +64,6 @@ class IndexSystem:
         self.engine = engine
         self.quiver = engine.quiver
         self.kind = engine.kind
-        self._ddx_memo: dict = {}
-        self._pbw_memo: dict = {}
 
     # -- enumeration -------------------------------------------------------
 
@@ -170,19 +168,16 @@ class IndexSystem:
             raise ArithmeticError(f"no distinguished word found for {pi}")
         return word
 
+    @memoized
     def _ddx_word(self, pi):
         """The first distinguished word of pi in peel order, or None."""
         if not pi:
             return ()
-        if pi not in self._ddx_memo:
-            word = None
-            for i, a, peeled in _glued_peels(self.quiver.n, pi):
-                rest = self._ddx_word(peeled)
-                if rest is not None:
-                    word = ((i, a),) + rest
-                    break
-            self._ddx_memo[pi] = word
-        return self._ddx_memo[pi]
+        for i, a, peeled in _glued_peels(self.quiver.n, pi):
+            rest = self._ddx_word(peeled)
+            if rest is not None:
+                return ((i, a),) + rest
+        return None
 
     # -- monomial builders -------------------------------------------------
 
@@ -234,10 +229,9 @@ class IndexSystem:
 
     # -- PBW basis ----------------------------------------------------------
 
+    @memoized
     def pbw_basis(self, nu) -> "PBWData":
         nu = self.quiver.check_dim(nu)
-        if nu in self._pbw_memo:
-            return self._pbw_memo[nu]
         idxset = self.enumerate_indices(nu)
         order = idxset.aperiodic
         mon = {a: self.monomial_over_N(a) for a in order}
@@ -246,17 +240,12 @@ class IndexSystem:
         # monomials over E are the aperiodic part of the monomial rows.
         mon_over_E = {a: {b: c for b, c in mon[a].items() if b in aper} for a in order}
         eta = invert_unitriangular(order, mon_over_E)
-        E: dict = {}
-        for pos, a in enumerate(order):
-            cur = dict(mon[a])
-            for b in order[:pos]:
-                phi = mon[a].get(b, ZERO)
-                if not phi:
-                    continue
-                add_scaled(cur, E[b], -phi)
-            if cur.get(a, ZERO) != ONE:
+        # eta is E over the monomials, so E over N is eta times the rows.
+        E = {a: row_times(eta[a], mon) for a in order}
+        for a in order:
+            if E[a].get(a, ZERO) != ONE:
                 raise ArithmeticError(f"PBW leading term corrupted at {a}")
-            for b, c in cur.items():
+            for b, c in E[a].items():
                 if b == a:
                     continue
                 if b in aper:
@@ -267,10 +256,7 @@ class IndexSystem:
                     raise ArithmeticError(f"PBW tail of {a} is not below it")
                 if not c.is_integral():
                     raise ArithmeticError(f"PBW tail of {a} has non-integral entry")
-            E[a] = cur
-        data = PBWData(nu, idxset, order, mon, E, eta, mon_over_E)
-        self._pbw_memo[nu] = data
-        return data
+        return PBWData(nu, idxset, order, mon, E, eta, mon_over_E)
 
 
 @dataclass

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -496,3 +500,35 @@ def test_internal_check_failure_exits_2(capsys, monkeypatch):
     code, out = run_cli(capsys, "canonical", "--quiver", "kronecker", "--dim", "1,1")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ArithmeticError"
+
+
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer, install
+from hallcanon import cli
+
+tracer = Tracer()
+install(tracer)
+rc = cli.main(["canonical", "--quiver", "kronecker", "--dim", "1,1"])
+print(json.dumps({"rc": rc, "calls": dict(tracer.calls)}))
+"""
+
+
+def test_benchmark_tracer_patches_the_package():
+    # perfbench/tracing.py patches package names by their current spelling
+    # and signature; a rename shows here, not only in a traced benchmark run.
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "HALLCANON_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # perfbench/ is only read
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(root / "perfbench")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report["rc"] == 0
+    traced = ("fqrep.FieldContext.hall_table", "pbw.IndexSystem.pbw_basis", "hallalg.lift_family")
+    for name in traced:
+        assert report["calls"].get(name, 0) > 0, name

@@ -1,9 +1,12 @@
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
 
-from hallcanon.config import BudgetExceededError
+import hallcanon.fqrep as fqrep
+from hallcanon.config import BudgetExceededError, memoized
 from hallcanon.fqrep import (
     FieldContext,
     FqModule,
@@ -578,3 +581,55 @@ def test_wild_quiver_rejected():
     tri = Quiver((1, 2, 3), [(1, 2), (2, 3), (1, 3)])
     with pytest.raises(UnsupportedQuiverError):
         FieldContext(tri, 3)
+
+
+# -- the memo rule ------------------------------------------------------------
+
+
+def test_memoized_caches_per_instance_and_never_an_error():
+    class Probe:
+        def __init__(self):
+            self.calls = 0
+
+        @memoized
+        def f(self, x):
+            self.calls += 1
+            if x < 0:
+                raise ValueError(x)
+            return [x]
+
+    a, b = Probe(), Probe()
+    assert a.f(1) is a.f(1) and a.calls == 1
+    assert b.f(1) == a.f(1) and b.f(1) is not a.f(1) and b.calls == 1
+    for expected_calls in (2, 3):
+        with pytest.raises(ValueError):
+            a.f(-1)
+        assert a.calls == expected_calls
+    assert Probe.f.__name__ == "f"
+
+
+def test_field_contexts_share_no_memo_entries(monkeypatch):
+    listed = []
+    enumerate_msegs = fqrep.enumerate_msegs
+    monkeypatch.setattr(
+        fqrep, "enumerate_msegs", lambda n, nu: listed.append(nu) or enumerate_msegs(n, nu)
+    )
+    a, b = ctx_cyclic(2, 3), ctx_cyclic(2, 3)
+    nu = (2, 1)
+    assert a.classes(nu) is a.classes(nu)
+    assert listed == [nu]
+    assert b.classes(nu) == a.classes(nu) and b.classes(nu) is not a.classes(nu)
+    assert listed == [nu, nu]
+    row = a.hall_row(a.classes(nu)[0], (1, 0))
+    assert a.hall_row(a.classes(nu)[0], (1, 0)) is row
+    assert b.hall_row(b.classes(nu)[0], (1, 0)) is not row
+
+
+def test_field_context_is_freed_once_dropped():
+    ctx = ctx_kron(3)
+    ctx.hall_table((2, 2), (1, 1))
+    ctx.aut(ctx.classes((1, 1))[0])
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None

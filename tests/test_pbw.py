@@ -340,3 +340,11 @@ def test_dimvec_word_single_vertex(kron_sys):
     # the homogeneous pieces come largest part first
     reg = nindex(make_cdesc(), (2, 1))
     assert kron_sys.word_for_index(reg) == ((0, 2), (1, 2), (0, 1), (1, 1))
+
+
+def test_pbw_basis_refuses_a_negative_entry_on_every_call(kron_sys):
+    # A call that raises leaves nothing in the memo.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            kron_sys.pbw_basis((1, -1))
+    assert kron_sys.pbw_basis((1, 1)) is kron_sys.pbw_basis((1, 1))
