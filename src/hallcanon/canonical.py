@@ -9,7 +9,8 @@ expansions; both must agree element by element.
 There is one certificate checker, ``verify_bundle``, which reads a bundle's
 matrices alone.  ``CanonicalSolver.verify`` and the ``certificates`` block of
 ``CanonicalSolver.bundle`` are its report on the matrices the bundle writes,
-plus the agreement of the truncation route.  Sparse rows are combined with
+plus the agreement of the truncation route.  Almost orthogonality is one
+degree test per Gram entry of the PBW basis.  Sparse rows are combined with
 ``laurent.add_scaled`` and ``laurent.row_times``.
 """
 
@@ -27,7 +28,6 @@ from .laurent import (
     add_scaled,
     invert_unitriangular,
     row_times,
-    sum_in_delta_plus_tail,
 )
 from .pbw import IndexSystem, PBWData
 
@@ -323,29 +323,20 @@ def _bundle_gram(bundle, n) -> dict:
     return gram
 
 
-def gram_almost_orthonormal(g, gram) -> bool:
-    """(C_i, C_j) in delta_ij + v^-1 Q[[v^-1]] for all i <= j, with C = g * E.
+def gram_almost_orthonormal(gram) -> bool:
+    """(E_a, E_b) in delta_ab + v^-1 Q[[v^-1]] for every stored pair a <= b.
 
-    ``g`` is a list of {column: coeff} rows and ``gram`` maps (a, b), a <= b,
-    to the rational function (E_a, E_b).  Each (C_i, C_j) is decided term by
-    term, with the coefficients of (E_a, E_b) and (E_b, E_a) added first, so
-    each stored entry is expanded once per pair.
+    ``gram`` maps (a, b) to P/Q, which lies there exactly when
+    deg(P - delta_ab Q) < deg(Q) or P = delta_ab Q.  For C = g * E with g
+    unitriangular with v^-1 Z[v^-1] tails, this is the verdict on the (C_i, C_j):
+    each Gram matrix is the other one multiplied on both sides by a
+    unitriangular matrix with v^-1 Z[v^-1] tails (g or its inverse).
     """
-
-    def gram_terms(i, j):
-        coeffs: dict = {}
-        for a, ca in g[i].items():
-            for b, cb in g[j].items():
-                key = (min(a, b), max(a, b))
-                coeffs[key] = coeffs.get(key, ZERO) + ca * cb
-        return ((c, gram[key]) for key, c in coeffs.items())
-
-    n = len(g)
-    return all(
-        sum_in_delta_plus_tail(gram_terms(i, j), 1 if i == j else 0)
-        for i in range(n)
-        for j in range(i, n)
-    )
+    for (a, b), f in gram.items():
+        rest = f.num - f.den if a == b else f.num
+        if rest and rest.degree() >= f.den.degree():
+            return False
+    return True
 
 
 def verify_bundle(bundle: dict) -> dict:
@@ -356,10 +347,15 @@ def verify_bundle(bundle: dict) -> dict:
     i agrees with it.  The stored products must follow from eta, ``g`` and
     ``monomial_over_N``: ``E_over_N`` = eta * ``monomial_over_N``,
     ``C_over_monomial`` = g * eta, ``C_over_N`` = g * ``E_over_N`` and
-    ``monomial_over_E`` = eta^-1.  Almost orthogonality is decided exactly
-    from the stored ``gram_E``, but only when ``g`` is unitriangular with
-    v^-1 Z[v^-1] tails, which keeps every expansion shallow; otherwise it is
-    reported as None.  A malformed bundle raises ``BundleFormatError``.
+    ``monomial_over_E`` = eta^-1.  ``pbw_shape``: row i of ``E_over_N`` has 1
+    at the column of ``indices[i]`` and no other aperiodic column, as
+    ``pbw_basis`` builds it.  Almost orthogonality of the C is decided on
+    the stored ``gram_E`` alone (``gram_almost_orthonormal``), and
+    ``positive`` asks that the monomials over the C, ``monomial_over_E`` *
+    g^-1, have coefficients in N[v, v^-1] (Lusztig, *Introduction to Quantum
+    Groups*, 14.4.13).  Both need ``g`` unitriangular with v^-1 Z[v^-1]
+    tails and are None otherwise.  A malformed bundle raises
+    ``BundleFormatError``.
     """
     if not isinstance(bundle, dict):
         raise BundleFormatError("bundle is not a JSON object")
@@ -385,13 +381,10 @@ def verify_bundle(bundle: dict) -> dict:
     eta_inv = invert_unitriangular(range(n), eta)
     zeta = zeta_matrix(range(n), eta, eta_inv)
     report: dict = {}
-    unitri = True
-    for i in range(n):
-        for j, c in g[i].items():
-            if j == i:
-                unitri = unitri and c == ONE
-            elif not (j < i and c.in_vinv_Z()):
-                unitri = False
+    unitri = all(
+        row.get(i) == ONE and all(j < i and c.in_vinv_Z() for j, c in row.items() if j != i)
+        for i, row in enumerate(g)
+    )
     report["unitriangular"] = unitri
     bar_ok = [
         row_times(_bar_row(g[i]), zeta) == g[i] and stored_zeta[i] == zeta[i]
@@ -406,10 +399,32 @@ def verify_bundle(bundle: dict) -> dict:
     }
     products = {key: stored[key] == expected[key] for key in stored}
     report["products_agree"] = products
-
-    orth = gram_almost_orthonormal(g, gram) if unitri else None
+    # E_a has 1 at a's own N column and no other aperiodic column.
+    col = {repr(x): k for k, x in enumerate(bundle["n_indices"])}
+    if any(repr(x) not in col for x in bundle["indices"]):
+        raise BundleFormatError("indices: an entry is not in n_indices")
+    own = [col[repr(x)] for x in bundle["indices"]]
+    aper = set(own)
+    shape = all(
+        {k: c for k, c in row.items() if k in aper} == {a: ONE}
+        for a, row in zip(own, stored["E_over_N"])
+    )
+    report["pbw_shape"] = shape
+    orth = gram_almost_orthonormal(gram) if unitri else None
     report["almost_orthogonal"] = orth
-    report["ok"] = unitri and all(bar_ok) and all(products.values()) and orth
+    positive = None
+    if unitri:
+        g_inv = invert_unitriangular(range(n), g)
+        positive = all(
+            type(c) is int and c > 0
+            for row in stored["monomial_over_E"]
+            for x in row_times(row, g_inv).values()
+            for c in x.terms.values()
+        )
+    report["positive"] = positive
+    report["ok"] = (
+        unitri and all(bar_ok) and all(products.values()) and shape and orth and positive
+    )
     return report
 
 

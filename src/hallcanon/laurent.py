@@ -3,7 +3,9 @@
 Coefficients are arbitrary-precision integers; ``Fraction`` coefficients are
 tolerated so Green-form values can ride on the same type.  The quantum
 parameter satisfies q = v^2 under every specialization, and the bar
-involution sends v to v^-1.
+involution sends v to v^-1.  Rational functions are never expanded as
+series: where a check needs their expansion at v = infinity, it reads the
+degrees of numerator and denominator.
 """
 
 from __future__ import annotations
@@ -356,65 +358,3 @@ def _coerce_rf(x) -> RationalFn:
         return x
     return RationalFn(_coerce(x))
 
-
-def expand_at_infinity(f: RationalFn, lowest: int) -> dict:
-    """Expand f in powers of v^-1, from its top exponent down to v^lowest.
-
-    Returns the nonzero coefficients as {exponent: Fraction}; f has no term
-    above its top exponent deg(num) - deg(den).
-    """
-    if f.num.is_zero():
-        return {}
-    num, den = f.num, f.den
-    dn, dd = num.degree(), den.degree()
-    top = dn - dd
-    # In w = v^-1, f = v^top * A(w)/B(w) with B(0) the leading coefficient of
-    # den, so the coefficients follow from B(w) * (c_0 + c_1 w + ...) = A(w).
-    b0 = Fraction(den.coeff(dd))
-    b = [den.coeff(dd - j) for j in range(min(top - lowest, dd - den.valuation()) + 1)]
-    c = []
-    out = {}
-    for k in range(top - lowest + 1):
-        s = Fraction(num.coeff(dn - k))
-        for j in range(1, min(k, len(b) - 1) + 1):
-            s -= b[j] * c[k - j]
-        ck = s / b0
-        c.append(ck)
-        if ck:
-            out[top - k] = ck
-    return out
-
-
-def sum_in_delta_plus_tail(terms, delta) -> bool:
-    """Predicate: sum c*f over (c, f) in terms lies in delta + v^-1 Q[[v^-1]].
-
-    ``terms`` yields pairs of a LaurentPoly c and a RationalFn f.  The sum is
-    never formed as one rational function: each f is expanded at v = infinity
-    only down to v^-(top exponent of c), and only the coefficients of v^0 and
-    above are accumulated, so positive parts that cancel between terms do
-    cancel.  Exact; agrees with expanding the summed function at v = infinity.
-
-    The top exponent deg c + deg num - deg den of each term and its leading
-    coefficient are read first: when the largest of these exponents is
-    positive and its leading coefficients do not cancel, the answer is False
-    without expanding anything, however large that exponent is.
-    """
-    terms = [(c, f) for c, f in terms if not c.is_zero() and not f.num.is_zero()]
-    tops: dict = {}
-    for c, f in terms:
-        dc, dn, dd = c.degree(), f.num.degree(), f.den.degree()
-        lead = Fraction(c.coeff(dc) * f.num.coeff(dn), f.den.coeff(dd))
-        tops[dc + dn - dd] = tops.get(dc + dn - dd, 0) + lead
-    if tops:
-        top = max(tops)
-        if top > 0 and tops[top]:
-            return False
-    acc: dict = {}
-    for c, f in terms:
-        coeffs = expand_at_infinity(f, -c.degree())
-        for e1, x in c.terms.items():
-            for e2, y in coeffs.items():
-                e = e1 + e2
-                if e >= 0:
-                    acc[e] = acc.get(e, 0) + x * y
-    return acc.get(0, 0) == delta and not any(x for e, x in acc.items() if e > 0)

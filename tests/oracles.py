@@ -4,11 +4,22 @@ None of these runs in the pipeline: each is the direct, slow or classical
 form of something the package computes another way.
 """
 
+from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
+from hallcanon.canonical import CanonicalData, lusztig_solve, zeta_matrix
 from hallcanon.fqrep import FqModule, _quotient_block, _submodule_block, hom_dim, make_cdesc
-from hallcanon.laurent import ONE, LaurentPoly, RationalFn, expand_at_infinity
+from hallcanon.laurent import (
+    ONE,
+    ZERO,
+    LaurentPoly,
+    RationalFn,
+    add_scaled,
+    invert_unitriangular,
+    row_times,
+)
 
 
 # -- quantum combinatorics --------------------------------------------
@@ -47,15 +58,126 @@ def qbinom(m: int, n: int) -> LaurentPoly:
 # -- series membership ----------------------------------------------------
 
 
-def in_delta_plus_tail(f, delta) -> bool:
-    """Predicate: value lies in delta + v^-1 Q[[v^-1]] (exact).
+def expand_at_infinity(f: RationalFn, lowest: int) -> dict:
+    """Expand f in powers of v^-1, from its top exponent down to v^lowest.
 
-    The oracle for ``laurent.sum_in_delta_plus_tail``, on the summed function.
+    Returns the nonzero coefficients as {exponent: Fraction}; f has no term
+    above its top exponent deg(num) - deg(den).
+    """
+    if f.num.is_zero():
+        return {}
+    num, den = f.num, f.den
+    dn, dd = num.degree(), den.degree()
+    top = dn - dd
+    # In w = v^-1, f = v^top * A(w)/B(w) with B(0) the leading coefficient of
+    # den, so the coefficients follow from B(w) * (c_0 + c_1 w + ...) = A(w).
+    b0 = Fraction(den.coeff(dd))
+    b = [den.coeff(dd - j) for j in range(min(top - lowest, dd - den.valuation()) + 1)]
+    c = []
+    out = {}
+    for k in range(top - lowest + 1):
+        s = Fraction(num.coeff(dn - k))
+        for j in range(1, min(k, len(b) - 1) + 1):
+            s -= b[j] * c[k - j]
+        ck = s / b0
+        c.append(ck)
+        if ck:
+            out[top - k] = ck
+    return out
+
+
+def in_delta_plus_tail(f, delta) -> bool:
+    """Predicate: value lies in delta + v^-1 Q[[v^-1]] (exact), read off the
+    expansion at v = infinity.
+
+    The oracle for the degree test of ``canonical.gram_almost_orthonormal``.
     """
     if isinstance(f, LaurentPoly):
         f = RationalFn(f)
     coeffs = expand_at_infinity(f, 0)
     return coeffs.get(0, 0) == delta and not any(e > 0 for e in coeffs)
+
+
+def sum_in_delta_plus_tail(terms, delta) -> bool:
+    """Predicate: sum c*f over the pairs (LaurentPoly c, RationalFn f) in
+    ``terms``, formed as one rational function, lies in delta + v^-1 Q[[v^-1]].
+
+    Numerators over the same denominator are added first, which keeps the
+    common denominator small.
+    """
+    over: dict = {}
+    for c, f in terms:
+        over[f.den] = over.get(f.den, ZERO) + c * f.num
+    total = RationalFn(ZERO)
+    for den, num in over.items():
+        total = total + RationalFn(num, den)
+    return in_delta_plus_tail(total, delta)
+
+
+def gram_C_almost_orthonormal(g, gram) -> bool:
+    """(C_i, C_j) in delta_ij + v^-1 Q[[v^-1]] for all i <= j, with C = g * E.
+
+    ``g`` is a list of {column: coeff} rows and ``gram`` maps (a, b), a <= b,
+    to (E_a, E_b); each (C_i, C_j) = sum g_ia g_jb (E_a, E_b) is summed as
+    one rational function.  The oracle for ``canonical.gram_almost_orthonormal``,
+    which reads ``gram`` alone and agrees with this when g is unitriangular
+    with v^-1 Z[v^-1] tails.
+    """
+    n = len(g)
+    return all(
+        sum_in_delta_plus_tail(
+            [
+                (ca * cb, gram[(min(a, b), max(a, b))])
+                for a, ca in g[i].items()
+                for b, cb in g[j].items()
+            ],
+            1 if i == j else 0,
+        )
+        for i in range(n)
+        for j in range(i, n)
+    )
+
+
+# -- forged bundles --------------------------------------------------------
+
+
+def _recomputed_bundle(solver, pbw, mon, eta) -> dict:
+    """The matrices of a bundle whose monomial rows over N are ``mon`` and
+    whose PBW rows over the monomials are ``eta``, with E, eta^-1, zeta, g
+    and every product recomputed from them as the solver would; ``gram_E``
+    stays the honest one."""
+    order = pbw.order
+    mon_over_E = invert_unitriangular(order, eta)
+    E = {a: row_times(eta[a], mon) for a in order}
+    zeta = zeta_matrix(order, eta, mon_over_E)
+    g = lusztig_solve(order, zeta)
+    forged = replace(pbw, mon=mon, E=E, eta=eta, mon_over_E=mon_over_E)
+    C_over_N = {a: row_times(g[a], E) for a in order}
+    C_over_mon = {a: row_times(g[a], eta) for a in order}
+    return solver._matrices(CanonicalData(forged, zeta, g, C_over_N, C_over_mon))
+
+
+def pbw_forgery(solver, nu, i, j, sign) -> dict:
+    """One-step forgery of the PBW basis: E_a becomes E_a + sign * E_b for
+    a = order[i] and b = order[j], j < i, and the rest is recomputed."""
+    pbw = solver.system.pbw_basis(tuple(nu))
+    a, b = pbw.order[i], pbw.order[j]
+    eta = dict(pbw.eta)
+    eta[a] = add_scaled(dict(eta[a]), eta[b], sign)
+    return _recomputed_bundle(solver, pbw, pbw.mon, eta)
+
+
+def monomial_forgery(solver, nu, i, j) -> dict:
+    """Forged monomial row: m_a becomes m_a - m_b for a = order[i] and
+    b = order[j], j < i, and the rest is recomputed, so E and g do not change."""
+    pbw = solver.system.pbw_basis(tuple(nu))
+    order = pbw.order
+    a, b = order[i], order[j]
+    mon = dict(pbw.mon)
+    mon[a] = add_scaled(dict(mon[a]), mon[b], -1)
+    aper = set(order)
+    mon_over_E = {x: {y: c for y, c in mon[x].items() if y in aper} for x in order}
+    return _recomputed_bundle(solver, pbw, mon, invert_unitriangular(order, mon_over_E))
 
 
 # -- symmetric functions --------------------------------------------------

@@ -11,7 +11,12 @@ import json
 
 import pytest
 
+from hallcanon.canonical import CanonicalSolver, _bundle_gram, _bundle_rows, verify_bundle
 from hallcanon.cli import main
+from hallcanon.hallalg import HallEngine
+from hallcanon.pbw import IndexSystem
+from hallcanon.quiver import from_spec
+from oracles import gram_C_almost_orthonormal
 
 DIGESTS = [
     ("kronecker", "2,2", "fddc17462063246f33a9a01f03788ba1e04037c3719e394480661ed98a6afe05"),
@@ -34,3 +39,18 @@ def test_bundle_digest(quiver, dim, digest, tmp_path, monkeypatch):
     bundle = json.loads(out.read_text())
     text = json.dumps(bundle, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "quiver, dim", [(q, d) for q, d, _ in DIGESTS], ids=[f"{q} {d}" for q, d, _ in DIGESTS]
+)
+def test_digest_bundle_passes_every_check(quiver, dim):
+    # pbw_shape and positive hold, and almost orthogonality decided on gram_E
+    # agrees with the oracle that sums each (C_i, C_j).
+    solver = CanonicalSolver(IndexSystem(HallEngine(from_spec(quiver))))
+    bundle = json.loads(json.dumps(solver.bundle(tuple(map(int, dim.split(","))))))
+    report = verify_bundle(bundle)
+    assert report["ok"] and report["pbw_shape"] and report["positive"]
+    n = len(bundle["indices"])
+    oracle = gram_C_almost_orthonormal(_bundle_rows(bundle, "g", n), _bundle_gram(bundle, n))
+    assert report["almost_orthogonal"] is oracle is True

@@ -7,12 +7,21 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallcanon.cli import main as cli_main
 from hallcanon.config import BarSolveError, BundleFormatError
 from hallcanon.fqrep import make_cdesc, mseg_end, mseg_normalize
 from hallcanon.hallalg import HallEngine, nindex
-from hallcanon.laurent import ONE, ZERO, LaurentPoly, invert_unitriangular, row_times
+from hallcanon.laurent import (
+    ONE,
+    ZERO,
+    LaurentPoly,
+    RationalFn,
+    invert_unitriangular,
+    row_times,
+)
 from hallcanon.canonical import (
     CanonicalSolver,
     _bundle_gram,
@@ -24,6 +33,7 @@ from hallcanon.canonical import (
 )
 from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, dim_f, from_spec, kronecker, linear_an
+from oracles import gram_C_almost_orthonormal, monomial_forgery, pbw_forgery
 
 V = LaurentPoly.v_power
 
@@ -350,6 +360,8 @@ def test_verify_bundle_orthogonality_cancels_between_terms():
     # C_1 = E_1 + v E_0 with (E_0,E_0) = 1, (E_0,E_1) = -v, (E_1,E_1) = 1 + v^2:
     # (C_1,C_1) = 1 + v^2 - 2v^2 + v^2 = 1 and (C_0,C_1) = -v + v = 0, so the
     # positive parts cancel only when both cross terms (E_0,E_1), (E_1,E_0) count.
+    # The Gram matrix of E is not almost orthonormal: g has a v tail, so the
+    # verdicts over C and over E differ, and verify_bundle decides neither.
     one = [[0, "1"]]
     identity = [[[0, one]], [[1, one]]]
     g = [[[0, one]], [[0, [[1, "1"]]], [1, one]]]
@@ -375,19 +387,51 @@ def test_verify_bundle_orthogonality_cancels_between_terms():
         "gram_E": gram([[0, "1"], [2, "1"]]),
     }
 
-    def decided(bundle):
-        return gram_almost_orthonormal(
+    def over_C(bundle):
+        return gram_C_almost_orthonormal(
             _bundle_rows(bundle, "g", 2), _bundle_gram(bundle, 2)
         )
 
-    assert decided(bundle) is True
-    # verify_bundle decides almost orthogonality only for a unitriangular g.
+    assert over_C(bundle) is True
+    assert gram_almost_orthonormal(_bundle_gram(bundle, 2)) is False
     report = verify_bundle(bundle)
     assert report["unitriangular"] is False and not report["ok"]
-    assert report["almost_orthogonal"] is None
-    assert all(report["products_agree"].values())
+    assert report["almost_orthogonal"] is None and report["positive"] is None
+    assert all(report["products_agree"].values()) and report["pbw_shape"]
     bundle["gram_E"] = gram([[0, "1"], [2, "2"]])
-    assert decided(bundle) is False
+    assert over_C(bundle) is False
+
+
+laurents = st.dictionaries(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-9, max_value=9),
+    max_size=4,
+).map(LaurentPoly)
+tails = st.dictionaries(
+    st.integers(min_value=-4, max_value=-1),
+    st.integers(min_value=-3, max_value=3),
+    max_size=2,
+).map(LaurentPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gram_verdict_on_E_equals_oracle_on_C(data):
+    # For g unitriangular with v^-1 Z[v^-1] tails, the degree test on (E_a, E_b)
+    # gives the verdict of summing each (C_i, C_j) as one rational function.
+    n = data.draw(st.integers(1, 3), label="n")
+    g = [{j: data.draw(tails) for j in range(i)} for i in range(n)]
+    g = [{**{j: c for j, c in row.items() if c}, i: ONE} for i, row in enumerate(g)]
+    gram = {}
+    for a in range(n):
+        for b in range(a, n):
+            den = data.draw(laurents.filter(bool))
+            rest = data.draw(laurents)
+            if rest and data.draw(st.integers(0, 5)):
+                # Mostly put the rest strictly below deg den: delta + tail.
+                rest = rest * V(den.degree() - 1 - rest.degree())
+            gram[(a, b)] = RationalFn((den if a == b else ZERO) + rest, den)
+    assert gram_almost_orthonormal(gram) == gram_C_almost_orthonormal(g, gram)
 
 
 def test_verify_bundle_rejects_huge_exponent_fast(cyc2_bundle):
@@ -455,6 +499,60 @@ def test_verify_bundle_rejects_non_unitriangular_eta(kron):
         verify_bundle(bundle)
 
 
+def test_verify_bundle_needs_the_diagonal_of_g(kron):
+    # A g row without its diagonal entry is not unitriangular, however its
+    # other entries look; almost orthogonality and positivity are then undecided.
+    bundle = json.loads(json.dumps(kron.bundle((2, 2))))
+    last = len(bundle["g"]) - 1
+    bundle["g"][last] = [e for e in bundle["g"][last] if e[0] != last]
+    report = verify_bundle(bundle)
+    assert report["unitriangular"] is False and report["ok"] is False
+    assert report["almost_orthogonal"] is None and report["positive"] is None
+
+
+FORGED = [("kronecker", (2, 2), 13), ("cyclic:2", (2, 2), 13), ("an:3:><", (1, 2, 1), 8)]
+
+
+def _forged_reports(spec, nu, forge, *args):
+    """verify_bundle's report on forge(solver, nu, i, j, *args) for every j < i."""
+    solver = CanonicalSolver(IndexSystem(HallEngine(from_spec(spec))))
+    n = len(solver.system.pbw_basis(nu).order)
+    return [
+        verify_bundle(json.loads(json.dumps(forge(solver, nu, i, j, *args))))
+        for i in range(n)
+        for j in range(i)
+    ]
+
+
+def _passes_older_checks(report) -> bool:
+    return bool(
+        report["unitriangular"]
+        and all(report["bar_invariant"])
+        and all(report["products_agree"].values())
+        and report["almost_orthogonal"]
+    )
+
+
+@pytest.mark.parametrize("spec, nu", [case[:2] for case in FORGED])
+def test_pbw_forgery_fails_pbw_shape(spec, nu):
+    # E_a -> E_a +- E_b keeps every other check satisfied, since eta^-1, zeta,
+    # g and the products are recomputed and gram_E is the honest one.
+    reports = _forged_reports(spec, nu, pbw_forgery, 1)
+    reports += _forged_reports(spec, nu, pbw_forgery, -1)
+    assert reports and all(_passes_older_checks(r) for r in reports)
+    assert not any(r["pbw_shape"] or r["ok"] for r in reports)
+
+
+@pytest.mark.parametrize("spec, nu, rejected", FORGED)
+def test_monomial_forgery_passes_pbw_shape_and_fails_positive(spec, nu, rejected):
+    # m_a -> m_a - m_b leaves E and g as they were; of verify's checks, only
+    # positivity of the monomials over C can see it.
+    reports = _forged_reports(spec, nu, monomial_forgery)
+    assert all(_passes_older_checks(r) and r["pbw_shape"] for r in reports)
+    assert sum(r["positive"] is False for r in reports) == rejected
+    assert all(r["ok"] == r["positive"] for r in reports)
+
+
 def test_canonical_integrality_over_monomials(cyc2):
     for nu in [(1, 1), (2, 1)]:
         data = cyc2.solve(nu)
@@ -470,6 +568,7 @@ def test_E_almost_orthogonality(kron, cyc2):
         gram = solver.gram_E(nu)
         for (a, b), val in gram.items():
             assert in_delta_plus_tail(val, 1 if a == b else 0), (a, b)
+        assert gram_almost_orthonormal(gram)
 
 
 def test_a2_matches_classical_canonical_basis():

@@ -357,6 +357,10 @@ def _eta_not_unitriangular(bundle):
     bundle["E_over_monomial"][0].append([1, [[0, "1"]]])
 
 
+def _index_not_in_n_indices(bundle):
+    bundle["indices"][0] = ["not an index", []]
+
+
 @pytest.mark.parametrize(
     "corrupt, error",
     [
@@ -366,6 +370,7 @@ def _eta_not_unitriangular(bundle):
         (_ragged_matrix, "BundleFormatError"),
         (_zero_entry, "BundleFormatError"),
         (_eta_not_unitriangular, "BarSolveError"),
+        (_index_not_in_n_indices, "BundleFormatError"),
     ],
 )
 def test_verify_rejects_malformed_bundle(an2_bundle, tmp_path, capsys, corrupt, error):
