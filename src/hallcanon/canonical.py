@@ -17,9 +17,9 @@ degree test per Gram entry of the PBW basis.  Sparse rows are combined with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .config import BarSolveError, BundleFormatError
-from .hallalg import nindex_json
 from .laurent import (
     ONE,
     ZERO,
@@ -29,7 +29,9 @@ from .laurent import (
     invert_unitriangular,
     row_times,
 )
-from .pbw import IndexSystem, PBWData
+
+if TYPE_CHECKING:  # the solver's types; ``verify_bundle`` needs neither
+    from .pbw import IndexSystem, PBWData
 
 
 def _bar_row(row) -> dict:
@@ -168,6 +170,8 @@ class CanonicalSolver:
 
     def _matrices(self, cdata: CanonicalData) -> dict:
         """The indices, words and matrices of a bundle, in JSON form."""
+        from .hallalg import nindex_json
+
         pbw = cdata.pbw
         order = pbw.order
         pos = {a: i for i, a in enumerate(order)}

@@ -4,6 +4,9 @@ Exit codes: 0 on success (for ``canonical``/``verify``: certificates hold),
 1 when certificates fail, 2 on errors (budget, validation, bad input, an
 internal check that breaks), in which case a machine-readable error object
 is printed.
+
+Each command imports the layers it runs, so ``verify`` loads only
+``canonical``, ``config`` and ``laurent``.
 """
 
 from __future__ import annotations
@@ -12,13 +15,13 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .canonical import CanonicalSolver, latex_table, verify_bundle
+from .canonical import verify_bundle
 from .config import HallcanonError, JobConfig
-from .hallalg import HallEngine
-from .hallpoly import CacheStore
-from .pbw import IndexSystem
-from .quiver import from_spec
+
+if TYPE_CHECKING:
+    from .hallalg import HallEngine
 
 
 def _config_from_args(args) -> JobConfig:
@@ -126,6 +129,11 @@ def _parse_desc(engine: HallEngine, data):
 
 
 def cmd_canonical(args) -> int:
+    from .canonical import CanonicalSolver, latex_table
+    from .hallalg import HallEngine
+    from .pbw import IndexSystem
+    from .quiver import from_spec
+
     cfg = _config_from_args(args)
     quiver = from_spec(args.quiver)
     nu = tuple(int(x) for x in args.dim.split(","))
@@ -166,6 +174,9 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_hallpoly(args) -> int:
+    from .hallalg import HallEngine
+    from .quiver import from_spec
+
     cfg = _config_from_args(args)
     quiver = from_spec(args.quiver)
     engine = HallEngine(quiver, cfg)
@@ -194,6 +205,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    from .hallpoly import CacheStore
+
     cache_dir = args.cache_dir or os.environ.get("HALLCANON_CACHE")
     if not cache_dir:
         raise HallcanonError("no cache directory (use --cache-dir or HALLCANON_CACHE)")

@@ -6,8 +6,6 @@ import functools
 import os
 from dataclasses import dataclass
 
-from .gf import _MAX_TABLE_Q, _factor_prime_power
-
 # Prime powers used for counting samples, smallest first.  Counting cost
 # grows quickly with q, so fits always consume this list left to right.
 DEFAULT_SAMPLE_POOL = (2, 3, 4, 5, 7, 8, 9, 11, 13)
@@ -64,6 +62,8 @@ class JobConfig:
     cache_dir: str | None = None
 
     def __post_init__(self):
+        from .gf import _MAX_TABLE_Q, _factor_prime_power
+
         if not self.primes:
             raise ValueError("the sample pool primes is empty")
         for q in self.primes:

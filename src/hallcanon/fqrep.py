@@ -1303,11 +1303,68 @@ class FieldContext:
     # -- Hall numbers -------------------------------------------------------
 
     @memoized
+    def _point_type(self, descL):
+        """(rep, relabel) for a Kronecker class L with homogeneous points.
+
+        The type of L is its frame and the (degree, partition) of each point.
+        Its representative ``rep`` puts its k-th point of degree d at
+        ``closed_points(q, d)[k]``, with L's points sorted by (degree,
+        partition, point).  ``relabel`` maps a class to its image under a
+        degree-preserving bijection sigma of the closed points with
+        sigma(rep) = L: sigma sends the first points of each degree to L's,
+        and the points left over to those left over, both in list order.  So
+        sigma fixes every point after L's last one of its degree.  sigma is
+        a bijection on all closed points, not only on L's, because a row
+        entry can carry a point L lacks.  By Hubery's Hall polynomials for
+        affine quivers (A. Hubery, Represent. Theory 14 (2010)) a Kronecker
+        Hall number depends on the degree and partition at each point, not on
+        which point it is, so any such sigma carries rep's Hall numbers to L's.
+        sigma need not be a Moebius map: mixing the two arrows by GL_2(F_q)
+        would be exact by itself, but reaches every configuration of a type
+        only up to dim L = 3 delta, and this one rule covers every dimension.
+
+        None for a class without points and for a representative: both are
+        censused.
+        """
+        homog = desc_homog(descL)
+        if not homog:  # only Kronecker classes have points
+            return None
+        by_degree: dict = {}
+        for pt, lam in sorted(homog, key=lambda e: (point_degree(e[0]), e[1], e[0])):
+            by_degree.setdefault(point_degree(pt), []).append((pt, lam))
+        sigma, rep_homog = {}, []
+        for d, entries in by_degree.items():
+            pts = closed_points(self.q, d)
+            ours = [pt for pt, _ in entries]
+            rep_homog.extend((pts[k], lam) for k, (_, lam) in enumerate(entries))
+            head = pts[: 1 + max(map(pts.index, ours))]
+            taken = set(ours)
+            sigma.update(zip(head, ours + [pt for pt in head if pt not in taken]))
+        nuL = self.desc_dim(descL)
+        rep = self._interned(nuL)[make_cdesc(cm=descL[1], cp=descL[3], homog=rep_homog)]
+        if rep == descL:
+            return None
+        images: dict = {}
+
+        def relabel(desc):
+            out = images.get(desc)
+            if out is None:
+                moved = tuple(sorted((sigma.get(pt, pt), lam) for pt, lam in desc[4]))
+                out = images[desc] = self._interned(self.desc_dim(desc))[desc[:4] + (moved,)]
+            return out
+
+        return rep, relabel
+
+    @memoized
     def hall_row(self, descL, nuN) -> dict:
-        """{(descM, descN): g^L_{M,N}} for one class L, from L's census alone.
+        """{(descM, descN): g^L_{M,N}} for one class L, from one census of L or
+        of its type's representative.
 
         Memoized per (descL, nuN).  With nuN = 0 or dim L, L has one such
         subspace, so the row g^L_{L,0} = 1 or g^L_{0,L} = 1 needs no census.
+        A Kronecker class with homogeneous points that is not its type's
+        representative gets the representative's row, relabelled
+        (``_point_type``).
 
         An arrow a: s -> t's matrix on U depends only on (rows of U_s,
         pivots of U_t), and on L/U only on (pivots of U_s, rows of U_t), so
@@ -1320,6 +1377,11 @@ class FieldContext:
         if nuN == nuL or not any(nuN):
             (zero,) = self.classes(tuple(0 for _ in nuL))
             row = {(zero, descL) if nuN == nuL else (descL, zero): 1}
+        elif relabelled := self._point_type(descL):
+            rep, relabel = relabelled
+            row = {
+                (relabel(dM), relabel(dN)): g for (dM, dN), g in self.hall_row(rep, nuN).items()
+            }
         else:
             L, row = self.build(descL), {}
             Q, F, cache = self.quiver, self.F, self._classify_cache

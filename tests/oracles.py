@@ -10,7 +10,14 @@ from functools import lru_cache
 from itertools import permutations
 
 from hallcanon.canonical import CanonicalData, lusztig_solve, zeta_matrix
-from hallcanon.fqrep import FqModule, _quotient_block, _submodule_block, hom_dim, make_cdesc
+from hallcanon.fqrep import (
+    FqModule,
+    _quotient_block,
+    _submodule_block,
+    graded_stable_subspaces,
+    hom_dim,
+    make_cdesc,
+)
 from hallcanon.laurent import (
     ONE,
     ZERO,
@@ -241,6 +248,20 @@ def quotient_by_subspace(M: FqModule, sub) -> FqModule:
     ]
     dims = tuple(d - len(pivots) for d, (_, pivots) in zip(M.dims, sub))
     return FqModule(M.quiver, M.F, dims, mats)
+
+
+def census_row(ctx, L: FqModule, nuN) -> dict:
+    """{(class of L/U, class of U): count} over the stable subspaces U of the
+    explicit module L of dimension nuN: a direct census of L itself, with no
+    row borrowed from another class."""
+    row: dict = {}
+    for sub in graded_stable_subspaces(L, nuN):
+        pair = (
+            ctx.classify(quotient_by_subspace(L, sub)),
+            ctx.classify(submodule_from_subspace(L, sub)),
+        )
+        row[pair] = row.get(pair, 0) + 1
+    return row
 
 
 # -- classification by Hom profiles ---------------------------------------

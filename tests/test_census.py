@@ -1,5 +1,6 @@
 """The interval census against a brute-force product-then-filter oracle."""
 
+import random
 from itertools import product
 
 import pytest
@@ -12,12 +13,13 @@ from hallcanon.fqrep import (
     build_cyclic,
     census_size,
     graded_stable_subspaces,
+    make_cdesc,
 )
 from hallcanon.hallalg import HallEngine
 from hallcanon.hallpoly import cyclic_image
 from hallcanon.partitions import partitions
 from hallcanon.quiver import cyclic, kronecker, linear_an
-from oracles import quotient_by_subspace, submodule_from_subspace
+from oracles import census_row, quotient_by_subspace, submodule_from_subspace
 
 
 def oracle_stable_subspaces(M, target):
@@ -235,6 +237,16 @@ def oracle_hall_table(quiver, q, nuL, nuN):
     return out
 
 
+def census_order(ctx, dL, expected) -> list:
+    """The (M, N) of dL's row in the order of a census: dL's own, or, for a
+    relabelled Kronecker row, its type representative's, relabelled."""
+    ptype = ctx._point_type(dL)
+    if ptype is None:
+        return list(expected[dL])
+    rep, relabel = ptype
+    return [(relabel(dM), relabel(dN)) for dM, dN in expected[rep]]
+
+
 @pytest.mark.parametrize("quiver, nu", HALL_TABLE_CASES)
 def test_hall_table_equals_oracle(quiver, nu):
     # Covers nu_N = 0 and nu_N = nu, the identity tables, for each kind of
@@ -245,9 +257,10 @@ def test_hall_table_equals_oracle(quiver, nu):
             by_L, _ = ctx.hall_table(nu, nuN)
             expected = oracle_hall_table(quiver, q, nu, nuN)
             assert by_L == expected
-            # Same insertion order too: the census order is unchanged.
+            # Same insertion order too: a census's, the representative's for a
+            # relabelled row.
             for dL in by_L:
-                assert list(by_L[dL]) == list(expected[dL])
+                assert list(by_L[dL]) == census_order(ctx, dL, expected)
 
 
 @pytest.mark.parametrize("quiver, nu", HALL_TABLE_CASES)
@@ -275,10 +288,105 @@ def test_hall_row_matches_table(quiver, nu):
             for dL in ctx.classes(nu):
                 row = ctx.hall_row(dL, nuN)
                 assert row == expected[dL]
-                assert list(row) == list(expected[dL])
+                assert list(row) == census_order(ctx, dL, expected)
             # The table is made of the row memo's own dicts.
             by_L, _ = ctx.hall_table(nu, nuN)
             assert all(by_L[dL] is ctx.hall_row(dL, nuN) for dL in by_L)
+
+
+KRONECKER_ROW_DIMS = sorted({nu for b in ((2, 3), (3, 2)) for nu in dims_upto(b) if any(nu)})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_kronecker_rows_equal_a_census_of_each_class(q):
+    # Every row, relabelled from a type representative or censused, equals a
+    # direct census of its own class, for every dim N other than 0 and dim L.
+    ctx, oracle = FieldContext(kronecker(), q), FieldContext(kronecker(), q)
+    relabelled = 0
+    for nuL in KRONECKER_ROW_DIMS:
+        for dL in ctx.classes(nuL):
+            relabelled += ctx._point_type(dL) is not None
+            L = oracle.build(dL)
+            for nuN in dims_upto(nuL):
+                if any(nuN) and nuN != nuL:
+                    assert ctx.hall_row(dL, nuN) == census_row(oracle, L, nuN), (dL, nuN)
+    assert relabelled > 0
+
+
+def mix_arrows(L, g):
+    """The Kronecker module (aA + bB, cA + dB) for L = (A, B) and g = ((a, b), (c, d))."""
+    F, (A, B) = L.F, L.mats
+
+    def comb(x, y):
+        return [
+            [F.add(F.mul(x, s), F.mul(y, t)) for s, t in zip(ra, rb)] for ra, rb in zip(A, B)
+        ]
+
+    (a, b), (c, d) = g
+    return FqModule(L.quiver, F, L.dims, [comb(a, b), comb(c, d)])
+
+
+def mobius_point(F, g, pt):
+    """The closed point of g . L for the point pt of L.
+
+    B - lambda A is singular at L's point lambda (A singular at infinity), so
+    B' - mu A' is singular at mu = (d lambda + c) / (b lambda + a), and the
+    minimal polynomial f of lambda goes to the monic multiple of
+    h(mu) = sum_i f_i (a mu - c)^i (d - b mu)^(n - i).
+    """
+    (a, b), (c, d) = g
+    if pt == ("i",):
+        return pt if b == 0 else ("f", (F.neg(F.mul(d, F.inv(b))),))
+    f = list(pt[1]) + [1]
+    n = len(f) - 1
+    h = []
+    for i, fi in enumerate(f):
+        term = [fi]
+        for _ in range(i):
+            term = gf._poly_mul(F, term, [F.neg(c), a])
+        for _ in range(n - i):
+            term = gf._poly_mul(F, term, [d, F.neg(b)])
+        h = gf._poly_add(F, h, term)
+    if len(h) <= n:  # the leading coefficient vanished: lambda = -a / b
+        return ("i",)
+    lead = F.inv(h[-1])
+    return ("f", tuple(F.mul(x, lead) for x in h[:-1]))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_arrow_mixing_moves_points_by_mobius(q):
+    # GL_2(F_q) mixes the two arrows; this autoequivalence fixes every
+    # preprojective and preinjective and moves each homogeneous point by a
+    # Moebius map, so a census row of g . L is the image of L's row.
+    ctx = FieldContext(kronecker(), q)
+    F = ctx.F
+    rng = random.Random(q)
+    gs = [((0, 1), (1, 0)), ((1, 1), (0, 1)), ((1, 0), (1, 1))]
+    while len(gs) < 5:
+        g = tuple(tuple(rng.randrange(q) for _ in range(2)) for _ in range(2))
+        if F.sub(F.mul(g[0][0], g[1][1]), F.mul(g[0][1], g[1][0])):
+            gs.append(g)
+    moved_points = 0
+    for g in gs:
+
+        def image(desc):
+            homog = tuple((mobius_point(F, g, pt), lam) for pt, lam in desc[4])
+            return make_cdesc(cm=desc[1], cp=desc[3], homog=homog)
+
+        for nuL in ((1, 1), (2, 2), (2, 3)):
+            for dL in ctx.classes(nuL):
+                L = ctx.build(dL)
+                gL = mix_arrows(L, g)
+                assert ctx.classify(gL) == image(dL), (g, dL)
+                moved_points += image(dL) != dL
+                for nuN in ((1, 1), (0, 1), (1, 2)):
+                    if all(x <= y for x, y in zip(nuN, nuL)):
+                        moved = {
+                            (image(dM), image(dN)): c
+                            for (dM, dN), c in census_row(ctx, L, nuN).items()
+                        }
+                        assert census_row(ctx, gL, nuN) == moved, (g, dL, nuN)
+    assert moved_points > 0
 
 
 @pytest.mark.parametrize("quiver, nu", HALL_TABLE_CASES)

@@ -507,6 +507,36 @@ def test_internal_check_failure_exits_2(capsys, monkeypatch):
     assert json.loads(out)["error"]["type"] == "ArithmeticError"
 
 
+VERIFY_RUN = """
+import json, sys
+from hallcanon.cli import main
+
+rc = main(["verify", "--bundle", sys.argv[1]])
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_verify_loads_only_what_it_reads(tmp_path, monkeypatch):
+    # A bundle is checked from its matrices alone, so ``verify`` needs no
+    # field, census, Hall polynomial, PBW or quiver code.
+    monkeypatch.delenv("HALLCANON_CACHE", raising=False)
+    bundle = tmp_path / "bundle.json"
+    assert main(["canonical", "--quiver", "kronecker", "--dim", "2,2", "--out", str(bundle)]) == 0
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "HALLCANON_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", VERIFY_RUN, str(bundle)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report["rc"] == 0
+    assert json.loads(run.stdout.splitlines()[0])["ok"]
+    heavy = {f"hallcanon.{m}" for m in ("fqrep", "hallalg", "hallpoly", "pbw", "quiver", "gf")}
+    assert not heavy & set(report["modules"])
+
+
 TRACED_RUN = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
