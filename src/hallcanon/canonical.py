@@ -16,8 +16,7 @@ degree test per Gram entry of the PBW basis.  Sparse rows are combined with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import BarSolveError, BundleFormatError
 from .laurent import (
@@ -84,8 +83,7 @@ def lusztig_solve(order, Z) -> dict:
     return G
 
 
-@dataclass
-class CanonicalData:
+class CanonicalData(NamedTuple):
     """Canonical basis data at one dimension vector."""
 
     pbw: PBWData

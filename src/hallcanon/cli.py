@@ -3,10 +3,13 @@
 Exit codes: 0 on success (for ``canonical``/``verify``: certificates hold),
 1 when certificates fail, 2 on errors (budget, validation, bad input, an
 internal check that breaks), in which case a machine-readable error object
-is printed.
+is printed.  Usage errors (a missing or malformed option, an unknown
+command) are such errors; ``--help`` prints usage and exits 0.
 
 Each command imports the layers it runs, so ``verify`` loads only
-``canonical``, ``config`` and ``laurent``.
+``canonical``, ``config`` and ``laurent``.  ``hashlib``, and with it
+OpenSSL, loads only when a run uses the store (``--cache-dir``,
+``HALLCANON_CACHE`` or ``cache``).
 """
 
 from __future__ import annotations
@@ -223,8 +226,20 @@ def cmd_cache(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so ``main`` reports it as a JSON error object.
+
+    Subcommand parsers inherit the class, so their errors raise as well;
+    ``--help`` still prints and exits 0.
+    """
+
+    def error(self, message):
+        # Not ArgumentError: argparse catches that and calls error() again.
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hallcanon",
         description="Exact canonical bases of Hall composition algebras",
     )
@@ -269,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except HallcanonError as exc:
         sys.stdout.write(_dump({"error": {"type": type(exc).__name__, "message": str(exc)}}))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Prime powers used for counting samples, smallest first.  Counting cost
 # grows quickly with q, so fits always consume this list left to right.
@@ -47,23 +47,28 @@ class BundleFormatError(HallcanonError):
     """A certificate bundle lacks a field or holds a malformed matrix."""
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class _JobFields(NamedTuple):
+    primes: tuple[int, ...] = DEFAULT_SAMPLE_POOL
+    budget_subspaces: int = 2_000_000
+    cache_dir: str | None = None
+
+
+class JobConfig(_JobFields):
     """Knobs shared by every computation.
 
     ``primes`` is the ordered pool of sample prime powers in 2..64,
     ``budget_subspaces`` is a hard enumeration limit (a clear error beats
     silent degradation), and ``cache_dir`` names the on-disk store
-    (``None`` for none).  Every computation runs in one thread.
+    (``None`` for none).  Every computation runs in one thread.  A config is
+    an immutable record, checked when it is made.
     """
 
-    primes: tuple[int, ...] = DEFAULT_SAMPLE_POOL
-    budget_subspaces: int = 2_000_000
-    cache_dir: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
         from .gf import _MAX_TABLE_Q, _factor_prime_power
 
+        self = super().__new__(cls, *args, **kwargs)
         if not self.primes:
             raise ValueError("the sample pool primes is empty")
         for q in self.primes:
@@ -75,6 +80,12 @@ class JobConfig:
             raise ValueError(f"sample fields repeat in primes {list(self.primes)}")
         if self.budget_subspaces < 0:
             raise ValueError(f"budget_subspaces must be >= 0, got {self.budget_subspaces}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # The tuple's own _make, which _replace calls, would skip the checks.
+        return cls(*iterable)
 
     @staticmethod
     def default() -> "JobConfig":

@@ -9,7 +9,6 @@ only depend on the degrees of the points involved.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -308,13 +307,16 @@ class HallPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _digest(obj) -> str:
+    """sha256 of obj's canonical JSON: store file names and record checksums."""
+    import hashlib  # loads OpenSSL, so only runs that use a store import it
+
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _checksum(record: dict) -> str:
-    body = {k: v for k, v in record.items() if k != "checksum"}
-    return hashlib.sha256(_canonical_json(body).encode()).hexdigest()
+    return _digest({k: v for k, v in record.items() if k != "checksum"})
 
 
 def _load(path: str):
@@ -339,7 +341,7 @@ class CacheStore:
         self.root = root
 
     def path_for(self, quiver_id: str, key) -> str:
-        h = hashlib.sha256(_canonical_json(_jsonable(key)).encode()).hexdigest()
+        h = _digest(_jsonable(key))
         safe = quiver_id.replace(":", "_").replace("/", "_")
         return os.path.join(self.root, safe, f"{h}.json")
 

@@ -9,7 +9,7 @@ generically and checked for unitriangularity on the fly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import UnsupportedQuiverError, memoized
 from .fqrep import (
@@ -48,8 +48,7 @@ def mseg_leq_G(n: int, pi, rho) -> bool:
     return True
 
 
-@dataclass
-class OrderedIndexSet:
+class OrderedIndexSet(NamedTuple):
     """All indices of one dimension vector with the order data."""
 
     nu: tuple
@@ -259,8 +258,7 @@ class IndexSystem:
         return PBWData(nu, idxset, order, mon, E, eta, mon_over_E)
 
 
-@dataclass
-class PBWData:
+class PBWData(NamedTuple):
     """Transition data at one dimension vector.
 
     ``mon``: monomial expansions over the N family; ``E``: PBW elements

@@ -4,7 +4,6 @@ None of these runs in the pipeline: each is the direct, slow or classical
 form of something the package computes another way.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -158,7 +157,7 @@ def _recomputed_bundle(solver, pbw, mon, eta) -> dict:
     E = {a: row_times(eta[a], mon) for a in order}
     zeta = zeta_matrix(order, eta, mon_over_E)
     g = lusztig_solve(order, zeta)
-    forged = replace(pbw, mon=mon, E=E, eta=eta, mon_over_E=mon_over_E)
+    forged = pbw._replace(mon=mon, E=E, eta=eta, mon_over_E=mon_over_E)
     C_over_N = {a: row_times(g[a], E) for a in order}
     C_over_mon = {a: row_times(g[a], eta) for a in order}
     return solver._matrices(CanonicalData(forged, zeta, g, C_over_N, C_over_mon))

@@ -436,10 +436,35 @@ def test_store_holds_only_lifted_words(tmp_path, capsys, monkeypatch):
     assert warm == cold
 
 
-def test_error_is_machine_readable(capsys):
-    code, out = run_cli(capsys, "canonical", "--quiver", "nosuch", "--dim", "1,1")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["canonical", "--quiver", "nosuch", "--dim", "1,1"], id="unknown-quiver"),
+        # usage errors, which argparse alone reports as usage text without JSON
+        pytest.param(["canonical", "--quiver", "kronecker"], id="missing-dim"),
+        pytest.param(
+            ["canonical", "--quiver", "kronecker", "--dim", "1,1", "--budget-subspaces", "x"],
+            id="budget-not-int",
+        ),
+        pytest.param(["canonical", "--quiver", "kronecker", "--dim", "-1,2"], id="dim-read-as-option"),
+        pytest.param(["nosuch"], id="unknown-command"),
+        pytest.param([], id="no-command"),
+        pytest.param(["verify"], id="verify-missing-bundle"),
+        pytest.param(["cache", "frob"], id="unknown-cache-action"),
+    ],
+)
+def test_error_is_machine_readable(capsys, argv):
+    code, out = run_cli(capsys, *argv)
     assert code == 2
-    assert "error" in json.loads(out)
+    assert set(json.loads(out)["error"]) == {"type", "message"}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["canonical", "--help"]], ids=["top", "canonical"])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hallcanon")
 
 
 @pytest.mark.parametrize(
@@ -507,34 +532,64 @@ def test_internal_check_failure_exits_2(capsys, monkeypatch):
     assert json.loads(out)["error"]["type"] == "ArithmeticError"
 
 
-VERIFY_RUN = """
+LEG_RUN = """
 import json, sys
 from hallcanon.cli import main
 
-rc = main(["verify", "--bundle", sys.argv[1]])
+rc = main(json.loads(sys.argv[1]))
 print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
+# hashlib loads OpenSSL and dataclasses loads inspect, ast and dis: several
+# MB of a leg's peak memory, which only a run with a store needs (sha256).
+UNUSED_WITHOUT_STORE = {"hashlib", "_hashlib", "dataclasses"}
 
-def test_verify_loads_only_what_it_reads(tmp_path, monkeypatch):
-    # A bundle is checked from its matrices alone, so ``verify`` needs no
-    # field, census, Hall polynomial, PBW or quiver code.
+
+@pytest.mark.parametrize(
+    "leg, absent, present",
+    [
+        ("canonical", UNUSED_WITHOUT_STORE, set()),
+        ("hallpoly", UNUSED_WITHOUT_STORE, set()),
+        # A bundle is checked from its matrices alone, so ``verify`` needs no
+        # field, census, Hall polynomial, PBW or quiver code.
+        ("verify", UNUSED_WITHOUT_STORE | {
+            f"hallcanon.{m}" for m in ("fqrep", "hallalg", "hallpoly", "pbw", "quiver", "gf")
+        }, set()),
+        # the store path runs, so the rule above is not met by skipping it
+        ("canonical-store", {"dataclasses"}, {"hashlib"}),
+    ],
+    ids=["canonical", "hallpoly", "verify", "canonical-store"],
+)
+def test_leg_loads_only_what_it_runs(tmp_path, monkeypatch, leg, absent, present):
     monkeypatch.delenv("HALLCANON_CACHE", raising=False)
     bundle = tmp_path / "bundle.json"
-    assert main(["canonical", "--quiver", "kronecker", "--dim", "2,2", "--out", str(bundle)]) == 0
+    canonical = ["canonical", "--quiver", "kronecker", "--dim", "2,2", "--out", str(bundle)]
+    argv = {
+        "canonical": canonical,
+        "hallpoly": ["hallpoly", "--quiver", "jordan", "--L", "[[1,1,2]]",
+                     "--M", "[[1,1,1]]", "--N", "[[1,1,1]]"],
+        "verify": ["verify", "--bundle", str(bundle)],
+        "canonical-store": canonical + ["--cache-dir", str(tmp_path / "store")],
+    }[leg]
+    if leg == "verify":
+        assert main(canonical) == 0
     root = Path(__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "HALLCANON_CACHE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", VERIFY_RUN, str(bundle)],
+        [sys.executable, "-c", LEG_RUN, json.dumps(argv)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout.splitlines()[-1])
-    assert report["rc"] == 0
-    assert json.loads(run.stdout.splitlines()[0])["ok"]
-    heavy = {f"hallcanon.{m}" for m in ("fqrep", "hallalg", "hallpoly", "pbw", "quiver", "gf")}
-    assert not heavy & set(report["modules"])
+    assert report["rc"] == 0, run.stdout
+    modules = set(report["modules"])
+    assert not absent & modules
+    assert present <= modules
+    if leg == "verify":
+        assert json.loads(run.stdout.splitlines()[0])["ok"]
+    if leg == "canonical-store":
+        assert list((tmp_path / "store").rglob("*.json"))
 
 
 TRACED_RUN = """

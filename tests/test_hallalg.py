@@ -265,6 +265,23 @@ def test_job_config_rejects_invalid_sample_pools(primes):
         JobConfig(primes=primes)
 
 
+def test_job_config_is_immutable():
+    # Engines hold the config they were built with, so no field may change
+    # after the checks above; configs with equal fields are equal.
+    cfg = JobConfig(primes=(2, 3, 4), cache_dir=None)
+    for field in ("primes", "budget_subspaces", "cache_dir"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, field, None)
+    with pytest.raises(AttributeError):
+        cfg.threads = 2
+    assert cfg == JobConfig(primes=(2, 3, 4), budget_subspaces=2_000_000)
+    assert cfg != JobConfig(primes=(2, 3, 5))
+    assert JobConfig(cache_dir="store").cache_dir == "store"
+    assert cfg._replace(budget_subspaces=5) == JobConfig(primes=(2, 3, 4), budget_subspaces=5)
+    with pytest.raises(ValueError):
+        cfg._replace(primes=(2, 6))
+
+
 def test_hom_desc_runs_once_per_descriptor(monkeypatch):
     seen: dict = {}
     hom_desc = FieldContext.hom_desc

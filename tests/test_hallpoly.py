@@ -265,6 +265,22 @@ def test_cache_store_roundtrip(tmp_path):
     assert rec1 == rec2
 
 
+def test_cache_store_layout_is_pinned(tmp_path, monkeypatch):
+    # Records are content-addressed: the file name is the sha256 of the
+    # key's canonical JSON and ``checksum`` that of the record without it.
+    # Both digests were taken from a store written before this test, so a
+    # change to either breaks every existing store.
+    monkeypatch.setattr(hallpoly.time, "time", lambda: 1_700_000_000.0)
+    eng = HallPolyEngine(cyclic(1), JobConfig(cache_dir=str(tmp_path)))
+    eng.hall_polynomial(mdesc(((1, 1), 2)), mdesc(((1, 1), 1)), mdesc(((1, 1), 1)))
+    (path,) = eng.store.entries()
+    name = "3966e88caa5dc3c6310b7522ce51389b1300de798b23442a3053fbc8f1a37c26.json"
+    assert path == str(tmp_path / "cyclic_1" / name)
+    record = json.load(open(path))
+    assert record["checksum"] == "3fcc1e2642170fcd959d9f3febf732bf611cf99ad5f234890a43a3b309652716"
+    assert record["poly"] == [1, 1] and record["created_at"] == 1_700_000_000.0
+
+
 def test_cache_corruption_detected(tmp_path):
     cfg = JobConfig(cache_dir=str(tmp_path))
     eng = HallPolyEngine(cyclic(1), cfg)
