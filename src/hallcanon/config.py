@@ -58,7 +58,9 @@ class JobConfig(_JobFields):
 
     ``primes`` is the ordered pool of sample prime powers in 2..64,
     ``budget_subspaces`` is a hard enumeration limit (a clear error beats
-    silent degradation), and ``cache_dir`` names the on-disk store
+    silent degradation) that bounds enumerations only: a closed form, such
+    as |Aut M| or the Hall row of a semisimple L, enumerates nothing and is
+    never refused by it, and ``cache_dir`` names the on-disk store
     (``None`` for none).  Every computation runs in one thread.  A config is
     an immutable record, checked when it is made.
     """

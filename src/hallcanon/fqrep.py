@@ -487,6 +487,11 @@ def _int_poly_mul(a, b):
 
 
 def census_size(M: FqModule, target) -> int:
+    """The number of graded subspaces of M of dimension vector target,
+    prod_v [d_v, k_v]_q (0 when some k_v > d_v).  For a semisimple M each
+    of them is a submodule, so this is also M's Hall number
+    g^M_{S,S'} with S, S' the semisimples of dimension dim M - target and
+    target."""
     out = 1
     for v in range(len(M.dims)):
         out *= gf.gaussian_binomial_int(M.dims[v], target[v], M.F.q)
@@ -1357,14 +1362,20 @@ class FieldContext:
 
     @memoized
     def hall_row(self, descL, nuN) -> dict:
-        """{(descM, descN): g^L_{M,N}} for one class L, from one census of L or
-        of its type's representative.
+        """{(descM, descN): g^L_{M,N}} for one class L: in closed form, by
+        relabelling its type representative's row, or from one census of L.
 
         Memoized per (descL, nuN).  With nuN = 0 or dim L, L has one such
         subspace, so the row g^L_{L,0} = 1 or g^L_{0,L} = 1 needs no census.
         A Kronecker class with homogeneous points that is not its type's
         representative gets the representative's row, relabelled
-        (``_point_type``).
+        (``_point_type``).  A semisimple L (every arrow of ``build(descL)``
+        zero) needs no census either: every graded subspace is a submodule,
+        so the row is g^L_{S,S'} = prod_v [l_v, n_v]_q (``census_size``) for
+        the semisimples S, S' of dimension dim L - nuN and nuN (Ringel,
+        Invent. Math. 101 (1990)), or empty when some n_v > l_v.  Neither
+        closed form enumerates a subspace, so neither is bounded by
+        ``budget_subspaces``.
 
         An arrow a: s -> t's matrix on U depends only on (rows of U_s,
         pivots of U_t), and on L/U only on (pivots of U_s, rows of U_t), so
@@ -1396,6 +1407,16 @@ class FieldContext:
                 return out
 
             dimsM = tuple(d - k for d, k in zip(nuL, nuN))
+            if not any(any(r) for mat in L.mats for r in mat):
+                # Semisimple L: every graded subspace is a submodule U, and U
+                # and L/U are the semisimples of their dimension vectors.
+                if size := census_size(L, nuN):
+
+                    def zero(dims):
+                        return tuple(((0,) * dims[s],) * dims[t] for s, t in Q.arrows)
+
+                    row[(desc_of(dimsM, zero(dimsM)), desc_of(nuN, zero(nuN)))] = size
+                return row
             for sub in graded_stable_subspaces(L, nuN, self.cfg.budget_subspaces):
                 blocksN, blocksM = [], []
                 for a, (s, t) in arrows:
@@ -1435,7 +1456,7 @@ class FieldContext:
         return by_L, by_pair
 
     def hall(self, descL, descM, descN) -> int:
-        """g^L_{M,N} at this field; only L is censused (``hall_row``)."""
+        """g^L_{M,N} at this field, from L's row alone (``hall_row``)."""
         nuL = self.desc_dim(descL)
         nuN = self.desc_dim(descN)
         nuM = self.desc_dim(descM)

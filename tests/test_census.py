@@ -433,10 +433,16 @@ def test_hall_row_classifies_each_module_once(monkeypatch):
     assert 10 * len(calls) < 2 * kept
 
 
+def is_semisimple(L) -> bool:
+    return not any(any(r) for mat in L.mats for r in mat)
+
+
 def test_hall_censuses_only_the_asked_L(monkeypatch):
+    # The last class with a nonzero arrow: a semisimple L runs no census.
     nuL, nuN = (2, 3), (1, 1)
-    by_L, _ = FieldContext(kronecker(), 3).hall_table(nuL, nuN)
-    dL = list(by_L)[-1]
+    table = FieldContext(kronecker(), 3)
+    by_L, _ = table.hall_table(nuL, nuN)
+    dL = [d for d in by_L if not is_semisimple(table.build(d))][-1]
     (dM, dN), g = max(by_L[dL].items(), key=lambda item: item[1])
 
     ctx = FieldContext(kronecker(), 3)
@@ -450,6 +456,40 @@ def test_hall_censuses_only_the_asked_L(monkeypatch):
     monkeypatch.setattr(fqrep, "graded_stable_subspaces", recording)
     assert ctx.hall(dL, dM, dN) == g > 0
     assert censused == [ctx.build(dL)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize(
+    "quiver, nuL",
+    [
+        (kronecker(), (2, 3)),
+        (cyclic(1), (4,)),
+        (cyclic(2), (2, 3)),
+        (cyclic(3), (2, 2, 1)),
+        (linear_an(3, "><"), (2, 2, 1)),
+    ],
+)
+def test_semisimple_rows_are_closed_form(quiver, nuL, q, monkeypatch):
+    # Every graded subspace of a semisimple L is a submodule, so its row is
+    # one Gaussian-binomial product, written down without a census.
+    oracle = FieldContext(quiver, q)
+    (dL,) = [d for d in oracle.classes(nuL) if is_semisimple(oracle.build(d))]
+    L = oracle.build(dL)
+    targets = [nuN for nuN in dims_upto(nuL) if any(nuN) and nuN != nuL]
+    expected = {nuN: census_row(oracle, L, nuN) for nuN in targets}
+
+    censused = []
+    monkeypatch.setattr(fqrep, "graded_stable_subspaces", lambda *args: censused.append(args))
+    ctx = FieldContext(quiver, q)
+    for nuN in targets:
+        row = ctx.hall_row(dL, nuN)
+        assert row == expected[nuN], nuN
+        assert list(row.values()) == [census_size(L, nuN)]
+    # nuN not below nuL: no subspace, and no zero entry.
+    for v in range(len(nuL)):
+        nuN = tuple(nuL[v] + 1 if w == v else 0 for w in range(len(nuL)))
+        assert ctx.hall_row(dL, nuN) == {}, nuN
+    assert censused == []
 
 
 @pytest.mark.parametrize(

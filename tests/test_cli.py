@@ -292,6 +292,15 @@ def test_hallpoly_rejects_weakened_checks(capsys, options, error):
     assert json.loads(out)["error"]["type"] == error
 
 
+def test_hallpoly_semisimple_row_ignores_enumeration_budget(capsys):
+    # S^3 is semisimple: its row is [3, 2]_q in closed form, which enumerates
+    # nothing, so a budget of one subspace does not stop it.
+    args = ["--L", "[[1,1,3]]", "--M", "[[1,1,1]]", "--N", "[[1,1,2]]"]
+    code, out = run_cli(capsys, "hallpoly", "--quiver", "jordan", "--budget-subspaces", "1", *args)
+    assert code == 0
+    assert json.loads(out)["polynomial"] == "q^2 + q + 1"
+
+
 def test_canonical_rejects_invalid_sample_fields(capsys):
     argv = ["canonical", "--quiver", "kronecker", "--dim", "1,1", "--primes", "2,3,4,6,100"]
     code, out = run_cli(capsys, *argv)
