@@ -32,6 +32,9 @@ from .laurent import (
 if TYPE_CHECKING:  # the solver's types; ``verify_bundle`` needs neither
     from .pbw import IndexSystem, PBWData
 
+# The ``schema`` field of every bundle; it also keys bundles in the store.
+BUNDLE_SCHEMA = 1
+
 
 def _bar_row(row) -> dict:
     """The bar involution applied to each entry of a sparse row."""
@@ -215,7 +218,7 @@ class CanonicalSolver:
         matrices = self._matrices(cdata)
         report = self.verify(nu, cdata, matrices)
         return {
-            "schema": 1,
+            "schema": BUNDLE_SCHEMA,
             "quiver": self.engine.quiver.to_json(),
             "quiver_name": self.engine.quiver.name,
             "dim": list(nu),

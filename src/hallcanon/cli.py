@@ -7,9 +7,10 @@ is printed.  Usage errors (a missing or malformed option, an unknown
 command) are such errors; ``--help`` prints usage and exits 0.
 
 Each command imports the layers it runs, so ``verify`` loads only
-``canonical``, ``config`` and ``laurent``.  ``hashlib``, and with it
-OpenSSL, loads only when a run uses the store (``--cache-dir``,
-``HALLCANON_CACHE`` or ``cache``).
+``canonical``, ``config`` and ``laurent``, and a ``canonical`` run served a
+stored bundle (see ``_bundle``) loads only those, ``quiver`` and ``store``.
+``hashlib``, and with it OpenSSL, loads only when a run uses the store
+(``--cache-dir``, ``HALLCANON_CACHE`` or ``cache``).
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .canonical import verify_bundle
-from .config import HallcanonError, JobConfig
+from .canonical import BUNDLE_SCHEMA, CanonicalSolver, latex_table, verify_bundle
+from .config import BarSolveError, BundleFormatError, HallcanonError, JobConfig
 
 if TYPE_CHECKING:
     from .hallalg import HallEngine
+    from .quiver import Quiver
 
 
 def _config_from_args(args) -> JobConfig:
@@ -131,18 +133,55 @@ def _parse_desc(engine: HallEngine, data):
     return make_cdesc(cm=cm, cp=cp, homog=tuple(homog.items()))
 
 
-def cmd_canonical(args) -> int:
-    from .canonical import CanonicalSolver, latex_table
+def _serves(bundle, quiver: Quiver, nu, primes) -> bool:
+    """Whether a stored bundle may be printed for this run: it is the bundle
+    of (quiver, nu) at this sample pool and it still certifies."""
+    try:
+        return bool(
+            bundle["quiver"] == quiver.to_json()
+            and bundle["dim"] == list(nu)
+            and bundle["meta"]["primes"] == list(primes)
+            and bundle["certificates"]["ok"] is True
+            and verify_bundle(bundle)["ok"]
+        )
+    except (BarSolveError, BundleFormatError, KeyError, TypeError):
+        return False
+
+
+def _bundle(cfg: JobConfig, quiver: Quiver, nu) -> dict:
+    """The certificate bundle of (quiver, nu), read from the store if it
+    holds one that ``_serves``, else computed; a computed bundle that
+    certifies is stored, over whatever record its key held.
+
+    The store key is ("bundle", schema, dim, primes) under the quiver's
+    directory.  The engine, the index system and the solver are imported and
+    built only when the store has no bundle to serve.
+    """
+    store = key = None
+    if cfg.cache_dir:
+        from .store import CacheStore
+
+        store = CacheStore(cfg.cache_dir)
+        key = ("bundle", BUNDLE_SCHEMA, nu, cfg.primes)
+        record = store.get(quiver.name, key)
+        if record is not None and _serves(record.get("bundle"), quiver, nu, cfg.primes):
+            return record["bundle"]
     from .hallalg import HallEngine
     from .pbw import IndexSystem
+
+    bundle = CanonicalSolver(IndexSystem(HallEngine(quiver, cfg))).bundle(nu)
+    if store is not None and bundle["certificates"]["ok"]:
+        store.put(quiver.name, key, {"bundle": bundle})
+    return bundle
+
+
+def cmd_canonical(args) -> int:
     from .quiver import from_spec
 
     cfg = _config_from_args(args)
     quiver = from_spec(args.quiver)
     nu = tuple(int(x) for x in args.dim.split(","))
-    engine = HallEngine(quiver, cfg)
-    solver = CanonicalSolver(IndexSystem(engine))
-    bundle = solver.bundle(nu)
+    bundle = _bundle(cfg, quiver, nu)
     if args.dump_transition:
         if args.format == "latex":
             from .laurent import LaurentPoly
@@ -208,7 +247,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    from .hallpoly import CacheStore
+    from .store import CacheStore
 
     cache_dir = args.cache_dir or os.environ.get("HALLCANON_CACHE")
     if not cache_dir:

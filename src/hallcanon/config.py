@@ -1,4 +1,5 @@
-"""Run configuration, shared error types and the per-instance memo rule."""
+"""Run configuration with its sample-field check, shared error types and the
+per-instance memo rule."""
 
 from __future__ import annotations
 
@@ -9,6 +10,25 @@ from typing import NamedTuple
 # Prime powers used for counting samples, smallest first.  Counting cost
 # grows quickly with q, so fits always consume this list left to right.
 DEFAULT_SAMPLE_POOL = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+
+# The largest field ``gf`` builds tables for, so the largest sample field.
+_MAX_TABLE_Q = 64
+
+
+def _factor_prime_power(q: int):
+    if q < 2:
+        raise ValueError("q must be a prime power >= 2")
+    for p in range(2, q + 1):
+        if q % p == 0:
+            e = 0
+            m = q
+            while m % p == 0:
+                m //= p
+                e += 1
+            if m != 1:
+                raise ValueError(f"{q} is not a prime power")
+            return p, e
+    raise ValueError(f"{q} is not a prime power")
 
 
 class HallcanonError(Exception):
@@ -68,8 +88,6 @@ class JobConfig(_JobFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        from .gf import _MAX_TABLE_Q, _factor_prime_power
-
         self = super().__new__(cls, *args, **kwargs)
         if not self.primes:
             raise ValueError("the sample pool primes is empty")

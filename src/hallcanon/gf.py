@@ -10,23 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-_MAX_TABLE_Q = 64
-
-
-def _factor_prime_power(q: int):
-    if q < 2:
-        raise ValueError("q must be a prime power >= 2")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
+from .config import _MAX_TABLE_Q, _factor_prime_power
 
 
 def _poly_mul_mod(a, b, modulus, p):

@@ -49,13 +49,13 @@ from .fqrep import (
 from .hallpoly import (
     MIN_VALIDATE,
     HallPolyEngine,
-    _jsonable,
     _normalize_rational,
     sample_and_fit,
 )
 from .laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
 from .partitions import centralizer_order, character, kostka_solve, partitions
 from .quiver import Quiver
+from .store import _jsonable
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ generically and checked for unitriangularity on the fly.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .config import UnsupportedQuiverError, memoized
@@ -29,23 +30,29 @@ from .partitions import partitions
 from .quiver import dim_f
 
 
+@lru_cache(maxsize=None)
+def _hom_profile(n: int, pi, bound: int) -> tuple:
+    """dim Hom(S_i[l], M(pi)) for l = 1..bound and i = 1..n, l major."""
+    return tuple(
+        mseg_hom(n, (((i, l), 1),), pi) for l in range(1, bound + 1) for i in range(1, n + 1)
+    )
+
+
 def mseg_leq_G(n: int, pi, rho) -> bool:
     """Degeneration order pi <=_G rho via Hom-dimension comparison.
 
     Hom dimensions from all segment modules of length up to the combined
-    total length decide the order at a fixed dimension vector.
+    total length decide the order at a fixed dimension vector; each side's
+    dimensions are one cached profile.
     """
     if pi == rho:
         return True
     if mseg_dim(n, pi) != mseg_dim(n, rho):
         return False
     bound = sum(l * m for (_, l), m in pi) + sum(l * m for (_, l), m in rho)
-    for l in range(1, bound + 1):
-        for i in range(1, n + 1):
-            seg = (((i, l), 1),)
-            if mseg_hom(n, seg, pi) < mseg_hom(n, seg, rho):
-                return False
-    return True
+    return all(
+        a >= b for a, b in zip(_hom_profile(n, pi, bound), _hom_profile(n, rho, bound))
+    )
 
 
 class OrderedIndexSet(NamedTuple):

@@ -1,0 +1,119 @@
+"""Content-addressed on-disk store of JSON records.
+
+One record per key, at <root>/<quiver-id>/<sha256 of the key's canonical
+JSON>.json.  A record holds its ``version``, its ``key``, ``created_at``,
+the payload's fields and a ``checksum``, the sha256 of the record without
+it.  A record is served only if it is a JSON object of this version whose
+checksum holds and whose key is the one its file name is the digest of;
+anything else reads as missing, and ``verify``/``gc`` report or remove it.
+The store holds Hall polynomials, lifted words and certified bundles; this
+module imports no algebra layer, so a run served from the store loads none.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+import time
+
+STORE_VERSION = 1
+
+
+def _digest(obj) -> str:
+    """sha256 of obj's canonical JSON: store file names and record checksums."""
+    import hashlib  # loads OpenSSL, so only runs that use a store import it
+
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _checksum(record: dict) -> str:
+    return _digest({k: v for k, v in record.items() if k != "checksum"})
+
+
+def _jsonable(obj):
+    if isinstance(obj, tuple):
+        return [_jsonable(x) for x in obj]
+    if isinstance(obj, (list, dict, str, int, float, bool)) or obj is None:
+        return obj
+    return str(obj)
+
+
+def _load(path: str):
+    """The record at path, or None if it is missing, unreadable, not a JSON
+    object, of another version, fails its checksum or holds a key whose
+    digest is not its file name."""
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return None
+    if not isinstance(record, dict):
+        return None
+    if record.get("version") != STORE_VERSION or record.get("checksum") != _checksum(record):
+        return None
+    if os.path.basename(path) != _digest(record.get("key")) + ".json":
+        return None
+    return record
+
+
+class CacheStore:
+    """One JSON file per key under <root>/<quiver-id>/<keyhash>.json."""
+
+    def __init__(self, root: str):
+        self.root = root
+
+    def path_for(self, quiver_id: str, key) -> str:
+        h = _digest(_jsonable(key))
+        safe = quiver_id.replace(":", "_").replace("/", "_")
+        return os.path.join(self.root, safe, f"{h}.json")
+
+    def get(self, quiver_id: str, key):
+        return _load(self.path_for(quiver_id, key))
+
+    def put(self, quiver_id: str, key, payload: dict) -> dict:
+        record = {
+            "version": STORE_VERSION,
+            "key": _jsonable(key),
+            "created_at": time.time(),
+            **payload,
+        }
+        record["checksum"] = _checksum(record)
+        path = self.path_for(quiver_id, key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                # One dumps call runs the C encoder; json.dump streams
+                # through the pure-Python one.  The text is the same.
+                fh.write(json.dumps(record, sort_keys=True))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return record
+
+    def entries(self):
+        if not os.path.isdir(self.root):
+            return
+        for sub in sorted(os.listdir(self.root)):
+            d = os.path.join(self.root, sub)
+            if not os.path.isdir(d):
+                continue
+            for name in sorted(os.listdir(d)):
+                if name.endswith(".json"):
+                    yield os.path.join(d, name)
+
+    def verify(self):
+        """Return a list of (path, ok) for every record in the store."""
+        return [(path, _load(path) is not None) for path in self.entries()]
+
+    def gc(self):
+        """Remove corrupt or out-of-version records; returns removed paths."""
+        removed = []
+        for path, ok in self.verify():
+            if not ok:
+                os.unlink(path)
+                removed.append(path)
+        return removed

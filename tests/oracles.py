@@ -16,6 +16,8 @@ from hallcanon.fqrep import (
     graded_stable_subspaces,
     hom_dim,
     make_cdesc,
+    mseg_dim,
+    mseg_hom,
 )
 from hallcanon.laurent import (
     ONE,
@@ -317,3 +319,24 @@ def hom_profile_class(ctx, M):
         cands = [d for d in cands if _hom_pair(ctx, x, d) == seen]
     assert len(cands) == 1, (M.dims, cands)
     return cands[0]
+
+
+# -- multisegments ------------------------------------------------------
+
+
+def mseg_leq_G_by_hom(n: int, pi, rho) -> bool:
+    """pi <=_G rho, one dim Hom(S_i[l], -) comparison at a time.
+
+    The loop ``pbw.mseg_leq_G`` replaced by comparing two cached profiles.
+    """
+    if pi == rho:
+        return True
+    if mseg_dim(n, pi) != mseg_dim(n, rho):
+        return False
+    bound = sum(l * m for (_, l), m in pi) + sum(l * m for (_, l), m in rho)
+    for l in range(1, bound + 1):
+        for i in range(1, n + 1):
+            seg = (((i, l), 1),)
+            if mseg_hom(n, seg, pi) < mseg_hom(n, seg, rho):
+                return False
+    return True

@@ -270,7 +270,8 @@ def test_criterion_9_finite_type_a2():
 
 def test_criterion_10_determinism(shared_cache, kron_solver, tmp_path):
     # Warm the cache through criterion 8's fixture, then compare two full
-    # command-line runs byte for byte.
+    # command-line runs byte for byte.  The first run stores each certified
+    # bundle, and the second is served those records.
     t0 = time.time()
     for nu in KRON_DIMS:
         kron_solver.verify(nu)  # ensure warm
@@ -289,7 +290,7 @@ def test_criterion_10_determinism(shared_cache, kron_solver, tmp_path):
     b2 = run("run2")
     _report(
         10,
-        b1 == b2 and time.time() - t0 < 1,
+        b1 == b2 and time.time() - t0 < 0.4,
         "criterion-8 bundles byte-identical across two runs",
         t0,
     )

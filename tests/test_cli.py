@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from hallcanon import store as store_mod
 from hallcanon.cli import main
-from hallcanon.hallpoly import CacheStore, HallPolyEngine
+from hallcanon.hallpoly import HallPolyEngine
+from hallcanon.store import CacheStore
 
 
 def run_cli(capsys, *argv):
@@ -429,20 +431,66 @@ def test_cache_commands(tmp_path, capsys):
 
 def test_store_holds_only_lifted_words(tmp_path, capsys, monkeypatch):
     # |Aut M| is a closed form and is never stored: a cold cyclic run writes
-    # one record per monomial word, and a warm rerun writes nothing and
-    # prints the same bundle.
+    # one record per monomial word and one for the certified bundle, and a
+    # warm rerun reads the bundle, writes nothing and prints the same bytes.
     cache = tmp_path / "cache"
     args = ["canonical", "--quiver", "cyclic:3", "--dim", "2,2,1", "--cache-dir", str(cache)]
     code, cold = run_cli(capsys, *args)
     assert code == 0
-    kinds = [json.loads(p.read_text())["key"][0] for p in cache.rglob("*.json")]
-    assert kinds == ["word"] * 14
+    kinds = sorted(json.loads(p.read_text())["key"][0] for p in cache.rglob("*.json"))
+    assert kinds == ["bundle"] + ["word"] * 14
     puts = []
     monkeypatch.setattr(CacheStore, "put", lambda self, *record: puts.append(record))
     code, warm = run_cli(capsys, *args)
     assert code == 0
     assert puts == []
     assert warm == cold
+
+
+def _forge(bundle, how):
+    """A bundle of the run's key that must not be served, edited in place."""
+    if how == "g-row":
+        # a v^-1 entry added below the diagonal of g: still unitriangular,
+        # but no longer bar-invariant
+        g = bundle["g"]
+        i, j = next((i, j) for i in range(len(g)) for j in range(i) if j not in dict(g[i]))
+        g[i] = sorted(g[i] + [[j, [[-1, "1"]]]])
+    elif how == "quiver":  # the opposite orientation
+        bundle["quiver"]["arrows"] = [[t, h] for h, t in bundle["quiver"]["arrows"]]
+    elif how == "primes":
+        bundle["meta"]["primes"] = bundle["meta"]["primes"][1:]
+    elif how == "dim":
+        bundle["dim"] = bundle["dim"][::-1]
+    elif how == "uncertified":
+        bundle["certificates"]["ok"] = False
+    elif how == "malformed":  # verify_bundle raises BundleFormatError
+        del bundle["gram_E"]
+
+
+@pytest.mark.parametrize(
+    "how", ["g-row", "quiver", "primes", "dim", "uncertified", "malformed"]
+)
+def test_forged_bundle_record_is_not_served(tmp_path, capsys, how):
+    # A bundle record whose checksum holds is still served only if its
+    # bundle is the run's and certifies; otherwise the run recomputes, prints
+    # the honest bundle and overwrites the record.
+    cache = tmp_path / "cache"
+    args = ["canonical", "--quiver", "cyclic:3", "--dim", "2,2,1", "--cache-dir", str(cache)]
+    code, honest = run_cli(capsys, *args)
+    assert code == 0
+    (path,) = [
+        p for p in cache.rglob("*.json") if json.loads(p.read_text())["key"][0] == "bundle"
+    ]
+    record = json.loads(path.read_text())
+    _forge(record["bundle"], how)
+    assert record["bundle"] != json.loads(honest)
+    record["checksum"] = store_mod._checksum(record)
+    path.write_text(json.dumps(record))
+    assert CacheStore(str(cache)).verify() == [(str(p), True) for p in sorted(cache.rglob("*.json"))]
+    code, out = run_cli(capsys, *args)
+    assert code == 0
+    assert out == honest
+    assert json.loads(path.read_text())["bundle"] == json.loads(honest)
 
 
 @pytest.mark.parametrize(
@@ -566,8 +614,12 @@ UNUSED_WITHOUT_STORE = {"hashlib", "_hashlib", "dataclasses"}
         }, set()),
         # the store path runs, so the rule above is not met by skipping it
         ("canonical-store", {"dataclasses"}, {"hashlib"}),
+        # a rerun is served the stored bundle and builds no engine
+        ("canonical-warm", {"dataclasses"} | {
+            f"hallcanon.{m}" for m in ("fqrep", "gf", "hallalg", "hallpoly", "pbw")
+        }, {"hashlib", "hallcanon.store"}),
     ],
-    ids=["canonical", "hallpoly", "verify", "canonical-store"],
+    ids=["canonical", "hallpoly", "verify", "canonical-store", "canonical-warm"],
 )
 def test_leg_loads_only_what_it_runs(tmp_path, monkeypatch, leg, absent, present):
     monkeypatch.delenv("HALLCANON_CACHE", raising=False)
@@ -579,9 +631,12 @@ def test_leg_loads_only_what_it_runs(tmp_path, monkeypatch, leg, absent, present
                      "--M", "[[1,1,1]]", "--N", "[[1,1,1]]"],
         "verify": ["verify", "--bundle", str(bundle)],
         "canonical-store": canonical + ["--cache-dir", str(tmp_path / "store")],
+        "canonical-warm": canonical + ["--cache-dir", str(tmp_path / "store")],
     }[leg]
     if leg == "verify":
         assert main(canonical) == 0
+    if leg == "canonical-warm":
+        assert main(argv) == 0
     root = Path(__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "HALLCANON_CACHE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -597,7 +652,7 @@ def test_leg_loads_only_what_it_runs(tmp_path, monkeypatch, leg, absent, present
     assert present <= modules
     if leg == "verify":
         assert json.loads(run.stdout.splitlines()[0])["ok"]
-    if leg == "canonical-store":
+    if leg in ("canonical-store", "canonical-warm"):
         assert list((tmp_path / "store").rglob("*.json"))
 
 

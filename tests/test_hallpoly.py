@@ -1,5 +1,6 @@
 import json
 import random
+import shutil
 from itertools import product
 
 import pytest
@@ -10,7 +11,7 @@ from hallcanon.config import (
     InterpolationError,
     JobConfig,
 )
-from hallcanon import fqrep, hallpoly
+from hallcanon import fqrep, hallpoly, store
 from hallcanon.canonical import CanonicalSolver
 from hallcanon.fqrep import make_cdesc, mseg_normalize
 from hallcanon.hallalg import HallEngine
@@ -270,7 +271,7 @@ def test_cache_store_layout_is_pinned(tmp_path, monkeypatch):
     # key's canonical JSON and ``checksum`` that of the record without it.
     # Both digests were taken from a store written before this test, so a
     # change to either breaks every existing store.
-    monkeypatch.setattr(hallpoly.time, "time", lambda: 1_700_000_000.0)
+    monkeypatch.setattr(store.time, "time", lambda: 1_700_000_000.0)
     eng = HallPolyEngine(cyclic(1), JobConfig(cache_dir=str(tmp_path)))
     eng.hall_polynomial(mdesc(((1, 1), 2)), mdesc(((1, 1), 1)), mdesc(((1, 1), 1)))
     (path,) = eng.store.entries()
@@ -298,6 +299,21 @@ def test_cache_corruption_detected(tmp_path):
     poly = eng2.hall_polynomial(SS, S, S)
     assert poly.coeffs == (1, 1)
     assert eng2.store.verify() == [(path, True)]
+
+
+def test_store_serves_a_record_only_under_its_own_key(tmp_path):
+    # A record copied to another key's file has a valid checksum but is
+    # corrupt: ``get`` of that key misses it, ``verify`` reports it and
+    # ``gc`` removes it.
+    cs = store.CacheStore(str(tmp_path))
+    cs.put("q", ("hall", "A"), {"poly": [1, 1]})
+    a, b = cs.path_for("q", ("hall", "A")), cs.path_for("q", ("hall", "B"))
+    shutil.copy(a, b)
+    assert cs.get("q", ("hall", "B")) is None
+    assert cs.get("q", ("hall", "A"))["poly"] == [1, 1]
+    assert cs.verify() == sorted([(a, True), (b, False)])
+    assert cs.gc() == [b]
+    assert cs.verify() == [(a, True)]
 
 
 @pytest.mark.parametrize("text", ["[]", '"record"', "7"])

@@ -19,6 +19,7 @@ from hallcanon.hallpoly import HallPolyEngine
 from hallcanon.laurent import ONE, LaurentPoly
 from hallcanon.pbw import IndexSystem, _glued_peels, mseg_leq_G
 from hallcanon.quiver import cyclic, dim_f, kronecker, linear_an
+from oracles import mseg_leq_G_by_hom
 
 V = LaurentPoly.v_power
 
@@ -49,6 +50,17 @@ def test_leq_G_examples():
     assert not mseg_leq_G(2, s12, split)
     assert not mseg_leq_G(2, s12, s22) and not mseg_leq_G(2, s22, s12)
     assert mseg_leq_G(2, s12, s12)
+
+
+@pytest.mark.parametrize(
+    "n, nu", [(1, (4,)), (2, (2, 2)), (2, (3, 2)), (3, (2, 2, 1)), (3, (1, 2, 2))]
+)
+def test_leq_G_matches_hom_loop(n, nu):
+    # Profiles are compared on every ordered pair, and across dimension
+    # vectors, where the order is never met.
+    msegs = sorted({*enumerate_msegs(n, nu), *enumerate_msegs(n, nu[::-1])})
+    for pi, rho in itertools.product(msegs, repeat=2):
+        assert mseg_leq_G(n, pi, rho) == mseg_leq_G_by_hom(n, pi, rho), (pi, rho)
 
 
 def test_enumerate_indices_kronecker(kron_sys):
