@@ -7,8 +7,9 @@ is printed.  Usage errors (a missing or malformed option, an unknown
 command) are such errors; ``--help`` prints usage and exits 0.
 
 Each command imports the layers it runs, so ``verify`` loads only
-``canonical``, ``config`` and ``laurent``, and a ``canonical`` run served a
-stored bundle (see ``_bundle``) loads only those, ``quiver`` and ``store``.
+``canonical``, ``config`` and ``laurent``, a ``canonical`` run served a
+stored bundle (see ``_bundle``) loads only those, ``quiver`` and ``store``,
+and ``hallpoly`` loads neither ``canonical`` nor ``pbw``.
 ``hashlib``, and with it OpenSSL, loads only when a run uses the store
 (``--cache-dir``, ``HALLCANON_CACHE`` or ``cache``).
 """
@@ -21,7 +22,6 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .canonical import BUNDLE_SCHEMA, CanonicalSolver, latex_table, verify_bundle
 from .config import BarSolveError, BundleFormatError, HallcanonError, JobConfig
 
 if TYPE_CHECKING:
@@ -136,6 +136,8 @@ def _parse_desc(engine: HallEngine, data):
 def _serves(bundle, quiver: Quiver, nu, primes) -> bool:
     """Whether a stored bundle may be printed for this run: it is the bundle
     of (quiver, nu) at this sample pool and it still certifies."""
+    from .canonical import verify_bundle
+
     try:
         return bool(
             bundle["quiver"] == quiver.to_json()
@@ -157,6 +159,8 @@ def _bundle(cfg: JobConfig, quiver: Quiver, nu) -> dict:
     directory.  The engine, the index system and the solver are imported and
     built only when the store has no bundle to serve.
     """
+    from .canonical import BUNDLE_SCHEMA, CanonicalSolver
+
     store = key = None
     if cfg.cache_dir:
         from .store import CacheStore
@@ -209,6 +213,8 @@ def cmd_canonical(args) -> int:
         _emit(args, _dump(payload))
         return 0
     if args.format == "latex":
+        from .canonical import latex_table
+
         _emit(args, latex_table(bundle) + "\n")
     else:
         _emit(args, _dump(bundle))
@@ -239,6 +245,8 @@ def cmd_hallpoly(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .canonical import verify_bundle
+
     with open(args.bundle) as fh:
         bundle = json.load(fh)
     report = verify_bundle(bundle)

@@ -504,7 +504,52 @@ def _subspace_listing(F: GF, d: int, k: int) -> tuple:
     return tuple((rows, tuple(row.index(1) for row in rows)) for rows in gf.subspaces(F, d, k))
 
 
-def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000):
+@lru_cache(maxsize=None)
+def _torus_orbits(F: GF, d: int, k: int, labels) -> tuple:
+    """(first subspace, size) of each orbit of the k-subspaces of F^d, in
+    ``_subspace_listing`` order, under T, which scales the coordinates of
+    each block (``labels[c]``: the block of c) by its own element of F_q^*.
+
+    T keeps the pivots and the nonzero entries, and multiplies entry (r, c)
+    by lambda_b(c) / lambda_b(p_r), p_r the pivot of row r.  Take the entries
+    joining two blocks in row-major order, and keep each that joins two
+    blocks not yet connected by those kept: a spanning forest.  T moves the
+    forest's entries independently and fixes the others once those are
+    fixed, so an orbit has (q - 1)^(forest size) subspaces, and its first in
+    the listing, where 1 is the least nonzero entry, is the one whose
+    forest entries are all 1.  With q = 2, or one block, each orbit is a
+    point.
+    """
+    listing = _subspace_listing(F, d, k)
+    blocks = sorted(set(labels))
+    if F.q == 2 or len(blocks) < 2:
+        return tuple((sub, 1) for sub in listing)
+    labels = [blocks.index(b) for b in labels]
+
+    def forest_size(rows, pivots):
+        """The forest's size, or None when an entry of it is not 1."""
+        component, size = list(range(len(blocks))), 0
+        for row, p in zip(rows, pivots):
+            for c in range(p + 1, d):
+                x = row[c]
+                if x:
+                    a, b = component[labels[c]], component[labels[p]]
+                    if a != b:
+                        if x != 1:
+                            return None
+                        component = [b if y == a else y for y in component]
+                        size += 1
+        return size
+
+    out = []
+    for sub in listing:
+        size = forest_size(*sub)
+        if size is not None:
+            out.append((sub, (F.q - 1) ** size))
+    return tuple(out)
+
+
+def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000, labels=None):
     """Yield the arrow-stable graded subspaces of M of dimension vector target.
 
     Interval census: the vertices are fixed one at a time, in increasing
@@ -527,6 +572,15 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000):
     into that order before any is yielded.  ``budget`` bounds
     ``census_size``, the size of that full product, not the number of
     subspaces kept.
+
+    ``labels`` (``FieldContext.summand_labels``) names, per vertex, the
+    direct summand of M of each coordinate.  Scaling each summand by its own
+    scalar is an automorphism of M, so this torus T permutes the stable
+    subspaces and keeps the classes of U and M/U; it carries those over
+    V_v0 one-to-one onto those over t V_v0.  With labels, the census lists
+    one subspace of each T-orbit at the first fixed vertex v0, the later
+    vertices in full, and yields (subspace, size of the orbit at v0); the
+    weighted sum of any T-invariant function is its sum over all subspaces.
     """
     n = len(M.dims)
     if any(target[v] > M.dims[v] for v in range(n)):
@@ -597,23 +651,37 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000):
         return out
 
     chosen = [None] * n
+    first = order[0]
+    # Blocks renumbered by first appearance share ``_torus_orbits`` entries.
+    blocks = (0,) * M.dims[first]
+    if labels is not None and F.q > 2:
+        number: dict = {}
+        blocks = tuple(number.setdefault(b, len(number)) for b in labels[first])
 
-    def rec(i):
+    def rec(i, weight):
         if i == n:
-            yield tuple(chosen)
+            yield tuple(chosen), weight
             return
         v = order[i]
-        for rows, pivots in between_bounds(v, chosen):
+        if i == 0:
+            listed = _torus_orbits(F, M.dims[v], target[v], blocks)
+        else:
+            listed = ((sub, weight) for sub in between_bounds(v, chosen))
+        for (rows, pivots), w in listed:
             if loops[v] and not loop_stable(v, rows, pivots):
                 continue
             chosen[v] = (rows, pivots)
-            yield from rec(i + 1)
+            yield from rec(i + 1, w)
 
-    if order == list(range(n)):
-        yield from rec(0)
-    else:
+    found = rec(0, 1)
+    if order != list(range(n)):
         # Per vertex, gf.subspaces lists by pivots, then row-major entries.
-        yield from sorted(rec(0), key=lambda sub: [(piv, rows) for rows, piv in sub])
+        found = sorted(found, key=lambda item: [(piv, rows) for rows, piv in item[0]])
+    if labels is None:
+        for sub, _ in found:
+            yield sub
+    else:
+        yield from found
 
 
 def _submodule_block(F: GF, mat, rows_s, piv_t) -> tuple:
@@ -1189,6 +1257,21 @@ class FieldContext:
             )
         return M
 
+    @memoized
+    def summand_labels(self, desc) -> tuple:
+        """Per vertex v, the summand of ``build(desc)`` of each coordinate of M_v.
+
+        ``build`` sums one copy of each indecomposable of ``desc_indecs`` per
+        multiplicity, in that order, so copy j holds the next
+        ``indec_dim(ind)[v]`` coordinates at every vertex v.
+        """
+        labels = [[] for _ in range(self.quiver.n)]
+        copies = [ind for ind, m in desc_indecs(desc) for _ in range(m)]
+        for j, ind in enumerate(copies):
+            for v, d in enumerate(self.indec_dim(ind)):
+                labels[v] += [j] * d
+        return tuple(map(tuple, labels))
+
     # -- class enumeration -------------------------------------------------
 
     @memoized
@@ -1229,32 +1312,34 @@ class FieldContext:
                 yield cm, cp, rem[0] // d[0]
 
     def homog_configs(self, m: int):
-        """All homogeneous parts of total delta-multiple m, canonical tuples."""
+        """All homogeneous parts of total delta-multiple m, canonical tuples.
+
+        In the order of a walk that skips each closed point before it gives
+        it each partition that fits; unrolled, each level picks its next
+        point from the last that fits back to the first not yet passed.  So
+        the depth is at most m, not the number of points.
+        """
         if m < 0:
-            return
-        if m == 0:
-            yield ()
             return
         pools = []
         for d in range(1, m + 1):
             pools.extend((pt, d) for pt in self.points(d))
+        # fits[r]: the points of degree <= r, a prefix of ``pools``.
+        fits = [sum(1 for _, d in pools if d <= r) for r in range(m + 1)]
 
         from .partitions import partitions as _parts
 
-        def rec(idx, remaining, chosen):
+        def rec(start, remaining, chosen):
             if remaining == 0:
                 yield tuple(chosen)
                 return
-            if idx == len(pools):
-                return
-            pt, d = pools[idx]
-            # Skip this point entirely, or assign it a nonempty partition.
-            yield from rec(idx + 1, remaining, chosen)
-            for size in range(1, remaining // d + 1):
-                for lam in _parts(size):
-                    chosen.append((pt, lam))
-                    yield from rec(idx + 1, remaining - size * d, chosen)
-                    chosen.pop()
+            for j in range(fits[remaining] - 1, start - 1, -1):
+                pt, d = pools[j]
+                for size in range(1, remaining // d + 1):
+                    for lam in _parts(size):
+                        chosen.append((pt, lam))
+                        yield from rec(j + 1, remaining - size * d, chosen)
+                        chosen.pop()
 
         yield from rec(0, m, [])
 
@@ -1363,7 +1448,8 @@ class FieldContext:
     @memoized
     def hall_row(self, descL, nuN) -> dict:
         """{(descM, descN): g^L_{M,N}} for one class L: in closed form, by
-        relabelling its type representative's row, or from one census of L.
+        relabelling its type representative's row, or from one census of L
+        by torus orbits.
 
         Memoized per (descL, nuN).  With nuN = 0 or dim L, L has one such
         subspace, so the row g^L_{L,0} = 1 or g^L_{0,L} = 1 needs no census.
@@ -1376,6 +1462,10 @@ class FieldContext:
         Invent. Math. 101 (1990)), or empty when some n_v > l_v.  Neither
         closed form enumerates a subspace, so neither is bounded by
         ``budget_subspaces``.
+
+        A census goes by the orbits of L's summand scalings, automorphisms
+        of L that keep the classes of U and L/U: it adds an orbit's size
+        where a full census adds 1 (``graded_stable_subspaces``).
 
         An arrow a: s -> t's matrix on U depends only on (rows of U_s,
         pivots of U_t), and on L/U only on (pivots of U_s, rows of U_t), so
@@ -1417,7 +1507,9 @@ class FieldContext:
 
                     row[(desc_of(dimsM, zero(dimsM)), desc_of(nuN, zero(nuN)))] = size
                 return row
-            for sub in graded_stable_subspaces(L, nuN, self.cfg.budget_subspaces):
+            for sub, weight in graded_stable_subspaces(
+                L, nuN, self.cfg.budget_subspaces, self.summand_labels(descL)
+            ):
                 blocksN, blocksM = [], []
                 for a, (s, t) in arrows:
                     (rows_s, piv_s), (rows_t, piv_t) = sub[s], sub[t]
@@ -1437,7 +1529,7 @@ class FieldContext:
                     blocksM.append(block)
                 dN = desc_of(nuN, tuple(blocksN))
                 pair = (desc_of(dimsM, tuple(blocksM)), dN)
-                row[pair] = row.get(pair, 0) + 1
+                row[pair] = row.get(pair, 0) + weight
         return row
 
     @memoized

@@ -31,28 +31,38 @@ from .quiver import dim_f
 
 
 @lru_cache(maxsize=None)
-def _hom_profile(n: int, pi, bound: int) -> tuple:
-    """dim Hom(S_i[l], M(pi)) for l = 1..bound and i = 1..n, l major."""
+def _hom_profile(n: int, pi) -> tuple:
+    """dim Hom(S_i[l], M(pi)) for i = 1..n and l below the longest segment
+    of pi, l major.
+
+    dim Hom(S_i[l], S_j[m]) depends on l only through min(l, m), and for
+    l >= m it is the number of boxes of S_j[m] at vertex i.  So from the
+    longest segment of pi on, the profile repeats dim M(pi) and is not
+    stored.
+    """
+    longest = max((l for (_, l), _ in pi), default=1)
     return tuple(
-        mseg_hom(n, (((i, l), 1),), pi) for l in range(1, bound + 1) for i in range(1, n + 1)
+        mseg_hom(n, (((i, l), 1),), pi) for l in range(1, longest) for i in range(1, n + 1)
     )
 
 
 def mseg_leq_G(n: int, pi, rho) -> bool:
     """Degeneration order pi <=_G rho via Hom-dimension comparison.
 
-    Hom dimensions from all segment modules of length up to the combined
-    total length decide the order at a fixed dimension vector; each side's
-    dimensions are one cached profile.
+    Hom dimensions from all segment modules decide the order at a fixed
+    dimension vector; each side's dimensions are one cached profile, the
+    shorter one padded with the dimension vector it repeats.
     """
     if pi == rho:
         return True
-    if mseg_dim(n, pi) != mseg_dim(n, rho):
+    dims = mseg_dim(n, pi)
+    if dims != mseg_dim(n, rho):
         return False
-    bound = sum(l * m for (_, l), m in pi) + sum(l * m for (_, l), m in rho)
-    return all(
-        a >= b for a, b in zip(_hom_profile(n, pi, bound), _hom_profile(n, rho, bound))
-    )
+    a, b = _hom_profile(n, pi), _hom_profile(n, rho)
+    width = max(len(a), len(b))
+    a += dims * ((width - len(a)) // n)
+    b += dims * ((width - len(b)) // n)
+    return all(x >= y for x, y in zip(a, b))
 
 
 class OrderedIndexSet(NamedTuple):

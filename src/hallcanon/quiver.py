@@ -431,12 +431,21 @@ def _apply_cols(cols, v):
 
 
 def _mul_cols(Q: Quiver, cols, i):
-    """Columns of w*s_i given the columns of w."""
+    """Columns of w*s_i given the columns of w.
+
+    Only column i of the Cartan matrix is read: (e_j, e_i) is 2 at j = i
+    less the arrows between j and i, either way (a loop twice).
+    """
     n = Q.n
-    cartan = Q.cartan_matrix()
+    cartan_i = [2 if j == i else 0 for j in range(n)]
+    for s, t in Q.arrows:
+        if t == i:
+            cartan_i[s] -= 1
+        if s == i:
+            cartan_i[t] -= 1
     ci = cols[i]
     return [
-        tuple(cols[j][m] - cartan[j][i] * ci[m] for m in range(n)) for j in range(n)
+        tuple(cols[j][m] - cartan_i[j] * ci[m] for m in range(n)) for j in range(n)
     ]
 
 

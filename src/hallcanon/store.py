@@ -1,11 +1,15 @@
 """Content-addressed on-disk store of JSON records.
 
 One record per key, at <root>/<quiver-id>/<sha256 of the key's canonical
-JSON>.json.  A record holds its ``version``, its ``key``, ``created_at``,
-the payload's fields and a ``checksum``, the sha256 of the record without
-it.  A record is served only if it is a JSON object of this version whose
-checksum holds and whose key is the one its file name is the digest of;
-anything else reads as missing, and ``verify``/``gc`` report or remove it.
+JSON>.json.  The quiver's directory is its name with ``:`` and ``/`` made
+``_``; a name longer than ``MAX_DIR_NAME`` characters (an inline JSON
+quiver spells out every vertex and arrow) is replaced by ``sha256-`` and
+its digest, since file systems cap a name at 255 bytes.  A record holds
+its ``version``, its ``key``, ``created_at``, the payload's fields and a
+``checksum``, the sha256 of the record without it.  A record is served
+only if it is a JSON object of this version whose checksum holds and whose
+key is the one its file name is the digest of; anything else reads as
+missing, and ``verify``/``gc`` report or remove it.
 The store holds Hall polynomials, lifted words and certified bundles; this
 module imports no algebra layer, so a run served from the store loads none.
 """
@@ -18,6 +22,7 @@ import tempfile
 import time
 
 STORE_VERSION = 1
+MAX_DIR_NAME = 128
 
 
 def _digest(obj) -> str:
@@ -67,6 +72,8 @@ class CacheStore:
     def path_for(self, quiver_id: str, key) -> str:
         h = _digest(_jsonable(key))
         safe = quiver_id.replace(":", "_").replace("/", "_")
+        if len(safe) > MAX_DIR_NAME:
+            safe = "sha256-" + _digest(quiver_id)
         return os.path.join(self.root, safe, f"{h}.json")
 
     def get(self, quiver_id: str, key):

@@ -265,6 +265,33 @@ def census_row(ctx, L: FqModule, nuN) -> dict:
     return row
 
 
+def homog_configs_by_point(ctx, m: int):
+    """``FieldContext.homog_configs`` as it was written first: one level of
+    recursion per closed point, each skipped before it is given a partition.
+    Its depth is the number of points of degree <= m."""
+    from hallcanon.partitions import partitions
+
+    if m < 0:
+        return
+    pools = [(pt, d) for d in range(1, m + 1) for pt in ctx.points(d)]
+
+    def rec(idx, remaining, chosen):
+        if remaining == 0:
+            yield tuple(chosen)
+            return
+        if idx == len(pools):
+            return
+        pt, d = pools[idx]
+        yield from rec(idx + 1, remaining, chosen)
+        for size in range(1, remaining // d + 1):
+            for lam in partitions(size):
+                chosen.append((pt, lam))
+                yield from rec(idx + 1, remaining - size * d, chosen)
+                chosen.pop()
+
+    yield from rec(0, m, [])
+
+
 # -- classification by Hom profiles ---------------------------------------
 
 

@@ -413,12 +413,17 @@ def test_hall_row_classifies_each_module_once(monkeypatch):
     dL = ("m", (((1, 1), 2), ((1, 2), 1), ((2, 1), 2)))
     assert dL in ctx.classes((3, 3))
     L = ctx.build(dL)
+    kept = sum(1 for _ in graded_stable_subspaces(L, nuN))
+    # The census by torus orbits lists one subspace per orbit at its first
+    # vertex; those are the modules hall_row classifies.
     keys = set()
-    kept = 0
-    for sub in graded_stable_subspaces(L, nuN):
-        kept += 1
+    listed = weights = 0
+    for sub, weight in graded_stable_subspaces(L, nuN, 10**6, ctx.summand_labels(dL)):
+        listed += 1
+        weights += weight
         for build in (oracle_submodule, oracle_quotient):
             keys.add(FqModule(quiver, ctx.F, *build(L, sub)).key())
+    assert weights == kept > listed
     calls = []
     classify = FieldContext.classify
 
@@ -430,7 +435,7 @@ def test_hall_row_classifies_each_module_once(monkeypatch):
     row = ctx.hall_row(dL, nuN)
     assert sum(row.values()) == kept
     assert sorted(calls) == sorted(keys)
-    assert 10 * len(calls) < 2 * kept
+    assert 10 * len(calls) < 2 * listed
 
 
 def is_semisimple(L) -> bool:
@@ -569,3 +574,83 @@ def test_realize_S_classifies_no_module_of_dimension_2delta(monkeypatch):
             assert engine.realize_S(lam, q)
     assert seen
     assert (2, 2) not in seen
+
+
+def torus_orbit(F, rows, labels):
+    """Every image of the subspace ``rows`` under all block scalings, RREF."""
+    blocks = sorted(set(labels))
+    out = set()
+    for scales in product(range(1, F.q), repeat=len(blocks)):
+        lam = dict(zip(blocks, scales))
+        moved = [[F.mul(x, lam[b]) for x, b in zip(row, labels)] for row in rows]
+        out.add(tuple(map(tuple, gf.rref(F, moved)[0])))
+    return out
+
+
+TORUS_LABELS = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (0, 1, 2), (0, 0, 1, 2), (2, 0, 1, 0)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_torus_orbits_partition_the_listing(q):
+    # Checked against every element of T = (F_q^*)^blocks, not only the
+    # generator scalings the orbits are closed under.
+    F = gf.GF(q)
+    for labels in TORUS_LABELS:
+        d = len(labels)
+        if d == 4 and q > 5:
+            continue
+        for k in range(d + 1):
+            listing = fqrep._subspace_listing(F, d, k)
+            orbits = fqrep._torus_orbits(F, d, k, labels)
+            assert sum(w for _, w in orbits) == gf.gaussian_binomial_int(d, k, q)
+            position = {rows: i for i, (rows, _) in enumerate(listing)}
+            covered = set()
+            last = -1
+            for (rows, pivots), weight in orbits:
+                assert (rows, pivots) in listing
+                orbit = torus_orbit(F, rows, labels)
+                assert len(orbit) == weight, (labels, k, rows)
+                assert not covered & orbit
+                covered |= orbit
+                # The representative is its orbit's first subspace, and the
+                # representatives come in listing order.
+                assert position[rows] == min(position[r] for r in orbit)
+                assert position[rows] > last
+                last = position[rows]
+            assert covered == set(position)
+            if q == 2 or len(set(labels)) == 1:
+                assert [w for _, w in orbits] == [1] * len(listing)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "quiver, nuL, reduces",
+    [
+        (kronecker(), (2, 3), True),
+        (cyclic(1), (4,), True),
+        (cyclic(2), (2, 3), True),
+        (cyclic(2), (3, 3), True),
+        # Each census here fixes first a vertex with one subspace.
+        (cyclic(3), (2, 2, 1), False),
+        (linear_an(3, "><"), (2, 2, 1), False),
+    ],
+)
+def test_hall_rows_by_torus_orbits_equal_a_full_census(quiver, nuL, reduces, q):
+    # Every row, whatever way it is made, equals the brute-force count over
+    # all stable subspaces of the class's own module; at q > 2 some census
+    # lists fewer subspaces than it counts.
+    ctx, oracle = FieldContext(quiver, q), FieldContext(quiver, q)
+    listed = counted = 0
+    for dL in ctx.classes(nuL):
+        L = oracle.build(dL)
+        for nuN in dims_upto(nuL):
+            if not any(nuN) or nuN == nuL:
+                continue
+            assert ctx.hall_row(dL, nuN) == census_row(oracle, L, nuN), (dL, nuN)
+            if ctx._point_type(dL) is None and not is_semisimple(L):
+                for _, weight in graded_stable_subspaces(
+                    L, nuN, 10**6, ctx.summand_labels(dL)
+                ):
+                    listed += 1
+                    counted += weight
+    assert listed < counted if q > 2 and reduces else listed == counted

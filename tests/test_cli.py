@@ -447,6 +447,31 @@ def test_store_holds_only_lifted_words(tmp_path, capsys, monkeypatch):
     assert warm == cold
 
 
+def test_long_quiver_name_gets_a_digest_directory(tmp_path, capsys, monkeypatch):
+    # An inline JSON path on 40 vertices is named after every vertex and
+    # arrow, longer than a file name may be; its store directory is a digest.
+    vertices = list(range(1, 41))
+    spec = json.dumps({"vertices": vertices, "arrows": [[i, i + 1] for i in vertices[:-1]]})
+    cache = tmp_path / "cache"
+    args = ["canonical", "--quiver", spec, "--dim", ",".join(["1"] + ["0"] * 39),
+            "--cache-dir", str(cache)]
+    code, cold = run_cli(capsys, *args)
+    assert code == 0, cold
+    assert json.loads(cold)["certificates"]["ok"]
+    (quiver_dir,) = [p.name for p in cache.iterdir()]
+    assert quiver_dir.startswith("sha256-") and len(quiver_dir) == 71
+    # A warm run is served the bundle record: it builds no engine.
+    import hallcanon.hallalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm run built an engine")
+
+    monkeypatch.setattr(hallcanon.hallalg, "HallEngine", refuse)
+    code, warm = run_cli(capsys, *args)
+    assert code == 0
+    assert warm == cold
+
+
 def _forge(bundle, how):
     """A bundle of the run's key that must not be served, edited in place."""
     if how == "g-row":
@@ -606,7 +631,8 @@ UNUSED_WITHOUT_STORE = {"hashlib", "_hashlib", "dataclasses"}
     "leg, absent, present",
     [
         ("canonical", UNUSED_WITHOUT_STORE, set()),
-        ("hallpoly", UNUSED_WITHOUT_STORE, set()),
+        # Hall polynomials need no PBW basis and no bar solve.
+        ("hallpoly", UNUSED_WITHOUT_STORE | {"hallcanon.canonical", "hallcanon.pbw"}, set()),
         # A bundle is checked from its matrices alone, so ``verify`` needs no
         # field, census, Hall polynomial, PBW or quiver code.
         ("verify", UNUSED_WITHOUT_STORE | {

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 from itertools import product
 
@@ -30,7 +31,13 @@ from hallcanon.fqrep import (
 )
 from hallcanon.gf import GF
 from hallcanon.quiver import Quiver, cyclic, kronecker, linear_an
-from oracles import hom_profile_class, quotient_by_subspace, reflect, submodule_from_subspace
+from oracles import (
+    homog_configs_by_point,
+    hom_profile_class,
+    quotient_by_subspace,
+    reflect,
+    submodule_from_subspace,
+)
 
 
 def ctx_cyclic(n, q):
@@ -633,3 +640,21 @@ def test_field_context_is_freed_once_dropped():
     del ctx
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize(
+    "q, m", [(2, 0), (2, 1), (2, 4), (3, 3), (4, 3), (5, 2), (8, 3), (8, 4), (16, 3)]
+)
+def test_homog_configs_keep_the_per_point_order(q, m):
+    # 1,213 points of degree <= 4 at q = 8 and 1,497 of degree <= 3 at
+    # q = 16: the per-point recursion needs a raised limit, the walk none.
+    ctx = ctx_kron(q)
+    got = list(ctx.homog_configs(m))
+    depth = sum(fqrep.point_count(q, d) for d in range(1, m + 1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, depth + 500))
+    try:
+        assert got == list(homog_configs_by_point(ctx, m))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(set(got)) == len(got)

@@ -57,7 +57,9 @@ def test_leq_G_examples():
 )
 def test_leq_G_matches_hom_loop(n, nu):
     # Profiles are compared on every ordered pair, and across dimension
-    # vectors, where the order is never met.
+    # vectors, where the order is never met.  A profile that stops one
+    # length earlier fails every case: (3,1) and (2,2) at n = 1, for one,
+    # differ only at l = 2, just below the longest segment.
     msegs = sorted({*enumerate_msegs(n, nu), *enumerate_msegs(n, nu[::-1])})
     for pi, rho in itertools.product(msegs, repeat=2):
         assert mseg_leq_G(n, pi, rho) == mseg_leq_G_by_hom(n, pi, rho), (pi, rho)
