@@ -1065,11 +1065,43 @@ def desc_indecs(desc):
 # ---------------------------------------------------------------------------
 
 
+def quiver_kind(quiver: Quiver) -> tuple:
+    """(kind, delta, admissible sequence) of a supported quiver, once per quiver.
+
+    ``kind`` is 'cyclic', 'kronecker' or 'finite'; other affine quivers
+    would need non-homogeneous tube bookkeeping and are rejected, as are
+    wild quivers and cyclic ones not oriented i -> i+1.  Quivers compare
+    equal up to arrow order, and the sequence builds modules in its own
+    quiver's arrow order, so the arrows as listed are part of the key.
+    """
+    return _quiver_kind(quiver, quiver.arrows)
+
+
+@lru_cache(maxsize=None)
+def _quiver_kind(quiver: Quiver, _arrows) -> tuple:
+    if not quiver.is_acyclic():
+        # Must be the cyclic orientation: exactly the arrows i -> i+1 (mod n).
+        n = quiver.n
+        if sorted(quiver.arrows) != sorted((i, (i + 1) % n) for i in range(n)):
+            raise UnsupportedQuiverError(
+                "only the cyclic orientation i -> i+1 in vertex order is supported"
+            )
+        return "cyclic", tuple([1] * n), None
+    seq = AdmissibleSequence(quiver)
+    if seq.finite:
+        return "finite", None, seq
+    if not quiver.is_affine():
+        raise UnsupportedQuiverError("wild quivers are not supported")
+    if quiver.n == 2 and len(quiver.arrows) == 2 and len(set(quiver.arrows)) == 1:
+        return "kronecker", quiver.delta(), seq
+    raise UnsupportedQuiverError("affine quivers with non-homogeneous tubes are not supported")
+
+
 class FieldContext:
     """All per-(quiver, q) computations, memoized.
 
-    ``kind`` is 'cyclic', 'kronecker' or 'finite'.  Other affine quivers
-    would need non-homogeneous tube bookkeeping and are rejected.
+    ``kind``, ``delta`` and ``seq`` are the quiver's (``quiver_kind``),
+    shared by the contexts of every field.
     """
 
     def __init__(self, quiver: Quiver, q: int, cfg: JobConfig | None = None):
@@ -1077,31 +1109,7 @@ class FieldContext:
         self.q = q
         self.cfg = cfg or JobConfig.default()
         self.F = GF(q)
-        if quiver.is_acyclic():
-            self.seq = AdmissibleSequence(quiver)
-            if quiver.is_finite_type():
-                self.kind = "finite"
-                self.delta = None
-            elif quiver.is_affine():
-                if quiver.n == 2 and len(quiver.arrows) == 2 and len(set(quiver.arrows)) == 1:
-                    self.kind = "kronecker"
-                    self.delta = quiver.delta()
-                else:
-                    raise UnsupportedQuiverError(
-                        "affine quivers with non-homogeneous tubes are not supported"
-                    )
-            else:
-                raise UnsupportedQuiverError("wild quivers are not supported")
-        else:
-            # Must be the cyclic orientation: exactly the arrows i -> i+1 (mod n).
-            n = quiver.n
-            if sorted(quiver.arrows) != sorted((i, (i + 1) % n) for i in range(n)):
-                raise UnsupportedQuiverError(
-                    "only the cyclic orientation i -> i+1 in vertex order is supported"
-                )
-            self.kind = "cyclic"
-            self.seq = None
-            self.delta = tuple([1] * quiver.n)
+        self.kind, self.delta, self.seq = quiver_kind(quiver)
         # Module key -> descriptor; not ``memoized``, because the census loop
         # of ``hall_row`` reads it inline, ~10^5 times a census, and calls cost.
         self._classify_cache: dict = {}

@@ -72,29 +72,6 @@ def nindex_json(idx):
     return _jsonable(idx)
 
 
-def nindex_from_json(data):
-    """Decode a stored N index; a frame with tube data in slot 2 is refused."""
-    frame, lam = data
-
-    def dec(x):
-        if isinstance(x, list):
-            return tuple(dec(y) for y in x)
-        return x
-
-    frame = dec(frame)
-    if frame[0] == "c" and frame[2]:
-        raise UnsupportedQuiverError("non-homogeneous tube data not supported")
-    return (frame, tuple(lam))
-
-
-def _expansion_json(out) -> dict:
-    return {"expansion": [[nindex_json(k), out[k].to_json()] for k in sorted(out)]}
-
-
-def _expansion_from_json(record) -> dict:
-    return {nindex_from_json(k): LaurentPoly.from_json(v) for k, v in record["expansion"]}
-
-
 # ---------------------------------------------------------------------------
 # field-level elements
 # ---------------------------------------------------------------------------
@@ -383,46 +360,38 @@ class HallEngine:
             add_scaled(out, {key: LaurentPoly.from_q_poly(poly.coeffs, e)}, ONE)
         return out
 
-    def _generic(self, cache_key, compute, check):
-        """Memo and store lookup of an expansion; ``check`` runs on a fresh one."""
+    def check_pool(self, word):
+        """Raise InterpolationError unless the sample pool can lift the word.
 
-        def checked():
-            out = compute()
-            check(out)
-            return out
-
-        return self.polyeng._lookup(cache_key, checked, _expansion_json, _expansion_from_json)
-
-    def generic_word(self, word) -> dict:
-        """Expansion of the monomial u_{i_1}^{(a_1)} ... over the N family."""
-        word = tuple((label, int(m)) for label, m in word if m)
-
-        def compute():
-            if self.kind == "cyclic":
-                return self._cyclic_word(word)
-            # A fit of degree D needs D + 1 samples and the held-out ones.
-            D = word_degree_bound(word)
-            if D + 1 + MIN_VALIDATE > len(self.cfg.primes):
-                raise InterpolationError(
-                    f"word {word} has q-degree up to D = {D} and needs "
-                    f"{D + 1 + MIN_VALIDATE} sample fields; primes "
-                    f"{list(self.cfg.primes)} give {len(self.cfg.primes)}"
-                )
-            return self.lift_family(
-                lambda q: self.express_in_N(self.word_element(word, q))
+        A fit of degree D(word) needs D + 1 samples and the held-out ones;
+        a cyclic word is a closed form and needs no pool.
+        """
+        if self.kind == "cyclic":
+            return
+        D = word_degree_bound(word)
+        if D + 1 + MIN_VALIDATE > len(self.cfg.primes):
+            raise InterpolationError(
+                f"word {word} has q-degree up to D = {D} and needs "
+                f"{D + 1 + MIN_VALIDATE} sample fields; primes "
+                f"{list(self.cfg.primes)} give {len(self.cfg.primes)}"
             )
 
-        def check(out):
-            # Re-derive the expansion directly at the smallest sample field.
-            q = self.cfg.primes[0]
-            lhs = self.word_element(word, q)
-            rhs = self.rebuild_from_N(out, q)
-            if not lhs.eval_eq(rhs):
-                raise ArithmeticError(
-                    f"generic expansion of word {word} fails at q={q}"
-                )
+    @memoized
+    def generic_word(self, word) -> dict:
+        """Expansion of the monomial u_{i_1}^{(a_1)} ... over the N family.
 
-        return self._generic(("word", word), compute, check)
+        A fresh expansion is re-derived directly at the smallest sample field.
+        """
+        word = tuple((label, int(m)) for label, m in word if m)
+        self.check_pool(word)
+        if self.kind == "cyclic":
+            out = self._cyclic_word(word)
+        else:
+            out = self.lift_family(lambda q: self.express_in_N(self.word_element(word, q)))
+        q = self.cfg.primes[0]
+        if not self.word_element(word, q).eval_eq(self.rebuild_from_N(out, q)):
+            raise ArithmeticError(f"generic expansion of word {word} fails at q={q}")
+        return out
 
     def _cyclic_word(self, word) -> dict:
         """The monomial over the N family in closed form (cyclic quivers).
@@ -446,23 +415,20 @@ class HallEngine:
             terms = out
         return {nindex(("m", pi)): c for pi, c in sorted(terms.items())}
 
+    @memoized
     def nmul(self, i1, i2) -> dict:
         """Generic structure constants N_{i1} * N_{i2} over the N family."""
-
-        def builder(q):
-            x = self.n_field(i1, q) * self.n_field(i2, q)
-            return self.express_in_N(x)
-
-        def check(out):
-            # Support constraint: c_- >=_L first factor's, c_+ >=_L second's.
-            f1, _ = i1
-            f2, _ = i2
-            if f1[0] == "c":
-                for (frame, _lam) in out:
-                    assert _geL(frame[1], f1[1]), "preprojective support violated"
-                    assert _geL(frame[3], f2[3], positive=True), "preinjective support violated"
-
-        return self._generic(("nmul", i1, i2), lambda: self.lift_family(builder), check)
+        out = self.lift_family(
+            lambda q: self.express_in_N(self.n_field(i1, q) * self.n_field(i2, q))
+        )
+        # Support constraint: c_- >=_L first factor's, c_+ >=_L second's.
+        f1, _ = i1
+        f2, _ = i2
+        if f1[0] == "c":
+            for (frame, _lam) in out:
+                assert _geL(frame[1], f1[1]), "preprojective support violated"
+                assert _geL(frame[3], f2[3], positive=True), "preinjective support violated"
+        return out
 
     # -- Green form ------------------------------------------------------------
 

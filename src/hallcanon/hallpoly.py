@@ -349,8 +349,6 @@ class HallPolyEngine:
         self.quiver = quiver
         self.cfg = cfg or JobConfig.default()
         self.store = CacheStore(self.cfg.cache_dir) if self.cfg.cache_dir else None
-        # Not ``memoized``: the memo in front of the store, filled by ``_lookup``.
-        self._memo: dict = {}
 
     @memoized
     def ctx(self, q: int) -> FieldContext:
@@ -367,30 +365,23 @@ class HallPolyEngine:
         triple = (descL, descM, descN)
         if descL[0] == "m":
             triple = cyclic_orbit_key(self.quiver.n, triple)
-        key = ("hall",) + abstract_triple(*triple)
-        return self._lookup(key, lambda: self._compute_hall(key))
+        return self._hall(("hall",) + abstract_triple(*triple))
 
     def aut_polynomial(self, desc) -> HallPolynomial:
         """|Aut M| in q, the closed form ``FieldContext.aut_coeffs``; never stored."""
         q0 = self.cfg.primes[0]
         return HallPolynomial(self.ctx(q0).aut_coeffs(desc), (), (), q0)
 
-    def _lookup(
-        self, key, compute, encode=HallPolynomial.to_json, decode=HallPolynomial.from_json
-    ):
-        """Memo, then store, then ``compute()``; a fresh value is stored."""
-        if key in self._memo:
-            return self._memo[key]
+    @memoized
+    def _hall(self, key) -> HallPolynomial:
+        """The store's record of a Hall key, else a fresh fit, which is stored."""
         if self.store is not None:
             record = self.store.get(self.quiver.name, key)
             if record is not None:
-                value = decode(record)
-                self._memo[key] = value
-                return value
-        value = compute()
+                return HallPolynomial.from_json(record)
+        value = self._compute_hall(key)
         if self.store is not None:
-            self.store.put(self.quiver.name, key, encode(value))
-        self._memo[key] = value
+            self.store.put(self.quiver.name, key, value.to_json())
         return value
 
     # -- computations ----------------------------------------------------------

@@ -250,6 +250,9 @@ class IndexSystem:
         nu = self.quiver.check_dim(nu)
         idxset = self.enumerate_indices(nu)
         order = idxset.aperiodic
+        # Every word's degree bound is checked before the first is lifted.
+        for a in order:
+            self.engine.check_pool(self.word_for_index(a))
         mon = {a: self.monomial_over_N(a) for a in order}
         aper = set(order)
         # E_a = m_a - sum_{b < a} mon[a][b] E_b over aperiodic b, so the

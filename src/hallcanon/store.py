@@ -10,7 +10,8 @@ its ``version``, its ``key``, ``created_at``, the payload's fields and a
 only if it is a JSON object of this version whose checksum holds and whose
 key is the one its file name is the digest of; anything else reads as
 missing, and ``verify``/``gc`` report or remove it.
-The store holds Hall polynomials, lifted words and certified bundles; this
+The store holds Hall polynomials and certified bundles, what ``hallpoly``
+and ``canonical`` print; lifted words are memoized in process.  This
 module imports no algebra layer, so a run served from the store loads none.
 """
 

@@ -429,16 +429,16 @@ def test_cache_commands(tmp_path, capsys):
     assert json.loads(out)["removed"] == [path]
 
 
-def test_store_holds_only_lifted_words(tmp_path, capsys, monkeypatch):
-    # |Aut M| is a closed form and is never stored: a cold cyclic run writes
-    # one record per monomial word and one for the certified bundle, and a
-    # warm rerun reads the bundle, writes nothing and prints the same bytes.
+def test_store_holds_only_the_bundle(tmp_path, capsys, monkeypatch):
+    # |Aut M| is a closed form and lifted words are memoized in process, so
+    # a cold cyclic run writes the certified bundle alone, and a warm rerun
+    # reads it, writes nothing and prints the same bytes.
     cache = tmp_path / "cache"
     args = ["canonical", "--quiver", "cyclic:3", "--dim", "2,2,1", "--cache-dir", str(cache)]
     code, cold = run_cli(capsys, *args)
     assert code == 0
     kinds = sorted(json.loads(p.read_text())["key"][0] for p in cache.rglob("*.json"))
-    assert kinds == ["bundle"] + ["word"] * 14
+    assert kinds == ["bundle"]
     puts = []
     monkeypatch.setattr(CacheStore, "put", lambda self, *record: puts.append(record))
     code, warm = run_cli(capsys, *args)
@@ -612,6 +612,81 @@ def test_internal_check_failure_exits_2(capsys, monkeypatch):
     code, out = run_cli(capsys, "canonical", "--quiver", "kronecker", "--dim", "1,1")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ArithmeticError"
+
+
+def test_sample_pool_is_checked_before_any_word_is_lifted(capsys, monkeypatch):
+    # Kronecker (4,4) has a word of q-degree D = 7, which needs 10 sample
+    # fields; the default pool has 9, so the run fails before it lifts the
+    # first word, naming the first word in basis order that fails.
+    from hallcanon.hallalg import HallEngine, word_degree_bound
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word was lifted")
+
+    monkeypatch.setattr(HallEngine, "lift_family", refuse)
+    code, out = run_cli(capsys, "canonical", "--quiver", "kronecker", "--dim", "4,4")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "InterpolationError"
+    word = ((1, 3), (0, 2), (1, 1), (0, 2))
+    assert word_degree_bound(word) == 7
+    assert error["message"] == (
+        f"word {word} has q-degree up to D = 7 and needs 10 sample fields; "
+        "primes [2, 3, 4, 5, 7, 8, 9, 11, 13] give 9"
+    )
+
+
+def test_quiver_kind_is_classified_once_per_quiver(capsys, monkeypatch):
+    # A Kronecker (2,2) run builds a field context at each sample field;
+    # the kind, delta and admissible sequence are worked out once for all.
+    from hallcanon import fqrep
+    from hallcanon.quiver import Quiver
+
+    calls = []
+    finite_type = Quiver.is_finite_type
+
+    def counting(self):
+        calls.append(self.name)
+        return finite_type(self)
+
+    monkeypatch.setattr(Quiver, "is_finite_type", counting)
+    fqrep._quiver_kind.cache_clear()
+    code, out = run_cli(capsys, "canonical", "--quiver", "kronecker", "--dim", "2,2")
+    assert code == 0 and json.loads(out)["certificates"]["ok"]
+    assert calls == ["kronecker"]
+
+
+_PATH_40 = json.dumps(
+    {"vertices": list(range(1, 41)), "arrows": [[i, i + 1] for i in range(1, 40)]}
+)
+
+
+@pytest.mark.parametrize(
+    "quiver, dim, primes",
+    [
+        ("kronecker", "4,4", None),
+        ("kronecker", "4,3", None),
+        ("kronecker", "3,4", None),
+        ("an:3:><", "3,3,3", None),
+        ("kronecker", "3,3", "2,3,4,5,7,8,9,11,16"),
+        ("jordan", "3", None),
+        (_PATH_40, ",".join(["1"] + ["0"] * 39), None),
+    ],
+    ids=["kron44", "kron43", "kron34", "an3-3,3,3", "kron33-9primes", "jordan3", "path40"],
+)
+def test_run_grid_ends_in_ok_or_json_error(capsys, quiver, dim, primes):
+    # Every run of a fixed grid ends in exit 0 with certificates ok, or in
+    # exit 2 with a JSON error object; never in a traceback.
+    argv = ["canonical", "--quiver", quiver, "--dim", dim]
+    if primes:
+        argv += ["--primes", primes]
+    code, out = run_cli(capsys, *argv)
+    data = json.loads(out)
+    if code == 0:
+        assert data["certificates"]["ok"]
+    else:
+        assert code == 2
+        assert set(data["error"]) == {"type", "message"}
 
 
 LEG_RUN = """

@@ -590,6 +590,22 @@ def test_wild_quiver_rejected():
         FieldContext(tri, 3)
 
 
+def test_field_contexts_of_one_quiver_listed_two_ways():
+    # Quivers compare equal up to arrow order, but an admissible sequence
+    # builds modules in its own quiver's arrow order: each listing of D4
+    # gets its own sequence, and both give the same Hall rows.
+    a = Quiver((1, 2, 3, 4), [(1, 2), (3, 2), (4, 2)])
+    b = Quiver((1, 2, 3, 4), [(4, 2), (1, 2), (3, 2)])
+    assert a == b
+    rows = []
+    for Q in (a, b):
+        ctx = FieldContext(Q, 2)
+        assert ctx.seq.quiver.arrows == Q.arrows
+        nu = (1, 2, 1, 1)
+        rows.append([ctx.hall_row(L, (0, 1, 0, 0)) for L in ctx.classes(nu)])
+    assert rows[0] == rows[1]
+
+
 # -- the memo rule ------------------------------------------------------------
 
 

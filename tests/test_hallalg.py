@@ -6,7 +6,7 @@ import pytest
 
 from hallcanon import hallalg, hallpoly
 from hallcanon.canonical import CanonicalSolver
-from hallcanon.config import InterpolationError, JobConfig, UnsupportedQuiverError
+from hallcanon.config import InterpolationError, JobConfig
 from hallcanon.fqrep import (
     FieldContext,
     enumerate_msegs,
@@ -172,22 +172,9 @@ def test_word_u0_u1_expansion_generic(kron):
     assert out == {reg: ONE, split: V(-2)}
 
 
-def test_stored_word_with_tube_data_is_refused(tmp_path):
-    # Store records are the one way descriptors enter from outside without
-    # make_cdesc, so a frame with non-homogeneous tube data in slot 2 is
-    # refused where they are decoded.
-    word = ((0, 1), (1, 1))
-    engine = HallEngine(kronecker(), JobConfig(cache_dir=str(tmp_path)))
-    frame = ["c", [], [[[1, 1], 1]], [], []]
-    record = {"expansion": [[[frame, []], ONE.to_json()]]}
-    engine.polyeng.store.put(engine.quiver.name, ("word", word), record)
-    with pytest.raises(UnsupportedQuiverError):
-        engine.generic_word(word)
-
-
 def test_corrupted_kronecker_expansion_fails_the_recheck(monkeypatch):
     # The re-check at primes[0] runs on every lifted Kronecker word: an
-    # expansion that is off in one coefficient is refused, not stored.
+    # expansion that is off in one coefficient is refused, not memoized.
     engine = HallEngine(kronecker(), JobConfig(cache_dir=None))
     lift = HallEngine.lift_family
 

@@ -211,7 +211,7 @@ def test_orbit_keyed_hall_polynomial_counts_the_triple_as_given(n, nu):
                     assert poly.eval(ctx.q) == ctx.hall(L, M, N), (L, M, N, ctx.q)
                 asked += 1
     # Each fitted polynomial served two triples or more on average.
-    assert 2 * len(eng._memo) <= asked
+    assert 2 * len(eng._memo__hall) <= asked
 
 
 def test_orbit_key_censuses_one_row_per_field(monkeypatch):
