@@ -87,7 +87,7 @@ def _parse_desc(engine: HallEngine, data):
     for key in ("cp", "homog"):
         if data.get(key) and not kron:
             raise ValueError(f"{key!r} entries are for the Kronecker quiver only")
-    seq = engine.ctx(engine.cfg.primes[0]).seq
+    seq = engine.seq
 
     def entries(key, shape):
         items = data.get(key, [])

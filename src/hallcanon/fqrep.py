@@ -550,7 +550,8 @@ def _torus_orbits(F: GF, d: int, k: int, labels) -> tuple:
 
 
 def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000, labels=None):
-    """Yield the arrow-stable graded subspaces of M of dimension vector target.
+    """Yield (subspace, weight) for the arrow-stable graded subspaces of M
+    of dimension vector target.
 
     Interval census: the vertices are fixed one at a time, in increasing
     order of their number of target-dimensional subspaces [d_v, k_v]_q, ties
@@ -566,12 +567,10 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000, labels
     die at a later vertex few: on the Kronecker quiver with the sink first,
     the source's bound is a preimage, which almost every choice meets.
 
-    Each subspace is a tuple over vertices of (RREF rows, pivot columns), in
-    the order of the product of ``gf.subspaces`` over vertices: when the
-    vertices are not fixed in index order, the kept subspaces are sorted
-    into that order before any is yielded.  ``budget`` bounds
-    ``census_size``, the size of that full product, not the number of
-    subspaces kept.
+    Each subspace is a tuple over vertices of (RREF rows, pivot columns); no
+    order is promised.  ``budget`` bounds ``census_size``, the number of
+    graded subspaces of that dimension vector, not the number kept, and is
+    checked before anything is listed.
 
     ``labels`` (``FieldContext.summand_labels``) names, per vertex, the
     direct summand of M of each coordinate.  Scaling each summand by its own
@@ -579,8 +578,9 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000, labels
     subspaces and keeps the classes of U and M/U; it carries those over
     V_v0 one-to-one onto those over t V_v0.  With labels, the census lists
     one subspace of each T-orbit at the first fixed vertex v0, the later
-    vertices in full, and yields (subspace, size of the orbit at v0); the
+    vertices in full, and weighs each by the size of its orbit at v0; the
     weighted sum of any T-invariant function is its sum over all subspaces.
+    Without labels every stable subspace is yielded with weight 1.
     """
     n = len(M.dims)
     if any(target[v] > M.dims[v] for v in range(n)):
@@ -646,8 +646,6 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000, labels
             out.append(
                 gf.rref_join(F, low_rows, low_piv, lifted, [comp_piv[j] for j in sel])
             )
-        # Keep the order of gf.subspaces: by pivots, then row-major entries.
-        out.sort(key=lambda e: (e[1], e[0]))
         return out
 
     chosen = [None] * n
@@ -673,15 +671,7 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000, labels
             chosen[v] = (rows, pivots)
             yield from rec(i + 1, w)
 
-    found = rec(0, 1)
-    if order != list(range(n)):
-        # Per vertex, gf.subspaces lists by pivots, then row-major entries.
-        found = sorted(found, key=lambda item: [(piv, rows) for rows, piv in item[0]])
-    if labels is None:
-        for sub, _ in found:
-            yield sub
-    else:
-        yield from found
+    yield from rec(0, 1)
 
 
 def _submodule_block(F: GF, mat, rows_s, piv_t) -> tuple:
@@ -1472,8 +1462,9 @@ class FieldContext:
         ``budget_subspaces``.
 
         A census goes by the orbits of L's summand scalings, automorphisms
-        of L that keep the classes of U and L/U: it adds an orbit's size
-        where a full census adds 1 (``graded_stable_subspaces``).
+        of L that keep the classes of U and L/U: it adds the weight of each
+        (subspace, weight) that ``graded_stable_subspaces`` yields, an
+        orbit's size.  No order of the row's keys is promised.
 
         An arrow a: s -> t's matrix on U depends only on (rows of U_s,
         pivots of U_t), and on L/U only on (pivots of U_s, rows of U_t), so

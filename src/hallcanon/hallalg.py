@@ -45,6 +45,7 @@ from .fqrep import (
     mseg_end,
     mseg_normalize,
     mseg_socle_extensions,
+    quiver_kind,
 )
 from .hallpoly import (
     MIN_VALIDATE,
@@ -96,9 +97,6 @@ class FieldElement:
 
     def __sub__(self, other):
         return FieldElement(self.ctx, add_scaled(dict(self.terms), other.terms, -1))
-
-    def scale(self, c) -> "FieldElement":
-        return FieldElement(self.ctx, add_scaled({}, self.terms, c))
 
     def __eq__(self, other):
         return isinstance(other, FieldElement) and self.terms == other.terms
@@ -204,9 +202,7 @@ class HallEngine:
         self.quiver = quiver
         self.cfg = cfg or JobConfig.default()
         self.polyeng = HallPolyEngine(quiver, self.cfg)
-        kind_probe = self.ctx(self.cfg.primes[0])
-        self.kind = kind_probe.kind
-        self.delta = kind_probe.delta
+        self.kind, self.delta, self.seq = quiver_kind(quiver)
 
     def ctx(self, q: int) -> FieldContext:
         return self.polyeng.ctx(q)
@@ -227,7 +223,7 @@ class HallEngine:
             return ("m", mseg_normalize([((label, 1), m)]))
         i = self.quiver.index[label]
         unit = tuple(1 if j == i else 0 for j in range(self.quiver.n))
-        seq = self.ctx(self.cfg.primes[0]).seq
+        seq = self.seq
         for t in seq.preprojective_range(unit):
             if seq.beta(t) == unit:
                 return make_cdesc(cm=((t, m),))

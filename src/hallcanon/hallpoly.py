@@ -59,21 +59,25 @@ def lagrange_fit(points) -> tuple[Fraction, ...]:
 def fit_integer_poly(pairs, cap=None):
     """Least-degree integer polynomial through the pairs.
 
-    Fits degree d = 0, 1, ... on the first d+1 pairs and demands agreement
-    on every remaining pair, at least ``MIN_VALIDATE`` of them.  Returns
-    (coeffs, n_fit) where n_fit is the number of pairs consumed by the fit;
-    raises InterpolationError if no degree up to ``cap`` works.
+    The degree is at most top = min(``cap``, len(pairs) - 1 -
+    ``MIN_VALIDATE``), so at least ``MIN_VALIDATE`` pairs are held out.  A
+    polynomial of degree <= top through every pair is the interpolant
+    through the first top + 1 pairs, so that one fit is checked for integer
+    coefficients and on the remaining pairs.  Returns (coeffs, n_fit), where
+    n_fit = degree + 1 (1 for the zero polynomial) is the number of pairs a
+    least-degree fit consumes; raises InterpolationError if no degree up to
+    top works.
     """
     pairs = list(pairs)
     top = len(pairs) - 1 - MIN_VALIDATE
     if cap is not None:
         top = min(cap, top)
-    for d in range(top + 1):
-        coeffs = lagrange_fit(pairs[: d + 1])
+    if top >= 0:
+        coeffs = lagrange_fit(pairs[: top + 1])
         if all(c.denominator == 1 for c in coeffs) and all(
-            eval_poly(coeffs, x) == y for x, y in pairs[d + 1 :]
+            eval_poly(coeffs, x) == y for x, y in pairs[top + 1 :]
         ):
-            return tuple(int(c) for c in coeffs), d + 1
+            return tuple(int(c) for c in coeffs), max(len(coeffs), 1)
     raise InterpolationError(
         f"no integer polynomial of degree <= {max(top, 0)} fits {len(pairs)} samples"
     )

@@ -158,8 +158,8 @@ class IndexSystem:
         if lam:
             nu = tuple(a + sum(lam) * d for a, d in zip(nu, self.engine.delta))
         window = (
-            tuple(ctx.seq.preprojective_range(nu)),
-            tuple(ctx.seq.preinjective_range(nu)),
+            tuple(self.engine.seq.preprojective_range(nu)),
+            tuple(self.engine.seq.preinjective_range(nu)),
         )
         return dict(cm), c0, dict(cp), window
 
@@ -211,7 +211,7 @@ class IndexSystem:
             if lam:
                 raise UnsupportedQuiverError("cyclic indices carry no partition")
             return tuple(self.ddx_word(frame[1]))
-        seq = self.engine.ctx(self.engine.cfg.primes[0]).seq
+        seq = self.engine.seq
         _, cm, _, cp, _ = frame
         word = []
         for t, m in cm:  # stored with t descending from 0

@@ -353,7 +353,7 @@ class AdmissibleSequence:
         pref = self._periodic(t)
         ends.sort(key=lambda i: (i != pref, Q.vertices[i]))
         for i in ends:
-            beta = tuple(_apply_cols(st["w"], _unit(Q.n, i)))
+            beta = st["w"][i]  # w e_i
             if all(x >= 0 for x in beta):
                 st["verts"].append(i)
                 st["betas"].append(beta)
@@ -423,11 +423,6 @@ def _unit(n, i):
 
 def _id_cols(n):
     return [_unit(n, j) for j in range(n)]
-
-
-def _apply_cols(cols, v):
-    n = len(v)
-    return [sum(v[j] * cols[j][m] for j in range(n)) for m in range(n)]
 
 
 def _mul_cols(Q: Quiver, cols, i):

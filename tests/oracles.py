@@ -9,16 +9,19 @@ from functools import lru_cache
 from itertools import permutations
 
 from hallcanon.canonical import CanonicalData, lusztig_solve, zeta_matrix
+from hallcanon.config import InterpolationError
 from hallcanon.fqrep import (
     FqModule,
     _quotient_block,
     _submodule_block,
+    eval_poly,
     graded_stable_subspaces,
     hom_dim,
     make_cdesc,
     mseg_dim,
     mseg_hom,
 )
+from hallcanon.hallpoly import MIN_VALIDATE, lagrange_fit
 from hallcanon.laurent import (
     ONE,
     ZERO,
@@ -256,13 +259,32 @@ def census_row(ctx, L: FqModule, nuN) -> dict:
     explicit module L of dimension nuN: a direct census of L itself, with no
     row borrowed from another class."""
     row: dict = {}
-    for sub in graded_stable_subspaces(L, nuN):
+    for sub, weight in graded_stable_subspaces(L, nuN):
         pair = (
             ctx.classify(quotient_by_subspace(L, sub)),
             ctx.classify(submodule_from_subspace(L, sub)),
         )
-        row[pair] = row.get(pair, 0) + 1
+        row[pair] = row.get(pair, 0) + weight
     return row
+
+
+def fit_integer_poly_by_degree(pairs, cap=None):
+    """``hallpoly.fit_integer_poly`` as it was written first: fit degree
+    d = 0, 1, ... on the first d + 1 pairs until one has integer
+    coefficients and agrees with every remaining pair."""
+    pairs = list(pairs)
+    top = len(pairs) - 1 - MIN_VALIDATE
+    if cap is not None:
+        top = min(cap, top)
+    for d in range(top + 1):
+        coeffs = lagrange_fit(pairs[: d + 1])
+        if all(c.denominator == 1 for c in coeffs) and all(
+            eval_poly(coeffs, x) == y for x, y in pairs[d + 1 :]
+        ):
+            return tuple(int(c) for c in coeffs), d + 1
+    raise InterpolationError(
+        f"no integer polynomial of degree <= {max(top, 0)} fits {len(pairs)} samples"
+    )
 
 
 def homog_configs_by_point(ctx, m: int):

@@ -237,7 +237,7 @@ def test_submodule_and_quotient_extraction():
     Q = cyclic(2)
     M = build_cyclic([((1, 2), 1)], q, Q)
     ctx = ctx_cyclic(2, q)
-    for sub in graded_stable_subspaces(M, (0, 1)):
+    for sub, _ in graded_stable_subspaces(M, (0, 1)):
         W = submodule_from_subspace(M, sub)
         Qt = quotient_by_subspace(M, sub)
         assert ctx.classify(W) == ("m", mseg_normalize([((2, 1), 1)]))
@@ -273,10 +273,10 @@ def test_hall_conjugation_invariance():
 
     def count(M):
         out = 0
-        for sub in graded_stable_subspaces(M, (0, 1)):
+        for sub, weight in graded_stable_subspaces(M, (0, 1)):
             W = submodule_from_subspace(M, sub)
             if ctx.classify(W) == S2:
-                out += 1
+                out += weight
         return out
 
     rng = random.Random(11)

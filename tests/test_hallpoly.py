@@ -13,7 +13,7 @@ from hallcanon.config import (
 )
 from hallcanon import fqrep, hallpoly, store
 from hallcanon.canonical import CanonicalSolver
-from hallcanon.fqrep import make_cdesc, mseg_normalize
+from hallcanon.fqrep import eval_poly, make_cdesc, mseg_normalize
 from hallcanon.hallalg import HallEngine
 from hallcanon.hallpoly import (
     HallPolyEngine,
@@ -26,6 +26,7 @@ from hallcanon.hallpoly import (
 )
 from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, kronecker, linear_an
+from oracles import fit_integer_poly_by_degree
 
 
 def mdesc(*segs):
@@ -55,6 +56,35 @@ def test_fit_degree_monotonicity():
     assert free == capped == (-1, 0, 1)
     with pytest.raises(InterpolationError):
         fit_integer_poly(pairs, cap=1)
+
+
+def test_fit_integer_poly_equals_fitting_degree_by_degree():
+    # One interpolation on top + 1 pairs against the loop over degrees 0, 1,
+    # ...: same coefficients, same samples/validations split, same error.
+    rng = random.Random(2024)
+    fields = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+    outcomes = set()
+    for _ in range(2000):
+        xs = fields[: rng.randint(1, len(fields))]
+        coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(0, 5))]
+        pairs = [(x, eval_poly(coeffs, x)) for x in xs]
+        if rng.random() < 0.2:  # integer values, coefficients in Z/2
+            pairs = [(x, y * x * (x - 1) // 2) for x, y in pairs]
+        if rng.random() < 0.3:  # one noisy sample
+            i = rng.randrange(len(pairs))
+            pairs[i] = (pairs[i][0], pairs[i][1] + rng.choice((-1, 1)))
+        cap = rng.choice((None, 0, 1, 2, 3))
+        try:
+            expected = fit_integer_poly_by_degree(pairs, cap)
+        except InterpolationError as exc:
+            with pytest.raises(InterpolationError) as got:
+                fit_integer_poly(pairs, cap)
+            assert str(got.value) == str(exc)
+            outcomes.add("error")
+        else:
+            assert fit_integer_poly(pairs, cap) == expected, (pairs, cap)
+            outcomes.add(("fit", len(expected[0])))
+    assert "error" in outcomes and {("fit", k) for k in range(5)} <= outcomes
 
 
 def test_sample_and_fit_policy():

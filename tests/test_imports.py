@@ -114,10 +114,10 @@ def uncalled_definitions(package: dict, others: list) -> list:
     ``package`` ({module name: source}) with no use outside their own
     definition, in ``package`` or in ``others``.
 
-    A method is used by any occurrence of its name, bare or as an
-    attribute.  Any other definition is used only through its bare name, an
-    import of it, or ``<package module>.name``: a method call ``x.f()`` does
-    not make a module function ``f`` used.
+    A method is used only through an attribute ``x.f``: a local variable
+    ``f`` does not make a method ``f`` used.  Any other definition is used
+    only through its bare name, an import of it, or ``<package module>.name``:
+    a method call ``x.f()`` does not make a module function ``f`` used.
     """
     bare = defaultdict(list)  # name -> [(source key, line)]
     attr = defaultdict(list)
@@ -128,8 +128,9 @@ def uncalled_definitions(package: dict, others: list) -> list:
             elif isinstance(node, ast.alias):
                 bare[node.name.split(".")[-1]].append((key, node.lineno))
             elif isinstance(node, ast.Attribute):
-                qualified = isinstance(node.value, ast.Name) and node.value.id in package
-                (bare if qualified else attr)[node.attr].append((key, node.lineno))
+                attr[node.attr].append((key, node.lineno))
+                if isinstance(node.value, ast.Name) and node.value.id in package:
+                    bare[node.attr].append((key, node.lineno))
     out = []
 
     def visit(module, node, prefix, in_class):
@@ -140,7 +141,7 @@ def uncalled_definitions(package: dict, others: list) -> list:
             name = child.name
             if not (name.startswith("__") and name.endswith("__")):
                 first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
-                uses = bare[name] + (attr[name] if in_class else [])
+                uses = attr[name] if in_class else bare[name]
                 if all(key == module and first <= line <= child.end_lineno for key, line in uses):
                     out.append(f"{module}.{prefix}{name}")
             visit(module, child, f"{prefix}{name}.", isinstance(child, ast.ClassDef))
@@ -163,6 +164,11 @@ def test_uncalled_definition_detector():
     for use in ["from mod import bar", "print(bar)", "import mod\nmod.bar()"]:
         assert uncalled_definitions({"mod": mod}, [use]) == [], use
     assert uncalled_definitions({"mod": mod}, ["other.bar()"]) == ["mod.bar"]
+    # A bare name, such as a local variable, does not use a method of that name.
+    mod = "class K:\n    def scale(self):\n        return 1\n\n"
+    mod += "def f(scale):\n    return K(), scale\n\nf(2)\n"
+    assert uncalled_definitions({"mod": mod}, []) == ["mod.K.scale"]
+    assert uncalled_definitions({"mod": mod}, ["K().scale()"]) == []
 
 
 def test_every_definition_has_a_caller():
