@@ -187,6 +187,47 @@ def _gauss_binom_coeffs(m: int, r: int) -> tuple:
     return tuple(out)
 
 
+def _bounded_compositions(caps, a):
+    """Every (r_1, ..., r_k) with sum a and 0 <= r_j <= caps[j], in lex order."""
+    if not caps:
+        if a == 0:
+            yield ()
+        return
+    for r in range(min(a, caps[0]) + 1):
+        for rest in _bounded_compositions(caps[1:], a - r):
+            yield (r, *rest)
+
+
+def _socle_moves(n: int, pi, i: int, a: int, sign: int) -> list:
+    """(X, g) for each way to lengthen (sign 1) or shorten (sign -1) a
+    segments of M(pi) by a socle box at i: r_l of them become, or were, a
+    segment [s;l] ending at i, sum r_l = a.  g is the socle formula of
+    ``mseg_socle_extensions`` in the r_l and the m_l of the longer module,
+    as integer coefficients in q, ascending."""
+    mult = dict(pi)
+    slots = [((i - l) % n + 1, l) for l in range(1, max((l for (_, l), _ in pi), default=0) + 2)]
+    if sign > 0:
+        caps = [mult.get((s, l - 1), 0) if l > 1 else a for s, l in slots]
+    else:
+        caps = [mult.get(slot, 0) for slot in slots]
+    out = []
+    for rs in _bounded_compositions(caps, a):
+        segs = list(pi)
+        for (s, l), r in zip(slots, rs):
+            segs.append(((s, l), sign * r))
+            if l > 1:
+                segs.append(((s, l - 1), -sign * r))
+        X = mseg_normalize(segs)
+        longer = dict(X) if sign > 0 else mult
+        coeffs, later = [1], 0
+        for slot, r in reversed(list(zip(slots, rs))):
+            m = longer.get(slot, 0)
+            coeffs = [0] * (r * later) + _int_poly_mul(coeffs, _gauss_binom_coeffs(m, r))
+            later += m - r
+        out.append((X, tuple(coeffs)))
+    return out
+
+
 def mseg_socle_extensions(n: int, pi, i: int, a: int) -> list:
     """All (L, g) with g = g^L_{M(pi), S_i^a} nonzero, without a census.
 
@@ -202,38 +243,34 @@ def mseg_socle_extensions(n: int, pi, i: int, a: int) -> list:
     Hall Polynomials, II (4.6)); see Ringel, Proc. LMS 66 (1993), for cyclic
     quivers.  g is given as integer coefficients in q, ascending.
     """
-    mult = dict(pi)
-    top = max((l for (_, l), _ in pi), default=0) + 1
-    # Per length l: the start of the segments of length l ending at i, and
-    # how many segments of M(pi) can grow into them.
-    slots = []
-    for l in range(1, top + 1):
-        s = (i - l) % n + 1
-        slots.append((l, s, a if l == 1 else mult.get((s, l - 1), 0)))
-    out = []
+    return _socle_moves(n, pi, i, a, 1)
 
-    def rec(k, left, chosen):
-        if k == len(slots):
-            if left:
-                return
-            segs = list(pi)
-            for (l, s, _), r in zip(slots, chosen):
-                segs.append(((s, l), r))
-                if l > 1:
-                    segs.append(((s, l - 1), -r))
-            L = mseg_normalize(segs)
-            multL, coeffs, later = dict(L), [1], 0
-            for (l, s, _), r in reversed(list(zip(slots, chosen))):
-                m = multL.get((s, l), 0)
-                coeffs = [0] * (r * later) + _int_poly_mul(coeffs, _gauss_binom_coeffs(m, r))
-                later += m - r
-            out.append((L, tuple(coeffs)))
-            return
-        for r in range(min(left, slots[k][2]) + 1):
-            rec(k + 1, left - r, chosen + [r])
 
-    rec(0, a, [])
-    return out
+def mseg_socle_quotients(n: int, pi, i: int, a: int) -> list:
+    """All (M, g) with g = g^{M(pi)}_{M, S_i^a} nonzero: the socle formula of
+    ``mseg_socle_extensions`` read backwards, without a census.
+
+    M is M(pi) with r_l of its m_l segments of length l and socle at i
+    shortened by their socle box, sum r_l = a, and g is the same product in
+    the m_l and r_l.  Distinct (r_l) give distinct M, since M keeps
+    m_l - r_l segments of length l with socle at i.
+    """
+    return _socle_moves(n, pi, i, a, -1)
+
+
+def cyclic_image(n: int, desc, r: int, flip: bool):
+    """rho_r of a cyclic descriptor, or rho_r of its dual delta if flip.
+
+    On the cyclic quiver with arrows i -> i+1, rho_r rotates a segment,
+    (i, l) -> ((i - 1 + r) mod n + 1, l), and delta sends it to
+    ((-(i + l - 2)) mod n + 1, l): the dual over Q^op, read on Q by
+    j -> -j, has its top at the reflected socle i + l - 1.
+    """
+    segs = []
+    for (i, l), m in desc[1]:
+        top = -(i + l - 2) if flip else i - 1
+        segs.append((((top + r) % n + 1, l), m))
+    return ("m", mseg_normalize(segs))
 
 
 @lru_cache(maxsize=None)
@@ -576,11 +613,14 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000, labels
     direct summand of M of each coordinate.  Scaling each summand by its own
     scalar is an automorphism of M, so this torus T permutes the stable
     subspaces and keeps the classes of U and M/U; it carries those over
-    V_v0 one-to-one onto those over t V_v0.  With labels, the census lists
-    one subspace of each T-orbit at the first fixed vertex v0, the later
-    vertices in full, and weighs each by the size of its orbit at v0; the
-    weighted sum of any T-invariant function is its sum over all subspaces.
-    Without labels every stable subspace is yielded with weight 1.
+    V_v0 one-to-one onto those over t V_v0.  With labels, v0 is the first
+    free vertex in the order, the first with 0 < k_v < d_v: every vertex
+    before it is forced to 0 or M_v, which T keeps, so the bounds they put
+    on V_v0 are T-stable.  The census lists the T-orbit representatives at
+    v0 that lie between those bounds, the later vertices in full, and weighs
+    each by the size of its orbit at v0; the weighted sum of any T-invariant
+    function is its sum over all subspaces.  Without labels every stable
+    subspace is yielded with weight 1.
     """
     n = len(M.dims)
     if any(target[v] > M.dims[v] for v in range(n)):
@@ -649,22 +689,32 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000, labels
         return out
 
     chosen = [None] * n
-    first = order[0]
+    # The torus acts at v0, given by its position ``free`` in the order, when
+    # it has two blocks there and q > 2; otherwise every orbit is a point.
     # Blocks renumbered by first appearance share ``_torus_orbits`` entries.
-    blocks = (0,) * M.dims[first]
-    if labels is not None and F.q > 2:
-        number: dict = {}
-        blocks = tuple(number.setdefault(b, len(number)) for b in labels[first])
+    free, blocks = None, ()
+    for i, v in enumerate(order):
+        if 0 < target[v] < M.dims[v]:
+            if labels is not None and F.q > 2:
+                number: dict = {}
+                blocks = tuple(number.setdefault(b, len(number)) for b in labels[v])
+                free = i if len(number) > 1 else None
+            break
 
     def rec(i, weight):
         if i == n:
             yield tuple(chosen), weight
             return
         v = order[i]
-        if i == 0:
+        kept = between_bounds(v, chosen)
+        listed = ((sub, weight) for sub in kept)
+        if i == free:
+            # An orbit lies between v0's T-stable bounds whole or not at all;
+            # with no bounds, ``between_bounds`` is the full listing.
             listed = _torus_orbits(F, M.dims[v], target[v], blocks)
-        else:
-            listed = ((sub, weight) for sub in between_bounds(v, chosen))
+            if kept is not _subspace_listing(F, M.dims[v], target[v]):
+                kept = set(kept)
+                listed = [(sub, w) for sub, w in listed if sub in kept]
         for (rows, pivots), w in listed:
             if loops[v] and not loop_stable(v, rows, pivots):
                 continue
@@ -1457,14 +1507,19 @@ class FieldContext:
         zero) needs no census either: every graded subspace is a submodule,
         so the row is g^L_{S,S'} = prod_v [l_v, n_v]_q (``census_size``) for
         the semisimples S, S' of dimension dim L - nuN and nuN (Ringel,
-        Invent. Math. 101 (1990)), or empty when some n_v > l_v.  Neither
-        closed form enumerates a subspace, so neither is bounded by
-        ``budget_subspaces``.
+        Invent. Math. 101 (1990)), or empty when some n_v > l_v.  On a
+        cyclic quiver with n >= 2, a row with dim N or dim M = a e_i is
+        closed-form too, and builds nothing: that module is S_i^a, and the
+        row is the socle formula read backwards (``_one_vertex_row``).  The
+        Jordan quiver keeps its census, since there a module at its one
+        vertex need not be semisimple.  No closed form enumerates a
+        subspace, so none is bounded by ``budget_subspaces``.
 
         A census goes by the orbits of L's summand scalings, automorphisms
-        of L that keep the classes of U and L/U: it adds the weight of each
-        (subspace, weight) that ``graded_stable_subspaces`` yields, an
-        orbit's size.  No order of the row's keys is promised.
+        of L that keep the classes of U and L/U, at the first free vertex of
+        ``graded_stable_subspaces``: it adds the weight of each (subspace,
+        weight) that the census yields, an orbit's size.  No order of the
+        row's keys is promised.
 
         An arrow a: s -> t's matrix on U depends only on (rows of U_s,
         pivots of U_t), and on L/U only on (pivots of U_s, rows of U_t), so
@@ -1474,9 +1529,15 @@ class FieldContext:
         the classify cache does not hold yet.
         """
         nuL = self.desc_dim(descL)
+        nuM = tuple(l - k for l, k in zip(nuL, nuN))
         if nuN == nuL or not any(nuN):
             (zero,) = self.classes(tuple(0 for _ in nuL))
             row = {(zero, descL) if nuN == nuL else (descL, zero): 1}
+        elif self.kind == "cyclic" and len(nuL) > 1 and 1 in (
+            sum(map(bool, nuN)),
+            sum(map(bool, nuM)),
+        ):
+            row = self._one_vertex_row(descL, nuN, nuM)
         elif relabelled := self._point_type(descL):
             rep, relabel = relabelled
             row = {
@@ -1495,7 +1556,6 @@ class FieldContext:
                     out = self.classify(FqModule(Q, F, dims, blocks))
                 return out
 
-            dimsM = tuple(d - k for d, k in zip(nuL, nuN))
             if not any(any(r) for mat in L.mats for r in mat):
                 # Semisimple L: every graded subspace is a submodule U, and U
                 # and L/U are the semisimples of their dimension vectors.
@@ -1504,7 +1564,7 @@ class FieldContext:
                     def zero(dims):
                         return tuple(((0,) * dims[s],) * dims[t] for s, t in Q.arrows)
 
-                    row[(desc_of(dimsM, zero(dimsM)), desc_of(nuN, zero(nuN)))] = size
+                    row[(desc_of(nuM, zero(nuM)), desc_of(nuN, zero(nuN)))] = size
                 return row
             for sub, weight in graded_stable_subspaces(
                 L, nuN, self.cfg.budget_subspaces, self.summand_labels(descL)
@@ -1527,8 +1587,30 @@ class FieldContext:
                         )
                     blocksM.append(block)
                 dN = desc_of(nuN, tuple(blocksN))
-                pair = (desc_of(dimsM, tuple(blocksM)), dN)
+                pair = (desc_of(nuM, tuple(blocksM)), dN)
                 row[pair] = row.get(pair, 0) + weight
+        return row
+
+    def _one_vertex_row(self, descL, nuN, nuM) -> dict:
+        """``hall_row`` of a cyclic L (n >= 2) when dim N or dim M is a e_i.
+
+        Such a module is S_i^a, since no arrow joins i to itself.  With
+        dim N = a e_i the row is ``mseg_socle_quotients``; with dim M = a e_i
+        it is the duality delta's image of that row for delta(L), by
+        g^L_{M,N} = g^{delta L}_{delta N, delta M}.
+        """
+        n = self.quiver.n
+        flip = sum(map(bool, nuN)) != 1
+        ((v, a),) = [(v, x) for v, x in enumerate(nuM if flip else nuN) if x]
+        S = ("m", (((v + 1, 1), a),))
+        pi, i = descL[1], v + 1
+        if flip:
+            pi, i = cyclic_image(n, descL, 0, True)[1], -v % n + 1
+        classesM, classesN, row = self._interned(nuM), self._interned(nuN), {}
+        for X, coeffs in mseg_socle_quotients(n, pi, i, a):
+            X = cyclic_image(n, ("m", X), 0, True) if flip else ("m", X)
+            dM, dN = (S, X) if flip else (X, S)
+            row[classesM[dM], classesN[dN]] = eval_poly(coeffs, self.q)
         return row
 
     @memoized

@@ -1,8 +1,8 @@
 """Hall polynomials in q by exact multi-prime interpolation, with a store.
 
 Counting at single fields is delegated to ``fqrep.FieldContext``; this
-module lifts the counts to polynomials in q via exact Lagrange fits with
-degree escalation, validated on held-out prime powers.  Keys use abstract
+module lifts the counts to polynomials in q via exact integer Newton fits
+with degree escalation, validated on held-out prime powers.  Keys use abstract
 homogeneous points ('slot', k) with a degree pattern, since Hall numbers
 only depend on the degrees of the points involved.
 """
@@ -10,6 +10,7 @@ only depend on the degrees of the points involved.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .config import (
     HallPolynomialContradiction,
@@ -18,7 +19,7 @@ from .config import (
     JobConfig,
     memoized,
 )
-from .fqrep import FieldContext, closed_points, eval_poly, mseg_dim, mseg_normalize, point_count
+from .fqrep import FieldContext, closed_points, cyclic_image, eval_poly, mseg_dim, point_count
 from .laurent import LaurentPoly
 from .quiver import Quiver, _integer_kernel
 from .store import CacheStore
@@ -32,30 +33,6 @@ MIN_VALIDATE = 2
 # ---------------------------------------------------------------------------
 
 
-def lagrange_fit(points) -> tuple[Fraction, ...]:
-    """Exact interpolating polynomial through (x, y) pairs, coeffs ascending."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 def fit_integer_poly(pairs, cap=None):
     """Least-degree integer polynomial through the pairs.
 
@@ -63,24 +40,47 @@ def fit_integer_poly(pairs, cap=None):
     ``MIN_VALIDATE``), so at least ``MIN_VALIDATE`` pairs are held out.  A
     polynomial of degree <= top through every pair is the interpolant
     through the first top + 1 pairs, so that one fit is checked for integer
-    coefficients and on the remaining pairs.  Returns (coeffs, n_fit), where
-    n_fit = degree + 1 (1 for the zero polynomial) is the number of pairs a
-    least-degree fit consumes; raises InterpolationError if no degree up to
-    top works.
+    coefficients and on the remaining pairs.  It is fitted by Newton's
+    divided differences: at integer nodes the Newton basis prod_{j<k}
+    (x - x_j) is integral, and every divided difference of an integer
+    polynomial is an integer, so the coefficients are integers exactly when
+    every division is exact.  Returns (coeffs, n_fit), where n_fit = degree
+    + 1 (1 for the zero polynomial) is the number of pairs a least-degree
+    fit consumes; raises InterpolationError if no degree up to top works.
     """
     pairs = list(pairs)
     top = len(pairs) - 1 - MIN_VALIDATE
     if cap is not None:
         top = min(cap, top)
-    if top >= 0:
-        coeffs = lagrange_fit(pairs[: top + 1])
-        if all(c.denominator == 1 for c in coeffs) and all(
-            eval_poly(coeffs, x) == y for x, y in pairs[top + 1 :]
-        ):
-            return tuple(int(c) for c in coeffs), max(len(coeffs), 1)
+    if top >= 0 and (coeffs := _newton_integer_fit(pairs[: top + 1])) is not None:
+        if all(eval_poly(coeffs, x) == y for x, y in pairs[top + 1 :]):
+            return coeffs, max(len(coeffs), 1)
     raise InterpolationError(
         f"no integer polynomial of degree <= {max(top, 0)} fits {len(pairs)} samples"
     )
+
+
+def _newton_integer_fit(pairs):
+    """Coefficients, ascending and without trailing zeros, of the
+    interpolant through the pairs, or None when they are not integers."""
+    xs = [x for x, _ in pairs]
+    dd = [y for _, y in pairs]
+    for k in range(1, len(pairs)):
+        for j in range(len(pairs) - 1, k - 1, -1):
+            num, den = dd[j] - dd[j - 1], xs[j] - xs[j - k]
+            if num % den:
+                return None
+            dd[j] = num // den
+    coeffs = []
+    for k in range(len(pairs) - 1, -1, -1):
+        # coeffs * (x - x_k) + dd[k]
+        coeffs = [0] + coeffs
+        for j in range(len(coeffs) - 1):
+            coeffs[j] -= xs[k] * coeffs[j + 1]
+        coeffs[0] += dd[k]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def fit_rational_function(pairs, max_degree=8, min_validate=2):
@@ -187,21 +187,6 @@ def abstract_triple(descL, descM, descN):
     return abstract + (degrees,)
 
 
-def cyclic_image(n: int, desc, r: int, flip: bool):
-    """rho_r of a cyclic descriptor, or rho_r of its dual delta if flip.
-
-    On the cyclic quiver with arrows i -> i+1, rho_r rotates a segment,
-    (i, l) -> ((i - 1 + r) mod n + 1, l), and delta sends it to
-    ((-(i + l - 2)) mod n + 1, l): the dual over Q^op, read on Q by
-    j -> -j, has its top at the reflected socle i + l - 1.
-    """
-    segs = []
-    for (i, l), m in desc[1]:
-        top = -(i + l - 2) if flip else i - 1
-        segs.append((((top + r) % n + 1, l), m))
-    return ("m", mseg_normalize(segs))
-
-
 def cyclic_orbit_key(n: int, triple):
     """The image of a cyclic triple (L, M, N) that keys its Hall polynomial.
 
@@ -213,14 +198,19 @@ def cyclic_orbit_key(n: int, triple):
     the triples of one row share one image row.
     """
     images = []
-    for flip in (False, True):
-        for r in range(n):
-            L, M, N = (cyclic_image(n, d, r, flip) for d in triple)
-            if flip:
-                M, N = N, M
-            images.append((L, mseg_dim(n, N[1]), M, N))
+    for k, (L, M, N) in enumerate(zip(*(_cyclic_images(n, d) for d in triple))):
+        if k >= n:
+            M, N = N, M
+        images.append((L, mseg_dim(n, N[1]), M, N))
     L, _, M, N = min(images)
     return L, M, N
+
+
+@lru_cache(maxsize=None)
+def _cyclic_images(n: int, desc) -> tuple:
+    """``cyclic_image(n, desc, r, flip)`` for flip = False, then True, each
+    for r = 0, ..., n - 1; worked out once per descriptor."""
+    return tuple(cyclic_image(n, desc, r, flip) for flip in (False, True) for r in range(n))
 
 
 def assign_points(q: int, degrees):

@@ -21,7 +21,7 @@ from hallcanon.fqrep import (
     mseg_dim,
     mseg_hom,
 )
-from hallcanon.hallpoly import MIN_VALIDATE, lagrange_fit
+from hallcanon.hallpoly import MIN_VALIDATE
 from hallcanon.laurent import (
     ONE,
     ZERO,
@@ -266,6 +266,30 @@ def census_row(ctx, L: FqModule, nuN) -> dict:
         )
         row[pair] = row.get(pair, 0) + weight
     return row
+
+
+def lagrange_fit(points) -> tuple[Fraction, ...]:
+    """Exact interpolating polynomial through (x, y) pairs, coeffs ascending."""
+    n = len(points)
+    coeffs = [Fraction(0)] * n
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                new[k] -= c * xj
+                new[k + 1] += c
+            basis = new
+            denom *= xi - xj
+        scale = Fraction(yi) / denom
+        for k, c in enumerate(basis):
+            coeffs[k] += scale * c
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def fit_integer_poly_by_degree(pairs, cap=None):

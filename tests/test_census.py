@@ -13,11 +13,11 @@ from hallcanon.fqrep import (
     FqModule,
     build_cyclic,
     census_size,
+    cyclic_image,
     graded_stable_subspaces,
     make_cdesc,
 )
 from hallcanon.hallalg import HallEngine
-from hallcanon.hallpoly import cyclic_image
 from hallcanon.partitions import partitions
 from hallcanon.quiver import cyclic, kronecker, linear_an
 from oracles import census_row, quotient_by_subspace, submodule_from_subspace
@@ -620,9 +620,10 @@ def test_torus_orbits_partition_the_listing(q):
         (cyclic(1), (4,), True),
         (cyclic(2), (2, 3), True),
         (cyclic(2), (3, 3), True),
-        # Each census here fixes first a vertex with one subspace.
-        (cyclic(3), (2, 2, 1), False),
-        (linear_an(3, "><"), (2, 2, 1), False),
+        # Each census here fixes first a vertex with one subspace; its
+        # orbits are taken at the next vertex.
+        (cyclic(3), (2, 2, 1), True),
+        (linear_an(3, "><"), (2, 2, 1), True),
     ],
 )
 def test_hall_rows_by_torus_orbits_equal_a_full_census(quiver, nuL, reduces, q):
@@ -644,3 +645,48 @@ def test_hall_rows_by_torus_orbits_equal_a_full_census(quiver, nuL, reduces, q):
                     listed += 1
                     counted += weight
     assert listed < counted if q > 2 and reduces else listed == counted
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_rows_whose_first_vertex_is_forced_reduce_at_the_next(q):
+    # On Kronecker (2,3), dim N = (0,a) or (2,a) forces the first vertex of
+    # the census to 0 or all of L_v, so its torus orbits are taken at the
+    # sink, between the bounds the forced vertex puts on it.
+    ctx, oracle = FieldContext(kronecker(), q), FieldContext(kronecker(), q)
+    for nuN in [(0, 1), (0, 2), (2, 2)]:
+        listed = counted = 0
+        for dL in ctx.classes((2, 3)):
+            L = oracle.build(dL)
+            assert ctx.hall_row(dL, nuN) == census_row(oracle, L, nuN), (dL, nuN)
+            if ctx._point_type(dL) is None and not is_semisimple(L):
+                for _, weight in graded_stable_subspaces(L, nuN, 10**6, ctx.summand_labels(dL)):
+                    listed += 1
+                    counted += weight
+        assert listed < counted, nuN
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("n, nuL", [(2, (4, 3)), (3, (2, 2, 2))])
+def test_cyclic_one_vertex_rows_equal_a_census(n, nuL, q, monkeypatch):
+    # With dim N or dim M at one vertex, N or M is S_i^a and the row is the
+    # socle formula read backwards, or its image under the duality: nothing
+    # is built, classified or censused, and every row equals a census of the
+    # class's own module.
+    oracle = FieldContext(cyclic(n), q)
+    expected = {}
+    for nuN in dims_upto(nuL):
+        nuM = tuple(a - b for a, b in zip(nuL, nuN))
+        if any(nuN) and any(nuM) and 1 in (sum(map(bool, nuN)), sum(map(bool, nuM))):
+            for dL in oracle.classes(nuL):
+                expected[dL, nuN] = census_row(oracle, oracle.build(dL), nuN)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-vertex row built, classified or censused a module")
+
+    ctx = FieldContext(cyclic(n), q)
+    ctx.classes(nuL)
+    monkeypatch.setattr(fqrep, "graded_stable_subspaces", refuse)
+    monkeypatch.setattr(FieldContext, "classify", refuse)
+    monkeypatch.setattr(FieldContext, "build", refuse)
+    for (dL, nuN), row in expected.items():
+        assert ctx.hall_row(dL, nuN) == row, (dL, nuN)

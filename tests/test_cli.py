@@ -225,6 +225,34 @@ def test_hallpoly_dual_triple_is_one_store_record(tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize(
+    "quiver, L, M, N, printed",
+    [
+        # dim N at one vertex: N = S_1 in the socle of L
+        (
+            "cyclic:2",
+            "[[1,1,1],[1,3,1]]",
+            "[[1,3,1]]",
+            "[[1,1,1]]",
+            '{"coeffs":[0,1],"min_q":2,"polynomial":"q",'
+            '"samples":[[2,2],[3,3]],"validations":[[4,4],[5,5]]}',
+        ),
+        # dim M at one vertex: M = S_1 a top of L
+        (
+            "cyclic:3",
+            "[[1,2,2],[3,1,1]]",
+            "[[1,1,1]]",
+            "[[1,2,1],[2,1,1],[3,1,1]]",
+            '{"coeffs":[1,1],"min_q":2,"polynomial":"q + 1",'
+            '"samples":[[2,3],[3,4]],"validations":[[4,5],[5,6]]}',
+        ),
+    ],
+)
+def test_hallpoly_one_vertex_triples_are_pinned(capsys, quiver, L, M, N, printed):
+    code, out = run_cli(capsys, "hallpoly", "--quiver", quiver, "--L", L, "--M", M, "--N", N)
+    assert code == 0 and out == printed + "\n"
+
+
+@pytest.mark.parametrize(
     "quiver, L, M, N",
     [
         # vertex 3 on a quiver with vertices 1..2 (silently "0" before)

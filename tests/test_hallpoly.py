@@ -21,12 +21,11 @@ from hallcanon.hallpoly import (
     abstract_triple,
     fit_integer_poly,
     fit_rational_function,
-    lagrange_fit,
     sample_and_fit,
 )
 from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, kronecker, linear_an
-from oracles import fit_integer_poly_by_degree
+from oracles import fit_integer_poly_by_degree, lagrange_fit
 
 
 def mdesc(*segs):
@@ -85,6 +84,27 @@ def test_fit_integer_poly_equals_fitting_degree_by_degree():
             assert fit_integer_poly(pairs, cap) == expected, (pairs, cap)
             outcomes.add(("fit", len(expected[0])))
     assert "error" in outcomes and {("fit", k) for k in range(5)} <= outcomes
+
+
+def test_newton_fit_equals_the_lagrange_fit():
+    # Integer divided differences against the Fraction Lagrange basis, on
+    # random integer nodes and values, from integer polynomials or not: the
+    # same coefficients when they are integers, None when they are not.
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(2000):
+        xs = rng.sample(range(-20, 40), rng.randint(1, 7))
+        if rng.random() < 0.5:
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))]
+            pairs = [(x, eval_poly(coeffs, x)) for x in xs]
+        else:
+            pairs = [(x, rng.randint(-50, 50)) for x in xs]
+        expected = lagrange_fit(pairs)
+        integral = all(c.denominator == 1 for c in expected)
+        got = hallpoly._newton_integer_fit(pairs)
+        assert got == (tuple(int(c) for c in expected) if integral else None), pairs
+        seen.add(integral)
+    assert seen == {True, False}
 
 
 def test_sample_and_fit_policy():
