@@ -9,7 +9,9 @@ command) are such errors; ``--help`` prints usage and exits 0.
 Each command imports the layers it runs, so ``verify`` loads only
 ``canonical``, ``config`` and ``laurent``, a ``canonical`` run served a
 stored bundle (see ``_bundle``) loads only those, ``quiver`` and ``store``,
-and ``hallpoly`` loads neither ``canonical`` nor ``pbw``.
+a cyclic ``canonical`` loads no ``gf``, ``fqrep`` or ``hallpoly`` (its Hall
+numbers are closed forms in ``combinatorics``), and ``hallpoly`` loads
+neither ``canonical`` nor ``pbw``.
 ``hashlib``, and with it OpenSSL, loads only when a run uses the store
 (``--cache-dir``, ``HALLCANON_CACHE`` or ``cache``).
 """
@@ -59,7 +61,7 @@ def _parse_desc(engine: HallEngine, data):
     answers as any point of degree 2 would.  cm needs t <= 0 with beta_t
     defined, cp needs t >= 1; multiplicities are >= 0 and parts positive.
     cp and homog are Kronecker only.  Anything else raises ValueError."""
-    from .fqrep import make_cdesc, mseg_normalize
+    from .combinatorics import make_cdesc, mseg_normalize
 
     cyclic = engine.kind == "cyclic"
     if not isinstance(data, list if cyclic else dict):

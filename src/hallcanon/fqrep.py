@@ -3,24 +3,15 @@
 Provides the named modules (cyclic-quiver multisegments, Kronecker
 preprojectives / preinjectives / regulars, finite-type root modules),
 Hom/End/Aut computation, arrow-stable subspace censuses, Hall numbers,
-BGP reflection functors and isomorphism classification.
+BGP reflection functors and isomorphism classification.  Descriptors,
+multisegments and everything read off them without a field live in
+``combinatorics``; ``FieldContext`` extends its ``CombinatorialContext``.
 
 Classification computes a descriptor in closed form: a Kronecker module
 through the Kronecker canonical form of its pencil (``classify_pencil``), a
 nilpotent cyclic one through the ranks of its paths
 (``classify_nilpotent_cyclic``), a finite-type one by a triangular solve on
 dim Hom(beta_t, M) over the preprojectives (``FieldContext.classify``).
-
-Iso classes are referred to by hashable descriptors:
-
-* cyclic quiver:  ``('m', pi)`` with ``pi`` a multisegment,
-* acyclic quiver: ``('c', cm, (), cp, homog)`` with ``cm``/``cp`` the
-  preprojective/preinjective multiplicity functions and ``homog`` a tuple
-  of (closed point, partition) pairs; slot 2 is empty, since the supported
-  quivers have no non-homogeneous tubes.
-
-Closed points are ``('f', coeffs)`` for the monic irreducible with the
-given ascending non-leading coefficients, or ``('i',)`` for infinity.
 """
 
 from __future__ import annotations
@@ -29,6 +20,16 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from . import gf
+from .combinatorics import (
+    CombinatorialContext,
+    bounded_multisets,
+    desc_homog,
+    desc_indecs,
+    make_cdesc,
+    mseg_dim,
+    mseg_normalize,
+    point_degree,
+)
 from .config import (
     BudgetExceededError,
     ClassificationError,
@@ -45,232 +46,12 @@ from .gf import (
     _poly_mul,
     _poly_trim,
 )
-from .quiver import AdmissibleSequence, Quiver
+from .quiver import Quiver
 
 
 # ---------------------------------------------------------------------------
-# multisegments (combinatorial layer, field independent)
+# closed points of P^1
 # ---------------------------------------------------------------------------
-
-
-def mseg_normalize(segs) -> tuple:
-    """Canonical multisegment: sorted tuple of ((vertex, length), multiplicity)."""
-    acc: dict = {}
-    for item in segs:
-        if len(item) == 2 and isinstance(item[0], tuple):
-            (i, l), m = item
-        else:
-            i, l = item
-            m = 1
-        if m:
-            acc[(i, l)] = acc.get((i, l), 0) + m
-    return tuple(sorted((k, m) for k, m in acc.items() if m))
-
-
-def mseg_dim(n: int, pi) -> tuple[int, ...]:
-    dims = [0] * n
-    for (i, l), m in pi:
-        for k in range(l):
-            dims[(i - 1 + k) % n] += m
-    return tuple(dims)
-
-
-def mseg_aperiodic(n: int, pi) -> bool:
-    lengths = {l for (_, l), _ in pi}
-    for l in lengths:
-        present = {i for (i, ll), _ in pi if ll == l}
-        if len(present) == n:
-            return False
-    return True
-
-
-def bounded_multisets(items, dim, bound, exact: bool):
-    """Multiplicity functions ((item, m), ...), every m > 0, with sum m * dim(item)
-    <= bound (= bound if ``exact``), in descending lex order of the
-    multiplicity vectors over ``items``."""
-    dims = [dim(x) for x in items]
-
-    def rec(idx, remaining, chosen):
-        if idx == len(items):
-            if not exact or not any(remaining):
-                yield tuple(chosen)
-            return
-        d = dims[idx]
-        max_m = min(remaining[k] // d[k] for k in range(len(d)) if d[k])
-        for m in range(max_m, -1, -1):
-            rem = tuple(remaining[k] - m * d[k] for k in range(len(d)))
-            if m:
-                chosen.append((items[idx], m))
-            yield from rec(idx + 1, rem, chosen)
-            if m:
-                chosen.pop()
-
-    yield from rec(0, tuple(bound), [])
-
-
-@lru_cache(maxsize=None)
-def enumerate_msegs(n: int, nu) -> tuple:
-    """All multisegments with dimension vector nu, sorted."""
-    nu = tuple(nu)
-    segs = [(i, l) for i in range(1, n + 1) for l in range(1, sum(nu) + 1)]
-    segs = [s for s in segs if all(a <= b for a, b in zip(mseg_dim(n, ((s, 1),)), nu))]
-    out = bounded_multisets(segs, lambda s: mseg_dim(n, ((s, 1),)), nu, exact=True)
-    return tuple(sorted({mseg_normalize(pi) for pi in out}))
-
-
-def hom_seg(n: int, a, b) -> int:
-    """dim Hom(S_i[l], S_j[m]) for the cyclic quiver on n vertices."""
-    (i, l), (j, m) = a, b
-    return sum(
-        1
-        for s in range(max(0, m - l), m)
-        if (j + s - i) % n == 0
-    )
-
-
-def mseg_hom(n: int, pi, rho) -> int:
-    """dim Hom(M(pi), M(rho)), additive over segments."""
-    out = 0
-    for sa, ma in pi:
-        for sb, mb in rho:
-            out += ma * mb * hom_seg(n, sa, sb)
-    return out
-
-
-def mseg_end(n: int, pi) -> int:
-    return mseg_hom(n, pi, pi)
-
-
-def mseg_peel_top(n: int, pi, i: int, min_length: int = 1):
-    """Remove the top box of every segment at vertex i of length >= min_length.
-
-    Returns (count, peeled multisegment); count is the multiplicity of the
-    tops removed, the full multiplicity of tops at i when min_length = 1.
-    """
-    count = 0
-    rest = []
-    for (j, l), m in pi:
-        if j == i and l >= min_length:
-            count += m
-            if l > 1:
-                rest.append((((j % n) + 1, l - 1), m))
-        else:
-            rest.append(((j, l), m))
-    return count, mseg_normalize(rest)
-
-
-def mseg_extend_top(n: int, pi, i: int, a: int) -> tuple:
-    """The generic extension of S_i^a on top of M(pi); inverts ``mseg_peel_top``.
-
-    The a longest segments starting at vertex i+1 grow by one box to start
-    at i; any boxes left over become new segments [i;1].
-    """
-    nxt, out = i % n + 1, []
-    for (j, l), m in sorted(pi, key=lambda s: (s[0][0] != nxt, -s[0][1])):
-        grown = min(a, m) if j == nxt else 0
-        a -= grown
-        out += [((i, l + 1), grown), ((j, l), m - grown)]
-    return mseg_normalize(out + [((i, 1), a)])
-
-
-@lru_cache(maxsize=None)
-def _gauss_binom_coeffs(m: int, r: int) -> tuple:
-    """[m choose r]_q as integer coefficients in q, ascending."""
-    if r == 0 or r == m:
-        return (1,)
-    # [m choose r] = [m-1 choose r-1] + q^r [m-1 choose r]
-    out = [0] * (r * (m - r) + 1)
-    for k, c in enumerate(_gauss_binom_coeffs(m - 1, r - 1)):
-        out[k] += c
-    for k, c in enumerate(_gauss_binom_coeffs(m - 1, r)):
-        out[k + r] += c
-    return tuple(out)
-
-
-def _bounded_compositions(caps, a):
-    """Every (r_1, ..., r_k) with sum a and 0 <= r_j <= caps[j], in lex order."""
-    if not caps:
-        if a == 0:
-            yield ()
-        return
-    for r in range(min(a, caps[0]) + 1):
-        for rest in _bounded_compositions(caps[1:], a - r):
-            yield (r, *rest)
-
-
-def _socle_moves(n: int, pi, i: int, a: int, sign: int) -> list:
-    """(X, g) for each way to lengthen (sign 1) or shorten (sign -1) a
-    segments of M(pi) by a socle box at i: r_l of them become, or were, a
-    segment [s;l] ending at i, sum r_l = a.  g is the socle formula of
-    ``mseg_socle_extensions`` in the r_l and the m_l of the longer module,
-    as integer coefficients in q, ascending."""
-    mult = dict(pi)
-    slots = [((i - l) % n + 1, l) for l in range(1, max((l for (_, l), _ in pi), default=0) + 2)]
-    if sign > 0:
-        caps = [mult.get((s, l - 1), 0) if l > 1 else a for s, l in slots]
-    else:
-        caps = [mult.get(slot, 0) for slot in slots]
-    out = []
-    for rs in _bounded_compositions(caps, a):
-        segs = list(pi)
-        for (s, l), r in zip(slots, rs):
-            segs.append(((s, l), sign * r))
-            if l > 1:
-                segs.append(((s, l - 1), -sign * r))
-        X = mseg_normalize(segs)
-        longer = dict(X) if sign > 0 else mult
-        coeffs, later = [1], 0
-        for slot, r in reversed(list(zip(slots, rs))):
-            m = longer.get(slot, 0)
-            coeffs = [0] * (r * later) + _int_poly_mul(coeffs, _gauss_binom_coeffs(m, r))
-            later += m - r
-        out.append((X, tuple(coeffs)))
-    return out
-
-
-def mseg_socle_extensions(n: int, pi, i: int, a: int) -> list:
-    """All (L, g) with g = g^L_{M(pi), S_i^a} nonzero, without a census.
-
-    A submodule U of L isomorphic to S_i^a lies in the socle at i, so L is
-    M(pi) with r_l of its segments of length l - 1 and socle at i - 1
-    lengthened by a socle box at i, sum r_l = a; the r_1 segments of length
-    0 are new segments [i;1].  With m_l the number of segments of L of
-    length l and socle at i, the Aut(L)-orbit of U is fixed by the r_l, and
-
-        g = prod_l [m_l choose r_l]_q * q^(sum_{l < l'} r_l (m_l' - r_l')).
-
-    For n = 1 this is Macdonald's G^lam_{mu (1^a)} (Symmetric Functions and
-    Hall Polynomials, II (4.6)); see Ringel, Proc. LMS 66 (1993), for cyclic
-    quivers.  g is given as integer coefficients in q, ascending.
-    """
-    return _socle_moves(n, pi, i, a, 1)
-
-
-def mseg_socle_quotients(n: int, pi, i: int, a: int) -> list:
-    """All (M, g) with g = g^{M(pi)}_{M, S_i^a} nonzero: the socle formula of
-    ``mseg_socle_extensions`` read backwards, without a census.
-
-    M is M(pi) with r_l of its m_l segments of length l and socle at i
-    shortened by their socle box, sum r_l = a, and g is the same product in
-    the m_l and r_l.  Distinct (r_l) give distinct M, since M keeps
-    m_l - r_l segments of length l with socle at i.
-    """
-    return _socle_moves(n, pi, i, a, -1)
-
-
-def cyclic_image(n: int, desc, r: int, flip: bool):
-    """rho_r of a cyclic descriptor, or rho_r of its dual delta if flip.
-
-    On the cyclic quiver with arrows i -> i+1, rho_r rotates a segment,
-    (i, l) -> ((i - 1 + r) mod n + 1, l), and delta sends it to
-    ((-(i + l - 2)) mod n + 1, l): the dual over Q^op, read on Q by
-    j -> -j, has its top at the reflected socle i + l - 1.
-    """
-    segs = []
-    for (i, l), m in desc[1]:
-        top = -(i + l - 2) if flip else i - 1
-        segs.append((((top + r) % n + 1, l), m))
-    return ("m", mseg_normalize(segs))
 
 
 @lru_cache(maxsize=None)
@@ -304,9 +85,6 @@ def point_count(q: int, degree: int) -> int:
         n[d] = (q**d - sum(e * n[e] for e in range(1, d) if d % e == 0)) // d
     return n[degree] + (degree == 1)
 
-
-def point_degree(point) -> int:
-    return 1 if point[0] == "i" else len(point[1])
 
 
 def _companion(F: GF, poly):
@@ -499,23 +277,6 @@ def aut_order(M: FqModule, budget: int = 2_000_000) -> int:
             count += 1
     return count
 
-
-def eval_poly(coeffs, x):
-    """The polynomial with ascending coefficients ``coeffs`` at x (Horner)."""
-    out = 0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def _int_poly_mul(a, b):
-    """Product of integer polynomials, coefficients ascending."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1057,104 +818,21 @@ def classify_nilpotent_cyclic(M: FqModule) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# iso-class descriptors
+# field context: classes, building, classification, Hall censuses
 # ---------------------------------------------------------------------------
 
 
-def make_cdesc(cm=(), cp=(), homog=()) -> tuple:
-    """Canonical acyclic-quiver descriptor ('c', cm, (), cp, homog)."""
-    cm = tuple(sorted(((t, m) for t, m in cm if m), key=lambda p: -p[0]))
-    cp = tuple(sorted((t, m) for t, m in cp if m))
-    homog = tuple(sorted((pt, tuple(lam)) for pt, lam in homog if lam))
-    return ("c", cm, (), cp, homog)
-
-
-def desc_frame(desc) -> tuple:
-    """The descriptor with its homogeneous part removed."""
-    if desc[0] == "m":
-        return desc
-    _, cm, c0, cp, _ = desc
-    return ("c", cm, c0, cp, ())
-
-
-def desc_homog(desc) -> tuple:
-    return () if desc[0] == "m" else desc[4]
-
-
-def desc_indecs(desc):
-    """Decompose a descriptor into (indec, multiplicity) pairs.
-
-    Indecomposables: ('p', t) preprojective, ('q', t) preinjective,
-    ('r', point, layer) regular, ('s', i, l) cyclic segment.
-    """
-    if desc[0] == "m":
-        return [(("s", i, l), m) for (i, l), m in desc[1]]
-    _, cm, _, cp, homog = desc
-    out = [(("p", t), m) for t, m in cm]
-    for pt, lam in homog:
-        layers: dict = {}
-        for part in lam:
-            layers[part] = layers.get(part, 0) + 1
-        out.extend((("r", pt, l), m) for l, m in sorted(layers.items()))
-    out.extend((("q", t), m) for t, m in cp)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# field context: classes, building, classification, Hall tables
-# ---------------------------------------------------------------------------
-
-
-def quiver_kind(quiver: Quiver) -> tuple:
-    """(kind, delta, admissible sequence) of a supported quiver, once per quiver.
-
-    ``kind`` is 'cyclic', 'kronecker' or 'finite'; other affine quivers
-    would need non-homogeneous tube bookkeeping and are rejected, as are
-    wild quivers and cyclic ones not oriented i -> i+1.  Quivers compare
-    equal up to arrow order, and the sequence builds modules in its own
-    quiver's arrow order, so the arrows as listed are part of the key.
-    """
-    return _quiver_kind(quiver, quiver.arrows)
-
-
-@lru_cache(maxsize=None)
-def _quiver_kind(quiver: Quiver, _arrows) -> tuple:
-    if not quiver.is_acyclic():
-        # Must be the cyclic orientation: exactly the arrows i -> i+1 (mod n).
-        n = quiver.n
-        if sorted(quiver.arrows) != sorted((i, (i + 1) % n) for i in range(n)):
-            raise UnsupportedQuiverError(
-                "only the cyclic orientation i -> i+1 in vertex order is supported"
-            )
-        return "cyclic", tuple([1] * n), None
-    seq = AdmissibleSequence(quiver)
-    if seq.finite:
-        return "finite", None, seq
-    if not quiver.is_affine():
-        raise UnsupportedQuiverError("wild quivers are not supported")
-    if quiver.n == 2 and len(quiver.arrows) == 2 and len(set(quiver.arrows)) == 1:
-        return "kronecker", quiver.delta(), seq
-    raise UnsupportedQuiverError("affine quivers with non-homogeneous tubes are not supported")
-
-
-class FieldContext:
-    """All per-(quiver, q) computations, memoized.
-
-    ``kind``, ``delta`` and ``seq`` are the quiver's (``quiver_kind``),
-    shared by the contexts of every field.
-    """
+class FieldContext(CombinatorialContext):
+    """All per-(quiver, q) computations, memoized: the combinatorial
+    context with GF(q), closed points, building, classification and the
+    submodule census, for every supported kind."""
 
     def __init__(self, quiver: Quiver, q: int, cfg: JobConfig | None = None):
-        self.quiver = quiver
-        self.q = q
-        self.cfg = cfg or JobConfig.default()
+        super().__init__(quiver, q, cfg)
         self.F = GF(q)
-        self.kind, self.delta, self.seq = quiver_kind(quiver)
         # Module key -> descriptor; not ``memoized``, because the census loop
-        # of ``hall_row`` reads it inline, ~10^5 times a census, and calls cost.
+        # of ``_census_row`` reads it inline, ~10^5 times a census, and calls cost.
         self._classify_cache: dict = {}
-
-    # -- dimensions and homs (combinatorial) ---------------------------
 
     def points(self, degree: int):
         if self.kind != "kronecker":
@@ -1163,93 +841,6 @@ class FieldContext:
 
     def num_deg1_points(self) -> int:
         return self.q + 1
-
-    def indec_dim(self, ind) -> tuple:
-        if ind[0] == "s":
-            return mseg_dim(self.quiver.n, (((ind[1], ind[2]), 1),))
-        if ind[0] in "pq":
-            return self.seq.beta(ind[1])
-        if ind[0] == "r":
-            d = point_degree(ind[1]) * ind[2]
-            return tuple(d * x for x in self.delta)
-        raise ValueError(f"unknown indecomposable {ind}")
-
-    @memoized
-    def desc_dim(self, desc) -> tuple:
-        n = self.quiver.n
-        out = [0] * n
-        for ind, m in desc_indecs(desc):
-            d = self.indec_dim(ind)
-            for k in range(n):
-                out[k] += m * d[k]
-        return tuple(out)
-
-    def hom_indec(self, a, b) -> int:
-        """dim Hom between indecomposables, from AR-theory shape constraints."""
-        if a[0] == "s" or b[0] == "s":
-            return hom_seg(self.quiver.n, (a[1], a[2]), (b[1], b[2]))
-        euler = self.quiver.euler_form
-        da, db = self.indec_dim(a), self.indec_dim(b)
-        ka, kb = a[0], b[0]
-        if ka == "p":
-            # Ext(P, X) vanishes; between preprojectives Hom and Ext never
-            # both survive, so the Euler form decides.
-            return max(0, euler(da, db)) if kb == "p" else euler(da, db)
-        if ka == "r":
-            if kb == "p":
-                return 0
-            if kb == "r":
-                if a[1] != b[1]:
-                    return 0
-                return point_degree(a[1]) * min(a[2], b[2])
-            return euler(da, db)
-        if ka == "q":
-            return max(0, euler(da, db)) if kb == "q" else 0
-        raise ValueError(f"unknown indecomposable {a}")
-
-    def hom_desc(self, descA, descB) -> int:
-        out = 0
-        for ia, ma in desc_indecs(descA):
-            for ib, mb in desc_indecs(descB):
-                out += ma * mb * self.hom_indec(ia, ib)
-        return out
-
-    @memoized
-    def end(self, desc) -> int:
-        return self.hom_desc(desc, desc)
-
-    @memoized
-    def aut_coeffs(self, desc) -> tuple:
-        """|Aut M| as integer coefficients in q, ascending, by radical lifting.
-
-        For M = (+) M_i^{n_i} with the M_i pairwise non-isomorphic
-        indecomposables, the cross-Hom blocks lie in the radical of End M,
-        so |Aut M| = q^(sum of cross Hom dims) * prod |GL_{n_i}(End M_i)|
-        with End M_i local of residue degree d_i and radical dimension
-        e_i - d_i.  Only Hom dimensions are used; nothing is built.
-        """
-        comps = desc_indecs(desc)
-        cross = 0
-        for i, (ia, na) in enumerate(comps):
-            for j, (ib, nb) in enumerate(comps):
-                if i != j:
-                    cross += na * nb * self.hom_indec(ia, ib)
-        coeffs = [0] * cross + [1]  # q^cross
-        for ind, n in comps:
-            e = self.hom_indec(ind, ind)
-            d = point_degree(ind[1]) if ind[0] == "r" else 1
-            assert e >= d
-            coeffs = [0] * (n * n * (e - d)) + coeffs
-            for k in range(n):
-                # factor q^(d n) - q^(d k)
-                factor = [0] * (d * n + 1)
-                factor[d * n] = 1
-                factor[d * k] -= 1
-                coeffs = _int_poly_mul(coeffs, factor)
-        return tuple(coeffs)
-
-    def aut(self, desc) -> int:
-        return eval_poly(self.aut_coeffs(desc), self.q)
 
     # -- construction ----------------------------------------------------
 
@@ -1322,10 +913,9 @@ class FieldContext:
 
     # -- class enumeration -------------------------------------------------
 
-    @memoized
-    def classes(self, nu) -> tuple:
+    def _list_classes(self, nu) -> tuple:
         if self.kind == "cyclic":
-            return tuple(("m", pi) for pi in enumerate_msegs(self.quiver.n, nu))
+            return super()._list_classes(nu)
         out = [
             make_cdesc(cm=cm, cp=cp, homog=homog)
             for cm, cp, m in self.frames(nu)
@@ -1433,11 +1023,6 @@ class FieldContext:
         self._classify_cache[M.key()] = out
         return out
 
-    @memoized
-    def _interned(self, dims) -> dict:
-        """Each class of dimension dims, keyed by itself."""
-        return {c: c for c in self.classes(dims)}
-
     # -- Hall numbers -------------------------------------------------------
 
     @memoized
@@ -1493,33 +1078,22 @@ class FieldContext:
 
         return rep, relabel
 
-    @memoized
-    def hall_row(self, descL, nuN) -> dict:
-        """{(descM, descN): g^L_{M,N}} for one class L: in closed form, by
-        relabelling its type representative's row, or from one census of L
-        by torus orbits.
+    def _census_row(self, descL, nuN, nuM) -> dict:
+        """``hall_row`` of L where it has no closed form: by relabelling its
+        type representative's row, or from one census of L by torus orbits.
 
-        Memoized per (descL, nuN).  With nuN = 0 or dim L, L has one such
-        subspace, so the row g^L_{L,0} = 1 or g^L_{0,L} = 1 needs no census.
         A Kronecker class with homogeneous points that is not its type's
         representative gets the representative's row, relabelled
         (``_point_type``).  A semisimple L (every arrow of ``build(descL)``
         zero) needs no census either: every graded subspace is a submodule,
         so the row is g^L_{S,S'} = prod_v [l_v, n_v]_q (``census_size``) for
         the semisimples S, S' of dimension dim L - nuN and nuN (Ringel,
-        Invent. Math. 101 (1990)), or empty when some n_v > l_v.  On a
-        cyclic quiver with n >= 2, a row with dim N or dim M = a e_i is
-        closed-form too, and builds nothing: that module is S_i^a, and the
-        row is the socle formula read backwards (``_one_vertex_row``).  The
-        Jordan quiver keeps its census, since there a module at its one
-        vertex need not be semisimple.  No closed form enumerates a
-        subspace, so none is bounded by ``budget_subspaces``.
+        Invent. Math. 101 (1990)), or empty when some n_v > l_v.
 
         A census goes by the orbits of L's summand scalings, automorphisms
         of L that keep the classes of U and L/U, at the first free vertex of
         ``graded_stable_subspaces``: it adds the weight of each (subspace,
-        weight) that the census yields, an orbit's size.  No order of the
-        row's keys is promised.
+        weight) that the census yields, an orbit's size.
 
         An arrow a: s -> t's matrix on U depends only on (rows of U_s,
         pivots of U_t), and on L/U only on (pivots of U_s, rows of U_t), so
@@ -1528,122 +1102,56 @@ class FieldContext:
         is formed from them; a module is built and classified only for a key
         the classify cache does not hold yet.
         """
-        nuL = self.desc_dim(descL)
-        nuM = tuple(l - k for l, k in zip(nuL, nuN))
-        if nuN == nuL or not any(nuN):
-            (zero,) = self.classes(tuple(0 for _ in nuL))
-            row = {(zero, descL) if nuN == nuL else (descL, zero): 1}
-        elif self.kind == "cyclic" and len(nuL) > 1 and 1 in (
-            sum(map(bool, nuN)),
-            sum(map(bool, nuM)),
-        ):
-            row = self._one_vertex_row(descL, nuN, nuM)
-        elif relabelled := self._point_type(descL):
+        if relabelled := self._point_type(descL):
             rep, relabel = relabelled
-            row = {
+            return {
                 (relabel(dM), relabel(dN)): g for (dM, dN), g in self.hall_row(rep, nuN).items()
             }
-        else:
-            L, row = self.build(descL), {}
-            Q, F, cache = self.quiver, self.F, self._classify_cache
-            arrows = list(enumerate(Q.arrows))
-            sub_blocks: dict = {}
-            quot_blocks: dict = {}
-
-            def desc_of(dims, blocks):
-                out = cache.get((dims, blocks))
-                if out is None:
-                    out = self.classify(FqModule(Q, F, dims, blocks))
-                return out
-
-            if not any(any(r) for mat in L.mats for r in mat):
-                # Semisimple L: every graded subspace is a submodule U, and U
-                # and L/U are the semisimples of their dimension vectors.
-                if size := census_size(L, nuN):
-
-                    def zero(dims):
-                        return tuple(((0,) * dims[s],) * dims[t] for s, t in Q.arrows)
-
-                    row[(desc_of(nuM, zero(nuM)), desc_of(nuN, zero(nuN)))] = size
-                return row
-            for sub, weight in graded_stable_subspaces(
-                L, nuN, self.cfg.budget_subspaces, self.summand_labels(descL)
-            ):
-                blocksN, blocksM = [], []
-                for a, (s, t) in arrows:
-                    (rows_s, piv_s), (rows_t, piv_t) = sub[s], sub[t]
-                    bkey = (a, rows_s, piv_t)
-                    block = sub_blocks.get(bkey)
-                    if block is None:
-                        block = sub_blocks[bkey] = _submodule_block(
-                            F, L.mats[a], rows_s, piv_t
-                        )
-                    blocksN.append(block)
-                    bkey = (a, piv_s, rows_t)
-                    block = quot_blocks.get(bkey)
-                    if block is None:
-                        block = quot_blocks[bkey] = _quotient_block(
-                            F, L.mats[a], nuL[s], piv_s, rows_t, piv_t
-                        )
-                    blocksM.append(block)
-                dN = desc_of(nuN, tuple(blocksN))
-                pair = (desc_of(nuM, tuple(blocksM)), dN)
-                row[pair] = row.get(pair, 0) + weight
-        return row
-
-    def _one_vertex_row(self, descL, nuN, nuM) -> dict:
-        """``hall_row`` of a cyclic L (n >= 2) when dim N or dim M is a e_i.
-
-        Such a module is S_i^a, since no arrow joins i to itself.  With
-        dim N = a e_i the row is ``mseg_socle_quotients``; with dim M = a e_i
-        it is the duality delta's image of that row for delta(L), by
-        g^L_{M,N} = g^{delta L}_{delta N, delta M}.
-        """
-        n = self.quiver.n
-        flip = sum(map(bool, nuN)) != 1
-        ((v, a),) = [(v, x) for v, x in enumerate(nuM if flip else nuN) if x]
-        S = ("m", (((v + 1, 1), a),))
-        pi, i = descL[1], v + 1
-        if flip:
-            pi, i = cyclic_image(n, descL, 0, True)[1], -v % n + 1
-        classesM, classesN, row = self._interned(nuM), self._interned(nuN), {}
-        for X, coeffs in mseg_socle_quotients(n, pi, i, a):
-            X = cyclic_image(n, ("m", X), 0, True) if flip else ("m", X)
-            dM, dN = (S, X) if flip else (X, S)
-            row[classesM[dM], classesN[dN]] = eval_poly(coeffs, self.q)
-        return row
-
-    @memoized
-    def hall_table(self, nuL, nuN):
-        """All Hall numbers g^L_{M,N} with dim L = nuL, dim N = nuN.
-
-        Returns (by_L, by_pair): by_L[descL] is ``hall_row(descL, nuN)``, in
-        class order, and by_pair[(descM, descN)] = list of (descL, count).
-        """
-        by_L, by_pair = {}, {}
-        if all(x >= y for x, y in zip(nuL, nuN)):
-            for dL in self.classes(nuL):
-                by_L[dL] = self.hall_row(dL, nuN)
-                for pair, g in by_L[dL].items():
-                    by_pair.setdefault(pair, []).append((dL, g))
-        return by_L, by_pair
-
-    def hall(self, descL, descM, descN) -> int:
-        """g^L_{M,N} at this field, from L's row alone (``hall_row``)."""
         nuL = self.desc_dim(descL)
-        nuN = self.desc_dim(descN)
-        nuM = self.desc_dim(descM)
-        if tuple(a + b for a, b in zip(nuM, nuN)) != nuL:
-            return 0
-        return self.hall_row(descL, nuN).get((descM, descN), 0)
+        L, row = self.build(descL), {}
+        Q, F, cache = self.quiver, self.F, self._classify_cache
+        arrows = list(enumerate(Q.arrows))
+        sub_blocks: dict = {}
+        quot_blocks: dict = {}
 
-    def hall_products(self, descM, descN):
-        """All (descL, g^L_{M,N}) with g nonzero."""
-        nuM = self.desc_dim(descM)
-        nuN = self.desc_dim(descN)
-        nuL = tuple(a + b for a, b in zip(nuM, nuN))
-        _, by_pair = self.hall_table(nuL, nuN)
-        return by_pair.get((descM, descN), [])
+        def desc_of(dims, blocks):
+            out = cache.get((dims, blocks))
+            if out is None:
+                out = self.classify(FqModule(Q, F, dims, blocks))
+            return out
+
+        if not any(any(r) for mat in L.mats for r in mat):
+            # Semisimple L: every graded subspace is a submodule U, and U
+            # and L/U are the semisimples of their dimension vectors.
+            if size := census_size(L, nuN):
+
+                def zero(dims):
+                    return tuple(((0,) * dims[s],) * dims[t] for s, t in Q.arrows)
+
+                row[(desc_of(nuM, zero(nuM)), desc_of(nuN, zero(nuN)))] = size
+            return row
+        for sub, weight in graded_stable_subspaces(
+            L, nuN, self.cfg.budget_subspaces, self.summand_labels(descL)
+        ):
+            blocksN, blocksM = [], []
+            for a, (s, t) in arrows:
+                (rows_s, piv_s), (rows_t, piv_t) = sub[s], sub[t]
+                bkey = (a, rows_s, piv_t)
+                block = sub_blocks.get(bkey)
+                if block is None:
+                    block = sub_blocks[bkey] = _submodule_block(F, L.mats[a], rows_s, piv_t)
+                blocksN.append(block)
+                bkey = (a, piv_s, rows_t)
+                block = quot_blocks.get(bkey)
+                if block is None:
+                    block = quot_blocks[bkey] = _quotient_block(
+                        F, L.mats[a], nuL[s], piv_s, rows_t, piv_t
+                    )
+                blocksM.append(block)
+            dN = desc_of(nuN, tuple(blocksN))
+            pair = (desc_of(nuM, tuple(blocksM)), dN)
+            row[pair] = row.get(pair, 0) + weight
+        return row
 
 
 def _poly_pow_monic(F: GF, poly, n: int):

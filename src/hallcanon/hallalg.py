@@ -16,28 +16,26 @@ fields, expanded over the N family by a solve against the Kostka matrix at
 probe classes, and lifted to Z[v, v^-1] by exact interpolation of each
 coefficient as a polynomial in q = v^2, validated on held-out fields.  On a
 cyclic quiver a monomial needs no field: a product by <S_i^(a)> has closed
-Hall numbers (``fqrep.mseg_socle_extensions``), and the field path is a
-check at the smallest sample field.
+Hall numbers (``combinatorics.mseg_socle_extensions``), and the field path
+is a check at the smallest sample field.  That check runs on the
+combinatorial context (``HallEngine.ctx``), whose Hall rows by <S_i^(a)> are
+the socle formula read backwards (``combinatorics.mseg_socle_quotients``),
+so a cyclic run loads no ``gf``, ``fqrep`` or ``hallpoly``: those, and
+``partitions``, are imported on the field path only.
 
 The Green form needs no field: (S_lam, S_mu) is a closed form over the
-character table of S_m (``HallEngine.s_gram``); frames give |Aut| factors.
+character table of S_m (``HallEngine.s_gram``); frames give |Aut| factors
+(``aut_coeffs``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
-from .config import (
-    InsufficientPointsError,
-    InterpolationError,
-    JobConfig,
-    UnsupportedQuiverError,
-    memoized,
-)
-from .fqrep import (
-    FieldContext,
+from .combinatorics import (
+    CombinatorialContext,
     desc_frame,
     desc_homog,
     make_cdesc,
@@ -47,14 +45,14 @@ from .fqrep import (
     mseg_socle_extensions,
     quiver_kind,
 )
-from .hallpoly import (
-    MIN_VALIDATE,
-    HallPolyEngine,
-    _normalize_rational,
-    sample_and_fit,
+from .config import (
+    InsufficientPointsError,
+    InterpolationError,
+    JobConfig,
+    UnsupportedQuiverError,
+    memoized,
 )
 from .laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
-from .partitions import centralizer_order, character, kostka_solve, partitions
 from .quiver import Quiver
 from .store import _jsonable
 
@@ -88,7 +86,7 @@ class FieldElement:
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: FieldContext, terms=None):
+    def __init__(self, ctx: CombinatorialContext, terms=None):
         self.ctx = ctx
         self.terms = {d: c for d, c in (terms or {}).items() if c}
 
@@ -155,6 +153,8 @@ def jacobi_trudi_h(lam) -> tuple:
     h_mu = sum_lam K_{lam mu} s_lam, so the coefficient of h_mu in s_lam is
     psi_lam of the Kostka solve against the indicator of mu.
     """
+    from .partitions import kostka_solve, partitions
+
     lam = tuple(lam)
     m = sum(lam)
     coeffs = ((mu, kostka_solve(m, lambda nu: int(nu == mu))[lam]) for mu in partitions(m))
@@ -201,10 +201,22 @@ class HallEngine:
     def __init__(self, quiver: Quiver, cfg: JobConfig | None = None):
         self.quiver = quiver
         self.cfg = cfg or JobConfig.default()
-        self.polyeng = HallPolyEngine(quiver, self.cfg)
         self.kind, self.delta, self.seq = quiver_kind(quiver)
 
-    def ctx(self, q: int) -> FieldContext:
+    @cached_property
+    def polyeng(self):
+        """The Hall polynomial engine, and with it the field layer, on first use."""
+        from .hallpoly import HallPolyEngine
+
+        return HallPolyEngine(self.quiver, self.cfg)
+
+    @memoized
+    def ctx(self, q: int) -> CombinatorialContext:
+        """The context at GF(q).  A cyclic quiver gets the combinatorial one,
+        which hands a row that needs a census to the field's FieldContext
+        (``polyeng.ctx``), built on first need; other kinds get that."""
+        if self.kind == "cyclic":
+            return CombinatorialContext(self.quiver, q, self.cfg, lambda: self.polyeng.ctx(q))
         return self.polyeng.ctx(q)
 
     # -- field-level constructions ----------------------------------------
@@ -295,6 +307,8 @@ class HallEngine:
         ctx = x.ctx
         if self.kind == "cyclic":
             return {nindex(d): c for d, c in x.terms.items()}
+        from .partitions import kostka_solve
+
         groups: dict = {}
         for d, c in x.terms.items():
             groups.setdefault(desc_frame(d), {})[desc_homog(d)] = c
@@ -345,6 +359,7 @@ class HallEngine:
         ``hallpoly.sample_and_fit``: an integer polynomial in q, folded back
         via q = v^2.
         """
+        from .hallpoly import sample_and_fit
 
         def sample(q):
             return {
@@ -364,6 +379,8 @@ class HallEngine:
         """
         if self.kind == "cyclic":
             return
+        from .hallpoly import MIN_VALIDATE
+
         D = word_degree_bound(word)
         if D + 1 + MIN_VALIDATE > len(self.cfg.primes):
             raise InterpolationError(
@@ -445,6 +462,9 @@ class HallEngine:
             return RationalFn(ONE)
         if self.kind != "kronecker":
             raise UnsupportedQuiverError("S_lam lives in the affine homogeneous part")
+        from .hallpoly import _normalize_rational
+        from .partitions import centralizer_order, character, partitions
+
         total = RationalFn(ZERO)
         for rho in partitions(sum(lam)):
             c = character(lam, rho) * character(mu, rho)
@@ -480,8 +500,8 @@ class HallEngine:
         ctx0 = self.ctx(self.cfg.primes[0])
         for part in self._frame_parts(f1):
             e = ctx0.end(part)
-            a = self.polyeng.aut_polynomial(part)
-            out = out * RationalFn(LaurentPoly.v_power(2 * e), a.to_laurent())
+            a = LaurentPoly.from_q_poly(ctx0.aut_coeffs(part))
+            out = out * RationalFn(LaurentPoly.v_power(2 * e), a)
         return out
 
     def green_generic(self, a: dict, b: dict) -> RationalFn:
@@ -548,7 +568,7 @@ class TensorElement:
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: FieldContext, terms=None):
+    def __init__(self, ctx: CombinatorialContext, terms=None):
         self.ctx = ctx
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 

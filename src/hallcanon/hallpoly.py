@@ -19,8 +19,8 @@ from .config import (
     JobConfig,
     memoized,
 )
-from .fqrep import FieldContext, closed_points, cyclic_image, eval_poly, mseg_dim, point_count
-from .laurent import LaurentPoly
+from .combinatorics import cyclic_image, eval_poly, mseg_dim
+from .fqrep import FieldContext, closed_points, point_count
 from .quiver import Quiver, _integer_kernel
 from .store import CacheStore
 
@@ -248,10 +248,6 @@ class HallPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def to_laurent(self) -> LaurentPoly:
-        """Substitute q = v^2."""
-        return LaurentPoly.from_q_poly(self.coeffs)
 
     def text(self) -> str:
         if not self.coeffs:

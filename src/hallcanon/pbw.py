@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .config import UnsupportedQuiverError, memoized
-from .fqrep import (
+from .combinatorics import (
     enumerate_msegs,
     make_cdesc,
     mseg_aperiodic,
@@ -26,7 +26,6 @@ from .fqrep import (
 )
 from .hallalg import HallEngine, _geL, nindex
 from .laurent import ONE, ZERO, invert_unitriangular, row_times
-from .partitions import partitions
 from .quiver import dim_f
 
 
@@ -90,6 +89,8 @@ class IndexSystem:
             allidx = [nindex(("m", pi)) for pi in enumerate_msegs(n, nu)]
             aper = [i for i in allidx if mseg_aperiodic(n, i[0][1])]
         else:
+            from .partitions import partitions
+
             ctx = self.engine.ctx(self.engine.cfg.primes[0])
             allidx = [
                 nindex(make_cdesc(cm=cm, cp=cp), lam)

@@ -9,17 +9,14 @@ from functools import lru_cache
 from itertools import permutations
 
 from hallcanon.canonical import CanonicalData, lusztig_solve, zeta_matrix
+from hallcanon.combinatorics import eval_poly, make_cdesc, mseg_dim, mseg_hom
 from hallcanon.config import InterpolationError
 from hallcanon.fqrep import (
     FqModule,
     _quotient_block,
     _submodule_block,
-    eval_poly,
     graded_stable_subspaces,
     hom_dim,
-    make_cdesc,
-    mseg_dim,
-    mseg_hom,
 )
 from hallcanon.hallpoly import MIN_VALIDATE
 from hallcanon.laurent import (

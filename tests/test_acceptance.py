@@ -14,8 +14,8 @@ import pytest
 
 from hallcanon.canonical import CanonicalSolver
 from hallcanon.cli import main as cli_main
+from hallcanon.combinatorics import enumerate_msegs, make_cdesc
 from hallcanon.config import JobConfig
-from hallcanon.fqrep import enumerate_msegs, make_cdesc
 from hallcanon.hallalg import HallEngine, nindex, tensor_green
 from hallcanon.laurent import ONE, ZERO, LaurentPoly
 from hallcanon.partitions import character, kostka, partitions
@@ -47,7 +47,7 @@ def test_criterion_1_quantum_serre():
         for q in (3, 5):
             for i, j in pairs:
                 ok = ok and engine.serre_sum(i, j, q).is_zero_specialized()
-    _report(1, ok and time.time() - t0 < 1, "quantum Serre relations vanish", t0)
+    _report(1, ok and time.time() - t0 < 0.8, "quantum Serre relations vanish", t0)
 
 
 def test_criterion_2_kostka_coefficients():
@@ -68,7 +68,7 @@ def test_criterion_2_kostka_coefficients():
                     ok = ok and S.u_coeff(desc) == want
     _report(
         2,
-        ok and time.time() - t0 < 0.5,
+        ok and time.time() - t0 < 0.3,
         "S_lam coefficients on distinct degree-1 points equal v^{-2|lam|} Kostka numbers",
         t0,
     )
@@ -91,7 +91,7 @@ def test_criterion_3_character_coefficients():
             ok = ok and got11 == V(-4, character(lam, (1, 1)))
     _report(
         3,
-        ok and time.time() - t0 < 0.5,
+        ok and time.time() - t0 < 0.3,
         "degree-pattern coefficients equal v^{-4} character values",
         t0,
     )
@@ -107,7 +107,7 @@ def test_criterion_4_homogeneous_generator_identity():
     H1 = nindex(make_cdesc(), (1,))
     ok = out == {H1: ONE, split: V(-2)}
     ok = ok and all(c.is_integral() for c in out.values())
-    _report(4, ok and time.time() - t0 < 0.5, "<S_0>*<S_1> = H_1 + v^-2 <S_1+S_0>", t0)
+    _report(4, ok and time.time() - t0 < 0.3, "<S_0>*<S_1> = H_1 + v^-2 <S_1+S_0>", t0)
 
 
 def test_criterion_5_hall_polynomial_validation():
@@ -265,7 +265,7 @@ def test_criterion_9_finite_type_a2():
     words = {solver.system.word_for_index(a) for a in data.pbw.order}
     ok = ok and words == {((1, 1), (2, 1)), ((2, 1), (1, 1))}
     ok = ok and all(row == {a: ONE} for a, row in data.C_over_mon.items())
-    _report(9, ok and time.time() - t0 < 1, "A_2 canonical bases certified, |nu| <= 4", t0)
+    _report(9, ok and time.time() - t0 < 0.6, "A_2 canonical bases certified, |nu| <= 4", t0)
 
 
 def test_criterion_10_determinism(shared_cache, tmp_path):

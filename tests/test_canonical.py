@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallcanon.cli import main as cli_main
+from hallcanon.combinatorics import make_cdesc, mseg_end, mseg_normalize
 from hallcanon.config import BarSolveError, BundleFormatError
-from hallcanon.fqrep import make_cdesc, mseg_end, mseg_normalize
 from hallcanon.hallalg import HallEngine, nindex
 from hallcanon.laurent import (
     ONE,

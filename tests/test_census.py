@@ -7,15 +7,14 @@ from itertools import product
 import pytest
 
 from hallcanon import fqrep, gf
+from hallcanon.combinatorics import cyclic_image, make_cdesc, mseg_dim
 from hallcanon.config import BudgetExceededError, JobConfig
 from hallcanon.fqrep import (
     FieldContext,
     FqModule,
     build_cyclic,
     census_size,
-    cyclic_image,
     graded_stable_subspaces,
-    make_cdesc,
 )
 from hallcanon.hallalg import HallEngine
 from hallcanon.partitions import partitions
@@ -528,7 +527,7 @@ def test_hall_rows_keep_rotation_and_duality(n, nu, q):
 
     def image_dim(dims, r, flip):
         semisimple = ("m", tuple(((v + 1, 1), d) for v, d in enumerate(dims) if d))
-        return fqrep.mseg_dim(n, cyclic_image(n, semisimple, r, flip)[1])
+        return mseg_dim(n, cyclic_image(n, semisimple, r, flip)[1])
 
     for dL in ctx.classes(nu):
         for nuN in dims_upto(nu):

@@ -667,7 +667,7 @@ def test_sample_pool_is_checked_before_any_word_is_lifted(capsys, monkeypatch):
 def test_quiver_kind_is_classified_once_per_quiver(capsys, monkeypatch):
     # A Kronecker (2,2) run builds a field context at each sample field;
     # the kind, delta and admissible sequence are worked out once for all.
-    from hallcanon import fqrep
+    from hallcanon import combinatorics
     from hallcanon.quiver import Quiver
 
     calls = []
@@ -678,7 +678,7 @@ def test_quiver_kind_is_classified_once_per_quiver(capsys, monkeypatch):
         return finite_type(self)
 
     monkeypatch.setattr(Quiver, "is_finite_type", counting)
-    fqrep._quiver_kind.cache_clear()
+    combinatorics._quiver_kind.cache_clear()
     code, out = run_cli(capsys, "canonical", "--quiver", "kronecker", "--dim", "2,2")
     assert code == 0 and json.loads(out)["certificates"]["ok"]
     assert calls == ["kronecker"]
@@ -728,6 +728,7 @@ print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 # hashlib loads OpenSSL and dataclasses loads inspect, ast and dis: several
 # MB of a leg's peak memory, which only a run with a store needs (sha256).
 UNUSED_WITHOUT_STORE = {"hashlib", "_hashlib", "dataclasses"}
+CYCLIC_UNUSED = {f"hallcanon.{m}" for m in ("gf", "fqrep", "hallpoly")}
 
 
 @pytest.mark.parametrize(
@@ -747,13 +748,26 @@ UNUSED_WITHOUT_STORE = {"hashlib", "_hashlib", "dataclasses"}
         ("canonical-warm", {"dataclasses"} | {
             f"hallcanon.{m}" for m in ("fqrep", "gf", "hallalg", "hallpoly", "pbw")
         }, {"hashlib", "hallcanon.store"}),
+        # every Hall number a cyclic run needs is a closed form, so a cold
+        # run loads no field layer, with or without a store
+        ("canonical-cyclic", UNUSED_WITHOUT_STORE | CYCLIC_UNUSED, {"hallcanon.combinatorics"}),
+        ("canonical-cyclic-store", {"dataclasses"} | CYCLIC_UNUSED, {"hashlib"}),
     ],
-    ids=["canonical", "hallpoly", "verify", "canonical-store", "canonical-warm"],
+    ids=[
+        "canonical",
+        "hallpoly",
+        "verify",
+        "canonical-store",
+        "canonical-warm",
+        "canonical-cyclic",
+        "canonical-cyclic-store",
+    ],
 )
 def test_leg_loads_only_what_it_runs(tmp_path, monkeypatch, leg, absent, present):
     monkeypatch.delenv("HALLCANON_CACHE", raising=False)
     bundle = tmp_path / "bundle.json"
     canonical = ["canonical", "--quiver", "kronecker", "--dim", "2,2", "--out", str(bundle)]
+    cyclic = ["canonical", "--quiver", "cyclic:3", "--dim", "2,2,1", "--out", str(bundle)]
     argv = {
         "canonical": canonical,
         "hallpoly": ["hallpoly", "--quiver", "jordan", "--L", "[[1,1,2]]",
@@ -761,6 +775,8 @@ def test_leg_loads_only_what_it_runs(tmp_path, monkeypatch, leg, absent, present
         "verify": ["verify", "--bundle", str(bundle)],
         "canonical-store": canonical + ["--cache-dir", str(tmp_path / "store")],
         "canonical-warm": canonical + ["--cache-dir", str(tmp_path / "store")],
+        "canonical-cyclic": cyclic,
+        "canonical-cyclic-store": cyclic + ["--cache-dir", str(tmp_path / "store")],
     }[leg]
     if leg == "verify":
         assert main(canonical) == 0
@@ -781,7 +797,7 @@ def test_leg_loads_only_what_it_runs(tmp_path, monkeypatch, leg, absent, present
     assert present <= modules
     if leg == "verify":
         assert json.loads(run.stdout.splitlines()[0])["ok"]
-    if leg in ("canonical-store", "canonical-warm"):
+    if leg.endswith(("-store", "-warm")):
         assert list((tmp_path / "store").rglob("*.json"))
 
 

@@ -6,18 +6,11 @@ from itertools import product
 
 import pytest
 
+import hallcanon.combinatorics as combinatorics
 import hallcanon.fqrep as fqrep
-from hallcanon.config import BudgetExceededError, memoized
-from hallcanon.fqrep import (
-    FieldContext,
-    FqModule,
-    aut_order,
+from hallcanon.combinatorics import (
     bounded_multisets,
-    build_cyclic,
-    closed_points,
     enumerate_msegs,
-    graded_stable_subspaces,
-    hom_dim,
     make_cdesc,
     mseg_aperiodic,
     mseg_dim,
@@ -25,6 +18,16 @@ from hallcanon.fqrep import (
     mseg_hom,
     mseg_normalize,
     mseg_peel_top,
+)
+from hallcanon.config import BudgetExceededError, memoized
+from hallcanon.fqrep import (
+    FieldContext,
+    FqModule,
+    aut_order,
+    build_cyclic,
+    closed_points,
+    graded_stable_subspaces,
+    hom_dim,
     point_count,
     reflect_module,
     simple_module,
@@ -435,7 +438,7 @@ def test_pencil_ranks_match_hom_profiles(q, reverse):
 def test_pencil_ranks_at_repeated_points_of_degree_two(q, nu):
     # Below (4, 4) no point of degree >= 2 repeats, so the Toeplitz ranks
     # run only at degree 1 there.
-    from hallcanon.fqrep import point_degree
+    from hallcanon.combinatorics import point_degree
 
     ctx = ctx_kron(q)
     picked = [
@@ -633,9 +636,11 @@ def test_memoized_caches_per_instance_and_never_an_error():
 
 def test_field_contexts_share_no_memo_entries(monkeypatch):
     listed = []
-    enumerate_msegs = fqrep.enumerate_msegs
+    enumerate_msegs = combinatorics.enumerate_msegs
     monkeypatch.setattr(
-        fqrep, "enumerate_msegs", lambda n, nu: listed.append(nu) or enumerate_msegs(n, nu)
+        combinatorics,
+        "enumerate_msegs",
+        lambda n, nu: listed.append(nu) or enumerate_msegs(n, nu),
     )
     a, b = ctx_cyclic(2, 3), ctx_cyclic(2, 3)
     nu = (2, 1)

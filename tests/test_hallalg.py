@@ -6,16 +6,18 @@ import pytest
 
 from hallcanon import hallalg, hallpoly
 from hallcanon.canonical import CanonicalSolver
-from hallcanon.config import InterpolationError, JobConfig
-from hallcanon.fqrep import (
-    FieldContext,
+from hallcanon.combinatorics import (
     enumerate_msegs,
-    hom_dim,
     make_cdesc,
     mseg_aperiodic,
     mseg_dim,
     mseg_normalize,
     mseg_socle_extensions,
+)
+from hallcanon.config import InterpolationError, JobConfig
+from hallcanon.fqrep import (
+    FieldContext,
+    hom_dim,
     reflect_module,
 )
 from hallcanon.hallalg import (
@@ -218,15 +220,17 @@ def monomial_words(system, dims):
 )
 def test_word_degree_bound_caps_the_fitted_degree(monkeypatch, quiver, dims):
     # Each monomial word is lifted by one sample_and_fit call, and no
-    # coefficient it fits has a q-degree above D(word).
+    # coefficient it fits has a q-degree above D(word).  ``lift_family``
+    # imports sample_and_fit from hallpoly when it runs.
     fitted = []
+    fit = hallpoly.sample_and_fit
 
     def recording(primes, sample, cap=None):
-        out = hallpoly.sample_and_fit(primes, sample, cap)
+        out = fit(primes, sample, cap)
         fitted.append(max((len(p.coeffs) - 1 for p in out.values()), default=-1))
         return out
 
-    monkeypatch.setattr(hallalg, "sample_and_fit", recording)
+    monkeypatch.setattr(hallpoly, "sample_and_fit", recording)
     system = IndexSystem(HallEngine(quiver, JobConfig(cache_dir=None)))
     for word in monomial_words(system, dims):
         fitted.clear()
@@ -601,7 +605,7 @@ def test_green_compatibility_small(cyc2):
     # (x, y*y') = (r(x), y (x) y') for class elements at q = 5.
     q = 5
     rng = random.Random(3)
-    from hallcanon.fqrep import enumerate_msegs
+    from hallcanon.combinatorics import enumerate_msegs
 
     small = [mdesc(*segs) for segs in []]
     pool1 = [("m", pi) for pi in enumerate_msegs(2, (1, 0))] + [
@@ -690,7 +694,7 @@ def test_field_associativity_bulk(cyc2):
     import random as _random
 
     rng = _random.Random(42)
-    from hallcanon.fqrep import enumerate_msegs, mseg_dim
+    from hallcanon.combinatorics import enumerate_msegs, mseg_dim
 
     pool = []
     for nu in [(1, 0), (0, 1), (1, 1)]:

@@ -13,7 +13,7 @@ from hallcanon.config import (
 )
 from hallcanon import fqrep, hallpoly, store
 from hallcanon.canonical import CanonicalSolver
-from hallcanon.fqrep import eval_poly, make_cdesc, mseg_normalize
+from hallcanon.combinatorics import eval_poly, make_cdesc, mseg_normalize
 from hallcanon.hallalg import HallEngine
 from hallcanon.hallpoly import (
     HallPolyEngine,

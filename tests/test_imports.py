@@ -22,6 +22,7 @@ UNCALLED_ALLOWED = {
     "hallalg.tensor_green": "acceptance API: criterion 6",
     "hallpoly.HallPolyEngine.check_at": "acceptance API: criterion 5",
     "fqrep.aut_order": "traced name: perfbench/tracing.py TARGETS",
+    "hallpoly.HallPolyEngine.aut_polynomial": "traced name: perfbench/tracing.py TARGETS",
     "hallpoly.fit_rational_function": "traced name: perfbench/tracing.py TARGETS",
     "cli._Parser.error": "argparse override: argparse calls it on each usage error",
     "config.JobConfig._make": "namedtuple override: _replace calls it",

@@ -3,9 +3,7 @@ import itertools
 import pytest
 
 import hallcanon.pbw as pbw
-from hallcanon.config import UnsupportedQuiverError
-from hallcanon.fqrep import (
-    FieldContext,
+from hallcanon.combinatorics import (
     enumerate_msegs,
     make_cdesc,
     mseg_aperiodic,
@@ -14,6 +12,8 @@ from hallcanon.fqrep import (
     mseg_extend_top,
     mseg_normalize,
 )
+from hallcanon.config import UnsupportedQuiverError
+from hallcanon.fqrep import FieldContext
 from hallcanon.hallalg import HallEngine, nindex
 from hallcanon.hallpoly import HallPolyEngine
 from hallcanon.laurent import ONE, LaurentPoly
