@@ -367,8 +367,9 @@ class CombinatorialContext:
     Dimensions, Homs, End and |Aut| of classes are read off their
     descriptors.  On a cyclic quiver so are its classes, the multisegments,
     and the Hall rows that ``hall_row`` gives in closed form.  A row that
-    needs a census comes from ``field_context()``, this field's
-    ``fqrep.FieldContext``, which ``HallEngine.ctx`` builds on first need.
+    needs a census comes from ``field_context()``, which returns this
+    field's ``fqrep.FieldContext``; ``HallEngine.ctx`` passes one that
+    builds it on first need.
     ``FieldContext`` extends this class with GF(q), closed points,
     building, classification and the census, which it runs itself.
 

@@ -214,7 +214,8 @@ class HallEngine:
     def ctx(self, q: int) -> CombinatorialContext:
         """The context at GF(q).  A cyclic quiver gets the combinatorial one,
         which hands a row that needs a census to the field's FieldContext
-        (``polyeng.ctx``), built on first need; other kinds get that."""
+        (``polyeng.ctx``), built on first need; other kinds get the
+        FieldContext itself."""
         if self.kind == "cyclic":
             return CombinatorialContext(self.quiver, q, self.cfg, lambda: self.polyeng.ctx(q))
         return self.polyeng.ctx(q)
