@@ -8,8 +8,8 @@ The package computes, over the exact ring Z[v, v^-1]:
 * explicit representations over small finite fields, submodule censuses
   and Hall numbers (``gf``, ``fqrep``),
 * Hall polynomials in q by exact multi-prime interpolation (``hallpoly``),
-* the generic extended composition algebra, Green's bilinear form and the
-  coproduct (``hallalg``),
+* the generic extended composition algebra and Green's bilinear form
+  (``hallalg``),
 * index sets, monomial bases and the inductive PBW basis (``pbw``),
 * the bar-invariant canonical basis by Lusztig's triangular method and by
   the truncation algorithm, with machine-checkable certificates

@@ -170,7 +170,8 @@ class CanonicalSolver:
     # -- serialization ------------------------------------------------------------
 
     def _matrices(self, cdata: CanonicalData) -> dict:
-        """The indices, words and matrices of a bundle, in JSON form."""
+        """The quiver, dimension vector, indices, words and matrices of a
+        bundle, in JSON form."""
         from .hallalg import nindex_json
 
         pbw = cdata.pbw
@@ -190,6 +191,8 @@ class CanonicalSolver:
 
         gram = self.gram_E(pbw.nu)
         return {
+            "quiver": self.engine.quiver.to_json(),
+            "dim": list(pbw.nu),
             "indices": [nindex_json(a) for a in order],
             "n_indices": [nindex_json(a) for a in all_idx],
             "monomial_words": [
@@ -219,9 +222,7 @@ class CanonicalSolver:
         report = self.verify(nu, cdata, matrices)
         return {
             "schema": BUNDLE_SCHEMA,
-            "quiver": self.engine.quiver.to_json(),
             "quiver_name": self.engine.quiver.name,
-            "dim": list(nu),
             **matrices,
             "certificates": {
                 key: report[key]
@@ -246,6 +247,9 @@ class CanonicalSolver:
 
 
 _VERIFIED_KEYS = (
+    "quiver",
+    "dim",
+    "monomial_words",
     "indices",
     "n_indices",
     "g",
@@ -328,6 +332,38 @@ def _bundle_gram(bundle, n) -> dict:
     return gram
 
 
+def _label(x) -> bool:
+    return isinstance(x, (int, str)) and not isinstance(x, bool)
+
+
+def _distinct_words_of_weight(bundle, n) -> bool:
+    """Whether the n ``monomial_words`` are pairwise distinct and each has
+    weight ``dim``: its letters' multiplicities, summed per vertex of
+    ``quiver``, are ``dim``.  A malformed quiver, dim or word raises
+    ``BundleFormatError``."""
+    quiver, dim, words = bundle["quiver"], bundle["dim"], bundle["monomial_words"]
+    vertices = quiver.get("vertices") if isinstance(quiver, dict) else None
+    if not (isinstance(vertices, list) and vertices and all(map(_label, vertices))):
+        raise BundleFormatError("quiver: vertices are not a list of integer or string labels")
+    if len(set(vertices)) != len(vertices):
+        raise BundleFormatError("quiver: a vertex label repeats")
+    if not (isinstance(dim, list) and len(dim) == len(vertices)) or not all(
+        type(x) is int and x >= 0 for x in dim
+    ):
+        raise BundleFormatError(f"dim: not {len(vertices)} integers >= 0")
+    if not (isinstance(words, list) and len(words) == n) or not all(
+        isinstance(w, list) and all(
+            isinstance(x, list) and len(x) == 2 and _label(x[0]) and x[0] in vertices
+            and type(x[1]) is int and x[1] > 0
+            for x in w
+        )
+        for w in words
+    ):
+        raise BundleFormatError(f"monomial_words: not {n} lists of [vertex, multiplicity >= 1]")
+    distinct = len({tuple(map(tuple, w)) for w in words}) == n
+    return distinct and all([sum(a for v, a in w if v == u) for u in vertices] == dim for w in words)
+
+
 def gram_almost_orthonormal(gram) -> bool:
     """(E_a, E_b) in delta_ab + v^-1 Q[[v^-1]] for every stored pair a <= b.
 
@@ -359,8 +395,9 @@ def verify_bundle(bundle: dict) -> dict:
     ``positive`` asks that the monomials over the C, ``monomial_over_E`` *
     g^-1, have coefficients in N[v, v^-1] (Lusztig, *Introduction to Quantum
     Groups*, 14.4.13).  Both need ``g`` unitriangular with v^-1 Z[v^-1]
-    tails and are None otherwise.  A malformed bundle raises
-    ``BundleFormatError``.
+    tails and are None otherwise.  ``distinct_words_of_weight``: the
+    ``monomial_words`` are pairwise distinct and each has weight ``dim``.  A
+    malformed bundle raises ``BundleFormatError``.
     """
     if not isinstance(bundle, dict):
         raise BundleFormatError("bundle is not a JSON object")
@@ -427,8 +464,10 @@ def verify_bundle(bundle: dict) -> dict:
             for c in x.terms.values()
         )
     report["positive"] = positive
+    words = report["distinct_words_of_weight"] = _distinct_words_of_weight(bundle, n)
     report["ok"] = (
         unitri and all(bar_ok) and all(products.values()) and shape and orth and positive
+        and words
     )
     return report
 

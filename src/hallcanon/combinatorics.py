@@ -2,11 +2,12 @@
 kinds and the combinatorial context.
 
 Nothing here builds a module or touches a finite field, so a cyclic
-``canonical`` loads no ``gf``, ``fqrep`` or ``hallpoly``: every Hall number
-it needs is a closed form in the multisegments (Deng, Du and Xiao's generic
-extensions; Ringel's socle formula), and ``CombinatorialContext`` serves
-them.  ``fqrep.FieldContext`` extends that context with GF(q), closed
-points, building, classification and the submodule census.
+engine loads no ``gf``, ``fqrep`` or ``hallpoly``: every Hall number a
+cyclic ``canonical`` needs is a closed form in the multisegments (Deng, Du
+and Xiao's generic extensions; Ringel's socle formula), and
+``CombinatorialContext`` serves them; it refuses a row that needs a census.
+``fqrep.FieldContext`` extends that context with GF(q), closed points,
+building, classification and the submodule census.
 
 Iso classes are referred to by hashable descriptors:
 
@@ -367,22 +368,19 @@ class CombinatorialContext:
     Dimensions, Homs, End and |Aut| of classes are read off their
     descriptors.  On a cyclic quiver so are its classes, the multisegments,
     and the Hall rows that ``hall_row`` gives in closed form.  A row that
-    needs a census comes from ``field_context()``, which returns this
-    field's ``fqrep.FieldContext``; ``HallEngine.ctx`` passes one that
-    builds it on first need.
-    ``FieldContext`` extends this class with GF(q), closed points,
-    building, classification and the census, which it runs itself.
+    needs a census raises ``UnsupportedQuiverError``: this class builds no
+    field.  ``FieldContext`` extends it with GF(q), closed points, building,
+    classification and the census, which serves those rows.
 
     ``kind``, ``delta`` and ``seq`` are the quiver's (``quiver_kind``),
     shared by the contexts of every field.
     """
 
-    def __init__(self, quiver: Quiver, q: int, cfg: JobConfig | None = None, field_context=None):
+    def __init__(self, quiver: Quiver, q: int, cfg: JobConfig | None = None):
         self.quiver = quiver
         self.q = q
         self.cfg = cfg or JobConfig.default()
         self.kind, self.delta, self.seq = quiver_kind(quiver)
-        self.field_context = field_context
 
     # -- dimensions and homs -------------------------------------------
 
@@ -520,13 +518,11 @@ class CombinatorialContext:
         return self._census_row(descL, nuN, nuM)
 
     def _census_row(self, descL, nuN, nuM) -> dict:
-        """A row with no closed form here: ``field_context()``'s census."""
-        if self.field_context is None:
-            raise UnsupportedQuiverError(
-                f"the Hall row of {descL} at dim N = {nuN}, dim M = {nuM} needs "
-                f"a census over GF({self.q})"
-            )
-        return self.field_context().hall_row(descL, nuN)
+        """A row with no closed form: only ``FieldContext`` runs a census."""
+        raise UnsupportedQuiverError(
+            f"the Hall row of {descL} at dim N = {nuN}, dim M = {nuM} needs "
+            f"a census over GF({self.q})"
+        )
 
     def _one_vertex_row(self, descL, nuN, nuM) -> dict:
         """``hall_row`` of a cyclic L (n >= 2) when dim N or dim M is a e_i.

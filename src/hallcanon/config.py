@@ -43,10 +43,6 @@ class InterpolationError(HallcanonError):
     """No polynomial of admissible degree fits the counted samples."""
 
 
-class HallPolynomialContradiction(HallcanonError):
-    """A previously validated polynomial disagrees with a fresh count."""
-
-
 class ClassificationError(HallcanonError):
     """A module could not be matched to exactly one iso-class descriptor."""
 

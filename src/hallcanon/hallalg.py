@@ -11,17 +11,19 @@ written as pairs (frame, lam) where frame is a homogeneous-free class
 descriptor.  Ext^1 vanishes from each factor to the ones on its right and
 Hom from the right factors to the left ones, so both products are direct
 sums with Hall number 1 and v-twist 0: N is S_lam with M(c_-) and M(c_+)
-added to each class.  Products and monomials are computed at several sample
-fields, expanded over the N family by a solve against the Kostka matrix at
-probe classes, and lifted to Z[v, v^-1] by exact interpolation of each
+added to each class.  Monomials are computed at several sample fields,
+expanded over the N family by a solve against the Kostka matrix at probe
+classes, and lifted to Z[v, v^-1] by exact interpolation of each
 coefficient as a polynomial in q = v^2, validated on held-out fields.  On a
 cyclic quiver a monomial needs no field: a product by <S_i^(a)> has closed
 Hall numbers (``combinatorics.mseg_socle_extensions``), and the field path
 is a check at the smallest sample field.  That check runs on the
 combinatorial context (``HallEngine.ctx``), whose Hall rows by <S_i^(a)> are
-the socle formula read backwards (``combinatorics.mseg_socle_quotients``),
-so a cyclic run loads no ``gf``, ``fqrep`` or ``hallpoly``: those, and
-``partitions``, are imported on the field path only.
+the socle formula read backwards (``combinatorics.mseg_socle_quotients``).
+That context builds no field and refuses a row that needs a census, so a
+cyclic engine never loads ``gf``, ``fqrep`` or ``hallpoly``: those, and
+``partitions``, are imported on the field path only.  On the Jordan quiver
+the check itself needs a census, so ``generic_word`` refuses there.
 
 The Green form needs no field: (S_lam, S_mu) is a closed form over the
 character table of S_m (``HallEngine.s_gram``); frames give |Aut| factors
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 
 from .combinatorics import (
     CombinatorialContext,
@@ -76,11 +77,6 @@ def nindex_json(idx):
 # ---------------------------------------------------------------------------
 
 
-def _vanishes_at(terms: dict, q: int) -> bool:
-    """Does every coefficient of a sparse row vanish at v = sqrt(q)?  Exact."""
-    return all(c.eval_sqrt(q) == (0, 0) for c in terms.values())
-
-
 class FieldElement:
     """Sparse sum of normalized classes <M> with LaurentPoly coefficients."""
 
@@ -114,14 +110,6 @@ class FieldElement:
                 add_scaled(out, row, cA * cB)
         return FieldElement(ctx, out)
 
-    def u_coeff(self, desc) -> LaurentPoly:
-        """Coefficient on the raw class symbol u_[M]."""
-        c = self.terms.get(desc)
-        if not c:
-            return ZERO
-        shift = -sum(self.ctx.desc_dim(desc)) + self.ctx.end(desc)
-        return c * LaurentPoly.v_power(shift)
-
     def grading(self):
         dims = {self.ctx.desc_dim(d) for d in self.terms}
         if len(dims) > 1:
@@ -134,7 +122,8 @@ class FieldElement:
 
     def is_zero_specialized(self) -> bool:
         """Does the element vanish at v = sqrt(q)?  Exact rational test."""
-        return _vanishes_at(self.terms, self.ctx.q)
+        q = self.ctx.q
+        return all(c.eval_sqrt(q) == (0, 0) for c in self.terms.values())
 
     def __repr__(self):
         inner = ", ".join(f"{d}: {c.text()}" for d, c in sorted(self.terms.items()))
@@ -213,14 +202,16 @@ class HallEngine:
     @memoized
     def ctx(self, q: int) -> CombinatorialContext:
         """The context at GF(q).  A cyclic quiver gets the combinatorial one,
-        which hands a row that needs a census to the field's FieldContext
-        (``polyeng.ctx``), built on first need; other kinds get the
-        FieldContext itself."""
+        which builds no field and refuses a Hall row that needs a census;
+        other kinds get the field's FieldContext (``polyeng.ctx``)."""
         if self.kind == "cyclic":
-            return CombinatorialContext(self.quiver, q, self.cfg, lambda: self.polyeng.ctx(q))
+            return CombinatorialContext(self.quiver, q, self.cfg)
         return self.polyeng.ctx(q)
 
     # -- field-level constructions ----------------------------------------
+
+    def zero_frame(self):
+        return ("m", ()) if self.kind == "cyclic" else make_cdesc()
 
     def unit(self, q: int) -> FieldElement:
         return FieldElement(self.ctx(q), {self.zero_frame(): ONE})
@@ -429,21 +420,6 @@ class HallEngine:
             terms = out
         return {nindex(("m", pi)): c for pi, c in sorted(terms.items())}
 
-    @memoized
-    def nmul(self, i1, i2) -> dict:
-        """Generic structure constants N_{i1} * N_{i2} over the N family."""
-        out = self.lift_family(
-            lambda q: self.express_in_N(self.n_field(i1, q) * self.n_field(i2, q))
-        )
-        # Support constraint: c_- >=_L first factor's, c_+ >=_L second's.
-        f1, _ = i1
-        f2, _ = i2
-        if f1[0] == "c":
-            for (frame, _lam) in out:
-                assert _geL(frame[1], f1[1]), "preprojective support violated"
-                assert _geL(frame[3], f2[3], positive=True), "preinjective support violated"
-        return out
-
     # -- Green form ------------------------------------------------------------
 
     @memoized
@@ -514,115 +490,3 @@ class HallEngine:
                 if g:
                     out = out + RationalFn(c1 * c2) * g
         return out
-
-    # -- field-level Green form and coproduct -------------------------------
-
-    def green_field(self, x: FieldElement, y: FieldElement) -> LaurentPoly:
-        """(x, y) at a fixed field; Fraction-coefficient Laurent polynomial."""
-        ctx = x.ctx
-        out = ZERO
-        for d in set(x.terms) & set(y.terms):
-            c = x.terms[d] * y.terms[d]
-            val = LaurentPoly.v_power(2 * ctx.end(d), Fraction(1, ctx.aut(d)))
-            out = out + c * val
-        return out
-
-    def coproduct(self, x: FieldElement) -> "TensorElement":
-        """Green's coproduct of a field-level element."""
-        ctx = x.ctx
-        out: dict = {}
-        euler = ctx.quiver.euler_form
-        for dL, cL in x.terms.items():
-            aL, endL = ctx.aut(dL), ctx.end(dL)
-            row = {
-                (dM, dN): LaurentPoly.v_power(
-                    euler(ctx.desc_dim(dM), ctx.desc_dim(dN)) + endL - ctx.end(dM) - ctx.end(dN),
-                    Fraction(g * ctx.aut(dM) * ctx.aut(dN), aL),
-                )
-                for nuN in product(*(range(v + 1) for v in ctx.desc_dim(dL)))
-                for (dM, dN), g in ctx.hall_row(dL, nuN).items()
-            }
-            add_scaled(out, row, cL)
-        return TensorElement(ctx, out)
-
-    # -- relations -----------------------------------------------------------
-
-    def zero_frame(self):
-        return ("m", ()) if self.kind == "cyclic" else make_cdesc()
-
-    def serre_sum(self, li, lj, q: int) -> FieldElement:
-        """sum_{s+r=1-(i,j)} (-1)^s u_i^{(s)} u_j u_i^{(r)} (vanishes in H*)."""
-        Q = self.quiver
-        ii, jj = Q.index[li], Q.index[lj]
-        e_i = tuple(1 if k == ii else 0 for k in range(Q.n))
-        e_j = tuple(1 if k == jj else 0 for k in range(Q.n))
-        nrel = 1 - Q.symmetric_form(e_i, e_j)
-        out: dict = {}
-        for s in range(nrel + 1):
-            term = self.word_element(((li, s), (lj, 1), (li, nrel - s)), q)
-            add_scaled(out, term.terms, (-1) ** s)
-        return FieldElement(self.ctx(q), out)
-
-
-class TensorElement:
-    """Element of H* (x) H* with the twisted multiplication."""
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: CombinatorialContext, terms=None):
-        self.ctx = ctx
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    def __add__(self, other):
-        return TensorElement(self.ctx, add_scaled(dict(self.terms), other.terms, ONE))
-
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        ctx = self.ctx
-        sym = ctx.quiver.symmetric_form
-        out: dict = {}
-        for (a1, a2), c in self.terms.items():
-            for (b1, b2), d in other.terms.items():
-                twist = sym(ctx.desc_dim(a2), ctx.desc_dim(b1))
-                left = FieldElement(ctx, {a1: ONE}) * FieldElement(ctx, {b1: ONE})
-                right = FieldElement(ctx, {a2: ONE}) * FieldElement(ctx, {b2: ONE})
-                row = {
-                    (dL, dR): cL * cR
-                    for dL, cL in left.terms.items()
-                    for dR, cR in right.terms.items()
-                }
-                add_scaled(out, row, c * d * LaurentPoly.v_power(twist))
-        return TensorElement(ctx, out)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.terms == other.terms
-
-    def eval_eq(self, other: "TensorElement") -> bool:
-        """Equality after specializing v to sqrt(q); exact."""
-        return _vanishes_at(add_scaled(dict(self.terms), other.terms, -1), self.ctx.q)
-
-
-def tensor_green(engine: HallEngine, t: TensorElement, y: FieldElement, z: FieldElement):
-    """(t, y (x) z) with the product form on tensors."""
-    out = ZERO
-    ctx = t.ctx
-    for (d1, d2), c in t.terms.items():
-        g1 = engine.green_field(FieldElement(ctx, {d1: ONE}), y)
-        if not g1:
-            continue
-        g2 = engine.green_field(FieldElement(ctx, {d2: ONE}), z)
-        if not g2:
-            continue
-        out = out + c * g1 * g2
-    return out
-
-
-def _geL(cfun, dfun, positive=False) -> bool:
-    """Lexicographic >=_L on multiplicity functions (t<=0 side by default)."""
-    cd = dict(cfun)
-    dd = dict(dfun)
-    ts = sorted(set(cd) | set(dd), key=(lambda t: t) if positive else (lambda t: -t))
-    for t in ts:
-        a, b = cd.get(t, 0), dd.get(t, 0)
-        if a != b:
-            return a > b
-    return True

@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .config import (
-    HallPolynomialContradiction,
     InsufficientPointsError,
     InterpolationError,
     JobConfig,
@@ -243,9 +242,6 @@ class HallPolynomial:
         self.validations = tuple((int(q), int(v)) for q, v in validations)
         self.min_q = min_q
 
-    def eval(self, q: int) -> int:
-        return eval_poly(self.coeffs, q)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -412,13 +408,3 @@ class HallPolyEngine:
         # sum_v n_v (l_v - n_v) in q, so that degree caps the fit.
         cap = sum(n * (l - n) for l, n in zip(nuL, nuN))
         return sample_and_fit(qs, lambda q: {key: self._count_hall(key, q)}, cap)[key]
-
-    def check_at(self, poly: HallPolynomial, descL, descM, descN, q: int):
-        """Recount at a fresh field; a mismatch is a hard contradiction."""
-        key = ("hall",) + abstract_triple(descL, descM, descN)
-        cnt = self._count_hall(key, q)
-        if cnt != poly.eval(q):
-            raise HallPolynomialContradiction(
-                f"validated polynomial {poly.text()} disagrees at q={q}: {cnt}"
-            )
-        return True

@@ -24,7 +24,7 @@ from .combinatorics import (
     mseg_normalize,
     mseg_peel_top,
 )
-from .hallalg import HallEngine, _geL, nindex
+from .hallalg import HallEngine, nindex
 from .laurent import ONE, ZERO, invert_unitriangular, row_times
 from .quiver import dim_f
 
@@ -111,58 +111,43 @@ class IndexSystem:
     # -- the partial order ---------------------------------------------------
 
     def strictly_less(self, a, b) -> bool:
-        """(c', t_lam') < (c, t_lam) in the index order; a is the primed one."""
-        fa, la = a
-        fb, lb = b
+        """(c', t_lam') < (c, t_lam) in the index order; a is the primed one.
+
+        Multisegments compare by degeneration (``mseg_leq_G``).  Acyclic
+        indices compare by their (c_-, c_+) data in >=_L on both sides, then,
+        for equal data, by |lam|, and a larger lam in lex order is smaller.
+        """
+        (fa, la), (fb, lb) = a, b
         if a == b:
             return False
-        cma, c0a, cpa = _frame_parts_of(fa)
-        cmb, c0b, cpb = _frame_parts_of(fb)
-        ge_minus = _geL(cma, cmb)
-        ge_plus = _geL(cpa, cpb, positive=True)
-        if ge_minus and ge_plus and (cma != cmb or cpa != cpb):
-            return True
-        if cma != cmb or cpa != cpb:
-            return False
-        ma, mb = sum(la), sum(lb)
-        if ma < mb:
-            return True
-        if ma > mb:
-            return False
-        if c0a != c0b:
-            n = self.quiver.n
-            le = all(
-                mseg_leq_G(n, pa, pb) for pa, pb in zip(c0a, c0b)
-            )
-            return le
-        return la > lb  # larger lexicographic partition is smaller
+        if self.kind == "cyclic":
+            return mseg_leq_G(self.quiver.n, fa[1], fb[1])
+        _, cma, _, cpa, _ = fa
+        _, cmb, _, cpb, _ = fb
+        if (cma, cpa) != (cmb, cpb):
+            return _geL(cma, cmb) and _geL(cpa, cpb, positive=True)
+        if sum(la) != sum(lb):
+            return sum(la) < sum(lb)
+        return la > lb
 
     def sort_key(self, idx):
+        """A linear extension of ``strictly_less``: a multisegment pi by
+        (-dim End M(pi), pi); an acyclic index by its negated (c_-, c_+)
+        multiplicities, then |lam|, then lam negated."""
         frame, lam = idx
-        cm, c0, cp, window = self._key_parts(idx)
-        kcm = tuple(-cm.get(t, 0) for t in window[0])
-        kcp = tuple(-cp.get(t, 0) for t in window[1])
-        kc0 = tuple((-mseg_end(self.quiver.n, pi), pi) for pi in c0)
-        klam = tuple(-x for x in lam)
-        return (kcm + kcp, sum(lam), kc0, klam)
-
-    def _key_parts(self, idx):
-        frame, lam = idx
-        if frame[0] == "m":
-            return {}, (frame[1],), {}, ((), ())
-        _, cm, c0, cp, _ = frame
+        if self.kind == "cyclic":
+            return (-mseg_end(self.quiver.n, frame[1]), frame[1])
+        _, cm, _, cp, _ = frame
         # The window is the beta ranges of the index's own dimension vector
         # nu: a t outside them has multiplicity 0 in every index of
         # dimension nu, and keys within one nu are comparable tuples.
-        ctx = self.engine.ctx(self.engine.cfg.primes[0])
-        nu = ctx.desc_dim(frame)
+        nu = self.engine.ctx(self.engine.cfg.primes[0]).desc_dim(frame)
         if lam:
             nu = tuple(a + sum(lam) * d for a, d in zip(nu, self.engine.delta))
-        window = (
-            tuple(self.engine.seq.preprojective_range(nu)),
-            tuple(self.engine.seq.preinjective_range(nu)),
-        )
-        return dict(cm), c0, dict(cp), window
+        seq, cm, cp = self.engine.seq, dict(cm), dict(cp)
+        kc = tuple(-cm.get(t, 0) for t in seq.preprojective_range(nu))
+        kc += tuple(-cp.get(t, 0) for t in seq.preinjective_range(nu))
+        return (kc, sum(lam), tuple(-x for x in lam))
 
     # -- distinguished words (cyclic engine) ----------------------------------
 
@@ -309,8 +294,9 @@ def _glued_peels(n: int, pi):
                     yield i, a, peeled
 
 
-def _frame_parts_of(frame):
-    if frame[0] == "m":
-        return (), (frame[1],), ()
-    _, cm, c0, cp, _ = frame
-    return cm, c0, cp
+def _geL(cfun, dfun, positive=False) -> bool:
+    """Lexicographic >=_L on multiplicity functions: t ascending if
+    ``positive``, else t descending from 0."""
+    cd, dd = dict(cfun), dict(dfun)
+    diffs = (cd.get(t, 0) - dd.get(t, 0) for t in sorted({*cd, *dd}, reverse=not positive))
+    return next((d > 0 for d in diffs if d), True)

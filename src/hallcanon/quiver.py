@@ -21,6 +21,8 @@ class Quiver:
 
     def __init__(self, vertices, arrows, name=None):
         self.vertices = tuple(vertices)
+        if not self.vertices:
+            raise ValueError("a quiver needs at least one vertex")
         self.index = {v: i for i, v in enumerate(self.vertices)}
         if len(self.index) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
@@ -265,8 +267,6 @@ def kronecker() -> Quiver:
 
 def cyclic(n: int) -> Quiver:
     """Cyclic quiver on vertices 1..n with arrows i -> i+1 (mod n)."""
-    if n < 1:
-        raise ValueError("cyclic quiver needs at least one vertex")
     vs = tuple(range(1, n + 1))
     arrows = [(i, (i % n) + 1) for i in vs]
     return Quiver(vs, arrows, name=f"cyclic:{n}")

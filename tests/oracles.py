@@ -1,12 +1,14 @@
 """Reference implementations that several test modules check the package against.
 
 None of these runs in the pipeline: each is the direct, slow or classical
-form of something the package computes another way.
+form of something the package computes another way, or a check of the
+algebra the pipeline rests on (Green's coproduct and form, quantum Serre
+sums, structure constants over the N family).
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 from hallcanon.canonical import CanonicalData, lusztig_solve, zeta_matrix
 from hallcanon.combinatorics import eval_poly, make_cdesc, mseg_dim, mseg_hom
@@ -18,7 +20,9 @@ from hallcanon.fqrep import (
     graded_stable_subspaces,
     hom_dim,
 )
+from hallcanon.hallalg import FieldElement
 from hallcanon.hallpoly import MIN_VALIDATE
+from hallcanon.pbw import _geL
 from hallcanon.laurent import (
     ONE,
     ZERO,
@@ -60,6 +64,128 @@ def qbinom(m: int, n: int) -> LaurentPoly:
     out = qfact(m).exact_div(qfact(n) * qfact(m - n))
     if not out.is_integral():
         raise ArithmeticError("Gaussian binomial division was not exact")
+    return out
+
+
+# -- field-level elements and the algebra's checks --------------------------
+#
+# Each counts on the field's own context, engine.polyeng.ctx(q), where every
+# Hall row has a census; a cyclic engine's context counts only closed forms.
+
+
+def field_class(engine, desc, q: int) -> FieldElement:
+    """<M> for the class desc at GF(q), on the field's context."""
+    return FieldElement(engine.polyeng.ctx(q), {desc: ONE})
+
+
+def field_word(engine, word, q: int) -> FieldElement:
+    """The monomial u_{i_1}^(a_1) u_{i_2}^(a_2) ... at GF(q), on the field's context."""
+    out = field_class(engine, engine.zero_frame(), q)
+    for label, a in word:
+        out = out * field_class(engine, engine.simple_power_desc(label, a), q)
+    return out
+
+
+def u_coeff(x: FieldElement, desc) -> LaurentPoly:
+    """x's coefficient on the raw class symbol u_[M]: <M> = v^(dim End M - dim M) u_[M]."""
+    ctx = x.ctx
+    return x.terms.get(desc, ZERO) * LaurentPoly.v_power(ctx.end(desc) - sum(ctx.desc_dim(desc)))
+
+
+def serre_sum(engine, i, j, q: int) -> FieldElement:
+    """sum_{s+r=1-(i,j)} (-1)^s u_i^(s) u_j u_i^(r) at GF(q); it vanishes at
+    v = sqrt(q) (the quantum Serre relation)."""
+    Q = engine.quiver
+    e_i, e_j = (tuple(int(k == Q.index[x]) for k in range(Q.n)) for x in (i, j))
+    nrel = 1 - Q.symmetric_form(e_i, e_j)
+    out: dict = {}
+    for s in range(nrel + 1):
+        add_scaled(out, engine.word_element(((i, s), (j, 1), (i, nrel - s)), q).terms, (-1) ** s)
+    return FieldElement(engine.ctx(q), out)
+
+
+@lru_cache(maxsize=None)
+def nmul(engine, i1, i2) -> dict:
+    """N_{i1} * N_{i2} over the N family, lifted from the field products.
+
+    Its support is asserted: on an acyclic quiver every frame has c_- >=_L
+    the first factor's and c_+ >=_L the second's.
+    """
+    out = engine.lift_family(
+        lambda q: engine.express_in_N(engine.n_field(i1, q) * engine.n_field(i2, q))
+    )
+    (f1, _), (f2, _) = i1, i2
+    for frame, _ in out if f1[0] == "c" else ():
+        assert _geL(frame[1], f1[1]) and _geL(frame[3], f2[3], positive=True), (i1, i2, frame)
+    return out
+
+
+def green_field(engine, x: FieldElement, y: FieldElement) -> LaurentPoly:
+    """Green's form (x, y) = sum_M x_M y_M v^(2 dim End M) / |Aut M| at x's field."""
+    ctx = engine.polyeng.ctx(x.ctx.q)
+    out = ZERO
+    for d in set(x.terms) & set(y.terms):
+        val = LaurentPoly.v_power(2 * ctx.end(d), Fraction(1, ctx.aut(d)))
+        out = out + x.terms[d] * y.terms[d] * val
+    return out
+
+
+class TensorElement:
+    """Element of H* (x) H* with the twisted multiplication."""
+
+    def __init__(self, ctx, terms):
+        self.ctx = ctx
+        self.terms = {k: v for k, v in terms.items() if v}
+
+    def __mul__(self, other: "TensorElement") -> "TensorElement":
+        ctx = self.ctx
+        out: dict = {}
+        for (a1, a2), c in self.terms.items():
+            for (b1, b2), d in other.terms.items():
+                twist = ctx.quiver.symmetric_form(ctx.desc_dim(a2), ctx.desc_dim(b1))
+                left = FieldElement(ctx, {a1: ONE}) * FieldElement(ctx, {b1: ONE})
+                right = FieldElement(ctx, {a2: ONE}) * FieldElement(ctx, {b2: ONE})
+                row = {
+                    (dL, dR): cL * cR
+                    for dL, cL in left.terms.items()
+                    for dR, cR in right.terms.items()
+                }
+                add_scaled(out, row, c * d * LaurentPoly.v_power(twist))
+        return TensorElement(ctx, out)
+
+    def eval_eq(self, other: "TensorElement") -> bool:
+        """Equality after specializing v to sqrt(q); exact."""
+        diff = add_scaled(dict(self.terms), other.terms, -1)
+        return all(c.eval_sqrt(self.ctx.q) == (0, 0) for c in diff.values())
+
+
+def coproduct(engine, x: FieldElement) -> TensorElement:
+    """Green's coproduct r(x) at x's field."""
+    ctx = engine.polyeng.ctx(x.ctx.q)
+    euler = ctx.quiver.euler_form
+    out: dict = {}
+    for dL, cL in x.terms.items():
+        aL, endL = ctx.aut(dL), ctx.end(dL)
+        row = {
+            (dM, dN): LaurentPoly.v_power(
+                euler(ctx.desc_dim(dM), ctx.desc_dim(dN)) + endL - ctx.end(dM) - ctx.end(dN),
+                Fraction(g * ctx.aut(dM) * ctx.aut(dN), aL),
+            )
+            for nuN in product(*(range(v + 1) for v in ctx.desc_dim(dL)))
+            for (dM, dN), g in ctx.hall_row(dL, nuN).items()
+        }
+        add_scaled(out, row, cL)
+    return TensorElement(ctx, out)
+
+
+def tensor_green(engine, t: TensorElement, y: FieldElement, z: FieldElement) -> LaurentPoly:
+    """(t, y (x) z) with the product form on tensors."""
+    out = ZERO
+    for (d1, d2), c in t.terms.items():
+        g1 = green_field(engine, FieldElement(t.ctx, {d1: ONE}), y)
+        if g1:
+            g2 = green_field(engine, FieldElement(t.ctx, {d2: ONE}), z)
+            out = out + c * g1 * g2
     return out
 
 

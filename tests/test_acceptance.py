@@ -14,13 +14,14 @@ import pytest
 
 from hallcanon.canonical import CanonicalSolver
 from hallcanon.cli import main as cli_main
-from hallcanon.combinatorics import enumerate_msegs, make_cdesc
+from hallcanon.combinatorics import enumerate_msegs, eval_poly, make_cdesc
 from hallcanon.config import JobConfig
-from hallcanon.hallalg import HallEngine, nindex, tensor_green
+from hallcanon.hallalg import HallEngine, nindex
 from hallcanon.laurent import ONE, ZERO, LaurentPoly
 from hallcanon.partitions import character, kostka, partitions
 from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, dim_f, kronecker, linear_an
+from oracles import coproduct, field_class, green_field, nmul, serre_sum, tensor_green, u_coeff
 
 V = LaurentPoly.v_power
 
@@ -46,7 +47,7 @@ def test_criterion_1_quantum_serre():
     ):
         for q in (3, 5):
             for i, j in pairs:
-                ok = ok and engine.serre_sum(i, j, q).is_zero_specialized()
+                ok = ok and serre_sum(engine, i, j, q).is_zero_specialized()
     _report(1, ok and time.time() - t0 < 0.8, "quantum Serre relations vanish", t0)
 
 
@@ -65,7 +66,7 @@ def test_criterion_2_kostka_coefficients():
                         homog=tuple((pts[i], (mu[i],)) for i in range(len(mu)))
                     )
                     want = V(-2 * m, kostka(lam, mu)) if kostka(lam, mu) else ZERO
-                    ok = ok and S.u_coeff(desc) == want
+                    ok = ok and u_coeff(S, desc) == want
     _report(
         2,
         ok and time.time() - t0 < 0.3,
@@ -85,9 +86,9 @@ def test_criterion_3_character_coefficients():
         pts = ctx.points(1)
         for lam in partitions(2):
             S = engine.realize_S(lam, q)
-            got2 = S.u_coeff(make_cdesc(homog=((w, (1,)),)))
+            got2 = u_coeff(S, make_cdesc(homog=((w, (1,)),)))
             ok = ok and got2 == V(-4, character(lam, (2,)))
-            got11 = S.u_coeff(make_cdesc(homog=((pts[0], (1,)), (pts[1], (1,)))))
+            got11 = u_coeff(S, make_cdesc(homog=((pts[0], (1,)), (pts[1], (1,)))))
             ok = ok and got11 == V(-4, character(lam, (1, 1)))
     _report(
         3,
@@ -102,7 +103,7 @@ def test_criterion_4_homogeneous_generator_identity():
     engine = HallEngine(kronecker())
     S0 = nindex(make_cdesc(cp=((1, 1),)))
     S1 = nindex(make_cdesc(cm=((0, 1),)))
-    out = engine.nmul(S0, S1)
+    out = nmul(engine, S0, S1)
     split = nindex(make_cdesc(cm=((0, 1),), cp=((1, 1),)))
     H1 = nindex(make_cdesc(), (1,))
     ok = out == {H1: ONE, split: V(-2)}
@@ -138,7 +139,8 @@ def test_criterion_5_hall_polynomial_validation():
         poly = engine.polyeng.hall_polynomial(L, M, N)
         used = {q for q, _ in poly.samples} | {q for q, _ in poly.validations}
         fresh = next(q for q in (13, 11, 9, 8, 7) if q not in used)
-        engine.polyeng.check_at(poly, L, M, N, fresh)
+        count = engine.polyeng.ctx(fresh).hall(L, M, N)
+        assert count == eval_poly(poly.coeffs, fresh), (L, M, N, fresh, poly.text())
         checked += 1
     _report(
         5,
@@ -177,16 +179,16 @@ def test_criterion_6_green_compatibility():
     trials = 0
     while count < 20:
         trials += 1
-        y = engine.cls_elt(rng.choice(pool), q)
-        yp = engine.cls_elt(rng.choice(pool), q)
+        y = field_class(engine, rng.choice(pool), q)
+        yp = field_class(engine, rng.choice(pool), q)
         prod = y * yp
         nu = prod.grading()
         if nu is None or any(a > 2 for a in nu):
             continue
         for pi in enumerate_msegs(2, nu):
-            x = engine.cls_elt(("m", pi), q)
-            lhs = engine.green_field(x, prod)
-            rhs = tensor_green(engine, engine.coproduct(x), y, yp)
+            x = field_class(engine, ("m", pi), q)
+            lhs = green_field(engine, x, prod)
+            rhs = tensor_green(engine, coproduct(engine, x), y, yp)
             assert lhs == rhs
             count += 1
             if count >= 20:

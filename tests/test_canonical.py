@@ -231,23 +231,32 @@ def test_bar_of_monomial_is_fixed(cyc2):
         assert bar_m == eta_inv[a]
 
 
-def alt_sort_key(system, idx):
-    """A second linear extension of the order, for independence checks."""
-    frame, lam = idx
-    cm, c0, cp, window = system._key_parts(idx)
-    kcm = tuple(-cm.get(t, 0) for t in window[0])
-    kcp = tuple(-cp.get(t, 0) for t in window[1])
-    kc0 = tuple(
-        (-mseg_end(system.quiver.n, pi), tuple(reversed(pi))) for pi in c0
-    )
-    klam = tuple(-x for x in lam)
-    return (kcp + kcm, sum(lam), kc0, klam)
+def alt_sort_key(system, order):
+    """A second linear extension of the order, for independence checks: the
+    preinjective multiplicities lead the preprojective ones, and
+    multisegments with equal End dimension compare in reverse."""
+    if system.kind == "cyclic":
+        n = system.quiver.n
+        return lambda idx: (-mseg_end(n, idx[0][1]), tuple(reversed(idx[0][1])))
+    tm = sorted({t for (_, cm, _, _, _), _ in order for t, _ in cm}, reverse=True)
+    tp = sorted({t for (_, _, _, cp, _), _ in order for t, _ in cp})
+
+    def key(idx):
+        (_, cm, _, cp, _), lam = idx
+        cm, cp = dict(cm), dict(cp)
+        kc = tuple(-cp.get(t, 0) for t in tp) + tuple(-cm.get(t, 0) for t in tm)
+        return (kc, sum(lam), tuple(-x for x in lam))
+
+    return key
 
 
 def test_second_linear_extension_agrees(kron, cyc2):
-    for solver, nu in ((kron, (2, 1)), (cyc2, (2, 2))):
+    # Each order has an incomparable pair, which the two extensions place
+    # differently; Kronecker (2, 1) has none.
+    for solver, nu in ((kron, (2, 2)), (cyc2, (2, 2))):
         data = solver.solve(nu)
-        alt_order = sorted(data.pbw.order, key=lambda idx: alt_sort_key(solver.system, idx))
+        alt_order = sorted(data.pbw.order, key=alt_sort_key(solver.system, data.pbw.order))
+        assert alt_order != data.pbw.order
         g2 = lusztig_solve(alt_order, data.zeta)
         assert {a: dict(r) for a, r in g2.items()} == {
             a: dict(r) for a, r in data.g.items()
@@ -374,6 +383,9 @@ def test_verify_bundle_orthogonality_cancels_between_terms():
         ]
 
     bundle = {
+        "quiver": {"vertices": [1, 2], "arrows": [[1, 2]]},
+        "dim": [1, 1],
+        "monomial_words": [[[1, 1], [2, 1]], [[2, 1], [1, 1]]],
         "indices": [0, 1],
         "n_indices": [0, 1],
         "g": g,
@@ -551,6 +563,24 @@ def test_monomial_forgery_passes_pbw_shape_and_fails_positive(spec, nu, rejected
     assert all(_passes_older_checks(r) and r["pbw_shape"] for r in reports)
     assert sum(r["positive"] is False for r in reports) == rejected
     assert all(r["ok"] == r["positive"] for r in reports)
+
+
+@pytest.mark.parametrize(
+    "spec, nu", [("kronecker", (2, 2)), ("cyclic:2", (2, 2)), ("cyclic:3", (2, 2, 1))]
+)
+def test_verify_bundle_rejects_repeated_and_off_weight_words(spec, nu):
+    # A repeated monomial word and a dim relabelled by one leave every
+    # matrix as it was: only the words' check sees them.
+    solver = CanonicalSolver(IndexSystem(HallEngine(from_spec(spec))))
+    bundle = solver.bundle(nu)
+    assert verify_bundle(json.loads(json.dumps(bundle)))["distinct_words_of_weight"] is True
+    repeated, relabelled = (json.loads(json.dumps(bundle)) for _ in range(2))
+    repeated["monomial_words"][1] = repeated["monomial_words"][0]
+    relabelled["dim"][0] -= 1
+    for forged in (repeated, relabelled):
+        report = verify_bundle(forged)
+        assert _passes_older_checks(report) and report["pbw_shape"] and report["positive"]
+        assert report["distinct_words_of_weight"] is False and report["ok"] is False
 
 
 def test_canonical_integrality_over_monomials(cyc2):

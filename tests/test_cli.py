@@ -400,9 +400,34 @@ def _index_not_in_n_indices(bundle):
     bundle["indices"][0] = ["not an index", []]
 
 
+def _quiver_without_vertices(bundle):
+    bundle["quiver"] = {"vertices": [], "arrows": []}
+
+
+def _dim_too_short(bundle):
+    bundle["dim"] = [2]
+
+
+def _word_at_unknown_vertex(bundle):
+    bundle["monomial_words"][0][0][0] = 9
+
+
+def _word_with_zero_letter(bundle):
+    bundle["monomial_words"][0].append([1, 0])
+
+
+def _one_word_short(bundle):
+    bundle["monomial_words"].pop()
+
+
 @pytest.mark.parametrize(
     "corrupt, error",
     [
+        (_quiver_without_vertices, "BundleFormatError"),
+        (_dim_too_short, "BundleFormatError"),
+        (_word_at_unknown_vertex, "BundleFormatError"),
+        (_word_with_zero_letter, "BundleFormatError"),
+        (_one_word_short, "BundleFormatError"),
         (_drop_gram, "BundleFormatError"),
         (_column_out_of_range, "BundleFormatError"),
         (_ragged_entry, "BundleFormatError"),
@@ -596,6 +621,26 @@ def test_malformed_json_quiver_is_machine_readable(tmp_path, capsys, spec):
         code, out = run_cli(capsys, "canonical", "--quiver", form, "--dim", "1,1")
         assert code == 2, form
         assert json.loads(out)["error"]["type"] == "ValueError", form
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["canonical", "--dim", "0"],
+        ["hallpoly", "--L", "[]", "--M", "[]", "--N", "[]"],
+    ],
+    ids=["canonical", "hallpoly"],
+)
+@pytest.mark.parametrize("spec", ['{"vertices":[],"arrows":[]}', "cyclic:0"])
+def test_quiver_without_vertices_is_machine_readable(capsys, argv, spec):
+    # An empty vertex list was an IndexError with exit 1, which reads as
+    # failed certificates.
+    code, out = run_cli(capsys, argv[0], "--quiver", spec, *argv[1:])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValueError",
+        "message": "a quiver needs at least one vertex",
+    }
 
 
 @pytest.mark.parametrize(

@@ -67,20 +67,20 @@ def test_combinatorial_context_agrees_with_field_context(n, q):
     assert products
 
 
-def test_census_rows_go_to_the_field_context():
-    # The Jordan quiver's rows have no closed form: the engine's context
-    # hands them to the field's FieldContext, built on first need, and a
-    # context without one names the row it cannot count.
-    engine = HallEngine(cyclic(1), JobConfig(cache_dir=None))
-    ctx = engine.ctx(2)
-    assert type(ctx) is CombinatorialContext
-    L = ("m", mseg_normalize([((1, 2), 1), ((1, 1), 1)]))
-    row = ctx.hall_row(L, (1,))
-    field = engine.polyeng.ctx(2)
-    assert type(field) is FieldContext and field.hall_row(L, (1,)) is row
-    assert row == FieldContext(cyclic(1), 2).hall_row(L, (1,))
-    with pytest.raises(UnsupportedQuiverError, match="needs a census"):
-        CombinatorialContext(cyclic(1), 2).hall_row(L, (1,))
+def test_cyclic_engine_context_refuses_a_census_row():
+    # A row with no closed form, on the Jordan quiver or at dim N = (1, 1)
+    # on cyclic:2, needs a census: a cyclic engine's context names the row
+    # it cannot count and builds no field, and the field's context counts it.
+    L1 = ("m", mseg_normalize([((1, 2), 1), ((1, 1), 1)]))
+    L2 = ("m", mseg_normalize([((1, 2), 1), ((2, 2), 1)]))
+    for quiver, L, nuN in ((cyclic(1), L1, (1,)), (cyclic(2), L2, (1, 1))):
+        engine = HallEngine(quiver, JobConfig(cache_dir=None))
+        ctx = engine.ctx(2)
+        assert type(ctx) is CombinatorialContext
+        with pytest.raises(UnsupportedQuiverError, match="needs a census over GF"):
+            ctx.hall_row(L, nuN)
+        assert "polyeng" not in vars(engine)
+        assert sum(FieldContext(quiver, 2).hall_row(L, nuN).values()) > 0
 
 
 SETUP_LEG = """

@@ -1,6 +1,7 @@
 """Every name a package module or script imports is used or exported, every
-parameter a function there takes is read, and every function, class and
-method the package defines has a caller in it."""
+parameter a function there takes is read, every function, class and method
+the package defines has a caller in it, and every reference implementation
+in tests/oracles.py has a caller in the tests."""
 
 import ast
 from collections import defaultdict
@@ -15,15 +16,11 @@ FILES = PACKAGE + SCRIPTS
 
 # Definitions with no caller in src/ or scripts/ that stay in the package.
 UNCALLED_ALLOWED = {
-    "hallalg.FieldElement.u_coeff": "acceptance API: criterion 2 reads class coefficients",
-    "hallalg.HallEngine.nmul": "acceptance API: criterion 4",
-    "hallalg.HallEngine.coproduct": "acceptance API: criterion 6",
-    "hallalg.HallEngine.serre_sum": "acceptance API: criterion 1",
-    "hallalg.tensor_green": "acceptance API: criterion 6",
-    "hallpoly.HallPolyEngine.check_at": "acceptance API: criterion 5",
     "fqrep.aut_order": "traced name: perfbench/tracing.py TARGETS",
     "hallpoly.HallPolyEngine.aut_polynomial": "traced name: perfbench/tracing.py TARGETS",
     "hallpoly.fit_rational_function": "traced name: perfbench/tracing.py TARGETS",
+    "combinatorics.CombinatorialContext.aut": "traced name: perfbench/tracing.py TARGETS "
+    "patches it as fqrep.FieldContext.aut",
     "cli._Parser.error": "argparse override: argparse calls it on each usage error",
     "config.JobConfig._make": "namedtuple override: _replace calls it",
 }
@@ -179,3 +176,9 @@ def test_every_definition_has_a_caller():
     assert sorted(set(uncalled) - set(UNCALLED_ALLOWED)) == []
     # An allowlisted name that gained a caller, or left the package, leaves the list.
     assert sorted(set(UNCALLED_ALLOWED) - set(uncalled)) == []
+
+
+def test_every_oracle_has_a_caller():
+    oracles = {"oracles": (ROOT / "tests" / "oracles.py").read_text()}
+    tests = [p.read_text() for p in sorted(ROOT.glob("tests/test_*.py"))]
+    assert uncalled_definitions(oracles, tests) == []
