@@ -11,9 +11,8 @@ The package computes, over the exact ring Z[v, v^-1]:
 * the generic extended composition algebra and Green's bilinear form
   (``hallalg``),
 * index sets, monomial bases and the inductive PBW basis (``pbw``),
-* the bar-invariant canonical basis by Lusztig's triangular method and by
-  the truncation algorithm, with machine-checkable certificates
-  (``canonical``),
+* the bar-invariant canonical basis by the truncation algorithm, with
+  machine-checkable certificates (``canonical``),
 * a command line driver (``cli``).
 """
 

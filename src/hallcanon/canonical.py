@@ -1,24 +1,28 @@
 """The bar-invariant canonical basis and its certificates.
 
 The bar involution is computed through monomial coordinates (monomials are
-bar-fixed); the canonical elements solve the standard unitriangular system
-g = g-bar * zeta with off-diagonal entries in v^-1 Z[v^-1].  A second,
-independent route runs the truncation algorithm directly on the monomial
-expansions; both must agree element by element.
+bar-fixed).  The canonical basis is built once, by the truncation algorithm
+on the monomial expansions: each monomial is folded with lower ones until
+its tail over the aperiodic indices lies in v^-1 Z[v^-1], and g (C over E)
+is that element over the monomials times eta^-1.  The basis is unique
+(Lusztig, *Introduction to Quantum Groups*, chapter 14), so ``lusztig_solve``,
+the unitriangular system g = g-bar * zeta, is its reference form; no run
+calls it.
 
 There is one certificate checker, ``verify_bundle``, which reads a bundle's
 matrices alone.  ``CanonicalSolver.verify`` and the ``certificates`` block of
 ``CanonicalSolver.bundle`` are its report on the matrices the bundle writes,
-plus the agreement of the truncation route.  Almost orthogonality is one
-degree test per Gram entry of the PBW basis.  Sparse rows are combined with
+plus ``truncation_agrees``.  Almost orthogonality is one degree test per
+Gram entry of the PBW basis.  Sparse rows are combined with
 ``laurent.add_scaled`` and ``laurent.row_times``.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, NamedTuple
 
-from .config import BarSolveError, BundleFormatError
+from .config import BarSolveError, BundleFormatError, memoized
 from .laurent import (
     ONE,
     ZERO,
@@ -46,21 +50,24 @@ def zeta_matrix(order, eta, eta_inv) -> dict:
 
     ``eta`` gives the PBW elements over the monomials, which are bar-invariant,
     and ``eta_inv`` is its inverse (``invert_unitriangular``), so zeta =
-    bar(eta) * eta^-1; it is checked to square to the identity
-    (bar(zeta) * zeta = 1).
+    bar(eta) * eta^-1.  Only the diagonal is checked: bar(zeta) * zeta = 1
+    follows from eta^-1 being the inverse of eta, which ``verify_bundle``
+    checks as ``products_agree["monomial_over_E"]``.
     """
     Z = {a: row_times(_bar_row(eta[a]), eta_inv) for a in order}
     for a in order:
         if Z[a].get(a) != ONE:
             raise BarSolveError(f"bar matrix diagonal is not 1 at {a}")
-    for a in order:
-        if row_times(_bar_row(Z[a]), Z) != {a: ONE}:
-            raise BarSolveError(f"bar involution fails to square to 1 at {a}")
     return Z
 
 
 def lusztig_solve(order, Z) -> dict:
-    """Solve g = gbar * Z with unit diagonal and g off-diagonal in v^-1 Z[v^-1]."""
+    """Solve g = gbar * Z with unit diagonal and g off-diagonal in v^-1 Z[v^-1].
+
+    The reference form of the basis that ``CanonicalSolver.truncation``
+    builds; the tests compare the two, and ``perfbench/tracing.py`` patches
+    this name.
+    """
     G: dict = {}
     for ia, a in enumerate(order):
         row = {a: ONE}
@@ -104,21 +111,24 @@ class CanonicalSolver:
         self.engine = system.engine
 
     def solve(self, nu) -> CanonicalData:
-        data = self.system.pbw_basis(tuple(nu))
-        Z = zeta_matrix(data.order, data.eta, data.mon_over_E)
-        G = lusztig_solve(data.order, Z)
+        nu = tuple(nu)
+        data = self.system.pbw_basis(nu)
+        C_over_mon = self.truncation(nu)
+        G = {a: row_times(C_over_mon[a], data.mon_over_E) for a in data.order}
         C_over_N = {a: row_times(G[a], data.E) for a in data.order}
-        C_over_mon = {a: row_times(G[a], data.eta) for a in data.order}
+        Z = zeta_matrix(data.order, data.eta, data.mon_over_E)
         return CanonicalData(data, Z, G, C_over_N, C_over_mon)
 
     # -- the truncation algorithm ------------------------------------------
 
+    @memoized
     def truncation(self, nu):
         """Bar-invariant elements by folding monomial coefficients.
 
-        Returns G_over_mon, each element over the monomials.
+        Returns G_over_mon, each element over the monomials: the canonical
+        basis, which ``solve`` reads.
         """
-        data = self.system.pbw_basis(tuple(nu))
+        data = self.system.pbw_basis(nu)
         order = data.order
         aper = set(order)
         G_over_mon: dict = {}
@@ -155,7 +165,8 @@ class CanonicalSolver:
 
     def verify(self, nu, cdata: CanonicalData | None = None, matrices=None) -> dict:
         """``verify_bundle``'s report on the matrices that ``bundle`` writes
-        from ``cdata`` (default: the solve at nu), plus ``truncation_agrees``.
+        from ``cdata`` (default: the solve at nu), plus ``truncation_agrees``:
+        whether cdata's C over the monomials is the truncation's.
 
         ``bundle`` passes the ``matrices`` it has already built from cdata.
         """
@@ -336,21 +347,33 @@ def _label(x) -> bool:
     return isinstance(x, (int, str)) and not isinstance(x, bool)
 
 
-def _distinct_words_of_weight(bundle, n) -> bool:
-    """Whether the n ``monomial_words`` are pairwise distinct and each has
-    weight ``dim``: its letters' multiplicities, summed per vertex of
-    ``quiver``, are ``dim``.  A malformed quiver, dim or word raises
+def _bundle_weight(bundle) -> tuple:
+    """The vertex labels of a bundle's ``quiver``, its arrows as vertex index
+    pairs, and its ``dim``.  A malformed quiver or dim raises
     ``BundleFormatError``."""
-    quiver, dim, words = bundle["quiver"], bundle["dim"], bundle["monomial_words"]
+    quiver, dim = bundle["quiver"], bundle["dim"]
     vertices = quiver.get("vertices") if isinstance(quiver, dict) else None
     if not (isinstance(vertices, list) and vertices and all(map(_label, vertices))):
         raise BundleFormatError("quiver: vertices are not a list of integer or string labels")
     if len(set(vertices)) != len(vertices):
         raise BundleFormatError("quiver: a vertex label repeats")
+    arrows = quiver.get("arrows")
+    if not isinstance(arrows, list) or not all(
+        isinstance(a, list) and len(a) == 2 and all(_label(x) and x in vertices for x in a)
+        for a in arrows
+    ):
+        raise BundleFormatError("quiver: arrows are not a list of [source, target] vertices")
     if not (isinstance(dim, list) and len(dim) == len(vertices)) or not all(
         type(x) is int and x >= 0 for x in dim
     ):
         raise BundleFormatError(f"dim: not {len(vertices)} integers >= 0")
+    return vertices, [tuple(map(vertices.index, a)) for a in arrows], dim
+
+
+def _distinct_words_of_weight(words, vertices, dim, n) -> bool:
+    """Whether the n ``monomial_words`` are pairwise distinct and each has
+    weight ``dim``: its letters' multiplicities, summed per vertex, are
+    ``dim``.  A malformed word raises ``BundleFormatError``."""
     if not (isinstance(words, list) and len(words) == n) or not all(
         isinstance(w, list) and all(
             isinstance(x, list) and len(x) == 2 and _label(x[0]) and x[0] in vertices
@@ -362,6 +385,33 @@ def _distinct_words_of_weight(bundle, n) -> bool:
         raise BundleFormatError(f"monomial_words: not {n} lists of [vertex, multiplicity >= 1]")
     distinct = len({tuple(map(tuple, w)) for w in words}) == n
     return distinct and all([sum(a for v, a in w if v == u) for u in vertices] == dim for w in words)
+
+
+def dim_f(arrows, nu) -> int | None:
+    """dim f_nu, the size of the canonical basis of weight nu, for a quiver
+    of finite or affine type with vertices 0 .. len(nu) - 1 and ``arrows``
+    as (source, target) index pairs; None if an arrow is a loop.
+
+    It is Kostant's partition function: the coefficient of e^nu in the
+    product, over the positive roots x <= nu, of (1 - e^x)^-mult(x).  The
+    real roots are the x with (x, x) = 2, of multiplicity 1; the imaginary
+    ones are the x with (x, x) = 0, of multiplicity len(nu) - 1 (Kac).
+    """
+    if any(s == t for s, t in arrows):
+        return None
+    box = list(itertools.product(*(range(k + 1) for k in nu)))  # lexicographic
+    count = dict.fromkeys(box, 0)
+    count[box[0]] = 1
+    for x in box[1:]:
+        half_form = sum(k * k for k in x) - sum(x[s] * x[t] for s, t in arrows)
+        mult = {1: 1, 0: len(nu) - 1}.get(half_form, 0)
+        for _ in range(mult):
+            # rest comes before rest + x, so count[rest] already has this factor.
+            for rest in box:
+                y = tuple(a + b for a, b in zip(rest, x))
+                if y in count:
+                    count[y] += count[rest]
+    return count[tuple(nu)]
 
 
 def gram_almost_orthonormal(gram) -> bool:
@@ -396,8 +446,11 @@ def verify_bundle(bundle: dict) -> dict:
     g^-1, have coefficients in N[v, v^-1] (Lusztig, *Introduction to Quantum
     Groups*, 14.4.13).  Both need ``g`` unitriangular with v^-1 Z[v^-1]
     tails and are None otherwise.  ``distinct_words_of_weight``: the
-    ``monomial_words`` are pairwise distinct and each has weight ``dim``.  A
-    malformed bundle raises ``BundleFormatError``.
+    ``monomial_words`` are pairwise distinct and each has weight ``dim``.
+    ``distinct_indices_dim_f``: the ``indices`` are pairwise distinct and
+    there are dim f_nu of them (``dim_f`` of the bundle's ``quiver`` and
+    ``dim``); None on a quiver with a loop.  A malformed bundle raises
+    ``BundleFormatError``.
     """
     if not isinstance(bundle, dict):
         raise BundleFormatError("bundle is not a JSON object")
@@ -464,10 +517,15 @@ def verify_bundle(bundle: dict) -> dict:
             for c in x.terms.values()
         )
     report["positive"] = positive
-    words = report["distinct_words_of_weight"] = _distinct_words_of_weight(bundle, n)
+    vertices, arrows, dim = _bundle_weight(bundle)
+    words = _distinct_words_of_weight(bundle["monomial_words"], vertices, dim, n)
+    report["distinct_words_of_weight"] = words
+    size = dim_f(arrows, dim)
+    counted = None if size is None else n == size and len(set(map(repr, bundle["indices"]))) == n
+    report["distinct_indices_dim_f"] = counted
     report["ok"] = (
         unitri and all(bar_ok) and all(products.values()) and shape and orth and positive
-        and words
+        and words and counted is not False
     )
     return report
 

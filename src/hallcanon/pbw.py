@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
+from .canonical import dim_f
 from .config import UnsupportedQuiverError, memoized
 from .combinatorics import (
     enumerate_msegs,
@@ -26,7 +27,6 @@ from .combinatorics import (
 )
 from .hallalg import HallEngine, nindex
 from .laurent import ONE, ZERO, invert_unitriangular, row_times
-from .quiver import dim_f
 
 
 @lru_cache(maxsize=None)
@@ -100,12 +100,9 @@ class IndexSystem:
             aper = list(allidx)
         allidx = sorted(set(allidx), key=self.sort_key)
         aper = sorted(set(aper), key=self.sort_key)
-        if not (self.kind == "cyclic" and self.quiver.n == 1):
-            expected = dim_f(self.quiver, nu)
-            if len(aper) != expected:
-                raise ArithmeticError(
-                    f"index count {len(aper)} != dim f_nu {expected} at {nu}"
-                )
+        expected = dim_f(self.quiver.arrows, nu)  # None on the Jordan quiver
+        if expected is not None and len(aper) != expected:
+            raise ArithmeticError(f"index count {len(aper)} != dim f_nu {expected} at {nu}")
         return OrderedIndexSet(nu, allidx, aper)
 
     # -- the partial order ---------------------------------------------------

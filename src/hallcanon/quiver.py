@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .config import UnsupportedQuiverError
@@ -128,9 +127,6 @@ class Quiver:
 
     # -- roots -------------------------------------------------------------
 
-    def is_root(self, nu) -> bool:
-        return any(nu) and 0 <= self.symmetric_form(nu, nu) <= 2
-
     def delta(self) -> tuple[int, ...]:
         """Minimal imaginary positive root of an affine quiver."""
         ker = _integer_kernel(self.cartan_matrix())
@@ -156,19 +152,6 @@ class Quiver:
             self.cartan_matrix()
         )
 
-    def positive_roots_below(self, bound):
-        """All positive roots componentwise <= bound, split (real, imaginary)."""
-        real, imag = [], []
-        for nu in _box(bound):
-            if not any(nu):
-                continue
-            s = self.symmetric_form(nu, nu)
-            if s == 2:
-                real.append(nu)
-            elif s == 0 and self.is_root(nu):
-                imag.append(nu)
-        return real, imag
-
     def to_json(self):
         return {
             "vertices": list(self.vertices),
@@ -192,18 +175,6 @@ class Quiver:
             if not (isinstance(a, list) and len(a) == 2 and all(x in vertices for x in a)):
                 raise ValueError(f"arrow {a!r} is not a [source, target] pair of vertices")
         return Quiver(vertices, [tuple(a) for a in arrows])
-
-
-def _box(bound):
-    def rec(i):
-        if i == len(bound):
-            yield ()
-            return
-        for x in range(bound[i] + 1):
-            for rest in rec(i + 1):
-                yield (x,) + rest
-
-    return rec(0)
 
 
 def _integer_kernel(mat) -> list[tuple[int, ...]]:
@@ -442,46 +413,3 @@ def _mul_cols(Q: Quiver, cols, i):
     return [
         tuple(cols[j][m] - cartan_i[j] * ci[m] for m in range(n)) for j in range(n)
     ]
-
-
-# -- dimension oracle ----------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _dim_f_table(quiver: Quiver, bound) -> dict:
-    real, _ = quiver.positive_roots_below(bound)
-    factors = [tuple(r) for r in sorted(real)]
-    if quiver.is_affine():
-        d = quiver.delta()
-        mult = quiver.n - 1
-        m = 1
-        while all(m * d[i] <= bound[i] for i in range(quiver.n)):
-            factors.extend([tuple(m * x for x in d)] * mult)
-            m += 1
-    table = {tuple([0] * quiver.n): 1}
-    for a in factors:
-        new = dict(table)
-        points = sorted(table)
-        for x in points:
-            k = 1
-            while True:
-                y = tuple(x[i] + k * a[i] for i in range(quiver.n))
-                if any(y[i] > bound[i] for i in range(quiver.n)):
-                    break
-                new[y] = new.get(y, 0) + table[x]
-                k += 1
-        table = new
-    return table
-
-
-def dim_f(quiver: Quiver, nu) -> int:
-    """Graded dimension of the positive part of the quantized algebra at nu.
-
-    Independent oracle: product of geometric series over positive real
-    roots in the box, with imaginary roots m*delta carrying multiplicity
-    (number of vertices - 1) in the affine case.
-    """
-    nu = tuple(nu)
-    if quiver.name.startswith("cyclic:1"):
-        raise UnsupportedQuiverError("dimension oracle degenerate for the one-loop quiver")
-    return _dim_f_table(quiver, nu).get(nu, 0)

@@ -272,6 +272,17 @@ def gram_C_almost_orthonormal(g, gram) -> bool:
     )
 
 
+# -- the canonical basis ----------------------------------------------------
+
+
+def bar_squares_to_one(order, zeta) -> bool:
+    """bar(zeta) * zeta = 1: the bar involution, in the coordinates of the
+    PBW basis, is an involution."""
+    return all(
+        row_times({b: c.bar() for b, c in zeta[a].items()}, zeta) == {a: ONE} for a in order
+    )
+
+
 # -- forged bundles --------------------------------------------------------
 
 
@@ -344,6 +355,14 @@ def reflect(Q, i: int, nu) -> tuple[int, ...]:
     e = tuple(1 if j == i else 0 for j in range(Q.n))
     c = Q.symmetric_form(nu, e)
     return tuple(nu[j] - c * e[j] for j in range(Q.n))
+
+
+def positive_roots_below(Q, bound):
+    """The positive roots of a finite or affine quiver componentwise <= bound,
+    split (real, imaginary) by the symmetric form: (x, x) = 2 or 0."""
+    box = [x for x in product(*(range(k + 1) for k in bound)) if any(x)]
+    real = [x for x in box if Q.symmetric_form(x, x) == 2]
+    return real, [x for x in box if Q.symmetric_form(x, x) == 0]
 
 
 # -- submodules and quotients as modules ----------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hallcanon.cli import main as cli_main
 from hallcanon.combinatorics import make_cdesc, mseg_end, mseg_normalize
-from hallcanon.config import BarSolveError, BundleFormatError
+from hallcanon.config import BarSolveError, BundleFormatError, memoized
 from hallcanon.hallalg import HallEngine, nindex
 from hallcanon.laurent import (
     ONE,
@@ -26,14 +26,17 @@ from hallcanon.canonical import (
     CanonicalSolver,
     _bundle_gram,
     _bundle_rows,
+    dim_f,
     gram_almost_orthonormal,
     latex_table,
     lusztig_solve,
     verify_bundle,
+    zeta_matrix,
 )
 from hallcanon.pbw import IndexSystem
-from hallcanon.quiver import cyclic, dim_f, from_spec, kronecker, linear_an
-from oracles import gram_C_almost_orthonormal, monomial_forgery, pbw_forgery
+from hallcanon.quiver import cyclic, from_spec, kronecker, linear_an
+from oracles import bar_squares_to_one, gram_C_almost_orthonormal, monomial_forgery, pbw_forgery
+from test_bundle_digests import DIGESTS
 
 V = LaurentPoly.v_power
 
@@ -129,9 +132,54 @@ def test_canonical_a2(kron):
 
 
 def test_truncation_matches_lusztig(cyc2, kron):
+    # The reference solve of g = g-bar * zeta, carried to the monomials, is
+    # the truncation.
     for solver, dims in ((cyc2, [(1, 1), (2, 1)]), (kron, [(1, 1), (2, 1)])):
         for nu in dims:
-            assert solver.truncation(nu) == solver.solve(nu).C_over_mon
+            pbw = solver.system.pbw_basis(nu)
+            g = lusztig_solve(pbw.order, zeta_matrix(pbw.order, pbw.eta, pbw.mon_over_E))
+            assert solver.truncation(nu) == {a: row_times(g[a], pbw.eta) for a in pbw.order}
+
+
+@pytest.mark.parametrize(
+    "spec, dim",
+    [(q, d) for q, d, _ in DIGESTS] + [("cyclic:2", "4,3")],
+    ids=[f"{q} {d}" for q, d, _ in DIGESTS] + ["cyclic:2 4,3"],
+)
+def test_reference_solve_and_basis_count_on_digest_bundles(spec, dim):
+    # The bar involution squares to 1 in PBW coordinates, Lusztig's
+    # unitriangular solve gives the g that the truncation built, and the
+    # bundle's indices are dim f_nu distinct ones (no count on the Jordan
+    # quiver, which has a loop and empty bundles).
+    nu = tuple(map(int, dim.split(",")))
+    solver = CanonicalSolver(IndexSystem(HallEngine(from_spec(spec))))
+    report = verify_bundle(json.loads(json.dumps(solver.bundle(nu))))
+    assert report["ok"]
+    assert report["distinct_indices_dim_f"] is (None if spec == "jordan" else True)
+    data = solver.solve(nu)
+    assert bar_squares_to_one(data.pbw.order, data.zeta)
+    assert lusztig_solve(data.pbw.order, data.zeta) == data.g
+
+
+@pytest.mark.parametrize("spec, nu", [("kronecker", (2, 1)), ("cyclic:2", (2, 2))])
+def test_bundle_runs_the_truncation_once_and_no_reference_solve(monkeypatch, spec, nu):
+    import hallcanon.canonical
+
+    def refuse(*args):
+        raise AssertionError("lusztig_solve ran")
+
+    runs = []
+    truncation = CanonicalSolver.truncation.__wrapped__
+
+    def counted(self, nu):
+        runs.append(nu)
+        return truncation(self, nu)
+
+    monkeypatch.setattr(hallcanon.canonical, "lusztig_solve", refuse)
+    monkeypatch.setattr(CanonicalSolver, "truncation", memoized(counted))
+    bundle = CanonicalSolver(IndexSystem(HallEngine(from_spec(spec)))).bundle(nu)
+    assert bundle["certificates"]["ok"] and bundle["certificates"]["truncation_agrees"]
+    assert runs == [nu]
 
 
 def test_canonical_cyclic3_111():
@@ -165,7 +213,7 @@ def test_canonical_d4_from_json_spec(tmp_path, dim):
     bundle = json.loads(out.read_text())
     assert bundle["certificates"]["ok"]
     nu = tuple(map(int, dim.split(",")))
-    assert len(bundle["indices"]) == dim_f(from_spec(D4_SPEC), nu)
+    assert len(bundle["indices"]) == dim_f(from_spec(D4_SPEC).arrows, nu)
 
 
 # Dynkin cases whose indices use roots late in the finite sequence: the
@@ -186,7 +234,7 @@ def test_canonical_dynkin_late_roots(tmp_path, spec, dim):
     bundle = json.loads(out.read_text())
     assert bundle["certificates"]["ok"]
     nu = tuple(map(int, dim.split(",")))
-    assert len(bundle["indices"]) == dim_f(from_spec(spec), nu)
+    assert len(bundle["indices"]) == dim_f(from_spec(spec).arrows, nu)
 
 
 @pytest.mark.parametrize("nu", [(k, 7 - k) for k in range(8)])
@@ -583,6 +631,38 @@ def test_verify_bundle_rejects_repeated_and_off_weight_words(spec, nu):
         assert report["distinct_words_of_weight"] is False and report["ok"] is False
 
 
+def _without_last_index(bundle) -> dict:
+    """The bundle with its last index dropped, along with that index's row
+    and column, its monomial word and its gram_E entries."""
+    n = len(bundle["indices"]) - 1
+    out = dict(bundle)
+    for key in ("indices", "monomial_words", "monomial_over_N", "E_over_N", "C_over_N"):
+        out[key] = bundle[key][:n]
+    for key in ("g", "zeta", "E_over_monomial", "monomial_over_E", "C_over_monomial"):
+        out[key] = [[e for e in row if e[0] < n] for row in bundle[key][:n]]
+    out["gram_E"] = [e for e in bundle["gram_E"] if e[1] < n]
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, nu", [("kronecker", (2, 2)), ("cyclic:2", (2, 2)), ("cyclic:3", (2, 2, 1))]
+)
+def test_verify_bundle_counts_distinct_indices(spec, nu):
+    # Dropping the last index leaves a bundle whose matrices and words are
+    # consistent; only the count against dim f_nu sees it.  A repeated index
+    # fails the count too.
+    solver = CanonicalSolver(IndexSystem(HallEngine(from_spec(spec))))
+    bundle = json.loads(json.dumps(solver.bundle(nu)))
+    assert verify_bundle(bundle)["distinct_indices_dim_f"] is True
+    report = verify_bundle(_without_last_index(bundle))
+    assert _passes_older_checks(report) and report["pbw_shape"] and report["positive"]
+    assert report["distinct_words_of_weight"] is True
+    assert report["distinct_indices_dim_f"] is False and report["ok"] is False
+    bundle["indices"][1] = bundle["indices"][0]
+    report = verify_bundle(bundle)
+    assert report["distinct_indices_dim_f"] is False and report["ok"] is False
+
+
 def test_canonical_integrality_over_monomials(cyc2):
     for nu in [(1, 1), (2, 1)]:
         data = cyc2.solve(nu)
@@ -640,7 +720,7 @@ def test_a2_matches_classical_canonical_basis():
 def test_a3_canonical_small():
     Q = linear_an(3)
     solver = CanonicalSolver(IndexSystem(HallEngine(Q)))
-    assert dim_f(Q, (1, 1, 1)) == 4
+    assert dim_f(Q.arrows, (1, 1, 1)) == 4
     report = solver.verify((1, 1, 1))
     assert report["ok"]
     assert len(solver.solve((1, 1, 1)).pbw.order) == 4

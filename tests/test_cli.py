@@ -404,6 +404,10 @@ def _quiver_without_vertices(bundle):
     bundle["quiver"] = {"vertices": [], "arrows": []}
 
 
+def _arrow_at_unknown_vertex(bundle):
+    bundle["quiver"]["arrows"][0][1] = 9
+
+
 def _dim_too_short(bundle):
     bundle["dim"] = [2]
 
@@ -424,6 +428,7 @@ def _one_word_short(bundle):
     "corrupt, error",
     [
         (_quiver_without_vertices, "BundleFormatError"),
+        (_arrow_at_unknown_vertex, "BundleFormatError"),
         (_dim_too_short, "BundleFormatError"),
         (_word_at_unknown_vertex, "BundleFormatError"),
         (_word_with_zero_letter, "BundleFormatError"),
@@ -681,7 +686,7 @@ def test_internal_check_failure_exits_2(capsys, monkeypatch):
     # certificates.
     import hallcanon.pbw
 
-    monkeypatch.setattr(hallcanon.pbw, "dim_f", lambda quiver, nu: 99)
+    monkeypatch.setattr(hallcanon.pbw, "dim_f", lambda arrows, nu: 99)
     code, out = run_cli(capsys, "canonical", "--quiver", "kronecker", "--dim", "1,1")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ArithmeticError"
