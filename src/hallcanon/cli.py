@@ -12,8 +12,8 @@ stored bundle (see ``_bundle``) loads only those, ``quiver`` and ``store``,
 a cyclic ``canonical`` loads no ``gf``, ``fqrep`` or ``hallpoly`` (its Hall
 numbers are closed forms in ``combinatorics``), and ``hallpoly`` loads
 neither ``canonical`` nor ``pbw``.
-``hashlib``, and with it OpenSSL, loads only when a run uses the store
-(``--cache-dir``, ``HALLCANON_CACHE`` or ``cache``).
+No command loads ``hashlib``, and with it OpenSSL: the store hashes with the
+interpreter's built-in sha256 (see ``store``).
 """
 
 from __future__ import annotations

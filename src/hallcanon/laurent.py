@@ -67,7 +67,9 @@ class LaurentPoly:
         other = _coerce(other)
         d = dict(self.terms)
         for e, c in other.terms.items():
-            s = _norm(d.get(e, 0) + c)
+            s = d.get(e, 0) + c
+            if type(s) is Fraction and s.denominator == 1:  # _norm, inlined
+                s = int(s)
             if s:
                 d[e] = s
             else:
@@ -92,7 +94,9 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                s = _norm(d.get(e, 0) + c1 * c2)
+                s = d.get(e, 0) + c1 * c2
+                if type(s) is Fraction and s.denominator == 1:  # _norm, inlined
+                    s = int(s)
                 if s:
                     d[e] = s
                 else:
@@ -260,11 +264,29 @@ ONE = LaurentPoly({0: 1})
 
 
 def add_scaled(acc: dict, row: dict, c) -> dict:
-    """acc += c * row, in place, dropping entries that cancel; returns acc."""
+    """acc += c * row, in place, dropping entries that cancel; returns acc.
+
+    Each c * row[k] is summed straight into a copy of acc[k]'s terms, so no
+    intermediate product or sum is built.
+    """
+    cterms = _coerce(c).terms.items()
     for k, x in row.items():
-        s = acc.get(k, ZERO) + c * x
-        if s:
-            acc[k] = s
+        old = acc.get(k)
+        d = dict(old.terms) if old is not None else {}
+        for e1, c1 in cterms:
+            for e2, c2 in x.terms.items():
+                e = e1 + e2
+                s = d.get(e, 0) + c1 * c2
+                if type(s) is Fraction and s.denominator == 1:  # _norm, inlined
+                    s = int(s)
+                if s:
+                    d[e] = s
+                else:
+                    d.pop(e, None)
+        if d:
+            out = LaurentPoly.__new__(LaurentPoly)
+            out.terms = d
+            acc[k] = out
         else:
             acc.pop(k, None)
     return acc

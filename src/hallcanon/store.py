@@ -13,6 +13,10 @@ missing, and ``verify``/``gc`` report or remove it.
 The store holds Hall polynomials and certified bundles, what ``hallpoly``
 and ``canonical`` print; lifted words are memoized in process.  This
 module imports no algebra layer, so a run served from the store loads none.
+Digests come from the interpreter's own SHA-256 (``_sha2``/``_sha256``, the
+one ``hashlib`` uses without OpenSSL), so a run with a store loads no
+OpenSSL; ``hashlib`` serves only an interpreter built without it.  The
+digests are the same either way.
 """
 
 from __future__ import annotations
@@ -22,16 +26,24 @@ import os
 import tempfile
 import time
 
+# The built-in SHA-256 adds no measurable memory; ``hashlib`` loads OpenSSL,
+# about 3.5 MB of a store run's peak.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without its own SHA-256
+        from hashlib import sha256
+
 STORE_VERSION = 1
 MAX_DIR_NAME = 128
 
 
 def _digest(obj) -> str:
     """sha256 of obj's canonical JSON: store file names and record checksums."""
-    import hashlib  # loads OpenSSL, so only runs that use a store import it
-
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
 def _checksum(record: dict) -> str:

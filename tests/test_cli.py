@@ -530,6 +530,74 @@ def test_long_quiver_name_gets_a_digest_directory(tmp_path, capsys, monkeypatch)
     assert warm == cold
 
 
+LONG_PATH = json.dumps({"vertices": list(range(1, 41)),
+                        "arrows": [[i, i + 1] for i in range(1, 40)]})
+
+
+def _hashlib_digest(obj) -> str:
+    """The store digest as ``hashlib`` computes it, which stores written
+    before the built-in sha256 was used were named and checksummed with."""
+    import hashlib
+
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_store_digest_equals_hashlib():
+    keys = [
+        ["bundle", 1, [2, 2, 1], [2, 3, 4, 5, 7]],
+        ["hall", [[[1, 1], 2]], [[[1, 1], 1]], [[[1, 1], 1]]],
+        {"version": 1, "key": ["word", "\u00e9"], "created_at": 1.5, "poly": [1, -1]},
+        "cyclic:3",
+        LONG_PATH,
+        [],
+    ]
+    assert len(LONG_PATH) > store_mod.MAX_DIR_NAME
+    for key in keys:
+        assert store_mod._digest(key) == _hashlib_digest(key)
+
+
+@pytest.mark.parametrize(
+    "spec, dim",
+    [("cyclic:3", "2,2,1"), (LONG_PATH, ",".join(["1"] + ["0"] * 39))],
+    ids=["cyclic", "long-name"],
+)
+def test_store_written_with_hashlib_is_served(tmp_path, capsys, monkeypatch, spec, dim):
+    # A bundle record laid out by hand, every name and checksum from
+    # hashlib, as stores were written before: a warm run is served it without
+    # building an engine, and ``cache verify`` passes it.
+    import hallcanon.hallalg
+    from hallcanon.canonical import BUNDLE_SCHEMA
+    from hallcanon.config import JobConfig
+    from hallcanon.quiver import from_spec
+
+    args = ["canonical", "--quiver", spec, "--dim", dim]
+    code, cold = run_cli(capsys, *args)
+    assert code == 0
+    name = from_spec(spec).name
+    key = ["bundle", BUNDLE_SCHEMA, [int(x) for x in dim.split(",")],
+           list(JobConfig(cache_dir=None).primes)]
+    record = {"version": store_mod.STORE_VERSION, "key": key, "created_at": 1_700_000_000.0,
+              "bundle": json.loads(cold)}
+    record["checksum"] = _hashlib_digest(record)
+    safe = name.replace(":", "_").replace("/", "_")
+    if len(safe) > store_mod.MAX_DIR_NAME:
+        safe = "sha256-" + _hashlib_digest(name)
+    path = tmp_path / "cache" / safe / f"{_hashlib_digest(key)}.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(record, sort_keys=True))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run served from the store built an engine")
+
+    monkeypatch.setattr(hallcanon.hallalg, "HallEngine", refuse)
+    code, warm = run_cli(capsys, *args, "--cache-dir", str(tmp_path / "cache"))
+    assert code == 0
+    assert warm == cold
+    code, out = run_cli(capsys, "cache", "verify", "--cache-dir", str(tmp_path / "cache"))
+    assert code == 0
+    assert json.loads(out)["records"] == [[str(path), True]]
+
+
 def _forge(bundle, how):
     """A bundle of the run's key that must not be served, edited in place."""
     if how == "g-row":
@@ -776,32 +844,34 @@ print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
 # hashlib loads OpenSSL and dataclasses loads inspect, ast and dis: several
-# MB of a leg's peak memory, which only a run with a store needs (sha256).
-UNUSED_WITHOUT_STORE = {"hashlib", "_hashlib", "dataclasses"}
+# MB of a leg's peak memory.  No leg needs them; the store hashes with the
+# interpreter's built-in sha256, so a store leg loads neither.
+UNUSED = {"hashlib", "_hashlib", "dataclasses"}
 CYCLIC_UNUSED = {f"hallcanon.{m}" for m in ("gf", "fqrep", "hallpoly")}
 
 
 @pytest.mark.parametrize(
     "leg, absent, present",
     [
-        ("canonical", UNUSED_WITHOUT_STORE, set()),
+        ("canonical", UNUSED, set()),
         # Hall polynomials need no PBW basis and no bar solve.
-        ("hallpoly", UNUSED_WITHOUT_STORE | {"hallcanon.canonical", "hallcanon.pbw"}, set()),
+        ("hallpoly", UNUSED | {"hallcanon.canonical", "hallcanon.pbw"}, set()),
         # A bundle is checked from its matrices alone, so ``verify`` needs no
         # field, census, Hall polynomial, PBW or quiver code.
-        ("verify", UNUSED_WITHOUT_STORE | {
+        ("verify", UNUSED | {
             f"hallcanon.{m}" for m in ("fqrep", "hallalg", "hallpoly", "pbw", "quiver", "gf")
         }, set()),
-        # the store path runs, so the rule above is not met by skipping it
-        ("canonical-store", {"dataclasses"}, {"hashlib"}),
+        # the store path runs (the test reads the records it writes), so the
+        # rule above is not met by skipping it
+        ("canonical-store", UNUSED, {"hallcanon.store"}),
         # a rerun is served the stored bundle and builds no engine
-        ("canonical-warm", {"dataclasses"} | {
+        ("canonical-warm", UNUSED | {
             f"hallcanon.{m}" for m in ("fqrep", "gf", "hallalg", "hallpoly", "pbw")
-        }, {"hashlib", "hallcanon.store"}),
+        }, {"hallcanon.store"}),
         # every Hall number a cyclic run needs is a closed form, so a cold
         # run loads no field layer, with or without a store
-        ("canonical-cyclic", UNUSED_WITHOUT_STORE | CYCLIC_UNUSED, {"hallcanon.combinatorics"}),
-        ("canonical-cyclic-store", {"dataclasses"} | CYCLIC_UNUSED, {"hashlib"}),
+        ("canonical-cyclic", UNUSED | CYCLIC_UNUSED, {"hallcanon.combinatorics"}),
+        ("canonical-cyclic-store", UNUSED | CYCLIC_UNUSED, {"hallcanon.store"}),
     ],
     ids=[
         "canonical",
@@ -848,7 +918,8 @@ def test_leg_loads_only_what_it_runs(tmp_path, monkeypatch, leg, absent, present
     if leg == "verify":
         assert json.loads(run.stdout.splitlines()[0])["ok"]
     if leg.endswith(("-store", "-warm")):
-        assert list((tmp_path / "store").rglob("*.json"))
+        records = [json.loads(p.read_text()) for p in (tmp_path / "store").rglob("*.json")]
+        assert any(r["key"][0] == "bundle" and "bundle" in r for r in records)
 
 
 TRACED_RUN = """

@@ -1,7 +1,8 @@
-"""Every name a package module or script imports is used or exported, every
-parameter a function there takes is read, every function, class and method
-the package defines has a caller in it, and every reference implementation
-in tests/oracles.py has a caller in the tests."""
+"""Every name a package module or script imports is used or exported, no
+package module imports ``hashlib`` but as a fallback, every parameter a
+function there takes is read, every function, class and method the package
+defines has a caller in it, and every reference implementation in
+tests/oracles.py has a caller in the tests."""
 
 import ast
 from collections import defaultdict
@@ -60,6 +61,46 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def hashlib_imports(source: str) -> list:
+    """Lines that import ``hashlib`` outside an ``except ImportError``
+    handler.
+
+    ``hashlib`` loads OpenSSL, several MB of a run's peak memory; the
+    package hashes with the interpreter's built-in sha256, and reaches
+    ``hashlib`` only where that import fails.
+    """
+    tree = ast.parse(source)
+    fallback = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name) and (
+            node.type.id in ("ImportError", "ModuleNotFoundError")
+        ):
+            fallback.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n.split(".")[0] == "hashlib" for n in names) and id(node) not in fallback:
+            out.append(node.lineno)
+    return out
+
+
+def test_hashlib_import_detector():
+    src = "import hashlib\ndef f():\n    from hashlib import sha256\n"
+    src += "try:\n    from _sha256 import sha256\nexcept ImportError:\n    import hashlib\n"
+    src += "try:\n    pass\nexcept OSError:\n    import hashlib as h\n"
+    assert hashlib_imports(src) == [1, 3, 11]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_loads_no_openssl(path):
+    assert hashlib_imports(path.read_text()) == []
 
 
 def unread_parameters(source: str) -> list:
