@@ -12,7 +12,7 @@ stored bundle (see ``_bundle``) loads only those, ``quiver`` and ``store``,
 a cyclic ``canonical`` loads no ``gf``, ``fqrep`` or ``hallpoly`` (its Hall
 numbers are closed forms in ``combinatorics``), and ``hallpoly`` loads
 neither ``canonical`` nor ``pbw``.
-No command loads ``hashlib``, and with it OpenSSL: the store hashes with the
+No command loads ``hashlib`` or OpenSSL: the store hashes with the
 interpreter's built-in sha256 (see ``store``).
 """
 

@@ -505,13 +505,16 @@ def test_store_holds_only_the_bundle(tmp_path, capsys, monkeypatch):
     assert warm == cold
 
 
+# An inline JSON path on 40 vertices is named after every vertex and arrow,
+# longer than a file name may be.
+LONG_PATH = json.dumps({"vertices": list(range(1, 41)),
+                        "arrows": [[i, i + 1] for i in range(1, 40)]})
+
+
 def test_long_quiver_name_gets_a_digest_directory(tmp_path, capsys, monkeypatch):
-    # An inline JSON path on 40 vertices is named after every vertex and
-    # arrow, longer than a file name may be; its store directory is a digest.
-    vertices = list(range(1, 41))
-    spec = json.dumps({"vertices": vertices, "arrows": [[i, i + 1] for i in vertices[:-1]]})
+    # The long name's store directory is a digest.
     cache = tmp_path / "cache"
-    args = ["canonical", "--quiver", spec, "--dim", ",".join(["1"] + ["0"] * 39),
+    args = ["canonical", "--quiver", LONG_PATH, "--dim", ",".join(["1"] + ["0"] * 39),
             "--cache-dir", str(cache)]
     code, cold = run_cli(capsys, *args)
     assert code == 0, cold
@@ -528,10 +531,6 @@ def test_long_quiver_name_gets_a_digest_directory(tmp_path, capsys, monkeypatch)
     code, warm = run_cli(capsys, *args)
     assert code == 0
     assert warm == cold
-
-
-LONG_PATH = json.dumps({"vertices": list(range(1, 41)),
-                        "arrows": [[i, i + 1] for i in range(1, 40)]})
 
 
 def _hashlib_digest(obj) -> str:

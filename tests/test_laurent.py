@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallcanon.laurent import ONE, ZERO, LaurentPoly, RationalFn
+from hallcanon.laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
 from oracles import (
     expand_at_infinity,
     in_delta_plus_tail,
@@ -245,3 +245,31 @@ def test_fraction_coefficients_supported():
     p = LaurentPoly({0: Fraction(1, 2)})
     assert (p + p) == ONE
     assert (2 * p) == ONE
+    # an integral Fraction is stored as an int, so is_integral holds
+    row = add_scaled({"a": p}, {"a": LaurentPoly({0: Fraction(3, 4)})}, Fraction(2, 3))
+    for x in [p + p, 2 * p, row["a"]]:
+        assert type(x.terms[0]) is int and x.is_integral()
+
+
+rows = st.dictionaries(st.sampled_from("abcd"), laurents, max_size=4)
+
+
+@given(rows, rows, laurents)
+@settings(max_examples=200, deadline=None)
+def test_add_scaled_matches_sum_of_products(acc, row, c):
+    # add_scaled sums into copies in place; the reference builds c * x and
+    # acc[k] + c * x as polynomials, and neither input row changes.
+    acc = {k: x for k, x in acc.items() if x}
+    row = {k: x for k, x in row.items() if x}
+    before = {k: dict(x.terms) for k, x in acc.items()}
+    expected = dict(acc)
+    for k, x in row.items():
+        s = expected.get(k, ZERO) + c * x
+        if s:
+            expected[k] = s
+        else:
+            expected.pop(k, None)
+    out = add_scaled(dict(acc), row, c)
+    assert out == expected
+    assert all(x for x in out.values())
+    assert {k: x.terms for k, x in acc.items()} == before
