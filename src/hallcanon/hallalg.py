@@ -26,14 +26,14 @@ cyclic engine never loads ``gf``, ``fqrep`` or ``hallpoly``: those, and
 the check itself needs a census, so ``generic_word`` refuses there.
 
 The Green form needs no field: (S_lam, S_mu) is a closed form over the
-character table of S_m (``HallEngine.s_gram``); frames give |Aut| factors
-(``aut_coeffs``).
+character table of S_m (``HallEngine.s_gram``), summed and reduced in Z[v];
+frames give |Aut| factors (``aut_coeffs``).  No coefficient here leaves Z.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import factorial, gcd
 
 from .combinatorics import (
     CombinatorialContext,
@@ -155,14 +155,26 @@ def _q_coeffs(p: LaurentPoly) -> list:
     return [p.coeff(e) for e in range(0, p.degree() + 1, 2)] if p else []
 
 
+def _primitive(p: LaurentPoly) -> LaurentPoly:
+    """p != 0 divided by the gcd of its coefficients."""
+    g = gcd(*p.terms.values())
+    return LaurentPoly({e: c // g for e, c in p.terms.items()})
+
+
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """A gcd over Q of two polynomials in v (Euclid)."""
+    """The primitive gcd over Z of two polynomials in v, not both zero, by
+    primitive pseudo-remainders (Collins): each remainder is scaled to stay
+    in Z[v], then divided by its content.  By Gauss's lemma it divides both
+    in Z[v]."""
     while b:
-        while a and a.degree() >= b.degree():
-            c = Fraction(a.coeff(a.degree()), b.coeff(b.degree()))
-            a = a - b * LaurentPoly.v_power(a.degree() - b.degree(), c)
+        b = _primitive(b)
+        db, lb = b.degree(), b.coeff(b.degree())
+        while a and a.degree() >= db:
+            la = a.coeff(a.degree())
+            g = gcd(la, lb)
+            a = a * (lb // g) - b * LaurentPoly.v_power(a.degree() - db, la // g)
         a, b = b, a
-    return a
+    return _primitive(a)
 
 
 def word_degree_bound(word) -> int:
@@ -429,6 +441,10 @@ class HallEngine:
             sum_{rho |- m} chi^lam(rho) chi^mu(rho) / z_rho
                 * prod_i (q^{rho_i} + 1) / (q^{rho_i} - 1).
 
+        The sum runs over Z with weights m!/z_rho, the size of the class of
+        rho, and m! joins the denominator; the quotient is then reduced by
+        the primitive gcd and normalized (``hallpoly._normalize_rational``).
+
         In the tube at x, H_m maps to h_m with Q = q^{deg x} (Macdonald, ch.
         III), and the homogeneous tubes are indexed by P^1 (Lin-Xiao-Zhang),
         so (p_n, p_n) = n |P^1(F_{q^n})| / (q^n - 1).
@@ -442,18 +458,19 @@ class HallEngine:
         from .hallpoly import _normalize_rational
         from .partitions import centralizer_order, character, partitions
 
+        m = sum(lam)
         total = RationalFn(ZERO)
-        for rho in partitions(sum(lam)):
+        for rho in partitions(m):
             c = character(lam, rho) * character(mu, rho)
             if not c:
                 continue
-            term = RationalFn(Fraction(c, centralizer_order(rho)))
+            term = RationalFn(c * (factorial(m) // centralizer_order(rho)))
             for r in rho:
                 qr = LaurentPoly.v_power(2 * r)
                 term = term * RationalFn(qr + ONE, qr - ONE)
             total = total + term
         g = _poly_gcd(total.num, total.den)
-        num, den = total.num.exact_div(g), total.den.exact_div(g)
+        num, den = total.num.exact_div(g), total.den.exact_div(g) * factorial(m)
         return RationalFn.from_q_fractions(*_normalize_rational(_q_coeffs(num), _q_coeffs(den)))
 
     def _frame_parts(self, frame):

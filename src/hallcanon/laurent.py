@@ -1,9 +1,8 @@
 """Exact arithmetic in Z[v, v^-1] and its fraction field.
 
-Coefficients are arbitrary-precision integers; ``Fraction`` coefficients are
-tolerated so Green-form values can ride on the same type.  The quantum
-parameter satisfies q = v^2 under every specialization, and the bar
-involution sends v to v^-1.  Rational functions are never expanded as
+Coefficients are arbitrary-precision integers, and ``exact_div`` divides over
+Z.  The quantum parameter satisfies q = v^2 under every specialization, and
+the bar involution sends v to v^-1.  Rational functions are never expanded as
 series: where a check needs their expansion at v = infinity, it reads the
 degrees of numerator and denominator.
 """
@@ -13,14 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .config import BarSolveError
-
-
-def _norm(c):
-    """Collapse integral Fractions to int so equal values hash equally."""
-    # An exact type test: isinstance against the numbers ABCs is slow here.
-    if type(c) is Fraction and c.denominator == 1:
-        return int(c)
-    return c
 
 
 class LaurentPoly:
@@ -33,18 +24,8 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        d = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for e, c in items:
-                if c:
-                    s = d.get(e, 0) + c
-                    s = _norm(s)
-                    if s:
-                        d[int(e)] = s
-                    else:
-                        d.pop(int(e), None)
-        self.terms = d
+        """From a dict {exponent: coefficient}; zero coefficients are dropped."""
+        self.terms = {int(e): c for e, c in (terms or {}).items() if c}
 
     # -- constructors -------------------------------------------------
 
@@ -68,8 +49,6 @@ class LaurentPoly:
         d = dict(self.terms)
         for e, c in other.terms.items():
             s = d.get(e, 0) + c
-            if type(s) is Fraction and s.denominator == 1:  # _norm, inlined
-                s = int(s)
             if s:
                 d[e] = s
             else:
@@ -95,8 +74,6 @@ class LaurentPoly:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 s = d.get(e, 0) + c1 * c2
-                if type(s) is Fraction and s.denominator == 1:  # _norm, inlined
-                    s = int(s)
                 if s:
                     d[e] = s
                 else:
@@ -108,7 +85,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -138,12 +115,9 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no valuation")
         return min(self.terms)
 
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.terms.values())
-
     def in_vinv_Z(self) -> bool:
         """Membership in v^-1 Z[v^-1], decided exactly."""
-        return all(e < 0 and isinstance(c, int) for e, c in self.terms.items())
+        return all(e < 0 for e in self.terms)
 
     # -- involutions and folds ----------------------------------------
 
@@ -158,10 +132,8 @@ class LaurentPoly:
         d = {}
         for e, c in self.terms.items():
             if e >= 0:
-                d[e] = _norm(d.get(e, 0) + c)
-                if e > 0:
-                    d[-e] = _norm(d.get(-e, 0) + c)
-        return LaurentPoly({e: c for e, c in d.items() if c})
+                d[e] = d[-e] = c
+        return LaurentPoly(d)
 
     def negative_part(self) -> "LaurentPoly":
         return LaurentPoly({e: c for e, c in self.terms.items() if e < 0})
@@ -169,7 +141,8 @@ class LaurentPoly:
     # -- exact division and evaluation --------------------------------
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Divide exactly; raises if the quotient is not a Laurent polynomial."""
+        """Divide exactly over Z; raises ArithmeticError if the quotient is not
+        in Z[v, v^-1]."""
         other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -183,15 +156,14 @@ class LaurentPoly:
         quot = {}
         while num:
             e = max(num)
-            c = num[e]
-            q = _norm(Fraction(c) / Fraction(dc))
+            q, r = divmod(num[e], dc)
             qe = e - dlead
-            if qe < val_bound:
+            if r or qe < val_bound:
                 raise ArithmeticError("inexact Laurent division")
             quot[qe] = q
             for e2, c2 in other.terms.items():
                 ne = qe + e2
-                s = _norm(num.get(ne, 0) - q * c2)
+                s = num.get(ne, 0) - q * c2
                 if s:
                     num[ne] = s
                 else:
@@ -236,10 +208,17 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data) -> "LaurentPoly":
-        out = {}
+        """Read ``to_json``'s form back; raises ValueError on any other:
+        exponents are ints in strictly ascending order and coefficients are
+        nonzero integers in canonical decimal (``str(int(c)) == c``)."""
+        terms: dict = {}
         for e, c in data:
-            out[int(e)] = Fraction(c) if "/" in str(c) else int(c)
-        return LaurentPoly(out)
+            n = int(c)
+            if type(e) is not int or str(n) != c or not n or (terms and e <= prev):
+                raise ValueError(f"not a canonical [exponent, coefficient] term: {[e, c]!r}")
+            terms[e] = n
+            prev = e
+        return LaurentPoly(terms)
 
     def __repr__(self):
         return f"LaurentPoly({self.text()})"
@@ -248,7 +227,7 @@ class LaurentPoly:
 def _coerce(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return LaurentPoly.const(x)
     raise TypeError(f"cannot coerce {type(x)} to LaurentPoly")
 
@@ -277,8 +256,6 @@ def add_scaled(acc: dict, row: dict, c) -> dict:
             for e2, c2 in x.terms.items():
                 e = e1 + e2
                 s = d.get(e, 0) + c1 * c2
-                if type(s) is Fraction and s.denominator == 1:  # _norm, inlined
-                    s = int(s)
                 if s:
                     d[e] = s
                 else:
@@ -356,7 +333,7 @@ class RationalFn:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
+        if isinstance(other, (int, LaurentPoly)):
             other = RationalFn(_coerce(other))
         if not isinstance(other, RationalFn):
             return NotImplemented

@@ -35,7 +35,13 @@ from hallcanon.canonical import (
 )
 from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, from_spec, kronecker, linear_an
-from oracles import bar_squares_to_one, gram_C_almost_orthonormal, monomial_forgery, pbw_forgery
+from oracles import (
+    bar_squares_to_one,
+    gram_C_almost_orthonormal,
+    is_integral,
+    monomial_forgery,
+    pbw_forgery,
+)
 from test_bundle_digests import DIGESTS
 
 V = LaurentPoly.v_power
@@ -552,6 +558,35 @@ def test_verify_bundle_rejects_malformed_product(cyc2_bundle):
         verify_bundle(bundle)
 
 
+@pytest.mark.parametrize(
+    "key, terms",
+    [
+        ("g", [[-2, "7"], [-2, "1"]]),  # a repeated exponent
+        ("E_over_monomial", [[-2, "7"], [-2, "-1"], [0, "-1"]]),
+        ("E_over_monomial", [[0, "-1"], [-2, "-1"]]),  # descending exponents
+        ("g", [[-2, "1"], [999, "0"]]),  # a zero term
+        ("g", [[-2, " +1"]]),  # a coefficient that is not canonical decimal
+    ],
+)
+def test_verify_bundle_rejects_non_canonical_laurent_terms(cyc2_bundle, key, terms):
+    # A lenient reader decodes each of these to the stored value itself, so
+    # verify passed the bundle.
+    bundle = json.loads(cyc2_bundle)
+    assert bundle[key][4][0][0] == 0
+    bundle[key][4][0][1] = terms
+    with pytest.raises(BundleFormatError):
+        verify_bundle(bundle)
+
+
+@pytest.mark.parametrize("written", ["{c}/1", "1/2"])
+def test_verify_bundle_rejects_fractional_gram_numerators(cyc2_bundle, written):
+    bundle = json.loads(cyc2_bundle)
+    for entry in bundle["gram_E"]:
+        entry[2]["num"] = [[e, written.format(c=c)] for e, c in entry[2]["num"]]
+    with pytest.raises(BundleFormatError):
+        verify_bundle(bundle)
+
+
 def test_verify_bundle_rejects_non_unitriangular_eta(kron):
     bundle = json.loads(json.dumps(kron.bundle((1, 1))))
     bundle["E_over_monomial"][0].append([1, [[0, "1"]]])
@@ -668,7 +703,7 @@ def test_canonical_integrality_over_monomials(cyc2):
         data = cyc2.solve(nu)
         for a, row in data.C_over_mon.items():
             for c in row.values():
-                assert c.is_integral()
+                assert is_integral(c)
 
 
 def test_E_almost_orthogonality(kron, cyc2):

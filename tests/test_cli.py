@@ -392,6 +392,11 @@ def _zero_entry(bundle):
     bundle["g"][1][0][1] = [[0, "0"]]
 
 
+def _repeated_exponent(bundle):
+    terms = bundle["g"][1][0][1]
+    bundle["g"][1][0][1] = [[terms[0][0], "7"], *terms]
+
+
 def _eta_not_unitriangular(bundle):
     bundle["E_over_monomial"][0].append([1, [[0, "1"]]])
 
@@ -438,6 +443,7 @@ def _one_word_short(bundle):
         (_ragged_entry, "BundleFormatError"),
         (_ragged_matrix, "BundleFormatError"),
         (_zero_entry, "BundleFormatError"),
+        (_repeated_exponent, "BundleFormatError"),
         (_eta_not_unitriangular, "BarSolveError"),
         (_index_not_in_n_indices, "BundleFormatError"),
     ],

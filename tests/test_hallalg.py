@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -38,8 +39,10 @@ from oracles import (
     green_field,
     in_delta_plus_tail,
     indecomposable_pool,
+    is_integral,
     jacobi_trudi_det,
     nmul,
+    poly_gcd_over_Q,
     qfact,
     serre_sum,
     tensor_green,
@@ -516,6 +519,34 @@ def test_s_gram_orthogonality_order10(kron):
                 g = kron.s_gram(lam, mu)
                 delta = 1 if lam == mu else 0
                 assert in_delta_plus_tail(g, delta)
+                # The normal form that fixes the bundle bytes: integer
+                # coefficients with joint content 1, a positive leading
+                # denominator coefficient, and no common factor over Q.
+                num, den = g.num, g.den
+                assert is_integral(num) and is_integral(den)
+                assert gcd(*num.terms.values(), *den.terms.values()) == 1
+                assert den.coeff(den.degree()) > 0
+                assert poly_gcd_over_Q(num, den) == [1], (lam, mu)
+
+
+def test_poly_gcd_is_the_primitive_gcd_over_Q():
+    # Random polynomials in v with a random common factor: the gcd over Z is
+    # primitive, divides both in Z[v], and is the gcd over Q up to a unit.
+    rng = random.Random(41)
+
+    def poly(deg):
+        return LaurentPoly({e: rng.randint(-4, 4) for e in range(deg + 1)})
+
+    for _ in range(200):
+        f = poly(rng.randint(0, 3)) or ONE
+        a, b = f * poly(rng.randint(0, 4)), f * poly(rng.randint(0, 4))
+        if not (a or b):
+            continue
+        g = hallalg._poly_gcd(a, b)
+        assert gcd(*g.terms.values()) == 1
+        assert a.exact_div(g) * g == a and b.exact_div(g) * g == b
+        lead = g.coeff(g.degree())
+        assert [Fraction(g.coeff(e), lead) for e in range(g.degree() + 1)] == poly_gcd_over_Q(a, b)
 
 
 def field_level_s_gram(engine, lam, mu, q):

@@ -1,5 +1,6 @@
 """Every name a package module or script imports is used or exported, no
-package module imports ``hashlib`` but as a fallback, every parameter a
+package module imports ``hashlib`` but as a fallback, ``Fraction`` appears
+in the package only where rationals are the point, every parameter a
 function there takes is read, every function, class and method the package
 defines has a caller in it, and every reference implementation in
 tests/oracles.py has a caller in the tests."""
@@ -101,6 +102,55 @@ def test_hashlib_import_detector():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_package_loads_no_openssl(path):
     assert hashlib_imports(path.read_text()) == []
+
+
+# The only places in the package that may name Fraction: an exact value at
+# v = sqrt(q), the rational kernels of the quiver's Cartan matrix, and the
+# traced rational fit; the pipeline's Laurent arithmetic is over Z.
+FRACTION_ALLOWED = {
+    "laurent.<module>",
+    "laurent.LaurentPoly.eval_sqrt",
+    "quiver.<module>",
+    "quiver._integer_kernel",
+    "quiver._positive_definite",
+    "hallpoly.<module>",
+    "hallpoly.fit_rational_function",
+}
+
+
+def fraction_uses(module: str, source: str) -> set:
+    """Where ``source`` names ``Fraction``: "module.<qualified def>" for a use
+    inside a function or class, "module.<module>" for an import or a use at
+    module level."""
+    out = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where == "<module>" else f"{where}.{child.name}"
+            if (
+                isinstance(child, ast.Name) and child.id == "Fraction"
+                or isinstance(child, ast.Attribute) and child.attr == "Fraction"
+                or isinstance(child, ast.alias) and "Fraction" in (child.name, child.asname)
+            ):
+                out.add(f"{module}.{inner}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_fraction_use_detector():
+    src = "from fractions import Fraction\nclass K:\n    def f(self) -> Fraction:\n"
+    src += "        return 1\n\n    def g(self):\n        import fractions\n"
+    src += "        return fractions.Fraction(1)\n\ndef h():\n    return 2\n"
+    assert fraction_uses("mod", src) == {"mod.<module>", "mod.K.f", "mod.K.g"}
+
+
+def test_fraction_stays_out_of_the_pipeline():
+    uses = set().union(*(fraction_uses(p.stem, p.read_text()) for p in PACKAGE))
+    assert sorted(uses - FRACTION_ALLOWED) == []
 
 
 def unread_parameters(source: str) -> list:

@@ -241,14 +241,12 @@ def test_from_q_poly():
     assert LaurentPoly.from_q_poly([0, 1], shift=-1) == V(1)
 
 
-def test_fraction_coefficients_supported():
-    p = LaurentPoly({0: Fraction(1, 2)})
-    assert (p + p) == ONE
-    assert (2 * p) == ONE
-    # an integral Fraction is stored as an int, so is_integral holds
-    row = add_scaled({"a": p}, {"a": LaurentPoly({0: Fraction(3, 4)})}, Fraction(2, 3))
-    for x in [p + p, 2 * p, row["a"]]:
-        assert type(x.terms[0]) is int and x.is_integral()
+def test_exact_div_is_over_Z():
+    # (v + 1) / (2v + 2) is 1/2 over Q, which is not in Z[v, v^-1].
+    p = V(1) + ONE
+    with pytest.raises(ArithmeticError):
+        p.exact_div(2 * p)
+    assert (2 * p).exact_div(p) == LaurentPoly.const(2)
 
 
 rows = st.dictionaries(st.sampled_from("abcd"), laurents, max_size=4)
