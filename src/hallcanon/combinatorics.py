@@ -483,10 +483,30 @@ class CombinatorialContext:
         the classes of the other kinds."""
         return tuple(("m", pi) for pi in enumerate_msegs(self.quiver.n, nu))
 
+    def type_classes(self, nu) -> tuple:
+        """One class of each type of dimension vector nu, in class order.
+
+        A type is a class up to the closed points it sits at.  Only Kronecker
+        classes have points, and ``FieldContext`` lists their types; here
+        every class is its own type.
+        """
+        return self.classes(nu)
+
+    def type_rep(self, desc):
+        """The representative of desc's type, among ``type_classes``."""
+        return desc
+
     @memoized
-    def _interned(self, dims) -> dict:
-        """Each class of dimension dims, keyed by itself."""
-        return {c: c for c in self.classes(dims)}
+    def simple_indec(self, v) -> tuple:
+        """('p', t) or ('q', t): the indecomposable that is the simple at
+        vertex index v of an acyclic quiver, found on the beta chain."""
+        unit = tuple(int(j == v) for j in range(self.quiver.n))
+        for side, walk in (("p", self.seq.preprojective_range), ("q", self.seq.preinjective_range)):
+            for t in walk(unit):
+                if self.seq.beta(t) == unit:
+                    return side, t
+        label = self.quiver.vertices[v]
+        raise UnsupportedQuiverError(f"simple at {label} not located in the beta chain")
 
     # -- Hall numbers -------------------------------------------------------
 
@@ -501,21 +521,61 @@ class CombinatorialContext:
         closed-form too, and builds nothing: that module is S_i^a, and the
         row is the socle formula read backwards (``_one_vertex_row``).  The
         Jordan quiver keeps its census, since there a module at its one
-        vertex need not be semisimple.  No closed form enumerates a
-        subspace, so none is bounded by ``budget_subspaces``.  No order of
-        the row's keys is promised.
+        vertex need not be semisimple.  On an acyclic quiver, a row with
+        dim N = a e_i at a source i, or dim M = a e_j at a sink j, splits
+        off a simple power and is closed-form too (``_split_simple_row``).
+        No closed form enumerates a subspace, so none is bounded by
+        ``budget_subspaces``.  No order of the row's keys is promised.
+
+        The row is one class's, also on the Kronecker quiver: each entry is
+        the Hall number of the classes M and N themselves, not of their
+        types (``hall_table`` sums it by type).
         """
         nuL = self.desc_dim(descL)
         nuM = tuple(l - k for l, k in zip(nuL, nuN))
         if nuN == nuL or not any(nuN):
             (zero,) = self.classes(tuple(0 for _ in nuL))
             return {(zero, descL) if nuN == nuL else (descL, zero): 1}
-        if self.kind == "cyclic" and len(nuL) > 1 and 1 in (
-            sum(map(bool, nuN)),
-            sum(map(bool, nuM)),
-        ):
-            return self._one_vertex_row(descL, nuN, nuM)
+        if self.kind == "cyclic":
+            if len(nuL) > 1 and 1 in (sum(map(bool, nuN)), sum(map(bool, nuM))):
+                return self._one_vertex_row(descL, nuN, nuM)
+        elif (row := self._split_simple_row(descL, nuN, nuM)) is not None:
+            return row
         return self._census_row(descL, nuN, nuM)
+
+    def _split_simple_row(self, descL, nuN, nuM):
+        """``hall_row`` of an acyclic L when N = S_i^a with i a source, or
+        M = S_j^a with j a sink; None for any other row.
+
+        At a source S_i is injective, so a submodule U isomorphic to S_i^a
+        splits off L.  Write L = L' + S_i^m with no S_i summand in L': a
+        vector of L'_i killed by every arrow would span a summand S_i of L'.
+        So U is an a-dimensional subspace of the m-dimensional S_i^m, with
+        L/U = L' + S_i^(m-a): the row is (L - S_i^a, S_i^a) -> [m, a]_q, and
+        empty when m < a.  At a sink S_j is projective and the dual argument
+        gives (S_j^a, L - S_j^a) -> [m, a]_q.  m is the multiplicity of the
+        simple's indecomposable (``simple_indec``) in L's descriptor.
+        """
+        for nu, at_end, on_right in (
+            (nuN, self.quiver.is_source, True),
+            (nuM, self.quiver.is_sink, False),
+        ):
+            support = [v for v, x in enumerate(nu) if x]
+            if len(support) != 1 or not at_end(support[0]):
+                continue
+            a = nu[support[0]]
+            side, t = self.simple_indec(support[0])
+            cm, cp = dict(descL[1]), dict(descL[3])
+            mult = cm if side == "p" else cp
+            m = mult.get(t, 0)
+            if m < a:
+                return {}
+            mult[t] = m - a
+            rest = make_cdesc(cm=cm.items(), cp=cp.items(), homog=descL[4])
+            S = make_cdesc(cm=((t, a),)) if side == "p" else make_cdesc(cp=((t, a),))
+            g = eval_poly(_gauss_binom_coeffs(m, a), self.q)
+            return {(rest, S) if on_right else (S, rest): g}
+        return None
 
     def _census_row(self, descL, nuN, nuM) -> dict:
         """A row with no closed form: only ``FieldContext`` runs a census."""
@@ -539,25 +599,38 @@ class CombinatorialContext:
         pi, i = descL[1], v + 1
         if flip:
             pi, i = cyclic_image(n, descL, 0, True)[1], -v % n + 1
-        classesM, classesN, row = self._interned(nuM), self._interned(nuN), {}
+        row = {}
         for X, coeffs in mseg_socle_quotients(n, pi, i, a):
             X = cyclic_image(n, ("m", X), 0, True) if flip else ("m", X)
-            dM, dN = (S, X) if flip else (X, S)
-            row[classesM[dM], classesN[dN]] = eval_poly(coeffs, self.q)
+            row[(S, X) if flip else (X, S)] = eval_poly(coeffs, self.q)
         return row
 
     @memoized
     def hall_table(self, nuL, nuN):
-        """All Hall numbers g^L_{M,N} with dim L = nuL, dim N = nuN.
+        """The Hall numbers with dim L = nuL and dim N = nuN, one row per type.
 
-        Returns (by_L, by_pair): by_L[descL] is ``hall_row(descL, nuN)``, in
-        class order, and by_pair[(descM, descN)] = list of (descL, count).
+        Returns (by_L, by_pair).  by_L[L], for each type representative L of
+        ``type_classes(nuL)``, in class order, is L's row with its entries
+        summed by type: the entry at (M, N), two type representatives, is
+        the sum of g^L_{M', N'} over the classes M' of M's type and N' of
+        N's type.  That sum is the same for every class of L's type (Hubery,
+        Represent. Theory 14 (2010)), so it is the coefficient that a
+        product of type elements (``hallalg.FieldElement``) needs.  Where
+        every class is its own type, as off the Kronecker quiver, the row is
+        ``hall_row(L, nuN)`` itself.  by_pair[(M, N)] = list of (L, count).
         """
         by_L, by_pair = {}, {}
         if all(x >= y for x, y in zip(nuL, nuN)):
-            for dL in self.classes(nuL):
-                by_L[dL] = self.hall_row(dL, nuN)
-                for pair, g in by_L[dL].items():
+            for dL in self.type_classes(nuL):
+                row = self.hall_row(dL, nuN)
+                if self.kind == "kronecker":
+                    summed: dict = {}
+                    for (dM, dN), g in row.items():
+                        pair = (self.type_rep(dM), self.type_rep(dN))
+                        summed[pair] = summed.get(pair, 0) + g
+                    row = summed
+                by_L[dL] = row
+                for pair, g in row.items():
                     by_pair.setdefault(pair, []).append((dL, g))
         return by_L, by_pair
 
@@ -571,7 +644,9 @@ class CombinatorialContext:
         return self.hall_row(descL, nuN).get((descM, descN), 0)
 
     def hall_products(self, descM, descN):
-        """All (descL, g^L_{M,N}) with g nonzero."""
+        """All (L, count) with count nonzero in ``hall_table``'s column of
+        (M, N), two type representatives: count is g^L_{M,N} summed over the
+        classes of M's and N's types, one L per type."""
         nuM = self.desc_dim(descM)
         nuN = self.desc_dim(descN)
         nuL = tuple(a + b for a, b in zip(nuM, nuN))

@@ -39,7 +39,6 @@ from .config import (
 )
 from .gf import (
     GF,
-    _is_irreducible,
     _poly_add,
     _poly_divmod,
     _poly_gcd,
@@ -59,18 +58,22 @@ def closed_points(q: int, degree: int) -> tuple:
     """Closed points of P^1(F_q) of the given degree, in canonical order.
 
     Degree-1 points are the monic linear polynomials plus infinity; higher
-    degrees are the monic irreducibles of that degree.
+    degrees are the monic irreducibles of that degree, in ascending order of
+    their non-leading coefficients.  They are sieved, not tested one by
+    one: a monic polynomial of degree d is reducible exactly when it is an
+    irreducible of some degree e <= d/2 times a monic of degree d - e.
     """
     F = GF(q)
-    pts = []
-    for tail in product(F.elements(), repeat=degree):
-        poly = list(tail) + [1]
-        if degree == 1 or _is_irreducible(F, poly):
-            pts.append(("f", tuple(tail)))
-    pts.sort()
+    tails = product(F.elements(), repeat=degree)
     if degree == 1:
-        pts.append(("i",))
-    return tuple(pts)
+        return tuple(("f", tail) for tail in tails) + (("i",),)
+    reducible = {
+        tuple(_poly_mul(F, list(pt[1]) + [1], list(co) + [1])[:-1])
+        for e in range(1, degree // 2 + 1)
+        for pt in closed_points(q, e)[: q if e == 1 else None]
+        for co in product(F.elements(), repeat=degree - e)
+    }
+    return tuple(("f", tail) for tail in tails if tail not in reducible)
 
 
 def point_count(q: int, degree: int) -> int:
@@ -990,8 +993,10 @@ class FieldContext(CombinatorialContext):
         (``classify_pencil``), cyclic ones from path ranks
         (``classify_nilpotent_cyclic``) and finite-type ones from
         dim Hom(beta_t, M) by a triangular solve.  The descriptor returned is
-        the object in ``classes(M.dims)``, written to the classify cache that
-        ``hall_row`` reads before it builds M.
+        written to the classify cache that ``hall_row`` reads before it builds
+        M.  It is one of ``classes(M.dims)``, which is not listed: a
+        descriptor of another dimension, or with a point that is not a
+        closed point, raises ``ClassificationError``.
 
         In finite type every indecomposable is a preprojective beta_t, and
         Hom(beta_s, beta_t) = 0 for s < t while End beta_t is the field, so
@@ -1017,11 +1022,12 @@ class FieldContext(CombinatorialContext):
             desc = classify_pencil(self.F, *M.mats, M.dims[t], M.dims[s])
         else:
             desc = classify_nilpotent_cyclic(M)
-        out = self._interned(M.dims).get(desc)
-        if out is None:
+        if self.desc_dim(desc) != M.dims or not all(
+            pt in self.points(point_degree(pt)) for pt, _ in desc_homog(desc)
+        ):
             raise ClassificationError(f"module of dimension {M.dims} matches no descriptor")
-        self._classify_cache[M.key()] = out
-        return out
+        self._classify_cache[M.key()] = desc
+        return desc
 
     # -- Hall numbers -------------------------------------------------------
 
@@ -1029,19 +1035,17 @@ class FieldContext(CombinatorialContext):
     def _point_type(self, descL):
         """(rep, relabel) for a Kronecker class L with homogeneous points.
 
-        The type of L is its frame and the (degree, partition) of each point.
-        Its representative ``rep`` puts its k-th point of degree d at
-        ``closed_points(q, d)[k]``, with L's points sorted by (degree,
-        partition, point).  ``relabel`` maps a class to its image under a
-        degree-preserving bijection sigma of the closed points with
-        sigma(rep) = L: sigma sends the first points of each degree to L's,
-        and the points left over to those left over, both in list order.  So
-        sigma fixes every point after L's last one of its degree.  sigma is
-        a bijection on all closed points, not only on L's, because a row
-        entry can carry a point L lacks.  By Hubery's Hall polynomials for
-        affine quivers (A. Hubery, Represent. Theory 14 (2010)) a Kronecker
-        Hall number depends on the degree and partition at each point, not on
-        which point it is, so any such sigma carries rep's Hall numbers to L's.
+        ``rep`` is L's type representative (``type_rep``).  ``relabel`` maps
+        a class to its image under a degree-preserving bijection sigma of the
+        closed points with sigma(rep) = L: sigma sends the first points of
+        each degree to L's, sorted by (degree, partition, point), and the
+        points left over to those left over, both in list order.  So sigma fixes
+        every point after L's last one of its degree.  sigma is a bijection
+        on all closed points, not only on L's, because a row entry can carry
+        a point L lacks.  By Hubery's Hall polynomials for affine quivers
+        (A. Hubery, Represent. Theory 14 (2010)) a Kronecker Hall number
+        depends on the degree and partition at each point, not on which
+        point it is, so any such sigma carries rep's Hall numbers to L's.
         sigma need not be a Moebius map: mixing the two arrows by GL_2(F_q)
         would be exact by itself, but reaches every configuration of a type
         only up to dim L = 3 delta, and this one rule covers every dimension.
@@ -1049,34 +1053,91 @@ class FieldContext(CombinatorialContext):
         None for a class without points and for a representative: both are
         censused.
         """
-        homog = desc_homog(descL)
-        if not homog:  # only Kronecker classes have points
+        rep = self.type_rep(descL)
+        if rep == descL:
             return None
         by_degree: dict = {}
-        for pt, lam in sorted(homog, key=lambda e: (point_degree(e[0]), e[1], e[0])):
-            by_degree.setdefault(point_degree(pt), []).append((pt, lam))
-        sigma, rep_homog = {}, []
-        for d, entries in by_degree.items():
+        for pt, lam in sorted(descL[4], key=lambda e: (point_degree(e[0]), e[1], e[0])):
+            by_degree.setdefault(point_degree(pt), []).append(pt)
+        sigma: dict = {}
+        for d, ours in by_degree.items():
             pts = closed_points(self.q, d)
-            ours = [pt for pt, _ in entries]
-            rep_homog.extend((pts[k], lam) for k, (_, lam) in enumerate(entries))
             head = pts[: 1 + max(map(pts.index, ours))]
             taken = set(ours)
             sigma.update(zip(head, ours + [pt for pt in head if pt not in taken]))
-        nuL = self.desc_dim(descL)
-        rep = self._interned(nuL)[make_cdesc(cm=descL[1], cp=descL[3], homog=rep_homog)]
-        if rep == descL:
-            return None
         images: dict = {}
 
         def relabel(desc):
             out = images.get(desc)
             if out is None:
                 moved = tuple(sorted((sigma.get(pt, pt), lam) for pt, lam in desc[4]))
-                out = images[desc] = self._interned(self.desc_dim(desc))[desc[:4] + (moved,)]
+                out = images[desc] = desc[:4] + (moved,)
             return out
 
         return rep, relabel
+
+    # -- types ------------------------------------------------------------
+
+    @memoized
+    def type_rep(self, desc):
+        """The representative of a class's type.
+
+        The type of a Kronecker class is its frame and the (degree,
+        partition) of each of its points.  Its representative puts its k-th
+        point of degree d at ``closed_points(q, d)[k]``, with the points
+        sorted by (degree, partition).  A class without points is its own
+        type.
+        """
+        if not desc_homog(desc):
+            return desc
+        entries = sorted((point_degree(pt), lam) for pt, lam in desc[4])
+        return make_cdesc(cm=desc[1], cp=desc[3], homog=self._placed(entries))
+
+    def _placed(self, entries) -> list:
+        """(point, partition) for each (degree d, partition) of the sorted
+        ``entries``, the k-th of degree d at ``closed_points(q, d)[k]``."""
+        out, used = [], {}
+        for d, lam in entries:
+            used[d] = k = used.get(d, -1) + 1
+            out.append((closed_points(self.q, d)[k], lam))
+        return out
+
+    @memoized
+    def type_classes(self, nu) -> tuple:
+        """One class of each type of dimension vector nu, in class order:
+        the classes of ``classes(nu)`` that are their own ``type_rep``.
+
+        On the Kronecker quiver they are listed directly, without the
+        classes: each frame (``frames``) with each homogeneous type that
+        fits at q (``homog_types``).
+        """
+        if self.kind != "kronecker":
+            return self.classes(nu)
+        return tuple(
+            sorted(
+                make_cdesc(cm=cm, cp=cp, homog=homog)
+                for cm, cp, m in self.frames(nu)
+                for homog in self.homog_types(m)
+            )
+        )
+
+    def homog_types(self, m: int):
+        """The homogeneous parts of total delta-multiple m of the type
+        representatives, as (point, partition) lists.
+
+        A type is a multiset of (degree d, partition lam) with
+        sum d |lam| = m.  It fits at q when it has at most
+        ``point_count(q, d)`` entries of each degree d, and is then placed
+        as ``type_rep`` places it.
+        """
+        from .partitions import partitions
+
+        items = [(d, lam) for d in range(1, m + 1) for k in range(1, m // d + 1) for lam in partitions(k)]
+        for chosen in bounded_multisets(items, lambda e: (e[0] * sum(e[1]),), (m,), exact=True):
+            entries = sorted(e for e, mult in chosen for _ in range(mult))
+            degrees = [d for d, _ in entries]
+            if all(degrees.count(d) <= point_count(self.q, d) for d in set(degrees)):
+                yield self._placed(entries)
 
     def _census_row(self, descL, nuN, nuM) -> dict:
         """``hall_row`` of L where it has no closed form: by relabelling its

@@ -1,8 +1,9 @@
 """The extended composition algebra: field realizations and the generic lift.
 
 Field-level elements live in one Hall algebra H*(F_q Q) and are stored in
-the normalized class basis <M> with Laurent coefficients; the quantum
-parameter v stays symbolic and only Hall counts depend on q.  Generic
+the normalized class basis <M> with Laurent coefficients, one term per type
+of class (on the Kronecker quiver, a class up to its closed points); the
+quantum parameter v stays symbolic and only Hall counts depend on q.  Generic
 elements are indexed by the spanning family
 
     N(c, t_lam) = <M(c_-)> * S_lam * <M(c_+)>
@@ -78,7 +79,16 @@ def nindex_json(idx):
 
 
 class FieldElement:
-    """Sparse sum of normalized classes <M> with LaurentPoly coefficients."""
+    """Sparse sum of normalized classes <M> with LaurentPoly coefficients.
+
+    Every element the pipeline builds is constant on the classes of one
+    type (``CombinatorialContext.type_rep``): words, H_m and the N family
+    are, since Hall numbers are (Hubery).  So a term is one type: its key
+    is the type representative and its coefficient is that of every class
+    of the type.  On the Kronecker quiver a type is a class up to its closed
+    points, and a product reads ``hall_table``'s rows summed by type; on
+    other quivers every class is its own type and a term is one class.
+    """
 
     __slots__ = ("ctx", "terms")
 
@@ -237,16 +247,8 @@ class HallEngine:
             return self.zero_frame()
         if self.kind == "cyclic":
             return ("m", mseg_normalize([((label, 1), m)]))
-        i = self.quiver.index[label]
-        unit = tuple(1 if j == i else 0 for j in range(self.quiver.n))
-        seq = self.seq
-        for t in seq.preprojective_range(unit):
-            if seq.beta(t) == unit:
-                return make_cdesc(cm=((t, m),))
-        for t in seq.preinjective_range(unit):
-            if seq.beta(t) == unit:
-                return make_cdesc(cp=((t, m),))
-        raise UnsupportedQuiverError(f"simple at {label} not located in the beta chain")
+        side, t = self.ctx(self.cfg.primes[0]).simple_indec(self.quiver.index[label])
+        return make_cdesc(cm=((t, m),)) if side == "p" else make_cdesc(cp=((t, m),))
 
     def word_element(self, word, q: int) -> FieldElement:
         """Product of divided simple powers u_{i}^{(a)} along the word."""
@@ -256,14 +258,15 @@ class HallEngine:
         return out
 
     def realize_H(self, m: int, q: int) -> FieldElement:
-        """Field-level H_m: weighted sum of all homogeneous classes of dim m*delta."""
+        """Field-level H_m: the sum of the homogeneous classes M of dim m*delta,
+        each weighted v^-dim End M, one term per type (``homog_types``)."""
         if self.kind != "kronecker":
             raise UnsupportedQuiverError("H_m lives in the affine homogeneous part")
         ctx = self.ctx(q)
         if m == 0:
             return self.unit(q)
         terms = {}
-        for homog in ctx.homog_configs(m):
+        for homog in ctx.homog_types(m):
             desc = make_cdesc(homog=homog)
             terms[desc] = LaurentPoly.v_power(-ctx.end(desc))
         return FieldElement(ctx, terms)
@@ -304,7 +307,9 @@ class HallEngine:
         """Coefficients of x over the N family at x's own field.
 
         At the probe with part mu_i at the i-th degree-1 point, N(frame,
-        t_lam) has coefficient v^-m K_{lam mu} (``n_field``), and K is
+        t_lam) has coefficient v^-m K_{lam mu} (``n_field``); on the Kronecker
+        quiver x holds that coefficient at the probe's type (``type_rep``,
+        ``FieldElement``).  K is
         unitriangular in descending lex order: the coefficients psi solve
         v^m x_mu = sum_lam K_{lam mu} psi_lam (``partitions.kostka_solve``).
         """
@@ -340,9 +345,10 @@ class HallEngine:
                     f"need {m} degree-1 points, q={ctx.q} has {ctx.num_deg1_points()}"
                 )
             pts = ctx.points(1)[:m]
+
             def probed(mu):
-                probe = desc_homog(make_cdesc(homog=zip(pts, ((p,) for p in mu))))
-                return LaurentPoly.v_power(m) * rest.get(probe, ZERO)
+                probe = ctx.type_rep(make_cdesc(homog=zip(pts, ((p,) for p in mu))))
+                return LaurentPoly.v_power(m) * rest.get(desc_homog(probe), ZERO)
             for lam, c in kostka_solve(m, probed).items():
                 if c:
                     out[nindex(frame, lam)] = c

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .config import UnsupportedQuiverError
+from .config import UnsupportedQuiverError, memoized
 
 
 class Quiver:
@@ -360,7 +360,12 @@ class AdmissibleSequence:
             return itertools.count()
         return range(self.quiver.n * (sum(bound) + 2) + 2)
 
-    def _range(self, bound, ts) -> list[int]:
+    @memoized
+    def _range(self, bound, side: str) -> tuple[int, ...]:
+        """The t of one side (``preprojective_range``, ``preinjective_range``)
+        with beta_t componentwise <= bound, walked once per bound."""
+        steps = self._steps(bound)
+        ts = (-s for s in steps) if side == "-" else itertools.islice(steps, 1, None)
         out = []
         for t in ts:
             try:
@@ -369,15 +374,15 @@ class AdmissibleSequence:
                 break
             if all(x <= y for x, y in zip(b, bound)):
                 out.append(t)
-        return out
+        return tuple(out)
 
-    def preprojective_range(self, bound) -> list[int]:
+    def preprojective_range(self, bound) -> tuple[int, ...]:
         """All t <= 0 with beta_t componentwise <= bound, from t = 0 down."""
-        return self._range(bound, (-s for s in self._steps(bound)))
+        return self._range(tuple(bound), "-")
 
-    def preinjective_range(self, bound) -> list[int]:
+    def preinjective_range(self, bound) -> tuple[int, ...]:
         """All t > 0 with beta_t componentwise <= bound, from t = 1 up."""
-        return self._range(bound, itertools.islice(self._steps(bound), 1, None))
+        return self._range(tuple(bound), "+")
 
     def reflected_quiver_chain(self, count: int, side: str) -> list[Quiver]:
         """Quivers sigma_{i_t}...Q along the sink (side='-') or source (side='+') walk."""

@@ -99,6 +99,10 @@ def qbinom(m: int, n: int) -> LaurentPoly:
 #
 # Each counts on the field's own context, engine.polyeng.ctx(q), where every
 # Hall row has a census; a cyclic engine's context counts only closed forms.
+# A FieldElement's term is a type (``CombinatorialContext.type_rep``): on
+# the Kronecker quiver ``spread`` lists the classes it stands for, and
+# ``u_coeff`` and ``green_field`` read through it.  The coproduct and tensor
+# checks run on cyclic quivers, where every class is its own type.
 
 
 def field_class(engine, desc, q: int) -> FieldElement:
@@ -114,10 +118,50 @@ def field_word(engine, word, q: int) -> FieldElement:
     return out
 
 
+def spread(x: FieldElement) -> dict:
+    """{class: coefficient}: each term of x on every class of its type."""
+    ctx, out = x.ctx, {}
+    for nu in {ctx.desc_dim(d) for d in x.terms}:
+        for d in ctx.classes(nu):
+            if c := x.terms.get(ctx.type_rep(d)):
+                out[d] = c
+    return out
+
+
+def class_product(ctx, x: dict, y: dict) -> dict:
+    """The product of two class-keyed elements {class: coefficient} at
+    ctx's field, read class by class off ``hall_row``: the product that
+    ``FieldElement`` computed on the Kronecker quiver before its terms were
+    types."""
+    euler = ctx.quiver.euler_form
+    out: dict = {}
+    for dA, cA in x.items():
+        for dB, cB in y.items():
+            nuA, nuB = ctx.desc_dim(dA), ctx.desc_dim(dB)
+            base = euler(nuA, nuB) + ctx.end(dA) + ctx.end(dB)
+            row = {}
+            for dL in ctx.classes(tuple(a + b for a, b in zip(nuA, nuB))):
+                if g := ctx.hall_row(dL, nuB).get((dA, dB)):
+                    row[dL] = LaurentPoly.v_power(base - ctx.end(dL), g)
+            add_scaled(out, row, cA * cB)
+    return {d: c for d, c in out.items() if c}
+
+
+def class_word(engine, word, q: int) -> dict:
+    """The monomial along ``word`` at GF(q) as a class-keyed element,
+    multiplied by ``class_product``."""
+    ctx = engine.polyeng.ctx(q)
+    out = {engine.zero_frame(): ONE}
+    for label, a in word:
+        out = class_product(ctx, out, {engine.simple_power_desc(label, a): ONE})
+    return out
+
+
 def u_coeff(x: FieldElement, desc) -> LaurentPoly:
     """x's coefficient on the raw class symbol u_[M]: <M> = v^(dim End M - dim M) u_[M]."""
     ctx = x.ctx
-    return x.terms.get(desc, ZERO) * LaurentPoly.v_power(ctx.end(desc) - sum(ctx.desc_dim(desc)))
+    c = x.terms.get(ctx.type_rep(desc), ZERO)
+    return c * LaurentPoly.v_power(ctx.end(desc) - sum(ctx.desc_dim(desc)))
 
 
 def serre_sum(engine, i, j, q: int) -> FieldElement:
@@ -149,12 +193,14 @@ def nmul(engine, i1, i2) -> dict:
 
 
 def green_field(engine, x: FieldElement, y: FieldElement) -> LaurentPoly:
-    """Green's form (x, y) = sum_M x_M y_M v^(2 dim End M) / |Aut M| at x's field."""
+    """Green's form (x, y) = sum_M x_M y_M v^(2 dim End M) / |Aut M| at x's
+    field, over the classes M (``spread``)."""
     ctx = engine.polyeng.ctx(x.ctx.q)
+    xs, ys = spread(x), spread(y)
     out = ZERO
-    for d in set(x.terms) & set(y.terms):
+    for d in set(xs) & set(ys):
         val = LaurentPoly.v_power(2 * ctx.end(d), Fraction(1, ctx.aut(d)))
-        out = out + x.terms[d] * y.terms[d] * val
+        out = out + xs[d] * ys[d] * val
     return out
 
 
@@ -479,6 +525,20 @@ def fit_integer_poly_by_degree(pairs, cap=None):
     raise InterpolationError(
         f"no integer polynomial of degree <= {max(top, 0)} fits {len(pairs)} samples"
     )
+
+
+def closed_points_by_trial_division(q: int, degree: int) -> tuple:
+    """``fqrep.closed_points`` as it was written first: every monic
+    polynomial tested for irreducibility by trial division."""
+    from hallcanon.gf import GF, _is_irreducible
+
+    F = GF(q)
+    pts = [
+        ("f", tail)
+        for tail in product(F.elements(), repeat=degree)
+        if degree == 1 or _is_irreducible(F, list(tail) + [1])
+    ]
+    return tuple(sorted(pts)) + ((("i",),) if degree == 1 else ())
 
 
 def homog_configs_by_point(ctx, m: int):

@@ -241,16 +241,36 @@ def oracle_hall_table(quiver, q, nuL, nuN):
     return out
 
 
+def summed_by_type(ctx, row) -> dict:
+    """A class's Hall row with its entries summed by (type of M, type of N)."""
+    out: dict = {}
+    for (dM, dN), g in row.items():
+        pair = (ctx.type_rep(dM), ctx.type_rep(dN))
+        out[pair] = out.get(pair, 0) + g
+    return out
+
+
+def oracle_table_by_type(ctx, table) -> dict:
+    """An oracle table's rows of the type representatives, summed by type:
+    what ``hall_table`` returns.  Off the Kronecker quiver it is the table."""
+    return {dL: summed_by_type(ctx, row) for dL, row in table.items() if ctx.type_rep(dL) == dL}
+
+
 @pytest.mark.parametrize("quiver, nu", HALL_TABLE_CASES)
 def test_hall_table_equals_oracle(quiver, nu):
     # Covers nu_N = 0 and nu_N = nu, the identity tables, for each kind of
     # zero class: cyclic, Kronecker, finite type and the Jordan quiver.
+    # Every class's row is the oracle's; the table is the oracle summed by
+    # type, which off the Kronecker quiver is the oracle itself.
     for q in (2, 3):
         ctx = FieldContext(quiver, q)
         for nuN in dims_upto(nu):
             by_L, _ = ctx.hall_table(nu, nuN)
             expected = oracle_hall_table(quiver, q, nu, nuN)
-            assert by_L == expected
+            assert {dL: ctx.hall_row(dL, nuN) for dL in ctx.classes(nu)} == expected
+            assert by_L == oracle_table_by_type(ctx, expected)
+            if quiver != kronecker():
+                assert by_L == expected
 
 
 @pytest.mark.parametrize("quiver, nu", HALL_TABLE_CASES)
@@ -278,9 +298,14 @@ def test_hall_row_matches_table(quiver, nu):
             expected = oracle_hall_table(quiver, q, nu, nuN)
             for dL in ctx.classes(nu):
                 assert ctx.hall_row(dL, nuN) == expected[dL]
-            # The table is made of the row memo's own dicts.
+            # The table is made of the row memo's own dicts where every
+            # class is its own type, and of their sums by type on Kronecker.
             by_L, _ = ctx.hall_table(nu, nuN)
-            assert all(by_L[dL] is ctx.hall_row(dL, nuN) for dL in by_L)
+            assert list(by_L) == list(ctx.type_classes(nu))
+            if quiver == kronecker():
+                assert all(by_L[dL] == summed_by_type(ctx, ctx.hall_row(dL, nuN)) for dL in by_L)
+            else:
+                assert all(by_L[dL] is ctx.hall_row(dL, nuN) for dL in by_L)
 
 
 KRONECKER_ROW_DIMS = sorted({nu for b in ((2, 3), (3, 2)) for nu in dims_upto(b) if any(nu)})
@@ -300,6 +325,37 @@ def test_kronecker_rows_equal_a_census_of_each_class(q):
                 if any(nuN) and nuN != nuL:
                     assert ctx.hall_row(dL, nuN) == census_row(oracle, L, nuN), (dL, nuN)
     assert relabelled > 0
+
+
+SPLIT_SIMPLE_CASES = [
+    (kronecker(), (3, 3)),
+    (linear_an(3, "><"), (2, 2, 2)),
+    (linear_an(4), (2, 2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("quiver, bound", SPLIT_SIMPLE_CASES)
+def test_split_simple_rows_equal_a_census(quiver, bound, q):
+    # A row with N = S_i^a at a source i, or M = S_j^a at a sink j, is the
+    # closed form [m, a]_q; for every class up to bound it equals a census of
+    # the class itself.
+    ctx, oracle = FieldContext(quiver, q), FieldContext(quiver, q)
+    n, closed = quiver.n, 0
+    for nuL in dims_upto(bound):
+        for dL in ctx.classes(nuL):
+            for v, a in ((v, a) for v in range(n) for a in range(1, nuL[v] + 1)):
+                e = tuple(a * (j == v) for j in range(n))
+                rest = tuple(x - y for x, y in zip(nuL, e))
+                for nuN, at_end in ((e, quiver.is_source), (rest, quiver.is_sink)):
+                    if not at_end(v) or not any(rest):
+                        continue
+                    row = ctx._split_simple_row(dL, nuN, tuple(x - y for x, y in zip(nuL, nuN)))
+                    assert row is not None
+                    L = oracle.build(dL)
+                    assert ctx.hall_row(dL, nuN) == row == census_row(oracle, L, nuN), (dL, nuN)
+                    closed += bool(row)
+    assert closed > 0
 
 
 def mix_arrows(L, g):
@@ -437,7 +493,7 @@ def test_hall_censuses_only_the_asked_L(monkeypatch):
     table = FieldContext(kronecker(), 3)
     by_L, _ = table.hall_table(nuL, nuN)
     dL = [d for d in by_L if not is_semisimple(table.build(d))][-1]
-    (dM, dN), g = max(by_L[dL].items(), key=lambda item: item[1])
+    (dM, dN), g = max(table.hall_row(dL, nuN).items(), key=lambda item: item[1])
 
     ctx = FieldContext(kronecker(), 3)
     censused = []
@@ -496,8 +552,11 @@ def test_semisimple_rows_are_closed_form(quiver, nuL, q, monkeypatch):
     ],
 )
 def test_identity_hall_tables_run_no_census(quiver, nu, monkeypatch):
+    # The tables hold one row per type (on Kronecker fewer than the
+    # classes); every class's own Hall numbers are 1.
     ctx = FieldContext(quiver, 2)
     classes = ctx.classes(nu)
+    types = ctx.type_classes(nu)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an identity Hall table ran a census")
@@ -507,14 +566,16 @@ def test_identity_hall_tables_run_no_census(quiver, nu, monkeypatch):
     monkeypatch.setattr(FieldContext, "build", refuse)
     (zero,) = ctx.classes(tuple(0 for _ in nu))
     by_L, by_pair = ctx.hall_table(nu, nu)
-    assert by_L == {dL: {(zero, dL): 1} for dL in classes}
-    assert by_pair == {(zero, dL): [(dL, 1)] for dL in classes}
+    assert by_L == {dL: {(zero, dL): 1} for dL in types}
+    assert by_pair == {(zero, dL): [(dL, 1)] for dL in types}
     by_L, by_pair = ctx.hall_table(nu, tuple(0 for _ in nu))
-    assert by_L == {dL: {(dL, zero): 1} for dL in classes}
-    assert by_pair == {(dL, zero): [(dL, 1)] for dL in classes}
+    assert by_L == {dL: {(dL, zero): 1} for dL in types}
+    assert by_pair == {(dL, zero): [(dL, 1)] for dL in types}
     for dL in classes:
         assert ctx.hall(dL, zero, dL) == ctx.hall(dL, dL, zero) == 1
+    for dL in types:
         assert ctx.hall_products(zero, dL) == [(dL, 1)]
+    assert (len(types) < len(classes)) == (quiver == kronecker())
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -19,7 +19,7 @@ from hallcanon.combinatorics import (
     mseg_normalize,
     mseg_peel_top,
 )
-from hallcanon.config import BudgetExceededError, memoized
+from hallcanon.config import BudgetExceededError, ClassificationError, memoized
 from hallcanon.fqrep import (
     FieldContext,
     FqModule,
@@ -35,6 +35,7 @@ from hallcanon.fqrep import (
 from hallcanon.gf import GF
 from hallcanon.quiver import Quiver, cyclic, kronecker, linear_an
 from oracles import (
+    closed_points_by_trial_division,
     homog_configs_by_point,
     hom_profile_class,
     quotient_by_subspace,
@@ -413,15 +414,15 @@ def _base_change(M, rng):
 
 
 def _check_classifier(ctx, descs, rng):
-    """classify returns d itself, the object in ``classes``, for the module
-    built from d and for a base change of it, on which the oracle agrees."""
+    """classify returns d, a class of ``classes``, for the module built
+    from d and for a base change of it, on which the oracle agrees."""
     for d in descs:
         M = ctx.build(d)
         moved = _base_change(M, rng)
         assert hom_profile_class(ctx, moved) == d, (ctx.q, d)
         for X in (M, moved):
             got = ctx.classify(X)
-            assert got is d, (ctx.q, d, got)
+            assert got == d, (ctx.q, d, got)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -518,24 +519,59 @@ def test_classes_counts_kronecker():
     assert len(pts2) == (q * q - q) // 2
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_point_count_matches_closed_points(q):
+    # The sieve lists what trial division lists, in the same order.
     for d in (1, 2, 3):
         assert point_count(q, d) == len(closed_points(q, d)), (q, d)
+        assert closed_points(q, d) == closed_points_by_trial_division(q, d), (q, d)
 
 
 def test_kronecker_hall_simple_product():
-    # g^L_{S_0, S_1} = 1 for every L of dimension (1,1).
+    # g^L_{S_0, S_1} = 1 for every L of dimension (1,1): the split class and
+    # the q + 1 regular simples, which are one type, whose one term stands
+    # for the Hall number of each of them.
     q = 5
     ctx = ctx_kron(q)
     S0 = make_cdesc(cp=((1, 1),))
     S1 = make_cdesc(cm=((0, 1),))
-    prods = ctx.hall_products(S0, S1)
-    assert len(prods) == q + 2
-    assert all(g == 1 for _, g in prods)
+    split = make_cdesc(cm=((0, 1),), cp=((1, 1),))
+    regular = make_cdesc(homog=((ctx.points(1)[0], (1,)),))
+    assert len(ctx.classes((1, 1))) == q + 2
+    assert all(ctx.hall(L, S0, S1) == 1 for L in ctx.classes((1, 1)))
+    assert sorted(ctx.hall_products(S0, S1)) == sorted([(split, 1), (regular, 1)])
     # In the opposite order only the split class appears.
     prods2 = ctx.hall_products(S1, S0)
-    assert prods2 == [(make_cdesc(cm=((0, 1),), cp=((1, 1),)), 1)]
+    assert prods2 == [(split, 1)]
+    assert [L for L in ctx.classes((1, 1)) if ctx.hall(L, S1, S0)] == [split]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_type_classes_are_the_representatives(q):
+    # Listed from frames and (degree, partition) multisets, they are the
+    # classes that are their own type representative, in class order.
+    for ctx in (ctx_kron(q), ctx_cyclic(2, q), FieldContext(linear_an(3, "><"), q)):
+        for nu in product(range(5), repeat=ctx.quiver.n):
+            if ctx.quiver.n > 2 and sum(nu) > 4:
+                continue
+            reps = tuple(L for L in ctx.classes(nu) if ctx.type_rep(L) == L)
+            assert ctx.type_classes(nu) == reps, (q, nu)
+            if ctx.kind != "kronecker":
+                assert ctx.type_classes(nu) is ctx.classes(nu)
+
+
+def test_classify_rejects_what_no_class_lists(monkeypatch):
+    # classify lists no classes, and still refuses a descriptor of the wrong
+    # dimension or with a point that is not a closed point.
+    ctx = ctx_kron(3)
+    M = ctx.build(make_cdesc(homog=((ctx.points(1)[0], (2,)),)))
+    x_squared = make_cdesc(homog=((("f", (0, 0)), (1,)),))
+    assert x_squared not in ctx.classes(M.dims)
+    for forged in (make_cdesc(cm=((0, 1),)), x_squared):
+        monkeypatch.setattr(fqrep, "classify_pencil", lambda *args, forged=forged: forged)
+        with pytest.raises(ClassificationError, match="matches no descriptor"):
+            ctx.classify(M)
+    assert not ctx._classify_cache
 
 
 def test_reflection_functor_round_trip():

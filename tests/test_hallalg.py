@@ -33,6 +33,7 @@ from hallcanon.partitions import kostka, partitions
 from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, kronecker, linear_an
 from oracles import (
+    class_word,
     coproduct,
     field_class,
     field_word,
@@ -45,6 +46,7 @@ from oracles import (
     poly_gcd_over_Q,
     qfact,
     serre_sum,
+    spread,
     tensor_green,
     u_coeff,
 )
@@ -550,13 +552,14 @@ def test_poly_gcd_is_the_primitive_gcd_over_Q():
 
 
 def field_level_s_gram(engine, lam, mu, q):
-    """Sum over classes d of u_lam(d) u_mu(d) / |Aut d|, with S realized at q."""
+    """Sum over classes d of u_lam(d) u_mu(d) / |Aut d|, with S realized at q
+    and spread from its types over their classes."""
     ctx = engine.ctx(q)
     Sl, Sm = engine.realize_S(lam, q), engine.realize_S(mu, q)
     # u-coefficients are integer multiples of v^{-m|delta|}.
     shift = sum(lam) * sum(engine.delta)
     total = Fraction(0)
-    for d in set(Sl.terms) | set(Sm.terms):
+    for d in set(spread(Sl)) | set(spread(Sm)):
         a, b = u_coeff(Sl, d), u_coeff(Sm, d)
         assert a == V(-shift, a.coeff(-shift)) and b == V(-shift, b.coeff(-shift))
         total += Fraction(a.coeff(-shift) * b.coeff(-shift), ctx.aut(d))
@@ -600,7 +603,8 @@ def test_s_gram_realizes_and_fits_nothing(monkeypatch):
 
 
 def test_green_nn_matches_field_green(kron):
-    # The product formula agrees with the direct field-level Green form.
+    # The product formula agrees with the direct field-level Green form,
+    # which spreads each type element over its classes (``green_field``).
     q = 7
     for lam in [(), (1,)]:
         for mu in [(), (1,)]:
@@ -621,6 +625,34 @@ def test_green_nn_matches_field_green(kron):
                 da, db = generic.den.eval_sqrt(q)
                 assert db == 0 and nb == 0 and gb == 0
                 assert ga == na / da
+
+
+def kronecker_words(bound):
+    """Every word of letters (vertex, a), a >= 1, no two neighbours at one
+    vertex, whose dimension vector is nonzero and at most bound."""
+    out, stack = [], [((), (0, 0))]
+    while stack:
+        word, dim = stack.pop()
+        if word:
+            out.append(word)
+        for v in (0, 1):
+            if word and word[-1][0] == v:
+                continue
+            for a in range(1, bound[v] - dim[v] + 1):
+                stack.append((word + ((v, a),), tuple(x + a * (j == v) for j, x in enumerate(dim))))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_kronecker_type_words_equal_class_products(kron, q):
+    # One term per type, spread over its classes, is the product that reads
+    # every class's own Hall row (``oracles.class_word``).
+    words = kronecker_words((3, 2))
+    assert len(words) > 20
+    for word in words:
+        x = kron.word_element(word, q)
+        assert all(x.ctx.type_rep(d) == d for d in x.terms), word
+        assert spread(x) == class_word(kron, word, q), (word, q)
 
 
 def desc_with(frame, lam):

@@ -138,6 +138,17 @@ def test_beta_distinct_and_defects():
             assert defect(K, b) == 1
 
 
+@pytest.mark.parametrize("Q", [kronecker(), linear_an(4)], ids=["kronecker", "an4"])
+def test_beta_ranges_are_walked_once_per_bound(Q):
+    # A range is an immutable tuple, memoized per bound, so a caller cannot
+    # change what the next caller reads.
+    seq = AdmissibleSequence(Q)
+    for walk in (seq.preprojective_range, seq.preinjective_range):
+        first = walk((2,) * Q.n)
+        assert isinstance(first, tuple)
+        assert walk([2] * Q.n) is first
+
+
 def test_beta_matches_root_enumeration():
     # beta enumerates positive real roots without repetition within a box.
     K = kronecker()
