@@ -1112,7 +1112,7 @@ class FieldContext(CombinatorialContext):
         fits at q (``homog_types``).
         """
         if self.kind != "kronecker":
-            return self.classes(nu)
+            return super().type_classes(nu)
         return tuple(
             sorted(
                 make_cdesc(cm=cm, cp=cp, homog=homog)

@@ -359,6 +359,17 @@ def test_express_in_N_roundtrip_field(kron, word):
         assert x.eval_eq(rebuilt)
 
 
+@pytest.mark.parametrize("q", [3, 4])
+def test_express_in_N_reads_probes_through_their_types(kron, q):
+    # The probe for mu = (2, 1) puts its largest part at the first point, its
+    # type representative the smallest: N(0, t_lam) comes back as itself for
+    # every |lam| <= 3.
+    for m in (1, 2, 3):
+        for lam in partitions(m):
+            idx = nindex(make_cdesc(), lam)
+            assert kron.express_in_N(kron.n_field(idx, q)) == {idx: ONE}, (lam, q)
+
+
 def test_express_in_N_realizes_no_N_element(kron, monkeypatch):
     # The probe solve reads Kostka numbers; no N(c, t_lam) or S_lam is built.
     def refuse(*args):
