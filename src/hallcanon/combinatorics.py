@@ -501,9 +501,10 @@ class CombinatorialContext:
         """('p', t) or ('q', t): the indecomposable that is the simple at
         vertex index v of an acyclic quiver, found on the beta chain."""
         unit = tuple(int(j == v) for j in range(self.quiver.n))
-        for side, walk in (("p", self.seq.preprojective_range), ("q", self.seq.preinjective_range)):
+        seq = self.seq
+        for side, walk in (("p", seq.preprojective_range), ("q", seq.preinjective_range)):
             for t in walk(unit):
-                if self.seq.beta(t) == unit:
+                if seq.beta(t) == unit:
                     return side, t
         label = self.quiver.vertices[v]
         raise UnsupportedQuiverError(f"simple at {label} not located in the beta chain")

@@ -1132,7 +1132,9 @@ class FieldContext(CombinatorialContext):
         """
         from .partitions import partitions
 
-        items = [(d, lam) for d in range(1, m + 1) for k in range(1, m // d + 1) for lam in partitions(k)]
+        items = [
+            (d, lam) for d in range(1, m + 1) for k in range(1, m // d + 1) for lam in partitions(k)
+        ]
         for chosen in bounded_multisets(items, lambda e: (e[0] * sum(e[1]),), (m,), exact=True):
             entries = sorted(e for e, mult in chosen for _ in range(mult))
             degrees = [d for d, _ in entries]

@@ -650,7 +650,8 @@ def kronecker_words(bound):
             if word and word[-1][0] == v:
                 continue
             for a in range(1, bound[v] - dim[v] + 1):
-                stack.append((word + ((v, a),), tuple(x + a * (j == v) for j, x in enumerate(dim))))
+                grown = tuple(x + a * (j == v) for j, x in enumerate(dim))
+                stack.append((word + ((v, a),), grown))
     return sorted(out)
 
 
