@@ -59,10 +59,13 @@ def closed_points(q: int, degree: int) -> tuple:
 
     Degree-1 points are the monic linear polynomials plus infinity; higher
     degrees are the monic irreducibles of that degree, in ascending order of
-    their non-leading coefficients.  They are sieved, not tested one by
-    one: a monic polynomial of degree d is reducible exactly when it is an
-    irreducible of some degree e <= d/2 times a monic of degree d - e.
+    their non-leading coefficients, and there are none of degree 0.  They
+    are sieved, not tested one by one: a monic polynomial of degree d is
+    reducible exactly when it is an irreducible of some degree e <= d/2
+    times a monic of degree d - e.
     """
+    if degree < 1:
+        return ()
     F = GF(q)
     tails = product(F.elements(), repeat=degree)
     if degree == 1:

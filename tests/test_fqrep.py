@@ -566,8 +566,10 @@ def test_classify_rejects_what_no_class_lists(monkeypatch):
     ctx = ctx_kron(3)
     M = ctx.build(make_cdesc(homog=((ctx.points(1)[0], (2,)),)))
     x_squared = make_cdesc(homog=((("f", (0, 0)), (1,)),))
-    assert x_squared not in ctx.classes(M.dims)
-    for forged in (make_cdesc(cm=((0, 1),)), x_squared):
+    constant = make_cdesc(homog=((ctx.points(1)[0], (2,)), (("f", ()), (1,))))
+    for forged in (x_squared, constant):
+        assert ctx.desc_dim(forged) == M.dims and forged not in ctx.classes(M.dims)
+    for forged in (make_cdesc(cm=((0, 1),)), x_squared, constant):
         monkeypatch.setattr(fqrep, "classify_pencil", lambda *args, forged=forged: forged)
         with pytest.raises(ClassificationError, match="matches no descriptor"):
             ctx.classify(M)
