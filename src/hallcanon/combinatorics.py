@@ -496,19 +496,6 @@ class CombinatorialContext:
         """The representative of desc's type, among ``type_classes``."""
         return desc
 
-    @memoized
-    def simple_indec(self, v) -> tuple:
-        """('p', t) or ('q', t): the indecomposable that is the simple at
-        vertex index v of an acyclic quiver, found on the beta chain."""
-        unit = tuple(int(j == v) for j in range(self.quiver.n))
-        seq = self.seq
-        for side, walk in (("p", seq.preprojective_range), ("q", seq.preinjective_range)):
-            for t in walk(unit):
-                if seq.beta(t) == unit:
-                    return side, t
-        label = self.quiver.vertices[v]
-        raise UnsupportedQuiverError(f"simple at {label} not located in the beta chain")
-
     # -- Hall numbers -------------------------------------------------------
 
     @memoized
@@ -555,7 +542,8 @@ class CombinatorialContext:
         L/U = L' + S_i^(m-a): the row is (L - S_i^a, S_i^a) -> [m, a]_q, and
         empty when m < a.  At a sink S_j is projective and the dual argument
         gives (S_j^a, L - S_j^a) -> [m, a]_q.  m is the multiplicity of the
-        simple's indecomposable (``simple_indec``) in L's descriptor.
+        simple's indecomposable (``AdmissibleSequence.simple_indec``) in L's
+        descriptor.
         """
         for nu, at_end, on_right in (
             (nuN, self.quiver.is_source, True),
@@ -565,7 +553,7 @@ class CombinatorialContext:
             if len(support) != 1 or not at_end(support[0]):
                 continue
             a = nu[support[0]]
-            side, t = self.simple_indec(support[0])
+            side, t = self.seq.simple_indec(support[0])
             cm, cp = dict(descL[1]), dict(descL[3])
             mult = cm if side == "p" else cp
             m = mult.get(t, 0)
@@ -647,9 +635,18 @@ class CombinatorialContext:
     def hall_products(self, descM, descN):
         """All (L, count) with count nonzero in ``hall_table``'s column of
         (M, N), two type representatives: count is g^L_{M,N} summed over the
-        classes of M's and N's types, one L per type."""
+        classes of M's and N's types, one L per type.
+
+        A class that is not its type's representative has no column: it
+        raises ValueError rather than read as a zero product.
+        """
         nuM = self.desc_dim(descM)
         nuN = self.desc_dim(descN)
         nuL = tuple(a + b for a, b in zip(nuM, nuN))
         _, by_pair = self.hall_table(nuL, nuN)
-        return by_pair.get((descM, descN), [])
+        column = by_pair.get((descM, descN))
+        if column is None:
+            if stray := [d for d in (descM, descN) if self.type_rep(d) != d]:
+                raise ValueError(f"{stray} not a type representative (type_rep)")
+            return []
+        return column

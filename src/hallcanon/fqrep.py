@@ -998,8 +998,8 @@ class FieldContext(CombinatorialContext):
         dim Hom(beta_t, M) by a triangular solve.  The descriptor returned is
         written to the classify cache that ``hall_row`` reads before it builds
         M.  It is one of ``classes(M.dims)``, which is not listed: a
-        descriptor of another dimension, or with a point that is not a
-        closed point, raises ``ClassificationError``.
+        descriptor that the listing lacks (``_listed``) raises
+        ``ClassificationError``.
 
         In finite type every indecomposable is a preprojective beta_t, and
         Hom(beta_s, beta_t) = 0 for s < t while End beta_t is the field, so
@@ -1025,9 +1025,7 @@ class FieldContext(CombinatorialContext):
             desc = classify_pencil(self.F, *M.mats, M.dims[t], M.dims[s])
         else:
             desc = classify_nilpotent_cyclic(M)
-        if self.desc_dim(desc) != M.dims or not all(
-            pt in self.points(point_degree(pt)) for pt, _ in desc_homog(desc)
-        ):
+        if not self._listed(desc, M.dims):
             raise ClassificationError(f"module of dimension {M.dims} matches no descriptor")
         self._classify_cache[M.key()] = desc
         return desc
@@ -1035,6 +1033,30 @@ class FieldContext(CombinatorialContext):
     # -- Hall numbers -------------------------------------------------------
 
     @memoized
+    def _listed(self, desc, nu) -> bool:
+        """Is desc one of ``classes(nu)``?  Read off desc, without the
+        listing: its dimension is nu; each index of its frame lies in the
+        beta range below nu of its side, with a positive multiplicity; and
+        its homogeneous part puts a partition at each of distinct closed
+        points.  Given the dimension, these are the listing's rules.
+        """
+        if self.desc_dim(desc) != nu:
+            return False
+        if desc[0] == "m":
+            return True
+        _, cm, _, cp, homog = desc
+        sides = ((cm, self.seq.preprojective_range(nu)), (cp, self.seq.preinjective_range(nu)))
+        if not all(t in walk and m > 0 for part, walk in sides for t, m in part):
+            return False
+        pts = [pt for pt, _ in homog]
+        return len(set(pts)) == len(pts) and all(
+            pt in self.points(point_degree(pt))
+            and lam
+            and lam[-1] > 0
+            and all(a >= b for a, b in zip(lam, lam[1:]))
+            for pt, lam in homog
+        )
+
     def _point_type(self, descL):
         """(rep, relabel) for a Kronecker class L with homogeneous points.
 

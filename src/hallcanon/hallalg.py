@@ -247,7 +247,7 @@ class HallEngine:
             return self.zero_frame()
         if self.kind == "cyclic":
             return ("m", mseg_normalize([((label, 1), m)]))
-        side, t = self.ctx(self.cfg.primes[0]).simple_indec(self.quiver.index[label])
+        side, t = self.seq.simple_indec(self.quiver.index[label])
         return make_cdesc(cm=((t, m),)) if side == "p" else make_cdesc(cp=((t, m),))
 
     def word_element(self, word, q: int) -> FieldElement:

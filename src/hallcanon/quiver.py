@@ -384,6 +384,18 @@ class AdmissibleSequence:
         """All t > 0 with beta_t componentwise <= bound, from t = 1 up."""
         return self._range(tuple(bound), "+")
 
+    @memoized
+    def simple_indec(self, v) -> tuple:
+        """('p', t) or ('q', t): the indecomposable that is the simple at
+        vertex index v, found on the beta chain."""
+        unit = _unit(self.quiver.n, v)
+        for side, walk in (("p", self.preprojective_range), ("q", self.preinjective_range)):
+            for t in walk(unit):
+                if self.beta(t) == unit:
+                    return side, t
+        label = self.quiver.vertices[v]
+        raise UnsupportedQuiverError(f"simple at {label} not located in the beta chain")
+
     def reflected_quiver_chain(self, count: int, side: str) -> list[Quiver]:
         """Quivers sigma_{i_t}...Q along the sink (side='-') or source (side='+') walk."""
         st = self._neg if side == "-" else self._pos

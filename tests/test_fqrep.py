@@ -561,15 +561,29 @@ def test_type_classes_are_the_representatives(q):
 
 
 def test_classify_rejects_what_no_class_lists(monkeypatch):
-    # classify lists no classes, and still refuses a descriptor of the wrong
-    # dimension or with a point that is not a closed point.
+    # classify lists no classes, and still refuses each descriptor that the
+    # listing lacks: one of the wrong dimension, one with a point that is not
+    # a closed point, a repeated point, a part that is not a partition, and a
+    # frame index off its side's beta range or with a negative multiplicity.
     ctx = ctx_kron(3)
-    M = ctx.build(make_cdesc(homog=((ctx.points(1)[0], (2,)),)))
+    z = ctx.points(1)[0]
     x_squared = make_cdesc(homog=((("f", (0, 0)), (1,)),))
-    constant = make_cdesc(homog=((ctx.points(1)[0], (2,)), (("f", ()), (1,))))
-    for forged in (x_squared, constant):
-        assert ctx.desc_dim(forged) == M.dims and forged not in ctx.classes(M.dims)
-    for forged in (make_cdesc(cm=((0, 1),)), x_squared, constant):
+    constant = make_cdesc(homog=((z, (2,)), (("f", ()), (1,))))
+    forgeries = [
+        (make_cdesc(cm=((0, 1),)), (2, 2)),
+        (x_squared, None),
+        (constant, None),
+        (("c", (), (), (), ((z, (1,)), (z, (1,)))), None),
+        (make_cdesc(homog=((z, (0, 2)),)), None),
+        (make_cdesc(homog=((z, (2, 0)),)), None),
+        (make_cdesc(cm=((1, 1),)), None),
+        (make_cdesc(cp=((0, 1),)), None),
+        (make_cdesc(cm=((-1, 1), (0, -1))), None),
+    ]
+    for forged, nu in forgeries:
+        nu = nu or ctx.desc_dim(forged)
+        assert forged not in ctx.classes(nu)
+        M = ctx.build(ctx.classes(nu)[0])
         monkeypatch.setattr(fqrep, "classify_pencil", lambda *args, forged=forged: forged)
         with pytest.raises(ClassificationError, match="matches no descriptor"):
             ctx.classify(M)

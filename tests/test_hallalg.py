@@ -33,6 +33,7 @@ from hallcanon.partitions import kostka, partitions
 from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, kronecker, linear_an
 from oracles import (
+    class_product,
     class_word,
     coproduct,
     field_class,
@@ -104,18 +105,17 @@ def divided_power_desc(engine, desc, m: int):
     )
 
 
-def reflect_element(engine, x: FieldElement, i: int, direction: str):
-    """Hall-side BGP reflection <M> -> <sigma M> on S_i-free elements."""
-    ctx = x.ctx
-    newQ = ctx.quiver.reversed_at(i)
-    new_ctx = FieldContext(newQ, ctx.q, engine.cfg)
+def reflect_classes(ctx, new_ctx, x: dict, i: int, direction: str) -> dict:
+    """Hall-side BGP reflection <M> -> <sigma M> on an S_i-free class-keyed
+    element {class: coefficient} at ctx, read at new_ctx, the context of
+    ctx's quiver reversed at i."""
     out: dict = {}
-    for d, c in x.terms.items():
+    for d, c in x.items():
         M = ctx.build(d)
         R = reflect_module(M, i, direction)
-        R = type(M)(newQ, R.F, R.dims, R.mats)
+        R = type(M)(new_ctx.quiver, R.F, R.dims, R.mats)
         out[new_ctx.classify(R)] = c
-    return FieldElement(new_ctx, out)
+    return out
 
 
 def h_to_s_expansion(lam) -> dict:
@@ -447,12 +447,17 @@ def test_H_commutativity(kron):
     H1 = kron.realize_H(1, q)
     H2 = kron.realize_H(2, q)
     assert (H1 * H2).terms == (H2 * H1).terms
-    # distinct homogeneous tubes commute
+    # distinct homogeneous tubes commute; a class at the second point is no
+    # type, so the classes multiply by the class-keyed oracle
     ctx = kron.ctx(q)
     z1, z2 = ctx.points(1)[:2]
-    a = kron.cls_elt(make_cdesc(homog=((z1, (1,)),)), q)
-    b = kron.cls_elt(make_cdesc(homog=((z2, (1,)),)), q)
-    assert (a * b).terms == (b * a).terms
+    a = {make_cdesc(homog=((z1, (1,)),)): ONE}
+    b = {make_cdesc(homog=((z2, (1,)),)): ONE}
+    ab = class_product(ctx, a, b)
+    assert list(ab) == [make_cdesc(homog=((z1, (1,)), (z2, (1,))))]
+    assert ab == class_product(ctx, b, a)
+    with pytest.raises(ValueError, match="not a type representative"):
+        FieldElement(ctx, a) * FieldElement(ctx, b)
 
 
 def test_serre_relations_field_level():
@@ -724,15 +729,18 @@ def test_coproduct_homomorphism_tiny(cyc2):
 
 def test_reflect_element_homomorphism(kron):
     # sigma_i^+ is multiplicative on S_i-free elements.
+    # Classes at two points are not both types: class-keyed, by the oracle.
     q = 3
     ctx = kron.ctx(q)
+    new_ctx = FieldContext(ctx.quiver.reversed_at(1), q, kron.cfg)
     z0, z1 = ctx.points(1)[:2]
-    a = kron.cls_elt(make_cdesc(homog=((z0, (1,)),)), q)
-    b = kron.cls_elt(make_cdesc(homog=((z1, (1,)),)), q)
-    ra = reflect_element(kron, a, 1, "+")
-    rb = reflect_element(kron, b, 1, "+")
-    rab = reflect_element(kron, a * b, 1, "+")
-    assert (ra * rb).terms == rab.terms
+    a = {make_cdesc(homog=((z0, (1,)),)): ONE}
+    b = {make_cdesc(homog=((z1, (1,)),)): ONE}
+    # a * b is the split class alone; b * b has the point's two partitions.
+    for x, y, size in ((a, b, 1), (b, b, 2)):
+        rx, ry = (reflect_classes(ctx, new_ctx, e, 1, "+") for e in (x, y))
+        rxy = reflect_classes(ctx, new_ctx, class_product(ctx, x, y), 1, "+")
+        assert len(rxy) == size and class_product(new_ctx, rx, ry) == rxy
 
 
 def test_finite_type_engine():
