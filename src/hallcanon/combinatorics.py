@@ -366,11 +366,11 @@ class CombinatorialContext:
     """The per-(quiver, q) computations that need no field, memoized.
 
     Dimensions, Homs, End and |Aut| of classes are read off their
-    descriptors.  On a cyclic quiver so are its classes, the multisegments,
-    and the Hall rows that ``hall_row`` gives in closed form.  A row that
-    needs a census raises ``UnsupportedQuiverError``: this class builds no
-    field.  ``FieldContext`` extends it with GF(q), closed points, building,
-    classification and the census, which serves those rows.
+    descriptors.  On a cyclic quiver so are its classes, the multisegments
+    (``type_classes``), and the Hall rows that ``hall_row`` gives in closed
+    form.  A row that needs a census raises ``UnsupportedQuiverError``: this
+    class builds no field.  ``FieldContext`` extends it with GF(q), closed
+    points, building, classification and the census, which serves those rows.
 
     ``kind``, ``delta`` and ``seq`` are the quiver's (``quiver_kind``),
     shared by the contexts of every field.
@@ -471,26 +471,18 @@ class CombinatorialContext:
     def aut(self, desc) -> int:
         return eval_poly(self.aut_coeffs(desc), self.q)
 
-    # -- class enumeration -------------------------------------------------
+    # -- types -------------------------------------------------------------
 
     @memoized
-    def classes(self, nu) -> tuple:
-        """The classes of dimension vector nu, in a fixed order."""
-        return self._list_classes(nu)
-
-    def _list_classes(self, nu) -> tuple:
-        """The multisegments of dimension vector nu; ``FieldContext`` lists
-        the classes of the other kinds."""
-        return tuple(("m", pi) for pi in enumerate_msegs(self.quiver.n, nu))
-
     def type_classes(self, nu) -> tuple:
-        """One class of each type of dimension vector nu, in class order.
+        """One class of each type of dimension vector nu, in a fixed order.
 
         A type is a class up to the closed points it sits at.  Only Kronecker
-        classes have points, and ``FieldContext`` lists their types; here
-        every class is its own type.
+        classes have points, and ``FieldContext`` lists the types of the
+        acyclic kinds; here, on a cyclic quiver, every class is its own type:
+        the multisegments of dimension vector nu.
         """
-        return self.classes(nu)
+        return tuple(("m", pi) for pi in enumerate_msegs(self.quiver.n, nu))
 
     def type_rep(self, desc):
         """The representative of desc's type, among ``type_classes``."""
@@ -522,7 +514,7 @@ class CombinatorialContext:
         nuL = self.desc_dim(descL)
         nuM = tuple(l - k for l, k in zip(nuL, nuN))
         if nuN == nuL or not any(nuN):
-            (zero,) = self.classes(tuple(0 for _ in nuL))
+            (zero,) = self.type_classes(tuple(0 for _ in nuL))
             return {(zero, descL) if nuN == nuL else (descL, zero): 1}
         if self.kind == "cyclic":
             if len(nuL) > 1 and 1 in (sum(map(bool, nuN)), sum(map(bool, nuM))):
@@ -599,7 +591,7 @@ class CombinatorialContext:
         """The Hall numbers with dim L = nuL and dim N = nuN, one row per type.
 
         Returns (by_L, by_pair).  by_L[L], for each type representative L of
-        ``type_classes(nuL)``, in class order, is L's row with its entries
+        ``type_classes(nuL)``, in their order, is L's row with its entries
         summed by type: the entry at (M, N), two type representatives, is
         the sum of g^L_{M', N'} over the classes M' of M's type and N' of
         N's type.  That sum is the same for every class of L's type (Hubery,

@@ -33,6 +33,7 @@ from .combinatorics import (
 from .config import (
     BudgetExceededError,
     ClassificationError,
+    InsufficientPointsError,
     JobConfig,
     UnsupportedQuiverError,
     memoized,
@@ -91,6 +92,24 @@ def point_count(q: int, degree: int) -> int:
         n[d] = (q**d - sum(e * n[e] for e in range(1, d) if d % e == 0)) // d
     return n[degree] + (degree == 1)
 
+
+def points_suffice(q: int, degrees) -> bool:
+    """Has P^1(F_q) as many closed points of each degree d as ``degrees``
+    names d?  Counted by ``point_count``, nothing listed."""
+    return all(degrees.count(d) <= point_count(q, d) for d in set(degrees))
+
+
+def assign_points(q: int, degrees) -> list:
+    """Distinct closed points of the given degrees, in their order: the k-th
+    of degree d is ``closed_points(q, d)[k]``.  This is where a Hall key's
+    slots and a type's representative (``FieldContext.type_rep``) sit."""
+    out, used = [], {}
+    for d in degrees:
+        used[d] = k = used.get(d, -1) + 1
+        if k >= (n := point_count(q, d)):
+            raise InsufficientPointsError(f"q={q} has only {n} points of degree {d}")
+        out.append(closed_points(q, d)[k])
+    return out
 
 
 def _companion(F: GF, poly):
@@ -845,9 +864,6 @@ class FieldContext(CombinatorialContext):
             raise UnsupportedQuiverError("closed points only exist for the Kronecker quiver")
         return closed_points(self.q, degree)
 
-    def num_deg1_points(self) -> int:
-        return self.q + 1
-
     # -- construction ----------------------------------------------------
 
     @memoized
@@ -917,17 +933,7 @@ class FieldContext(CombinatorialContext):
                 labels[v] += [j] * d
         return tuple(map(tuple, labels))
 
-    # -- class enumeration -------------------------------------------------
-
-    def _list_classes(self, nu) -> tuple:
-        if self.kind == "cyclic":
-            return super()._list_classes(nu)
-        out = [
-            make_cdesc(cm=cm, cp=cp, homog=homog)
-            for cm, cp, m in self.frames(nu)
-            for homog in self.homog_configs(m)
-        ]
-        return tuple(out if self.kind == "finite" else sorted(set(out)))
+    # -- frames ------------------------------------------------------------
 
     def frames(self, nu):
         """(cm, cp, m) for each frame of dimension nu - m * delta (acyclic).
@@ -955,38 +961,6 @@ class FieldContext(CombinatorialContext):
                     continue
                 yield cm, cp, rem[0] // d[0]
 
-    def homog_configs(self, m: int):
-        """All homogeneous parts of total delta-multiple m, canonical tuples.
-
-        In the order of a walk that skips each closed point before it gives
-        it each partition that fits; unrolled, each level picks its next
-        point from the last that fits back to the first not yet passed.  So
-        the depth is at most m, not the number of points.
-        """
-        if m < 0:
-            return
-        pools = []
-        for d in range(1, m + 1):
-            pools.extend((pt, d) for pt in self.points(d))
-        # fits[r]: the points of degree <= r, a prefix of ``pools``.
-        fits = [sum(1 for _, d in pools if d <= r) for r in range(m + 1)]
-
-        from .partitions import partitions as _parts
-
-        def rec(start, remaining, chosen):
-            if remaining == 0:
-                yield tuple(chosen)
-                return
-            for j in range(fits[remaining] - 1, start - 1, -1):
-                pt, d = pools[j]
-                for size in range(1, remaining // d + 1):
-                    for lam in _parts(size):
-                        chosen.append((pt, lam))
-                        yield from rec(j + 1, remaining - size * d, chosen)
-                        chosen.pop()
-
-        yield from rec(0, m, [])
-
     # -- classification ----------------------------------------------------
 
     def classify(self, M: FqModule):
@@ -997,9 +971,8 @@ class FieldContext(CombinatorialContext):
         (``classify_nilpotent_cyclic``) and finite-type ones from
         dim Hom(beta_t, M) by a triangular solve.  The descriptor returned is
         written to the classify cache that ``hall_row`` reads before it builds
-        M.  It is one of ``classes(M.dims)``, which is not listed: a
-        descriptor that the listing lacks (``_listed``) raises
-        ``ClassificationError``.
+        M.  No classes are listed: a descriptor that is no class of dimension
+        M.dims (``_listed``) raises ``ClassificationError``.
 
         In finite type every indecomposable is a preprojective beta_t, and
         Hom(beta_s, beta_t) = 0 for s < t while End beta_t is the field, so
@@ -1034,11 +1007,11 @@ class FieldContext(CombinatorialContext):
 
     @memoized
     def _listed(self, desc, nu) -> bool:
-        """Is desc one of ``classes(nu)``?  Read off desc, without the
+        """Is desc a class of dimension vector nu?  Read off desc, with no
         listing: its dimension is nu; each index of its frame lies in the
         beta range below nu of its side, with a positive multiplicity; and
         its homogeneous part puts a partition at each of distinct closed
-        points.  Given the dimension, these are the listing's rules.
+        points.  Given the dimension, these rules make a class descriptor.
         """
         if self.desc_dim(desc) != nu:
             return False
@@ -1108,10 +1081,9 @@ class FieldContext(CombinatorialContext):
         """The representative of a class's type.
 
         The type of a Kronecker class is its frame and the (degree,
-        partition) of each of its points.  Its representative puts its k-th
-        point of degree d at ``closed_points(q, d)[k]``, with the points
-        sorted by (degree, partition).  A class without points is its own
-        type.
+        partition) of each of its points.  Its representative places its
+        points sorted by (degree, partition) by ``assign_points``.  A class
+        without points is its own type.
         """
         if not desc_homog(desc):
             return desc
@@ -1119,24 +1091,23 @@ class FieldContext(CombinatorialContext):
         return make_cdesc(cm=desc[1], cp=desc[3], homog=self._placed(entries))
 
     def _placed(self, entries) -> list:
-        """(point, partition) for each (degree d, partition) of the sorted
-        ``entries``, the k-th of degree d at ``closed_points(q, d)[k]``."""
-        out, used = [], {}
-        for d, lam in entries:
-            used[d] = k = used.get(d, -1) + 1
-            out.append((closed_points(self.q, d)[k], lam))
-        return out
+        """(point, partition) for each (degree, partition) of the sorted
+        ``entries``, the points placed by ``assign_points``."""
+        pts = assign_points(self.q, [d for d, _ in entries])
+        return [(pt, lam) for pt, (_, lam) in zip(pts, entries)]
 
     @memoized
     def type_classes(self, nu) -> tuple:
-        """One class of each type of dimension vector nu, in class order:
-        the classes of ``classes(nu)`` that are their own ``type_rep``.
+        """One class of each type of dimension vector nu, the type
+        representatives (``type_rep``), sorted.
 
-        On the Kronecker quiver they are listed directly, without the
-        classes: each frame (``frames``) with each homogeneous type that
-        fits at q (``homog_types``).
+        On an acyclic quiver they are listed directly: each frame
+        (``frames``) with each homogeneous type that fits at q
+        (``homog_types``); in finite type that is the one empty type.  A
+        cyclic quiver lists its multisegments as ``CombinatorialContext``
+        does, since ``hallpoly`` builds a ``FieldContext`` there too.
         """
-        if self.kind != "kronecker":
+        if self.kind == "cyclic":
             return super().type_classes(nu)
         return tuple(
             sorted(
@@ -1152,8 +1123,8 @@ class FieldContext(CombinatorialContext):
 
         A type is a multiset of (degree d, partition lam) with
         sum d |lam| = m.  It fits at q when it has at most
-        ``point_count(q, d)`` entries of each degree d, and is then placed
-        as ``type_rep`` places it.
+        ``point_count(q, d)`` entries of each degree d (``points_suffice``),
+        and is then placed as ``type_rep`` places it.
         """
         from .partitions import partitions
 
@@ -1162,8 +1133,7 @@ class FieldContext(CombinatorialContext):
         ]
         for chosen in bounded_multisets(items, lambda e: (e[0] * sum(e[1]),), (m,), exact=True):
             entries = sorted(e for e, mult in chosen for _ in range(mult))
-            degrees = [d for d, _ in entries]
-            if all(degrees.count(d) <= point_count(self.q, d) for d in set(degrees)):
+            if points_suffice(self.q, [d for d, _ in entries]):
                 yield self._placed(entries)
 
     def _census_row(self, descL, nuN, nuM) -> dict:

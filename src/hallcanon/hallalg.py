@@ -340,11 +340,11 @@ class HallEngine:
                 if coeff:
                     out[nindex(frame)] = coeff
                 continue
-            if ctx.num_deg1_points() < m:
-                raise InsufficientPointsError(
-                    f"need {m} degree-1 points, q={ctx.q} has {ctx.num_deg1_points()}"
-                )
             pts = ctx.points(1)[:m]
+            if len(pts) < m:
+                raise InsufficientPointsError(
+                    f"need {m} degree-1 points, q={ctx.q} has {len(ctx.points(1))}"
+                )
 
             def probed(mu):
                 probe = ctx.type_rep(make_cdesc(homog=zip(pts, ((p,) for p in mu))))

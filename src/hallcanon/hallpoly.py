@@ -19,7 +19,7 @@ from .config import (
     memoized,
 )
 from .combinatorics import cyclic_image, eval_poly, mseg_dim
-from .fqrep import FieldContext, closed_points, point_count
+from .fqrep import FieldContext, assign_points, points_suffice
 from .quiver import Quiver, _integer_kernel
 from .store import CacheStore
 
@@ -212,22 +212,6 @@ def _cyclic_images(n: int, desc) -> tuple:
     return tuple(cyclic_image(n, desc, r, flip) for flip in (False, True) for r in range(n))
 
 
-def assign_points(q: int, degrees):
-    """Deterministically pick distinct points of the required degrees."""
-    by_degree: dict = {}
-    out = []
-    for d in degrees:
-        pool = closed_points(q, d)
-        used = by_degree.setdefault(d, 0)
-        if used >= len(pool):
-            raise InsufficientPointsError(
-                f"q={q} has only {len(pool)} points of degree {d}"
-            )
-        out.append(pool[used])
-        by_degree[d] = used + 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # polynomials with provenance
 # ---------------------------------------------------------------------------
@@ -375,14 +359,10 @@ class HallPolyEngine:
     def _usable_qs(self, degrees):
         """The fields with as many closed points of each degree as it has slots.
 
-        Counted by ``point_count``; points are listed (``assign_points``) only
-        at the fields that are sampled.
+        Counted by ``points_suffice``; points are listed (``assign_points``)
+        only at the fields that are sampled.
         """
-        return [
-            q
-            for q in self.cfg.primes
-            if all(degrees.count(d) <= point_count(q, d) for d in set(degrees))
-        ]
+        return [q for q in self.cfg.primes if points_suffice(q, degrees)]
 
     def _descs_at(self, key, q):
         """The (L, M, N) of a Hall key with its slots filled at field q."""

@@ -9,6 +9,7 @@ sums, structure constants over the N family).
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from weakref import WeakKeyDictionary
 
 from hallcanon.canonical import CanonicalData, lusztig_solve, zeta_matrix
 from hallcanon.combinatorics import eval_poly, make_cdesc, mseg_dim, mseg_hom
@@ -122,7 +123,7 @@ def spread(x: FieldElement) -> dict:
     """{class: coefficient}: each term of x on every class of its type."""
     ctx, out = x.ctx, {}
     for nu in {ctx.desc_dim(d) for d in x.terms}:
-        for d in ctx.classes(nu):
+        for d in classes(ctx, nu):
             if c := x.terms.get(ctx.type_rep(d)):
                 out[d] = c
     return out
@@ -140,7 +141,7 @@ def class_product(ctx, x: dict, y: dict) -> dict:
             nuA, nuB = ctx.desc_dim(dA), ctx.desc_dim(dB)
             base = euler(nuA, nuB) + ctx.end(dA) + ctx.end(dB)
             row = {}
-            for dL in ctx.classes(tuple(a + b for a, b in zip(nuA, nuB))):
+            for dL in classes(ctx, tuple(a + b for a, b in zip(nuA, nuB))):
                 if g := ctx.hall_row(dL, nuB).get((dA, dB)):
                     row[dL] = LaurentPoly.v_power(base - ctx.end(dL), g)
             add_scaled(out, row, cA * cB)
@@ -541,8 +542,75 @@ def closed_points_by_trial_division(q: int, degree: int) -> tuple:
     return tuple(sorted(pts)) + ((("i",),) if degree == 1 else ())
 
 
+# -- the class listing ----------------------------------------------------
+
+
+_CLASSES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def classes(ctx, nu) -> tuple:
+    """Every class of dimension vector nu at ctx's field, sorted: the listing
+    that the package's types (``type_classes``) stand for.
+
+    A cyclic quiver's classes are its types, the multisegments.  On an
+    acyclic quiver each frame (``FieldContext.frames``) takes every
+    homogeneous part that fills it (``homog_configs``), one per choice of
+    partitions at distinct closed points; finite type has only the empty
+    one.  Memoized per context, which it does not keep alive.
+    """
+    memo = _CLASSES.setdefault(ctx, {})
+    nu = tuple(nu)
+    if nu not in memo:
+        if ctx.kind == "cyclic":
+            memo[nu] = ctx.type_classes(nu)
+        else:
+            memo[nu] = tuple(
+                sorted(
+                    {
+                        make_cdesc(cm=cm, cp=cp, homog=homog)
+                        for cm, cp, m in ctx.frames(nu)
+                        for homog in homog_configs(ctx, m)
+                    }
+                )
+            )
+    return memo[nu]
+
+
+def homog_configs(ctx, m: int):
+    """All homogeneous parts of total delta-multiple m, canonical tuples.
+
+    In the order of a walk that skips each closed point before it gives
+    it each partition that fits; unrolled, each level picks its next
+    point from the last that fits back to the first not yet passed.  So
+    the depth is at most m, not the number of points.
+    """
+    from hallcanon.partitions import partitions
+
+    if m < 0:
+        return
+    pools = []
+    for d in range(1, m + 1):
+        pools.extend((pt, d) for pt in ctx.points(d))
+    # fits[r]: the points of degree <= r, a prefix of ``pools``.
+    fits = [sum(1 for _, d in pools if d <= r) for r in range(m + 1)]
+
+    def rec(start, remaining, chosen):
+        if remaining == 0:
+            yield tuple(chosen)
+            return
+        for j in range(fits[remaining] - 1, start - 1, -1):
+            pt, d = pools[j]
+            for size in range(1, remaining // d + 1):
+                for lam in partitions(size):
+                    chosen.append((pt, lam))
+                    yield from rec(j + 1, remaining - size * d, chosen)
+                    chosen.pop()
+
+    yield from rec(0, m, [])
+
+
 def homog_configs_by_point(ctx, m: int):
-    """``FieldContext.homog_configs`` as it was written first: one level of
+    """``homog_configs`` as it was written first: one level of
     recursion per closed point, each skipped before it is given a partition.
     Its depth is the number of points of degree <= m."""
     from hallcanon.partitions import partitions
@@ -606,14 +674,14 @@ def _hom_pair(ctx, x, d) -> tuple:
 
 
 def hom_profile_class(ctx, M):
-    """The class of ``classes(M.dims)`` whose Hom dimensions to and from every
+    """The class of ``classes(ctx, M.dims)`` whose Hom dimensions to and from every
     indecomposable X with |X| <= |M| are those of M.
 
     Each pool member narrows the candidates until one is left.  A module is
     determined by dim Hom(X, M) over all indecomposables X (Auslander), and
     the assertion checks that the pool, read both ways, leaves one class.
     """
-    cands = list(ctx.classes(M.dims))
+    cands = list(classes(ctx, M.dims))
     for x in indecomposable_pool(ctx, sum(M.dims)):
         if len(cands) <= 1:
             break

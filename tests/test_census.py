@@ -19,7 +19,7 @@ from hallcanon.fqrep import (
 from hallcanon.hallalg import HallEngine
 from hallcanon.partitions import partitions
 from hallcanon.quiver import cyclic, kronecker, linear_an
-from oracles import census_row, quotient_by_subspace, submodule_from_subspace
+from oracles import census_row, classes, quotient_by_subspace, submodule_from_subspace
 
 
 def oracle_stable_subspaces(M, target):
@@ -80,7 +80,7 @@ def check_against_oracle(quiver, q, nus):
     ctx = FieldContext(quiver, q)
     checked = 0
     for nu in nus:
-        for d in ctx.classes(nu):
+        for d in classes(ctx, nu):
             L = ctx.build(d)
             for target in dims_upto(nu):
                 got = census_multiset(L, target)
@@ -147,7 +147,7 @@ def test_census_budget_when_the_sink_comes_first(monkeypatch):
         return nullspace(F, mat)
 
     monkeypatch.setattr(gf, "nullspace", counting)
-    for dL in ctx.classes((3, 2)):
+    for dL in classes(ctx, (3, 2)):
         L = ctx.build(dL)
         size = census_size(L, target)
         assert size == 13 * 4
@@ -228,7 +228,7 @@ def oracle_hall_table(quiver, q, nuL, nuN):
     # Its own context: no classify cache is shared with the one under test.
     ctx = FieldContext(quiver, q)
     out = {}
-    for dL in ctx.classes(nuL):
+    for dL in classes(ctx, nuL):
         L = ctx.build(dL)
         counts = {}
         for sub in oracle_subs(L, nuN):
@@ -267,7 +267,7 @@ def test_hall_table_equals_oracle(quiver, nu):
         for nuN in dims_upto(nu):
             by_L, _ = ctx.hall_table(nu, nuN)
             expected = oracle_hall_table(quiver, q, nu, nuN)
-            assert {dL: ctx.hall_row(dL, nuN) for dL in ctx.classes(nu)} == expected
+            assert {dL: ctx.hall_row(dL, nuN) for dL in classes(ctx, nu)} == expected
             assert by_L == oracle_table_by_type(ctx, expected)
             if quiver != kronecker():
                 assert by_L == expected
@@ -282,7 +282,7 @@ def test_census_output_equals_oracle_in_order(quiver, nu):
 
     for q in (2, 3):
         ctx = FieldContext(quiver, q)
-        for dL in ctx.classes(nu):
+        for dL in classes(ctx, nu):
             L = ctx.build(dL)
             for nuN in dims_upto(nu):
                 got = [(plain(sub), w) for sub, w in graded_stable_subspaces(L, nuN)]
@@ -296,7 +296,7 @@ def test_hall_row_matches_table(quiver, nu):
         ctx = FieldContext(quiver, q)
         for nuN in dims_upto(nu):
             expected = oracle_hall_table(quiver, q, nu, nuN)
-            for dL in ctx.classes(nu):
+            for dL in classes(ctx, nu):
                 assert ctx.hall_row(dL, nuN) == expected[dL]
             # The table is made of the row memo's own dicts where every
             # class is its own type, and of their sums by type on Kronecker.
@@ -318,7 +318,7 @@ def test_kronecker_rows_equal_a_census_of_each_class(q):
     ctx, oracle = FieldContext(kronecker(), q), FieldContext(kronecker(), q)
     relabelled = 0
     for nuL in KRONECKER_ROW_DIMS:
-        for dL in ctx.classes(nuL):
+        for dL in classes(ctx, nuL):
             relabelled += ctx._point_type(dL) is not None
             L = oracle.build(dL)
             for nuN in dims_upto(nuL):
@@ -343,7 +343,7 @@ def test_split_simple_rows_equal_a_census(quiver, bound, q):
     ctx, oracle = FieldContext(quiver, q), FieldContext(quiver, q)
     n, closed = quiver.n, 0
     for nuL in dims_upto(bound):
-        for dL in ctx.classes(nuL):
+        for dL in classes(ctx, nuL):
             for v, a in ((v, a) for v in range(n) for a in range(1, nuL[v] + 1)):
                 e = tuple(a * (j == v) for j in range(n))
                 rest = tuple(x - y for x, y in zip(nuL, e))
@@ -419,7 +419,7 @@ def test_arrow_mixing_moves_points_by_mobius(q):
             return make_cdesc(cm=desc[1], cp=desc[3], homog=homog)
 
         for nuL in ((1, 1), (2, 2), (2, 3)):
-            for dL in ctx.classes(nuL):
+            for dL in classes(ctx, nuL):
                 L = ctx.build(dL)
                 gL = mix_arrows(L, g)
                 assert ctx.classify(gL) == image(dL), (g, dL)
@@ -438,7 +438,7 @@ def test_arrow_mixing_moves_points_by_mobius(q):
 def test_submodule_and_quotient_match_oracle(quiver, nu):
     for q in (2, 3):
         ctx = FieldContext(quiver, q)
-        for dL in ctx.classes(nu):
+        for dL in classes(ctx, nu):
             L = ctx.build(dL)
             for nuN in dims_upto(nu):
                 for sub in oracle_subs(L, nuN):
@@ -456,7 +456,7 @@ def test_hall_row_classifies_each_module_once(monkeypatch):
     quiver, q, nuN = cyclic(2), 3, (1, 2)
     ctx = FieldContext(quiver, q)
     dL = ("m", (((1, 1), 2), ((1, 2), 1), ((2, 1), 2)))
-    assert dL in ctx.classes((3, 3))
+    assert dL in classes(ctx, (3, 3))
     L = ctx.build(dL)
     kept = sum(1 for _ in graded_stable_subspaces(L, nuN))
     # The census by torus orbits lists one subspace per orbit at its first
@@ -523,7 +523,7 @@ def test_semisimple_rows_are_closed_form(quiver, nuL, q, monkeypatch):
     # Every graded subspace of a semisimple L is a submodule, so its row is
     # one Gaussian-binomial product, written down without a census.
     oracle = FieldContext(quiver, q)
-    (dL,) = [d for d in oracle.classes(nuL) if is_semisimple(oracle.build(d))]
+    (dL,) = [d for d in classes(oracle, nuL) if is_semisimple(oracle.build(d))]
     L = oracle.build(dL)
     targets = [nuN for nuN in dims_upto(nuL) if any(nuN) and nuN != nuL]
     expected = {nuN: census_row(oracle, L, nuN) for nuN in targets}
@@ -555,7 +555,7 @@ def test_identity_hall_tables_run_no_census(quiver, nu, monkeypatch):
     # The tables hold one row per type (on Kronecker fewer than the
     # classes); every class's own Hall numbers are 1.
     ctx = FieldContext(quiver, 2)
-    classes = ctx.classes(nu)
+    listed = classes(ctx, nu)
     types = ctx.type_classes(nu)
 
     def refuse(*args, **kwargs):
@@ -564,18 +564,18 @@ def test_identity_hall_tables_run_no_census(quiver, nu, monkeypatch):
     monkeypatch.setattr(fqrep, "graded_stable_subspaces", refuse)
     monkeypatch.setattr(FieldContext, "classify", refuse)
     monkeypatch.setattr(FieldContext, "build", refuse)
-    (zero,) = ctx.classes(tuple(0 for _ in nu))
+    (zero,) = classes(ctx, tuple(0 for _ in nu))
     by_L, by_pair = ctx.hall_table(nu, nu)
     assert by_L == {dL: {(zero, dL): 1} for dL in types}
     assert by_pair == {(zero, dL): [(dL, 1)] for dL in types}
     by_L, by_pair = ctx.hall_table(nu, tuple(0 for _ in nu))
     assert by_L == {dL: {(dL, zero): 1} for dL in types}
     assert by_pair == {(dL, zero): [(dL, 1)] for dL in types}
-    for dL in classes:
+    for dL in listed:
         assert ctx.hall(dL, zero, dL) == ctx.hall(dL, dL, zero) == 1
     for dL in types:
         assert ctx.hall_products(zero, dL) == [(dL, 1)]
-    assert (len(types) < len(classes)) == (quiver == kronecker())
+    assert (len(types) < len(listed)) == (quiver == kronecker())
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -590,7 +590,7 @@ def test_hall_rows_keep_rotation_and_duality(n, nu, q):
         semisimple = ("m", tuple(((v + 1, 1), d) for v, d in enumerate(dims) if d))
         return mseg_dim(n, cyclic_image(n, semisimple, r, flip)[1])
 
-    for dL in ctx.classes(nu):
+    for dL in classes(ctx, nu):
         for nuN in dims_upto(nu):
             nuM = tuple(a - b for a, b in zip(nu, nuN))
             row = ctx.hall_row(dL, nuN)
@@ -692,7 +692,7 @@ def test_hall_rows_by_torus_orbits_equal_a_full_census(quiver, nuL, reduces, q):
     # lists fewer subspaces than it counts.
     ctx, oracle = FieldContext(quiver, q), FieldContext(quiver, q)
     listed = counted = 0
-    for dL in ctx.classes(nuL):
+    for dL in classes(ctx, nuL):
         L = oracle.build(dL)
         for nuN in dims_upto(nuL):
             if not any(nuN) or nuN == nuL:
@@ -715,7 +715,7 @@ def test_rows_whose_first_vertex_is_forced_reduce_at_the_next(q):
     ctx, oracle = FieldContext(kronecker(), q), FieldContext(kronecker(), q)
     for nuN in [(0, 1), (0, 2), (2, 2)]:
         listed = counted = 0
-        for dL in ctx.classes((2, 3)):
+        for dL in classes(ctx, (2, 3)):
             L = oracle.build(dL)
             assert ctx.hall_row(dL, nuN) == census_row(oracle, L, nuN), (dL, nuN)
             if ctx._point_type(dL) is None and not is_semisimple(L):
@@ -737,14 +737,14 @@ def test_cyclic_one_vertex_rows_equal_a_census(n, nuL, q, monkeypatch):
     for nuN in dims_upto(nuL):
         nuM = tuple(a - b for a, b in zip(nuL, nuN))
         if any(nuN) and any(nuM) and 1 in (sum(map(bool, nuN)), sum(map(bool, nuM))):
-            for dL in oracle.classes(nuL):
+            for dL in classes(oracle, nuL):
                 expected[dL, nuN] = census_row(oracle, oracle.build(dL), nuN)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a one-vertex row built, classified or censused a module")
 
     ctx = FieldContext(cyclic(n), q)
-    ctx.classes(nuL)
+    ctx.type_classes(nuL)
     monkeypatch.setattr(fqrep, "graded_stable_subspaces", refuse)
     monkeypatch.setattr(FieldContext, "classify", refuse)
     monkeypatch.setattr(FieldContext, "build", refuse)

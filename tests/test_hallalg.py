@@ -35,6 +35,7 @@ from hallcanon.quiver import cyclic, kronecker, linear_an
 from oracles import (
     class_product,
     class_word,
+    classes,
     coproduct,
     field_class,
     field_word,
@@ -863,7 +864,7 @@ def test_fingerprint_separates_classes():
     ctx = FieldContext(kronecker(), 3)
     seen = {}
     for nu in [(1, 1), (2, 1)]:
-        for d in ctx.classes(nu):
+        for d in classes(ctx, nu):
             fp = fingerprint(ctx, ctx.build(d))
             assert fp not in seen, (d, seen[fp])
             seen[fp] = d
