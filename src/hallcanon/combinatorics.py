@@ -18,7 +18,9 @@ Iso classes are referred to by hashable descriptors:
   quivers have no non-homogeneous tubes.
 
 Closed points are ``('f', coeffs)`` for the monic irreducible with the
-given ascending non-leading coefficients, or ``('i',)`` for infinity.
+given ascending non-leading coefficients, or ``('i',)`` for infinity.  A
+point type (``point_type``) names its points ``('t', degree, k)`` instead,
+so it is the same descriptor at every field.
 """
 
 from __future__ import annotations
@@ -322,7 +324,27 @@ def desc_indecs(desc):
 
 
 def point_degree(point) -> int:
+    """The degree of a closed point, or of a type's point ('t', d, k)."""
+    if point[0] == "t":
+        return point[1]
     return 1 if point[0] == "i" else len(point[1])
+
+
+def point_type(desc) -> tuple:
+    """The type of a class, independent of q: desc with its k-th closed
+    point of degree d, in (degree, partition) order, written ('t', d, k).
+
+    ``FieldContext.type_rep`` places the points of a type in the same order,
+    so a type and its representative at any field have one point type.  A
+    class without points is its own type.
+    """
+    if not desc_homog(desc):
+        return desc
+    placed, used = [], {}
+    for d, lam in sorted((point_degree(pt), lam) for pt, lam in desc[4]):
+        used[d] = k = used.get(d, -1) + 1
+        placed.append((("t", d, k), lam))
+    return make_cdesc(cm=desc[1], cp=desc[3], homog=placed)
 
 
 # ---------------------------------------------------------------------------

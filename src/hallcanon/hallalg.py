@@ -12,19 +12,26 @@ written as pairs (frame, lam) where frame is a homogeneous-free class
 descriptor.  Ext^1 vanishes from each factor to the ones on its right and
 Hom from the right factors to the left ones, so both products are direct
 sums with Hall number 1 and v-twist 0: N is S_lam with M(c_-) and M(c_+)
-added to each class.  Monomials are computed at several sample fields,
-expanded over the N family by a solve against the Kostka matrix at probe
-classes, and lifted to Z[v, v^-1] by exact interpolation of each
-coefficient as a polynomial in q = v^2, validated on held-out fields.  On a
-cyclic quiver a monomial needs no field: a product by <S_i^(a)> has closed
-Hall numbers (``combinatorics.mseg_socle_extensions``), and the field path
-is a check at the smallest sample field.  That check runs on the
-combinatorial context (``HallEngine.ctx``), whose Hall rows by <S_i^(a)> are
-the socle formula read backwards (``combinatorics.mseg_socle_quotients``).
-That context builds no field and refuses a row that needs a census, so a
-cyclic engine never loads ``gf``, ``fqrep`` or ``hallpoly``: those, and
-``partitions``, are imported on the field path only.  On the Jordan quiver
-the check itself needs a census, so ``generic_word`` refuses there.
+added to each class.
+
+A monomial is an exact product over Z[v, v^-1], built letter by letter on
+the right by <S_i^(a)> (Ringel, Invent. Math. 101 (1990)) and keyed by
+point type (``combinatorics.point_type``), since Hall numbers are constant
+on types (Hubery, Represent. Theory 14 (2010)); it is then expanded over
+the N family by a solve against the Kostka matrix at probe types.  A
+product by <S_i^(a)> reads its Hall numbers in closed form on a cyclic
+quiver (``combinatorics.mseg_socle_extensions``) and at a source, where
+S_i splits off; any other one reads a one-vertex Hall table, summed by
+type, that is sampled at a few fields and lifted by exact interpolation as
+a polynomial in q = v^2 of degree at most a(l_i - a), validated on
+held-out fields.  The field path is a check at the smallest sample field.
+On a cyclic quiver that check runs on the combinatorial context
+(``HallEngine.ctx``), whose Hall rows by <S_i^(a)> are the socle formula
+read backwards (``combinatorics.mseg_socle_quotients``).  That context
+builds no field and refuses a row that needs a census, so a cyclic engine
+never loads ``gf``, ``fqrep`` or ``hallpoly``: those, and ``partitions``,
+are imported on the field path only.  On the Jordan quiver the check
+itself needs a census, so ``generic_word`` refuses there.
 
 The Green form needs no field: (S_lam, S_mu) is a closed form over the
 character table of S_m (``HallEngine.s_gram``), summed and reduced in Z[v];
@@ -38,17 +45,17 @@ from math import factorial, gcd
 
 from .combinatorics import (
     CombinatorialContext,
+    _gauss_binom_coeffs,
     desc_frame,
     desc_homog,
     make_cdesc,
-    mseg_dim,
-    mseg_end,
     mseg_normalize,
     mseg_socle_extensions,
+    point_degree,
+    point_type,
     quiver_kind,
 )
 from .config import (
-    InsufficientPointsError,
     InterpolationError,
     JobConfig,
     UnsupportedQuiverError,
@@ -120,20 +127,22 @@ class FieldElement:
                 add_scaled(out, row, cA * cB)
         return FieldElement(ctx, out)
 
-    def grading(self):
-        dims = {self.ctx.desc_dim(d) for d in self.terms}
-        if len(dims) > 1:
-            raise ValueError("element is not homogeneous")
-        return dims.pop() if dims else None
-
     def eval_eq(self, other: "FieldElement") -> bool:
         """Equality after specializing v to sqrt(q); exact."""
         return (self - other).is_zero_specialized()
 
     def is_zero_specialized(self) -> bool:
-        """Does the element vanish at v = sqrt(q)?  Exact rational test."""
+        """Does every coefficient vanish at v = sqrt(q), its even and its odd
+        powers of v apart?  Each part, times a power of q, is an integer."""
         q = self.ctx.q
-        return all(c.eval_sqrt(q) == (0, 0) for c in self.terms.values())
+        for c in self.terms.values():
+            low = min(e // 2 for e in c.terms)
+            parts = [0, 0]
+            for e, x in c.terms.items():
+                parts[e % 2] += x * q ** (e // 2 - low)
+            if any(parts):
+                return False
+        return True
 
     def __repr__(self):
         inner = ", ".join(f"{d}: {c.text()}" for d, c in sorted(self.terms.items()))
@@ -158,6 +167,11 @@ def jacobi_trudi_h(lam) -> tuple:
     m = sum(lam)
     coeffs = ((mu, kostka_solve(m, lambda nu: int(nu == mu))[lam]) for mu in partitions(m))
     return tuple(sorted((mu, c) for mu, c in coeffs if c))
+
+
+def type_degrees(desc) -> list:
+    """The degrees of the closed points of a class or point type."""
+    return [point_degree(pt) for pt, _ in desc_homog(desc)]
 
 
 def _q_coeffs(p: LaurentPoly) -> list:
@@ -185,20 +199,6 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             a = a * (lb // g) - b * LaurentPoly.v_power(a.degree() - db, la // g)
         a, b = b, a
     return _primitive(a)
-
-
-def word_degree_bound(word) -> int:
-    """D(word) = sum over vertices v of sum_{j<k} a_j a_k, over the letters
-    (v, a_j) at v: a bound on the q-degree of every coefficient of the
-    monomial.  Such a coefficient counts flags of L whose subquotients are
-    the letters' semisimples, and at each vertex v these are flags of
-    subspaces with steps a_j, of q-degree at most that sum."""
-    before: dict = {}
-    out = 0
-    for label, a in word:
-        out += a * before.get(label, 0)
-        before[label] = before.get(label, 0) + a
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,30 +303,32 @@ class HallEngine:
 
     # -- expansion over the N family ----------------------------------------
 
-    def express_in_N(self, x: FieldElement) -> dict:
-        """Coefficients of x over the N family at x's own field.
+    def express_in_N(self, x: dict) -> dict:
+        """Coefficients over the N family of x = {point type: coefficient}.
 
-        At the probe with part mu_i at the i-th degree-1 point, N(frame,
-        t_lam) has coefficient v^-m K_{lam mu} (``n_field``); on the Kronecker
-        quiver x holds that coefficient at the probe's type (``type_rep``,
-        ``FieldElement``).  K is
-        unitriangular in descending lex order: the coefficients psi solve
+        x is keyed by ``point_type``, so it is the same at every field: a
+        generic element, or a field element's terms read by type.  At the
+        probe with part mu_i at the i-th degree-1 point, N(frame, t_lam) has
+        coefficient v^-m K_{lam mu} (``n_field``), and K is unitriangular in
+        descending lex order: the coefficients psi solve
         v^m x_mu = sum_lam K_{lam mu} psi_lam (``partitions.kostka_solve``).
         """
-        ctx = x.ctx
         if self.kind == "cyclic":
-            return {nindex(d): c for d, c in x.terms.items()}
+            return {nindex(d): c for d, c in x.items()}
         from .partitions import kostka_solve
 
+        ctx = self.ctx(self.cfg.primes[0])  # dimensions only, the same at every field
+        nus = {ctx.desc_dim(d) for d in x}
+        if len(nus) > 1:
+            raise ValueError("element is not homogeneous")
+        nu = nus.pop() if nus else None
         groups: dict = {}
-        for d, c in x.terms.items():
+        for d, c in x.items():
             groups.setdefault(desc_frame(d), {})[desc_homog(d)] = c
         out: dict = {}
-        nu = x.grading()
         for frame in sorted(groups):
             rest = groups[frame]
-            dim_frame = ctx.desc_dim(frame)
-            diff = tuple(a - b for a, b in zip(nu, dim_frame))
+            diff = tuple(a - b for a, b in zip(nu, ctx.desc_dim(frame)))
             if self.delta is None:
                 if any(diff):
                     raise ValueError("finite-type class with leftover dimension")
@@ -340,15 +342,11 @@ class HallEngine:
                 if coeff:
                     out[nindex(frame)] = coeff
                 continue
-            pts = ctx.points(1)[:m]
-            if len(pts) < m:
-                raise InsufficientPointsError(
-                    f"need {m} degree-1 points, q={ctx.q} has {len(ctx.points(1))}"
-                )
 
             def probed(mu):
-                probe = ctx.type_rep(make_cdesc(homog=zip(pts, ((p,) for p in mu))))
-                return LaurentPoly.v_power(m) * rest.get(desc_homog(probe), ZERO)
+                probe = make_cdesc(homog=((("t", 1, i), (p,)) for i, p in enumerate(mu)))
+                return LaurentPoly.v_power(m) * rest.get(desc_homog(point_type(probe)), ZERO)
+
             for lam, c in kostka_solve(m, probed).items():
                 if c:
                     out[nindex(frame, lam)] = c
@@ -360,44 +358,164 @@ class HallEngine:
             add_scaled(out, self.n_field(idx, q).terms, coeffs[idx])
         return FieldElement(self.ctx(q), out)
 
-    # -- generic lifting ------------------------------------------------------
+    # -- generic words ----------------------------------------------------------
 
     def lift_family(self, builder):
-        """Lift builder(q) -> {key: LaurentPoly} to generic Laurent data.
-
-        Each (key, v-exponent) coefficient is one key of
-        ``hallpoly.sample_and_fit``: an integer polynomial in q, folded back
+        """Lift builder(q) -> {key: int} to {key: LaurentPoly}: each count an
+        integer polynomial in q (``hallpoly.sample_and_fit``), folded back
         via q = v^2.
+
+        A key is a tuple of point types, and it is fitted only at the fields
+        where each of them exists (``fqrep.points_suffice``): a type with
+        too few points at q has no count there, not a count of 0.
         """
+        from .fqrep import points_suffice
         from .hallpoly import sample_and_fit
 
-        def sample(q):
+        def usable(key, q):
+            return all(points_suffice(q, type_degrees(t)) for t in key)
+
+        fitted = sample_and_fit(self.cfg.primes, builder, usable=usable)
+        return {key: LaurentPoly.from_q_poly(p.coeffs) for key, p in fitted.items()}
+
+    @memoized
+    def _lifted_table(self, nuL, i: int, a: int) -> tuple:
+        """(table, k!) for the products by <S_i^(a)> into dim L = nuL, vertex
+        i no source: table[X] lists (L, k! G^L_X) over point types, with G^L_X
+        the Hall number g^L_{M, S_i^a} summed over the classes M of type X
+        (``hall_table``), a polynomial in q = v^2 on the fields where L's and
+        X's types exist.
+
+        G counts submodules S_i^a of L, at most the a-subspaces of L_i, so
+        its degree is at most k = a(l_i - a).  It is integer-valued but need
+        not be integral (q(q + 1)/2 counts pairs of points); k! G is, so that
+        is what ``lift_family`` fits.  One lift per table, never stored.
+        """
+        scale = factorial(a * (nuL[i] - a))
+        nuN = tuple(a if w == i else 0 for w in range(len(nuL)))
+
+        def builder(q):
+            by_L, _ = self.ctx(q).hall_table(nuL, nuN)
             return {
-                (key, e): c for key, lp in builder(q).items() for e, c in lp.terms.items()
+                (point_type(L), point_type(M)): scale * g
+                for L, row in by_L.items()
+                for (M, _), g in row.items()
             }
 
-        out: dict = {}
-        for (key, e), poly in sample_and_fit(self.cfg.primes, sample).items():
-            add_scaled(out, {key: LaurentPoly.from_q_poly(poly.coeffs, e)}, ONE)
-        return out
+        table: dict = {}
+        for (L, X), g in self.lift_family(builder).items():
+            table.setdefault(X, []).append((L, g))
+        return table, scale
+
+    def _column(self, nuL, label, a) -> tuple:
+        """(column, scale) for the products by <S_label^(a)> into dim nuL:
+        column(X) lists (L, scale * G^L_X) over point types, with G^L_X as
+        in ``_lifted_table``, a polynomial in q = v^2.
+
+        On a cyclic quiver G is the socle formula
+        (``mseg_socle_extensions``).  At a source S_i is injective, so it
+        splits off L: L = X + S_i^a with G = [m, a]_q, m the multiplicity of
+        S_i in L (``CombinatorialContext._split_simple_row``).  Any other
+        column is a lifted one-vertex table.
+        """
+        if self.kind == "cyclic":
+            n = self.quiver.n
+            return (
+                lambda X: [
+                    (("m", L), LaurentPoly.from_q_poly(g))
+                    for L, g in mseg_socle_extensions(n, X[1], label, a)
+                ]
+            ), 1
+        i = self.quiver.index[label]
+        if not self.quiver.is_source(i):
+            table, scale = self._lifted_table(nuL, i, a)
+            return (lambda X: table.get(X, ())), scale
+        side, t = self.seq.simple_indec(i)
+
+        def split(X):
+            parts = {"p": dict(X[1]), "q": dict(X[3])}
+            m = parts[side][t] = parts[side].get(t, 0) + a
+            L = make_cdesc(cm=parts["p"].items(), cp=parts["q"].items(), homog=X[4])
+            return [(L, LaurentPoly.from_q_poly(_gauss_binom_coeffs(m, a)))]
+
+        return split, 1
+
+    def _word(self, word) -> dict:
+        """The monomial u_{i_1}^{(a_1)} ... over Z[v, v^-1], keyed by point type.
+
+        Each letter multiplies on the right by <S_i^(a)>, one column per
+        term (``_column``), with the v-exponent of ``FieldElement.__mul__``:
+        Euler form and End of the factors, less End L.  A lifted column is
+        scaled by k!, so each product is divided by it, exactly.
+        """
+        ctx = self.ctx(self.cfg.primes[0])  # dimensions and End only, as for every field
+        euler = self.quiver.euler_form
+        nu = (0,) * self.quiver.n
+        terms = {self.zero_frame(): ONE}
+        for label, a in word:
+            S = self.simple_power_desc(label, a)
+            dimS, endS = ctx.desc_dim(S), ctx.end(S)
+            nu = tuple(x + y for x, y in zip(nu, dimS))
+            column, scale = self._column(nu, label, a)
+            out: dict = {}
+            for X, c in terms.items():
+                base = euler(ctx.desc_dim(X), dimS) + ctx.end(X) + endS
+                row = {}
+                for L, g in column(X):
+                    shift = base - ctx.end(L)
+                    row[L] = LaurentPoly({e + shift: x for e, x in g.terms.items()})
+                add_scaled(out, row, c)
+            if scale > 1:
+                if any(x % scale for p in out.values() for x in p.terms.values()):
+                    raise ArithmeticError(f"word {word}: a product is not integral at {label}")
+                out = {
+                    L: LaurentPoly({e: x // scale for e, x in p.terms.items()})
+                    for L, p in out.items()
+                }
+            terms = out
+        return terms
 
     def check_pool(self, word):
-        """Raise InterpolationError unless the sample pool can lift the word.
+        """Raise InterpolationError unless the sample pool can lift every
+        table the word needs (``_lifted_table``); nothing is sampled.
 
-        A fit of degree D(word) needs D + 1 samples and the held-out ones;
-        a cyclic word is a closed form and needs no pool.
+        A table of degree up to k = a(l_i - a) needs k + 1 + MIN_VALIDATE
+        fields at which its types exist.  Every type of dimension nu exists
+        at q when each point pattern of the largest m with m delta <= nu
+        does (``points_suffice``): any other type has a pattern within one
+        of those.  A cyclic word and a product by a source simple are
+        closed forms and need no pool.
         """
         if self.kind == "cyclic":
             return
+        from .fqrep import points_suffice
         from .hallpoly import MIN_VALIDATE
+        from .partitions import partitions
 
-        D = word_degree_bound(word)
-        if D + 1 + MIN_VALIDATE > len(self.cfg.primes):
-            raise InterpolationError(
-                f"word {word} has q-degree up to D = {D} and needs "
-                f"{D + 1 + MIN_VALIDATE} sample fields; primes "
-                f"{list(self.cfg.primes)} give {len(self.cfg.primes)}"
-            )
+        def types_exist(nu, q):
+            if self.delta is None:
+                return True
+            m = min(x // d for x, d in zip(nu, self.delta))
+            return all(points_suffice(q, p) for p in partitions(m))
+
+        nu = [0] * self.quiver.n
+        for label, a in word:
+            i = self.quiver.index[label]
+            nu[i] += a
+            if self.quiver.is_source(i):
+                continue
+            k = a * (nu[i] - a)
+            nuX = tuple(x - a * (w == i) for w, x in enumerate(nu))
+            usable = [
+                q for q in self.cfg.primes if types_exist(nu, q) and types_exist(nuX, q)
+            ]
+            if len(usable) < k + 1 + MIN_VALIDATE:
+                raise InterpolationError(
+                    f"word {word}: the Hall table of dim L = {tuple(nu)} by S_{label}^{a} "
+                    f"has q-degree up to {k} and needs {k + 1 + MIN_VALIDATE} sample "
+                    f"fields at which its types exist; of primes {list(self.cfg.primes)} "
+                    f"they exist at {usable}, {k + 1 + MIN_VALIDATE - len(usable)} too few"
+                )
 
     @memoized
     def generic_word(self, word) -> dict:
@@ -407,36 +525,11 @@ class HallEngine:
         """
         word = tuple((label, int(m)) for label, m in word if m)
         self.check_pool(word)
-        if self.kind == "cyclic":
-            out = self._cyclic_word(word)
-        else:
-            out = self.lift_family(lambda q: self.express_in_N(self.word_element(word, q)))
+        out = dict(sorted(self.express_in_N(self._word(word)).items()))
         q = self.cfg.primes[0]
         if not self.word_element(word, q).eval_eq(self.rebuild_from_N(out, q)):
             raise ArithmeticError(f"generic expansion of word {word} fails at q={q}")
         return out
-
-    def _cyclic_word(self, word) -> dict:
-        """The monomial over the N family in closed form (cyclic quivers).
-
-        Each letter multiplies on the right by <S_i^(a)>: the Hall numbers
-        are ``mseg_socle_extensions`` (polynomials in q = v^2) and the
-        v-exponent is the one in ``FieldElement.__mul__``.
-        """
-        n, euler = self.quiver.n, self.quiver.euler_form
-        terms = {(): ONE}
-        for i, a in word:
-            dimS = mseg_dim(n, (((i, 1), a),))
-            out: dict = {}
-            for pi, c in terms.items():
-                base = euler(mseg_dim(n, pi), dimS) + mseg_end(n, pi) + a * a
-                row = {
-                    L: LaurentPoly.from_q_poly(g, base - mseg_end(n, L))
-                    for L, g in mseg_socle_extensions(n, pi, i, a)
-                }
-                add_scaled(out, row, c)
-            terms = out
-        return {nindex(("m", pi)): c for pi, c in sorted(terms.items())}
 
     # -- Green form ------------------------------------------------------------
 

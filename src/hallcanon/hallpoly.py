@@ -9,7 +9,6 @@ only depend on the degrees of the points involved.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .config import (
@@ -88,6 +87,8 @@ def fit_rational_function(pairs, max_degree=8, min_validate=2):
     Returns (num_coeffs, den_coeffs) as integer tuples with primitive
     content and positive leading denominator coefficient.
     """
+    from fractions import Fraction
+
     pairs = [(Fraction(x), Fraction(y)) for x, y in pairs]
     for total in range(0, 2 * max_degree + 1):
         for dq in range(0, total + 1):
@@ -272,15 +273,17 @@ class HallPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def sample_and_fit(primes, sample, cap=None) -> dict:
+def sample_and_fit(primes, sample, cap=None, usable=None) -> dict:
     """Fit every key of ``sample(q)``, a dict {key: int}, as a polynomial in q.
 
     The fields of ``primes`` are sampled in order; one whose sampler raises
     InsufficientPointsError is skipped.  Fitting starts from the least fit's
     1 + MIN_VALIDATE samples and takes the next field whenever any key fails
-    ``fit_integer_poly`` with degree cap ``cap``.  A key missing from a
-    sample counts 0.  Returns {key: HallPolynomial}, keys sorted; raises
-    InterpolationError once the fields run out.
+    ``fit_integer_poly`` with degree cap ``cap``.  A key is fitted at the
+    sampled fields q with ``usable(key, q)`` (every field if ``usable`` is
+    None); missing from such a sample, it counts 0.  Returns {key:
+    HallPolynomial}, keys sorted; raises InterpolationError once the fields
+    run out.
     """
     samples: list = []  # (q, {key: count}) at the usable fields so far
     fields = iter(primes)
@@ -301,11 +304,13 @@ def sample_and_fit(primes, sample, cap=None) -> dict:
         try:
             out = {}
             for key in sorted({k for _, counts in samples for k in counts}):
-                pairs = [(q, counts.get(key, 0)) for q, counts in samples]
+                pairs = [
+                    (q, counts.get(key, 0))
+                    for q, counts in samples
+                    if usable is None or usable(key, q)
+                ]
                 coeffs, n_fit = fit_integer_poly(pairs, cap)
-                out[key] = HallPolynomial(
-                    coeffs, pairs[:n_fit], pairs[n_fit:], samples[0][0]
-                )
+                out[key] = HallPolynomial(coeffs, pairs[:n_fit], pairs[n_fit:], pairs[0][0])
             return out
         except InterpolationError:
             if not add_field():

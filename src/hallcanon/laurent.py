@@ -9,8 +9,6 @@ degrees of numerator and denominator.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .config import BarSolveError
 
 
@@ -138,7 +136,7 @@ class LaurentPoly:
     def negative_part(self) -> "LaurentPoly":
         return LaurentPoly({e: c for e, c in self.terms.items() if e < 0})
 
-    # -- exact division and evaluation --------------------------------
+    # -- exact division ------------------------------------------------
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Divide exactly over Z; raises ArithmeticError if the quotient is not
@@ -169,17 +167,6 @@ class LaurentPoly:
                 else:
                     num.pop(ne, None)
         return LaurentPoly(quot)
-
-    def eval_sqrt(self, q: int) -> tuple[Fraction, Fraction]:
-        """Evaluate at v = sqrt(q) exactly, returned as (a, b) with value a + b*sqrt(q)."""
-        a = Fraction(0)
-        b = Fraction(0)
-        for e, c in self.terms.items():
-            if e % 2 == 0:
-                a += Fraction(c) * Fraction(q) ** (e // 2)
-            else:
-                b += Fraction(c) * Fraction(q) ** ((e - 1) // 2)
-        return a, b
 
     # -- presentation ---------------------------------------------------
 

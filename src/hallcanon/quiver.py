@@ -9,8 +9,7 @@ with arbitrary orientation; arbitrary quivers can be loaded from JSON.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .config import UnsupportedQuiverError, memoized
 
@@ -177,54 +176,75 @@ class Quiver:
         return Quiver(vertices, [tuple(a) for a in arrows])
 
 
+def _integer_rows(mat) -> list[list[int]]:
+    """Each row of a rational matrix times the lcm of its denominators
+    (ints and Fractions alike have ``.denominator``): the same row space,
+    and every leading principal minor times a positive integer."""
+    out = []
+    for row in mat:
+        den = lcm(*(x.denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
+
+
+def _primitive_row(row) -> list[int]:
+    """row divided by the gcd of its entries, a positive integer (the zero
+    row stays): the same row space, and the same sign of every minor."""
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
 def _integer_kernel(mat) -> list[tuple[int, ...]]:
     """Primitive integer basis of the kernel of a rational m x n matrix,
-    one vector per free column with a positive entry there."""
+    one vector per free column with a positive entry there.
+
+    Fraction-free Gauss-Jordan elimination over Z: each row operation
+    scales a row by the pivot, then makes it primitive, so every pivot row
+    holds its pivot p and zeros in the other pivot columns.  The
+    kernel vector of a free column f is then x_f = 1 and x_c = -r_f / p at
+    each pivot column c of a row r, scaled to primitive integers.
+    """
     n = len(mat[0])
-    rows = [[Fraction(x) for x in row] for row in mat]
+    rows = _integer_rows(mat)
     pivots = []
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
+        p = rows[r][c]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            if i != r and (f := rows[i][c]):
+                rows[i] = _primitive_row([p * a - f * b for a, b in zip(rows[i], rows[r])])
         pivots.append(c)
         r += 1
-    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
+    for fc in (c for c in range(n) if c not in pivots):
+        scale = lcm(*(abs(rows[i][pc]) for i, pc in enumerate(pivots)))
+        vec = [0] * n
+        vec[fc] = scale
         for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        den = 1
-        for x in vec:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in vec]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        basis.append(tuple(x // g for x in ints))
+            vec[pc] = -rows[i][fc] * scale // rows[i][pc]
+        g = gcd(*vec)
+        basis.append(tuple(x // g for x in vec))
     return basis
 
 
 def _positive_definite(mat) -> bool:
+    """Are all leading principal minors positive?  Fraction-free
+    elimination: row i goes to p * row i - f * row k with p > 0 the k-th
+    pivot, made primitive; both keep the sign of every leading minor, so
+    each pivot has the sign of its minor."""
     n = len(mat)
-    rows = [[Fraction(x) for x in row] for row in mat]
+    rows = _integer_rows(mat)
     for k in range(n):
-        # Leading principal minors via fraction-free elimination.
-        det = rows[k][k]
-        if det <= 0:
+        p = rows[k][k]
+        if p <= 0:
             return False
         for i in range(k + 1, n):
-            f = rows[i][k] / rows[k][k]
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+            if f := rows[i][k]:
+                rows[i] = _primitive_row([p * a - f * b for a, b in zip(rows[i], rows[k])])
     return True
 
 

@@ -12,8 +12,8 @@ from itertools import permutations, product
 from weakref import WeakKeyDictionary
 
 from hallcanon.canonical import CanonicalData, lusztig_solve, zeta_matrix
-from hallcanon.combinatorics import eval_poly, make_cdesc, mseg_dim, mseg_hom
-from hallcanon.config import InterpolationError
+from hallcanon.combinatorics import eval_poly, make_cdesc, mseg_dim, mseg_hom, point_type
+from hallcanon.config import InsufficientPointsError, InterpolationError
 from hallcanon.fqrep import (
     FqModule,
     _quotient_block,
@@ -22,7 +22,7 @@ from hallcanon.fqrep import (
     hom_dim,
 )
 from hallcanon.hallalg import FieldElement
-from hallcanon.hallpoly import MIN_VALIDATE
+from hallcanon.hallpoly import MIN_VALIDATE, sample_and_fit
 from hallcanon.pbw import _geL
 from hallcanon.laurent import (
     ONE,
@@ -64,6 +64,18 @@ def poly_gcd_over_Q(a: LaurentPoly, b: LaurentPoly) -> list:
                 a.pop()
         a, b = b, a
     return [x / a[-1] for x in a]
+
+
+def eval_sqrt(p: LaurentPoly, q: int) -> tuple[Fraction, Fraction]:
+    """p at v = sqrt(q), exactly, as (a, b) with value a + b sqrt(q): the
+    even and the odd powers of v apart."""
+    a = b = Fraction(0)
+    for e, c in p.terms.items():
+        if e % 2 == 0:
+            a += Fraction(c) * Fraction(q) ** (e // 2)
+        else:
+            b += Fraction(c) * Fraction(q) ** ((e - 1) // 2)
+    return a, b
 
 
 # -- quantum combinatorics --------------------------------------------
@@ -117,6 +129,68 @@ def field_word(engine, word, q: int) -> FieldElement:
     for label, a in word:
         out = out * field_class(engine, engine.simple_power_desc(label, a), q)
     return out
+
+
+def grading(x: FieldElement):
+    """The dimension vector of a homogeneous field element, None if it is 0."""
+    dims = {x.ctx.desc_dim(d) for d in x.terms}
+    if len(dims) > 1:
+        raise ValueError("element is not homogeneous")
+    return dims.pop() if dims else None
+
+
+def typed(x: FieldElement) -> dict:
+    """x's terms keyed by ``point_type``, as ``HallEngine.express_in_N`` reads them."""
+    return {point_type(d): c for d, c in x.terms.items()}
+
+
+def lift_sampled(engine, builder) -> dict:
+    """Lift builder(q) -> {key: LaurentPoly} by sampling it at the pool's
+    fields: each (key, v-exponent) coefficient is fitted as an integer
+    polynomial in q (``hallpoly.sample_and_fit``) and folded back by q = v^2.
+    """
+
+    def sample(q):
+        return {(key, e): c for key, lp in builder(q).items() for e, c in lp.terms.items()}
+
+    out: dict = {}
+    for (key, e), poly in sample_and_fit(engine.cfg.primes, sample).items():
+        add_scaled(out, {key: LaurentPoly.from_q_poly(poly.coeffs, e)}, ONE)
+    return out
+
+
+def word_degree_bound(word) -> int:
+    """D(word) = sum over vertices v of sum_{j<k} a_j a_k, over the letters
+    (v, a_j) at v: a bound on the q-degree of every coefficient of the
+    monomial.  Such a coefficient counts flags of L whose subquotients are
+    the letters' semisimples, and at each vertex v these are flags of
+    subspaces with steps a_j, of q-degree at most that sum."""
+    before: dict = {}
+    out = 0
+    for label, a in word:
+        out += a * before.get(label, 0)
+        before[label] = before.get(label, 0) + a
+    return out
+
+
+def sampled_word(engine, word) -> dict:
+    """The monomial over the N family the way it was lifted before one-vertex
+    tables: the whole word at each sample field (``HallEngine.word_element``),
+    expanded over N there and interpolated, D(word) + 3 fields at most.
+
+    On the Kronecker quiver a field is skipped when it has fewer degree-1
+    points than the word's probes need, m for dimension vector >= m delta.
+    """
+
+    def at(q):
+        x = engine.word_element(word, q)
+        if engine.kind == "kronecker" and x.terms:
+            m = min(grading(x))
+            if m > len(x.ctx.points(1)):
+                raise InsufficientPointsError(f"need {m} degree-1 points at q={q}")
+        return engine.express_in_N(typed(x))
+
+    return lift_sampled(engine, at)
 
 
 def spread(x: FieldElement) -> dict:
@@ -184,8 +258,8 @@ def nmul(engine, i1, i2) -> dict:
     Its support is asserted: on an acyclic quiver every frame has c_- >=_L
     the first factor's and c_+ >=_L the second's.
     """
-    out = engine.lift_family(
-        lambda q: engine.express_in_N(engine.n_field(i1, q) * engine.n_field(i2, q))
+    out = lift_sampled(
+        engine, lambda q: engine.express_in_N(typed(engine.n_field(i1, q) * engine.n_field(i2, q)))
     )
     (f1, _), (f2, _) = i1, i2
     for frame, _ in out if f1[0] == "c" else ():
@@ -231,7 +305,7 @@ class TensorElement:
     def eval_eq(self, other: "TensorElement") -> bool:
         """Equality after specializing v to sqrt(q); exact."""
         diff = add_scaled(dict(self.terms), other.terms, -1)
-        return all(c.eval_sqrt(self.ctx.q) == (0, 0) for c in diff.values())
+        return all(eval_sqrt(c, self.ctx.q) == (0, 0) for c in diff.values())
 
 
 def coproduct(engine, x: FieldElement) -> TensorElement:

@@ -24,6 +24,7 @@ from hallcanon.quiver import cyclic, kronecker, linear_an
 from oracles import (
     coproduct,
     field_class,
+    grading,
     green_field,
     is_integral,
     nmul,
@@ -191,7 +192,7 @@ def test_criterion_6_green_compatibility():
         y = field_class(engine, rng.choice(pool), q)
         yp = field_class(engine, rng.choice(pool), q)
         prod = y * yp
-        nu = prod.grading()
+        nu = grading(prod)
         if nu is None or any(a > 2 for a in nu):
             continue
         for pi in enumerate_msegs(2, nu):
@@ -259,7 +260,7 @@ def test_criterion_8_canonical_kronecker(kron_solver):
         ok = ok and report["truncation_agrees"]
     _report(
         8,
-        ok and time.time() - t0 < 0.5,
+        ok and time.time() - t0 < 0.3,
         "Kronecker canonical bases certified; truncation route agrees",
         t0,
     )
@@ -276,7 +277,7 @@ def test_criterion_9_finite_type_a2():
     words = {solver.system.word_for_index(a) for a in data.pbw.order}
     ok = ok and words == {((1, 1), (2, 1)), ((2, 1), (1, 1))}
     ok = ok and all(row == {a: ONE} for a, row in data.C_over_mon.items())
-    _report(9, ok and time.time() - t0 < 0.3, "A_2 canonical bases certified, |nu| <= 4", t0)
+    _report(9, ok and time.time() - t0 < 0.2, "A_2 canonical bases certified, |nu| <= 4", t0)
 
 
 def test_criterion_10_determinism(shared_cache, tmp_path):

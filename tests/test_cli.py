@@ -766,24 +766,27 @@ def test_internal_check_failure_exits_2(capsys, monkeypatch):
 
 
 def test_sample_pool_is_checked_before_any_word_is_lifted(capsys, monkeypatch):
-    # Kronecker (4,4) has a word of q-degree D = 7, which needs 10 sample
-    # fields; the default pool has 9, so the run fails before it lifts the
-    # first word, naming the first word in basis order that fails.
-    from hallcanon.hallalg import HallEngine, word_degree_bound
+    # Kronecker (4,4) needs the table of dim L = (4, 4) by S_1^2, of
+    # q-degree up to 2 * (4 - 2) = 4, at 7 fields where its types exist;
+    # four degree-1 points need q >= 3, so seven primes from 2 give six,
+    # and the run fails before it lifts the first table, naming the first
+    # word in basis order that fails.
+    from hallcanon.hallalg import HallEngine
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a word was lifted")
+        raise AssertionError("a table was lifted")
 
     monkeypatch.setattr(HallEngine, "lift_family", refuse)
-    code, out = run_cli(capsys, "canonical", "--quiver", "kronecker", "--dim", "4,4")
+    code, out = run_cli(
+        capsys, "canonical", "--quiver", "kronecker", "--dim", "4,4", "--primes", "2,3,4,5,7,8,9"
+    )
     assert code == 2
     error = json.loads(out)["error"]
     assert error["type"] == "InterpolationError"
-    word = ((1, 3), (0, 2), (1, 1), (0, 2))
-    assert word_degree_bound(word) == 7
     assert error["message"] == (
-        f"word {word} has q-degree up to D = 7 and needs 10 sample fields; "
-        "primes [2, 3, 4, 5, 7, 8, 9, 11, 13] give 9"
+        "word ((1, 2), (0, 4), (1, 2)): the Hall table of dim L = (4, 4) by S_1^2 has "
+        "q-degree up to 4 and needs 7 sample fields at which its types exist; of primes "
+        "[2, 3, 4, 5, 7, 8, 9] they exist at [3, 4, 5, 7, 8, 9], 1 too few"
     )
 
 
@@ -850,8 +853,10 @@ print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 
 # hashlib loads OpenSSL and dataclasses loads inspect, ast and dis: several
 # MB of a leg's peak memory.  No leg needs them; the store hashes with the
-# interpreter's built-in sha256, so a store leg loads neither.
-UNUSED = {"hashlib", "_hashlib", "dataclasses"}
+# interpreter's built-in sha256, so a store leg loads neither.  fractions,
+# with the decimal it imports, costs milliseconds of each cold start, and
+# the pipeline's arithmetic is over Z.
+UNUSED = {"hashlib", "_hashlib", "dataclasses", "fractions", "decimal"}
 CYCLIC_UNUSED = {f"hallcanon.{m}" for m in ("gf", "fqrep", "hallpoly")}
 
 

@@ -89,7 +89,8 @@ from hallcanon.config import JobConfig
 from hallcanon.hallalg import HallEngine
 from hallcanon.quiver import from_spec
 
-engine = HallEngine(from_spec("cyclic:3"), JobConfig(cache_dir=None))
+spec = sys.argv[1] if len(sys.argv) > 1 else "cyclic:3"
+engine = HallEngine(from_spec(spec), JobConfig(cache_dir=None))
 before = sorted(sys.modules)
 ctx = type(engine.polyeng.ctx(2)).__name__
 print(json.dumps({"before": before, "after": sorted(sys.modules), "ctx": ctx}))
@@ -101,6 +102,16 @@ def test_cyclic_engine_loads_the_field_layer_on_first_use():
     # layer, and touching ``polyeng`` still builds it.
     report = run_python(SETUP_LEG)
     assert not FIELD_LAYER & set(report["before"])
+    assert FIELD_LAYER <= set(report["after"])
+    assert report["ctx"] == "FieldContext"
+
+
+def test_kronecker_engine_loads_the_field_layer_on_first_use():
+    # kron-certify and hall-census build a Kronecker engine: that loads no
+    # field layer and no fractions (the quiver's kernels are over Z), and
+    # touching ``polyeng`` builds it.
+    report = run_python(SETUP_LEG, "kronecker")
+    assert not (FIELD_LAYER | {"fractions"}) & set(report["before"])
     assert FIELD_LAYER <= set(report["after"])
     assert report["ctx"] == "FieldContext"
 

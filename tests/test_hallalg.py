@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
 import pytest
 
+import oracles
 from hallcanon import hallalg, hallpoly
 from hallcanon.canonical import CanonicalSolver
 from hallcanon.combinatorics import (
@@ -26,7 +28,6 @@ from hallcanon.hallalg import (
     HallEngine,
     jacobi_trudi_h,
     nindex,
-    word_degree_bound,
 )
 from hallcanon.laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
 from hallcanon.partitions import kostka, partitions
@@ -37,20 +38,26 @@ from oracles import (
     class_word,
     classes,
     coproduct,
+    eval_sqrt,
     field_class,
     field_word,
+    grading,
     green_field,
     in_delta_plus_tail,
     indecomposable_pool,
     is_integral,
     jacobi_trudi_det,
+    lift_sampled,
     nmul,
     poly_gcd_over_Q,
     qfact,
+    sampled_word,
     serre_sum,
     spread,
     tensor_green,
+    typed,
     u_coeff,
+    word_degree_bound,
 )
 
 
@@ -153,7 +160,7 @@ def test_simple_self_product_divided_power(cyc2):
     SS = (S * S).terms
     assert SS == {mdesc(((1, 1), 2)): V(-1, q + 1)}
     diff = SS[mdesc(((1, 1), 2))] - LaurentPoly({1: 1, -1: 1})
-    assert diff.eval_sqrt(q) == (0, 0)
+    assert eval_sqrt(diff, q) == (0, 0)
     # divided power descriptor agrees
     assert divided_power_desc(cyc2, mdesc(((1, 1), 1)), 2) == mdesc(((1, 1), 2))
 
@@ -237,35 +244,100 @@ def monomial_words(system, dims):
     ids=["kronecker<=(2,3)", "an:3<=5"],
 )
 def test_word_degree_bound_caps_the_fitted_degree(monkeypatch, quiver, dims):
-    # Each monomial word is lifted by one sample_and_fit call, and no
-    # coefficient it fits has a q-degree above D(word).  ``lift_family``
-    # imports sample_and_fit from hallpoly when it runs.
-    fitted = []
+    # Each one-vertex table by S_i^a into dim L is lifted by one
+    # sample_and_fit call, and no entry it fits has a q-degree above
+    # a(l_i - a); the sampled oracle's words stay within D(word).
+    # ``lift_family`` imports sample_and_fit from hallpoly when it runs.
+    fitted, tables = [], []
     fit = hallpoly.sample_and_fit
+    lifted_table = HallEngine._lifted_table
 
-    def recording(primes, sample, cap=None):
-        out = fit(primes, sample, cap)
+    def recording(primes, sample, cap=None, usable=None):
+        out = fit(primes, sample, cap, usable)
         fitted.append(max((len(p.coeffs) - 1 for p in out.values()), default=-1))
         return out
 
+    def recording_table(self, nuL, i, a):
+        tables.append((nuL, i, a))
+        return lifted_table(self, nuL, i, a)
+
     monkeypatch.setattr(hallpoly, "sample_and_fit", recording)
+    monkeypatch.setattr(oracles, "sample_and_fit", recording)
+    monkeypatch.setattr(HallEngine, "_lifted_table", recording_table)
     system = IndexSystem(HallEngine(quiver, JobConfig(cache_dir=None)))
-    for word in monomial_words(system, dims):
-        fitted.clear()
+    words = monomial_words(system, dims)
+    for word in words:
         system.engine.generic_word(word)
+    assert len(fitted) == len(set(tables)) > 0
+    for (nuL, i, a), degree in zip(dict.fromkeys(tables), fitted):
+        assert degree <= a * (nuL[i] - a), (nuL, i, a, degree)
+    for word in words:
+        fitted.clear()
+        sampled_word(system.engine, word)
         assert len(fitted) == 1 and fitted[0] <= word_degree_bound(word), (word, fitted)
 
 
 def test_word_over_its_degree_bound_fails_before_sampling(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a field was sampled")
+        raise AssertionError("a table was lifted")
 
+    monkeypatch.setattr(HallEngine, "lift_family", refuse)
     monkeypatch.setattr(HallEngine, "word_element", refuse)
     engine = HallEngine(kronecker(), JobConfig(cache_dir=None, primes=(2, 3, 4)))
     word = ((0, 1), (1, 1), (0, 1), (1, 1))
-    assert word_degree_bound(word) == 2
-    with pytest.raises(InterpolationError, match=r"D = 2 and needs 5 sample fields"):
+    # The last letter needs the table of dim L = (2, 2) by S_1, of degree
+    # up to 1 * (2 - 1): 4 fields.
+    with pytest.raises(
+        InterpolationError,
+        match=re.escape(
+            "the Hall table of dim L = (2, 2) by S_1^1 has q-degree up to 1 and needs "
+            "4 sample fields at which its types exist; of primes [2, 3, 4] they exist "
+            "at [2, 3, 4], 1 too few"
+        ),
+    ):
         engine.generic_word(word)
+
+
+def test_word_lifts_only_its_one_vertex_tables(monkeypatch):
+    # A word is never sampled whole: word_element runs once per word, for
+    # the re-check at primes[0], and each table is lifted once.
+    calls = []
+    word_element = HallEngine.word_element
+
+    def counting(self, word, q):
+        calls.append((word, q))
+        return word_element(self, word, q)
+
+    monkeypatch.setattr(HallEngine, "word_element", counting)
+    system = IndexSystem(HallEngine(kronecker(), JobConfig(cache_dir=None)))
+    for nu in ((2, 2), (3, 2), (2, 3)):
+        system.pbw_basis(nu)
+    words = {w for nu in ((2, 2), (3, 2), (2, 3)) for w in map(
+        system.word_for_index, system.enumerate_indices(nu).aperiodic
+    )}
+    assert sorted(calls) == sorted((w, 2) for w in words)
+
+
+GRID = [
+    (kronecker(), [nu for nu in product(range(4), repeat=2) if any(nu)]),
+    (linear_an(3), [nu for nu in product(range(6), repeat=3) if 0 < sum(nu) <= 5]),
+    (linear_an(3, "><"), [(2, 2, 2)]),
+]
+
+
+@pytest.mark.parametrize(
+    "quiver, dims", GRID, ids=["kronecker<=(3,3)", "an:3<=5", "an:3:><(2,2,2)"]
+)
+def test_generic_word_equals_the_sampled_word(quiver, dims):
+    # The product of lifted one-vertex tables against the whole word sampled
+    # at each field and interpolated, on every monomial word of the grid.
+    engine = HallEngine(quiver, JobConfig(cache_dir=None))
+    words = monomial_words(IndexSystem(engine), dims)
+    assert words
+    for word in words:
+        assert list(engine.generic_word(word).items()) == list(
+            sampled_word(engine, word).items()
+        ), word
 
 
 @pytest.mark.parametrize(
@@ -354,7 +426,7 @@ def test_finite_type_n_field_is_its_class():
 def test_express_in_N_roundtrip_field(kron, word):
     for q in (2, 3, 5, 7):
         x = kron.word_element(word, q)
-        coeffs = kron.express_in_N(x)
+        coeffs = kron.express_in_N(typed(x))
         rebuilt = kron.rebuild_from_N(coeffs, q)
         assert rebuilt.eval_eq(x)
         assert x.eval_eq(rebuilt)
@@ -368,7 +440,7 @@ def test_express_in_N_reads_probes_through_their_types(kron, q):
     for m in (1, 2, 3):
         for lam in partitions(m):
             idx = nindex(make_cdesc(), lam)
-            assert kron.express_in_N(kron.n_field(idx, q)) == {idx: ONE}, (lam, q)
+            assert kron.express_in_N(typed(kron.n_field(idx, q))) == {idx: ONE}, (lam, q)
 
 
 def test_express_in_N_realizes_no_N_element(kron, monkeypatch):
@@ -380,7 +452,7 @@ def test_express_in_N_realizes_no_N_element(kron, monkeypatch):
     elements = {q: kron.word_element(word, q) for q in (3, 5)}
     monkeypatch.setattr(HallEngine, "n_field", refuse)
     monkeypatch.setattr(HallEngine, "realize_S", refuse)
-    coeffs = {q: kron.express_in_N(x) for q, x in elements.items()}
+    coeffs = {q: kron.express_in_N(typed(x)) for q, x in elements.items()}
     assert {lam for (_, lam) in coeffs[3]} >= {(2,), (1, 1)}
     monkeypatch.undo()
     for q, x in elements.items():
@@ -506,12 +578,12 @@ def test_specialization_soundness(kron):
     i2 = nindex(make_cdesc(cm=((0, 1),)))
     out = nmul(kron, i1, i2)
     q = 11
-    direct = kron.express_in_N(kron.n_field(i1, q) * kron.n_field(i2, q))
+    direct = kron.express_in_N(typed(kron.n_field(i1, q) * kron.n_field(i2, q)))
     keys = set(out) | set(direct)
     for k in keys:
         a = out.get(k, ZERO)
         b = direct.get(k, ZERO)
-        assert (a - b).eval_sqrt(q) == (0, 0)
+        assert eval_sqrt(a - b, q) == (0, 0)
 
 
 def test_green_form_values(kron, cyc2):
@@ -584,7 +656,7 @@ def field_level_s_gram(engine, lam, mu, q):
 
 
 def value_at(f, q):
-    (num, num_odd), (den, den_odd) = f.num.eval_sqrt(q), f.den.eval_sqrt(q)
+    (num, num_odd), (den, den_odd) = eval_sqrt(f.num, q), eval_sqrt(f.den, q)
     assert num_odd == den_odd == 0
     return num / den
 
@@ -637,9 +709,9 @@ def test_green_nn_matches_field_green(kron):
                 y = kron.n_field(i2, q)
                 field_val = green_field(kron, x, y)
                 # compare at v = sqrt(q)
-                ga, gb = field_val.eval_sqrt(q)
-                na, nb = generic.num.eval_sqrt(q)
-                da, db = generic.den.eval_sqrt(q)
+                ga, gb = eval_sqrt(field_val, q)
+                na, nb = eval_sqrt(generic.num, q)
+                da, db = eval_sqrt(generic.den, q)
                 assert db == 0 and nb == 0 and gb == 0
                 assert ga == na / da
 
@@ -708,7 +780,7 @@ def test_green_compatibility_small(cyc2):
         y = field_class(cyc2, rng.choice(pool1), q)
         yp = field_class(cyc2, rng.choice(pool1), q)
         prod = y * yp
-        nu = prod.grading()
+        nu = grading(prod)
         if nu is None:
             continue
         for dx in enumerate_msegs(2, nu):
@@ -880,9 +952,9 @@ def test_green_nn_mixed_frame_matches_field(kron):
     generic = kron.green_nn(i1, i1)
     x = kron.n_field(i1, q)
     field_val = green_field(kron, x, x)
-    ga, gb = field_val.eval_sqrt(q)
-    na, nb = generic.num.eval_sqrt(q)
-    da, db = generic.den.eval_sqrt(q)
+    ga, gb = eval_sqrt(field_val, q)
+    na, nb = eval_sqrt(generic.num, q)
+    da, db = eval_sqrt(generic.den, q)
     assert gb == nb == db == 0
     assert ga == na / da
 
@@ -901,7 +973,7 @@ def test_mul_generic_unit_and_divided_power_m1(kron):
     prod = kron.cls_elt(P, q) * kron.cls_elt(P, q)
     two = qfact(2)
     diff = prod.terms[P2] - two
-    assert diff.eval_sqrt(q) == (0, 0)
+    assert eval_sqrt(diff, q) == (0, 0)
     assert set(prod.terms) == {P2}
 
 
@@ -958,11 +1030,6 @@ def test_socle_extensions_jordan_examples():
     ] == (1, 1, 2, 1, 1)
 
 
-def lifted_field_word(engine, word):
-    """The monomial through field realizations and interpolation (the oracle)."""
-    return engine.lift_family(lambda q: engine.express_in_N(field_word(engine, word, q)))
-
-
 @pytest.mark.parametrize("n, most", CLOSED_FORM_RANGES)
 def test_cyclic_generic_word_matches_field_path(n, most):
     engine = HallEngine(cyclic(n), JobConfig(cache_dir=None))
@@ -980,12 +1047,13 @@ def test_cyclic_generic_word_matches_field_path(n, most):
         ]
     assert words
     for word in words:
-        closed = engine._cyclic_word(word)
-        field = lifted_field_word(engine, word)
+        closed = engine.express_in_N(engine._word(word))
+        field = lift_sampled(
+            engine, lambda q: engine.express_in_N(typed(field_word(engine, word, q)))
+        )
         assert closed == field, word
-        assert list(closed) == list(field)
         if n > 1:
-            assert engine.generic_word(word) == closed
+            assert list(engine.generic_word(word).items()) == list(field.items())
 
 
 def test_jordan_generic_word_refuses_its_field_check():

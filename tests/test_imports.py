@@ -104,16 +104,10 @@ def test_package_loads_no_openssl(path):
     assert hashlib_imports(path.read_text()) == []
 
 
-# The only places in the package that may name Fraction: an exact value at
-# v = sqrt(q), the rational kernels of the quiver's Cartan matrix, and the
-# traced rational fit; the pipeline's Laurent arithmetic is over Z.
+# The only place in the package that may name Fraction: the traced rational
+# fit, which imports it in its own body.  The pipeline's arithmetic is over
+# Z, the quiver's kernels included, so no command loads ``fractions``.
 FRACTION_ALLOWED = {
-    "laurent.<module>",
-    "laurent.LaurentPoly.eval_sqrt",
-    "quiver.<module>",
-    "quiver._integer_kernel",
-    "quiver._positive_definite",
-    "hallpoly.<module>",
     "hallpoly.fit_rational_function",
 }
 

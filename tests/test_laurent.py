@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hallcanon.laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
 from oracles import (
+    eval_sqrt,
     expand_at_infinity,
     in_delta_plus_tail,
     qbinom,
@@ -82,6 +83,23 @@ def test_ring_axioms(p, r, s):
     assert p * r == r * p
 
 
+@given(laurents)
+def test_field_zero_test_is_the_exact_value_at_sqrt_q(p):
+    # FieldElement.is_zero_specialized scales by a power of q and tests
+    # integers; the oracle evaluates with Fractions.  They agree on p, and
+    # both find p (v^2 - q) zero, at square and non-square q.
+    from hallcanon.combinatorics import CombinatorialContext
+    from hallcanon.hallalg import FieldElement
+    from hallcanon.quiver import cyclic
+
+    for q in (2, 3, 4, 9):
+        ctx = CombinatorialContext(cyclic(2), q)
+        assert FieldElement(ctx, {("m", ()): p}).is_zero_specialized() == (
+            eval_sqrt(p, q) == (0, 0)
+        )
+        assert FieldElement(ctx, {("m", ()): p * (V(2) - q)}).is_zero_specialized()
+
+
 def _sqrt_mul(x, y, q):
     return (x[0] * y[0] + x[1] * y[1] * q, x[0] * y[1] + x[1] * y[0])
 
@@ -89,8 +107,8 @@ def _sqrt_mul(x, y, q):
 @given(laurents, laurents)
 def test_evaluation_homomorphism(p, r):
     for q in (4, 9, 25):
-        lhs = (p * r).eval_sqrt(q)
-        rhs = _sqrt_mul(p.eval_sqrt(q), r.eval_sqrt(q), q)
+        lhs = eval_sqrt(p * r, q)
+        rhs = _sqrt_mul(eval_sqrt(p, q), eval_sqrt(r, q), q)
         assert lhs == tuple(rhs)
 
 
