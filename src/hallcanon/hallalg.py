@@ -169,11 +169,6 @@ def jacobi_trudi_h(lam) -> tuple:
     return tuple(sorted((mu, c) for mu, c in coeffs if c))
 
 
-def type_degrees(desc) -> list:
-    """The degrees of the closed points of a class or point type."""
-    return [point_degree(pt) for pt, _ in desc_homog(desc)]
-
-
 def _q_coeffs(p: LaurentPoly) -> list:
     """p, a polynomial in q = v^2, as its q-coefficients, lowest first."""
     return [p.coeff(e) for e in range(0, p.degree() + 1, 2)] if p else []
@@ -373,7 +368,8 @@ class HallEngine:
         from .hallpoly import sample_and_fit
 
         def usable(key, q):
-            return all(points_suffice(q, type_degrees(t)) for t in key)
+            degrees = ([point_degree(pt) for pt, _ in desc_homog(t)] for t in key)
+            return all(points_suffice(q, d) for d in degrees)
 
         fitted = sample_and_fit(self.cfg.primes, builder, usable=usable)
         return {key: LaurentPoly.from_q_poly(p.coeffs) for key, p in fitted.items()}
