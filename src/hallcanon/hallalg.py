@@ -439,8 +439,9 @@ class HallEngine:
     def _word(self, word) -> dict:
         """The monomial u_{i_1}^{(a_1)} ... over Z[v, v^-1], keyed by point type.
 
-        Each letter multiplies on the right by <S_i^(a)>, one column per
-        term (``_column``), with the v-exponent of ``FieldElement.__mul__``:
+        The first letter times the unit is <S_i^(a)> itself.  Each later
+        letter multiplies on the right by <S_i^(a)>, one column per term
+        (``_column``), with the v-exponent of ``FieldElement.__mul__``:
         Euler form and End of the factors, less End L.  A lifted column is
         scaled by k!, so each product is divided by it, exactly.
         """
@@ -448,10 +449,13 @@ class HallEngine:
         euler = self.quiver.euler_form
         nu = (0,) * self.quiver.n
         terms = {self.zero_frame(): ONE}
-        for label, a in word:
+        for step, (label, a) in enumerate(word):
             S = self.simple_power_desc(label, a)
             dimS, endS = ctx.desc_dim(S), ctx.end(S)
             nu = tuple(x + y for x, y in zip(nu, dimS))
+            if not step:
+                terms = {S: ONE}
+                continue
             column, scale = self._column(nu, label, a)
             out: dict = {}
             for X, c in terms.items():
@@ -476,23 +480,13 @@ class HallEngine:
         table the word needs (``_lifted_table``); nothing is sampled.
 
         A table of degree up to k = a(l_i - a) needs k + 1 + MIN_VALIDATE
-        fields at which its types exist.  Every type of dimension nu exists
-        at q when each point pattern of the largest m with m delta <= nu
-        does (``points_suffice``): any other type has a pattern within one
-        of those.  A cyclic word and a product by a source simple are
-        closed forms and need no pool.
+        fields at which its types exist (``_fields_with_every_type``).  A
+        cyclic word and a product by a source simple are closed forms and
+        need no pool.
         """
         if self.kind == "cyclic":
             return
-        from .fqrep import points_suffice
         from .hallpoly import MIN_VALIDATE
-        from .partitions import partitions
-
-        def types_exist(nu, q):
-            if self.delta is None:
-                return True
-            m = min(x // d for x, d in zip(nu, self.delta))
-            return all(points_suffice(q, p) for p in partitions(m))
 
         nu = [0] * self.quiver.n
         for label, a in word:
@@ -502,9 +496,8 @@ class HallEngine:
                 continue
             k = a * (nu[i] - a)
             nuX = tuple(x - a * (w == i) for w, x in enumerate(nu))
-            usable = [
-                q for q in self.cfg.primes if types_exist(nu, q) and types_exist(nuX, q)
-            ]
+            rest = self._fields_with_every_type(nuX)
+            usable = [q for q in self._fields_with_every_type(tuple(nu)) if q in rest]
             if len(usable) < k + 1 + MIN_VALIDATE:
                 raise InterpolationError(
                     f"word {word}: the Hall table of dim L = {tuple(nu)} by S_{label}^{a} "
@@ -512,6 +505,24 @@ class HallEngine:
                     f"fields at which its types exist; of primes {list(self.cfg.primes)} "
                     f"they exist at {usable}, {k + 1 + MIN_VALIDATE - len(usable)} too few"
                 )
+
+    @memoized
+    def _fields_with_every_type(self, nu) -> tuple:
+        """The pool's fields at which every type of dimension vector nu exists.
+
+        That holds at q when each pattern of point degrees of the largest m
+        with m delta <= nu does (``points_suffice``), a partition of m: any
+        other type's pattern lies within one of those.  Nothing is listed.
+        """
+        if self.delta is None:
+            return self.cfg.primes
+        from .fqrep import points_suffice
+        from .partitions import partitions
+
+        m = min(x // d for x, d in zip(nu, self.delta))
+        return tuple(
+            q for q in self.cfg.primes if all(points_suffice(q, p) for p in partitions(m))
+        )
 
     @memoized
     def generic_word(self, word) -> dict:
