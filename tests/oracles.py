@@ -144,6 +144,18 @@ def typed(x: FieldElement) -> dict:
     return {point_type(d): c for d, c in x.terms.items()}
 
 
+def expanded_at_field(engine, x: FieldElement) -> dict:
+    """x over the N family, from its own field.  On the Kronecker quiver a
+    field with fewer degree-1 points than x's probes need (m, for dimension
+    vector >= m delta) raises InsufficientPointsError, so that sampling
+    skips it: a probe type that does not exist there reads as 0."""
+    if engine.kind == "kronecker" and x.terms:
+        m = min(grading(x))
+        if m > len(x.ctx.points(1)):
+            raise InsufficientPointsError(f"need {m} degree-1 points at q={x.ctx.q}")
+    return engine.express_in_N(typed(x))
+
+
 def lift_sampled(engine, builder) -> dict:
     """Lift builder(q) -> {key: LaurentPoly} by sampling it at the pool's
     fields: each (key, v-exponent) coefficient is fitted as an integer
@@ -177,20 +189,8 @@ def sampled_word(engine, word) -> dict:
     """The monomial over the N family the way it was lifted before one-vertex
     tables: the whole word at each sample field (``HallEngine.word_element``),
     expanded over N there and interpolated, D(word) + 3 fields at most.
-
-    On the Kronecker quiver a field is skipped when it has fewer degree-1
-    points than the word's probes need, m for dimension vector >= m delta.
     """
-
-    def at(q):
-        x = engine.word_element(word, q)
-        if engine.kind == "kronecker" and x.terms:
-            m = min(grading(x))
-            if m > len(x.ctx.points(1)):
-                raise InsufficientPointsError(f"need {m} degree-1 points at q={q}")
-        return engine.express_in_N(typed(x))
-
-    return lift_sampled(engine, at)
+    return lift_sampled(engine, lambda q: expanded_at_field(engine, engine.word_element(word, q)))
 
 
 def spread(x: FieldElement) -> dict:
@@ -259,7 +259,7 @@ def nmul(engine, i1, i2) -> dict:
     the first factor's and c_+ >=_L the second's.
     """
     out = lift_sampled(
-        engine, lambda q: engine.express_in_N(typed(engine.n_field(i1, q) * engine.n_field(i2, q)))
+        engine, lambda q: expanded_at_field(engine, engine.n_field(i1, q) * engine.n_field(i2, q))
     )
     (f1, _), (f2, _) = i1, i2
     for frame, _ in out if f1[0] == "c" else ():
