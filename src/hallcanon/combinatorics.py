@@ -334,9 +334,11 @@ def point_type(desc) -> tuple:
     """The type of a class, independent of q: desc with its k-th closed
     point of degree d, in (degree, partition) order, written ('t', d, k).
 
-    ``FieldContext.type_rep`` places the points of a type in the same order,
-    so a type and its representative at any field have one point type.  A
-    class without points is its own type.
+    It is the only name of a type above the census: Hall numbers depend
+    only on the degree and partition at each point (Hubery, Represent.
+    Theory 14 (2010)), so ``hall_table`` keys its rows by point type and
+    fixes no concrete class of a type.  A class without points is its own
+    type.
     """
     if not desc_homog(desc):
         return desc
@@ -506,10 +508,6 @@ class CombinatorialContext:
         """
         return tuple(("m", pi) for pi in enumerate_msegs(self.quiver.n, nu))
 
-    def type_rep(self, desc):
-        """The representative of desc's type, among ``type_classes``."""
-        return desc
-
     # -- Hall numbers -------------------------------------------------------
 
     @memoized
@@ -610,13 +608,14 @@ class CombinatorialContext:
 
     @memoized
     def hall_table(self, nuL, nuN):
-        """The Hall numbers with dim L = nuL and dim N = nuN, one row per type.
+        """The Hall numbers with dim L = nuL and dim N = nuN, one row per type,
+        keyed by ``point_type``.
 
-        Returns (by_L, by_pair).  by_L[L], for each type representative L of
-        ``type_classes(nuL)``, in their order, is L's row with its entries
-        summed by type: the entry at (M, N), two type representatives, is
-        the sum of g^L_{M', N'} over the classes M' of M's type and N' of
-        N's type.  That sum is the same for every class of L's type (Hubery,
+        Returns (by_L, by_pair).  For each class of ``type_classes(nuL)``,
+        in their order, by_L[point_type(L)] is L's row (``hall_row``) with
+        its entries summed by type: the entry at (M, N), two point types, is
+        the sum of g^L_{M', N'} over the classes M' of type M and N' of type
+        N.  That sum is the same for every class of L's type (Hubery,
         Represent. Theory 14 (2010)), so it is the coefficient that a
         product of type elements (``hallalg.FieldElement``) needs.  Where
         every class is its own type, as off the Kronecker quiver, the row is
@@ -629,9 +628,9 @@ class CombinatorialContext:
                 if self.kind == "kronecker":
                     summed: dict = {}
                     for (dM, dN), g in row.items():
-                        pair = (self.type_rep(dM), self.type_rep(dN))
+                        pair = (point_type(dM), point_type(dN))
                         summed[pair] = summed.get(pair, 0) + g
-                    row = summed
+                    row, dL = summed, point_type(dL)
                 by_L[dL] = row
                 for pair, g in row.items():
                     by_pair.setdefault(pair, []).append((dL, g))
@@ -648,11 +647,12 @@ class CombinatorialContext:
 
     def hall_products(self, descM, descN):
         """All (L, count) with count nonzero in ``hall_table``'s column of
-        (M, N), two type representatives: count is g^L_{M,N} summed over the
-        classes of M's and N's types, one L per type.
+        (M, N), two point types: count is g^L_{M,N} summed over the classes
+        of types M and N, one point type L per type.
 
-        A class that is not its type's representative has no column: it
-        raises ValueError rather than read as a zero product.
+        A class whose points are closed points of the field is not a point
+        type and has no column: it raises ValueError rather than read as a
+        zero product.
         """
         nuM = self.desc_dim(descM)
         nuN = self.desc_dim(descN)
@@ -660,7 +660,7 @@ class CombinatorialContext:
         _, by_pair = self.hall_table(nuL, nuN)
         column = by_pair.get((descM, descN))
         if column is None:
-            if stray := [d for d in (descM, descN) if self.type_rep(d) != d]:
-                raise ValueError(f"{stray} not a type representative (type_rep)")
+            if stray := [d for d in (descM, descN) if point_type(d) != d]:
+                raise ValueError(f"{stray} not a point type (point_type)")
             return []
         return column

@@ -23,7 +23,6 @@ from . import gf
 from .combinatorics import (
     CombinatorialContext,
     bounded_multisets,
-    desc_homog,
     desc_indecs,
     make_cdesc,
     mseg_dim,
@@ -102,7 +101,7 @@ def points_suffice(q: int, degrees) -> bool:
 def assign_points(q: int, degrees) -> list:
     """Distinct closed points of the given degrees, in their order: the k-th
     of degree d is ``closed_points(q, d)[k]``.  This is where a Hall key's
-    slots and a type's representative (``FieldContext.type_rep``) sit."""
+    slots and the classes of ``FieldContext.type_classes`` sit."""
     out, used = [], {}
     for d in degrees:
         used[d] = k = used.get(d, -1) + 1
@@ -1030,76 +1029,17 @@ class FieldContext(CombinatorialContext):
             for pt, lam in homog
         )
 
-    def _point_type(self, descL):
-        """(rep, relabel) for a Kronecker class L with homogeneous points.
-
-        ``rep`` is L's type representative (``type_rep``).  ``relabel`` maps
-        a class to its image under a degree-preserving bijection sigma of the
-        closed points with sigma(rep) = L: sigma sends the first points of
-        each degree to L's, sorted by (degree, partition, point), and the
-        points left over to those left over, both in list order.  So sigma fixes
-        every point after L's last one of its degree.  sigma is a bijection
-        on all closed points, not only on L's, because a row entry can carry
-        a point L lacks.  By Hubery's Hall polynomials for affine quivers
-        (A. Hubery, Represent. Theory 14 (2010)) a Kronecker Hall number
-        depends on the degree and partition at each point, not on which
-        point it is, so any such sigma carries rep's Hall numbers to L's.
-        sigma need not be a Moebius map: mixing the two arrows by GL_2(F_q)
-        would be exact by itself, but reaches every configuration of a type
-        only up to dim L = 3 delta, and this one rule covers every dimension.
-
-        None for a class without points and for a representative: both are
-        censused.
-        """
-        rep = self.type_rep(descL)
-        if rep == descL:
-            return None
-        by_degree: dict = {}
-        for pt, lam in sorted(descL[4], key=lambda e: (point_degree(e[0]), e[1], e[0])):
-            by_degree.setdefault(point_degree(pt), []).append(pt)
-        sigma: dict = {}
-        for d, ours in by_degree.items():
-            pts = closed_points(self.q, d)
-            head = pts[: 1 + max(map(pts.index, ours))]
-            taken = set(ours)
-            sigma.update(zip(head, ours + [pt for pt in head if pt not in taken]))
-        images: dict = {}
-
-        def relabel(desc):
-            out = images.get(desc)
-            if out is None:
-                moved = tuple(sorted((sigma.get(pt, pt), lam) for pt, lam in desc[4]))
-                out = images[desc] = desc[:4] + (moved,)
-            return out
-
-        return rep, relabel
-
     # -- types ------------------------------------------------------------
 
     @memoized
-    def type_rep(self, desc):
-        """The representative of a class's type.
-
-        The type of a Kronecker class is its frame and the (degree,
-        partition) of each of its points.  Its representative places its
-        points sorted by (degree, partition) by ``assign_points``.  A class
-        without points is its own type.
-        """
-        if not desc_homog(desc):
-            return desc
-        entries = sorted((point_degree(pt), lam) for pt, lam in desc[4])
-        return make_cdesc(cm=desc[1], cp=desc[3], homog=self._placed(entries))
-
-    def _placed(self, entries) -> list:
-        """(point, partition) for each (degree, partition) of the sorted
-        ``entries``, the points placed by ``assign_points``."""
-        pts = assign_points(self.q, [d for d, _ in entries])
-        return [(pt, lam) for pt, (_, lam) in zip(pts, entries)]
-
-    @memoized
     def type_classes(self, nu) -> tuple:
-        """One class of each type of dimension vector nu, the type
-        representatives (``type_rep``), sorted.
+        """One class of each type of dimension vector nu, sorted.
+
+        A Kronecker type is a frame and the (degree, partition) at each of
+        its points; its class here places those entries, sorted, at points
+        by ``assign_points`` (``homog_types``).  Which class stands for a
+        type matters to no caller: ``hall_table`` names it by
+        ``point_type``.
 
         On an acyclic quiver they are listed directly: each frame
         (``frames``) with each homogeneous type that fits at q
@@ -1118,13 +1058,13 @@ class FieldContext(CombinatorialContext):
         )
 
     def homog_types(self, m: int):
-        """The homogeneous parts of total delta-multiple m of the type
-        representatives, as (point, partition) lists.
+        """The homogeneous parts of total delta-multiple m of
+        ``type_classes``, as (point, partition) lists.
 
         A type is a multiset of (degree d, partition lam) with
         sum d |lam| = m.  It fits at q when it has at most
         ``point_count(q, d)`` entries of each degree d (``points_suffice``),
-        and is then placed as ``type_rep`` places it.
+        and its sorted entries are then placed by ``assign_points``.
         """
         from .partitions import partitions
 
@@ -1133,20 +1073,19 @@ class FieldContext(CombinatorialContext):
         ]
         for chosen in bounded_multisets(items, lambda e: (e[0] * sum(e[1]),), (m,), exact=True):
             entries = sorted(e for e, mult in chosen for _ in range(mult))
-            if points_suffice(self.q, [d for d, _ in entries]):
-                yield self._placed(entries)
+            degrees = [d for d, _ in entries]
+            if points_suffice(self.q, degrees):
+                yield [(pt, lam) for pt, (_, lam) in zip(assign_points(self.q, degrees), entries)]
 
     def _census_row(self, descL, nuN, nuM) -> dict:
-        """``hall_row`` of L where it has no closed form: by relabelling its
-        type representative's row, or from one census of L by torus orbits.
+        """``hall_row`` of L where it has no closed form: from one census of
+        L by torus orbits, whether or not L is one of ``type_classes``.
 
-        A Kronecker class with homogeneous points that is not its type's
-        representative gets the representative's row, relabelled
-        (``_point_type``).  A semisimple L (every arrow of ``build(descL)``
-        zero) needs no census either: every graded subspace is a submodule,
-        so the row is g^L_{S,S'} = prod_v [l_v, n_v]_q (``census_size``) for
-        the semisimples S, S' of dimension dim L - nuN and nuN (Ringel,
-        Invent. Math. 101 (1990)), or empty when some n_v > l_v.
+        A semisimple L (every arrow of ``build(descL)`` zero) needs no census:
+        every graded subspace is a submodule, so the row is g^L_{S,S'} =
+        prod_v [l_v, n_v]_q (``census_size``) for the semisimples S, S' of
+        dimension dim L - nuN and nuN (Ringel, Invent. Math. 101 (1990)), or
+        empty when some n_v > l_v.
 
         A census goes by the orbits of L's summand scalings, automorphisms
         of L that keep the classes of U and L/U, at the first free vertex of
@@ -1160,11 +1099,6 @@ class FieldContext(CombinatorialContext):
         is formed from them; a module is built and classified only for a key
         the classify cache does not hold yet.
         """
-        if relabelled := self._point_type(descL):
-            rep, relabel = relabelled
-            return {
-                (relabel(dM), relabel(dN)): g for (dM, dN), g in self.hall_row(rep, nuN).items()
-            }
         nuL = self.desc_dim(descL)
         L, row = self.build(descL), {}
         Q, F, cache = self.quiver, self.F, self._classify_cache

@@ -2,9 +2,10 @@
 
 Field-level elements live in one Hall algebra H*(F_q Q) and are stored in
 the normalized class basis <M> with Laurent coefficients, one term per type
-of class (on the Kronecker quiver, a class up to its closed points); the
-quantum parameter v stays symbolic and only Hall counts depend on q.  Generic
-elements are indexed by the spanning family
+of class, keyed by its point type (``combinatorics.point_type``: on the
+Kronecker quiver, a class up to its closed points); the quantum parameter v
+stays symbolic and only Hall counts depend on q.  Generic elements are
+indexed by the spanning family
 
     N(c, t_lam) = <M(c_-)> * S_lam * <M(c_+)>
 
@@ -89,11 +90,11 @@ class FieldElement:
     """Sparse sum of normalized classes <M> with LaurentPoly coefficients.
 
     Every element the pipeline builds is constant on the classes of one
-    type (``CombinatorialContext.type_rep``): words, H_m and the N family
-    are, since Hall numbers are (Hubery).  So a term is one type: its key
-    is the type representative and its coefficient is that of every class
-    of the type.  On the Kronecker quiver a type is a class up to its closed
-    points, and a product reads ``hall_table``'s rows summed by type; on
+    type: words, H_m and the N family are, since Hall numbers are
+    (Hubery).  So a term is one type: its key is the type's ``point_type``
+    and its coefficient is that of every class of the type.  On the
+    Kronecker quiver a type is a class up to its closed points, and a
+    product reads ``hall_products``, whose columns are point types; on
     other quivers every class is its own type and a term is one class.
     """
 
@@ -254,7 +255,8 @@ class HallEngine:
 
     def realize_H(self, m: int, q: int) -> FieldElement:
         """Field-level H_m: the sum of the homogeneous classes M of dim m*delta,
-        each weighted v^-dim End M, one term per type (``homog_types``)."""
+        each weighted v^-dim End M, one term per point type of the types
+        that exist at q (``homog_types``)."""
         if self.kind != "kronecker":
             raise UnsupportedQuiverError("H_m lives in the affine homogeneous part")
         ctx = self.ctx(q)
@@ -262,7 +264,7 @@ class HallEngine:
             return self.unit(q)
         terms = {}
         for homog in ctx.homog_types(m):
-            desc = make_cdesc(homog=homog)
+            desc = point_type(make_cdesc(homog=homog))
             terms[desc] = LaurentPoly.v_power(-ctx.end(desc))
         return FieldElement(ctx, terms)
 
@@ -302,10 +304,10 @@ class HallEngine:
         """Coefficients over the N family of x = {point type: coefficient}.
 
         x is keyed by ``point_type``, so it is the same at every field: a
-        generic element, or a field element's terms read by type.  At the
-        probe with part mu_i at the i-th degree-1 point, N(frame, t_lam) has
-        coefficient v^-m K_{lam mu} (``n_field``), and K is unitriangular in
-        descending lex order: the coefficients psi solve
+        generic element, or a field element's terms.  At the probe with part
+        mu_i at the i-th degree-1 point, N(frame, t_lam) has coefficient
+        v^-m K_{lam mu} (``n_field``), and K is unitriangular in descending
+        lex order: the coefficients psi solve
         v^m x_mu = sum_lam K_{lam mu} psi_lam (``partitions.kostka_solve``).
         """
         if self.kind == "cyclic":
@@ -392,11 +394,7 @@ class HallEngine:
 
         def builder(q):
             by_L, _ = self.ctx(q).hall_table(nuL, nuN)
-            return {
-                (point_type(L), point_type(M)): scale * g
-                for L, row in by_L.items()
-                for (M, _), g in row.items()
-            }
+            return {(L, M): scale * g for L, row in by_L.items() for (M, _), g in row.items()}
 
         table: dict = {}
         for (L, X), g in self.lift_family(builder).items():

@@ -112,10 +112,10 @@ def qbinom(m: int, n: int) -> LaurentPoly:
 #
 # Each counts on the field's own context, engine.polyeng.ctx(q), where every
 # Hall row has a census; a cyclic engine's context counts only closed forms.
-# A FieldElement's term is a type (``CombinatorialContext.type_rep``): on
-# the Kronecker quiver ``spread`` lists the classes it stands for, and
-# ``u_coeff`` and ``green_field`` read through it.  The coproduct and tensor
-# checks run on cyclic quivers, where every class is its own type.
+# A FieldElement's term is a type, keyed by ``point_type``: on the Kronecker
+# quiver ``spread`` lists the classes it stands for, and ``u_coeff`` and
+# ``green_field`` read through it.  The coproduct and tensor checks run on
+# cyclic quivers, where every class is its own type.
 
 
 def field_class(engine, desc, q: int) -> FieldElement:
@@ -139,11 +139,6 @@ def grading(x: FieldElement):
     return dims.pop() if dims else None
 
 
-def typed(x: FieldElement) -> dict:
-    """x's terms keyed by ``point_type``, as ``HallEngine.express_in_N`` reads them."""
-    return {point_type(d): c for d, c in x.terms.items()}
-
-
 def expanded_at_field(engine, x: FieldElement) -> dict:
     """x over the N family, from its own field.  On the Kronecker quiver a
     field with fewer degree-1 points than x's probes need (m, for dimension
@@ -153,7 +148,7 @@ def expanded_at_field(engine, x: FieldElement) -> dict:
         m = min(grading(x))
         if m > len(x.ctx.points(1)):
             raise InsufficientPointsError(f"need {m} degree-1 points at q={x.ctx.q}")
-    return engine.express_in_N(typed(x))
+    return engine.express_in_N(x.terms)
 
 
 def lift_sampled(engine, builder) -> dict:
@@ -198,7 +193,7 @@ def spread(x: FieldElement) -> dict:
     ctx, out = x.ctx, {}
     for nu in {ctx.desc_dim(d) for d in x.terms}:
         for d in classes(ctx, nu):
-            if c := x.terms.get(ctx.type_rep(d)):
+            if c := x.terms.get(point_type(d)):
                 out[d] = c
     return out
 
@@ -235,7 +230,7 @@ def class_word(engine, word, q: int) -> dict:
 def u_coeff(x: FieldElement, desc) -> LaurentPoly:
     """x's coefficient on the raw class symbol u_[M]: <M> = v^(dim End M - dim M) u_[M]."""
     ctx = x.ctx
-    c = x.terms.get(ctx.type_rep(desc), ZERO)
+    c = x.terms.get(point_type(desc), ZERO)
     return c * LaurentPoly.v_power(ctx.end(desc) - sum(ctx.desc_dim(desc)))
 
 

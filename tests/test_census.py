@@ -7,7 +7,8 @@ from itertools import product
 import pytest
 
 from hallcanon import fqrep, gf
-from hallcanon.combinatorics import cyclic_image, make_cdesc, mseg_dim
+from hallcanon.canonical import CanonicalSolver
+from hallcanon.combinatorics import cyclic_image, eval_poly, make_cdesc, mseg_dim, point_type
 from hallcanon.config import BudgetExceededError, JobConfig
 from hallcanon.fqrep import (
     FieldContext,
@@ -17,7 +18,9 @@ from hallcanon.fqrep import (
     graded_stable_subspaces,
 )
 from hallcanon.hallalg import HallEngine
+from hallcanon.hallpoly import HallPolyEngine
 from hallcanon.partitions import partitions
+from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, kronecker, linear_an
 from oracles import census_row, classes, quotient_by_subspace, submodule_from_subspace
 
@@ -241,19 +244,25 @@ def oracle_hall_table(quiver, q, nuL, nuN):
     return out
 
 
-def summed_by_type(ctx, row) -> dict:
-    """A class's Hall row with its entries summed by (type of M, type of N)."""
+def summed_by_type(row) -> dict:
+    """A class's Hall row with its entries summed by the point types of
+    (M, N)."""
     out: dict = {}
     for (dM, dN), g in row.items():
-        pair = (ctx.type_rep(dM), ctx.type_rep(dN))
+        pair = (point_type(dM), point_type(dN))
         out[pair] = out.get(pair, 0) + g
     return out
 
 
-def oracle_table_by_type(ctx, table) -> dict:
-    """An oracle table's rows of the type representatives, summed by type:
-    what ``hall_table`` returns.  Off the Kronecker quiver it is the table."""
-    return {dL: summed_by_type(ctx, row) for dL, row in table.items() if ctx.type_rep(dL) == dL}
+def oracle_table_by_type(table) -> dict:
+    """An oracle table's rows summed by type and keyed by the point type of
+    L: what ``hall_table`` returns.  Every class of a type must give the same
+    summed row (Hubery); off the Kronecker quiver it is the table."""
+    out: dict = {}
+    for dL, row in table.items():
+        summed = out.setdefault(point_type(dL), summed_by_type(row))
+        assert summed == summed_by_type(row), dL
+    return out
 
 
 @pytest.mark.parametrize("quiver, nu", HALL_TABLE_CASES)
@@ -268,7 +277,7 @@ def test_hall_table_equals_oracle(quiver, nu):
             by_L, _ = ctx.hall_table(nu, nuN)
             expected = oracle_hall_table(quiver, q, nu, nuN)
             assert {dL: ctx.hall_row(dL, nuN) for dL in classes(ctx, nu)} == expected
-            assert by_L == oracle_table_by_type(ctx, expected)
+            assert by_L == oracle_table_by_type(expected)
             if quiver != kronecker():
                 assert by_L == expected
 
@@ -301,9 +310,12 @@ def test_hall_row_matches_table(quiver, nu):
             # The table is made of the row memo's own dicts where every
             # class is its own type, and of their sums by type on Kronecker.
             by_L, _ = ctx.hall_table(nu, nuN)
-            assert list(by_L) == list(ctx.type_classes(nu))
+            types = ctx.type_classes(nu)
+            assert list(by_L) == [point_type(dL) for dL in types]
             if quiver == kronecker():
-                assert all(by_L[dL] == summed_by_type(ctx, ctx.hall_row(dL, nuN)) for dL in by_L)
+                assert all(
+                    by_L[point_type(dL)] == summed_by_type(ctx.hall_row(dL, nuN)) for dL in types
+                )
             else:
                 assert all(by_L[dL] is ctx.hall_row(dL, nuN) for dL in by_L)
 
@@ -313,18 +325,51 @@ KRONECKER_ROW_DIMS = sorted({nu for b in ((2, 3), (3, 2)) for nu in dims_upto(b)
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_kronecker_rows_equal_a_census_of_each_class(q):
-    # Every row, relabelled from a type representative or censused, equals a
+    # Every row, of one of ``type_classes`` or of any other class, equals a
     # direct census of its own class, for every dim N other than 0 and dim L.
     ctx, oracle = FieldContext(kronecker(), q), FieldContext(kronecker(), q)
-    relabelled = 0
     for nuL in KRONECKER_ROW_DIMS:
         for dL in classes(ctx, nuL):
-            relabelled += ctx._point_type(dL) is not None
             L = oracle.build(dL)
             for nuN in dims_upto(nuL):
                 if any(nuN) and nuN != nuL:
                     assert ctx.hall_row(dL, nuN) == census_row(oracle, L, nuN), (dL, nuN)
-    assert relabelled > 0
+
+
+def test_a_kronecker_solve_censuses_only_type_classes(monkeypatch):
+    # The pipeline's Hall tables read one class of each type, so a cold
+    # Kronecker (3,3) solve hands ``_census_row`` no other class.
+    received = []
+    census = FieldContext._census_row
+
+    def recording(self, descL, nuN, nuM):
+        received.append((self, descL))
+        return census(self, descL, nuN, nuM)
+
+    monkeypatch.setattr(FieldContext, "_census_row", recording)
+    engine = HallEngine(kronecker(), JobConfig(cache_dir=None))
+    CanonicalSolver(IndexSystem(engine)).solve((3, 3))
+    assert received
+    assert all(dL in ctx.type_classes(ctx.desc_dim(dL)) for ctx, dL in received)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_hallpoly_censuses_a_class_off_its_types_placement(q):
+    # ``hallpoly`` fills a triple's points in slot order, so its L may be a
+    # class of its type that ``type_classes`` does not list: partition (2)
+    # at the first point and (1) at the second, where the listed class puts
+    # (1) first.  That L is censused as it is, and the polynomial is the
+    # direct census of L at each field.
+    engine = HallPolyEngine(kronecker(), JobConfig(cache_dir=None))
+    ctx = engine.ctx(q)
+    x0, x1 = ctx.points(1)[:2]
+    L = make_cdesc(homog=((x0, (2,)), (x1, (1,))))
+    M, N = make_cdesc(cp=((1, 1), (2, 1))), make_cdesc(cm=((0, 2),))
+    assert L not in ctx.type_classes((3, 3))
+    oracle = FieldContext(kronecker(), q)
+    expected = census_row(oracle, oracle.build(L), ctx.desc_dim(N)).get((M, N), 0)
+    assert expected > 0
+    assert eval_poly(engine.hall_polynomial(L, M, N).coeffs, q) == expected
 
 
 SPLIT_SIMPLE_CASES = [
@@ -491,8 +536,7 @@ def test_hall_censuses_only_the_asked_L(monkeypatch):
     # The last class with a nonzero arrow: a semisimple L runs no census.
     nuL, nuN = (2, 3), (1, 1)
     table = FieldContext(kronecker(), 3)
-    by_L, _ = table.hall_table(nuL, nuN)
-    dL = [d for d in by_L if not is_semisimple(table.build(d))][-1]
+    dL = [d for d in table.type_classes(nuL) if not is_semisimple(table.build(d))][-1]
     (dM, dN), g = max(table.hall_row(dL, nuN).items(), key=lambda item: item[1])
 
     ctx = FieldContext(kronecker(), 3)
@@ -552,11 +596,11 @@ def test_semisimple_rows_are_closed_form(quiver, nuL, q, monkeypatch):
     ],
 )
 def test_identity_hall_tables_run_no_census(quiver, nu, monkeypatch):
-    # The tables hold one row per type (on Kronecker fewer than the
-    # classes); every class's own Hall numbers are 1.
+    # The tables hold one row per type, keyed by point type (on Kronecker
+    # fewer than the classes); every class's own Hall numbers are 1.
     ctx = FieldContext(quiver, 2)
     listed = classes(ctx, nu)
-    types = ctx.type_classes(nu)
+    types = [point_type(dL) for dL in ctx.type_classes(nu)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("an identity Hall table ran a census")
@@ -698,7 +742,7 @@ def test_hall_rows_by_torus_orbits_equal_a_full_census(quiver, nuL, reduces, q):
             if not any(nuN) or nuN == nuL:
                 continue
             assert ctx.hall_row(dL, nuN) == census_row(oracle, L, nuN), (dL, nuN)
-            if ctx._point_type(dL) is None and not is_semisimple(L):
+            if not is_semisimple(L):
                 for _, weight in graded_stable_subspaces(
                     L, nuN, 10**6, ctx.summand_labels(dL)
                 ):
@@ -718,7 +762,7 @@ def test_rows_whose_first_vertex_is_forced_reduce_at_the_next(q):
         for dL in classes(ctx, (2, 3)):
             L = oracle.build(dL)
             assert ctx.hall_row(dL, nuN) == census_row(oracle, L, nuN), (dL, nuN)
-            if ctx._point_type(dL) is None and not is_semisimple(L):
+            if not is_semisimple(L):
                 for _, weight in graded_stable_subspaces(L, nuN, 10**6, ctx.summand_labels(dL)):
                     listed += 1
                     counted += weight

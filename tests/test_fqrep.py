@@ -17,6 +17,7 @@ from hallcanon.combinatorics import (
     mseg_extend_top,
     mseg_hom,
     mseg_normalize,
+    point_type,
     mseg_peel_top,
 )
 from hallcanon.config import BudgetExceededError, ClassificationError, memoized
@@ -531,14 +532,14 @@ def test_point_count_matches_closed_points(q):
 
 def test_kronecker_hall_simple_product():
     # g^L_{S_0, S_1} = 1 for every L of dimension (1,1): the split class and
-    # the q + 1 regular simples, which are one type, whose one term stands
-    # for the Hall number of each of them.
+    # the q + 1 regular simples, which are one type, whose one term, keyed
+    # by its point type, stands for the Hall number of each of them.
     q = 5
     ctx = ctx_kron(q)
     S0 = make_cdesc(cp=((1, 1),))
     S1 = make_cdesc(cm=((0, 1),))
     split = make_cdesc(cm=((0, 1),), cp=((1, 1),))
-    regular = make_cdesc(homog=((ctx.points(1)[0], (1,)),))
+    regular = make_cdesc(homog=((("t", 1, 0), (1,)),))
     assert len(classes(ctx, (1, 1))) == q + 2
     assert all(ctx.hall(L, S0, S1) == 1 for L in classes(ctx, (1, 1)))
     assert sorted(ctx.hall_products(S0, S1)) == sorted([(split, 1), (regular, 1)])
@@ -550,14 +551,18 @@ def test_kronecker_hall_simple_product():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
 def test_type_classes_are_the_representatives(q):
-    # Listed from frames and (degree, partition) multisets, they are the
-    # classes that are their own type representative, in class order.
+    # Listed from frames and (degree, partition) multisets, they hold
+    # exactly one class of each point type of the listing of every class.
     for ctx in (ctx_kron(q), ctx_cyclic(2, q), FieldContext(linear_an(3, "><"), q)):
         for nu in product(range(5), repeat=ctx.quiver.n):
             if ctx.quiver.n > 2 and sum(nu) > 4:
                 continue
-            reps = tuple(L for L in classes(ctx, nu) if ctx.type_rep(L) == L)
-            assert ctx.type_classes(nu) == reps, (q, nu)
+            listed = ctx.type_classes(nu)
+            assert list(listed) == sorted(listed), (q, nu)
+            assert set(listed) <= set(classes(ctx, nu)), (q, nu)
+            assert sorted(map(point_type, listed)) == sorted(
+                {point_type(L) for L in classes(ctx, nu)}
+            ), (q, nu)
             if ctx.kind != "kronecker":
                 assert ctx.type_classes(nu) == classes(ctx, nu)
 

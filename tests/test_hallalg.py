@@ -16,6 +16,7 @@ from hallcanon.combinatorics import (
     mseg_dim,
     mseg_normalize,
     mseg_socle_extensions,
+    point_type,
 )
 from hallcanon.config import InterpolationError, JobConfig, UnsupportedQuiverError
 from hallcanon.fqrep import (
@@ -55,7 +56,6 @@ from oracles import (
     serre_sum,
     spread,
     tensor_green,
-    typed,
     u_coeff,
     word_degree_bound,
 )
@@ -426,7 +426,7 @@ def test_finite_type_n_field_is_its_class():
 def test_express_in_N_roundtrip_field(kron, word):
     for q in (2, 3, 5, 7):
         x = kron.word_element(word, q)
-        coeffs = kron.express_in_N(typed(x))
+        coeffs = kron.express_in_N(x.terms)
         rebuilt = kron.rebuild_from_N(coeffs, q)
         assert rebuilt.eval_eq(x)
         assert x.eval_eq(rebuilt)
@@ -435,12 +435,12 @@ def test_express_in_N_roundtrip_field(kron, word):
 @pytest.mark.parametrize("q", [3, 4])
 def test_express_in_N_reads_probes_through_their_types(kron, q):
     # The probe for mu = (2, 1) puts its largest part at the first point, its
-    # type representative the smallest: N(0, t_lam) comes back as itself for
-    # every |lam| <= 3.
+    # point type the smallest: N(0, t_lam) comes back as itself for every
+    # |lam| <= 3.
     for m in (1, 2, 3):
         for lam in partitions(m):
             idx = nindex(make_cdesc(), lam)
-            assert kron.express_in_N(typed(kron.n_field(idx, q))) == {idx: ONE}, (lam, q)
+            assert kron.express_in_N(kron.n_field(idx, q).terms) == {idx: ONE}, (lam, q)
 
 
 def test_express_in_N_realizes_no_N_element(kron, monkeypatch):
@@ -452,7 +452,7 @@ def test_express_in_N_realizes_no_N_element(kron, monkeypatch):
     elements = {q: kron.word_element(word, q) for q in (3, 5)}
     monkeypatch.setattr(HallEngine, "n_field", refuse)
     monkeypatch.setattr(HallEngine, "realize_S", refuse)
-    coeffs = {q: kron.express_in_N(typed(x)) for q, x in elements.items()}
+    coeffs = {q: kron.express_in_N(x.terms) for q, x in elements.items()}
     assert {lam for (_, lam) in coeffs[3]} >= {(2,), (1, 1)}
     monkeypatch.undo()
     for q, x in elements.items():
@@ -529,7 +529,7 @@ def test_H_commutativity(kron):
     ab = class_product(ctx, a, b)
     assert list(ab) == [make_cdesc(homog=((z1, (1,)), (z2, (1,))))]
     assert ab == class_product(ctx, b, a)
-    with pytest.raises(ValueError, match="not a type representative"):
+    with pytest.raises(ValueError, match="not a point type"):
         FieldElement(ctx, a) * FieldElement(ctx, b)
 
 
@@ -578,7 +578,7 @@ def test_specialization_soundness(kron):
     i2 = nindex(make_cdesc(cm=((0, 1),)))
     out = nmul(kron, i1, i2)
     q = 11
-    direct = kron.express_in_N(typed(kron.n_field(i1, q) * kron.n_field(i2, q)))
+    direct = kron.express_in_N((kron.n_field(i1, q) * kron.n_field(i2, q)).terms)
     keys = set(out) | set(direct)
     for k in keys:
         a = out.get(k, ZERO)
@@ -741,7 +741,7 @@ def test_kronecker_type_words_equal_class_products(kron, q):
     assert len(words) > 20
     for word in words:
         x = kron.word_element(word, q)
-        assert all(x.ctx.type_rep(d) == d for d in x.terms), word
+        assert all(point_type(d) == d for d in x.terms), word
         assert spread(x) == class_word(kron, word, q), (word, q)
 
 
@@ -1049,7 +1049,7 @@ def test_cyclic_generic_word_matches_field_path(n, most):
     for word in words:
         closed = engine.express_in_N(engine._word(word))
         field = lift_sampled(
-            engine, lambda q: engine.express_in_N(typed(field_word(engine, word, q)))
+            engine, lambda q: engine.express_in_N(field_word(engine, word, q).terms)
         )
         assert closed == field, word
         if n > 1:
