@@ -292,6 +292,20 @@ def make_cdesc(cm=(), cp=(), homog=()) -> tuple:
     return ("c", cm, (), cp, homog)
 
 
+def shift_simple(desc, side, t, d: int):
+    """(desc', [m, |d|]_q in q, ascending): desc with d copies of a simple's
+    indecomposable (side, t) added, or -d taken away, m its multiplicity in
+    the larger of the two; None if desc has fewer than -d."""
+    cm, cp = dict(desc[1]), dict(desc[3])
+    mult = cm if side == "p" else cp
+    m = mult.get(t, 0)
+    if m + d < 0:
+        return None
+    mult[t] = m + d
+    shifted = make_cdesc(cm=cm.items(), cp=cp.items(), homog=desc[4])
+    return shifted, _gauss_binom_coeffs(max(m, m + d), abs(d))
+
+
 def desc_frame(desc) -> tuple:
     """The descriptor with its homogeneous part removed."""
     if desc[0] == "m":
@@ -554,8 +568,7 @@ class CombinatorialContext:
         L/U = L' + S_i^(m-a): the row is (L - S_i^a, S_i^a) -> [m, a]_q, and
         empty when m < a.  At a sink S_j is projective and the dual argument
         gives (S_j^a, L - S_j^a) -> [m, a]_q.  m is the multiplicity of the
-        simple's indecomposable (``AdmissibleSequence.simple_indec``) in L's
-        descriptor.
+        simple's indecomposable in L's descriptor (``shift_simple``).
         """
         for nu, at_end, on_right in (
             (nuN, self.quiver.is_source, True),
@@ -566,16 +579,11 @@ class CombinatorialContext:
                 continue
             a = nu[support[0]]
             side, t = self.seq.simple_indec(support[0])
-            cm, cp = dict(descL[1]), dict(descL[3])
-            mult = cm if side == "p" else cp
-            m = mult.get(t, 0)
-            if m < a:
+            if (split := shift_simple(descL, side, t, -a)) is None:
                 return {}
-            mult[t] = m - a
-            rest = make_cdesc(cm=cm.items(), cp=cp.items(), homog=descL[4])
+            rest, g = split
             S = make_cdesc(cm=((t, a),)) if side == "p" else make_cdesc(cp=((t, a),))
-            g = eval_poly(_gauss_binom_coeffs(m, a), self.q)
-            return {(rest, S) if on_right else (S, rest): g}
+            return {(rest, S) if on_right else (S, rest): eval_poly(g, self.q)}
         return None
 
     def _census_row(self, descL, nuN, nuM) -> dict:

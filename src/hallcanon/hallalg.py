@@ -23,9 +23,11 @@ the N family by a solve against the Kostka matrix at probe types.  A
 product by <S_i^(a)> reads its Hall numbers in closed form on a cyclic
 quiver (``combinatorics.mseg_socle_extensions``) and at a source, where
 S_i splits off; any other one reads a one-vertex Hall table, summed by
-type, that is sampled at a few fields and lifted by exact interpolation as
-a polynomial in q = v^2 of degree at most a(l_i - a), validated on
-held-out fields.  The field path is a check at the smallest sample field.
+type, of degree at most k = a(l_i - a) in q = v^2.  It is sampled at
+exactly the first k + 1 + MIN_VALIDATE pool fields at which its types
+exist (``HallEngine._table_fields``), the list the pool check reads too,
+and lifted by exact interpolation, validated on the held-out ones.  The
+field path is a check at the smallest sample field.
 On a cyclic quiver that check runs on the combinatorial context
 (``HallEngine.ctx``), whose Hall rows by <S_i^(a)> are the socle formula
 read backwards (``combinatorics.mseg_socle_quotients``).  That context
@@ -46,17 +48,17 @@ from math import factorial, gcd
 
 from .combinatorics import (
     CombinatorialContext,
-    _gauss_binom_coeffs,
     desc_frame,
     desc_homog,
     make_cdesc,
     mseg_normalize,
     mseg_socle_extensions,
-    point_degree,
     point_type,
     quiver_kind,
+    shift_simple,
 )
 from .config import (
+    InsufficientPointsError,
     InterpolationError,
     JobConfig,
     UnsupportedQuiverError,
@@ -360,21 +362,60 @@ class HallEngine:
     def lift_family(self, builder):
         """Lift builder(q) -> {key: int} to {key: LaurentPoly}: each count an
         integer polynomial in q (``hallpoly.sample_and_fit``), folded back
-        via q = v^2.
-
-        A key is a tuple of point types, and it is fitted only at the fields
-        where each of them exists (``fqrep.points_suffice``): a type with
-        too few points at q has no count there, not a count of 0.
-        """
-        from .fqrep import points_suffice
+        via q = v^2; the builder refuses, with InsufficientPointsError, each
+        pool field it does not sample."""
         from .hallpoly import sample_and_fit
 
-        def usable(key, q):
-            degrees = ([point_degree(pt) for pt, _ in desc_homog(t)] for t in key)
-            return all(points_suffice(q, d) for d in degrees)
-
-        fitted = sample_and_fit(self.cfg.primes, builder, usable=usable)
+        fitted = sample_and_fit(self.cfg.primes, builder)
         return {key: LaurentPoly.from_q_poly(p.coeffs) for key, p in fitted.items()}
+
+    def _table(self, nuL, label, a):
+        """The table (nuL, i, a) that a product by <S_label^(a)> into dim L =
+        nuL reads (``_lifted_table``), or None for a closed form: every
+        letter of a cyclic quiver, and a letter at a source (``_column``)."""
+        i = self.quiver.index[label]
+        closed = self.kind == "cyclic" or self.quiver.is_source(i)
+        return None if closed else (nuL, i, a)
+
+    def _letters(self, word):
+        """(label, a, table) for each letter of the word after the first, with
+        the table its product reads (``_table``); the first letter times the
+        unit is <S_i^(a)> itself."""
+        nu = [0] * self.quiver.n
+        for step, (label, a) in enumerate(word):
+            nu[self.quiver.index[label]] += a
+            if step:
+                yield label, a, self._table(tuple(nu), label, a)
+
+    @memoized
+    def _table_fields(self, nuL, i: int, a: int) -> tuple:
+        """The fields at which the table (nuL, i, a) is sampled: the first
+        k + 1 + MIN_VALIDATE of the pool at which every type of dim L exists
+        (and so every type of dim L - a e_i), k = a(l_i - a) its degree
+        bound; InterpolationError if the pool has fewer.  That holds at q
+        when each pattern of point degrees of the largest m with m delta <=
+        nuL does (``points_suffice``), a partition of m: any other type's
+        pattern, a smaller m's too, lies within one of those.
+        """
+        from .hallpoly import MIN_VALIDATE
+
+        k = a * (nuL[i] - a)
+        need = k + 1 + MIN_VALIDATE
+        usable = list(self.cfg.primes)
+        if self.delta is not None:
+            from .fqrep import points_suffice
+            from .partitions import partitions
+
+            m = min(x // d for x, d in zip(nuL, self.delta))
+            usable = [q for q in usable if all(points_suffice(q, p) for p in partitions(m))]
+        if len(usable) < need:
+            raise InterpolationError(
+                f"the Hall table of dim L = {nuL} by S_{self.quiver.vertices[i]}^{a} "
+                f"has q-degree up to {k} and needs {need} sample fields at which its "
+                f"types exist; of primes {list(self.cfg.primes)} they exist at "
+                f"{usable}, {need - len(usable)} too few"
+            )
+        return tuple(usable[:need])
 
     @memoized
     def _lifted_table(self, nuL, i: int, a: int) -> tuple:
@@ -387,12 +428,16 @@ class HallEngine:
         G counts submodules S_i^a of L, at most the a-subspaces of L_i, so
         its degree is at most k = a(l_i - a).  It is integer-valued but need
         not be integral (q(q + 1)/2 counts pairs of points); k! G is, so that
-        is what ``lift_family`` fits.  One lift per table, never stored.
+        is what ``lift_family`` fits, at the fields of ``_table_fields`` only,
+        so an entry above degree k fails.  One lift per table, never stored.
         """
+        fields = self._table_fields(nuL, i, a)
         scale = factorial(a * (nuL[i] - a))
         nuN = tuple(a if w == i else 0 for w in range(len(nuL)))
 
         def builder(q):
+            if q not in fields:
+                raise InsufficientPointsError(f"the table does not sample q={q}")
             by_L, _ = self.ctx(q).hall_table(nuL, nuN)
             return {(L, M): scale * g for L, row in by_L.items() for (M, _), g in row.items()}
 
@@ -401,16 +446,16 @@ class HallEngine:
             table.setdefault(X, []).append((L, g))
         return table, scale
 
-    def _column(self, nuL, label, a) -> tuple:
-        """(column, scale) for the products by <S_label^(a)> into dim nuL:
-        column(X) lists (L, scale * G^L_X) over point types, with G^L_X as
-        in ``_lifted_table``, a polynomial in q = v^2.
+    def _column(self, label, a, table) -> tuple:
+        """(column, scale) for the products by <S_label^(a)> that read table
+        (``_table``): column(X) lists (L, scale * G^L_X) over point types,
+        with G^L_X as in ``_lifted_table``, a polynomial in q = v^2.
 
         On a cyclic quiver G is the socle formula
         (``mseg_socle_extensions``).  At a source S_i is injective, so it
         splits off L: L = X + S_i^a with G = [m, a]_q, m the multiplicity of
-        S_i in L (``CombinatorialContext._split_simple_row``).  Any other
-        column is a lifted one-vertex table.
+        S_i in L (``combinatorics.shift_simple``).  Any other column is a
+        lifted one-vertex table.
         """
         if self.kind == "cyclic":
             n = self.quiver.n
@@ -420,17 +465,14 @@ class HallEngine:
                     for L, g in mseg_socle_extensions(n, X[1], label, a)
                 ]
             ), 1
-        i = self.quiver.index[label]
-        if not self.quiver.is_source(i):
-            table, scale = self._lifted_table(nuL, i, a)
-            return (lambda X: table.get(X, ())), scale
-        side, t = self.seq.simple_indec(i)
+        if table is not None:
+            lifted, scale = self._lifted_table(*table)
+            return (lambda X: lifted.get(X, ())), scale
+        side, t = self.seq.simple_indec(self.quiver.index[label])
 
         def split(X):
-            parts = {"p": dict(X[1]), "q": dict(X[3])}
-            m = parts[side][t] = parts[side].get(t, 0) + a
-            L = make_cdesc(cm=parts["p"].items(), cp=parts["q"].items(), homog=X[4])
-            return [(L, LaurentPoly.from_q_poly(_gauss_binom_coeffs(m, a)))]
+            L, g = shift_simple(X, side, t, a)
+            return [(L, LaurentPoly.from_q_poly(g))]
 
         return split, 1
 
@@ -445,16 +487,11 @@ class HallEngine:
         """
         ctx = self.ctx(self.cfg.primes[0])  # dimensions and End only, as for every field
         euler = self.quiver.euler_form
-        nu = (0,) * self.quiver.n
-        terms = {self.zero_frame(): ONE}
-        for step, (label, a) in enumerate(word):
+        terms = {self.simple_power_desc(*word[0]) if word else self.zero_frame(): ONE}
+        for label, a, table in self._letters(word):
             S = self.simple_power_desc(label, a)
             dimS, endS = ctx.desc_dim(S), ctx.end(S)
-            nu = tuple(x + y for x, y in zip(nu, dimS))
-            if not step:
-                terms = {S: ONE}
-                continue
-            column, scale = self._column(nu, label, a)
+            column, scale = self._column(label, a, table)
             out: dict = {}
             for X, c in terms.items():
                 base = euler(ctx.desc_dim(X), dimS) + ctx.end(X) + endS
@@ -474,53 +511,13 @@ class HallEngine:
         return terms
 
     def check_pool(self, word):
-        """Raise InterpolationError unless the sample pool can lift every
-        table the word needs (``_lifted_table``); nothing is sampled.
-
-        A table of degree up to k = a(l_i - a) needs k + 1 + MIN_VALIDATE
-        fields at which its types exist (``_fields_with_every_type``).  A
-        cyclic word and a product by a source simple are closed forms and
-        need no pool.
-        """
-        if self.kind == "cyclic":
-            return
-        from .hallpoly import MIN_VALIDATE
-
-        nu = [0] * self.quiver.n
-        for label, a in word:
-            i = self.quiver.index[label]
-            nu[i] += a
-            if self.quiver.is_source(i):
-                continue
-            k = a * (nu[i] - a)
-            nuX = tuple(x - a * (w == i) for w, x in enumerate(nu))
-            rest = self._fields_with_every_type(nuX)
-            usable = [q for q in self._fields_with_every_type(tuple(nu)) if q in rest]
-            if len(usable) < k + 1 + MIN_VALIDATE:
-                raise InterpolationError(
-                    f"word {word}: the Hall table of dim L = {tuple(nu)} by S_{label}^{a} "
-                    f"has q-degree up to {k} and needs {k + 1 + MIN_VALIDATE} sample "
-                    f"fields at which its types exist; of primes {list(self.cfg.primes)} "
-                    f"they exist at {usable}, {k + 1 + MIN_VALIDATE - len(usable)} too few"
-                )
-
-    @memoized
-    def _fields_with_every_type(self, nu) -> tuple:
-        """The pool's fields at which every type of dimension vector nu exists.
-
-        That holds at q when each pattern of point degrees of the largest m
-        with m delta <= nu does (``points_suffice``), a partition of m: any
-        other type's pattern lies within one of those.  Nothing is listed.
-        """
-        if self.delta is None:
-            return self.cfg.primes
-        from .fqrep import points_suffice
-        from .partitions import partitions
-
-        m = min(x // d for x, d in zip(nu, self.delta))
-        return tuple(
-            q for q in self.cfg.primes if all(points_suffice(q, p) for p in partitions(m))
-        )
+        """Raise InterpolationError unless the pool holds the fields of every
+        table the word reads (``_table_fields``); nothing is sampled."""
+        for table in [table for *_, table in self._letters(word) if table]:
+            try:
+                self._table_fields(*table)
+            except InterpolationError as exc:
+                raise InterpolationError(f"word {word}: {exc}") from None
 
     @memoized
     def generic_word(self, word) -> dict:

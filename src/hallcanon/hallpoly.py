@@ -273,17 +273,15 @@ class HallPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def sample_and_fit(primes, sample, cap=None, usable=None) -> dict:
+def sample_and_fit(primes, sample, cap=None) -> dict:
     """Fit every key of ``sample(q)``, a dict {key: int}, as a polynomial in q.
 
     The fields of ``primes`` are sampled in order; one whose sampler raises
     InsufficientPointsError is skipped.  Fitting starts from the least fit's
     1 + MIN_VALIDATE samples and takes the next field whenever any key fails
-    ``fit_integer_poly`` with degree cap ``cap``.  A key is fitted at the
-    sampled fields q with ``usable(key, q)`` (every field if ``usable`` is
-    None); missing from such a sample, it counts 0.  Returns {key:
-    HallPolynomial}, keys sorted; raises InterpolationError once the fields
-    run out.
+    ``fit_integer_poly`` with degree cap ``cap``; a key missing from a
+    sample counts 0 there.  Returns {key: HallPolynomial}, keys sorted;
+    raises InterpolationError once the fields run out.
     """
     samples: list = []  # (q, {key: count}) at the usable fields so far
     fields = iter(primes)
@@ -304,11 +302,7 @@ def sample_and_fit(primes, sample, cap=None, usable=None) -> dict:
         try:
             out = {}
             for key in sorted({k for _, counts in samples for k in counts}):
-                pairs = [
-                    (q, counts.get(key, 0))
-                    for q, counts in samples
-                    if usable is None or usable(key, q)
-                ]
+                pairs = [(q, counts.get(key, 0)) for q, counts in samples]
                 coeffs, n_fit = fit_integer_poly(pairs, cap)
                 out[key] = HallPolynomial(coeffs, pairs[:n_fit], pairs[n_fit:], pairs[0][0])
             return out

@@ -58,7 +58,7 @@ def test_criterion_1_quantum_serre():
         for q in (3, 5):
             for i, j in pairs:
                 ok = ok and serre_sum(engine, i, j, q).is_zero_specialized()
-    _report(1, ok and time.time() - t0 < 0.8, "quantum Serre relations vanish", t0)
+    _report(1, ok and time.time() - t0 < 0.3, "quantum Serre relations vanish", t0)
 
 
 def test_criterion_2_kostka_coefficients():

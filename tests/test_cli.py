@@ -790,6 +790,17 @@ def test_sample_pool_is_checked_before_any_word_is_lifted(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("primes", ["2,3", "13"])
+def test_first_letter_needs_no_sample_fields(capsys, primes):
+    # The word ((1, 2),) of Kronecker (0,2) is <S_1^(2)> itself and reads
+    # no table, so a pool too short for any table still certifies it.
+    code, out = run_cli(
+        capsys, "canonical", "--quiver", "kronecker", "--dim", "0,2", "--primes", primes
+    )
+    assert code == 0
+    assert json.loads(out)["certificates"]["ok"] is True
+
+
 def test_quiver_kind_is_classified_once_per_quiver(capsys, monkeypatch):
     # A Kronecker (2,2) run builds a field context at each sample field;
     # the kind, delta and admissible sequence are worked out once for all.

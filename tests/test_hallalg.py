@@ -33,7 +33,7 @@ from hallcanon.hallalg import (
 from hallcanon.laurent import ONE, ZERO, LaurentPoly, RationalFn, add_scaled
 from hallcanon.partitions import kostka, partitions
 from hallcanon.pbw import IndexSystem
-from hallcanon.quiver import cyclic, kronecker, linear_an
+from hallcanon.quiver import Quiver, cyclic, kronecker, linear_an
 from oracles import (
     class_product,
     class_word,
@@ -252,8 +252,8 @@ def test_word_degree_bound_caps_the_fitted_degree(monkeypatch, quiver, dims):
     fit = hallpoly.sample_and_fit
     lifted_table = HallEngine._lifted_table
 
-    def recording(primes, sample, cap=None, usable=None):
-        out = fit(primes, sample, cap, usable)
+    def recording(primes, sample, cap=None):
+        out = fit(primes, sample, cap)
         fitted.append(max((len(p.coeffs) - 1 for p in out.values()), default=-1))
         return out
 
@@ -275,6 +275,71 @@ def test_word_degree_bound_caps_the_fitted_degree(monkeypatch, quiver, dims):
         fitted.clear()
         sampled_word(system.engine, word)
         assert len(fitted) == 1 and fitted[0] <= word_degree_bound(word), (word, fitted)
+
+
+@pytest.mark.parametrize(
+    "quiver, bound",
+    [
+        (kronecker(), (3, 3)),
+        (linear_an(3, "><"), (2, 2, 2)),
+        (Quiver((1, 2, 3, 4), [(1, 2), (3, 2), (4, 2)]), (1, 2, 1, 1)),
+    ],
+    ids=["kronecker<=(3,3)", "an:3:><<=(2,2,2)", "d4<=(1,2,1,1)"],
+)
+def test_each_table_samples_exactly_its_fields(monkeypatch, quiver, bound):
+    # A lifted table's builder runs at the fields ``_table_fields`` lists,
+    # in pool order, and refuses every other field of the pool.
+    lifted_table, lift = HallEngine._lifted_table, HallEngine.lift_family
+    current, ran = [], {}
+
+    def recording_table(self, *table):
+        current.append(table)
+        try:
+            return lifted_table(self, *table)
+        finally:
+            current.pop()
+
+    def recording_lift(self, builder):
+        calls = ran.setdefault(current[-1], [])
+
+        def counted(q):
+            out = builder(q)
+            calls.append(q)
+            return out
+
+        return lift(self, counted)
+
+    monkeypatch.setattr(HallEngine, "_lifted_table", recording_table)
+    monkeypatch.setattr(HallEngine, "lift_family", recording_lift)
+    engine = HallEngine(quiver, JobConfig(cache_dir=None))
+    dims = [nu for nu in product(*(range(b + 1) for b in bound)) if any(nu)]
+    for word in monomial_words(IndexSystem(engine), dims):
+        engine.generic_word(word)
+    assert len(ran) > 3
+    for table, qs in ran.items():
+        assert tuple(qs) == engine._table_fields(*table), (table, qs)
+
+
+@pytest.mark.parametrize("extra, error", [(1, ArithmeticError), (2, InterpolationError)])
+def test_table_entry_over_its_degree_bound_fails(monkeypatch, extra, error):
+    # The word's one table, of dim L = (2, 2) by S_1, has degree bound
+    # k = 1 and is sampled at k + 3 fields.  Entries bent by q^k are still
+    # fitted, and the re-check at primes[0] refuses the word; entries bent
+    # by q^(k + 1) are not fitted at all.
+    lift = HallEngine.lift_family
+
+    def bent(self, builder):
+        def sample(q):
+            return {key: g + q**extra for key, g in builder(q).items()}
+
+        return lift(self, sample)
+
+    monkeypatch.setattr(HallEngine, "lift_family", bent)
+    engine = HallEngine(kronecker(), JobConfig(cache_dir=None))
+    word = ((1, 1), (0, 2), (1, 1))
+    assert [table for *_, table in engine._letters(word) if table] == [((2, 2), 1, 1)]
+    with pytest.raises(error):
+        engine.generic_word(word)
 
 
 def test_word_over_its_degree_bound_fails_before_sampling(monkeypatch):
