@@ -22,8 +22,10 @@ from itertools import combinations, product
 from . import gf
 from .combinatorics import (
     CombinatorialContext,
+    _gauss_binom_coeffs,
     bounded_multisets,
     desc_indecs,
+    eval_poly,
     make_cdesc,
     mseg_dim,
     mseg_normalize,
@@ -140,7 +142,7 @@ class FqModule:
     Arrow matrices map column vectors, shape (dim target) x (dim source).
     """
 
-    __slots__ = ("quiver", "F", "dims", "mats", "_key")
+    __slots__ = ("quiver", "F", "dims", "mats")
 
     def __init__(self, quiver: Quiver, F: GF, dims, mats):
         self.quiver = quiver
@@ -153,15 +155,6 @@ class FqModule:
             m = self.mats[a]
             if len(m) != self.dims[t] or any(len(r) != self.dims[s] for r in m):
                 raise ValueError(f"arrow {a}: matrix shape mismatch")
-        self._key = None
-
-    def key(self):
-        if self._key is None:
-            self._key = (
-                self.dims,
-                tuple(tuple(tuple(r) for r in m) for m in self.mats),
-            )
-        return self._key
 
     def direct_sum(self, other: "FqModule") -> "FqModule":
         assert self.quiver == other.quiver and self.F is other.F
@@ -308,15 +301,20 @@ def aut_order(M: FqModule, budget: int = 2_000_000) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _subspace_count(d: int, k: int, q: int) -> int:
+    """[d, k]_q, the number of k-subspaces of F_q^d: 0 when k is outside 0..d."""
+    return eval_poly(_gauss_binom_coeffs(d, k), q) if 0 <= k <= d else 0
+
+
 def census_size(M: FqModule, target) -> int:
     """The number of graded subspaces of M of dimension vector target,
-    prod_v [d_v, k_v]_q (0 when some k_v > d_v).  For a semisimple M each
+    prod_v [d_v, k_v]_q (``_subspace_count``).  For a semisimple M each
     of them is a submodule, so this is also M's Hall number
     g^M_{S,S'} with S, S' the semisimples of dimension dim M - target and
     target."""
     out = 1
-    for v in range(len(M.dims)):
-        out *= gf.gaussian_binomial_int(M.dims[v], target[v], M.F.q)
+    for d, k in zip(M.dims, target):
+        out *= _subspace_count(d, k, M.F.q)
     return out
 
 
@@ -414,9 +412,7 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000, labels
     if size > budget:
         raise BudgetExceededError(f"census of {size} subspaces exceeds budget {budget}")
     F = M.F
-    order = sorted(
-        range(n), key=lambda v: (gf.gaussian_binomial_int(M.dims[v], target[v], F.q), v)
-    )
+    order = sorted(range(n), key=lambda v: (_subspace_count(M.dims[v], target[v], F.q), v))
     position = {v: i for i, v in enumerate(order)}
     incoming = [[] for _ in range(n)]  # (matrix, source) for sources fixed earlier
     outgoing = [[] for _ in range(n)]  # (matrix, target) for targets fixed earlier
@@ -854,8 +850,9 @@ class FieldContext(CombinatorialContext):
     def __init__(self, quiver: Quiver, q: int, cfg: JobConfig | None = None):
         super().__init__(quiver, q, cfg)
         self.F = GF(q)
-        # Module key -> descriptor; not ``memoized``, because the census loop
-        # of ``_census_row`` reads it inline, ~10^5 times a census, and calls cost.
+        # Module key (dims, blocks) -> descriptor, written and read by
+        # ``_census_row`` only; not ``memoized``, because its census loop
+        # reads it inline, ~10^5 times a census, and calls cost.
         self._classify_cache: dict = {}
 
     def points(self, degree: int):
@@ -968,10 +965,10 @@ class FieldContext(CombinatorialContext):
         Kronecker modules are read from ranks of their pencil
         (``classify_pencil``), cyclic ones from path ranks
         (``classify_nilpotent_cyclic``) and finite-type ones from
-        dim Hom(beta_t, M) by a triangular solve.  The descriptor returned is
-        written to the classify cache that ``hall_row`` reads before it builds
-        M.  No classes are listed: a descriptor that is no class of dimension
-        M.dims (``_listed``) raises ``ClassificationError``.
+        dim Hom(beta_t, M) by a triangular solve.  It keeps nothing:
+        ``_census_row`` caches what it returns.  No classes are listed: a
+        descriptor that is no class of dimension M.dims (``_listed``) raises
+        ``ClassificationError``.
 
         In finite type every indecomposable is a preprojective beta_t, and
         Hom(beta_s, beta_t) = 0 for s < t while End beta_t is the field, so
@@ -999,7 +996,6 @@ class FieldContext(CombinatorialContext):
             desc = classify_nilpotent_cyclic(M)
         if not self._listed(desc, M.dims):
             raise ClassificationError(f"module of dimension {M.dims} matches no descriptor")
-        self._classify_cache[M.key()] = desc
         return desc
 
     # -- Hall numbers -------------------------------------------------------
@@ -1095,9 +1091,10 @@ class FieldContext(CombinatorialContext):
         An arrow a: s -> t's matrix on U depends only on (rows of U_s,
         pivots of U_t), and on L/U only on (pivots of U_s, rows of U_t), so
         across the census the same blocks recur.  They are memoized for this
-        one census under those keys, and each ``FqModule.key()`` of U and L/U
-        is formed from them; a module is built and classified only for a key
-        the classify cache does not hold yet.
+        one census under those keys, and the module key (dims, blocks) of U
+        and of L/U is formed from them; a module is built and classified only
+        for a key the classify cache does not hold yet, and its descriptor is
+        stored there under that key.
         """
         nuL = self.desc_dim(descL)
         L, row = self.build(descL), {}
@@ -1107,9 +1104,10 @@ class FieldContext(CombinatorialContext):
         quot_blocks: dict = {}
 
         def desc_of(dims, blocks):
-            out = cache.get((dims, blocks))
+            key = (dims, blocks)
+            out = cache.get(key)
             if out is None:
-                out = self.classify(FqModule(Q, F, dims, blocks))
+                out = cache[key] = self.classify(FqModule(Q, F, dims, blocks))
             return out
 
         if not any(any(r) for mat in L.mats for r in mat):

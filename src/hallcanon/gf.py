@@ -7,7 +7,6 @@ is exact; matrices are lists of int lists.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations, product
 
 from .config import _MAX_TABLE_Q, _factor_prime_power
@@ -350,19 +349,6 @@ def rref_join(F: GF, low_rows, low_pivots, rows, pivots):
         merged.append((lp, tuple(_subtract_rows(F, lrow, rows, pivots))))
     merged.sort()
     return tuple(r for _, r in merged), tuple(p for p, _ in merged)
-
-
-@lru_cache(maxsize=None)
-def gaussian_binomial_int(d: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^d, as an exact integer."""
-    if k < 0 or k > d:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (d - i) - 1
-        den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
 
 
 def subspaces(F: GF, d: int, k: int):

@@ -37,8 +37,11 @@ are imported on the field path only.  On the Jordan quiver the check
 itself needs a census, so ``generic_word`` refuses there.
 
 The Green form needs no field: (S_lam, S_mu) is a closed form over the
-character table of S_m (``HallEngine.s_gram``), summed and reduced in Z[v];
-frames give |Aut| factors (``aut_coeffs``).  No coefficient here leaves Z.
+character table of S_m (``HallEngine.s_gram``), summed, reduced and
+normalized in Z[v].  Distinct frames are orthogonal, so a pair of generic
+elements pairs indices only within a frame, and each frame gives one weight
+v^(2 dim End) / |Aut| of the whole frame (``end``, ``aut_coeffs``).  No
+coefficient here leaves Z.
 """
 
 from __future__ import annotations
@@ -170,11 +173,6 @@ def jacobi_trudi_h(lam) -> tuple:
     m = sum(lam)
     coeffs = ((mu, kostka_solve(m, lambda nu: int(nu == mu))[lam]) for mu in partitions(m))
     return tuple(sorted((mu, c) for mu, c in coeffs if c))
-
-
-def _q_coeffs(p: LaurentPoly) -> list:
-    """p, a polynomial in q = v^2, as its q-coefficients, lowest first."""
-    return [p.coeff(e) for e in range(0, p.degree() + 1, 2)] if p else []
 
 
 def _primitive(p: LaurentPoly) -> LaurentPoly:
@@ -544,7 +542,9 @@ class HallEngine:
 
         The sum runs over Z with weights m!/z_rho, the size of the class of
         rho, and m! joins the denominator; the quotient is then reduced by
-        the primitive gcd and normalized (``hallpoly._normalize_rational``).
+        the primitive gcd, divided by the content of numerator and
+        denominator together and signed so that the denominator's leading
+        coefficient is positive.
 
         In the tube at x, H_m maps to h_m with Q = q^{deg x} (Macdonald, ch.
         III), and the homogeneous tubes are indexed by P^1 (Lin-Xiao-Zhang),
@@ -556,7 +556,6 @@ class HallEngine:
             return RationalFn(ONE)
         if self.kind != "kronecker":
             raise UnsupportedQuiverError("S_lam lives in the affine homogeneous part")
-        from .hallpoly import _normalize_rational
         from .partitions import centralizer_order, character, partitions
 
         m = sum(lam)
@@ -572,38 +571,36 @@ class HallEngine:
             total = total + term
         g = _poly_gcd(total.num, total.den)
         num, den = total.num.exact_div(g), total.den.exact_div(g) * factorial(m)
-        return RationalFn.from_q_fractions(*_normalize_rational(_q_coeffs(num), _q_coeffs(den)))
+        unit = gcd(*num.terms.values(), *den.terms.values())
+        if den.coeff(den.degree()) < 0:
+            unit = -unit
+        return RationalFn(num.exact_div(unit), den.exact_div(unit))
 
-    def _frame_parts(self, frame):
-        if frame[0] == "m":
-            return [frame]
-        _, cm, _, cp, _ = frame
-        parts = []
-        if cm:
-            parts.append(make_cdesc(cm=cm))
-        if cp:
-            parts.append(make_cdesc(cp=cp))
-        return parts
-
+    @memoized
     def green_nn(self, i1, i2) -> RationalFn:
-        """(N(c,t_lam), N(c',t_mu)) via the product formula."""
+        """(N(c,t_lam), N(c',t_mu)): zero for distinct frames, else
+        (S_lam, S_mu) times the frame's weight v^(2 dim End M(c)) /
+        |Aut M(c)|, read off the whole frame (``end``, ``aut_coeffs``); the
+        empty frame's weight is 1."""
         f1, lam = i1
         f2, mu = i2
         if f1 != f2:
             return RationalFn(ZERO)
         out = self.s_gram(lam, mu) if (lam or mu) else RationalFn(ONE)
         ctx0 = self.ctx(self.cfg.primes[0])
-        for part in self._frame_parts(f1):
-            e = ctx0.end(part)
-            a = LaurentPoly.from_q_poly(ctx0.aut_coeffs(part))
-            out = out * RationalFn(LaurentPoly.v_power(2 * e), a)
-        return out
+        aut = LaurentPoly.from_q_poly(ctx0.aut_coeffs(f1))
+        return out * RationalFn(LaurentPoly.v_power(2 * ctx0.end(f1)), aut)
 
     def green_generic(self, a: dict, b: dict) -> RationalFn:
-        """(a, b) for generic elements over the N family."""
+        """(a, b) for generic elements over the N family.  N indices of
+        distinct frames are orthogonal, so each index of a meets only b's
+        indices of its own frame, in b's order."""
+        by_frame: dict = {}
+        for i2, c2 in b.items():
+            by_frame.setdefault(i2[0], []).append((i2, c2))
         out = RationalFn(ZERO)
         for i1, c1 in a.items():
-            for i2, c2 in b.items():
+            for i2, c2 in by_frame.get(i1[0], ()):
                 g = self.green_nn(i1, i2)
                 if g:
                     out = out + RationalFn(c1 * c2) * g

@@ -300,13 +300,6 @@ class RationalFn:
         self.num = num
         self.den = den
 
-    @staticmethod
-    def from_q_fractions(num_coeffs, den_coeffs) -> "RationalFn":
-        """Build P(q)/Q(q) with q = v^2 substituted."""
-        return RationalFn(
-            LaurentPoly.from_q_poly(num_coeffs), LaurentPoly.from_q_poly(den_coeffs)
-        )
-
     def __add__(self, other):
         other = _coerce_rf(other)
         return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)

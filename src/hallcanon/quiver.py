@@ -146,10 +146,9 @@ class Quiver:
             return False
 
     def is_finite_type(self) -> bool:
-        # Positive definite symmetric Cartan matrix.
-        return not _integer_kernel(self.cartan_matrix()) and _positive_definite(
-            self.cartan_matrix()
-        )
+        """Is the symmetric Cartan matrix positive definite?  Such a matrix
+        has a trivial kernel, so no kernel is solved."""
+        return _positive_definite(self.cartan_matrix())
 
     def to_json(self):
         return {

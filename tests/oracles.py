@@ -274,6 +274,42 @@ def green_field(engine, x: FieldElement, y: FieldElement) -> LaurentPoly:
     return out
 
 
+def green_nn_by_parts(engine, i1, i2) -> RationalFn:
+    """(N(c,t_lam), N(c',t_mu)) with the frame's weight taken part by part:
+    v^(2 dim End) / |Aut| of the preprojective part and of the preinjective
+    part, each alone, multiplied into (S_lam, S_mu) in turn.  The Hom from
+    the first part to the second adds the same power of q to End and to
+    |Aut| of the whole frame, so ``HallEngine.green_nn``, which reads the
+    whole frame, gives the same normalized quotient."""
+    (f1, lam), (f2, mu) = i1, i2
+    if f1 != f2:
+        return RationalFn(ZERO)
+    out = engine.s_gram(lam, mu) if (lam or mu) else RationalFn(ONE)
+    if f1[0] == "m":
+        parts = [f1]
+    else:
+        _, cm, _, cp, _ = f1
+        parts = ([make_cdesc(cm=cm)] if cm else []) + ([make_cdesc(cp=cp)] if cp else [])
+    ctx0 = engine.ctx(engine.cfg.primes[0])
+    for part in parts:
+        aut = LaurentPoly.from_q_poly(ctx0.aut_coeffs(part))
+        out = out * RationalFn(LaurentPoly.v_power(2 * ctx0.end(part)), aut)
+    return out
+
+
+def green_generic_all_pairs(engine, a: dict, b: dict) -> RationalFn:
+    """(a, b) over the N family by every pair of an index of a and one of b,
+    in a's and then b's order (``green_nn_by_parts``), cross-frame pairs
+    included as zeros that add nothing."""
+    out = RationalFn(ZERO)
+    for i1, c1 in a.items():
+        for i2, c2 in b.items():
+            g = green_nn_by_parts(engine, i1, i2)
+            if g:
+                out = out + RationalFn(c1 * c2) * g
+    return out
+
+
 class TensorElement:
     """Element of H* (x) H* with the twisted multiplication."""
 

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+from hallcanon.combinatorics import _gauss_binom_coeffs, eval_poly
 from hallcanon.gf import (
     GF,
     combine_rows,
     coords_in_rowspace,
-    gaussian_binomial_int,
     identity,
     is_invertible,
     mat_vec,
@@ -117,7 +117,7 @@ def test_subspace_enumeration_counts(q):
     for d in range(0, 4):
         for k in range(0, d + 1):
             subs = list(subspaces(F, d, k))
-            assert len(subs) == gaussian_binomial_int(d, k, q)
+            assert len(subs) == eval_poly(_gauss_binom_coeffs(d, k), q)
             assert len(set(subs)) == len(subs)
             for rows in subs:
                 if k:
@@ -125,8 +125,8 @@ def test_subspace_enumeration_counts(q):
 
 
 def test_gaussian_binomial_values():
-    assert gaussian_binomial_int(2, 1, 3) == 4
-    assert gaussian_binomial_int(4, 2, 2) == 35
+    assert eval_poly(_gauss_binom_coeffs(2, 1), 3) == 4
+    assert eval_poly(_gauss_binom_coeffs(4, 2), 2) == 35
 
 
 # -- the kernels against per-entry versions ----------------------------------

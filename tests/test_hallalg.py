@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd
 
@@ -44,6 +45,8 @@ from oracles import (
     field_word,
     grading,
     green_field,
+    green_generic_all_pairs,
+    green_nn_by_parts,
     in_delta_plus_tail,
     indecomposable_pool,
     is_integral,
@@ -669,7 +672,7 @@ def test_s_gram_h1(kron):
 
 
 def test_s_gram_orthogonality_order10(kron):
-    for m in range(1, 6):
+    for m in range(1, 7):
         for lam in partitions(m):
             for mu in partitions(m):
                 g = kron.s_gram(lam, mu)
@@ -737,8 +740,10 @@ def test_s_gram_matches_field_level_sum(kron):
 
 def test_s_gram_degree_three(kron):
     # Its reduced form has total degree 10 in q, beyond any fit on 9 fields.
+    # It is stored in exactly this normal form.
     g = kron.s_gram((3,), (3,))
-    assert g == RationalFn.from_q_fractions([0, 0, 1, 2, 0, 1], [-1, 2, -1, 1, -2, 1])
+    assert g.num == LaurentPoly.from_q_poly([0, 0, 1, 2, 0, 1])
+    assert g.den == LaurentPoly.from_q_poly([-1, 2, -1, 1, -2, 1])
 
 
 def test_s_gram_realizes_and_fits_nothing(monkeypatch):
@@ -1022,6 +1027,84 @@ def test_green_nn_mixed_frame_matches_field(kron):
     da, db = eval_sqrt(generic.den, q)
     assert gb == nb == db == 0
     assert ga == na / da
+
+
+@pytest.mark.parametrize(
+    "quiver, most",
+    [(kronecker(), (3, 3)), (linear_an(3, "><"), (2, 2, 2))],
+    ids=["kronecker", "an:3:><"],
+)
+def test_green_nn_reads_the_whole_frame(quiver, most):
+    # The weight v^(2 dim End) / |Aut| of the whole frame is the part-wise
+    # product as the same normalized quotient, alone and times every
+    # (S_lam, S_mu) at the frame.
+    engine = HallEngine(quiver, JobConfig(cache_dir=None))
+    indices = frame_indices(engine, most)
+    frames = sorted({frame for frame, _ in indices})
+    if quiver.name == "kronecker":
+        assert make_cdesc(cm=((0, 2),), cp=((1, 2),)) in frames
+        assert sum(1 for _, cm, _, cp, _ in frames if cm and cp) > 5
+    for frame in frames:
+        i = nindex(frame)
+        assert engine.green_nn(i, i).to_json() == green_nn_by_parts(engine, i, i).to_json()
+    for i1 in indices:
+        for i2 in indices:
+            if i1[0] == i2[0] and sum(i1[1]) == sum(i2[1]):
+                want = green_nn_by_parts(engine, i1, i2).to_json()
+                assert engine.green_nn(i1, i2).to_json() == want, (i1, i2)
+
+
+def green_additions(monkeypatch, green, x, y) -> list:
+    """The terms, as JSON, that green(x, y) adds by ``RationalFn.__add__``,
+    in order."""
+    added = []
+    add = RationalFn.__add__
+    monkeypatch.setattr(RationalFn, "__add__", lambda f, g: added.append(g.to_json()) or add(f, g))
+    green(x, y)
+    monkeypatch.setattr(RationalFn, "__add__", add)
+    return added
+
+
+@pytest.mark.parametrize(
+    "quiver, nu", [(kronecker(), (3, 3)), (cyclic(2), (4, 3))], ids=["kronecker", "cyclic:2"]
+)
+def test_green_generic_pairs_only_within_a_frame(quiver, nu, monkeypatch):
+    # Each index of a meets b's indices of its own frame in b's order: the
+    # same additions, in the same order, as the all-pairs loop, so the same
+    # unreduced entries.
+    engine = HallEngine(quiver, JobConfig(cache_dir=None))
+    pbw = IndexSystem(engine).pbw_basis(nu)
+    for i, a in enumerate(pbw.order):
+        for b in pbw.order[i:]:
+            x, y = pbw.E[a], pbw.E[b]
+            want = green_generic_all_pairs(engine, x, y).to_json()
+            assert engine.green_generic(x, y).to_json() == want, (a, b)
+            assert green_additions(monkeypatch, engine.green_generic, x, y) == green_additions(
+                monkeypatch, partial(green_generic_all_pairs, engine), x, y
+            ), (a, b)
+
+
+def test_green_generic_pairs_in_the_order_of_b(kron, monkeypatch):
+    # Frames with several partitions each, listed in another order in b
+    # than in a.  A sum is the same in any order unless it cancels to zero,
+    # so the terms added are compared, not only the sum.
+    f, g = make_cdesc(), make_cdesc(cm=((0, 1),))
+    a = {nindex(f, (2,)): ONE, nindex(g, (1,)): V(-1), nindex(f, (1, 1)): V(-2, 3)}
+    b = {nindex(f, (1, 1)): V(-1), nindex(g, (1,)): ONE, nindex(f, (2,)): V(-3, 2)}
+    want = green_generic_all_pairs(kron, a, b)
+    assert kron.green_generic(a, b).to_json() == want.to_json()
+    added = green_additions(monkeypatch, kron.green_generic, a, b)
+    assert len(added) == 5
+    assert added == green_additions(monkeypatch, partial(green_generic_all_pairs, kron), a, b)
+
+
+def test_green_generic_with_no_common_frame(kron, monkeypatch):
+    a = {nindex(make_cdesc(cm=((0, 1),))): ONE, nindex(make_cdesc(), (1,)): V(1, 2)}
+    b = {nindex(make_cdesc(cp=((1, 1),))): V(-1), nindex(make_cdesc(cm=((-1, 1),))): ONE}
+    got = kron.green_generic(a, b)
+    assert not got
+    assert got.to_json() == green_generic_all_pairs(kron, a, b).to_json()
+    assert green_additions(monkeypatch, kron.green_generic, a, b) == []
 
 
 def test_mul_generic_unit_and_divided_power_m1(kron):
