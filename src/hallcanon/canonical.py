@@ -275,11 +275,6 @@ _VERIFIED_KEYS = (
 
 def _bundle_laurent(data, where) -> LaurentPoly:
     """Decode a stored [[exponent, "coefficient"], ...] polynomial."""
-    if not isinstance(data, list) or not all(
-        isinstance(t, list) and len(t) == 2 and type(t[0]) is int and isinstance(t[1], str)
-        for t in data
-    ):
-        raise BundleFormatError(f"{where}: not a list of [exponent, coefficient] terms")
     try:
         return LaurentPoly.from_json(data)
     except ValueError as exc:

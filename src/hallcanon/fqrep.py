@@ -60,25 +60,14 @@ def closed_points(q: int, degree: int) -> tuple:
     """Closed points of P^1(F_q) of the given degree, in canonical order.
 
     Degree-1 points are the monic linear polynomials plus infinity; higher
-    degrees are the monic irreducibles of that degree, in ascending order of
-    their non-leading coefficients, and there are none of degree 0.  They
-    are sieved, not tested one by one: a monic polynomial of degree d is
-    reducible exactly when it is an irreducible of some degree e <= d/2
-    times a monic of degree d - e.
+    degrees are the monic irreducibles of that degree (``gf.irreducibles``),
+    in ascending order of their non-leading coefficients, and there are none
+    of degree 0.
     """
     if degree < 1:
         return ()
-    F = GF(q)
-    tails = product(F.elements(), repeat=degree)
-    if degree == 1:
-        return tuple(("f", tail) for tail in tails) + (("i",),)
-    reducible = {
-        tuple(_poly_mul(F, list(pt[1]) + [1], list(co) + [1])[:-1])
-        for e in range(1, degree // 2 + 1)
-        for pt in closed_points(q, e)[: q if e == 1 else None]
-        for co in product(F.elements(), repeat=degree - e)
-    }
-    return tuple(("f", tail) for tail in tails if tail not in reducible)
+    pts = tuple(("f", tail) for tail in gf.irreducibles(q, degree))
+    return pts + (("i",),) if degree == 1 else pts
 
 
 def point_count(q: int, degree: int) -> int:

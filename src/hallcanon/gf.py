@@ -1,4 +1,5 @@
-"""Small finite fields GF(p^e) with table arithmetic, and exact linear algebra.
+"""Small finite fields GF(p^e) with table arithmetic, the monic irreducibles
+over them, and exact linear algebra.
 
 Field elements are encoded as ints in range(q); for extensions the int is
 the base-p digit string of the polynomial representative.  Everything here
@@ -7,25 +8,10 @@ is exact; matrices are lists of int lists.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 
 from .config import _MAX_TABLE_Q, _factor_prime_power
-
-
-def _poly_mul_mod(a, b, modulus, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    # Reduce by the monic modulus of degree e.
-    e = len(modulus) - 1
-    for i in range(len(out) - 1, e - 1, -1):
-        c = out[i]
-        if c:
-            for j in range(e + 1):
-                out[i - e + j] = (out[i - e + j] - c * modulus[j]) % p
-    return out[:e]
 
 
 # ---------------------------------------------------------------------------
@@ -90,24 +76,26 @@ def _poly_gcd(F: GF, a, b):
     return [F.mul(x, inv) for x in a]
 
 
-def _is_irreducible(F: GF, poly) -> bool:
-    d = len(poly) - 1
-    for e in range(1, d // 2 + 1):
-        for tail in product(F.elements(), repeat=e):
-            div = list(tail) + [1]
-            if not any(_poly_rem(F, poly, div)):
-                return False
-    return True
+@lru_cache(maxsize=None)
+def irreducibles(q: int, d: int) -> tuple:
+    """The monic irreducibles of degree d >= 1 over F_q, each as the tuple of
+    its non-leading coefficients (ascending), in ``product`` order.
 
-
-def _find_irreducible(p: int, e: int):
-    """Monic irreducible of degree e over F_p, coefficients ascending."""
-    F = GF(p)
-    for tail in product(range(p), repeat=e):
-        poly = list(tail) + [1]
-        if _is_irreducible(F, poly):
-            return poly
-    raise ArithmeticError(f"no irreducible of degree {e} over F_{p}")
+    They are sieved, not tested one by one: a monic of degree d is reducible
+    exactly when it is an irreducible of some degree e <= d/2 times a monic
+    of degree d - e.
+    """
+    F = GF(q)
+    tails = product(F.elements(), repeat=d)
+    if d == 1:
+        return tuple(tails)
+    reducible = {
+        tuple(_poly_mul(F, list(f) + [1], list(co) + [1])[:-1])
+        for e in range(1, d // 2 + 1)
+        for f in irreducibles(q, e)
+        for co in product(F.elements(), repeat=d - e)
+    }
+    return tuple(tail for tail in tails if tail not in reducible)
 
 
 class GF:
@@ -136,18 +124,16 @@ class GF:
             add = [[(a + b) % p for b in range(q)] for a in range(q)]
             mul = [[(a * b) % p for b in range(q)] for a in range(q)]
         else:
-            self.modulus = _find_irreducible(p, e)
+            self.modulus = list(irreducibles(p, e)[0]) + [1]
+            Fp = GF(p)
             digits = [self._digits(a) for a in range(q)]
             add = [
                 [self._undigits([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in range(q)]
                 for a in range(q)
             ]
             mul = [
-                [
-                    self._undigits(_poly_mul_mod(digits[a], digits[b], self.modulus, p))
-                    for b in range(q)
-                ]
-                for a in range(q)
+                [self._undigits(_poly_rem(Fp, _poly_mul(Fp, x, y), self.modulus)) for y in digits]
+                for x in digits
             ]
         self._add = add
         self._mul = mul

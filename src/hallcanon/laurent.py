@@ -9,7 +9,11 @@ degrees of numerator and denominator.
 
 from __future__ import annotations
 
+import re
+
 from .config import BarSolveError
+
+_CANONICAL_INT = re.compile(r"-?[1-9][0-9]*")
 
 
 class LaurentPoly:
@@ -195,16 +199,25 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data) -> "LaurentPoly":
-        """Read ``to_json``'s form back; raises ValueError on any other:
-        exponents are ints in strictly ascending order and coefficients are
-        nonzero integers in canonical decimal (``str(int(c)) == c``)."""
+        """Read ``to_json``'s form back; raises ValueError on any other: a
+        list of two-item lists whose exponents are ints (not bools) in
+        strictly ascending order and whose coefficients are nonzero integers
+        as canonical decimal strings (``str(int(c)) == c``)."""
+        if not isinstance(data, list):
+            raise ValueError(f"not a list of [exponent, coefficient] terms: {data!r}")
         terms: dict = {}
-        for e, c in data:
-            n = int(c)
-            if type(e) is not int or str(n) != c or not n or (terms and e <= prev):
-                raise ValueError(f"not a canonical [exponent, coefficient] term: {[e, c]!r}")
-            terms[e] = n
-            prev = e
+        for t in data:
+            if not (
+                isinstance(t, list)
+                and len(t) == 2
+                and type(t[0]) is int
+                and isinstance(t[1], str)
+                and _CANONICAL_INT.fullmatch(t[1])
+                and (not terms or t[0] > prev)
+            ):
+                raise ValueError(f"not a canonical [exponent, coefficient] term: {t!r}")
+            prev = t[0]
+            terms[prev] = int(t[1])
         return LaurentPoly(terms)
 
     def __repr__(self):

@@ -13,7 +13,7 @@ from weakref import WeakKeyDictionary
 
 from hallcanon.canonical import CanonicalData, lusztig_solve, zeta_matrix
 from hallcanon.combinatorics import eval_poly, make_cdesc, mseg_dim, mseg_hom, point_type
-from hallcanon.config import InsufficientPointsError, InterpolationError
+from hallcanon.config import InsufficientPointsError, InterpolationError, _factor_prime_power
 from hallcanon.fqrep import (
     FqModule,
     _quotient_block,
@@ -21,6 +21,7 @@ from hallcanon.fqrep import (
     graded_stable_subspaces,
     hom_dim,
 )
+from hallcanon.gf import GF, _poly_rem
 from hallcanon.hallalg import FieldElement
 from hallcanon.hallpoly import MIN_VALIDATE, sample_and_fit
 from hallcanon.pbw import _geL
@@ -633,17 +634,61 @@ def fit_integer_poly_by_degree(pairs, cap=None):
     )
 
 
+# -- finite fields and closed points ---------------------------------------
+
+
+def irreducibles_by_trial_division(q: int, d: int) -> tuple:
+    """``gf.irreducibles`` by testing every monic of degree d in turn: it is
+    irreducible when no monic of degree 1..d/2 divides it."""
+    F = GF(q)
+    return tuple(
+        tail
+        for tail in product(F.elements(), repeat=d)
+        if all(
+            _poly_rem(F, list(tail) + [1], list(div) + [1])
+            for e in range(1, d // 2 + 1)
+            for div in product(F.elements(), repeat=e)
+        )
+    )
+
+
+def field_tables_by_int_product(q: int) -> tuple:
+    """GF(q)'s (_add, _mul, _neg, _inv) as first built: for q = p^e the
+    modulus is the first monic irreducible of degree e over F_p found by
+    trial division, and each product of base-p digit vectors is reduced by
+    it in raw int arithmetic mod p."""
+    p, e = _factor_prime_power(q)
+    modulus = list(irreducibles_by_trial_division(p, e)[0]) + [1]
+
+    def digits(a):
+        return [a // p**i % p for i in range(e)]
+
+    def undigits(ds):
+        return sum(d * p**i for i, d in enumerate(ds))
+
+    def mul_mod(a, b):
+        out = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        for i in range(len(out) - 1, e - 1, -1):
+            c = out[i]
+            for j in range(e + 1):
+                out[i - e + j] = (out[i - e + j] - c * modulus[j]) % p
+        return out[:e]
+
+    ds = [digits(a) for a in range(q)]
+    add = [[undigits([(x + y) % p for x, y in zip(a, b)]) for b in ds] for a in ds]
+    mul = [[undigits(mul_mod(a, b)) for b in ds] for a in ds]
+    neg = [row.index(0) for row in add]
+    inv = [0] + [mul[a].index(1) for a in range(1, q)]
+    return add, mul, neg, inv
+
+
 def closed_points_by_trial_division(q: int, degree: int) -> tuple:
     """``fqrep.closed_points`` as it was written first: every monic
     polynomial tested for irreducibility by trial division."""
-    from hallcanon.gf import GF, _is_irreducible
-
-    F = GF(q)
-    pts = [
-        ("f", tail)
-        for tail in product(F.elements(), repeat=degree)
-        if degree == 1 or _is_irreducible(F, list(tail) + [1])
-    ]
+    pts = [("f", tail) for tail in irreducibles_by_trial_division(q, degree)]
     return tuple(sorted(pts)) + ((("i",),) if degree == 1 else ())
 
 

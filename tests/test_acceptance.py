@@ -79,7 +79,7 @@ def test_criterion_2_kostka_coefficients():
                     ok = ok and u_coeff(S, desc) == want
     _report(
         2,
-        ok and time.time() - t0 < 0.3,
+        ok and time.time() - t0 < 0.1,
         "S_lam coefficients on distinct degree-1 points equal v^{-2|lam|} Kostka numbers",
         t0,
     )
@@ -102,7 +102,7 @@ def test_criterion_3_character_coefficients():
             ok = ok and got11 == V(-4, character(lam, (1, 1)))
     _report(
         3,
-        ok and time.time() - t0 < 0.3,
+        ok and time.time() - t0 < 0.1,
         "degree-pattern coefficients equal v^{-4} character values",
         t0,
     )
@@ -118,7 +118,7 @@ def test_criterion_4_homogeneous_generator_identity():
     H1 = nindex(make_cdesc(), (1,))
     ok = out == {H1: ONE, split: V(-2)}
     ok = ok and all(is_integral(c) for c in out.values())
-    _report(4, ok and time.time() - t0 < 0.3, "<S_0>*<S_1> = H_1 + v^-2 <S_1+S_0>", t0)
+    _report(4, ok and time.time() - t0 < 0.1, "<S_0>*<S_1> = H_1 + v^-2 <S_1+S_0>", t0)
 
 
 def test_criterion_5_hall_polynomial_validation():

@@ -397,6 +397,18 @@ def _repeated_exponent(bundle):
     bundle["g"][1][0][1] = [[terms[0][0], "7"], *terms]
 
 
+def _coefficient_not_a_string(bundle):
+    bundle["g"][1][0][1] = [[0, None]]
+
+
+def _polynomial_not_a_list(bundle):
+    bundle["g"][1][0][1] = 5
+
+
+def _term_not_a_pair(bundle):
+    bundle["g"][1][0][1] = [5]
+
+
 def _eta_not_unitriangular(bundle):
     bundle["E_over_monomial"][0].append([1, [[0, "1"]]])
 
@@ -444,6 +456,9 @@ def _one_word_short(bundle):
         (_ragged_matrix, "BundleFormatError"),
         (_zero_entry, "BundleFormatError"),
         (_repeated_exponent, "BundleFormatError"),
+        (_coefficient_not_a_string, "BundleFormatError"),
+        (_polynomial_not_a_list, "BundleFormatError"),
+        (_term_not_a_pair, "BundleFormatError"),
         (_eta_not_unitriangular, "BarSolveError"),
         (_index_not_in_n_indices, "BundleFormatError"),
     ],

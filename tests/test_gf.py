@@ -8,6 +8,7 @@ from hallcanon.gf import (
     combine_rows,
     coords_in_rowspace,
     identity,
+    irreducibles,
     is_invertible,
     mat_vec,
     nullspace,
@@ -17,6 +18,7 @@ from hallcanon.gf import (
     rref_join,
     subspaces,
 )
+from oracles import field_tables_by_int_product, irreducibles_by_trial_division
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
@@ -68,6 +70,21 @@ def test_extension_moduli_are_pinned():
         64: [1, 0, 0, 0, 0, 1, 1],
     }
     assert {q: GF(q).modulus for q in moduli} == moduli
+
+
+PRIME_POWERS_TO_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+PRIME_POWERS_TO_64 += [37, 41, 43, 47, 49, 53, 59, 61, 64]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+def test_sieve_and_field_tables_match_trial_division(q):
+    # The sieve's first irreducible is the modulus that trial division finds
+    # first, so the tables built on it are the raw-int reference's.
+    F = GF(q)
+    assert (F._add, F._mul, F._neg, F._inv) == field_tables_by_int_product(q)
+    if q <= 9:
+        for d in (1, 2, 3):
+            assert irreducibles(q, d) == irreducibles_by_trial_division(q, d), d
 
 
 def test_not_prime_power():

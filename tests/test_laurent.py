@@ -134,6 +134,47 @@ def test_text_and_json_roundtrip():
     assert ZERO.text() == "0"
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        # not a list
+        None,
+        5,
+        "1",
+        {"0": "1"},
+        ((0, "1"),),
+        # a term that is not a two-item list
+        [5],
+        [None],
+        [[0]],
+        [[0, "1", 2]],
+        [(0, "1")],
+        # a bool or non-int exponent
+        [[True, "1"]],
+        [[1.0, "1"]],
+        [["0", "1"]],
+        # a coefficient that is not a canonical nonzero decimal string
+        [[0, None]],
+        [[0, 1]],
+        [[0, ["1"]]],
+        [[0, "0"]],
+        [[0, "-0"]],
+        [[0, "01"]],
+        [[0, "+1"]],
+        [[0, " 1"]],
+        [[0, "1\n"]],
+        [[0, "1.0"]],
+        [[0, "\u0661"]],
+        # exponents not strictly ascending
+        [[1, "1"], [0, "1"]],
+        [[0, "1"], [0, "2"]],
+    ],
+)
+def test_from_json_rejects_malformed_data(data):
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json(data)
+
+
 def test_series_geometric():
     f = RationalFn(ONE, ONE - LaurentPoly.v_power(-2))
     assert expand_at_infinity(f, -4) == {0: 1, -2: 1, -4: 1}
