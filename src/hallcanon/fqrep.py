@@ -17,7 +17,7 @@ dim Hom(beta_t, M) over the preprojectives (``FieldContext.classify``).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from . import gf
 from .combinatorics import (
@@ -43,7 +43,6 @@ from .gf import (
     GF,
     _poly_add,
     _poly_divmod,
-    _poly_gcd,
     _poly_mul,
     _poly_trim,
 )
@@ -612,7 +611,7 @@ def _reflect_at_sink(M: FqModule, i: int, end: str) -> FqModule:
 
 
 # ---------------------------------------------------------------------------
-# classification from ranks: Kronecker pencils and cyclic paths
+# classification: Kronecker pencils and cyclic path ranks
 # ---------------------------------------------------------------------------
 
 
@@ -621,17 +620,15 @@ def _transpose(mat, cols: int):
 
 
 def _bidiagonal_sweep(F: GF, D, O, n: int):
-    """Yield (rank S_j, r_j), j = 0, 1, ..., for the block lower-bidiagonal
-    matrix with D on the diagonal and O below it, blocks n columns wide.
+    """Yield r_j, j = 0, 1, ..., for the block lower-bidiagonal matrix with D
+    on the diagonal and O below it, blocks n columns wide: with k column
+    blocks and block rows 0 .. k, its rank is r_0 + ... + r_(k-1).
 
     Column block j meets only block rows j and j + 1, so elimination runs one
     column block at a time.  S_j, what is left of block row j once column
     block j - 1 is eliminated, lies in column block j (S_0 = D).  Reducing
     S_j and block row j + 1 = [O | D] gives r_j pivots in column block j;
-    the rows pivoting in column block j + 1 are S_(j+1).  With k column
-    blocks, the matrix with block rows 0 .. k has rank r_0 + ... + r_(k-1),
-    and the square one with block rows 0 .. k - 1 has rank
-    r_0 + ... + r_(k-2) + rank S_(k-1).
+    the rows pivoting in column block j + 1 are S_(j+1).
     """
     zero = [0] * n
     S = gf.rref(F, D)[0]
@@ -639,7 +636,7 @@ def _bidiagonal_sweep(F: GF, D, O, n: int):
         below = [list(o) + list(d) for o, d in zip(O, D)]
         rows, pivots = gf.rref(F, [r + zero for r in S] + below)
         r = sum(1 for p in pivots if p < n)
-        yield len(S), r
+        yield r
         S = [row[n:] for row in rows[r:]]
 
 
@@ -658,8 +655,7 @@ def _minimal_indices(F: GF, A, B, n: int) -> dict:
     for k in range(n):
         if used + k + 1 > n:
             break
-        _, r = next(sweep)
-        rank += r
+        rank += next(sweep)
         K = (k + 1) * n - rank
         count = K - prev_K
         if count > prev_count:
@@ -669,68 +665,41 @@ def _minimal_indices(F: GF, A, B, n: int) -> dict:
     return out
 
 
-def _jordan_type(F: GF, A, B, point, n_col: int, bound: int) -> tuple:
-    """Partition lam of the regular part of the pencil (A, B) at a closed point.
+def _pencil_diagonal(F: GF, A, B) -> list:
+    """The nonzero entries, each made monic, of a diagonal form of xA - B
+    over F_q[x], reached by row and column operations.
 
-    With C the companion matrix of the point's polynomial p of degree d (for
-    infinity: A and B swapped, p = x), the k-block Toeplitz matrix with
-    X = B (x) I_d - A (x) C^T on the diagonal and Y = A (x) I_d beside it has
-    kernel Hom(R_p[k], M), of dimension d (sum_i min(lam_i, k) + k n_col);
-    its differences over k count the parts of lam that are >= k.  |lam| is
-    at most ``bound``.  In reversed block order Y lies below the diagonal.
+    An entry of least degree is the pivot.  Its column, then its row, are
+    divided by it, which leaves remainders of lower degree beside it; once
+    they all vanish the pivot stands alone, and its row and column leave,
+    else the least of them is the next pivot.  The form need not be the
+    Smith form, but its entries have the same prime-power factors: the
+    elementary divisors of the pencil.
     """
-    if point[0] == "i":
-        A, B, C = B, A, [[0]]
-    else:
-        C = _companion(F, list(point[1]) + [1])
-    d, m, n = len(C), len(A), len(A[0]) if A else 0
-    X, Y = [], []
-    for a in range(m):
-        for c in range(d):
-            X.append([
-                F.sub(B[a][b] if c == e else 0, F.mul(A[a][b], C[e][c]))
-                for b in range(n)
-                for e in range(d)
-            ])
-            Y.append([A[a][b] if c == e else 0 for b in range(n) for e in range(d)])
-    conj, prev, rank = [], 0, 0
-    for k, (rank_S, r) in enumerate(_bidiagonal_sweep(F, X, Y, n * d), start=1):
-        s = (k * n * d - rank - rank_S) // d - k * n_col
-        if s == prev:
-            break
-        conj.append(s - prev)
-        prev, rank = s, rank + r
-        if prev >= bound:
-            break
-    return tuple(sum(1 for c in conj if c > i) for i in range(conj[0])) if conj else ()
-
-
-def _pencil_det_gcd(F: GF, A, B, r: int, m: int, n: int):
-    """Monic gcd of the r x r minors of xA - B, with r its normal rank.
-
-    This is the product of the finite elementary divisors (Gantmacher, ch.
-    XII): the determinant of the regular part, its point at infinity removed.
-    The minors on each set of r rows come from one Laplace expansion over
-    growing column sets.
-    """
-    entry = [[_poly_trim([F.neg(B[i][j]), A[i][j]]) for j in range(n)] for i in range(m)]
-    g = []
-    for rows in combinations(range(m), r):
-        dets = {(): [1]}
-        for k, i in enumerate(rows):
-            nxt = {}
-            for cols in combinations(range(n), k + 1):
-                acc = []
-                for pos, j in enumerate(cols):
-                    term = _poly_mul(F, entry[i][j], dets[cols[:pos] + cols[pos + 1 :]])
-                    if (k + pos) % 2:
-                        term = [F.neg(x) for x in term]
-                    acc = _poly_add(F, acc, term)
-                nxt[cols] = acc
-            dets = nxt
-        for det in dets.values():
-            g = _poly_gcd(F, g, det)
-    return g
+    M = [[_poly_trim([F.neg(b), a]) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    out = []
+    while cells := [(len(e), i, j) for i, row in enumerate(M) for j, e in enumerate(row) if e]:
+        _, i, j = min(cells)
+        pivot, prow = M[i][j], M[i]
+        for r, row in enumerate(M):
+            if r != i and row[j]:
+                quot = [F.neg(c) for c in _poly_divmod(F, row[j], pivot)[0]]
+                M[r] = [
+                    _poly_add(F, x, _poly_mul(F, quot, y)) if y else x for x, y in zip(row, prow)
+                ]
+        for c, e in enumerate(prow):
+            if c != j and e:
+                quot = [F.neg(x) for x in _poly_divmod(F, e, pivot)[0]]
+                for row in M:
+                    if row[j]:
+                        row[c] = _poly_add(F, row[c], _poly_mul(F, quot, row[j]))
+        if sum(1 for row in M if row[j]) == 1 and sum(1 for e in prow if e) == 1:
+            inv = F.inv(pivot[-1])
+            out.append([F.mul(x, inv) for x in pivot])
+            del M[i]
+            for row in M:
+                del row[j]
+    return out
 
 
 def _point_factors(F: GF, g) -> dict:
@@ -758,36 +727,41 @@ def _point_factors(F: GF, g) -> dict:
 
 
 def classify_pencil(F: GF, A, B, m: int, n: int) -> tuple:
-    """The descriptor of the Kronecker module (A, B): F^n -> F^m, from ranks.
+    """The descriptor of the Kronecker module (A, B): F^n -> F^m.
 
     By the Kronecker canonical form (Gantmacher, The Theory of Matrices II,
     ch. XII) the pencil is a sum of column blocks L_eps, the preinjectives
     beta_t = (t, t - 1) with t = eps + 1; row blocks L_eta^T, the
-    preprojectives with t = -eta; and a regular part.  Since n - m is the
-    number of column blocks less the number of row blocks, the row indices
-    are searched only when there are row blocks.  The regular part's points
-    are the irreducible factors of its determinant (``_pencil_det_gcd``, at
-    the normal rank n - #column blocks), infinity taking the degree it
-    lacks; rank tests (``_jordan_type``) run only at a repeated factor.
+    preprojectives with t = -eta; and a regular part.  The minimal indices
+    come from ranks (``_minimal_indices``); since n - m is the number of
+    column blocks less the number of row blocks, the row indices are
+    searched only when there are row blocks.  The singular blocks give a
+    diagonal form (``_pencil_diagonal``) only units and zeros, so the
+    partition at a finite point p lists the exponents of p in its entries.
+    Infinity takes the degree the finite points leave over; when that is
+    more than 1, its partition lists the x-adic valuations of the entries
+    for the swapped pencil xB - A.
     """
     cols = _minimal_indices(F, A, B, n)
-    n_col = sum(cols.values())
     rows = {}
-    if n_col + m - n:
+    if sum(cols.values()) + m - n:
         rows = _minimal_indices(F, _transpose(A, n), _transpose(B, n), m)
     left = n - sum((e + 1) * c for e, c in cols.items()) - sum(e * c for e, c in rows.items())
-    homog = []
+    homog = {}
     if left:
-        g = _pencil_det_gcd(F, A, B, n - n_col, m, n)
-        points = _point_factors(F, g)
-        if len(g) - 1 < left:
-            points[("i",)] = left - (len(g) - 1)
-        for pt, e in points.items():
-            homog.append((pt, (1,) if e == 1 else _jordan_type(F, A, B, pt, n_col, e)))
+        for entry in _pencil_diagonal(F, A, B):
+            left -= len(entry) - 1
+            for pt, e in _point_factors(F, entry).items():
+                homog.setdefault(pt, []).append(e)
+        if left == 1:
+            homog[("i",)] = [1]
+        elif left:
+            valuations = (next(k for k, c in enumerate(e) if c) for e in _pencil_diagonal(F, B, A))
+            homog[("i",)] = [k for k in valuations if k]
     return make_cdesc(
         cm=[(-e, c) for e, c in rows.items()],
         cp=[(e + 1, c) for e, c in cols.items()],
-        homog=homog,
+        homog=[(pt, sorted(lam, reverse=True)) for pt, lam in homog.items()],
     )
 
 

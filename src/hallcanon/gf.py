@@ -65,17 +65,6 @@ def _poly_rem(F: GF, a, b):
     return _poly_divmod(F, a, b)[1]
 
 
-def _poly_gcd(F: GF, a, b):
-    """Monic gcd; [] when both vanish."""
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_rem(F, a, b)
-    if not a:
-        return a
-    inv = F.inv(a[-1])
-    return [F.mul(x, inv) for x in a]
-
-
 @lru_cache(maxsize=None)
 def irreducibles(q: int, d: int) -> tuple:
     """The monic irreducibles of degree d >= 1 over F_q, each as the tuple of

@@ -242,7 +242,7 @@ class HallEngine:
         if m == 0:
             return self.zero_frame()
         if self.kind == "cyclic":
-            return ("m", mseg_normalize([((label, 1), m)]))
+            return ("m", mseg_normalize([((self.quiver.index[label] + 1, 1), m)]))
         side, t = self.seq.simple_indec(self.quiver.index[label])
         return make_cdesc(cm=((t, m),)) if side == "p" else make_cdesc(cp=((t, m),))
 
@@ -460,7 +460,7 @@ class HallEngine:
             return (
                 lambda X: [
                     (("m", L), LaurentPoly.from_q_poly(g))
-                    for L, g in mseg_socle_extensions(n, X[1], label, a)
+                    for L, g in mseg_socle_extensions(n, X[1], self.quiver.index[label] + 1, a)
                 ]
             ), 1
         if table is not None:

@@ -193,7 +193,7 @@ class IndexSystem:
         if self.kind == "cyclic":
             if lam:
                 raise UnsupportedQuiverError("cyclic indices carry no partition")
-            return tuple(self.ddx_word(frame[1]))
+            return tuple((self.quiver.vertices[i - 1], a) for i, a in self.ddx_word(frame[1]))
         seq = self.engine.seq
         _, cm, _, cp, _ = frame
         word = []

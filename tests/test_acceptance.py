@@ -118,7 +118,7 @@ def test_criterion_4_homogeneous_generator_identity():
     H1 = nindex(make_cdesc(), (1,))
     ok = out == {H1: ONE, split: V(-2)}
     ok = ok and all(is_integral(c) for c in out.values())
-    _report(4, ok and time.time() - t0 < 0.1, "<S_0>*<S_1> = H_1 + v^-2 <S_1+S_0>", t0)
+    _report(4, ok and time.time() - t0 < 0.05, "<S_0>*<S_1> = H_1 + v^-2 <S_1+S_0>", t0)
 
 
 def test_criterion_5_hall_polynomial_validation():
@@ -233,7 +233,7 @@ def test_criterion_7_canonical_cyclic():
             )
     _report(
         7,
-        ok and time.time() - t0 < 0.9,
+        ok and time.time() - t0 < 0.5,
         "cyclic n=2,3 canonical bases certified for all |nu| <= 4",
         t0,
     )

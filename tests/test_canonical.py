@@ -195,6 +195,29 @@ def test_canonical_cyclic3_111():
 
 
 @pytest.mark.parametrize(
+    "labels, nu", [((0, 1), (2, 2)), (("a", "b"), (2, 2)), ((0, 1, 2), (2, 2, 1))]
+)
+def test_relabelled_cyclic_quiver_gives_the_cyclic_bundle(labels, nu):
+    # A cyclic quiver's labels name its vertices; the multisegments count
+    # positions 1..n.  Only the quiver and the words' letters may differ.
+    n = len(labels)
+    arrows = [[labels[i], labels[(i + 1) % n]] for i in range(n)]
+    spec = {"vertices": list(labels), "arrows": arrows}
+    got = CanonicalSolver(IndexSystem(HallEngine(from_spec(json.dumps(spec))))).bundle(nu)
+    ref = CanonicalSolver(IndexSystem(HallEngine(cyclic(n)))).bundle(nu)
+    assert got["certificates"]["ok"] and verify_bundle(json.loads(json.dumps(got)))["ok"]
+    rename = dict(zip(range(1, n + 1), labels))
+    assert got["monomial_words"] == [
+        [[rename[i], a] for i, a in word] for word in ref["monomial_words"]
+    ]
+    assert got["quiver"] == spec
+    ignored = {"quiver", "quiver_name", "monomial_words"}
+    assert {k: v for k, v in got.items() if k not in ignored} == {
+        k: v for k, v in ref.items() if k not in ignored
+    }
+
+
+@pytest.mark.parametrize(
     "n, nu", [(3, (1, 3, 2)), (3, (2, 1, 3)), (3, (3, 2, 1)), (2, (2, 4))]
 )
 def test_canonical_certified_where_words_need_partial_peels(n, nu):

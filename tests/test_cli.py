@@ -839,6 +839,9 @@ def test_quiver_kind_is_classified_once_per_quiver(capsys, monkeypatch):
 _PATH_40 = json.dumps(
     {"vertices": list(range(1, 41)), "arrows": [[i, i + 1] for i in range(1, 40)]}
 )
+# Cyclic quivers whose labels are not 1..n.
+_CYCLIC_01 = json.dumps({"vertices": [0, 1], "arrows": [[0, 1], [1, 0]]})
+_CYCLIC_AB = json.dumps({"vertices": ["a", "b"], "arrows": [["a", "b"], ["b", "a"]]})
 
 
 @pytest.mark.parametrize(
@@ -851,8 +854,13 @@ _PATH_40 = json.dumps(
         ("kronecker", "3,3", "2,3,4,5,7,8,9,11,16"),
         ("jordan", "3", None),
         (_PATH_40, ",".join(["1"] + ["0"] * 39), None),
+        (_CYCLIC_01, "1,1", None),
+        (_CYCLIC_AB, "2,1", None),
     ],
-    ids=["kron44", "kron43", "kron34", "an3-3,3,3", "kron33-9primes", "jordan3", "path40"],
+    ids=[
+        "kron44", "kron43", "kron34", "an3-3,3,3", "kron33-9primes", "jordan3", "path40",
+        "cyclic01-1,1", "cyclicab-2,1",
+    ],
 )
 def test_run_grid_ends_in_ok_or_json_error(capsys, quiver, dim, primes):
     # Every run of a fixed grid ends in exit 0 with certificates ok, or in

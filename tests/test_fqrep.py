@@ -440,8 +440,9 @@ def test_pencil_ranks_match_hom_profiles(q, reverse):
 
 @pytest.mark.parametrize("q, nu", [(2, (4, 4)), (3, (4, 4)), (2, (5, 4)), (2, (4, 5))])
 def test_pencil_ranks_at_repeated_points_of_degree_two(q, nu):
-    # Below (4, 4) no point of degree >= 2 repeats, so the Toeplitz ranks
-    # run only at degree 1 there.
+    # Below (4, 4) no point of degree >= 2 repeats.  Infinity, read off the
+    # swapped pencil when it has degree >= 2, is picked beside singular
+    # blocks, whose units the diagonal form must clear.
     from hallcanon.combinatorics import point_degree
 
     ctx = ctx_kron(q)
@@ -449,8 +450,10 @@ def test_pencil_ranks_at_repeated_points_of_degree_two(q, nu):
         d
         for d in classes(ctx, nu)
         if any(point_degree(pt) >= 2 and sum(lam) >= 2 for pt, lam in d[4])
+        or (d[1] or d[3]) and any(pt == ("i",) and sum(lam) >= 2 for pt, lam in d[4])
     ]
-    assert picked
+    points = {pt for d in picked for pt, _ in d[4]}
+    assert ("i",) in points and any(point_degree(pt) >= 2 for pt in points)
     _check_classifier(ctx, picked, random.Random(q + sum(nu)))
 
 

@@ -199,22 +199,25 @@ def uncalled_definitions(package: dict, others: list) -> list:
     definition, in ``package`` or in ``others``.
 
     A method is used only through an attribute ``x.f``: a local variable
-    ``f`` does not make a method ``f`` used.  Any other definition is used
-    only through its bare name, an import of it, or ``<package module>.name``:
-    a method call ``x.f()`` does not make a module function ``f`` used.
+    ``f`` does not make a method ``f`` used.  Any other definition in module
+    ``m`` is used only through its bare name in ``m``, an import of it from
+    ``m``, or ``m.name``: a method call ``x.f()`` does not make a module
+    function ``f`` used, nor does a bare ``f`` in a module that takes ``f``
+    from elsewhere or defines its own.
     """
-    bare = defaultdict(list)  # name -> [(source key, line)]
+    bare = defaultdict(list)  # (module, name) -> [(source key, line)]
     attr = defaultdict(list)
     for key, source in [*package.items(), *enumerate(others)]:
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
-                bare[node.id].append((key, node.lineno))
-            elif isinstance(node, ast.alias):
-                bare[node.name.split(".")[-1]].append((key, node.lineno))
+            if isinstance(node, ast.Name) and key in package:
+                bare[key, node.id].append((key, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    bare[node.module.split(".")[-1], alias.name].append((key, node.lineno))
             elif isinstance(node, ast.Attribute):
                 attr[node.attr].append((key, node.lineno))
                 if isinstance(node.value, ast.Name) and node.value.id in package:
-                    bare[node.attr].append((key, node.lineno))
+                    bare[node.value.id, node.attr].append((key, node.lineno))
     out = []
 
     def visit(module, node, prefix, in_class):
@@ -225,7 +228,7 @@ def uncalled_definitions(package: dict, others: list) -> list:
             name = child.name
             if not (name.startswith("__") and name.endswith("__")):
                 first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
-                uses = attr[name] if in_class else bare[name]
+                uses = attr[name] if in_class else bare[module, name]
                 if all(key == module and first <= line <= child.end_lineno for key, line in uses):
                     out.append(f"{module}.{prefix}{name}")
             visit(module, child, f"{prefix}{name}.", isinstance(child, ast.ClassDef))
@@ -239,15 +242,24 @@ def test_uncalled_definition_detector():
     mod = "def used():\n    return 1\n\ndef dead(x):\n    return dead(x - 1)\n\n"
     mod += "class K:\n    def __init__(self):\n        used()\n\n    def m(self):\n        pass\n"
     assert uncalled_definitions({"mod": mod}, []) == ["mod.dead", "mod.K", "mod.K.m"]
-    assert uncalled_definitions({"mod": mod}, ["K().m()"]) == ["mod.dead"]
+    assert uncalled_definitions({"mod": mod}, ["from mod import K\nK().m()"]) == ["mod.dead"]
     # A method call .bar() does not use a module function bar; an import,
-    # a bare name or mod.bar does.
+    # a bare name in its module or mod.bar does.
     mod = "def bar():\n    return 1\n\nclass K:\n    def bar(self):\n        return 2\n\n"
     mod += "print(K().bar())\n"
     assert uncalled_definitions({"mod": mod}, []) == ["mod.bar"]
-    for use in ["from mod import bar", "print(bar)", "import mod\nmod.bar()"]:
+    for use in ["from mod import bar", "from .mod import bar", "import mod\nmod.bar()"]:
         assert uncalled_definitions({"mod": mod}, [use]) == [], use
     assert uncalled_definitions({"mod": mod}, ["other.bar()"]) == ["mod.bar"]
+    assert uncalled_definitions({"mod": mod + "print(bar)\n"}, []) == []
+    # Two modules define gcd: a bare gcd in the one uses only its own, and
+    # a bare gcd outside the package names neither.
+    one = "def gcd(a, b):\n    return a\n\nprint(gcd(1, 2))\n"
+    two = "def gcd(a, b):\n    return b\n"
+    assert uncalled_definitions({"one": one, "two": two}, []) == ["two.gcd"]
+    assert uncalled_definitions({"one": one, "two": two}, ["print(gcd(1, 2))"]) == ["two.gcd"]
+    for use in ["from two import gcd\ngcd(1, 2)", "import two\ntwo.gcd(1, 2)"]:
+        assert uncalled_definitions({"one": one, "two": two}, [use]) == [], use
     # A bare name, such as a local variable, does not use a method of that name.
     mod = "class K:\n    def scale(self):\n        return 1\n\n"
     mod += "def f(scale):\n    return K(), scale\n\nf(2)\n"
