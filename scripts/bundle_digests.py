@@ -23,6 +23,7 @@ from hallcanon.cli import main
 # The rows of ROADMAP.md's Baseline table that certify in seconds.
 ROWS = [
     ("kronecker", "3,2"),
+    ("kronecker", "2,3"),  # the sink is the larger vertex
     ("kronecker", "3,3"),
     ("kronecker", "4,3"),
     ("an:3:><", "2,2,2"),

@@ -188,32 +188,6 @@ def cmd_canonical(args) -> int:
     quiver = from_spec(args.quiver)
     nu = tuple(int(x) for x in args.dim.split(","))
     bundle = _bundle(cfg, quiver, nu)
-    if args.dump_transition:
-        if args.format == "latex":
-            from .laurent import LaurentPoly
-
-            lines = [r"\begin{tabular}{lll}", r"index & monomial over N & E over monomials \\"]
-            for i, idx in enumerate(bundle["indices"]):
-                mon = " + ".join(
-                    f"({LaurentPoly.from_json(c).text()})\\,N_{{{j}}}"
-                    for j, c in bundle["monomial_over_N"][i]
-                )
-                eta = " + ".join(
-                    f"({LaurentPoly.from_json(c).text()})\\,\\mathfrak{{m}}_{{{j}}}"
-                    for j, c in bundle["E_over_monomial"][i]
-                )
-                lines.append(f"${idx}$ & ${mon}$ & ${eta}$ \\\\")
-            lines.append(r"\end{tabular}")
-            _emit(args, "\n".join(lines) + "\n")
-            return 0
-        payload = {
-            "indices": bundle["indices"],
-            "monomial_over_N": bundle["monomial_over_N"],
-            "E_over_monomial": bundle["E_over_monomial"],
-            "monomial_over_E": bundle["monomial_over_E"],
-        }
-        _emit(args, _dump(payload))
-        return 0
     if args.format == "latex":
         from .canonical import latex_table
 
@@ -305,11 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(pc)
     pc.add_argument("--dim", required=True, help="dimension vector, e.g. 1,1")
     pc.add_argument("--format", choices=("json", "latex"), default="json")
-    pc.add_argument(
-        "--dump-transition",
-        action="store_true",
-        help="emit only the monomial/PBW transition matrices",
-    )
     pc.set_defaults(fn=cmd_canonical)
 
     ph = sub.add_parser("hallpoly", help="interpolate one Hall polynomial")

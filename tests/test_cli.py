@@ -82,36 +82,39 @@ def test_canonical_latex(capsys):
     assert "tabular" in out
 
 
-def test_dump_transition(capsys):
+def _fail_certificate(monkeypatch, key):
+    """Make the named certificate of every bundle computed from now on fail."""
+    from hallcanon import canonical
+
+    real = canonical.verify_bundle
+
+    def failing(bundle):
+        report = real(bundle)
+        report[key] = False
+        report["ok"] = False
+        return report
+
+    monkeypatch.setattr(canonical, "verify_bundle", failing)
+
+
+@pytest.mark.parametrize("failed", [None, "unitriangular", "bar_invariant", "almost_orthogonal"])
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_canonical_exits_by_its_certificates(capsys, monkeypatch, fmt, failed):
+    # Exit 0 iff every certificate holds, on both output formats.
+    monkeypatch.delenv("HALLCANON_CACHE", raising=False)
+    if failed:
+        _fail_certificate(monkeypatch, failed)
     code, out = run_cli(
-        capsys,
-        "canonical",
-        "--quiver",
-        "cyclic:2",
-        "--dim",
-        "1,1",
-        "--dump-transition",
+        capsys, "canonical", "--quiver", "cyclic:2", "--dim", "1,1", "--format", fmt
     )
-    assert code == 0
-    data = json.loads(out)
-    assert set(data) == {
-        "indices",
-        "monomial_over_N",
-        "E_over_monomial",
-        "monomial_over_E",
-    }
-    code, out = run_cli(
-        capsys,
-        "canonical",
-        "--quiver",
-        "cyclic:2",
-        "--dim",
-        "1,1",
-        "--dump-transition",
-        "--format",
-        "latex",
-    )
-    assert code == 0 and "tabular" in out
+    assert code == (1 if failed else 0)
+    if fmt == "latex":
+        assert out.startswith(r"\begin{tabular}")
+    else:
+        certificates = json.loads(out)["certificates"]
+        assert certificates["ok"] is (failed is None)
+        if failed:
+            assert certificates[failed] is False
 
 
 def test_hallpoly_jordan(capsys):
@@ -675,6 +678,10 @@ def test_forged_bundle_record_is_not_served(tmp_path, capsys, how):
             id="budget-not-int",
         ),
         pytest.param(["canonical", "--quiver", "kronecker", "--dim", "-1,2"], id="dim-read-as-option"),
+        pytest.param(
+            ["canonical", "--quiver", "cyclic:2", "--dim", "1,1", "--dump-transition"],
+            id="removed-dump-transition",
+        ),
         pytest.param(["nosuch"], id="unknown-command"),
         pytest.param([], id="no-command"),
         pytest.param(["verify"], id="verify-missing-bundle"),
@@ -875,6 +882,33 @@ def test_run_grid_ends_in_ok_or_json_error(capsys, quiver, dim, primes):
     else:
         assert code == 2
         assert set(data["error"]) == {"type", "message"}
+
+
+def test_cyclic_descriptors_name_vertices_by_position(capsys):
+    # On a cyclic quiver with its own labels, multisegment descriptors and a
+    # bundle's indices name vertex k of the vertex list by its position k
+    # (1..n); monomial_words name it by its label.
+    for L, M, N in [
+        ("[[1,2,1]]", "[]", "[]"),
+        ("[[1,2,1]]", "[[1,1,1]]", "[[2,1,1]]"),
+        ("[[1,2,1]]", "[[2,1,1]]", "[[1,1,1]]"),
+    ]:
+        labelled, plain = (
+            run_cli(capsys, "hallpoly", "--quiver", q, "--L", L, "--M", M, "--N", N)
+            for q in (_CYCLIC_AB, "cyclic:2")
+        )
+        assert labelled[0] == 0 and labelled == plain
+    code, out = run_cli(
+        capsys, "hallpoly", "--quiver", _CYCLIC_AB, "--L", '[["a",2,1]]', "--M", "[]", "--N", "[]"
+    )
+    assert code == 2 and json.loads(out)["error"]["type"] == "ValueError"
+    labelled = json.loads(run_cli(capsys, "canonical", "--quiver", _CYCLIC_AB, "--dim", "2,1")[1])
+    plain = json.loads(run_cli(capsys, "canonical", "--quiver", "cyclic:2", "--dim", "2,1")[1])
+    assert labelled["indices"] == plain["indices"]
+    label = {1: "a", 2: "b"}
+    assert labelled["monomial_words"] == [
+        [[label[i], m] for i, m in word] for word in plain["monomial_words"]
+    ]
 
 
 LEG_RUN = """
