@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hallcanon import canonical
 from hallcanon import store as store_mod
 from hallcanon.cli import main
 from hallcanon.hallpoly import HallPolyEngine
@@ -82,28 +83,21 @@ def test_canonical_latex(capsys):
     assert "tabular" in out
 
 
-def _fail_certificate(monkeypatch, key):
-    """Make the named certificate of every bundle computed from now on fail."""
-    from hallcanon import canonical
-
-    real = canonical.verify_bundle
-
-    def failing(bundle):
-        report = real(bundle)
-        report[key] = False
-        report["ok"] = False
-        return report
-
-    monkeypatch.setattr(canonical, "verify_bundle", failing)
-
-
 @pytest.mark.parametrize("failed", [None, "unitriangular", "bar_invariant", "almost_orthogonal"])
 @pytest.mark.parametrize("fmt", ["json", "latex"])
 def test_canonical_exits_by_its_certificates(capsys, monkeypatch, fmt, failed):
     # Exit 0 iff every certificate holds, on both output formats.
     monkeypatch.delenv("HALLCANON_CACHE", raising=False)
     if failed:
-        _fail_certificate(monkeypatch, failed)
+        real = canonical.verify_bundle
+
+        def failing(bundle):
+            report = real(bundle)
+            report[failed] = False
+            report["ok"] = False
+            return report
+
+        monkeypatch.setattr(canonical, "verify_bundle", failing)
     code, out = run_cli(
         capsys, "canonical", "--quiver", "cyclic:2", "--dim", "1,1", "--format", fmt
     )
