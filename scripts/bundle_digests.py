@@ -26,6 +26,7 @@ ROWS = [
     ("kronecker", "2,3"),  # the sink is the larger vertex
     ("kronecker", "3,3"),
     ("kronecker", "4,3"),
+    ("kronecker", "3,4"),  # the censuses that use the torus vertex most
     ("an:3:><", "2,2,2"),
     ("an:4", "2,2,2,2"),
     ("cyclic:3", "2,2,1"),

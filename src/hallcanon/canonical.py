@@ -164,7 +164,10 @@ class CanonicalSolver:
     def verify(self, nu, cdata: CanonicalData | None = None, matrices=None) -> dict:
         """``verify_bundle``'s report on the matrices that ``bundle`` writes
         from ``cdata`` (default: the solve at nu), plus ``truncation_agrees``:
-        whether cdata's C over the monomials is the truncation's.
+        whether cdata's C over the monomials is the truncation's.  ``solve``
+        takes that C from the memoized ``truncation`` itself, so the key is
+        true on every bundle; it reads false only for a cdata whose C over
+        the monomials was replaced.
 
         ``bundle`` passes the ``matrices`` it has already built from cdata.
         """

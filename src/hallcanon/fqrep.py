@@ -17,7 +17,7 @@ dim Hom(beta_t, M) over the preprojectives (``FieldContext.classify``).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from . import gf
 from .combinatorics import (
@@ -307,53 +307,57 @@ def census_size(M: FqModule, target) -> int:
 
 
 @lru_cache(maxsize=None)
-def _subspace_listing(F: GF, d: int, k: int) -> tuple:
-    """gf.subspaces(F, d, k) as (rows, pivots), already RREF; shared by censuses."""
-    return tuple((rows, tuple(row.index(1) for row in rows)) for rows in gf.subspaces(F, d, k))
+def _subspace_orbits(F: GF, d: int, k: int, labels) -> tuple:
+    """(rows, pivots, size) for one k-subspace of F^d, in RREF, per orbit of
+    T, which scales the coordinates of each block (``labels[c]``: the block
+    of c) by its own element of F_q^*; ``labels`` None is one block.
 
-
-@lru_cache(maxsize=None)
-def _torus_orbits(F: GF, d: int, k: int, labels) -> tuple:
-    """(first subspace, size) of each orbit of the k-subspaces of F^d, in
-    ``_subspace_listing`` order, under T, which scales the coordinates of
-    each block (``labels[c]``: the block of c) by its own element of F_q^*.
-
-    T keeps the pivots and the nonzero entries, and multiplies entry (r, c)
-    by lambda_b(c) / lambda_b(p_r), p_r the pivot of row r.  Take the entries
-    joining two blocks in row-major order, and keep each that joins two
-    blocks not yet connected by those kept: a spanning forest.  T moves the
-    forest's entries independently and fixes the others once those are
-    fixed, so an orbit has (q - 1)^(forest size) subspaces, and its first in
-    the listing, where 1 is the least nonzero entry, is the one whose
-    forest entries are all 1.  With q = 2, or one block, each orbit is a
-    point.
+    Each pivot pattern's free entries are filled row-major with values
+    ascending, the order of ``product`` over them.  T keeps the pivots and
+    the nonzero entries, and multiplies entry (r, c) by lambda_b(c) /
+    lambda_b(p_r), p_r the pivot of row r.  An entry that joins two blocks
+    not yet connected takes only 0 or 1, and joins them when it is 1: those
+    entries form a spanning forest.  T moves the forest's entries
+    independently and fixes the others once those are fixed, so the orbit
+    has (q - 1)^(forest size) subspaces, and its representative, with
+    forest entries 1, is its first.
+    With q = 2, or one block, every subspace is its own orbit.  Labels are
+    renumbered by first appearance, so such a call shares the entry of
+    ``labels`` None; equal rows share one tuple.
     """
-    listing = _subspace_listing(F, d, k)
-    blocks = sorted(set(labels))
-    if F.q == 2 or len(blocks) < 2:
-        return tuple((sub, 1) for sub in listing)
-    labels = [blocks.index(b) for b in labels]
+    if labels is not None:
+        number: dict = {}
+        blocks = tuple(number.setdefault(b, len(number)) for b in labels)
+        if F.q == 2 or len(number) < 2:
+            blocks = None
+        if blocks != labels:
+            return _subspace_orbits(F, d, k, blocks)
+    out, shared = [], {}
+    components = None if labels is None else tuple(range(max(labels) + 1))
+    for pivots in combinations(range(d), k):
+        free = [(r, c) for r, p in enumerate(pivots) for c in range(p + 1, d) if c not in pivots]
+        rows = [[int(c == p) for c in range(d)] for p in pivots]
 
-    def forest_size(rows, pivots):
-        """The forest's size, or None when an entry of it is not 1."""
-        component, size = list(range(len(blocks))), 0
-        for row, p in zip(rows, pivots):
-            for c in range(p + 1, d):
-                x = row[c]
-                if x:
-                    a, b = component[labels[c]], component[labels[p]]
-                    if a != b:
-                        if x != 1:
-                            return None
-                        component = [b if y == a else y for y in component]
-                        size += 1
-        return size
+        def fill(j, component, forest):
+            if j == len(free):
+                sub = tuple(shared.setdefault(row, row) for row in map(tuple, rows))
+                out.append((sub, pivots, (F.q - 1) ** forest))
+                return
+            r, c = free[j]
+            row = rows[r]
+            if labels is not None:
+                a, b = component[labels[c]], component[labels[pivots[r]]]
+                if a != b:
+                    row[c] = 0
+                    fill(j + 1, component, forest)
+                    row[c] = 1
+                    fill(j + 1, tuple(b if y == a else y for y in component), forest + 1)
+                    return
+            for x in F.elements():
+                row[c] = x
+                fill(j + 1, component, forest)
 
-    out = []
-    for sub in listing:
-        size = forest_size(*sub)
-        if size is not None:
-            out.append((sub, (F.q - 1) ** size))
+        fill(0, components, 0)
     return tuple(out)
 
 
@@ -383,15 +387,14 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000, labels
     ``labels`` (``FieldContext.summand_labels``) names, per vertex, the
     direct summand of M of each coordinate.  Scaling each summand by its own
     scalar is an automorphism of M, so this torus T permutes the stable
-    subspaces and keeps the classes of U and M/U; it carries those over
-    V_v0 one-to-one onto those over t V_v0.  With labels, v0 is the first
-    free vertex in the order, the first with 0 < k_v < d_v: every vertex
-    before it is forced to 0 or M_v, which T keeps, so the bounds they put
-    on V_v0 are T-stable.  The census lists the T-orbit representatives at
-    v0 that lie between those bounds, the later vertices in full, and weighs
-    each by the size of its orbit at v0; the weighted sum of any T-invariant
-    function is its sum over all subspaces.  Without labels every stable
-    subspace is yielded with weight 1.
+    subspaces and keeps the classes of U and M/U.  With labels, v0 is the
+    first vertex in the order with 0 < k_v < d_v; every vertex before it is
+    forced to 0 or M_v, so the bounds on V_v0 are T-stable and each row of
+    upper/lower lies in one block.  The census takes one subspace of each
+    T-orbit of upper/lower there (``_subspace_orbits``), weighed by the
+    orbit's size, and the later vertices in full; the weighted sum of any
+    T-invariant function is its sum over all subspaces.  Without labels
+    every stable subspace is yielded with weight 1.
     """
     n = len(M.dims)
     if any(target[v] > M.dims[v] for v in range(n)):
@@ -421,7 +424,10 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000, labels
                     return False
         return True
 
-    def between_bounds(v, chosen):
+    def between_bounds(v, chosen, blocks):
+        """(rows, pivots, orbit size) per T-orbit of the k_v-subspaces of
+        M_v between the bounds, T given by the ``blocks`` of M_v's
+        coordinates (None: each subspace with size 1)."""
         d, k = M.dims[v], target[v]
         images = [
             img
@@ -441,7 +447,7 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000, labels
             if any(row)
         ]
         if not low_rows and not constraints:
-            return _subspace_listing(F, d, k)
+            return _subspace_orbits(F, d, k, blocks)
         upper = gf.nullspace(F, constraints) if constraints else gf.identity(d)
         # Complement of the lower bound inside the upper one, reduced modulo
         # the lower bound; it spans upper/lower exactly when lower <= upper.
@@ -449,46 +455,32 @@ def graded_stable_subspaces(M: FqModule, target, budget: int = 2_000_000, labels
         comp_rows, comp_piv = gf.rref(F, reduced) if reduced else ([], [])
         if len(comp_rows) != len(upper) - len(low_rows):
             return []
+        # At v0 each complement row lies in the block of its pivot, and T
+        # acts on upper/lower through those blocks.
+        induced = None if blocks is None else tuple(blocks[p] for p in comp_piv)
         out = []
-        for coeffs, sel in _subspace_listing(F, len(comp_rows), k - len(low_rows)):
+        for coeffs, sel, size in _subspace_orbits(F, len(comp_rows), k - len(low_rows), induced):
             lifted = gf.combine_rows(F, coeffs, comp_rows)
-            out.append(
-                gf.rref_join(F, low_rows, low_piv, lifted, [comp_piv[j] for j in sel])
-            )
+            rows, pivots = gf.rref_join(F, low_rows, low_piv, lifted, [comp_piv[j] for j in sel])
+            out.append((rows, pivots, size))
         return out
 
     chosen = [None] * n
-    # The torus acts at v0, given by its position ``free`` in the order, when
-    # it has two blocks there and q > 2; otherwise every orbit is a point.
-    # Blocks renumbered by first appearance share ``_torus_orbits`` entries.
-    free, blocks = None, ()
-    for i, v in enumerate(order):
-        if 0 < target[v] < M.dims[v]:
-            if labels is not None and F.q > 2:
-                number: dict = {}
-                blocks = tuple(number.setdefault(b, len(number)) for b in labels[v])
-                free = i if len(number) > 1 else None
-            break
+    # The position of v0 in the order, where the torus acts.
+    free = None
+    if labels is not None:
+        free = next((i for i, v in enumerate(order) if 0 < target[v] < M.dims[v]), None)
 
     def rec(i, weight):
         if i == n:
             yield tuple(chosen), weight
             return
         v = order[i]
-        kept = between_bounds(v, chosen)
-        listed = ((sub, weight) for sub in kept)
-        if i == free:
-            # An orbit lies between v0's T-stable bounds whole or not at all;
-            # with no bounds, ``between_bounds`` is the full listing.
-            listed = _torus_orbits(F, M.dims[v], target[v], blocks)
-            if kept is not _subspace_listing(F, M.dims[v], target[v]):
-                kept = set(kept)
-                listed = [(sub, w) for sub, w in listed if sub in kept]
-        for (rows, pivots), w in listed:
+        for rows, pivots, size in between_bounds(v, chosen, labels[v] if i == free else None):
             if loops[v] and not loop_stable(v, rows, pivots):
                 continue
             chosen[v] = (rows, pivots)
-            yield from rec(i + 1, w)
+            yield from rec(i + 1, weight * size)
 
     yield from rec(0, 1)
 

@@ -9,7 +9,7 @@ is exact; matrices are lists of int lists.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from .config import _MAX_TABLE_Q, _factor_prime_power
 
@@ -325,23 +325,3 @@ def rref_join(F: GF, low_rows, low_pivots, rows, pivots):
     merged.sort()
     return tuple(r for _, r in merged), tuple(p for p, _ in merged)
 
-
-def subspaces(F: GF, d: int, k: int):
-    """All k-dimensional subspaces of F_q^d as RREF row tuples."""
-    if k == 0:
-        yield ()
-        return
-    for pivots in combinations(range(d), k):
-        free_positions = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, d)
-            if c not in pivots
-        ]
-        for values in product(F.elements(), repeat=len(free_positions)):
-            rows = zeros(k, d)
-            for r, pc in enumerate(pivots):
-                rows[r][pc] = 1
-            for (r, c), val in zip(free_positions, values):
-                rows[r][c] = val
-            yield tuple(tuple(r) for r in rows)

@@ -8,7 +8,7 @@ sums, structure constants over the N family).
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from weakref import WeakKeyDictionary
 
 from hallcanon.canonical import CanonicalData, lusztig_solve, zeta_matrix
@@ -21,7 +21,7 @@ from hallcanon.fqrep import (
     graded_stable_subspaces,
     hom_dim,
 )
-from hallcanon.gf import GF, _poly_rem
+from hallcanon.gf import GF, _poly_rem, zeros
 from hallcanon.hallalg import FieldElement
 from hallcanon.hallpoly import MIN_VALIDATE, sample_and_fit
 from hallcanon.pbw import _geL
@@ -635,6 +635,27 @@ def fit_integer_poly_by_degree(pairs, cap=None):
 
 
 # -- finite fields and closed points ---------------------------------------
+
+
+def subspaces(F: GF, d: int, k: int):
+    """All k-dimensional subspaces of F_q^d as RREF row tuples."""
+    if k == 0:
+        yield ()
+        return
+    for pivots in combinations(range(d), k):
+        free_positions = [
+            (r, c)
+            for r in range(k)
+            for c in range(pivots[r] + 1, d)
+            if c not in pivots
+        ]
+        for values in product(F.elements(), repeat=len(free_positions)):
+            rows = zeros(k, d)
+            for r, pc in enumerate(pivots):
+                rows[r][pc] = 1
+            for (r, c), val in zip(free_positions, values):
+                rows[r][c] = val
+            yield tuple(tuple(r) for r in rows)
 
 
 def irreducibles_by_trial_division(q: int, d: int) -> tuple:

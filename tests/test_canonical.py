@@ -395,6 +395,22 @@ def test_verify_rejects_corrupted_transition_data(kron, key):
     assert report["unitriangular"] and all(report["bar_invariant"])
 
 
+def test_truncation_agrees_reads_false_only_on_a_replaced_C_over_mon(kron):
+    # solve takes C over the monomials from the memoized truncation that
+    # verify compares it with, so the key holds on every solve; it can only
+    # catch a cdata whose C over the monomials was replaced.
+    nu = (2, 1)
+    cdata = kron.solve(nu)
+    assert kron.verify(nu, cdata)["truncation_agrees"] is True
+    a = cdata.pbw.order[-1]
+    k = next(iter(cdata.C_over_mon[a]))
+    changed = {**cdata.C_over_mon, a: {**cdata.C_over_mon[a], k: cdata.C_over_mon[a][k] + V(-1)}}
+    report = kron.verify(nu, cdata._replace(C_over_mon=changed))
+    assert report["truncation_agrees"] is False
+    assert report["ok"] is False
+    assert kron.verify(nu)["ok"]
+
+
 def test_bundle_and_verify_roundtrip(kron):
     bundle = kron.bundle((1, 1))
     blob = json.dumps(bundle, sort_keys=True)

@@ -29,7 +29,13 @@ from hallcanon.hallpoly import HallPolyEngine
 from hallcanon.partitions import partitions
 from hallcanon.pbw import IndexSystem
 from hallcanon.quiver import cyclic, kronecker, linear_an
-from oracles import census_row, classes, quotient_by_subspace, submodule_from_subspace
+from oracles import (
+    census_row,
+    classes,
+    quotient_by_subspace,
+    submodule_from_subspace,
+    subspaces,
+)
 
 
 def oracle_stable_subspaces(M, target):
@@ -41,7 +47,7 @@ def oracle_stable_subspaces(M, target):
     n = len(M.dims)
     if any(target[v] > M.dims[v] for v in range(n)):
         return []
-    per_vertex = [list(gf.subspaces(F, M.dims[v], target[v])) for v in range(n)]
+    per_vertex = [list(subspaces(F, M.dims[v], target[v])) for v in range(n)]
     out = []
     for choice in product(*per_vertex):
         ok = True
@@ -699,23 +705,29 @@ TORUS_LABELS = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (0, 1, 2), (0, 0, 1, 2), (2, 0,
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_torus_orbits_partition_the_listing(q):
     # Checked against every element of T = (F_q^*)^blocks, not only the
-    # generator scalings the orbits are closed under.
+    # generator scalings the orbits are closed under, and against the
+    # oracle's listing of the Grassmannian.
     F = gf.GF(q)
     for labels in TORUS_LABELS:
         d = len(labels)
         if d == 4 and q > 5:
             continue
         for k in range(d + 1):
-            listing = fqrep._subspace_listing(F, d, k)
-            orbits = fqrep._torus_orbits(F, d, k, labels)
-            assert sum(w for _, w in orbits) == eval_poly(_gauss_binom_coeffs(d, k), q)
-            position = {rows: i for i, (rows, _) in enumerate(listing)}
+            listing = list(subspaces(F, d, k))
+            # With no labels the enumerator is the listing, in its order.
+            everything = fqrep._subspace_orbits(F, d, k, None)
+            assert everything == tuple(
+                (rows, tuple(row.index(1) for row in rows), 1) for rows in listing
+            )
+            orbits = fqrep._subspace_orbits(F, d, k, labels)
+            assert sum(size for *_, size in orbits) == eval_poly(_gauss_binom_coeffs(d, k), q)
+            position = {rows: i for i, rows in enumerate(listing)}
             covered = set()
             last = -1
-            for (rows, pivots), weight in orbits:
-                assert (rows, pivots) in listing
+            for rows, pivots, size in orbits:
+                assert pivots == tuple(row.index(1) for row in rows)
                 orbit = torus_orbit(F, rows, labels)
-                assert len(orbit) == weight, (labels, k, rows)
+                assert len(orbit) == size, (labels, k, rows)
                 assert not covered & orbit
                 covered |= orbit
                 # The representative is its orbit's first subspace, and the
@@ -725,7 +737,7 @@ def test_torus_orbits_partition_the_listing(q):
                 last = position[rows]
             assert covered == set(position)
             if q == 2 or len(set(labels)) == 1:
-                assert [w for _, w in orbits] == [1] * len(listing)
+                assert orbits == everything
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -767,7 +779,8 @@ def test_hall_rows_by_torus_orbits_equal_a_full_census(quiver, nuL, reduces, q):
 def test_rows_whose_first_vertex_is_forced_reduce_at_the_next(q):
     # On Kronecker (2,3), dim N = (0,a) or (2,a) forces the first vertex of
     # the census to 0 or all of L_v, so its torus orbits are taken at the
-    # sink, between the bounds the forced vertex puts on it.
+    # sink.  V_0 = 0 puts no bound on the sink; V_0 = L_0 bounds it below by
+    # the image of L_0.
     ctx, oracle = FieldContext(kronecker(), q), FieldContext(kronecker(), q)
     for nuN in [(0, 1), (0, 2), (2, 2)]:
         listed = counted = 0
@@ -779,6 +792,53 @@ def test_rows_whose_first_vertex_is_forced_reduce_at_the_next(q):
                     listed += 1
                     counted += weight
         assert listed < counted, nuN
+
+
+def test_a_bounded_torus_vertex_lifts_only_its_representatives(monkeypatch):
+    # On Kronecker (2,3) at q = 3, dim N = (2,2) forces V_0 = L_0, whose
+    # image bounds the sink from below.  The sink is v0 and the last vertex,
+    # so each subspace yielded is one orbit there, and each is lifted from
+    # upper/lower once: fewer lifts than subspaces between the bounds.
+    ctx = FieldContext(kronecker(), 3)
+    censuses = [
+        (L, ctx.summand_labels(dL))
+        for dL in classes(ctx, (2, 3))
+        if not is_semisimple(L := ctx.build(dL))
+    ]
+    lifts = 0
+    combine_rows = gf.combine_rows
+
+    def counting(*args):
+        nonlocal lifts
+        lifts += 1
+        return combine_rows(*args)
+
+    monkeypatch.setattr(gf, "combine_rows", counting)
+    listed = counted = 0
+    for L, labels in censuses:
+        for _, weight in graded_stable_subspaces(L, (2, 2), 10**6, labels):
+            listed += 1
+            counted += weight
+    assert lifts == listed < counted
+
+
+def test_an_unbounded_torus_vertex_lists_no_grassmannian():
+    # dim N = (0,1) forces V_0 = 0, so the sink is v0 with no bound: its
+    # representatives come from the pivot patterns, and the one-block
+    # listing of the lines of F^3 is never built.
+    ctx = FieldContext(kronecker(), 3)
+    dL = next(
+        d
+        for d in classes(ctx, (2, 3))
+        if len(set(ctx.summand_labels(d)[1])) > 1 and not is_semisimple(ctx.build(d))
+    )
+    L = ctx.build(dL)
+    fqrep._subspace_orbits.cache_clear()
+    yielded = list(graded_stable_subspaces(L, (0, 1), 10**6, ctx.summand_labels(dL)))
+    assert len(yielded) < sum(w for _, w in yielded) == census_size(L, (0, 1))
+    hits = fqrep._subspace_orbits.cache_info().hits
+    fqrep._subspace_orbits(ctx.F, 3, 1, None)
+    assert fqrep._subspace_orbits.cache_info().hits == hits
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])

@@ -16,9 +16,8 @@ from hallcanon.gf import (
     reduce_mod_rowspace,
     rref,
     rref_join,
-    subspaces,
 )
-from oracles import field_tables_by_int_product, irreducibles_by_trial_division
+from oracles import field_tables_by_int_product, irreducibles_by_trial_division, subspaces
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
